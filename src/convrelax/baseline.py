@@ -132,7 +132,7 @@ def gd_fit(dataset: Dataset, config: GdConfig, w0: np.ndarray | None = None) -> 
     iters = 0
     loss, grad = loss_grad(dataset, w)
     for it in range(config.max_iters):
-        if loss > DIVERGENCE_LOSS:
+        if not loss <= DIVERGENCE_LOSS:  # also catches a NaN loss
             status = GD_DIVERGED
             break
         if np.max(np.abs(grad)) <= config.stop_tol:
@@ -142,10 +142,14 @@ def gd_fit(dataset: Dataset, config: GdConfig, w0: np.ndarray | None = None) -> 
         iters = it + 1
         loss, grad = loss_grad(dataset, w)
     else:
-        if loss > DIVERGENCE_LOSS:
+        if not loss <= DIVERGENCE_LOSS:
             status = GD_DIVERGED
         elif np.max(np.abs(grad)) <= config.stop_tol:
             status = GD_CONVERGED
+    if not np.all(np.isfinite(w)):
+        # an overflowed filter zeroes every active set, so the loss and
+        # gradient computed from it read finite and flat
+        status = GD_DIVERGED
     return GdResult(w_hat=w, final_loss=residual(dataset, w), iters_used=iters, status=status)
 
 

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from . import baseline, certify, mnistreg, model, relax, sweep
+from . import baseline, certify, mnistreg, model, qpsolve, relax, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
             return EXIT_IO
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except relax.AllTrialsFailedError as exc:
+    except (relax.AllTrialsFailedError, qpsolve.SolverError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

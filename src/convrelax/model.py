@@ -85,6 +85,8 @@ class Dataset:
             raise ModelError("x must be (n, d) with matching y length")
         if self.k <= 0 or x.shape[1] % self.k != 0:
             raise ModelError("k must be positive and divide the feature width")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ModelError("x and y must be finite")
 
     @property
     def n(self) -> int:
@@ -211,4 +213,9 @@ def import_csv(path: str) -> Dataset:
             raise CsvFormatError(lineno, str(exc)) from exc
         y[i] = vals[0]
         x[i] = vals[1:]
+    finite = np.isfinite(np.column_stack([y, x]))
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        column = "y" if j == 0 else f"x_{j}"
+        raise CsvFormatError(3 + i, f"non-finite value in column {column}")
     return Dataset(x=x, y=y, k=k, seed=seed)

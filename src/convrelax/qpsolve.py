@@ -19,6 +19,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 # Static Tikhonov term added to every factorized KKT/normal system.
 KKT_REGULARIZATION = 1e-10
@@ -79,11 +80,12 @@ class ConvexProgram:
             raise SolverError("program needs at least one variable")
         if self.q is None:
             self.q = np.zeros((m, m))
-        self.q = _as_matrix(self.q, m, "q")
-        if self.q.shape != (m, m):
-            raise SolverError(f"q must be {m}x{m}, got {self.q.shape}")
-        if not np.allclose(self.q, self.q.T, atol=1e-12, rtol=0.0):
-            raise SolverError("q must be symmetric within 1e-12")
+        else:
+            self.q = _as_matrix(self.q, m, "q")
+            if self.q.shape != (m, m):
+                raise SolverError(f"q must be {m}x{m}, got {self.q.shape}")
+            if not np.allclose(self.q, self.q.T, atol=1e-12, rtol=0.0):
+                raise SolverError("q must be symmetric within 1e-12")
         self.a_ineq = _as_matrix(self.a_ineq, m, "a_ineq")
         self.a_eq = _as_matrix(self.a_eq, m, "a_eq")
         if self.a_ineq.shape[1] != m or self.a_eq.shape[1] != m:
@@ -228,34 +230,63 @@ class _Presolved:
 
 
 def _dedup_rows(a: np.ndarray, b: np.ndarray, is_eq: bool):
-    keep: list[int] = []
-    seen: dict[bytes, int] = {}
-    infeasible = False
-    for i in range(a.shape[0]):
-        row = a[i]
-        if not row.any():
-            if (is_eq and b[i] != 0.0) or (not is_eq and b[i] < 0.0):
-                infeasible = True
-            continue
-        key = row.tobytes() + np.float64(b[i]).tobytes()
-        if key in seen:
-            continue
-        seen[key] = i
-        keep.append(i)
-    return np.asarray(keep, dtype=int), infeasible
+    """Indices of the first occurrence of each distinct nonzero row of
+    [a | b], ascending, and whether a zero row is infeasible.
+
+    Rows are distinct when their bytes differ, so -0.0 and 0.0 entries
+    tell rows apart, while a row whose entries are all ±0.0 counts as zero.
+    Rows are first grouped by a signature that byte-equal rows share
+    (nonzero count, first nonzero column, the bits of its value and of
+    b); only rows whose signatures collide are compared byte for byte.
+    """
+    nonzero = a != 0.0
+    is_zero_row = ~nonzero.any(axis=1)
+    b_zero = b[is_zero_row]
+    infeasible = bool(np.any(b_zero != 0.0) if is_eq else np.any(b_zero < 0.0))
+    rows = np.flatnonzero(~is_zero_row)
+    if rows.size < 2:
+        return rows, infeasible
+    nonzero = nonzero[rows]
+    first = nonzero.argmax(axis=1)
+    signature = (nonzero.sum(axis=1), first, a[rows, first].view(np.int64), b[rows].view(np.int64))
+    order = np.lexsort(signature)
+    ordered = np.stack(signature)[:, order]
+    starts = np.flatnonzero(np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0), True])
+    group_size = np.diff(starts)
+    shared = np.zeros(rows.size, dtype=bool)
+    shared[order] = np.repeat(group_size > 1, group_size)
+    keep = ~shared
+    if shared.any():
+        candidates = np.flatnonzero(shared)
+        pairs = np.column_stack([a[rows[candidates]], b[rows[candidates]]])
+        keys = pairs.view(np.dtype((np.void, pairs.itemsize * pairs.shape[1]))).ravel()
+        _, first_of_key = np.unique(keys, return_index=True)
+        keep[candidates[first_of_key]] = True
+    return rows[keep], infeasible
 
 
 def _presolve(program: ConvexProgram) -> _Presolved:
     keep_ineq, bad_ineq = _dedup_rows(program.a_ineq, program.b_ineq, is_eq=False)
     keep_eq, bad_eq = _dedup_rows(program.a_eq, program.b_eq, is_eq=True)
-    reduced = ConvexProgram(
-        c=program.c,
-        q=program.q,
-        a_ineq=program.a_ineq[keep_ineq],
-        b_ineq=program.b_ineq[keep_ineq],
-        a_eq=program.a_eq[keep_eq],
-        b_eq=program.b_eq[keep_eq],
+    unchanged = (
+        keep_ineq.size == program.n_ineq
+        and keep_eq.size == program.n_eq
+        # a reduced program holds row-major copies, and BLAS may round a
+        # product differently on another layout
+        and program.a_ineq.flags.c_contiguous
+        and program.a_eq.flags.c_contiguous
     )
+    if unchanged:
+        reduced = program
+    else:
+        reduced = ConvexProgram(
+            c=program.c,
+            q=program.q,
+            a_ineq=program.a_ineq[keep_ineq],
+            b_ineq=program.b_ineq[keep_ineq],
+            a_eq=program.a_eq[keep_eq],
+            b_eq=program.b_eq[keep_eq],
+        )
     return _Presolved(reduced, keep_ineq, keep_eq, infeasible=bad_ineq or bad_eq)
 
 
@@ -275,8 +306,8 @@ def _hsd_step_length(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, alpha0):
     alpha = 1.0
     for v, dv in ((x, d_x), (z, d_z)):
         neg = dv < 0
-        if np.any(neg):
-            alpha = min(alpha, np.min(v[neg] / -dv[neg]))
+        # entries off ``neg`` are never divided nor read
+        alpha = min(alpha, np.min(np.divide(v, -dv, out=None, where=neg), where=neg, initial=np.inf))
     if d_tau < 0:
         alpha = min(alpha, tau / -d_tau)
     if d_kappa < 0:
@@ -329,14 +360,16 @@ def _hsd(A, b, c, tol, max_iter):
 
         d_inv = x / z
         M = (A * d_inv) @ A.T
-        M[np.diag_indices_from(M)] += KKT_REGULARIZATION
-        try:
-            cho = scipy.linalg.cho_factor(M, check_finite=False)
+        M.reshape(-1)[:: m + 1] += KKT_REGULARIZATION  # the diagonal, in place
+        # the LAPACK calls behind scipy.linalg.cho_factor and cho_solve,
+        # without their per-call argument checks
+        factor, info = dpotrf(M, lower=False, clean=False)
+        if info == 0:
 
-            def lin_solve(rhs, cho=cho):
-                return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+            def lin_solve(rhs, factor=factor):
+                return dpotrs(factor, rhs, lower=False)[0]
 
-        except scipy.linalg.LinAlgError:
+        else:
 
             def lin_solve(rhs, M=M):
                 return np.linalg.lstsq(M, rhs, rcond=None)[0]
@@ -407,9 +440,11 @@ class _StdForm:
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    nonneg: np.ndarray  # original var -> standard col, or -1 if split
-    split: dict  # original var -> (col_plus, col_minus)
-    bound_row: dict  # original ineq row -> (var, scale) for sign-bound rows
+    col: np.ndarray  # original var -> its standard col (the plus part if split)
+    split: np.ndarray  # original var is free: plus part in col, minus in col + 1
+    bound_rows: np.ndarray  # original ineq rows read as sign bounds, one per var
+    bound_vars: np.ndarray  # the var each bound row keeps nonnegative
+    bound_scales: np.ndarray  # −G[row, var] > 0 of each bound row
     generic_rows: np.ndarray  # original ineq rows kept as slack rows, in order
     n_eq: int
 
@@ -419,34 +454,24 @@ def _lp_standard_form(program: ConvexProgram) -> _StdForm:
     G, h = program.a_ineq, program.b_ineq
     A, b = program.a_eq, program.b_eq
 
-    nonneg = np.full(m, -1, dtype=int)
-    bound_row: dict[int, tuple[int, float]] = {}
-    generic = []
-    for i in range(G.shape[0]):
-        row = G[i]
-        nz = np.flatnonzero(row)
-        if h[i] == 0.0 and nz.size == 1 and row[nz[0]] < 0 and nonneg[nz[0]] < 0:
-            j = int(nz[0])
-            nonneg[j] = 0  # provisional marker, column index assigned below
-            bound_row[i] = (j, float(-row[nz[0]]))
-        else:
-            generic.append(i)
-    generic = np.asarray(generic, dtype=int)
+    # a row −s·x_j ≤ 0 with s > 0 is the sign bound x_j ≥ 0; the first
+    # such row of each variable becomes its bound, later ones stay generic
+    nonzero = G != 0.0
+    first = nonzero.argmax(axis=1)
+    lead = G[np.arange(G.shape[0]), first]
+    candidates = np.flatnonzero((h == 0.0) & (nonzero.sum(axis=1) == 1) & (lead < 0))
+    bound_vars, first_row = np.unique(first[candidates], return_index=True)
+    bound_rows = candidates[first_row]
+    is_generic = np.ones(G.shape[0], dtype=bool)
+    is_generic[bound_rows] = False
+    generic = np.flatnonzero(is_generic)
 
-    cols = []
-    split: dict[int, tuple[int, int]] = {}
-    col_of_var = np.full(m, -1, dtype=int)
-    next_col = 0
-    for j in range(m):
-        if nonneg[j] == 0:
-            col_of_var[j] = next_col
-            nonneg[j] = next_col
-            next_col += 1
-        else:
-            split[j] = (next_col, next_col + 1)
-            next_col += 2
-    n_slack = generic.size
-    n_std = next_col + n_slack
+    split = np.ones(m, dtype=bool)
+    split[bound_vars] = False
+    width = np.where(split, 2, 1)
+    col = np.cumsum(width) - width
+    next_col = int(width.sum())
+    n_std = next_col + generic.size
 
     q_eq = A.shape[0]
     rows = q_eq + generic.size
@@ -455,20 +480,15 @@ def _lp_standard_form(program: ConvexProgram) -> _StdForm:
     c_std = np.zeros(n_std)
 
     stacked = np.vstack([A, G[generic]]) if rows else np.zeros((0, m))
-    for j in range(m):
-        if nonneg[j] >= 0:
-            A_std[:, nonneg[j]] = stacked[:, j]
-            c_std[nonneg[j]] = program.c[j]
-        else:
-            cp, cm = split[j]
-            A_std[:, cp] = stacked[:, j]
-            A_std[:, cm] = -stacked[:, j]
-            c_std[cp] = program.c[j]
-            c_std[cm] = -program.c[j]
-    for r in range(generic.size):
-        A_std[q_eq + r, next_col + r] = 1.0
+    A_std[:, col] = stacked
+    A_std[:, col[split] + 1] = -stacked[:, split]
+    c_std[col] = program.c
+    c_std[col[split] + 1] = -program.c[split]
+    slack = np.arange(generic.size)
+    A_std[q_eq + slack, next_col + slack] = 1.0
 
-    return _StdForm(A_std, b_std, c_std, nonneg, split, bound_row, generic, q_eq)
+    return _StdForm(A_std, b_std, c_std, col, split, bound_rows, bound_vars, -lead[bound_rows],
+                    generic, q_eq)
 
 
 def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
@@ -477,22 +497,13 @@ def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
         # only sign bounds remain: the optimum sits at the origin whenever
         # every bounded direction has nonnegative cost and every free
         # direction has zero cost, otherwise the objective is unbounded
-        m = program.n_vars
-        zero = np.zeros(m)
+        c = program.c
+        zero = np.zeros(program.n_vars)
         lam = np.zeros(program.n_ineq)
-        bounded = True
-        bounded_vars = {j for (j, _) in sf.bound_row.values()}
-        for j in range(m):
-            if j in bounded_vars:
-                if program.c[j] < 0:
-                    bounded = False
-            elif program.c[j] != 0:
-                bounded = False
-        if bounded:
-            for row, (j, scale) in sf.bound_row.items():
-                lam[row] = program.c[j] / scale
-            return SolveStatus.OPTIMAL, zero, lam, np.zeros(program.n_eq), 0
-        return SolveStatus.DUAL_UNBOUNDED, zero, lam, np.zeros(program.n_eq), 0
+        if np.any(c[~sf.split] < 0) or np.any(c[sf.split] != 0):
+            return SolveStatus.DUAL_UNBOUNDED, zero, lam, np.zeros(program.n_eq), 0
+        lam[sf.bound_rows] = c[sf.bound_vars] / sf.bound_scales
+        return SolveStatus.OPTIMAL, zero, lam, np.zeros(program.n_eq), 0
 
     inner_tol = max(tol * 1e-2, 1e-13)
     x, y, z, tau, kappa, hsd_status, iters = _hsd(sf.A, sf.b, sf.c, inner_tol, max_iter)
@@ -502,16 +513,11 @@ def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
         xs = x / tau
         zs = z / tau
         ys = y / tau
-        x_orig = np.zeros(m)
-        for j in range(m):
-            if sf.nonneg[j] >= 0:
-                x_orig[j] = xs[sf.nonneg[j]]
-            else:
-                cp, cm = sf.split[j]
-                x_orig[j] = xs[cp] - xs[cm]
+        x_orig = xs[sf.col]
+        plus = sf.col[sf.split]
+        x_orig[sf.split] = xs[plus] - xs[plus + 1]
         lam = np.zeros(program.n_ineq)
-        for row, (j, scale) in sf.bound_row.items():
-            lam[row] = zs[sf.nonneg[j]] / scale
+        lam[sf.bound_rows] = zs[sf.col[sf.bound_vars]] / sf.bound_scales
         y_in = ys[sf.n_eq :]
         lam[sf.generic_rows] = -y_in
         nu = -ys[: sf.n_eq]

@@ -22,7 +22,7 @@ from .qpsolve import SolveStatus
 METHOD_RELAXATION = "Relaxation"
 METHOD_GRADIENT_DESCENT = "GradientDescent"
 
-CSV_HEADER = "method,k,n,d,trials,min_err,mean_err,success_rate"
+CSV_HEADER = "method,k,n,d,trials,min_err,mean_err,success_rate,failures"
 
 _HEAT_GLYPHS = " .:-=+*#%@"
 
@@ -181,7 +181,7 @@ def write_csv(cells: list[PhaseCell], path: str) -> None:
         for c in cells:
             f.write(
                 f"{c.method},{c.k},{c.n},{c.d},{c.trials_run},"
-                f"{_fmt(c.min_err)},{_fmt(c.mean_err)},{_fmt(c.success_rate)}\n"
+                f"{_fmt(c.min_err)},{_fmt(c.mean_err)},{_fmt(c.success_rate)},{c.failures}\n"
             )
 
 
@@ -193,7 +193,7 @@ def read_csv(path: str) -> list[PhaseCell]:
     cells = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 8:
+        if len(parts) != 9:
             raise SweepError(f"malformed row: {line!r}")
         cells.append(
             PhaseCell(
@@ -205,6 +205,7 @@ def read_csv(path: str) -> list[PhaseCell]:
                 min_err=float(parts[5]),
                 mean_err=float(parts[6]),
                 success_rate=float(parts[7]),
+                failures=int(parts[8]),
             )
         )
     return cells

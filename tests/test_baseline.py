@@ -74,6 +74,16 @@ def test_gd_fit_diverges_with_huge_step():
     assert res.status == GD_DIVERGED
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gd_fit_overflowed_filter_is_diverged():
+    # one step overflows w to (-inf, inf): every response is -inf or NaN,
+    # so no block is active and the loss and gradient read finite and flat
+    ds = Dataset(x=np.array([[1.0, -1.0], [1.0, 1.0]]), y=np.array([1.0, 1.0]), k=1)
+    res = gd_fit(ds, GdConfig(step_size=1e306), w0=np.array([50.0, -50.0]))
+    assert not np.all(np.isfinite(res.w_hat))
+    assert res.status == GD_DIVERGED
+
+
 def test_gd_default_config_recovers_across_widths():
     hits = 0
     for s in range(10):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from convrelax import sweep
+from convrelax import qpsolve, relax, sweep
 from convrelax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, load_dataset, main
 from convrelax.model import CsvFormatError, export_csv, sample_planted
 
@@ -77,6 +77,24 @@ def test_fit_solver_failure_exit_code(tmp_path, capsys):
     main(["gen", "--n", "4", "--d", "12", "--seed", "1", "--out", str(path)])
     code = main(["fit", "--in", str(path), "--trials", "2"])
     assert code == EXIT_SOLVER
+
+
+@pytest.mark.parametrize("command", [["fit"], ["fit", "--method", "gd"], ["certify"]])
+def test_non_finite_dataset_is_an_io_error(dataset_csv, capsys, command):
+    lines = dataset_csv.read_text().splitlines()
+    lines[5] = "nan," + lines[5].split(",", 1)[1]
+    dataset_csv.write_text("\n".join(lines) + "\n")
+    assert main([*command, "--in", str(dataset_csv)]) == EXIT_IO
+    assert "line 6" in capsys.readouterr().err
+
+
+def test_solver_input_error_exit_code(dataset_csv, capsys, monkeypatch):
+    def reject(*args, **kwargs):
+        raise qpsolve.SolverError("c contains non-finite entries")
+
+    monkeypatch.setattr(relax, "fit_amplified", reject)
+    assert main(["fit", "--in", str(dataset_csv)]) == EXIT_SOLVER
+    assert "solver failure" in capsys.readouterr().err
 
 
 def test_certify_json(dataset_csv, capsys):

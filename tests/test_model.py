@@ -151,6 +151,29 @@ def test_csv_wrong_row_count_detected(tmp_path):
         import_csv(str(path))
 
 
+@pytest.mark.parametrize("value, column", [("nan", 2), ("inf", 0), ("-inf", 3)])
+def test_csv_non_finite_value_names_line(tmp_path, value, column):
+    _, ds = sample_planted(4, 3, 1, 3)
+    path = tmp_path / "ds.csv"
+    export_csv(ds, str(path))
+    lines = path.read_text().splitlines()
+    parts = lines[4].split(",")
+    parts[column] = value
+    lines[4] = ",".join(parts)  # line 5: third data row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CsvFormatError) as exc:
+        import_csv(str(path))
+    assert exc.value.line == 5
+    assert ("y" if column == 0 else f"x_{column}") in str(exc.value)
+
+
+def test_dataset_rejects_non_finite_values():
+    with pytest.raises(ModelError):
+        Dataset(x=np.array([[1.0, np.nan]]), y=np.array([0.0]), k=1)
+    with pytest.raises(ModelError):
+        Dataset(x=np.array([[1.0, 2.0]]), y=np.array([np.inf]), k=1)
+
+
 def test_substream_independence():
     # named substreams of one master seed are distinct but reproducible
     a = model.substream(9, model.STREAM_FEATURES).standard_normal(4)

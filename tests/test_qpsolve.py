@@ -3,10 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import time
+
+from convrelax import model, relax
 from convrelax.qpsolve import (
     ConvexProgram,
     SolverError,
     SolveStatus,
+    _dedup_rows,
+    _lp_standard_form,
+    _presolve,
     check_kkt,
     least_squares,
     solve,
@@ -158,6 +164,165 @@ def test_presolve_duplicate_and_zero_rows():
     # a zero row with negative bound is infeasible outright
     bad = ConvexProgram(c=[1.0], a_ineq=[[0.0]], b_ineq=[-1.0])
     assert solve(bad).status == SolveStatus.PRIMAL_INFEASIBLE
+
+
+def _dedup_rows_reference(a, b, is_eq):
+    """The row loop the vectorized presolve must reproduce index for index."""
+    keep = []
+    seen = set()
+    infeasible = False
+    for i in range(a.shape[0]):
+        row = a[i]
+        if not row.any():
+            if (is_eq and b[i] != 0.0) or (not is_eq and b[i] < 0.0):
+                infeasible = True
+            continue
+        key = row.tobytes() + np.float64(b[i]).tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        keep.append(i)
+    return np.asarray(keep, dtype=int), infeasible
+
+
+def _program_with_redundant_rows(rng, rows, cols):
+    """Random rows, then exact duplicates, zero rows (some of them -0.0),
+    -0.0 twins of rows and twins that differ only in b, shuffled."""
+    a = rng.standard_normal((rows, cols))
+    a[rng.random((rows, cols)) < 0.3] = 0.0
+    b = rng.standard_normal(rows)
+    b[rng.random(rows) < 0.2] = 0.0
+    pick = rng.integers(0, rows, size=rows // 2)
+    twins = a[pick].copy()
+    twins[twins == 0.0] = -0.0
+    zeros = np.zeros((3, cols))
+    zeros[1, 0] = -0.0
+    a = np.vstack([a, a[pick], twins, a[pick[:2]], zeros])
+    b = np.concatenate([b, b[pick], b[pick], b[pick[:2]] + 1.0, [0.0, -0.0, rng.choice([-1.0, 1.0])]])
+    perm = rng.permutation(a.shape[0])
+    return a[perm], b[perm]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dedup_rows_matches_reference_loop(seed):
+    rng = np.random.default_rng(seed)
+    a, b = _program_with_redundant_rows(rng, int(rng.integers(1, 40)), int(rng.integers(1, 6)))
+    for is_eq in (False, True):
+        keep, infeasible = _dedup_rows(a, b, is_eq)
+        ref_keep, ref_infeasible = _dedup_rows_reference(a, b, is_eq)
+        np.testing.assert_array_equal(keep, ref_keep)
+        assert keep.dtype == ref_keep.dtype
+        assert infeasible == ref_infeasible
+    # -0.0 and 0.0 tell rows apart; a row of signed zeros is still a zero row
+    a = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, -0.0], [0.0, 1.0]])
+    b = np.array([1.0, 1.0, 1.0, -2.0, -0.0])
+    keep, infeasible = _dedup_rows(a, b, is_eq=False)
+    assert keep.tolist() == [0, 1, 4] and infeasible
+    assert _dedup_rows(np.zeros((0, 3)), np.zeros(0), is_eq=True)[0].size == 0
+
+
+def _best_ms(fn, *args, reps):
+    best = np.inf
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+@pytest.mark.parametrize("n, d, k", [(2000, 10, 1), (400, 20, 5)])
+def test_dedup_rows_faster_than_reference_loop(n, d, k):
+    # a tall k=1 program (2000x10) and a wide lifted one (4000x2004)
+    _, ds = model.sample_planted(n, d, k, 1)
+    program = relax.build(ds, 0.0, np.ones(d // k)).program
+    a, b = program.a_ineq, program.b_ineq
+    reps = 15 if k == 1 else 3
+    assert _best_ms(_dedup_rows, a, b, False, reps=reps) < _best_ms(_dedup_rows_reference, a, b, False, reps=reps)
+
+
+def _standard_form_reference(program):
+    """The per-row and per-column loops the vectorized standard form must
+    reproduce: (A, b, c, nonneg, split, bound_row, generic rows)."""
+    m = program.n_vars
+    G, h = program.a_ineq, program.b_ineq
+    nonneg = np.full(m, -1, dtype=int)
+    bound_row = {}
+    generic = []
+    for i in range(G.shape[0]):
+        nz = np.flatnonzero(G[i])
+        if h[i] == 0.0 and nz.size == 1 and G[i, nz[0]] < 0 and nonneg[nz[0]] < 0:
+            nonneg[nz[0]] = 0
+            bound_row[i] = (int(nz[0]), float(-G[i, nz[0]]))
+        else:
+            generic.append(i)
+    split = {}
+    next_col = 0
+    for j in range(m):
+        if nonneg[j] == 0:
+            nonneg[j] = next_col
+            next_col += 1
+        else:
+            split[j] = (next_col, next_col + 1)
+            next_col += 2
+    q_eq = program.n_eq
+    stacked = np.vstack([program.a_eq, G[generic]])
+    A = np.zeros((stacked.shape[0], next_col + len(generic)))
+    c = np.zeros(A.shape[1])
+    for j in range(m):
+        if nonneg[j] >= 0:
+            A[:, nonneg[j]] = stacked[:, j]
+            c[nonneg[j]] = program.c[j]
+        else:
+            A[:, split[j][0]] = stacked[:, j]
+            A[:, split[j][1]] = -stacked[:, j]
+            c[split[j][0]] = program.c[j]
+            c[split[j][1]] = -program.c[j]
+    for r in range(len(generic)):
+        A[q_eq + r, next_col + r] = 1.0
+    b = np.concatenate([program.b_eq, h[generic]])
+    return A, b, c, nonneg, split, bound_row, generic
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lp_standard_form_matches_reference_loops(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    # sign-bound rows (some repeated with other scales, some with h != 0 or
+    # a positive entry) mixed with dense rows and a few equalities
+    bounds = []
+    for _ in range(int(rng.integers(0, 2 * m + 1))):
+        row = np.zeros(m)
+        row[rng.integers(m)] = -rng.choice([1.0, 2.0]) * rng.choice([1.0, 1.0, -1.0])
+        bounds.append(row)
+    dense = rng.standard_normal((int(rng.integers(0, 4)), m))
+    G = np.vstack([*bounds, dense]) if bounds or dense.size else np.zeros((0, m))
+    G = G[rng.permutation(G.shape[0])]
+    h = np.where(rng.random(G.shape[0]) < 0.8, 0.0, 1.0)
+    q = int(rng.integers(0, 3))
+    program = ConvexProgram(c=rng.standard_normal(m), a_ineq=G, b_ineq=h,
+                            a_eq=rng.standard_normal((q, m)), b_eq=rng.standard_normal(q))
+    sf = _lp_standard_form(program)
+    A, b, c, nonneg, split, bound_row, generic = _standard_form_reference(program)
+    for got, want in ((sf.A, A), (sf.b, b), (sf.c, c)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert sf.generic_rows.tolist() == generic
+    assert sf.split.tolist() == [j in split for j in range(m)]
+    assert sf.col.tolist() == [split[j][0] if j in split else nonneg[j] for j in range(m)]
+    got_bounds = dict(zip(sf.bound_rows.tolist(), zip(sf.bound_vars.tolist(), sf.bound_scales.tolist())))
+    assert got_bounds == bound_row
+
+
+def test_presolve_returns_the_program_when_no_row_drops():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 2))
+    kept = ConvexProgram(c=[1.0, -1.0], a_ineq=a, b_ineq=np.ones(6))
+    assert _presolve(kept).program is kept
+    dropped = ConvexProgram(c=[1.0, -1.0], a_ineq=np.vstack([a, a[:1]]), b_ineq=np.ones(7))
+    reduced = _presolve(dropped).program
+    assert reduced is not dropped and reduced.n_ineq == 6
+    # a column-major program is copied row-major, as every reduced one is
+    fortran = ConvexProgram(c=[1.0, -1.0], a_ineq=np.asfortranarray(a), b_ineq=np.ones(6))
+    assert _presolve(fortran).program.a_ineq.flags.c_contiguous
 
 
 def test_equality_constrained_qp():

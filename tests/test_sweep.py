@@ -81,6 +81,21 @@ def test_write_csv_empty_and_round_trip(tmp_path):
     assert back.min_err == cell.min_err
     assert back.mean_err == cell.mean_err
     assert back.success_rate == cell.success_rate
+    assert back.failures == 0
+
+
+def test_csv_round_trips_an_all_failed_cell(tmp_path):
+    # n < d: every relaxation trial fails, which must not read back as missed
+    spec = GridSpec(n_values=(5,), d_values=(20,), k=1, trials=3,
+                    methods=(METHOD_RELAXATION,), master_seed=1)
+    cells = run_grid(spec)
+    path = tmp_path / "failed.csv"
+    write_csv(cells, str(path))
+    (back,) = read_csv(str(path))
+    assert back.failures == 3 and back.trials_run == 3
+    assert np.isnan(back.min_err) and back.success_rate == 0.0
+    row = path.read_text().splitlines()[1]
+    assert row == "Relaxation,1,5,20,3,nan,nan,0,3"
 
 
 def test_write_csv_byte_stable_golden(tmp_path):
