@@ -82,18 +82,31 @@ def default_config(dataset: Dataset, seed: int = 0) -> GdConfig:
     )
 
 
+def _loss_grad_of(dataset: Dataset):
+    """Loss and gradient at w for a fixed dataset, as one BLAS product
+    each way over the (n·k, d/k) row view of the blocks."""
+    n, k, p = dataset.n, dataset.k, dataset.filter_size
+    rows = dataset.x.reshape(n * k, p)
+    y = dataset.y
+
+    def at(w: np.ndarray) -> tuple[float, np.ndarray]:
+        resp = rows @ w
+        active = resp > 0.0
+        fired = np.where(active, resp, 0.0)
+        err = (fired if k == 1 else fired.reshape(n, k).sum(axis=1)) - y
+        loss = float(err @ err)
+        grad = 2.0 * ((active * (err if k == 1 else np.repeat(err, k))) @ rows)
+        return loss, grad
+
+    return at
+
+
 def loss_grad(dataset: Dataset, w: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss Σ_i (forward_i − y_i)² and its (sub)gradient in the filter."""
     w = np.asarray(w, dtype=float)
     if w.shape != (dataset.filter_size,):
         raise BaselineError(f"filter must have length d/k={dataset.filter_size}")
-    xb = dataset.blocks()
-    resp = xb @ w  # (n, k)
-    active = resp > 0.0
-    err = np.where(active, resp, 0.0).sum(axis=1) - dataset.y
-    loss = float(err @ err)
-    grad = 2.0 * np.einsum("ij,ijl->l", active * err[:, None], xb)
-    return loss, grad
+    return _loss_grad_of(dataset)(w)
 
 
 @dataclass
@@ -128,29 +141,34 @@ def gd_fit(dataset: Dataset, config: GdConfig, w0: np.ndarray | None = None) -> 
         if w.shape != (dataset.filter_size,):
             raise BaselineError("w0 must have length d/k")
 
+    loss_grad_at = _loss_grad_of(dataset)
+    step, stop_tol = config.step_size, config.stop_tol
     status = GD_MAX_ITERS
     iters = 0
-    loss, grad = loss_grad(dataset, w)
-    for it in range(config.max_iters):
-        if not loss <= DIVERGENCE_LOSS:  # also catches a NaN loss
-            status = GD_DIVERGED
-            break
-        if np.max(np.abs(grad)) <= config.stop_tol:
-            status = GD_CONVERGED
-            break
-        w = w - config.step_size * grad
-        iters = it + 1
-        loss, grad = loss_grad(dataset, w)
-    else:
-        if not loss <= DIVERGENCE_LOSS:
-            status = GD_DIVERGED
-        elif np.max(np.abs(grad)) <= config.stop_tol:
-            status = GD_CONVERGED
+    # an overflowing run ends Diverged below; numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grad = loss_grad_at(w)
+        for it in range(config.max_iters):
+            if not loss <= DIVERGENCE_LOSS:  # also catches a NaN loss
+                status = GD_DIVERGED
+                break
+            if np.max(np.abs(grad)) <= stop_tol:
+                status = GD_CONVERGED
+                break
+            w = w - step * grad
+            iters = it + 1
+            loss, grad = loss_grad_at(w)
+        else:
+            if not loss <= DIVERGENCE_LOSS:
+                status = GD_DIVERGED
+            elif np.max(np.abs(grad)) <= stop_tol:
+                status = GD_CONVERGED
+        final_loss = residual(dataset, w)
     if not np.all(np.isfinite(w)):
         # an overflowed filter zeroes every active set, so the loss and
         # gradient computed from it read finite and flat
         status = GD_DIVERGED
-    return GdResult(w_hat=w, final_loss=residual(dataset, w), iters_used=iters, status=status)
+    return GdResult(w_hat=w, final_loss=final_loss, iters_used=iters, status=status)
 
 
 def fd_check(dataset: Dataset, w: np.ndarray, h: float) -> float:

@@ -302,12 +302,14 @@ _HSD_UNBOUNDED = 3
 _HSD_FAILURE = 4
 
 
+def _max_step(v, dv):
+    """Largest α with v + α·dv ≥ 0, from the entries where dv < 0 (∞ if none)."""
+    i = np.flatnonzero(dv < 0)
+    return (v[i] / -dv[i]).min(initial=np.inf)
+
+
 def _hsd_step_length(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, alpha0):
-    alpha = 1.0
-    for v, dv in ((x, d_x), (z, d_z)):
-        neg = dv < 0
-        # entries off ``neg`` are never divided nor read
-        alpha = min(alpha, np.min(np.divide(v, -dv, out=None, where=neg), where=neg, initial=np.inf))
+    alpha = min(1.0, _max_step(x, d_x), _max_step(z, d_z))
     if d_tau < 0:
         alpha = min(alpha, tau / -d_tau)
     if d_kappa < 0:
@@ -332,6 +334,7 @@ def _hsd(A, b, c, tol, max_iter):
     r_g0 = max(1.0, abs(1.0 + c @ x - b @ y))
     mu_0 = (x @ z + tau * kappa) / (n + 1)
 
+    scaled_A = np.empty_like(A)  # A·diag(x/z), rewritten every iteration
     status = _HSD_MAXITER
     iteration = 0
     while True:
@@ -359,7 +362,7 @@ def _hsd(A, b, c, tol, max_iter):
         iteration += 1
 
         d_inv = x / z
-        M = (A * d_inv) @ A.T
+        M = np.multiply(A, d_inv, out=scaled_A) @ A.T
         M.reshape(-1)[:: m + 1] += KKT_REGULARIZATION  # the diagonal, in place
         # the LAPACK calls behind scipy.linalg.cho_factor and cho_solve,
         # without their per-call argument checks
@@ -678,19 +681,15 @@ def _qp_mehrotra(program: ConvexProgram, tol, max_iter):
             dlam = (-r_comp - lam * ds) / s
             return dx, dnu, ds, dlam
 
-        def max_step(v, dv):
-            neg = dv < 0
-            return float(np.min(v[neg] / -dv[neg])) if np.any(neg) else np.inf
-
         # predictor
         dx, dnu, ds, dlam = newton(s * lam)
-        alpha_aff = min(1.0, max_step(s, ds), max_step(lam, dlam))
+        alpha_aff = min(1.0, _max_step(s, ds), _max_step(lam, dlam))
         mu_aff = ((s + alpha_aff * ds) @ (lam + alpha_aff * dlam)) / p
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # corrector
         dx, dnu, ds, dlam = newton(s * lam + ds * dlam - sigma * mu)
-        alpha = 0.9995 * min(1.0, max_step(s, ds), max_step(lam, dlam))
+        alpha = 0.9995 * min(1.0, _max_step(s, ds), _max_step(lam, dlam))
         stalled = stalled + 1 if alpha < 1e-3 else 0
         x = x + alpha * dx
         nu = nu + alpha * dnu

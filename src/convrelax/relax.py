@@ -10,6 +10,8 @@ program is a QP; in the vanishing-weight limit it collapses to an LP
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -157,9 +159,10 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     x, y = dataset.x, dataset.y
     xb = dataset.blocks()
 
+    c = _cost(dataset, beta, r)
     if beta == 0.0 and k == 1:
         # the quadratic pins z = y, leaving an LP in the filter alone
-        program = ConvexProgram(c=r.copy(), a_ineq=x.copy(), b_ineq=y.copy())
+        program = ConvexProgram(c=c, a_ineq=x.copy(), b_ineq=y.copy())
         vm = VarMap(w=slice(0, p), z=slice(p, p), n=n, k=k)
         return RelaxationInstance(variant, beta, r, program, vm)
 
@@ -175,7 +178,6 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     b_ineq = np.zeros(2 * nz)
 
     if beta == 0.0:
-        c = np.concatenate([r, np.zeros(nz)])
         a_eq = np.zeros((n, m))
         for i in range(n):
             a_eq[i, p + i * k : p + (i + 1) * k] = 1.0
@@ -184,11 +186,20 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
         q = np.zeros((m, m))
         for i in range(n):
             q[p + i * k : p + (i + 1) * k, p + i * k : p + (i + 1) * k] = 1.0
-        c = np.concatenate([beta * r, np.repeat(-y, k)])
         program = ConvexProgram(c=c, q=q, a_ineq=a_ineq, b_ineq=b_ineq)
 
     vm = VarMap(w=slice(0, p), z=slice(p, p + nz), n=n, k=k)
     return RelaxationInstance(variant, beta, r, program, vm)
+
+
+def _cost(dataset: Dataset, beta: float, r: np.ndarray) -> np.ndarray:
+    """Linear cost of the relaxation: beta·r on the filter and −yᵢ on each
+    slack of sample i for the QP; r on the filter alone in the LP limit."""
+    if beta == 0.0:
+        if dataset.k == 1:
+            return r.copy()
+        return np.concatenate([r, np.zeros(dataset.n * dataset.k)])
+    return np.concatenate([beta * r, np.repeat(-dataset.y, dataset.k)])
 
 
 def fit(
@@ -213,6 +224,12 @@ def fit_with_perturbation(
     max_iter: int = qpsolve.DEFAULT_MAX_ITER,
 ) -> FitResult:
     instance = build(dataset, beta, r)
+    return _solve_instance(dataset, instance, trial_seed, tol, max_iter)
+
+
+def _solve_instance(
+    dataset: Dataset, instance: RelaxationInstance, trial_seed: int, tol: float, max_iter: int
+) -> FitResult:
     report = qpsolve.solve(instance.program, tol=tol, max_iter=max_iter)
     w_hat = report.x[instance.var_map.w].copy()
     if instance.var_map.z.stop > instance.var_map.z.start:
@@ -244,7 +261,8 @@ def fit_amplified(
     Trial t uses the derived master seed ``derived_seed(seed, t)``, so one
     trial reproduces ``fit`` exactly.  The winner is the optimal-status
     trial with minimum recomputed training residual, ties broken by the
-    lower trial index.  Recovery error is measured against ``w_star``,
+    lower trial index.  The program is built once; trials differ only in
+    its cost vector.  Recovery error is measured against ``w_star``,
     regenerated from the dataset seed when not supplied.
     """
     if num_trials < 1:
@@ -254,9 +272,19 @@ def fit_amplified(
 
     results: list[FitResult] = []
     records: list[TrialRecord] = []
+    instance = None
     for t in range(num_trials):
         ts = derived_seed(seed, t)
-        res = fit(dataset, beta, ts, tol=tol, max_iter=max_iter)
+        r = substream(ts, STREAM_PERTURBATION).standard_normal(dataset.filter_size)
+        if instance is None:
+            instance = build(dataset, beta, r)
+        else:
+            # a shallow copy keeps the constraint arrays and skips the
+            # program's validation, which the first build already ran
+            program = copy.copy(instance.program)
+            program.c = _cost(dataset, beta, r)
+            instance = dataclasses.replace(instance, r=r, program=program)
+        res = _solve_instance(dataset, instance, ts, tol, max_iter)
         results.append(res)
         l2 = (
             float(np.linalg.norm(res.w_hat - w_star))

@@ -8,6 +8,7 @@ independent of execution order and stable under grid extension.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baseline, relax
-from .model import sample_planted
+from .model import _fmt, sample_planted
 from .qpsolve import SolveStatus
 
 METHOD_RELAXATION = "Relaxation"
@@ -61,18 +62,7 @@ class GridSpec:
             raise SweepError(f"unknown methods: {sorted(bad)}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_values": list(self.n_values),
-                "d_values": list(self.d_values),
-                "k": self.k,
-                "trials": self.trials,
-                "methods": list(self.methods),
-                "tau": self.tau,
-                "master_seed": self.master_seed,
-                "amplify": self.amplify,
-            }
-        )
+        return json.dumps(dataclasses.asdict(self))
 
 
 @dataclass
@@ -147,16 +137,7 @@ def _run_cell(args) -> PhaseCell:
 def run_grid(spec: GridSpec, workers: int = 1) -> list[PhaseCell]:
     """Run every (method, d, n) cell; output order is canonical and the
     results do not depend on the execution schedule."""
-    spec_dict = {
-        "n_values": spec.n_values,
-        "d_values": spec.d_values,
-        "k": spec.k,
-        "trials": spec.trials,
-        "methods": spec.methods,
-        "tau": spec.tau,
-        "master_seed": spec.master_seed,
-        "amplify": spec.amplify,
-    }
+    spec_dict = dataclasses.asdict(spec)
     jobs = [
         (spec_dict, method, n, d)
         for method in spec.methods
@@ -169,10 +150,6 @@ def run_grid(spec: GridSpec, workers: int = 1) -> list[PhaseCell]:
     else:
         cells = [_run_cell(job) for job in jobs]
     return cells
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def write_csv(cells: list[PhaseCell], path: str) -> None:

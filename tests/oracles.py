@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to pin expected test values.
 
 Nothing here calls the package solver: small LPs are decided by vertex
-enumeration over bounded-by-construction polytopes, and small QPs by
-exhaustive active-set search on the KKT equalities.
+enumeration over bounded-by-construction polytopes, small QPs by
+exhaustive active-set search on the KKT equalities, and cone membership
+by scipy's NNLS with HiGHS near the boundary.
 """
 
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import linprog, nnls
 
 FEAS_TOL = 1e-9
 
@@ -72,6 +74,26 @@ def qp_active_set_oracle(q, c, a, b, tol=1e-9):
                 lam[rows] = np.maximum(lam_a, 0.0)
                 return x, lam
     return None
+
+
+def cone_membership(gens, v, inside=1e-9, outside=1e-5):
+    """Whether v is a non-negative combination of the rows of gens.
+
+    The NNLS residual relative to ‖v‖ decides: at most ``inside`` is in,
+    at least ``outside`` is out.  HiGHS decides the residuals between;
+    None when it cannot.
+    """
+    gens = np.asarray(gens, dtype=float)
+    if len(gens) == 0:
+        return False
+    _, resid = nnls(gens.T, v)
+    rel = resid / np.linalg.norm(v)
+    if rel <= inside:
+        return True
+    if rel >= outside:
+        return False
+    res = linprog(np.zeros(len(gens)), A_eq=gens.T, b_eq=v, bounds=(0, None), method="highs")
+    return {0: True, 2: False}.get(res.status)
 
 
 # ---------------------------------------------------------------------------

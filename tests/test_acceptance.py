@@ -46,6 +46,7 @@ from convrelax.relax import assess, fit, fit_amplified
 
 from oracles import (
     bounded_feasible_lp,
+    cone_membership,
     infeasible_lp,
     lp_vertex_oracle,
     unbounded_lp,
@@ -89,6 +90,18 @@ def single_trial_outcomes(n: int, d: int, trials: int, stream: int) -> list[tupl
     return outcomes
 
 
+def cone_law_verdicts(n: int, d: int, trials: int, stream: int) -> list[bool | None]:
+    """For each trial of ``single_trial_outcomes``, whether −r lies in
+    cone{xᵢ : yᵢ > 0}; None when neither NNLS nor HiGHS decides."""
+    verdicts = []
+    for t in range(trials):
+        seed = derived_seed(stream, t)
+        _, ds = sample_planted(n, d, 1, seed)
+        r = substream(seed, STREAM_PERTURBATION).standard_normal(d)
+        verdicts.append(cone_membership(ds.x[ds.y > 0], -r))
+    return verdicts
+
+
 def single_trial_rate(n: int, d: int, trials: int, stream: int) -> float:
     return sum(rec for rec, _ in single_trial_outcomes(n, d, trials, stream)) / trials
 
@@ -117,6 +130,16 @@ def test_01_half_probability_single_trials():
         f"rate {rate:.3f} outside ½q = {target:.3f} ± {band:.3f}: the chance "
         "that −r falls in cone{xᵢ : yᵢ > 0} at n=400, d=20 "
         "(scripts/finite_sample_law.py)"
+    )
+    # the exact per-trial law: a single wrong solve breaks it
+    cone = cone_law_verdicts(400, 20, 300, STREAM)
+    wrong = [
+        t
+        for t, ((rec, rw), inside) in enumerate(zip(outcomes, cone))
+        if inside is not None and rec != (rw < 0.0 and inside)
+    ]
+    assert not wrong, (
+        f"trials {wrong}: recovery disagrees with rᵀw* < 0 and −r ∈ cone{{xᵢ : yᵢ > 0}}"
     )
 
 

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convrelax.baseline import (
+    DIVERGENCE_LOSS,
     GD_CONVERGED,
     GD_DIVERGED,
+    GD_MAX_ITERS,
     BaselineError,
     GdConfig,
     KinkProximityError,
@@ -16,6 +18,7 @@ from convrelax.baseline import (
     power_iteration_lambda_max,
 )
 from convrelax.model import Dataset, sample_planted
+from convrelax.relax import assess
 
 
 def two_sample_d1() -> Dataset:
@@ -68,13 +71,14 @@ def test_gd_fit_d1_descent():
     assert res.iters_used <= 200
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gd_fit_diverges_with_huge_step():
     _, ds = sample_planted(50, 4, 1, 3)
     res = gd_fit(ds, GdConfig(step_size=10.0, seed=1))
     assert res.status == GD_DIVERGED
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gd_fit_overflowed_filter_is_diverged():
     # one step overflows w to (-inf, inf): every response is -inf or NaN,
     # so no block is active and the loss and gradient read finite and flat
@@ -134,10 +138,7 @@ def test_scaling_keeps_active_sets_and_gradient_formula():
     w = rng.standard_normal(4)
     for c in (0.5, 2.0, 10.0):
         assert np.array_equal((ds.blocks() @ w) > 0, (ds.blocks() @ (c * w)) > 0)
-        xb = ds.blocks()
-        active = (xb @ (c * w)) > 0
-        err = np.where(active, xb @ (c * w), 0.0).sum(axis=1) - ds.y
-        expected = 2.0 * np.einsum("ij,ijl->l", active * err[:, None], xb)
+        _, expected = _loss_grad_reference(ds, c * w)
         _, grad = loss_grad(ds, c * w)
         np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-12)
 
@@ -175,3 +176,72 @@ def test_gd_result_json_shape_matches_fit_results():
     blob = res.to_fit_dict()
     assert set(blob) == {"w_hat", "z_hat", "train_residual", "report", "r_used", "trial_seed"}
     assert blob["train_residual"] == res.final_loss
+
+
+# -- the gradient and descent loop before they became one BLAS product over
+# the (n·k, d/k) row view: a 3-D batched matmul and an einsum per step
+
+
+def _loss_grad_reference(dataset: Dataset, w: np.ndarray) -> tuple[float, np.ndarray]:
+    xb = dataset.blocks()
+    resp = xb @ w  # (n, k)
+    active = resp > 0.0
+    err = np.where(active, resp, 0.0).sum(axis=1) - dataset.y
+    loss = float(err @ err)
+    grad = 2.0 * np.einsum("ij,ijl->l", active * err[:, None], xb)
+    return loss, grad
+
+
+def _gd_fit_reference(dataset: Dataset, config: GdConfig, w: np.ndarray):
+    """(w, iterations, status) of the pre-change descent loop."""
+    status = GD_MAX_ITERS
+    iters = 0
+    loss, grad = _loss_grad_reference(dataset, w)
+    for it in range(config.max_iters):
+        if not loss <= DIVERGENCE_LOSS:
+            status = GD_DIVERGED
+            break
+        if np.max(np.abs(grad)) <= config.stop_tol:
+            status = GD_CONVERGED
+            break
+        w = w - config.step_size * grad
+        iters = it + 1
+        loss, grad = _loss_grad_reference(dataset, w)
+    else:
+        if not loss <= DIVERGENCE_LOSS:
+            status = GD_DIVERGED
+        elif np.max(np.abs(grad)) <= config.stop_tol:
+            status = GD_CONVERGED
+    if not np.all(np.isfinite(w)):
+        status = GD_DIVERGED
+    return w, iters, status
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("n", [60, 400, 2000])
+def test_gd_fit_matches_reference_loop(k, n):
+    # same status, iteration count and verdict; the filter may move only
+    # at rounding level (the sums run in another order)
+    for d, seed in ((10, 41), (20, 42)):
+        pm, ds = sample_planted(n, d, k, 100 * k + n + seed)
+        cfg = default_config(ds, seed=seed)
+        w0 = cfg.init_scale * np.random.default_rng(seed).standard_normal(ds.filter_size)
+        res = gd_fit(ds, cfg, w0=w0)
+        w_ref, iters_ref, status_ref = _gd_fit_reference(ds, cfg, w0.copy())
+        assert res.status == status_ref
+        assert res.iters_used == iters_ref
+        assert np.max(np.abs(res.w_hat - w_ref)) <= 1e-12
+        assert assess(res.w_hat, pm.w_star).success == assess(w_ref, pm.w_star).success
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_loss_grad_matches_reference(k):
+    rng = np.random.default_rng(k)
+    _, ds = sample_planted(300, 20, k, 7 + k)
+    for _ in range(20):
+        w = rng.standard_normal(ds.filter_size)
+        loss, grad = loss_grad(ds, w)
+        loss_ref, grad_ref = _loss_grad_reference(ds, w)
+        assert loss == pytest.approx(loss_ref, rel=1e-13)
+        np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(grad_ref)))
+

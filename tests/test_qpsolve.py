@@ -12,6 +12,7 @@ from convrelax.qpsolve import (
     SolveStatus,
     _dedup_rows,
     _lp_standard_form,
+    _max_step,
     _presolve,
     check_kkt,
     least_squares,
@@ -323,6 +324,35 @@ def test_presolve_returns_the_program_when_no_row_drops():
     # a column-major program is copied row-major, as every reduced one is
     fortran = ConvexProgram(c=[1.0, -1.0], a_ineq=np.asfortranarray(a), b_ineq=np.ones(6))
     assert _presolve(fortran).program.a_ineq.flags.c_contiguous
+
+
+def _max_step_reference(v, dv):
+    # the interior point's former masked form; entries off ``neg`` are
+    # never divided nor read
+    neg = dv < 0
+    return np.min(np.divide(v, -dv, out=None, where=neg), where=neg, initial=np.inf)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_max_step_bitwise_matches_masked_divide(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 60))
+    v = np.abs(rng.standard_normal(size)) * 10.0 ** rng.integers(-8, 8, size)
+    for dv in (
+        rng.standard_normal(size),
+        np.abs(rng.standard_normal(size)),  # no negative entry: α = ∞
+        -np.abs(rng.standard_normal(size)) - 1e-300,
+        np.where(rng.random(size) < 0.3, 0.0, rng.standard_normal(size)),
+        np.where(rng.random(size) < 0.3, -0.0, rng.standard_normal(size)),
+    ):
+        for vv in (v, np.where(rng.random(size) < 0.3, 0.0, v)):
+            got, want = _max_step(vv, dv), _max_step_reference(vv, dv)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # interior-point iterates are positive; with −0.0 entries the two
+        # reductions may break a ±0 tie differently, but agree in value
+        signed = np.where(rng.random(size) < 0.3, -0.0, v)
+        assert _max_step(signed, dv) == _max_step_reference(signed, dv)
+    assert _max_step(v, np.zeros(size)) == np.inf
 
 
 def test_equality_constrained_qp():

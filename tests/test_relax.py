@@ -109,6 +109,41 @@ def test_fit_amplified_single_trial_matches_fit():
     assert len(outcome.trials) == 1
 
 
+def _report_bytes(report) -> bytes:
+    arrays = b"".join(np.asarray(a, dtype=float).tobytes() for a in (report.x, report.lam, report.nu))
+    return report.status.value.encode() + repr(report.to_dict()).encode() + arrays
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_fit_amplified_builds_once_and_matches_independent_fits(monkeypatch, k, beta):
+    _, ds = sample_planted(40, 8, k, 30 + k)
+    reports, builds = [], []
+    solve, build_fn = relax.qpsolve.solve, relax.build
+
+    def recording_solve(program, **kwargs):
+        reports.append(solve(program, **kwargs))
+        return reports[-1]
+
+    def counting_build(*args):
+        builds.append(args)
+        return build_fn(*args)
+
+    monkeypatch.setattr(relax.qpsolve, "solve", recording_solve)
+    monkeypatch.setattr(relax, "build", counting_build)
+    outcome = fit_amplified(ds, 4, 17, beta=beta)
+    monkeypatch.undo()
+    assert len(builds) == 1 and len(reports) == 4
+    for t, (report, record) in enumerate(zip(reports, outcome.trials)):
+        direct = fit(ds, beta, derived_seed(17, t))
+        assert _report_bytes(report) == _report_bytes(direct.report)
+        assert record.seed == direct.trial_seed
+        assert record.train_residual == direct.train_residual
+    best = fit(ds, beta, outcome.best.trial_seed)
+    for name in ("w_hat", "z_hat", "r_used"):
+        assert getattr(outcome.best, name).tobytes() == getattr(best, name).tobytes()
+
+
 def test_fit_amplified_selects_minimum_residual():
     ds = two_sample_d1()
     outcome = fit_amplified(ds, 4, 3, w_star=np.array([1.0]))
