@@ -11,8 +11,9 @@ and exits 1 or 0 accordingly.
 
 The panel: k=1 relaxation LPs at n=400 and n=2000 (the dual route),
 lifted k=2 and k=5 LPs, the beta=1e-3 QP, certify's phase-1 cone program
-and k=1/k=2 dual programs (the primal route), and presolve cases with
-duplicate, zero, -0.0 and infeasible rows.
+and k=1/k=2 dual programs (the primal route), presolve cases with
+duplicate, zero, -0.0 and infeasible rows, an equality-only QP, and
+infeasible and unbounded LPs on the primal and on the dual route.
 
 With a single SRC the script prints that tree's panel as JSON instead.
 """
@@ -52,6 +53,33 @@ def _presolve_programs():
                                                          b_ineq=np.concatenate([h, [-1.0]]))
     yield "presolve-infeasible-zero-eq", ConvexProgram(c=c, a_eq=np.zeros((1, 3)), b_eq=[2.0])
     yield "presolve-column-major", ConvexProgram(c=c, a_ineq=np.asfortranarray(g), b_ineq=h)
+
+
+def _small_programs():
+    """An equality-only QP, and infeasible and unbounded LPs small enough
+    for the primal route and tall enough for the dual route (more than
+    twice as many rows as variables)."""
+    import numpy as np
+
+    from convrelax.qpsolve import ConvexProgram
+
+    rng = np.random.default_rng(20261019)
+    f = rng.standard_normal((5, 4))
+    yield "qp-equality-only", ConvexProgram(c=rng.standard_normal(4), q=f.T @ f,
+                                            a_eq=rng.standard_normal((2, 4)), b_eq=[1.0, -0.5])
+    # x1 <= -1 against x1 >= 0
+    yield "lp-infeasible-primal-route", ConvexProgram(
+        c=[1.0, 1.0, 0.5], a_ineq=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], b_ineq=[-1.0, 0.0])
+    # the ray x1 = x2 -> inf keeps x1 - x2 <= 1
+    yield "lp-unbounded-primal-route", ConvexProgram(
+        c=[-1.0, 0.0, 0.0], a_ineq=[[1.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
+        b_ineq=[1.0, 0.0, 0.0])
+    tall = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
+    yield "lp-infeasible-dual-route", ConvexProgram(c=[1.0, 2.0], a_ineq=tall,
+                                                    b_ineq=[-1.0, 0.0, 1.0, 1.0, 5.0])
+    yield "lp-unbounded-dual-route", ConvexProgram(
+        c=[-1.0, -1.0], a_ineq=[[-1.0, 0.0], [0.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
+        b_ineq=[0.0, 0.0, 1.0, 1.0, 0.0])
 
 
 def run_panel() -> list[dict]:
@@ -96,7 +124,7 @@ def run_panel() -> list[dict]:
             r = model.substream(11, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
             certify.check_cone_condition(gens, -r)
             certify.dual_solve(ds, r, sets=sets)
-        for name, program in _presolve_programs():
+        for name, program in (*_presolve_programs(), *_small_programs()):
             label[0] = name
             qpsolve.solve(program)
     finally:

@@ -8,7 +8,6 @@ filter length; the subgradient of the ReLU at zero is taken to be zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +125,6 @@ class GdResult:
             "r_used": [],
             "trial_seed": None,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_fit_dict())
 
 
 def gd_fit(dataset: Dataset, config: GdConfig, w0: np.ndarray | None = None) -> GdResult:

@@ -15,7 +15,7 @@ drawn perturbation directly and handles the sign internally.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,19 +89,6 @@ class Certificate:
     elastic_value: float
     boundary: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "exists": self.exists,
-            "coefficients": self.coefficients.tolist(),
-            "equality_residual": self.equality_residual,
-            "min_coefficient": self.min_coefficient,
-            "elastic_value": self.elastic_value,
-            "boundary": self.boundary,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 class IndeterminateCertificate(RuntimeError):
     """The phase-1 solve failed; membership is undecided."""
@@ -116,6 +103,8 @@ def check_cone_condition(
     membership holds iff the optimal violation is at most tol.  Elastic
     values within a factor ten of tol are flagged boundary-degenerate.
     """
+    if not 0.0 < tol < math.inf:
+        raise CertifyError("tol must be positive and finite")
     generators = np.atleast_2d(np.asarray(generators, dtype=float))
     r = np.asarray(r, dtype=float)
     m, p = generators.shape
@@ -171,23 +160,6 @@ class DualSolveResult:
     structure_off_violation: float  # max |λ_ij| over inactive (i, j)
     structure_on_violation: float  # max |λ_ij − v_i| over active (i, j)
     w_hat: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "dual_objective": self.dual_objective,
-            "primal_objective": self.primal_objective,
-            "duality_gap": self.duality_gap,
-            "duals": self.duals.tolist(),
-            "v": self.v.tolist(),
-            "complementarity": self.complementarity,
-            "structure_off_violation": self.structure_off_violation,
-            "structure_on_violation": self.structure_on_violation,
-            "w_hat": self.w_hat.tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def dual_solve(

@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage error, 3 solver failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,15 +18,6 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 DATA_DIR_ENV = "CONVRELAX_DATA_DIR"
-
-
-class SolverFailure(RuntimeError):
-    pass
-
-
-def load_dataset(path: str) -> model.Dataset:
-    """Load a dataset CSV produced by ``gen``; schema errors carry line numbers."""
-    return model.import_csv(path)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -114,15 +104,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    ds = load_dataset(args.path)
+    ds = model.import_csv(args.path)
     if args.method == "gd":
+        relax.check_tau(args.tau)
         cfg = baseline.default_config(ds, seed=args.seed)
         res = baseline.gd_fit(ds, cfg)
         if res.status == baseline.GD_DIVERGED:
             print("gradient descent diverged", file=sys.stderr)
             return EXIT_SOLVER
         if args.json:
-            print(res.to_json())
+            print(model.to_json(res.to_fit_dict()))
         else:
             verdict = relax.assess(res.w_hat, model.teacher_filter(ds), args.tau)
             print(f"status={res.status} iters={res.iters_used} loss={res.final_loss:.6g}")
@@ -134,7 +125,7 @@ def _cmd_fit(args) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     if args.json:
-        print(outcome.to_json())
+        print(model.to_json(outcome))
     else:
         print(
             f"best trial seed={outcome.best.trial_seed} "
@@ -149,7 +140,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    ds = load_dataset(args.path)
+    ds = model.import_csv(args.path)
     w_star = model.teacher_filter(ds)
     sets = certify.active_sets(ds.x, w_star, ds.k)
     gens, _ = certify.cone_generators(ds, sets)
@@ -166,8 +157,8 @@ def _cmd_certify(args) -> int:
         print("solver failure in the dual program", file=sys.stderr)
         return EXIT_SOLVER
     if args.json:
-        print(json.dumps({"certificate": cert.to_dict(), "dual": dual.to_dict(),
-                          "r1_singleton_fraction": certify.r1_singleton_fraction(sets)}))
+        print(model.to_json({"certificate": cert, "dual": dual,
+                             "r1_singleton_fraction": certify.r1_singleton_fraction(sets)}))
         return EXIT_OK
     verdict = "HOLDS" if cert.exists else "FAILS"
     flag = " (boundary-degenerate)" if cert.boundary else ""
@@ -202,7 +193,7 @@ def _cmd_sweep(args) -> int:
     sweep.write_csv(cells, args.out)
     if args.spec_json:
         with open(args.spec_json, "w", encoding="ascii") as f:
-            f.write(spec.to_json() + "\n")
+            f.write(model.to_json(spec) + "\n")
     if args.heatmap:
         for method in methods:
             print(sweep.ascii_heatmap(cells, method))

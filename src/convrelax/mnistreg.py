@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import relax
-from .model import Dataset, substream
+from .model import Dataset, _fmt, substream
 from .qpsolve import least_squares
 
 STREAM_MNIST_SELECT = 10
@@ -361,4 +361,4 @@ def write_results_csv(rows: list[tuple[str, float]], path: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(RESULT_HEADER + "\n")
         for name, value in rows:
-            f.write(f"{name},{format(float(value), '.17g')}\n")
+            f.write(f"{name},{_fmt(value)}\n")

@@ -5,11 +5,16 @@ row and sums the rectified block responses.  Labels are noiseless, so
 the non-convex training loss has global minimum zero at the planted
 filter.  All randomness flows through named substreams of one master
 seed, which lets experiments redraw the perturbation while holding the
-features fixed.
+features fixed.  The module also owns the output formats: the dataset
+CSV and the JSON that every result is written as.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -155,8 +160,8 @@ def teacher_filter(dataset: Dataset) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV export/import: metadata line, header, then one sample per row with
-# 17 significant digits so float64 values round-trip bit-exactly
+# Output formats: CSV floats with 17 significant digits so float64 values
+# round-trip bit-exactly, and strict JSON for every --json payload
 # ---------------------------------------------------------------------------
 
 _META_RE = re.compile(r"^# n=(\d+) d=(\d+) k=(\d+) seed=(\d+)$")
@@ -164,6 +169,35 @@ _META_RE = re.compile(r"^# n=(\d+) d=(\d+) k=(\d+) seed=(\d+)$")
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
+
+
+def to_json(obj) -> str:
+    """Strict JSON of a result: dataclasses by field (a field's
+    ``metadata={"json": key}`` renames it), arrays as lists, enums by
+    value, dicts, lists and tuples recursively.  Non-finite floats, which
+    JSON cannot express, become null."""
+    return json.dumps(_plain(obj), allow_nan=False)
+
+
+def _plain(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.metadata.get("json", f.name): _plain(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            obj = np.where(np.isfinite(obj), obj.astype(object), None)
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def export_csv(dataset: Dataset, path: str) -> None:

@@ -13,8 +13,7 @@ against the requested tolerance.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -117,53 +116,17 @@ class ConvexProgram:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.q @ x + self.c @ x)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "q": self.q.tolist(),
-                "c": self.c.tolist(),
-                "a_ineq": self.a_ineq.tolist(),
-                "b_ineq": self.b_ineq.tolist(),
-                "a_eq": self.a_eq.tolist(),
-                "b_eq": self.b_eq.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConvexProgram":
-        d = json.loads(text)
-        return cls(
-            c=d["c"],
-            q=d["q"],
-            a_ineq=d["a_ineq"],
-            b_ineq=d["b_ineq"],
-            a_eq=d["a_eq"],
-            b_eq=d["b_eq"],
-        )
-
 
 @dataclass
 class SolveReport:
     status: SolveStatus
     x: np.ndarray
-    lam: np.ndarray  # inequality multipliers (the "lambda" block), >= 0
+    lam: np.ndarray = field(metadata={"json": "lambda"})  # inequality multipliers, >= 0
     nu: np.ndarray  # equality multipliers
     primal_residual: float
     dual_residual: float
     complementarity_gap: float
     iterations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "x": np.asarray(self.x).tolist(),
-            "lambda": np.asarray(self.lam).tolist(),
-            "nu": np.asarray(self.nu).tolist(),
-            "primal_residual": self.primal_residual,
-            "dual_residual": self.dual_residual,
-            "complementarity_gap": self.complementarity_gap,
-            "iterations": self.iterations,
-        }
 
 
 @dataclass
@@ -295,13 +258,6 @@ def _presolve(program: ConvexProgram) -> _Presolved:
 #   min cᵀx  s.t.  Ax = b, x >= 0
 # ---------------------------------------------------------------------------
 
-_HSD_OPTIMAL = 0
-_HSD_MAXITER = 1
-_HSD_INFEASIBLE = 2
-_HSD_UNBOUNDED = 3
-_HSD_FAILURE = 4
-
-
 def _max_step(v, dv):
     """Largest α with v + α·dv ≥ 0, from the entries where dv < 0 (∞ if none)."""
     i = np.flatnonzero(dv < 0)
@@ -320,8 +276,9 @@ def _hsd_step_length(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, alpha0):
 def _hsd(A, b, c, tol, max_iter):
     """Mehrotra predictor-corrector on the homogeneous self-dual embedding.
 
-    Returns (x, y, z, tau, kappa, hsd_status, iterations); on optimal
-    termination x/tau is the primal solution and y/tau, z/tau the duals.
+    Returns (x, y, z, tau, kappa, status, iterations), the status being
+    that of the standard-form program; on optimal termination x/tau is
+    the primal solution and y/tau, z/tau the duals.
     """
     m, n = A.shape
     x = np.ones(n)
@@ -335,7 +292,7 @@ def _hsd(A, b, c, tol, max_iter):
     mu_0 = (x @ z + tau * kappa) / (n + 1)
 
     scaled_A = np.empty_like(A)  # A·diag(x/z), rewritten every iteration
-    status = _HSD_MAXITER
+    status = SolveStatus.MAX_ITERATIONS
     iteration = 0
     while True:
         r_P = b * tau - A @ x
@@ -350,12 +307,12 @@ def _hsd(A, b, c, tol, max_iter):
         rho_mu = mu / mu_0
 
         if rho_p <= tol and rho_d <= tol and rho_A <= tol:
-            status = _HSD_OPTIMAL
+            status = SolveStatus.OPTIMAL
             break
         inf1 = rho_p <= tol and rho_d <= tol and rho_g <= tol and tau <= tol * max(1.0, kappa)
         inf2 = rho_mu <= tol and tau <= tol * min(1.0, kappa)
         if inf1 or inf2:
-            status = _HSD_INFEASIBLE if b @ y > tol else _HSD_UNBOUNDED
+            status = SolveStatus.PRIMAL_INFEASIBLE if b @ y > tol else SolveStatus.DUAL_UNBOUNDED
             break
         if iteration >= max_iter:
             break
@@ -414,10 +371,10 @@ def _hsd(A, b, c, tol, max_iter):
                 alpha = _hsd_step_length(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, 1.0)
                 gamma = (1.0 - alpha) ** 2 * min(0.1, 1.0 - alpha)
             if failed:
-                status = _HSD_FAILURE
+                status = SolveStatus.NUMERICAL_FAILURE
                 break
         except (scipy.linalg.LinAlgError, FloatingPointError, ZeroDivisionError):
-            status = _HSD_FAILURE
+            status = SolveStatus.NUMERICAL_FAILURE
             break
 
         alpha = _hsd_step_length(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, 0.99995)
@@ -427,7 +384,7 @@ def _hsd(A, b, c, tol, max_iter):
         tau = tau + alpha * d_tau
         kappa = kappa + alpha * d_kappa
         if not np.all(np.isfinite(x)) or tau <= 0 or kappa < 0:
-            status = _HSD_FAILURE
+            status = SolveStatus.NUMERICAL_FAILURE
             break
 
     return x, y, z, tau, kappa, status, iteration
@@ -509,10 +466,10 @@ def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
         return SolveStatus.OPTIMAL, zero, lam, np.zeros(program.n_eq), 0
 
     inner_tol = max(tol * 1e-2, 1e-13)
-    x, y, z, tau, kappa, hsd_status, iters = _hsd(sf.A, sf.b, sf.c, inner_tol, max_iter)
+    x, y, z, tau, kappa, status, iters = _hsd(sf.A, sf.b, sf.c, inner_tol, max_iter)
 
     m = program.n_vars
-    if hsd_status in (_HSD_OPTIMAL, _HSD_MAXITER):
+    if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
         xs = x / tau
         zs = z / tau
         ys = y / tau
@@ -524,15 +481,8 @@ def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
         y_in = ys[sf.n_eq :]
         lam[sf.generic_rows] = -y_in
         nu = -ys[: sf.n_eq]
-        status = SolveStatus.OPTIMAL if hsd_status == _HSD_OPTIMAL else SolveStatus.MAX_ITERATIONS
         return status, x_orig, lam, nu, iters
-
-    zeros = (np.zeros(m), np.zeros(program.n_ineq), np.zeros(program.n_eq))
-    if hsd_status == _HSD_INFEASIBLE:
-        return SolveStatus.PRIMAL_INFEASIBLE, *zeros, iters
-    if hsd_status == _HSD_UNBOUNDED:
-        return SolveStatus.DUAL_UNBOUNDED, *zeros, iters
-    return SolveStatus.NUMERICAL_FAILURE, *zeros, iters
+    return status, np.zeros(m), np.zeros(program.n_ineq), np.zeros(program.n_eq), iters
 
 
 def _lp_solve_dual_route(program: ConvexProgram, tol, max_iter):
@@ -562,15 +512,15 @@ def _lp_solve_dual_route(program: ConvexProgram, tol, max_iter):
     b_std = program.c.copy()
 
     inner_tol = max(tol * 1e-2, 1e-13)
-    x, y, z, tau, kappa, hsd_status, iters = _hsd(A_std, b_std, c_std, inner_tol, max_iter)
-    if hsd_status == _HSD_OPTIMAL:
+    x, y, z, tau, kappa, status, iters = _hsd(A_std, b_std, c_std, inner_tol, max_iter)
+    if status == SolveStatus.OPTIMAL:
         xs = x / tau
         ys = y / tau
         lam = xs[:p]
         nu = xs[p : p + q] - xs[p + q : p + 2 * q] if q else np.zeros(0)
         x_orig = -ys
         return SolveStatus.OPTIMAL, x_orig, lam, nu, iters
-    if hsd_status == _HSD_UNBOUNDED:
+    if status == SolveStatus.DUAL_UNBOUNDED:
         # the dual improving ray certifies that the original is infeasible
         zeros = (np.zeros(m), np.zeros(p), np.zeros(q))
         return SolveStatus.PRIMAL_INFEASIBLE, *zeros, iters
@@ -584,13 +534,7 @@ def _lp_solve_dual_route(program: ConvexProgram, tol, max_iter):
 
 def _qp_equality_only(program: ConvexProgram, tol):
     m, q = program.n_vars, program.n_eq
-    K = np.zeros((m + q, m + q))
-    K[:m, :m] = program.q
-    if q:
-        K[:m, m:] = program.a_eq.T
-        K[m:, :m] = program.a_eq
-    rhs = np.concatenate([-program.c, program.b_eq])
-    sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    sol = _kkt_lstsq(program, np.zeros(0, dtype=int))
     x, nu = sol[:m], sol[m:]
     stat, feas, _ = _kkt_measures(program, x, np.zeros(0), nu)
     scale = 1.0 + float(np.max(np.abs(program.c))) + (float(np.max(np.abs(program.b_eq))) if q else 0.0)
@@ -707,6 +651,22 @@ def _qp_mehrotra(program: ConvexProgram, tol, max_iter):
 # ---------------------------------------------------------------------------
 
 
+def _kkt_lstsq(program: ConvexProgram, active: np.ndarray) -> np.ndarray:
+    """Least-squares solution (x, λ on the active rows, ν) of the KKT
+    system that holds the active inequality rows as equalities."""
+    m, n_a, q = program.n_vars, active.size, program.n_eq
+    K = np.zeros((m + n_a + q, m + n_a + q))
+    K[:m, :m] = program.q
+    rhs = np.concatenate([-program.c, program.b_ineq[active], program.b_eq])
+    if n_a:
+        K[:m, m : m + n_a] = program.a_ineq[active].T
+        K[m : m + n_a, :m] = program.a_ineq[active]
+    if q:
+        K[:m, m + n_a :] = program.a_eq.T
+        K[m + n_a :, :m] = program.a_eq
+    return np.linalg.lstsq(K, rhs, rcond=None)[0]
+
+
 def _polish(program: ConvexProgram, x, lam, nu, skippable: bool):
     """Refine a near-optimal pair by solving the KKT system of the guessed
     active set; returns the refined triple or None when the guess fails.
@@ -724,17 +684,8 @@ def _polish(program: ConvexProgram, x, lam, nu, skippable: bool):
     n_a = active.size
     if skippable and m + n_a + q > 600:
         return None
-    K = np.zeros((m + n_a + q, m + n_a + q))
-    K[:m, :m] = program.q
-    rhs = np.concatenate([-program.c, program.b_ineq[active], program.b_eq])
-    if n_a:
-        K[:m, m : m + n_a] = program.a_ineq[active].T
-        K[m : m + n_a, :m] = program.a_ineq[active]
-    if q:
-        K[:m, m + n_a :] = program.a_eq.T
-        K[m + n_a :, :m] = program.a_eq
     try:
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+        sol = _kkt_lstsq(program, active)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(sol)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,19 +71,6 @@ class FitResult:
     r_used: np.ndarray
     trial_seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "w_hat": self.w_hat.tolist(),
-            "z_hat": self.z_hat.tolist(),
-            "train_residual": self.train_residual,
-            "report": self.report.to_dict(),
-            "r_used": self.r_used.tolist(),
-            "trial_seed": self.trial_seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 @dataclass
 class TrialRecord:
@@ -101,26 +88,6 @@ class RecoveryOutcome:
     success: bool
     trials: list[TrialRecord] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "best": self.best.to_dict(),
-            "l2_error": self.l2_error,
-            "rel_error": self.rel_error,
-            "success": self.success,
-            "trials": [
-                {
-                    "seed": t.seed,
-                    "l2_error": t.l2_error,
-                    "train_residual": t.train_residual,
-                    "status": t.status.value,
-                }
-                for t in self.trials
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 @dataclass
 class Assessment:
@@ -129,14 +96,19 @@ class Assessment:
     success: bool
 
 
+def check_tau(tau: float) -> None:
+    """Reject a recovery threshold that is not positive and finite."""
+    if not 0.0 < tau < math.inf:
+        raise RelaxError("tau must be positive and finite")
+
+
 def assess(w_hat: np.ndarray, w_star: np.ndarray, tau: float = DEFAULT_TAU) -> Assessment:
     """Recovery verdict: ‖ŵ−w*‖₂ against the threshold τ·(1+‖w*‖₂)."""
     w_hat = np.asarray(w_hat, dtype=float)
     w_star = np.asarray(w_star, dtype=float)
     if w_hat.shape != w_star.shape:
         raise RelaxError("filter length mismatch")
-    if tau <= 0:
-        raise RelaxError("tau must be positive")
+    check_tau(tau)
     l2 = float(np.linalg.norm(w_hat - w_star))
     norm_star = float(np.linalg.norm(w_star))
     rel = l2 / norm_star if norm_star > 0 else np.inf
@@ -149,8 +121,8 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     beta > 0 keeps the quadratic data term with cost beta·rᵀw; beta == 0
     builds the vanishing-weight limit, an LP whose only cost is rᵀw.
     """
-    if beta < 0:
-        raise RelaxError("beta must be nonnegative")
+    if not 0.0 <= beta < math.inf:
+        raise RelaxError("beta must be nonnegative and finite")
     n, k, p = dataset.n, dataset.k, dataset.filter_size
     r = np.asarray(r, dtype=float)
     if r.shape != (p,):
@@ -267,6 +239,7 @@ def fit_amplified(
     """
     if num_trials < 1:
         raise RelaxError("num_trials must be positive")
+    check_tau(tau)
     if w_star is None and dataset.seed is not None:
         w_star = teacher_filter(dataset)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -57,12 +56,10 @@ class GridSpec:
             raise SweepError("every d value must be divisible by k")
         if self.trials < 1 or self.amplify < 1:
             raise SweepError("trials and amplify must be positive")
+        relax.check_tau(self.tau)
         bad = set(self.methods) - {METHOD_RELAXATION, METHOD_GRADIENT_DESCENT}
         if bad or not self.methods:
             raise SweepError(f"unknown methods: {sorted(bad)}")
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self))
 
 
 @dataclass

@@ -7,9 +7,9 @@ parsed output for CLI cases, the ``PhaseCell`` fields for sweeps.
 ``tests/test_golden.py`` regenerates every record and compares it with
 the committed fixture.
 
-Write the fixtures with ``PYTHONPATH=src python tests/golden_cases.py``.
-A change that rewrites them names the fields that moved, and why, in
-CHANGES.md.
+Write the fixtures with ``PYTHONPATH=src python tests/golden_cases.py
+[NAME ...]`` (all of them when no name is given).  A change that
+rewrites them names the fields that moved, and why, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ CLI_CASES = {
     "fit_k2_lifted_lp": ((40, 8, 2, 4), ["fit", "--json", "--trials", "3", "--seed", "2"]),
     "fit_beta_qp": ((60, 10, 1, 5), ["fit", "--json", "--beta", "1e-3", "--seed", "3"]),
     "certify_k2": ((60, 8, 2, 6), ["certify", "--json", "--seed", "4"]),
+    # n < d: the dual program is infeasible and its undefined fields print as null
+    "certify_dual_infeasible": ((4, 10, 1, 1), ["certify", "--json"]),
 }
 
 # name -> GridSpec keyword arguments (methods by their sweep constant names)
@@ -47,6 +49,16 @@ SWEEP_CASES = {
 }
 
 
+def strict_json(text: str):
+    """Parse JSON, rejecting the NaN and Infinity tokens that the JSON
+    grammar does not allow."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_cli_case(name: str) -> dict:
     from convrelax import cli, model
 
@@ -58,7 +70,7 @@ def run_cli_case(name: str) -> dict:
         with contextlib.redirect_stdout(out):
             code = cli.main([args[0], "--in", path, *args[1:]])
     text = out.getvalue()
-    return {"exit_code": code, "output": json.loads(text) if text.strip() else None}
+    return {"exit_code": code, "output": strict_json(text) if text.strip() else None}
 
 
 def run_sweep_case(name: str) -> dict:
@@ -108,9 +120,9 @@ def differences(expected, actual, where: str = "$") -> list[str]:
     return []
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name in all_names():
+    for name in names or all_names():
         with open(fixture_path(name), "w", encoding="ascii", newline="\n") as f:
             json.dump(run_case(name), f, indent=1)
             f.write("\n")
@@ -122,4 +134,4 @@ if __name__ == "__main__":
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     os.environ.setdefault("OMP_NUM_THREADS", "1")
     os.environ.setdefault("MKL_NUM_THREADS", "1")
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from convrelax import qpsolve, relax, sweep
-from convrelax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, load_dataset, main
-from convrelax.model import CsvFormatError, export_csv, sample_planted
+from convrelax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+from convrelax.model import CsvFormatError, export_csv, import_csv, sample_planted
+from golden_cases import strict_json
 
 
 @pytest.fixture()
@@ -22,7 +23,7 @@ def test_gen_writes_expected_rows(dataset_csv):
 
 
 def test_load_dataset_round_trips(dataset_csv, tmp_path):
-    ds = load_dataset(str(dataset_csv))
+    ds = import_csv(str(dataset_csv))
     assert ds.n == 100 and ds.d == 10 and ds.k == 2 and ds.seed == 7
     again = tmp_path / "again.csv"
     export_csv(ds, str(again))
@@ -33,7 +34,7 @@ def test_load_dataset_schema_errors(tmp_path):
     missing_meta = tmp_path / "m.csv"
     missing_meta.write_text("y,x_1\n1.0,2.0\n")
     with pytest.raises(CsvFormatError) as exc:
-        load_dataset(str(missing_meta))
+        import_csv(str(missing_meta))
     assert exc.value.line == 1
 
     _, ds = sample_planted(4, 2, 1, 3)
@@ -43,7 +44,7 @@ def test_load_dataset_schema_errors(tmp_path):
     lines[4] = "1.0"
     bad_cols.write_text("\n".join(lines) + "\n")
     with pytest.raises(CsvFormatError) as exc:
-        load_dataset(str(bad_cols))
+        import_csv(str(bad_cols))
     assert exc.value.line == 5
 
 
@@ -152,3 +153,52 @@ def test_workers_flag_matches_serial(tmp_path):
     assert main(args + ["--out", str(a)]) == EXIT_OK
     assert main(args + ["--out", str(b), "--workers", "2"]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_certify_json_is_strict_when_the_dual_is_infeasible(tmp_path, capsys):
+    # n < d: the dual program is infeasible, so its objective, gap and
+    # structure measures are undefined
+    path = tmp_path / "thin.csv"
+    assert main(["gen", "--n", "4", "--d", "10", "--k", "1", "--seed", "1",
+                 "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["certify", "--in", str(path), "--json"]) == EXIT_OK
+    data = strict_json(capsys.readouterr().out)
+    dual = data["dual"]
+    assert dual["status"] == "DualInfeasible"
+    for key in ("dual_objective", "primal_objective", "duality_gap", "complementarity",
+                "structure_off_violation", "structure_on_violation"):
+        assert dual[key] is None
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--beta", "nan"],
+    ["fit", "--beta", "inf"],
+    ["fit", "--beta", "-1"],
+    ["fit", "--tau", "nan"],
+    ["fit", "--tau", "inf"],
+    ["fit", "--tau", "0"],
+    ["fit", "--method", "gd", "--tau", "nan"],
+    ["fit", "--method", "gd", "--json", "--tau", "nan"],
+    ["fit", "--trials", "4", "--tau", "nan"],
+    ["certify", "--tol", "nan"],
+    ["certify", "--tol", "inf"],
+    ["certify", "--tol=-1e-7"],
+], ids=" ".join)
+def test_invalid_parameter_is_a_usage_error(tmp_path, capsys, args):
+    path = tmp_path / "data.csv"
+    assert main(["gen", "--n", "30", "--d", "4", "--seed", "2", "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*args, "--in", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "0"])
+def test_sweep_invalid_tau_fails_before_any_trial(tmp_path, capsys, tau):
+    out = tmp_path / "cells.csv"
+    assert main(["sweep", "--n-values", "20", "--d-values", "4", "--trials", "2",
+                 "--tau", tau, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert "tau" in capsys.readouterr().err

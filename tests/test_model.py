@@ -16,6 +16,8 @@ from convrelax.model import (
     sample_planted,
     teacher_filter,
 )
+from convrelax.qpsolve import SolveReport, SolveStatus
+from golden_cases import strict_json
 
 
 def test_sample_planted_shapes_and_nonneg_labels():
@@ -182,3 +184,32 @@ def test_substream_independence():
     assert np.array_equal(a, model.substream(9, model.STREAM_FEATURES).standard_normal(4))
     with pytest.raises(ModelError):
         model.substream(-1, model.STREAM_FEATURES)
+
+
+def test_to_json_writes_fields_arrays_enums_and_null_for_non_finite():
+    report = SolveReport(
+        status=SolveStatus.OPTIMAL,
+        x=np.array([1.5, np.nan]),
+        lam=np.array([np.inf, -np.inf, 0.25]),
+        nu=np.zeros(0),
+        primal_residual=np.float64(np.nan),
+        dual_residual=0.0,
+        complementarity_gap=float("inf"),
+        iterations=np.int64(3),
+    )
+    text = model.to_json({"report": report, "pair": (np.bool_(True), 2)})
+    assert strict_json(text) == {
+        "report": {
+            "status": "Optimal",
+            "x": [1.5, None],
+            "lambda": [None, None, 0.25],
+            "nu": [],
+            "primal_residual": None,
+            "dual_residual": 0.0,
+            "complementarity_gap": None,
+            "iterations": 3,
+        },
+        "pair": [True, 2],
+    }
+    # finite values keep the bytes json.dumps gives the plain Python values
+    assert model.to_json([np.float64(0.1), np.arange(3.0)]) == "[0.1, [0.0, 1.0, 2.0]]"

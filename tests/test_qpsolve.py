@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -393,7 +395,7 @@ def test_program_json_round_trip():
     rng = np.random.default_rng(3)
     q, c, a, b = random_feasible_qp(rng, 3, 4)
     program = ConvexProgram(c=c, q=q, a_ineq=a, b_ineq=b, a_eq=[[1.0, 1.0, 1.0]], b_eq=[0.5])
-    back = ConvexProgram.from_json(program.to_json())
+    back = ConvexProgram(**json.loads(model.to_json(program)))
     np.testing.assert_array_equal(back.q, program.q)
     np.testing.assert_array_equal(back.c, program.c)
     np.testing.assert_array_equal(back.a_ineq, program.a_ineq)

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from convrelax.model import (
     derived_seed,
     sample_planted,
     substream,
+    to_json,
 )
 from convrelax.qpsolve import SolveStatus
 from convrelax.relax import (
@@ -111,7 +115,7 @@ def test_fit_amplified_single_trial_matches_fit():
 
 def _report_bytes(report) -> bytes:
     arrays = b"".join(np.asarray(a, dtype=float).tobytes() for a in (report.x, report.lam, report.nu))
-    return report.status.value.encode() + repr(report.to_dict()).encode() + arrays
+    return report.status.value.encode() + repr(dataclasses.astuple(report)).encode() + arrays
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -297,10 +301,7 @@ def test_half_probability_plateau_far_from_transition():
 def test_fit_result_json_round_trip():
     _, ds = sample_planted(10, 2, 1, 1)
     outcome = fit_amplified(ds, 2, 5)
-    blob = outcome.to_json()
-    import json
-
-    data = json.loads(blob)
+    data = json.loads(to_json(outcome))
     assert set(data) == {"best", "l2_error", "rel_error", "success", "trials"}
     assert set(data["best"]) == {
         "w_hat",
