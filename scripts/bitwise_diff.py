@@ -6,14 +6,18 @@ Each SRC is a directory holding the ``convrelax`` package (a checkout's
 ``src``). Both trees run the same panel in separate interpreters with
 BLAS pinned to one thread, and every ``SolveReport`` that
 ``qpsolve.solve`` returns is compared field by field, floats by their
-bytes. The script prints the first field that differs, or "identical",
-and exits 1 or 0 accordingly.
+bytes, case by case. The script prints one line for every report that
+differs, naming its case and its first differing field (and a line for
+every case whose number of reports differs), then how many cases
+differ; or it prints "identical". It exits 1 or 0 accordingly, so a
+deliberate re-numbering shows its whole extent.
 
 The panel: k=1 relaxation LPs at n=400 and n=2000 (the dual route),
-lifted k=2 and k=5 LPs, the beta=1e-3 QP, certify's phase-1 cone program
-and k=1/k=2 dual programs (the primal route), presolve cases with
-duplicate, zero, -0.0 and infeasible rows, an equality-only QP, and
-infeasible and unbounded LPs on the primal and on the dual route.
+lifted k=2 and k=5 LPs, the beta=1e-3 QP, certify's phase-1 cone program,
+primal fit and dual program at k=1, 2 and 5 and on a k=2 dataset whose
+dual is infeasible, presolve cases with duplicate, zero, -0.0 and
+infeasible rows, an equality-only QP, and infeasible and unbounded LPs
+on the primal and on the dual route.
 
 With a single SRC the script prints that tree's panel as JSON instead.
 """
@@ -116,9 +120,11 @@ def run_panel() -> list[dict]:
             relax.fit(model.sample_planted(n, 20, k, 6)[1], 0.0, 7)
         label[0] = "beta-qp k=1 n=200 d=20"
         relax.fit(model.sample_planted(200, 20, 1, 8)[1], 1e-3, 9)
-        for k, n, d in ((2, 120, 8), (1, 80, 6)):
+        # the last case has fewer block rows than filter entries: its dual
+        # is infeasible
+        for k, n, d, seed in ((2, 120, 8, 10), (1, 80, 6, 10), (5, 60, 20, 10), (2, 4, 10, 1)):
             label[0] = f"certify k={k} n={n} d={d}"
-            _, ds = model.sample_planted(n, d, k, 10)
+            _, ds = model.sample_planted(n, d, k, seed)
             sets = certify.active_sets(ds.x, model.teacher_filter(ds), k)
             gens, _ = certify.cone_generators(ds, sets)
             r = model.substream(11, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
@@ -152,17 +158,31 @@ def _describe(name: str, old, new) -> str:
     return f"entry {j}: {float(a[j])!r} != {float(b[j])!r}"
 
 
-def first_difference(old: list[dict], new: list[dict]) -> str | None:
-    for i, (a, b) in enumerate(zip(old, new)):
-        if a["case"] != b["case"]:
-            return f"report {i}: case {a['case']!r} != {b['case']!r}"
-        for name in FIELDS:
-            if a["fields"][name] != b["fields"][name]:
-                detail = _describe(name, a["fields"][name], b["fields"][name])
-                return f"report {i} ({a['case']}): field {name} differs, {detail}"
-    if len(old) != len(new):
-        return f"report count {len(old)} != {len(new)}"
-    return None
+def _by_case(records: list[dict]) -> dict[str, list[dict]]:
+    cases: dict[str, list[dict]] = {}
+    for record in records:
+        cases.setdefault(record["case"], []).append(record["fields"])
+    return cases
+
+
+def differences(old: list[dict], new: list[dict]) -> tuple[list[str], int]:
+    """One line per differing report and per case whose report count
+    differs, and the number of cases with any difference."""
+    old_cases, new_cases = _by_case(old), _by_case(new)
+    lines: list[str] = []
+    differing = 0
+    for case in dict.fromkeys([*old_cases, *new_cases]):
+        a, b = old_cases.get(case, []), new_cases.get(case, [])
+        found = len(lines)
+        if len(a) != len(b):
+            lines.append(f"{case}: report count {len(a)} != {len(b)}")
+        for i, (fa, fb) in enumerate(zip(a, b)):
+            name = next((name for name in FIELDS if fa[name] != fb[name]), None)
+            if name is not None:
+                detail = _describe(name, fa[name], fb[name])
+                lines.append(f"{case}, report {i}: field {name} differs, {detail}")
+        differing += len(lines) > found
+    return lines, differing
 
 
 def main(argv: list[str]) -> int:
@@ -178,12 +198,13 @@ def main(argv: list[str]) -> int:
         print("usage: python scripts/bitwise_diff.py OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
     old, new = _panel_of(argv[0]), _panel_of(argv[1])
-    diff = first_difference(old, new)
-    cases = len({r["case"] for r in old})
-    if diff is None:
+    lines, differing = differences(old, new)
+    cases = len(_by_case(old))
+    if not lines:
         print(f"identical ({len(old)} reports over {cases} cases)")
         return 0
-    print(diff)
+    print("\n".join(lines))
+    print(f"{differing} of {cases} cases differ")
     return 1
 
 

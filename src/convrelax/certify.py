@@ -11,11 +11,19 @@ optimal iff −r lies in the generator cone.  ``check_cone_condition``
 tests literal membership of its argument; callers certifying a
 minimizing fit pass the negated perturbation.  ``dual_solve`` takes the
 drawn perturbation directly and handles the sign internally.
+
+The k>1 dual is that of the block-set program: eliminating z from the
+lifted LP leaves an LP in w alone, with one row Σ_{j∈S} X_ij·w ≤ yᵢ per
+sample i and nonempty block set S.  Its row multipliers μ_iS map to the
+lifted dual (0 ≤ λ_ij ≤ vᵢ, Σ X_ijᵀλ_ij = −r, objective −yᵀv) by
+λ_ij = Σ_{S∋j} μ_iS and vᵢ = Σ_S μ_iS, a feasible point with the same
+objective; ``dual_solve`` generates only the rows it needs.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +155,10 @@ DUAL_OPTIMAL = "Optimal"
 DUAL_INFEASIBLE = "DualInfeasible"
 DUAL_FAILED = "Failed"
 
+# Solves allowed in the k>1 dual's row generation; each adds at least one
+# block set the earlier rows lacked, so the cap only ends runaway cases.
+MAX_ROW_ROUNDS = 100
+
 
 @dataclass
 class DualSolveResult:
@@ -162,6 +174,39 @@ class DualSolveResult:
     w_hat: np.ndarray
 
 
+def _block_set_lp(
+    xb: np.ndarray, y: np.ndarray, r: np.ndarray, tol: float
+) -> tuple[qpsolve.SolveReport | None, np.ndarray, np.ndarray]:
+    """Minimize rᵀw over the block-set rows by row generation.
+
+    The first round holds the n·k singleton rows; each later round adds,
+    for every sample, the row of its positively responding blocks at ŵ
+    (its most violated set) when that row is violated by more than tol.
+    An Optimal report meets each present row within tol, so only new
+    sets are added.  Returns the last report (None when MAX_ROW_ROUNDS
+    solves leave a row violated) and, per row, its sample and block set.
+    """
+    n, k, p = xb.shape
+    a = xb.reshape(n * k, p)
+    b = np.repeat(y, k)
+    sample = np.repeat(np.arange(n), k)
+    blocks = np.tile(np.eye(k, dtype=bool), (n, 1))
+    for _ in range(MAX_ROW_ROUNDS):
+        report = qpsolve.solve(ConvexProgram(c=r, a_ineq=a, b_ineq=b), tol=tol)
+        if report.status != SolveStatus.OPTIMAL:
+            return report, sample, blocks
+        resp = xb @ report.x
+        pos = resp > 0.0
+        new = np.flatnonzero(np.where(pos, resp, 0.0).sum(axis=1) - y > tol)
+        if new.size == 0:
+            return report, sample, blocks
+        a = np.vstack([a, (xb[new] * pos[new, :, None]).sum(axis=1)])
+        b = np.concatenate([b, y[new]])
+        sample = np.concatenate([sample, new])
+        blocks = np.vstack([blocks, pos[new]])
+    return None, sample, blocks
+
+
 def dual_solve(
     dataset: Dataset,
     r: np.ndarray,
@@ -175,7 +220,9 @@ def dual_solve(
     are optimal their objectives must agree; the complementary-slackness
     products and, when active sets are supplied, the multiplier
     structure (λ zero off the active sets, equal to v on them) are
-    recomputed from the returned solutions.
+    recomputed from the returned solutions.  At k>1 the multipliers come
+    from the block-set program (see the module docstring); a run that
+    reaches MAX_ROW_ROUNDS ends Failed with a RuntimeWarning.
     """
     r = np.asarray(r, dtype=float)
     n, k, p = dataset.n, dataset.k, dataset.filter_size
@@ -199,32 +246,33 @@ def dual_solve(
             a_eq=dataset.x.T.copy(),
             b_eq=-r,
         )
+        report = qpsolve.solve(program, tol=tol)
+        if report.status == SolveStatus.PRIMAL_INFEASIBLE:
+            status = DUAL_INFEASIBLE
+        elif report.status == SolveStatus.OPTIMAL:
+            status = DUAL_OPTIMAL
+        else:
+            status = DUAL_FAILED
     else:
-        nz = n * k
-        m = n + nz  # v block then λ block, λ_ij at n + i·k + j
-        c = np.concatenate([y, np.zeros(nz)])
-        a_bound = np.zeros((nz, m))
-        a_bound[np.arange(nz), n + np.arange(nz)] = 1.0
-        a_bound[np.arange(nz), np.repeat(np.arange(n), k)] = -1.0
-        a_nonneg = np.zeros((nz, m))
-        a_nonneg[np.arange(nz), n + np.arange(nz)] = -1.0
-        a_eq = np.zeros((p, m))
-        a_eq[:, n:] = xb.reshape(nz, p).T
-        program = ConvexProgram(
-            c=c,
-            a_ineq=np.vstack([a_bound, a_nonneg]),
-            b_ineq=np.zeros(2 * nz),
-            a_eq=a_eq,
-            b_eq=-r,
-        )
-
-    report = qpsolve.solve(program, tol=tol)
-    if report.status == SolveStatus.PRIMAL_INFEASIBLE:
-        status = DUAL_INFEASIBLE
-    elif report.status == SolveStatus.OPTIMAL:
-        status = DUAL_OPTIMAL
-    else:
-        status = DUAL_FAILED
+        # the labels clipped at zero leave the rows' recession cone, and so
+        # dual feasibility, unchanged; a negative label makes the lifted
+        # primal infeasible (no z ≥ 0 sums to it), so a feasible dual is
+        # then unbounded
+        report, sample, blocks = _block_set_lp(xb, np.maximum(y, 0.0), r, tol)
+        if report is None:
+            warnings.warn(
+                f"dual row generation stopped at the round cap MAX_ROW_ROUNDS={MAX_ROW_ROUNDS} "
+                "with a violated block-set row left",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            status = DUAL_FAILED
+        elif report.status == SolveStatus.DUAL_UNBOUNDED:
+            status = DUAL_INFEASIBLE
+        elif report.status == SolveStatus.OPTIMAL and np.all(y >= 0.0):
+            status = DUAL_OPTIMAL
+        else:
+            status = DUAL_FAILED
 
     nan = float("nan")
     if status != DUAL_OPTIMAL:
@@ -245,11 +293,13 @@ def dual_solve(
         u = report.x
         v = u.copy()
         lam = u.reshape(n, 1)
-        dual_obj = -float(y @ u)
     else:
-        v = report.x[:n].copy()
-        lam = report.x[n:].reshape(n, k)
-        dual_obj = -float(y @ v)
+        # μ of row (i, S) adds to λ_ij for j ∈ S and to vᵢ
+        mu = report.lam
+        lam = np.zeros((n, k))
+        np.add.at(lam, sample, mu[:, None] * blocks)
+        v = np.bincount(sample, weights=mu, minlength=n)
+    dual_obj = -float(y @ v)
 
     # complementary slackness of the dual multipliers against the primal
     # slacks z_ij − X_ij·ŵ at the fitted filter

@@ -36,6 +36,7 @@ CLI_CASES = {
     "certify_k2": ((60, 8, 2, 6), ["certify", "--json", "--seed", "4"]),
     # n < d: the dual program is infeasible and its undefined fields print as null
     "certify_dual_infeasible": ((4, 10, 1, 1), ["certify", "--json"]),
+    "certify_k2_dual_infeasible": ((4, 10, 2, 1), ["certify", "--json"]),
 }
 
 # name -> GridSpec keyword arguments (methods by their sweep constant names)

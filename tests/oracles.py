@@ -2,8 +2,9 @@
 
 Nothing here calls the package solver: small LPs are decided by vertex
 enumeration over bounded-by-construction polytopes, small QPs by
-exhaustive active-set search on the KKT equalities, and cone membership
-by scipy's NNLS with HiGHS near the boundary.
+exhaustive active-set search on the KKT equalities, cone membership
+by scipy's NNLS with HiGHS near the boundary, and LPs in A_ub form by
+HiGHS itself.
 """
 
 from itertools import combinations
@@ -94,6 +95,25 @@ def cone_membership(gens, v, inside=1e-9, outside=1e-5):
         return False
     res = linprog(np.zeros(len(gens)), A_eq=gens.T, b_eq=v, bounds=(0, None), method="highs")
     return {0: True, 2: False}.get(res.status)
+
+
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def highs_lp(c, a, b):
+    """(status, value, x) of min c·x over {a·x <= b}, x free, by HiGHS."""
+    res = linprog(c, A_ub=a, b_ub=b, bounds=(None, None), method="highs")
+    return HIGHS_STATUS.get(res.status, f"status {res.status}"), res.fun, res.x
+
+
+def block_set_expansion(xb, y):
+    """Every row Σ_{j∈S} X_ij·w <= y_i of the k>1 LP with z eliminated:
+    one per sample i and nonempty block set S, 2^k − 1 per sample."""
+    xb = np.asarray(xb, dtype=float)
+    n, k, p = xb.shape
+    sets = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1
+    a = np.einsum("sj,ijp->isp", sets.astype(float), xb).reshape(-1, p)
+    return a, np.repeat(np.asarray(y, dtype=float), len(sets))
 
 
 # ---------------------------------------------------------------------------

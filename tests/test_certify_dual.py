@@ -1,0 +1,210 @@
+"""The k>1 dual of ``certify.dual_solve`` against independent references.
+
+``dual_solve`` solves the k>1 LP with z eliminated, min rᵀw subject to
+Σ_{j∈S} X_ij·w ≤ yᵢ for every sample and nonempty block set S, by row
+generation, and maps the row multipliers μ back to the lifted dual:
+λ_ij = Σ_{S∋j} μ_iS, vᵢ = Σ_S μ_iS.  Checked here against
+
+- the lifted (n + nk)-variable dual program it replaced, kept below as
+  the reference: status, objective, and lifted-dual feasibility of the
+  mapped (λ, v);
+- HiGHS on the full 2^k − 1 block-set expansion (k ≤ 4);
+- HiGHS on the rows the generation ended with.
+"""
+
+import numpy as np
+import pytest
+
+from convrelax import certify, qpsolve
+from convrelax.cli import EXIT_OK, EXIT_SOLVER, main
+from convrelax.model import (
+    STREAM_PERTURBATION,
+    Dataset,
+    export_csv,
+    forward,
+    sample_planted,
+    substream,
+)
+from convrelax.qpsolve import ConvexProgram, SolveStatus
+from golden_cases import strict_json
+from oracles import block_set_expansion, highs_lp
+
+DUAL_STATUS_OF_HIGHS = {"optimal": certify.DUAL_OPTIMAL, "unbounded": certify.DUAL_INFEASIBLE}
+
+
+def lifted_dual_reference(dataset, r, tol=qpsolve.DEFAULT_TOL):
+    """The k>1 dual program ``dual_solve`` solved before row generation:
+    max −yᵀv over v and λ with 0 ≤ λ_ij ≤ vᵢ and Σ X_ijᵀλ_ij = −r, as one
+    dense (n + nk)-variable program.  Returns (status, objective)."""
+    n, k, p = dataset.n, dataset.k, dataset.filter_size
+    nz = n * k
+    m = n + nz  # v block then λ block, λ_ij at n + i·k + j
+    c = np.concatenate([dataset.y, np.zeros(nz)])
+    a_bound = np.zeros((nz, m))
+    a_bound[np.arange(nz), n + np.arange(nz)] = 1.0
+    a_bound[np.arange(nz), np.repeat(np.arange(n), k)] = -1.0
+    a_nonneg = np.zeros((nz, m))
+    a_nonneg[np.arange(nz), n + np.arange(nz)] = -1.0
+    a_eq = np.zeros((p, m))
+    a_eq[:, n:] = dataset.blocks().reshape(nz, p).T
+    program = ConvexProgram(
+        c=c,
+        a_ineq=np.vstack([a_bound, a_nonneg]),
+        b_ineq=np.zeros(2 * nz),
+        a_eq=a_eq,
+        b_eq=-r,
+    )
+    report = qpsolve.solve(program, tol=tol)
+    if report.status == SolveStatus.PRIMAL_INFEASIBLE:
+        return certify.DUAL_INFEASIBLE, None
+    if report.status != SolveStatus.OPTIMAL:
+        return certify.DUAL_FAILED, None
+    return certify.DUAL_OPTIMAL, -float(dataset.y @ report.x[:n])
+
+
+def _panel():
+    """52 cases over k ∈ {2, 3, 4, 5}: planted data of several shapes,
+    n < d with fewer block rows than filter entries (a dual-infeasible
+    case) and with more, a zero feature row, and all-zero labels."""
+    cases = []
+    for k in (2, 3, 4, 5):
+        for t, (kind, n, p) in enumerate([
+            ("planted", 8, 2), ("planted", 15, 3), ("planted", 30, 2), ("planted", 30, 4),
+            ("planted", 45, 3), ("planted", 60, 2), ("planted", 60, 4), ("planted", 20, 4),
+            ("planted", 40, 3), ("thin", 2, 2 * k), ("thin", 2 * k - 1, 2),
+            ("zero-row", 30, 3), ("zero-labels", 25, 3),
+        ]):
+            cases.append((kind, n, k * p, k, 100 * k + t))
+    return cases
+
+
+PANEL = _panel()
+
+
+def _dataset(case):
+    kind, n, d, k, seed = case
+    _, ds = sample_planted(n, d, k, seed)
+    x, y = ds.x, ds.y
+    if kind == "zero-row":
+        x = x.copy()
+        x[0] = 0.0
+        y = forward(x, substream(seed, 2).standard_normal(d // k), k)
+    elif kind == "zero-labels":
+        y = np.zeros(n)
+    r = substream(seed, STREAM_PERTURBATION).standard_normal(d // k)
+    return Dataset(x=x, y=y, k=k), r
+
+
+def _case_id(case):
+    kind, n, d, k, seed = case
+    return f"{kind}-n{n}-d{d}-k{k}-s{seed}"
+
+
+def test_panel_covers_every_outcome():
+    kinds = {case[0] for case in PANEL}
+    assert len(PANEL) >= 50 and kinds == {"planted", "thin", "zero-row", "zero-labels"}
+    assert {case[3] for case in PANEL} == {2, 3, 4, 5}
+    assert all(n < d for kind, n, d, _, _ in PANEL if kind == "thin")
+
+
+@pytest.mark.parametrize("case", PANEL, ids=_case_id)
+def test_block_set_dual_matches_lifted_reference(case):
+    ds, r = _dataset(case)
+    out = certify.dual_solve(ds, r)
+    status, obj = lifted_dual_reference(ds, r)
+    assert out.status == status
+    if status != certify.DUAL_OPTIMAL:
+        assert out.duals.size == 0 and np.isnan(out.dual_objective)
+        return
+    assert abs(out.dual_objective - obj) <= 1e-8 * (1.0 + abs(obj))
+    # the mapped (λ, v) is a feasible point of the lifted dual with the
+    # reported objective
+    lam, v = out.duals.reshape(ds.n, ds.k), out.v
+    assert lam.min() >= 0.0
+    assert np.all(lam <= v[:, None] * (1.0 + 1e-12))
+    assert np.max(np.abs(np.einsum("ij,ijp->p", lam, ds.blocks()) + r)) <= 1e-9
+    assert out.dual_objective == -float(ds.y @ v)
+
+
+@pytest.mark.parametrize("case", [c for c in PANEL if c[3] <= 4], ids=_case_id)
+def test_block_set_dual_matches_highs_on_full_expansion(case):
+    ds, r = _dataset(case)
+    out = certify.dual_solve(ds, r)
+    status, value, _ = highs_lp(r, *block_set_expansion(ds.blocks(), ds.y))
+    assert out.status == DUAL_STATUS_OF_HIGHS[status]
+    if status == "optimal":
+        assert abs(out.dual_objective - value) <= 1e-8 * (1.0 + abs(value))
+
+
+@pytest.mark.parametrize("case", PANEL, ids=_case_id)
+def test_generated_rows_are_exact_for_highs(case):
+    ds, r = _dataset(case)
+    xb, y = ds.blocks(), ds.y
+    report, sample, blocks = certify._block_set_lp(xb, y, r, qpsolve.DEFAULT_TOL)
+    # the first n·k rows are the singletons; no block set comes twice
+    np.testing.assert_array_equal(sample[: ds.n * ds.k], np.repeat(np.arange(ds.n), ds.k))
+    keys = {(i, m.tobytes()) for i, m in zip(sample, blocks)}
+    assert len(keys) == len(sample)
+    a = np.einsum("rj,rjp->rp", blocks.astype(float), xb[sample])
+    status, value, w = highs_lp(r, a, y[sample])
+    assert status == {SolveStatus.OPTIMAL: "optimal", SolveStatus.DUAL_UNBOUNDED: "unbounded"}[report.status]
+    if status == "optimal":
+        assert abs(r @ report.x - value) <= 1e-8 * (1.0 + abs(value))
+        # HiGHS's optimum over the generated rows meets every block-set
+        # row, so the rows left out could not have moved the optimum
+        assert np.all(np.maximum(xb @ w, 0.0).sum(axis=1) <= y + 1e-7 * (1.0 + y))
+
+
+# -- failure paths ------------------------------------------------------------
+
+
+def _write(tmp_path, n, d, k, seed, label=None):
+    _, ds = sample_planted(n, d, k, seed)
+    path = tmp_path / "data.csv"
+    export_csv(ds, str(path))
+    if label is not None:
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join([label, *lines[2].split(",")[1:]])
+        path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_negative_label_is_a_dual_program_failure(tmp_path, capsys):
+    # no z ≥ 0 sums to a negative label, so the lifted primal is infeasible
+    # and its dual unbounded
+    path = _write(tmp_path, 30, 4, 2, 2, label="-0.5")
+    assert main(["certify", "--in", str(path), "--json"]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "solver failure in the dual program" in captured.err
+    _, ds = sample_planted(30, 4, 2, 2)
+    y = ds.y.copy()
+    y[0] = -0.5
+    neg = Dataset(x=ds.x, y=y, k=2)
+    r = substream(0, STREAM_PERTURBATION).standard_normal(2)
+    assert certify.dual_solve(neg, r).status == certify.DUAL_FAILED
+    assert lifted_dual_reference(neg, r)[0] == certify.DUAL_FAILED
+
+
+def test_thin_k2_dataset_is_dual_infeasible(tmp_path, capsys):
+    path = _write(tmp_path, 4, 10, 2, 1)
+    assert main(["certify", "--in", str(path), "--json"]) == EXIT_OK
+    assert strict_json(capsys.readouterr().out)["dual"]["status"] == certify.DUAL_INFEASIBLE
+
+
+def test_round_cap_is_a_dual_program_failure(tmp_path, capsys, monkeypatch):
+    # this case needs a second round: one block-set row is violated at the
+    # singleton optimum
+    _, ds = sample_planted(40, 8, 2, 0)
+    r = substream(0, STREAM_PERTURBATION).standard_normal(4)
+    _, sample, _ = certify._block_set_lp(ds.blocks(), ds.y, r, qpsolve.DEFAULT_TOL)
+    assert len(sample) > ds.n * ds.k
+    monkeypatch.setattr(certify, "MAX_ROW_ROUNDS", 2)
+    assert certify.dual_solve(ds, r).status == certify.DUAL_OPTIMAL
+    monkeypatch.setattr(certify, "MAX_ROW_ROUNDS", 1)
+    with pytest.warns(RuntimeWarning, match="round cap MAX_ROW_ROUNDS=1"):
+        assert certify.dual_solve(ds, r).status == certify.DUAL_FAILED
+    path = _write(tmp_path, 40, 8, 2, 0)
+    with pytest.warns(RuntimeWarning, match="round cap MAX_ROW_ROUNDS=1"):
+        assert main(["certify", "--in", str(path), "--seed", "0", "--json"]) == EXIT_SOLVER
+    assert "solver failure in the dual program" in capsys.readouterr().err
