@@ -13,9 +13,9 @@ differ; or it prints "identical". It exits 1 or 0 accordingly, so a
 deliberate re-numbering shows its whole extent.
 
 The panel: k=1 relaxation LPs at n=400 and n=2000 (the dual route),
-lifted k=2 and k=5 LPs, the beta=1e-3 QP, certify's phase-1 cone program,
-primal fit and dual program at k=1, 2 and 5 and on a k=2 dataset whose
-dual is infeasible, presolve cases with duplicate, zero, -0.0 and
+lifted k=2 and k=5 LPs, the beta=1e-3 QP, certify's phase-1 cone program
+and the block-set LP that gives its primal fit and dual at k=1, 2 and 5
+and on a k=2 dataset whose dual is infeasible, presolve cases with duplicate, zero, -0.0 and
 infeasible rows, an equality-only QP, and infeasible and unbounded LPs
 on the primal and on the dual route.
 

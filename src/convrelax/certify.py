@@ -4,7 +4,7 @@ The planted filter solves the perturbed LP exactly when the perturbation
 sits inside the conic hull of the active generators: for each sample,
 the sum of its active block rows.  Membership is decided by a phase-1
 elastic LP; the dual program supplies the matching multiplier witness
-and the strong-duality cross-check.
+and the duality cross-check.
 
 Orientation note: the fit minimizes rᵀw, so the planted filter is
 optimal iff −r lies in the generator cone.  ``check_cone_condition``
@@ -12,12 +12,14 @@ tests literal membership of its argument; callers certifying a
 minimizing fit pass the negated perturbation.  ``dual_solve`` takes the
 drawn perturbation directly and handles the sign internally.
 
-The k>1 dual is that of the block-set program: eliminating z from the
-lifted LP leaves an LP in w alone, with one row Σ_{j∈S} X_ij·w ≤ yᵢ per
-sample i and nonempty block set S.  Its row multipliers μ_iS map to the
-lifted dual (0 ≤ λ_ij ≤ vᵢ, Σ X_ijᵀλ_ij = −r, objective −yᵀv) by
-λ_ij = Σ_{S∋j} μ_iS and vᵢ = Σ_S μ_iS, a feasible point with the same
-objective; ``dual_solve`` generates only the rows it needs.
+``dual_solve`` makes one solve at every k, of the block-set program:
+eliminating z from the lifted LP leaves an LP in w alone, with one row
+Σ_{j∈S} X_ij·w ≤ yᵢ per sample i and nonempty block set S (at k=1 the
+rows of ``relax.build``'s k=1 LP).  Its solution is the primal fit ŵ;
+its row multipliers μ_iS map to the lifted dual (0 ≤ λ_ij ≤ vᵢ,
+Σ X_ijᵀλ_ij = −r, objective −yᵀv) by λ_ij = Σ_{S∋j} μ_iS and
+vᵢ = Σ_S μ_iS, a feasible point with the same objective.  Only the rows
+the solve needs are generated.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qpsolve, relax
+from . import qpsolve
 from .model import Dataset
 from .qpsolve import ConvexProgram, SolveStatus
 
@@ -60,12 +62,6 @@ def active_sets(x: np.ndarray, w_star: np.ndarray, k: int) -> ActiveSets:
     s = [np.flatnonzero(active[:, j]) for j in range(k)]
     r_sets = [np.flatnonzero(active[i, :]) for i in range(n)]
     return ActiveSets(s=s, r_sets=r_sets, n=n, k=k)
-
-
-def sets_from_r(r_sets: list[np.ndarray], n: int, k: int) -> ActiveSets:
-    """Rebuild the per-block representation from the per-sample one."""
-    s = [np.asarray([i for i in range(n) if j in r_sets[i]], dtype=int) for j in range(k)]
-    return ActiveSets(s=s, r_sets=[np.asarray(r, dtype=int) for r in r_sets], n=n, k=k)
 
 
 def cone_generators(dataset: Dataset, sets: ActiveSets) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +151,7 @@ DUAL_OPTIMAL = "Optimal"
 DUAL_INFEASIBLE = "DualInfeasible"
 DUAL_FAILED = "Failed"
 
-# Solves allowed in the k>1 dual's row generation; each adds at least one
+# Solves allowed in the block-set row generation; each adds at least one
 # block set the earlier rows lacked, so the cap only ends runaway cases.
 MAX_ROW_ROUNDS = 100
 
@@ -180,11 +176,13 @@ def _block_set_lp(
     """Minimize rᵀw over the block-set rows by row generation.
 
     The first round holds the n·k singleton rows; each later round adds,
-    for every sample, the row of its positively responding blocks at ŵ
-    (its most violated set) when that row is violated by more than tol.
-    An Optimal report meets each present row within tol, so only new
-    sets are added.  Returns the last report (None when MAX_ROW_ROUNDS
-    solves leave a row violated) and, per row, its sample and block set.
+    for every sample with a positively responding block at ŵ, the row of
+    those blocks (its most violated set) when that row is violated by
+    more than tol.  A sample without one has a singleton row as its most
+    violated set.  An Optimal report meets each present row within tol,
+    so only new sets are added.  Returns the last report (None when
+    MAX_ROW_ROUNDS solves leave a row violated) and, per row, its sample
+    and block set.
     """
     n, k, p = xb.shape
     a = xb.reshape(n * k, p)
@@ -197,7 +195,8 @@ def _block_set_lp(
             return report, sample, blocks
         resp = xb @ report.x
         pos = resp > 0.0
-        new = np.flatnonzero(np.where(pos, resp, 0.0).sum(axis=1) - y > tol)
+        violated = np.where(pos, resp, 0.0).sum(axis=1) - y > tol
+        new = np.flatnonzero(violated & pos.any(axis=1))
         if new.size == 0:
             return report, sample, blocks
         a = np.vstack([a, (xb[new] * pos[new, :, None]).sum(axis=1)])
@@ -213,16 +212,19 @@ def dual_solve(
     sets: ActiveSets | None = None,
     tol: float = qpsolve.DEFAULT_TOL,
 ) -> DualSolveResult:
-    """Solve the dual of the vanishing-weight LP and cross-check it.
+    """Solve the vanishing-weight LP and its dual, and cross-check them.
 
     The primal minimizes rᵀw, so the dual seeks nonnegative multipliers
-    with Σ X_ijᵀ λ_ij = −r and reports objective −yᵀv.  When both sides
-    are optimal their objectives must agree; the complementary-slackness
-    products and, when active sets are supplied, the multiplier
-    structure (λ zero off the active sets, equal to v on them) are
-    recomputed from the returned solutions.  At k>1 the multipliers come
-    from the block-set program (see the module docstring); a run that
-    reaches MAX_ROW_ROUNDS ends Failed with a RuntimeWarning.
+    with Σ X_ijᵀ λ_ij = −r and reports objective −yᵀv; both come from one
+    block-set solve (see the module docstring).  Primal feasibility of ŵ
+    and lifted-dual feasibility of (λ, v) are recomputed from x, y and r,
+    not from the generated rows, so the duality gap bounds the distance
+    to the optimum; a residual above tol, like a run that reaches
+    MAX_ROW_ROUNDS, ends Failed with a RuntimeWarning.  Reported too:
+    complementary slackness over the solved rows and, when active sets
+    are supplied, the multiplier structure (λ zero off the active sets,
+    equal to v on them).  Results that are not Optimal carry NaN
+    objectives and a zero ŵ.
     """
     r = np.asarray(r, dtype=float)
     n, k, p = dataset.n, dataset.k, dataset.filter_size
@@ -231,80 +233,66 @@ def dual_solve(
     y = dataset.y
     xb = dataset.blocks()
 
-    primal = relax.fit_with_perturbation(dataset, 0.0, r, tol=tol)
-    primal_obj = (
-        float(r @ primal.w_hat)
-        if primal.report.status == SolveStatus.OPTIMAL
-        else float("nan")
-    )
-
-    if k == 1:
-        program = ConvexProgram(
-            c=y.copy(),
-            a_ineq=-np.eye(n),
-            b_ineq=np.zeros(n),
-            a_eq=dataset.x.T.copy(),
-            b_eq=-r,
+    # the lifted k>1 LP has rows z ≥ 0, so responses and labels enter it
+    # clipped at zero; clipping leaves the rows' recession cone, and so
+    # dual feasibility, unchanged, while a clipped (negative) label makes
+    # that LP infeasible and a feasible dual unbounded.  The k=1 LP pins
+    # z = y and has no such row.
+    floor = 0.0 if k > 1 else -np.inf
+    labels = np.maximum(y, floor)
+    report, sample, blocks = _block_set_lp(xb, labels, r, tol)
+    status = DUAL_FAILED
+    if report is None:
+        warnings.warn(
+            f"dual row generation stopped at the round cap MAX_ROW_ROUNDS={MAX_ROW_ROUNDS} "
+            "with a violated block-set row left",
+            RuntimeWarning,
+            stacklevel=2,
         )
-        report = qpsolve.solve(program, tol=tol)
-        if report.status == SolveStatus.PRIMAL_INFEASIBLE:
-            status = DUAL_INFEASIBLE
-        elif report.status == SolveStatus.OPTIMAL:
-            status = DUAL_OPTIMAL
-        else:
-            status = DUAL_FAILED
-    else:
-        # the labels clipped at zero leave the rows' recession cone, and so
-        # dual feasibility, unchanged; a negative label makes the lifted
-        # primal infeasible (no z ≥ 0 sums to it), so a feasible dual is
-        # then unbounded
-        report, sample, blocks = _block_set_lp(xb, np.maximum(y, 0.0), r, tol)
-        if report is None:
-            warnings.warn(
-                f"dual row generation stopped at the round cap MAX_ROW_ROUNDS={MAX_ROW_ROUNDS} "
-                "with a violated block-set row left",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            status = DUAL_FAILED
-        elif report.status == SolveStatus.DUAL_UNBOUNDED:
-            status = DUAL_INFEASIBLE
-        elif report.status == SolveStatus.OPTIMAL and np.all(y >= 0.0):
-            status = DUAL_OPTIMAL
-        else:
-            status = DUAL_FAILED
+    elif report.status == SolveStatus.DUAL_UNBOUNDED:
+        status = DUAL_INFEASIBLE
+    elif report.status == SolveStatus.OPTIMAL and np.array_equal(labels, y):
+        status = DUAL_OPTIMAL
+
+    if status == DUAL_OPTIMAL:
+        w_hat, mu = report.x, report.lam
+        # μ of row (i, S) adds to λ_ij for j ∈ S and to vᵢ
+        lam = np.zeros((n, k))
+        np.add.at(lam, sample, mu[:, None] * blocks)
+        v = np.bincount(sample, weights=mu, minlength=n)
+        resp = xb @ w_hat
+        stationarity = np.abs(np.einsum("ij,ijp->p", lam, xb) + r)
+        residuals = {
+            "primal feasibility": np.max(np.maximum(resp, floor).sum(axis=1) - y),
+            "lifted-dual feasibility": max(-lam.min(), np.max(lam - v[:, None]), stationarity.max()),
+        }
+        for name, value in residuals.items():
+            if value > tol:
+                warnings.warn(f"{name} residual {value:.3g} of the block-set solution exceeds "
+                              f"tol={tol:g}", RuntimeWarning, stacklevel=2)
+                status = DUAL_FAILED
 
     nan = float("nan")
     if status != DUAL_OPTIMAL:
         return DualSolveResult(
             status=status,
             dual_objective=nan,
-            primal_objective=primal_obj,
+            primal_objective=nan,
             duality_gap=nan,
             duals=np.zeros(0),
             v=np.zeros(0),
             complementarity=nan,
             structure_off_violation=nan,
             structure_on_violation=nan,
-            w_hat=primal.w_hat,
+            w_hat=np.zeros(p),
         )
 
-    if k == 1:
-        u = report.x
-        v = u.copy()
-        lam = u.reshape(n, 1)
-    else:
-        # μ of row (i, S) adds to λ_ij for j ∈ S and to vᵢ
-        mu = report.lam
-        lam = np.zeros((n, k))
-        np.add.at(lam, sample, mu[:, None] * blocks)
-        v = np.bincount(sample, weights=mu, minlength=n)
+    primal_obj = float(r @ w_hat)
     dual_obj = -float(y @ v)
-
-    # complementary slackness of the dual multipliers against the primal
-    # slacks z_ij − X_ij·ŵ at the fitted filter
-    slack = primal.z_hat.reshape(n, k) - xb @ primal.w_hat
-    complementarity = float(np.max(np.abs(lam * slack)))
+    # complementary slackness of each row multiplier against its row's
+    # slack yᵢ − Σ_{j∈S} X_ij·ŵ
+    slack = labels[sample] - np.where(blocks, resp[sample], 0.0).sum(axis=1)
+    complementarity = float(np.max(np.abs(mu * slack)))
 
     off_viol = 0.0
     on_viol = 0.0
@@ -317,16 +305,15 @@ def dual_solve(
         if np.any(active):
             on_viol = float(np.max(np.abs((lam - v[:, None])[active])))
 
-    gap = abs(primal_obj - dual_obj) if np.isfinite(primal_obj) else nan
     return DualSolveResult(
         status=DUAL_OPTIMAL,
         dual_objective=dual_obj,
         primal_objective=primal_obj,
-        duality_gap=gap,
-        duals=u.copy() if k == 1 else lam.reshape(-1).copy(),
+        duality_gap=abs(primal_obj - dual_obj),
+        duals=lam.reshape(-1),
         v=v,
         complementarity=complementarity,
         structure_off_violation=off_viol,
         structure_on_violation=on_viol,
-        w_hat=primal.w_hat,
+        w_hat=w_hat,
     )

@@ -1,21 +1,29 @@
-"""The k>1 dual of ``certify.dual_solve`` against independent references.
+"""``certify.dual_solve`` against independent references.
 
-``dual_solve`` solves the k>1 LP with z eliminated, min rᵀw subject to
-Σ_{j∈S} X_ij·w ≤ yᵢ for every sample and nonempty block set S, by row
-generation, and maps the row multipliers μ back to the lifted dual:
-λ_ij = Σ_{S∋j} μ_iS, vᵢ = Σ_S μ_iS.  Checked here against
+``dual_solve`` solves one program at every k: the LP with z eliminated,
+min rᵀw subject to Σ_{j∈S} X_ij·w ≤ yᵢ for every sample and nonempty
+block set S, by row generation.  Its solution is the primal fit ŵ, and
+its row multipliers μ map back to the lifted dual: λ_ij = Σ_{S∋j} μ_iS,
+vᵢ = Σ_S μ_iS.  Checked here against
 
-- the lifted (n + nk)-variable dual program it replaced, kept below as
-  the reference: status, objective, and lifted-dual feasibility of the
-  mapped (λ, v);
+- the dual programs it replaced, kept below as the references: the
+  explicit k=1 dual and the lifted (n + nk)-variable dual at k>1, on
+  status, objective, and lifted-dual feasibility of the mapped (λ, v);
+- ``relax.fit_with_perturbation``, the k=1 LP and the lifted k>1
+  program, on ŵ, the primal objective and the recovery verdict;
 - HiGHS on the full 2^k − 1 block-set expansion (k ≤ 4);
-- HiGHS on the rows the generation ended with.
+- HiGHS on the rows the generation ended with;
+
+and on its failure paths: the round cap, negative labels, and a solve
+whose primal or dual point does not pass the recheck.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from convrelax import certify, qpsolve
+from convrelax import certify, qpsolve, relax
 from convrelax.cli import EXIT_OK, EXIT_SOLVER, main
 from convrelax.model import (
     STREAM_PERTURBATION,
@@ -30,6 +38,29 @@ from golden_cases import strict_json
 from oracles import block_set_expansion, highs_lp
 
 DUAL_STATUS_OF_HIGHS = {"optimal": certify.DUAL_OPTIMAL, "unbounded": certify.DUAL_INFEASIBLE}
+
+
+def _dual_status(report, objective):
+    if report.status == SolveStatus.PRIMAL_INFEASIBLE:
+        return certify.DUAL_INFEASIBLE, None
+    if report.status != SolveStatus.OPTIMAL:
+        return certify.DUAL_FAILED, None
+    return certify.DUAL_OPTIMAL, objective
+
+
+def explicit_dual_reference(dataset, r, tol=qpsolve.DEFAULT_TOL):
+    """The k=1 dual program ``dual_solve`` solved next to the primal fit:
+    max −yᵀu over u ≥ 0 with Xᵀu = −r.  Returns (status, objective)."""
+    n = dataset.n
+    program = ConvexProgram(
+        c=dataset.y.copy(),
+        a_ineq=-np.eye(n),
+        b_ineq=np.zeros(n),
+        a_eq=dataset.x.T.copy(),
+        b_eq=-r,
+    )
+    report = qpsolve.solve(program, tol=tol)
+    return _dual_status(report, -float(dataset.y @ report.x))
 
 
 def lifted_dual_reference(dataset, r, tol=qpsolve.DEFAULT_TOL):
@@ -55,23 +86,20 @@ def lifted_dual_reference(dataset, r, tol=qpsolve.DEFAULT_TOL):
         b_eq=-r,
     )
     report = qpsolve.solve(program, tol=tol)
-    if report.status == SolveStatus.PRIMAL_INFEASIBLE:
-        return certify.DUAL_INFEASIBLE, None
-    if report.status != SolveStatus.OPTIMAL:
-        return certify.DUAL_FAILED, None
-    return certify.DUAL_OPTIMAL, -float(dataset.y @ report.x[:n])
+    return _dual_status(report, -float(dataset.y @ report.x[:n]))
 
 
 def _panel():
-    """52 cases over k ∈ {2, 3, 4, 5}: planted data of several shapes,
+    """65 cases over k ∈ {1, 2, 3, 4, 5}: planted data of several shapes;
     n < d with fewer block rows than filter entries (a dual-infeasible
-    case) and with more, a zero feature row, and all-zero labels."""
+    case) and, at k>1, with more; a zero feature row; all-zero labels.
+    At k=1 the first thin case takes d = 3, so that n < d holds."""
     cases = []
-    for k in (2, 3, 4, 5):
+    for k in (1, 2, 3, 4, 5):
         for t, (kind, n, p) in enumerate([
             ("planted", 8, 2), ("planted", 15, 3), ("planted", 30, 2), ("planted", 30, 4),
             ("planted", 45, 3), ("planted", 60, 2), ("planted", 60, 4), ("planted", 20, 4),
-            ("planted", 40, 3), ("thin", 2, 2 * k), ("thin", 2 * k - 1, 2),
+            ("planted", 40, 3), ("thin", 2, max(2 * k, 3)), ("thin", 2 * k - 1, 2),
             ("zero-row", 30, 3), ("zero-labels", 25, 3),
         ]):
             cases.append((kind, n, k * p, k, 100 * k + t))
@@ -82,17 +110,20 @@ PANEL = _panel()
 
 
 def _dataset(case):
+    """(dataset, perturbation, the filter that made the labels)."""
     kind, n, d, k, seed = case
-    _, ds = sample_planted(n, d, k, seed)
-    x, y = ds.x, ds.y
+    pm, ds = sample_planted(n, d, k, seed)
+    x, y, w_star = ds.x, ds.y, pm.w_star
     if kind == "zero-row":
         x = x.copy()
         x[0] = 0.0
-        y = forward(x, substream(seed, 2).standard_normal(d // k), k)
+        w_star = substream(seed, 2).standard_normal(d // k)
+        y = forward(x, w_star, k)
     elif kind == "zero-labels":
         y = np.zeros(n)
+        w_star = np.zeros(d // k)
     r = substream(seed, STREAM_PERTURBATION).standard_normal(d // k)
-    return Dataset(x=x, y=y, k=k), r
+    return Dataset(x=x, y=y, k=k), r, w_star
 
 
 def _case_id(case):
@@ -103,15 +134,16 @@ def _case_id(case):
 def test_panel_covers_every_outcome():
     kinds = {case[0] for case in PANEL}
     assert len(PANEL) >= 50 and kinds == {"planted", "thin", "zero-row", "zero-labels"}
-    assert {case[3] for case in PANEL} == {2, 3, 4, 5}
+    assert {case[3] for case in PANEL} == {1, 2, 3, 4, 5}
     assert all(n < d for kind, n, d, _, _ in PANEL if kind == "thin")
 
 
 @pytest.mark.parametrize("case", PANEL, ids=_case_id)
 def test_block_set_dual_matches_lifted_reference(case):
-    ds, r = _dataset(case)
+    ds, r, _ = _dataset(case)
     out = certify.dual_solve(ds, r)
-    status, obj = lifted_dual_reference(ds, r)
+    reference = explicit_dual_reference if ds.k == 1 else lifted_dual_reference
+    status, obj = reference(ds, r)
     assert out.status == status
     if status != certify.DUAL_OPTIMAL:
         assert out.duals.size == 0 and np.isnan(out.dual_objective)
@@ -126,9 +158,29 @@ def test_block_set_dual_matches_lifted_reference(case):
     assert out.dual_objective == -float(ds.y @ v)
 
 
+@pytest.mark.parametrize("case", PANEL, ids=_case_id)
+def test_primal_matches_relax_fit(case):
+    ds, r, w_star = _dataset(case)
+    out = certify.dual_solve(ds, r)
+    fit = relax.fit_with_perturbation(ds, 0.0, r)
+    if out.status != certify.DUAL_OPTIMAL:
+        assert fit.report.status != SolveStatus.OPTIMAL
+        assert np.isnan(out.primal_objective) and np.all(out.w_hat == 0.0)
+        return
+    assert fit.report.status == SolveStatus.OPTIMAL
+    obj = float(r @ fit.w_hat)
+    assert abs(out.primal_objective - obj) <= 1e-8 * (1.0 + abs(obj))
+    if ds.k == 1:
+        # the first round's singleton rows are relax.build's k=1 LP
+        np.testing.assert_array_equal(out.w_hat, fit.w_hat)
+    else:
+        assert np.max(np.abs(out.w_hat - fit.w_hat)) <= 1e-6 * (1.0 + np.max(np.abs(fit.w_hat)))
+    assert relax.assess(out.w_hat, w_star).success == relax.assess(fit.w_hat, w_star).success
+
+
 @pytest.mark.parametrize("case", [c for c in PANEL if c[3] <= 4], ids=_case_id)
 def test_block_set_dual_matches_highs_on_full_expansion(case):
-    ds, r = _dataset(case)
+    ds, r, _ = _dataset(case)
     out = certify.dual_solve(ds, r)
     status, value, _ = highs_lp(r, *block_set_expansion(ds.blocks(), ds.y))
     assert out.status == DUAL_STATUS_OF_HIGHS[status]
@@ -138,7 +190,7 @@ def test_block_set_dual_matches_highs_on_full_expansion(case):
 
 @pytest.mark.parametrize("case", PANEL, ids=_case_id)
 def test_generated_rows_are_exact_for_highs(case):
-    ds, r = _dataset(case)
+    ds, r, _ = _dataset(case)
     xb, y = ds.blocks(), ds.y
     report, sample, blocks = certify._block_set_lp(xb, y, r, qpsolve.DEFAULT_TOL)
     # the first n·k rows are the singletons; no block set comes twice
@@ -208,3 +260,61 @@ def test_round_cap_is_a_dual_program_failure(tmp_path, capsys, monkeypatch):
     with pytest.warns(RuntimeWarning, match="round cap MAX_ROW_ROUNDS=1"):
         assert main(["certify", "--in", str(path), "--seed", "0", "--json"]) == EXIT_SOLVER
     assert "solver failure in the dual program" in capsys.readouterr().err
+
+
+def test_negative_label_at_k1_keeps_the_lp_optimal(tmp_path, capsys):
+    # the k=1 LP pins z = y and has no z ≥ 0 row, so a negative label is
+    # only a tighter row xᵢ·w ≤ yᵢ and the label is not clipped
+    path = _write(tmp_path, 30, 4, 1, 2, label="-0.5")
+    assert main(["certify", "--in", str(path), "--json"]) == EXIT_OK
+    assert strict_json(capsys.readouterr().out)["dual"]["status"] == certify.DUAL_OPTIMAL
+    _, ds = sample_planted(30, 4, 1, 2)
+    y = ds.y.copy()
+    y[0] = -0.5
+    neg = Dataset(x=ds.x, y=y, k=1)
+    r = substream(0, STREAM_PERTURBATION).standard_normal(4)
+    out = certify.dual_solve(neg, r)
+    status, obj = explicit_dual_reference(neg, r)
+    assert out.status == status == certify.DUAL_OPTIMAL
+    assert abs(out.dual_objective - obj) <= 1e-8 * (1.0 + abs(obj))
+
+
+def _spoil(monkeypatch, field):
+    """Make certify's block-set solve return an Optimal report whose
+    largest multiplier (field "lam") or whose ŵ entry along the largest
+    |r| (field "x", moved to lower rᵀŵ) is off by 1e-6."""
+    solve = certify._block_set_lp
+
+    def spoiled(xb, y, r, tol):
+        report, sample, blocks = solve(xb, y, r, tol)
+        assert report.status == SolveStatus.OPTIMAL
+        value = getattr(report, field).copy()
+        if field == "lam":
+            value[np.argmax(value)] += 1e-6
+        else:
+            j = np.argmax(np.abs(r))
+            value[j] -= 1e-6 * np.sign(r[j])
+        return dataclasses.replace(report, **{field: value}), sample, blocks
+
+    monkeypatch.setattr(certify, "_block_set_lp", spoiled)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("field, residual", [("lam", "lifted-dual feasibility"),
+                                              ("x", "primal feasibility")])
+def test_recheck_fails_a_spoiled_solve(tmp_path, capsys, monkeypatch, k, field, residual):
+    n, d = 40, 4 * k
+    _, ds = sample_planted(n, d, k, 5)
+    r = substream(0, STREAM_PERTURBATION).standard_normal(4)
+    assert certify.dual_solve(ds, r).status == certify.DUAL_OPTIMAL
+    _spoil(monkeypatch, field)
+    with pytest.warns(RuntimeWarning, match=f"{residual} residual"):
+        out = certify.dual_solve(ds, r)
+    assert out.status == certify.DUAL_FAILED
+    assert np.isnan(out.primal_objective) and np.all(out.w_hat == 0.0)
+    path = _write(tmp_path, n, d, k, 5)
+    with pytest.warns(RuntimeWarning, match=f"{residual} residual"):
+        assert main(["certify", "--in", str(path), "--json"]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "solver failure in the dual program" in captured.err

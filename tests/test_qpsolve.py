@@ -23,6 +23,7 @@ from convrelax.qpsolve import (
 
 from oracles import (
     bounded_feasible_lp,
+    highs_lp,
     infeasible_lp,
     lp_vertex_oracle,
     qp_active_set_oracle,
@@ -424,3 +425,38 @@ def test_lp_matches_vertex_enumeration(seed, m):
     assert rep.status == SolveStatus.OPTIMAL
     assert float(c @ rep.x) == pytest.approx(value, abs=1e-7)
     assert check_kkt(ConvexProgram(c=c, a_ineq=a, b_ineq=b), rep, tol=1e-8).passed
+
+
+# -- differential check against HiGHS -----------------------------------------
+
+STATUS_OF_HIGHS = {"optimal": SolveStatus.OPTIMAL, "infeasible": SolveStatus.PRIMAL_INFEASIBLE,
+                   "unbounded": SolveStatus.DUAL_UNBOUNDED}
+
+
+def _assert_matches_highs(c, a, b):
+    rep = solve(ConvexProgram(c=c, a_ineq=a, b_ineq=b))
+    status, value, x = highs_lp(c, a, b)
+    assert rep.status == STATUS_OF_HIGHS[status]
+    if status == "optimal":
+        assert abs(float(np.dot(c, rep.x)) - value) <= 1e-8 * (1.0 + abs(value))
+        # random costs make the optimal vertex unique
+        assert np.max(np.abs(rep.x - x)) <= 1e-7 * (1.0 + np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("n, d, seed", [(400, 20, 1), (2000, 10, 2), (120, 10, 3), (40, 8, 4),
+                                        (16, 8, 5), (6, 10, 6)])
+def test_k1_relaxation_lp_matches_highs(n, d, seed):
+    # tall LPs take the dual route, n <= 2d the primal one, and n < d is
+    # unbounded
+    _, ds = model.sample_planted(n, d, 1, seed)
+    r = model.substream(seed, model.STREAM_PERTURBATION).standard_normal(d)
+    program = relax.build(ds, 0.0, r).program
+    _assert_matches_highs(program.c, program.a_ineq, program.b_ineq)
+
+
+@pytest.mark.parametrize("make", [bounded_feasible_lp, infeasible_lp, unbounded_lp],
+                         ids=lambda make: make.__name__)
+def test_random_lps_match_highs(make):
+    rng = np.random.default_rng(51)
+    for _ in range(20):
+        _assert_matches_highs(*make(rng, int(rng.integers(2, 4))))
