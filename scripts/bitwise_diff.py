@@ -13,9 +13,10 @@ differ; or it prints "identical". It exits 1 or 0 accordingly, so a
 deliberate re-numbering shows its whole extent.
 
 The panel: k=1 relaxation LPs at n=400 and n=2000 (the dual route),
-lifted k=2 and k=5 LPs, the beta=1e-3 QP, certify's phase-1 cone program
-and the block-set LP that gives its primal fit and dual at k=1, 2 and 5
-and on a k=2 dataset whose dual is infeasible, presolve cases with duplicate, zero, -0.0 and
+the row-generated k=2 and k=5 relaxation LPs (one report per round), the
+beta=1e-3 QP, certify's phase-1 cone program and the block-set LP that
+gives its primal fit and dual at k=1, 2 and 5 and on a k=2 dataset whose
+dual is infeasible, presolve cases with duplicate, zero, -0.0 and
 infeasible rows, an equality-only QP, and infeasible and unbounded LPs
 on the primal and on the dual route.
 
@@ -116,7 +117,7 @@ def run_panel() -> list[dict]:
                 label[0] = f"k1-lp n={n} d={d} seed={seed}"
                 relax.fit(model.sample_planted(n, d, 1, seed)[1], 0.0, seed)
         for k, n in ((2, 100), (5, 60)):
-            label[0] = f"lifted-lp k={k} n={n} d=20"
+            label[0] = f"block-set-lp k={k} n={n} d=20"
             relax.fit(model.sample_planted(n, 20, k, 6)[1], 0.0, 7)
         label[0] = "beta-qp k=1 n=200 d=20"
         relax.fit(model.sample_planted(200, 20, 1, 8)[1], 1e-3, 9)

@@ -12,14 +12,13 @@ tests literal membership of its argument; callers certifying a
 minimizing fit pass the negated perturbation.  ``dual_solve`` takes the
 drawn perturbation directly and handles the sign internally.
 
-``dual_solve`` makes one solve at every k, of the block-set program:
-eliminating z from the lifted LP leaves an LP in w alone, with one row
-Σ_{j∈S} X_ij·w ≤ yᵢ per sample i and nonempty block set S (at k=1 the
-rows of ``relax.build``'s k=1 LP).  Its solution is the primal fit ŵ;
-its row multipliers μ_iS map to the lifted dual (0 ≤ λ_ij ≤ vᵢ,
-Σ X_ijᵀλ_ij = −r, objective −yᵀv) by λ_ij = Σ_{S∋j} μ_iS and
-vᵢ = Σ_S μ_iS, a feasible point with the same objective.  Only the rows
-the solve needs are generated.
+``dual_solve`` makes one solve at every k, of the relaxation's
+vanishing-weight LP by ``relax.block_set_lp``: one row
+Σ_{j∈S} X_ij·w ≤ yᵢ per sample i and block set S, generated as needed.
+Its solution is the primal fit ŵ; its row multipliers μ_iS map to the
+lifted dual (0 ≤ λ_ij ≤ vᵢ, Σ X_ijᵀλ_ij = −r, objective −yᵀv) by
+λ_ij = Σ_{S∋j} μ_iS and vᵢ = Σ_S μ_iS, a feasible point with the same
+objective.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qpsolve
+from . import qpsolve, relax
 from .model import Dataset
 from .qpsolve import ConvexProgram, SolveStatus
 
@@ -151,10 +150,6 @@ DUAL_OPTIMAL = "Optimal"
 DUAL_INFEASIBLE = "DualInfeasible"
 DUAL_FAILED = "Failed"
 
-# Solves allowed in the block-set row generation; each adds at least one
-# block set the earlier rows lacked, so the cap only ends runaway cases.
-MAX_ROW_ROUNDS = 100
-
 
 @dataclass
 class DualSolveResult:
@@ -170,42 +165,6 @@ class DualSolveResult:
     w_hat: np.ndarray
 
 
-def _block_set_lp(
-    xb: np.ndarray, y: np.ndarray, r: np.ndarray, tol: float
-) -> tuple[qpsolve.SolveReport | None, np.ndarray, np.ndarray]:
-    """Minimize rᵀw over the block-set rows by row generation.
-
-    The first round holds the n·k singleton rows; each later round adds,
-    for every sample with a positively responding block at ŵ, the row of
-    those blocks (its most violated set) when that row is violated by
-    more than tol.  A sample without one has a singleton row as its most
-    violated set.  An Optimal report meets each present row within tol,
-    so only new sets are added.  Returns the last report (None when
-    MAX_ROW_ROUNDS solves leave a row violated) and, per row, its sample
-    and block set.
-    """
-    n, k, p = xb.shape
-    a = xb.reshape(n * k, p)
-    b = np.repeat(y, k)
-    sample = np.repeat(np.arange(n), k)
-    blocks = np.tile(np.eye(k, dtype=bool), (n, 1))
-    for _ in range(MAX_ROW_ROUNDS):
-        report = qpsolve.solve(ConvexProgram(c=r, a_ineq=a, b_ineq=b), tol=tol)
-        if report.status != SolveStatus.OPTIMAL:
-            return report, sample, blocks
-        resp = xb @ report.x
-        pos = resp > 0.0
-        violated = np.where(pos, resp, 0.0).sum(axis=1) - y > tol
-        new = np.flatnonzero(violated & pos.any(axis=1))
-        if new.size == 0:
-            return report, sample, blocks
-        a = np.vstack([a, (xb[new] * pos[new, :, None]).sum(axis=1)])
-        b = np.concatenate([b, y[new]])
-        sample = np.concatenate([sample, new])
-        blocks = np.vstack([blocks, pos[new]])
-    return None, sample, blocks
-
-
 def dual_solve(
     dataset: Dataset,
     r: np.ndarray,
@@ -219,8 +178,9 @@ def dual_solve(
     block-set solve (see the module docstring).  Primal feasibility of ŵ
     and lifted-dual feasibility of (λ, v) are recomputed from x, y and r,
     not from the generated rows, so the duality gap bounds the distance
-    to the optimum; a residual above tol, like a run that reaches
-    MAX_ROW_ROUNDS, ends Failed with a RuntimeWarning.  Reported too:
+    to the optimum; a residual above tol ends Failed with a
+    RuntimeWarning, as does the round cap relax.MAX_ROW_ROUNDS.  An
+    infeasible LP (a negative label at k>1) ends Failed.  Reported too:
     complementary slackness over the solved rows and, when active sets
     are supplied, the multiplier structure (λ zero off the active sets,
     equal to v on them).  Results that are not Optimal carry NaN
@@ -233,26 +193,10 @@ def dual_solve(
     y = dataset.y
     xb = dataset.blocks()
 
-    # the lifted k>1 LP has rows z ≥ 0, so responses and labels enter it
-    # clipped at zero; clipping leaves the rows' recession cone, and so
-    # dual feasibility, unchanged, while a clipped (negative) label makes
-    # that LP infeasible and a feasible dual unbounded.  The k=1 LP pins
-    # z = y and has no such row.
-    floor = 0.0 if k > 1 else -np.inf
-    labels = np.maximum(y, floor)
-    report, sample, blocks = _block_set_lp(xb, labels, r, tol)
-    status = DUAL_FAILED
-    if report is None:
-        warnings.warn(
-            f"dual row generation stopped at the round cap MAX_ROW_ROUNDS={MAX_ROW_ROUNDS} "
-            "with a violated block-set row left",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    elif report.status == SolveStatus.DUAL_UNBOUNDED:
-        status = DUAL_INFEASIBLE
-    elif report.status == SolveStatus.OPTIMAL and np.array_equal(labels, y):
-        status = DUAL_OPTIMAL
+    program = relax.build(dataset, 0.0, r).program
+    report, sample, blocks = relax.block_set_lp(dataset, program, tol)
+    status = {SolveStatus.OPTIMAL: DUAL_OPTIMAL,
+              SolveStatus.DUAL_UNBOUNDED: DUAL_INFEASIBLE}.get(report.status, DUAL_FAILED)
 
     if status == DUAL_OPTIMAL:
         w_hat, mu = report.x, report.lam
@@ -261,9 +205,11 @@ def dual_solve(
         np.add.at(lam, sample, mu[:, None] * blocks)
         v = np.bincount(sample, weights=mu, minlength=n)
         resp = xb @ w_hat
+        # the largest row of sample i over nonempty block sets S
+        top = np.maximum(resp, 0.0).sum(axis=1) + np.minimum(resp.max(axis=1), 0.0)
         stationarity = np.abs(np.einsum("ij,ijp->p", lam, xb) + r)
         residuals = {
-            "primal feasibility": np.max(np.maximum(resp, floor).sum(axis=1) - y),
+            "primal feasibility": np.max(top - y),
             "lifted-dual feasibility": max(-lam.min(), np.max(lam - v[:, None]), stationarity.max()),
         }
         for name, value in residuals.items():
@@ -291,7 +237,7 @@ def dual_solve(
     dual_obj = -float(y @ v)
     # complementary slackness of each row multiplier against its row's
     # slack yᵢ − Σ_{j∈S} X_ij·ŵ
-    slack = labels[sample] - np.where(blocks, resp[sample], 0.0).sum(axis=1)
+    slack = y[sample] - np.where(blocks, resp[sample], 0.0).sum(axis=1)
     complementarity = float(np.max(np.abs(mu * slack)))
 
     off_viol = 0.0

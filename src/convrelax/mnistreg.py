@@ -263,12 +263,11 @@ def learn_filter_features(
     """Fit a block filter to the rotation labels with the amplified
     relaxation and return it with the feature augmenter.
 
-    The fit runs on a seeded subsample of training rows (the full LP
-    would dwarf the dense solver).  Labels are shifted to be nonnegative
-    and pixels centered by the subsample mean: with raw nonnegative
-    pixels every nonpositive filter direction is a recession ray of the
-    relaxation, so the program would be unbounded for almost every
-    perturbation.  The subsample must also be large enough that the
+    The fit runs on a seeded subsample of fit_samples training rows.
+    Labels are shifted to be nonnegative and pixels centered by the
+    subsample mean: with raw nonnegative pixels every nonpositive filter
+    direction is a recession ray of the relaxation, so the program would
+    be unbounded for almost every perturbation.  The subsample must also be large enough that the
     centered block rows positively span filter space, on the order of
     3·(784/k)/k rows.
     """

@@ -4,8 +4,18 @@ The naive relaxation replaces the ReLU equality by an inequality and is
 degenerate: the zero filter with slack equal to the labels is always
 optimal.  A random linear perturbation of the objective selects a
 nontrivial vertex instead.  With a positive perturbation weight the
-program is a QP; in the vanishing-weight limit it collapses to an LP
-(for one neuron the slack is pinned to the labels and eliminated).
+program is a QP over the filter w and the n·k slacks z (the lifted
+program).  In the vanishing-weight limit the slacks only have to sum to
+the labels; eliminating them leaves one LP in w at every k, with a row
+Σ_{j∈S} X_ij·w ≤ yᵢ per sample i and nonempty block set S (at k=1,
+xᵢ·w ≤ yᵢ), solved by row generation (``block_set_lp``).  At k>1 the
+slacks are nonnegative, so a negative label enters as its empty-set row
+0·w ≤ yᵢ and makes the LP infeasible; at k=1 it is only a tighter row.
+
+The LP's slacks are not unique, so the fit rebuilds them from ŵ:
+z_ij = (X_ij·ŵ)₊ for j ≥ 1 and z_i0 = yᵢ − Σ_{j≥1} z_ij.  They sum to
+yᵢ, and a feasible ŵ makes them feasible for the lifted program
+(z_i0 ≥ (X_i0·ŵ)₊ because Σ_j (X_ij·ŵ)₊ ≤ yᵢ).  At k=1 z_hat is y.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +42,9 @@ from .qpsolve import ConvexProgram, SolveReport, SolveStatus
 
 DEFAULT_TAU = 1e-4
 
-VARIANT_SINGLE = "SingleNeuron"
-VARIANT_MULTI = "MultiNeuron"
+# Solves allowed in the β=0 row generation; each adds at least one block
+# set the earlier rows lacked, so the cap only ends runaway cases.
+MAX_ROW_ROUNDS = 100
 
 
 class RelaxError(ValueError):
@@ -44,22 +56,10 @@ class AllTrialsFailedError(RuntimeError):
 
 
 @dataclass
-class VarMap:
-    """Index ranges locating the filter and slack blocks in the program."""
-
-    w: slice
-    z: slice  # empty when the slack was eliminated
-    n: int
-    k: int
-
-
-@dataclass
 class RelaxationInstance:
-    variant: str
     beta: float
     r: np.ndarray
-    program: ConvexProgram
-    var_map: VarMap
+    program: ConvexProgram  # variables w, then z when beta > 0
 
 
 @dataclass
@@ -118,8 +118,12 @@ def assess(w_hat: np.ndarray, w_star: np.ndarray, tau: float = DEFAULT_TAU) -> A
 def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     """Assemble the perturbed relaxation as an explicit LP or QP.
 
-    beta > 0 keeps the quadratic data term with cost beta·rᵀw; beta == 0
-    builds the vanishing-weight limit, an LP whose only cost is rᵀw.
+    beta > 0 keeps the quadratic data term with cost beta·rᵀw, over w
+    and the slacks z.  beta == 0 builds the first round of the
+    vanishing-weight LP (see the module docstring), cost rᵀw over the
+    n·k singleton rows X_ij·w ≤ yᵢ in the sample-major order of
+    ``dataset.blocks()``, then at k>1 the empty-set row of each negative
+    label; ``block_set_lp`` solves it.
     """
     if not 0.0 <= beta < math.inf:
         raise RelaxError("beta must be nonnegative and finite")
@@ -127,18 +131,17 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     r = np.asarray(r, dtype=float)
     if r.shape != (p,):
         raise RelaxError(f"perturbation must have length d/k={p}")
-    variant = VARIANT_SINGLE if k == 1 else VARIANT_MULTI
-    x, y = dataset.x, dataset.y
+    y = dataset.y
     xb = dataset.blocks()
 
     c = _cost(dataset, beta, r)
-    if beta == 0.0 and k == 1:
-        # the quadratic pins z = y, leaving an LP in the filter alone
-        program = ConvexProgram(c=c, a_ineq=x.copy(), b_ineq=y.copy())
-        vm = VarMap(w=slice(0, p), z=slice(p, p), n=n, k=k)
-        return RelaxationInstance(variant, beta, r, program, vm)
-
     nz = n * k
+    if beta == 0.0:
+        empty = _empty_set_samples(y, k)
+        a_ineq = np.vstack([xb.reshape(nz, p), np.zeros((empty.size, p))])
+        b_ineq = np.concatenate([np.repeat(y, k), y[empty]])
+        return RelaxationInstance(beta, r, ConvexProgram(c=c, a_ineq=a_ineq, b_ineq=b_ineq))
+
     m = p + nz
     # response constraints X_ij·w − z_ij ≤ 0, then slack nonnegativity
     a_resp = np.zeros((nz, m))
@@ -146,32 +149,69 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     a_resp[np.arange(nz), p + np.arange(nz)] = -1.0
     a_nonneg = np.zeros((nz, m))
     a_nonneg[np.arange(nz), p + np.arange(nz)] = -1.0
-    a_ineq = np.vstack([a_resp, a_nonneg])
-    b_ineq = np.zeros(2 * nz)
-
-    if beta == 0.0:
-        a_eq = np.zeros((n, m))
-        for i in range(n):
-            a_eq[i, p + i * k : p + (i + 1) * k] = 1.0
-        program = ConvexProgram(c=c, a_ineq=a_ineq, b_ineq=b_ineq, a_eq=a_eq, b_eq=y.copy())
-    else:
-        q = np.zeros((m, m))
-        for i in range(n):
-            q[p + i * k : p + (i + 1) * k, p + i * k : p + (i + 1) * k] = 1.0
-        program = ConvexProgram(c=c, q=q, a_ineq=a_ineq, b_ineq=b_ineq)
-
-    vm = VarMap(w=slice(0, p), z=slice(p, p + nz), n=n, k=k)
-    return RelaxationInstance(variant, beta, r, program, vm)
+    q = np.zeros((m, m))
+    for i in range(n):
+        q[p + i * k : p + (i + 1) * k, p + i * k : p + (i + 1) * k] = 1.0
+    program = ConvexProgram(c=c, q=q, a_ineq=np.vstack([a_resp, a_nonneg]), b_ineq=np.zeros(2 * nz))
+    return RelaxationInstance(beta, r, program)
 
 
 def _cost(dataset: Dataset, beta: float, r: np.ndarray) -> np.ndarray:
     """Linear cost of the relaxation: beta·r on the filter and −yᵢ on each
     slack of sample i for the QP; r on the filter alone in the LP limit."""
     if beta == 0.0:
-        if dataset.k == 1:
-            return r.copy()
-        return np.concatenate([r, np.zeros(dataset.n * dataset.k)])
+        return r.copy()
     return np.concatenate([beta * r, np.repeat(-dataset.y, dataset.k)])
+
+
+def _empty_set_samples(y: np.ndarray, k: int) -> np.ndarray:
+    """Samples whose label no nonnegative slacks can sum to (k>1 only)."""
+    return np.flatnonzero(y < 0.0) if k > 1 else np.zeros(0, dtype=int)
+
+
+def block_set_lp(
+    dataset: Dataset,
+    program: ConvexProgram,
+    tol: float = qpsolve.DEFAULT_TOL,
+    max_iter: int = qpsolve.DEFAULT_MAX_ITER,
+) -> tuple[SolveReport, np.ndarray, np.ndarray]:
+    """Minimize ``program.c``·w over every block-set row by row generation.
+
+    ``program`` is ``build(dataset, 0.0, r).program`` with any cost; it
+    is not modified.  After each solve, every sample with a positively
+    responding block at ŵ gets the row of those blocks (its most
+    violated set) when that row is violated by more than tol.  A sample
+    without one has a singleton row as its most violated set, and an
+    Optimal report meets each present row within tol, so only new sets
+    are added.  Returns the last report and, per row, its sample and
+    block set (all False for an empty-set row).  When MAX_ROW_ROUNDS
+    solves leave a row violated, the last report comes back with status
+    MaxIterations and a RuntimeWarning.
+    """
+    xb, y = dataset.blocks(), dataset.y
+    n, k, _ = xb.shape
+    empty = _empty_set_samples(y, k)
+    sample = np.concatenate([np.repeat(np.arange(n), k), empty])
+    blocks = np.vstack([np.tile(np.eye(k, dtype=bool), (n, 1)), np.zeros((empty.size, k), dtype=bool)])
+    for _ in range(MAX_ROW_ROUNDS):
+        report = qpsolve.solve(program, tol=tol, max_iter=max_iter)
+        if report.status != SolveStatus.OPTIMAL:
+            return report, sample, blocks
+        resp = xb @ report.x
+        pos = resp > 0.0
+        violated = np.where(pos, resp, 0.0).sum(axis=1) - y > tol
+        new = np.flatnonzero(violated & pos.any(axis=1))
+        if new.size == 0:
+            return report, sample, blocks
+        rows = (xb[new] * pos[new, :, None]).sum(axis=1)
+        program = ConvexProgram(c=program.c, a_ineq=np.vstack([program.a_ineq, rows]),
+                                b_ineq=np.concatenate([program.b_ineq, y[new]]))
+        sample = np.concatenate([sample, new])
+        blocks = np.vstack([blocks, pos[new]])
+    warnings.warn(f"block-set row generation stopped at the round cap MAX_ROW_ROUNDS="
+                  f"{MAX_ROW_ROUNDS} with a violated row left", RuntimeWarning, stacklevel=2)
+    m = report.lam.size  # the rows of the last solve
+    return dataclasses.replace(report, status=SolveStatus.MAX_ITERATIONS), sample[:m], blocks[:m]
 
 
 def fit(
@@ -202,12 +242,17 @@ def fit_with_perturbation(
 def _solve_instance(
     dataset: Dataset, instance: RelaxationInstance, trial_seed: int, tol: float, max_iter: int
 ) -> FitResult:
-    report = qpsolve.solve(instance.program, tol=tol, max_iter=max_iter)
-    w_hat = report.x[instance.var_map.w].copy()
-    if instance.var_map.z.stop > instance.var_map.z.start:
-        z_hat = report.x[instance.var_map.z].copy()
+    p = dataset.filter_size
+    if instance.beta == 0.0:
+        report = block_set_lp(dataset, instance.program, tol, max_iter)[0]
+        # rebuild the slacks from ŵ (module docstring)
+        z = np.maximum(block_responses(dataset.x, report.x, dataset.k), 0.0)
+        z[:, 0] = dataset.y - z[:, 1:].sum(axis=1)
+        z_hat = z.reshape(-1)
     else:
-        z_hat = dataset.y.copy()  # eliminated slack sits at the labels
+        report = qpsolve.solve(instance.program, tol=tol, max_iter=max_iter)
+        z_hat = report.x[p:].copy()
+    w_hat = report.x[:p].copy()
     return FitResult(
         w_hat=w_hat,
         z_hat=z_hat,
@@ -234,7 +279,8 @@ def fit_amplified(
     trial reproduces ``fit`` exactly.  The winner is the optimal-status
     trial with minimum recomputed training residual, ties broken by the
     lower trial index.  The program is built once; trials differ only in
-    its cost vector.  Recovery error is measured against ``w_star``,
+    its cost vector, and at beta == 0 each generates its rows afresh from
+    the singleton rows.  Recovery error is measured against ``w_star``,
     regenerated from the dataset seed when not supplied.
     """
     if num_trials < 1:

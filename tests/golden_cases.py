@@ -60,13 +60,27 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+def write_planted_csv(path: str, n: int, d: int, k: int, seed: int, label: str | None = None) -> str:
+    """Export a planted dataset to ``path``; ``label`` replaces the first
+    sample's label text."""
+    from convrelax import model
+
+    model.export_csv(model.sample_planted(n, d, k, seed)[1], path)
+    if label is not None:
+        with open(path, encoding="ascii") as f:
+            lines = f.read().splitlines()
+        lines[2] = ",".join([label, *lines[2].split(",")[1:]])
+        with open(path, "w", encoding="ascii") as f:
+            f.write("\n".join(lines) + "\n")
+    return path
+
+
 def run_cli_case(name: str) -> dict:
-    from convrelax import cli, model
+    from convrelax import cli
 
     (n, d, k, seed), args = CLI_CASES[name]
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "data.csv")
-        model.export_csv(model.sample_planted(n, d, k, seed)[1], path)
+        path = write_planted_csv(os.path.join(tmp, "data.csv"), n, d, k, seed)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main([args[0], "--in", path, *args[1:]])

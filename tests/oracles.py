@@ -4,7 +4,9 @@ Nothing here calls the package solver: small LPs are decided by vertex
 enumeration over bounded-by-construction polytopes, small QPs by
 exhaustive active-set search on the KKT equalities, cone membership
 by scipy's NNLS with HiGHS near the boundary, and LPs in A_ub form by
-HiGHS itself.
+HiGHS itself.  ``lifted_lp`` only builds a program: the vanishing-weight
+relaxation in the lifted form the package solved before it eliminated
+the slacks, kept as the reference for tests to solve.
 """
 
 from itertools import combinations
@@ -101,8 +103,14 @@ HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 def highs_lp(c, a, b):
-    """(status, value, x) of min c·x over {a·x <= b}, x free, by HiGHS."""
+    """(status, value, x) of min c·x over {a·x <= b}, x free, by HiGHS.
+
+    HiGHS's presolve can report an unbounded program as infeasible, so an
+    infeasible verdict is taken from a solve without presolve."""
     res = linprog(c, A_ub=a, b_ub=b, bounds=(None, None), method="highs")
+    if res.status == 2:
+        res = linprog(c, A_ub=a, b_ub=b, bounds=(None, None), method="highs",
+                      options={"presolve": False})
     return HIGHS_STATUS.get(res.status, f"status {res.status}"), res.fun, res.x
 
 
@@ -114,6 +122,27 @@ def block_set_expansion(xb, y):
     sets = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1
     a = np.einsum("sj,ijp->isp", sets.astype(float), xb).reshape(-1, p)
     return a, np.repeat(np.asarray(y, dtype=float), len(sets))
+
+
+def lifted_lp(dataset, r):
+    """The β=0 relaxation over the filter w and the n·k slacks z, with z
+    ordered sample-major: min rᵀw subject to X_ij·w − z_ij ≤ 0, z ≥ 0
+    and Σ_j z_ij = yᵢ.  A dense ConvexProgram with p + nk variables,
+    2nk inequality rows and n equality rows (p = d/k)."""
+    from convrelax.qpsolve import ConvexProgram
+
+    n, k, p = dataset.n, dataset.k, dataset.filter_size
+    nz = n * k
+    m = p + nz
+    a_resp = np.zeros((nz, m))
+    a_resp[:, :p] = dataset.blocks().reshape(nz, p)
+    a_resp[np.arange(nz), p + np.arange(nz)] = -1.0
+    a_nonneg = np.zeros((nz, m))
+    a_nonneg[np.arange(nz), p + np.arange(nz)] = -1.0
+    a_eq = np.zeros((n, m))
+    a_eq[:, p:] = np.repeat(np.eye(n), k, axis=1)
+    return ConvexProgram(c=np.concatenate([r, np.zeros(nz)]), a_ineq=np.vstack([a_resp, a_nonneg]),
+                         b_ineq=np.zeros(2 * nz), a_eq=a_eq, b_eq=dataset.y.copy())
 
 
 # ---------------------------------------------------------------------------

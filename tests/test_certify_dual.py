@@ -9,8 +9,9 @@ vᵢ = Σ_S μ_iS.  Checked here against
 - the dual programs it replaced, kept below as the references: the
   explicit k=1 dual and the lifted (n + nk)-variable dual at k>1, on
   status, objective, and lifted-dual feasibility of the mapped (λ, v);
-- ``relax.fit_with_perturbation``, the k=1 LP and the lifted k>1
-  program, on ŵ, the primal objective and the recovery verdict;
+- ``relax.fit_with_perturbation``, which makes the same solve, bit for
+  bit, and the lifted k>1 LP it replaced (``oracles.lifted_lp``), on ŵ,
+  the primal objective and the recovery verdict;
 - HiGHS on the full 2^k − 1 block-set expansion (k ≤ 4);
 - HiGHS on the rows the generation ended with;
 
@@ -28,14 +29,13 @@ from convrelax.cli import EXIT_OK, EXIT_SOLVER, main
 from convrelax.model import (
     STREAM_PERTURBATION,
     Dataset,
-    export_csv,
     forward,
     sample_planted,
     substream,
 )
 from convrelax.qpsolve import ConvexProgram, SolveStatus
-from golden_cases import strict_json
-from oracles import block_set_expansion, highs_lp
+from golden_cases import strict_json, write_planted_csv
+from oracles import block_set_expansion, highs_lp, lifted_lp
 
 DUAL_STATUS_OF_HIGHS = {"optimal": certify.DUAL_OPTIMAL, "unbounded": certify.DUAL_INFEASIBLE}
 
@@ -163,19 +163,20 @@ def test_primal_matches_relax_fit(case):
     ds, r, w_star = _dataset(case)
     out = certify.dual_solve(ds, r)
     fit = relax.fit_with_perturbation(ds, 0.0, r)
+    # at k=1 the lifted program is the singleton-row LP itself
+    reference = fit.report if ds.k == 1 else qpsolve.solve(lifted_lp(ds, r))
+    w_ref = reference.x[: ds.filter_size]
     if out.status != certify.DUAL_OPTIMAL:
         assert fit.report.status != SolveStatus.OPTIMAL
+        assert reference.status != SolveStatus.OPTIMAL
         assert np.isnan(out.primal_objective) and np.all(out.w_hat == 0.0)
         return
-    assert fit.report.status == SolveStatus.OPTIMAL
-    obj = float(r @ fit.w_hat)
+    assert fit.report.status == reference.status == SolveStatus.OPTIMAL
+    np.testing.assert_array_equal(out.w_hat, fit.w_hat)
+    obj = float(r @ w_ref)
     assert abs(out.primal_objective - obj) <= 1e-8 * (1.0 + abs(obj))
-    if ds.k == 1:
-        # the first round's singleton rows are relax.build's k=1 LP
-        np.testing.assert_array_equal(out.w_hat, fit.w_hat)
-    else:
-        assert np.max(np.abs(out.w_hat - fit.w_hat)) <= 1e-6 * (1.0 + np.max(np.abs(fit.w_hat)))
-    assert relax.assess(out.w_hat, w_star).success == relax.assess(fit.w_hat, w_star).success
+    assert np.max(np.abs(out.w_hat - w_ref)) <= 1e-6 * (1.0 + np.max(np.abs(w_ref)))
+    assert relax.assess(out.w_hat, w_star).success == relax.assess(w_ref, w_star).success
 
 
 @pytest.mark.parametrize("case", [c for c in PANEL if c[3] <= 4], ids=_case_id)
@@ -192,7 +193,7 @@ def test_block_set_dual_matches_highs_on_full_expansion(case):
 def test_generated_rows_are_exact_for_highs(case):
     ds, r, _ = _dataset(case)
     xb, y = ds.blocks(), ds.y
-    report, sample, blocks = certify._block_set_lp(xb, y, r, qpsolve.DEFAULT_TOL)
+    report, sample, blocks = relax.block_set_lp(ds, relax.build(ds, 0.0, r).program)
     # the first n·k rows are the singletons; no block set comes twice
     np.testing.assert_array_equal(sample[: ds.n * ds.k], np.repeat(np.arange(ds.n), ds.k))
     keys = {(i, m.tobytes()) for i, m in zip(sample, blocks)}
@@ -211,14 +212,7 @@ def test_generated_rows_are_exact_for_highs(case):
 
 
 def _write(tmp_path, n, d, k, seed, label=None):
-    _, ds = sample_planted(n, d, k, seed)
-    path = tmp_path / "data.csv"
-    export_csv(ds, str(path))
-    if label is not None:
-        lines = path.read_text().splitlines()
-        lines[2] = ",".join([label, *lines[2].split(",")[1:]])
-        path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_planted_csv(str(tmp_path / "data.csv"), n, d, k, seed, label)
 
 
 def test_negative_label_is_a_dual_program_failure(tmp_path, capsys):
@@ -249,11 +243,11 @@ def test_round_cap_is_a_dual_program_failure(tmp_path, capsys, monkeypatch):
     # singleton optimum
     _, ds = sample_planted(40, 8, 2, 0)
     r = substream(0, STREAM_PERTURBATION).standard_normal(4)
-    _, sample, _ = certify._block_set_lp(ds.blocks(), ds.y, r, qpsolve.DEFAULT_TOL)
+    _, sample, _ = relax.block_set_lp(ds, relax.build(ds, 0.0, r).program)
     assert len(sample) > ds.n * ds.k
-    monkeypatch.setattr(certify, "MAX_ROW_ROUNDS", 2)
+    monkeypatch.setattr(relax, "MAX_ROW_ROUNDS", 2)
     assert certify.dual_solve(ds, r).status == certify.DUAL_OPTIMAL
-    monkeypatch.setattr(certify, "MAX_ROW_ROUNDS", 1)
+    monkeypatch.setattr(relax, "MAX_ROW_ROUNDS", 1)
     with pytest.warns(RuntimeWarning, match="round cap MAX_ROW_ROUNDS=1"):
         assert certify.dual_solve(ds, r).status == certify.DUAL_FAILED
     path = _write(tmp_path, 40, 8, 2, 0)
@@ -280,13 +274,14 @@ def test_negative_label_at_k1_keeps_the_lp_optimal(tmp_path, capsys):
 
 
 def _spoil(monkeypatch, field):
-    """Make certify's block-set solve return an Optimal report whose
-    largest multiplier (field "lam") or whose ŵ entry along the largest
-    |r| (field "x", moved to lower rᵀŵ) is off by 1e-6."""
-    solve = certify._block_set_lp
+    """Make the block-set solve return an Optimal report whose largest
+    multiplier (field "lam") or whose ŵ entry along the largest |r|
+    (field "x", moved to lower rᵀŵ) is off by 1e-6."""
+    solve = relax.block_set_lp
 
-    def spoiled(xb, y, r, tol):
-        report, sample, blocks = solve(xb, y, r, tol)
+    def spoiled(dataset, program, tol):
+        report, sample, blocks = solve(dataset, program, tol)
+        r = program.c
         assert report.status == SolveStatus.OPTIMAL
         value = getattr(report, field).copy()
         if field == "lam":
@@ -296,7 +291,7 @@ def _spoil(monkeypatch, field):
             value[j] -= 1e-6 * np.sign(r[j])
         return dataclasses.replace(report, **{field: value}), sample, blocks
 
-    monkeypatch.setattr(certify, "_block_set_lp", spoiled)
+    monkeypatch.setattr(relax, "block_set_lp", spoiled)
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -25,6 +25,7 @@ from oracles import (
     bounded_feasible_lp,
     highs_lp,
     infeasible_lp,
+    lifted_lp,
     lp_vertex_oracle,
     qp_active_set_oracle,
     random_feasible_qp,
@@ -238,7 +239,8 @@ def _best_ms(fn, *args, reps):
 def test_dedup_rows_faster_than_reference_loop(n, d, k):
     # a tall k=1 program (2000x10) and a wide lifted one (4000x2004)
     _, ds = model.sample_planted(n, d, k, 1)
-    program = relax.build(ds, 0.0, np.ones(d // k)).program
+    r = np.ones(d // k)
+    program = relax.build(ds, 0.0, r).program if k == 1 else lifted_lp(ds, r)
     a, b = program.a_ineq, program.b_ineq
     reps = 15 if k == 1 else 3
     assert _best_ms(_dedup_rows, a, b, False, reps=reps) < _best_ms(_dedup_rows_reference, a, b, False, reps=reps)

@@ -43,8 +43,6 @@ def test_build_one_neuron_limit_lp():
     np.testing.assert_array_equal(prog.a_ineq, [[1.0], [-1.0]])
     np.testing.assert_array_equal(prog.b_ineq, [1.0, 0.0])
     np.testing.assert_array_equal(prog.c, [0.5])
-    assert inst.var_map.z == slice(1, 1)  # slack eliminated
-    assert inst.variant == relax.VARIANT_SINGLE
 
 
 def test_build_one_neuron_qp_counts():
@@ -53,16 +51,25 @@ def test_build_one_neuron_qp_counts():
     assert inst.program.n_vars == 5  # w size 2 plus z size 3
     assert inst.program.n_ineq == 6  # response rows then nonnegativity rows
     assert not inst.program.is_lp
-    assert inst.variant == relax.VARIANT_SINGLE
 
 
 def test_build_multi_neuron_lp_counts():
     _, ds = sample_planted(2, 2, 2, 5)
     inst = build(ds, 0.0, np.array([0.3]))
-    assert inst.program.n_vars == 5  # w size 1 plus z size 4
-    assert inst.program.n_eq == 2
-    assert inst.program.n_ineq == 8
-    assert inst.variant == relax.VARIANT_MULTI
+    # the slacks are eliminated: one singleton row X_ij·w ≤ yᵢ per block
+    assert inst.program.n_vars == 1 and inst.program.n_eq == 0
+    np.testing.assert_array_equal(inst.program.a_ineq, ds.x.reshape(4, 1))
+    np.testing.assert_array_equal(inst.program.b_ineq, np.repeat(ds.y, 2))
+
+
+def test_build_gives_a_negative_label_its_empty_set_row_at_k_above_one():
+    _, ds = sample_planted(3, 4, 2, 5)
+    y = np.array([1.0, -0.5, -2.0])
+    inst = build(Dataset(x=ds.x, y=y, k=2), 0.0, np.ones(2))
+    np.testing.assert_array_equal(inst.program.a_ineq[6:], np.zeros((2, 2)))
+    np.testing.assert_array_equal(inst.program.b_ineq, [1.0, 1.0, -0.5, -0.5, -2.0, -2.0, -0.5, -2.0])
+    one_neuron = build(Dataset(x=ds.x, y=y, k=1), 0.0, np.ones(4)).program
+    np.testing.assert_array_equal(one_neuron.b_ineq, y)
 
 
 def test_build_rejects_bad_inputs():
@@ -136,13 +143,22 @@ def test_fit_amplified_builds_once_and_matches_independent_fits(monkeypatch, k, 
     monkeypatch.setattr(relax.qpsolve, "solve", recording_solve)
     monkeypatch.setattr(relax, "build", counting_build)
     outcome = fit_amplified(ds, 4, 17, beta=beta)
-    monkeypatch.undo()
-    assert len(builds) == 1 and len(reports) == 4
-    for t, (report, record) in enumerate(zip(reports, outcome.trials)):
+    assert len(builds) == 1
+    amplified = [_report_bytes(report) for report in reports]
+    # each trial makes the solves of an independent fit, so no generated
+    # row carries over between trials, and its last report is the fit's
+    last = 0
+    for t, record in enumerate(outcome.trials):
+        del reports[:]
         direct = fit(ds, beta, derived_seed(17, t))
-        assert _report_bytes(report) == _report_bytes(direct.report)
+        solves = [_report_bytes(report) for report in reports]
+        assert amplified[last : last + len(solves)] == solves
+        last += len(solves)
+        assert solves[-1] == _report_bytes(direct.report)
         assert record.seed == direct.trial_seed
         assert record.train_residual == direct.train_residual
+    assert last == len(amplified)
+    monkeypatch.undo()
     best = fit(ds, beta, outcome.best.trial_seed)
     for name in ("w_hat", "z_hat", "r_used"):
         assert getattr(outcome.best, name).tobytes() == getattr(best, name).tobytes()
@@ -242,7 +258,7 @@ def test_truth_is_feasible_in_every_built_instance():
         r = np.ones(ds.filter_size)
         inst = build(ds, beta, r)
         z_true = np.maximum(ds.blocks() @ pm.w_star, 0.0).reshape(-1)
-        if inst.var_map.z.stop > inst.var_map.z.start:
+        if beta > 0.0:
             point = np.concatenate([pm.w_star, z_true])
         else:
             point = pm.w_star
