@@ -14,7 +14,7 @@ deliberate re-numbering shows its whole extent.
 
 The panel: k=1 relaxation LPs at n=400 and n=2000 (the dual route),
 the row-generated k=2 and k=5 relaxation LPs (one report per round), the
-beta=1e-3 QP, certify's phase-1 cone program and the block-set LP that
+beta=1e-3 QP at k=1 and row-generated at k=2 and k=5, certify's phase-1 cone program and the block-set LP that
 gives its primal fit and dual at k=1, 2 and 5 and on a k=2 dataset whose
 dual is infeasible, presolve cases with duplicate, zero, -0.0 and
 infeasible rows, an equality-only QP, and infeasible and unbounded LPs
@@ -121,6 +121,9 @@ def run_panel() -> list[dict]:
             relax.fit(model.sample_planted(n, 20, k, 6)[1], 0.0, 7)
         label[0] = "beta-qp k=1 n=200 d=20"
         relax.fit(model.sample_planted(200, 20, 1, 8)[1], 1e-3, 9)
+        for k, n in ((2, 100), (5, 60)):
+            label[0] = f"beta-qp k={k} n={n} d=20"
+            relax.fit(model.sample_planted(n, 20, k, 12)[1], 1e-3, 13)
         # the last case has fewer block rows than filter entries: its dual
         # is infeasible
         for k, n, d, seed in ((2, 120, 8, 10), (1, 80, 6, 10), (5, 60, 20, 10), (2, 4, 10, 1)):

@@ -5,10 +5,12 @@ Linear programs run through a homogeneous self-dual embedding with
 Mehrotra predictor-corrector steps, which gives clean certificates of
 infeasibility and unboundedness.  Quadratic programs (PSD curvature)
 run an infeasible-start predictor-corrector on the slack KKT system
-with static regularization.  Candidate optima are refined by an
-active-set polish solve, and a report is declared Optimal only after
-the KKT residuals have been recomputed from scratch and verified
-against the requested tolerance.
+with static regularization; when the program has separable columns
+(diagonal curvature, at most one of them per row) the step eliminates
+them onto the Schur complement of the others.  Candidate optima are
+refined by an active-set polish solve, and a report is declared
+Optimal only after the KKT residuals have been recomputed from scratch
+and verified against the requested tolerance.
 """
 
 from __future__ import annotations
@@ -547,14 +549,160 @@ def _qp_equality_only(program: ConvexProgram, tol):
     return SolveStatus.OPTIMAL, x, nu
 
 
+class _DenseKkt:
+    """The Newton step on the full (m+q)² KKT matrix [Q + GᵀDG, Aᵀ; A, 0],
+    LU-factored, with the products on the dense program."""
+
+    def __init__(self, program: ConvexProgram):
+        self.program = program
+
+    def g_dot(self, x):
+        return self.program.a_ineq @ x
+
+    def gt_dot(self, v):
+        return self.program.a_ineq.T @ v
+
+    def q_dot(self, x):
+        return self.program.q @ x
+
+    def objective(self, x):
+        return self.program.objective(x)
+
+    def factor(self, d, delta):
+        """A solve (rhs_x, rhs_eq) -> (dx, dnu) of the step system with
+        D = diag(d), or None when no regularization makes it factorable."""
+        Q, G, A = self.program.q, self.program.a_ineq, self.program.a_eq
+        m, q = self.program.n_vars, self.program.n_eq
+        K = np.zeros((m + q, m + q))
+        K[:m, :m] = Q + (G.T * d) @ G
+        K[np.diag_indices(m)] += delta
+        if q:
+            K[:m, m:] = A.T
+            K[m:, :m] = A
+            K[m + np.arange(q), m + np.arange(q)] -= delta
+
+        for attempt in range(3):
+            try:
+                lu = scipy.linalg.lu_factor(K, check_finite=False)
+                break
+            except scipy.linalg.LinAlgError:
+                bump = KKT_REGULARIZATION * (100.0 ** (attempt + 1))
+                K[np.diag_indices(m)] += bump
+                K[m + np.arange(q), m + np.arange(q)] -= bump
+        else:
+            return None
+
+        def solve(rhs_x, rhs_eq):
+            rhs = np.concatenate([rhs_x, rhs_eq]) if q else rhs_x
+            sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+            return sol[:m], (sol[m:] if q else np.zeros(0))
+
+        return solve
+
+
+class _SchurKkt:
+    """The Newton step with the separable columns U eliminated.
+
+    G is held as dense G_w on the other columns plus one (column,
+    coefficient) entry per row on U (coefficient 0 where a row has none),
+    so the products scatter with ``np.bincount``.  The U-block of the
+    normal matrix K = Q + GᵀDG + δI is a vector K_uu, and the step solves
+    the Schur complement S = K_ww − K_wu·K_uu⁻¹·K_uw by Cholesky.
+    """
+
+    @classmethod
+    def of(cls, program: ConvexProgram):
+        """The step for ``program``, or None when it does not apply.
+
+        A column is separable when its diagonal entry of Q is positive
+        and the rest of its row and column of Q is zero.  The step
+        applies when U is nonempty, there are no equality rows and every
+        inequality row has at most one nonzero in U, so the U-block of
+        GᵀDG + Q is diagonal.
+        """
+        Q = program.q
+        if program.n_eq:
+            return None
+        single = (np.count_nonzero(Q, axis=0) == 1) & (np.count_nonzero(Q, axis=1) == 1)
+        sep = single & (Q.diagonal() > 0.0)
+        if not sep.any():
+            return None
+        touches = (program.a_ineq != 0.0)[:, sep]
+        if np.any(touches.sum(axis=1) > 1):
+            return None
+        return cls(program, sep, touches)
+
+    def __init__(self, program: ConvexProgram, sep: np.ndarray, touches: np.ndarray):
+        Q, G = program.q, program.a_ineq
+        self.c = program.c
+        self.w, self.u = np.flatnonzero(~sep), np.flatnonzero(sep)
+        self.n_w, self.n_u = self.w.size, self.u.size
+        self.q_ww = Q[np.ix_(self.w, self.w)]
+        self.q_u = Q.diagonal()[self.u]
+        self.g_w = G[:, self.w]
+        self.col = touches.argmax(axis=1)
+        self.coef = G[np.arange(G.shape[0]), self.u[self.col]]
+        # rows grouped by their column, for K_uw; a row without one adds 0
+        self.order = np.argsort(self.col, kind="stable")
+        grouped = self.col[self.order]
+        self.starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        self.group_col = grouped[self.starts]
+        self.g_w_grouped = self.g_w[self.order]
+
+    def _join(self, x_w, x_u):
+        x = np.empty(self.n_w + self.n_u)
+        x[self.w] = x_w
+        x[self.u] = x_u
+        return x
+
+    def g_dot(self, x):
+        return self.g_w @ x[self.w] + self.coef * x[self.u][self.col]
+
+    def gt_dot(self, v):
+        return self._join(self.g_w.T @ v, np.bincount(self.col, weights=self.coef * v, minlength=self.n_u))
+
+    def q_dot(self, x):
+        return self._join(self.q_ww @ x[self.w], self.q_u * x[self.u])
+
+    def objective(self, x):
+        x_w, x_u = x[self.w], x[self.u]
+        return float(0.5 * (x_w @ self.q_ww @ x_w + self.q_u @ (x_u * x_u)) + self.c @ x)
+
+    def factor(self, d, delta):
+        dc = d * self.coef
+        k_uu = np.bincount(self.col, weights=dc * self.coef, minlength=self.n_u) + self.q_u + delta
+        k_uw = np.zeros((self.n_u, self.n_w))
+        k_uw[self.group_col] = np.add.reduceat(self.g_w_grouped * dc[self.order, None], self.starts, axis=0)
+        k_ww = self.q_ww + (self.g_w.T * d) @ self.g_w
+        k_ww.reshape(-1)[:: self.n_w + 1] += delta
+        for attempt in range(3):
+            scaled = k_uw / k_uu[:, None]
+            S = k_ww - k_uw.T @ scaled
+            chol, info = dpotrf(S, lower=False, clean=False) if self.n_w else (S, 0)
+            if info == 0:
+                break
+            bump = KKT_REGULARIZATION * (100.0 ** (attempt + 1))
+            k_ww.reshape(-1)[:: self.n_w + 1] += bump
+            k_uu = k_uu + bump
+        else:
+            return None
+
+        def solve(rhs_x, rhs_eq):
+            rhs_w, t = rhs_x[self.w], rhs_x[self.u] / k_uu
+            dx_w = dpotrs(chol, rhs_w - k_uw.T @ t, lower=False)[0] if self.n_w else rhs_w
+            return self._join(dx_w, t - scaled @ dx_w), np.zeros(0)
+
+        return solve
+
+
 def _qp_mehrotra(program: ConvexProgram, tol, max_iter):
-    Q, c = program.q, program.c
-    G, h = program.a_ineq, program.b_ineq
+    c, h = program.c, program.b_ineq
     A, b = program.a_eq, program.b_eq
     m, p, q = program.n_vars, program.n_ineq, program.n_eq
+    kkt = _SchurKkt.of(program) or _DenseKkt(program)
 
     x = least_squares(A, b) if q else np.zeros(m)
-    s_hat = h - G @ x
+    s_hat = h - kkt.g_dot(x)
     s = s_hat + max(-1.5 * float(np.min(s_hat)), 0.0) + 1.0
     lam = np.ones(p)
     shift = 0.5 * (s @ lam)
@@ -568,9 +716,9 @@ def _qp_mehrotra(program: ConvexProgram, tol, max_iter):
     stalled = 0
     while iteration < max_iter:
         iteration += 1
-        r_dual = Q @ x + c + G.T @ lam + (A.T @ nu if q else 0.0)
+        r_dual = kkt.q_dot(x) + c + kkt.gt_dot(lam) + (A.T @ nu if q else 0.0)
         r_eq = A @ x - b if q else np.zeros(0)
-        r_in = G @ x + s - h
+        r_in = kkt.g_dot(x) + s - h
         mu = (s @ lam) / p
 
         prim = max(
@@ -589,39 +737,19 @@ def _qp_mehrotra(program: ConvexProgram, tol, max_iter):
         if not np.isfinite(mu) or np.max(np.abs(x)) > 1e13:
             status = SolveStatus.DUAL_UNBOUNDED
             break
-        if program.objective(x) < -1e16:
+        if kkt.objective(x) < -1e16:
             status = SolveStatus.DUAL_UNBOUNDED
             break
 
-        d = lam / s
-        K = np.zeros((m + q, m + q))
-        K[:m, :m] = Q + (G.T * d) @ G
-        K[np.diag_indices(m)] += delta
-        if q:
-            K[:m, m:] = A.T
-            K[m:, :m] = A
-            K[m + np.arange(q), m + np.arange(q)] -= delta
-
-        lu = None
-        for attempt in range(3):
-            try:
-                lu = scipy.linalg.lu_factor(K, check_finite=False)
-                break
-            except scipy.linalg.LinAlgError:
-                bump = KKT_REGULARIZATION * (100.0 ** (attempt + 1))
-                K[np.diag_indices(m)] += bump
-                K[m + np.arange(q), m + np.arange(q)] -= bump
-        if lu is None:
+        lin_solve = kkt.factor(lam / s, delta)
+        if lin_solve is None:
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
         def newton(r_comp):
-            rhs_x = -r_dual + G.T @ ((r_comp - lam * r_in) / s)
-            rhs = np.concatenate([rhs_x, -r_eq]) if q else rhs_x
-            sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-            dx = sol[:m]
-            dnu = sol[m:] if q else np.zeros(0)
-            ds = -r_in - G @ dx
+            rhs_x = -r_dual + kkt.gt_dot((r_comp - lam * r_in) / s)
+            dx, dnu = lin_solve(rhs_x, -r_eq)
+            ds = -r_in - kkt.g_dot(dx)
             dlam = (-r_comp - lam * ds) / s
             return dx, dnu, ds, dlam
 

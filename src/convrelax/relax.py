@@ -3,19 +3,29 @@
 The naive relaxation replaces the ReLU equality by an inequality and is
 degenerate: the zero filter with slack equal to the labels is always
 optimal.  A random linear perturbation of the objective selects a
-nontrivial vertex instead.  With a positive perturbation weight the
-program is a QP over the filter w and the n·k slacks z (the lifted
-program).  In the vanishing-weight limit the slacks only have to sum to
-the labels; eliminating them leaves one LP in w at every k, with a row
-Σ_{j∈S} X_ij·w ≤ yᵢ per sample i and nonempty block set S (at k=1,
-xᵢ·w ≤ yᵢ), solved by row generation (``block_set_lp``).  At k>1 the
-slacks are nonnegative, so a negative label enters as its empty-set row
-0·w ≤ yᵢ and makes the LP infeasible; at k=1 it is only a tighter row.
+nontrivial vertex instead.  The relaxation keeps one slack z_ij ≥ 0 per
+sample i and block j, with z_ij ≥ X_ij·w; only the slack sums enter the
+objective, and eliminating the slacks leaves a program over w (and the
+sums) with a row per sample and nonempty block set S:
 
-The LP's slacks are not unique, so the fit rebuilds them from ŵ:
-z_ij = (X_ij·ŵ)₊ for j ≥ 1 and z_i0 = yᵢ − Σ_{j≥1} z_ij.  They sum to
-yᵢ, and a feasible ŵ makes them feasible for the lifted program
-(z_i0 ≥ (X_i0·ŵ)₊ because Σ_j (X_ij·ŵ)₊ ≤ yᵢ).  At k=1 z_hat is y.
+- With a positive perturbation weight β it is a QP over w and
+  uᵢ = Σ_j z_ij: minimize β·rᵀw + ½‖u‖² − yᵀu subject to
+  Σ_{j∈S} X_ij·w − uᵢ ≤ 0 and −u ≤ 0, since the slacks project to
+  uᵢ ≥ Σ_j (X_ij·w)₊.  Its value is the lifted QP's over (w, z).
+- In the vanishing-weight limit the slacks only have to sum to the
+  labels, which leaves one LP in w with rows Σ_{j∈S} X_ij·w ≤ yᵢ.  At
+  k>1 the slacks are nonnegative, so a negative label enters as its
+  empty-set row 0·w ≤ yᵢ and makes the LP infeasible; at k=1 it is only
+  a tighter row.
+
+At k=1 the singletons are all the sets.  At k>1 both programs start
+from the n·k singleton sets and ``block_set_lp`` generates the rest.
+
+The slacks are not unique, so the fit rebuilds them from ŵ:
+z_ij = (X_ij·ŵ)₊ for j ≥ 1 and z_i0 = tᵢ − Σ_{j≥1} z_ij, with tᵢ = ûᵢ
+for the QP and yᵢ for the LP.  They sum to tᵢ, and a feasible point
+makes them feasible for the lifted program (z_i0 ≥ (X_i0·ŵ)₊ because
+Σ_j (X_ij·ŵ)₊ ≤ tᵢ).  At k=1 z_hat is û or y.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ class AllTrialsFailedError(RuntimeError):
 class RelaxationInstance:
     beta: float
     r: np.ndarray
-    program: ConvexProgram  # variables w, then z when beta > 0
+    program: ConvexProgram  # variables w, then u when beta > 0
 
 
 @dataclass
@@ -116,14 +126,14 @@ def assess(w_hat: np.ndarray, w_star: np.ndarray, tau: float = DEFAULT_TAU) -> A
 
 
 def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
-    """Assemble the perturbed relaxation as an explicit LP or QP.
+    """Assemble the first round of the perturbed relaxation (see the
+    module docstring); ``block_set_lp`` solves it.
 
-    beta > 0 keeps the quadratic data term with cost beta·rᵀw, over w
-    and the slacks z.  beta == 0 builds the first round of the
-    vanishing-weight LP (see the module docstring), cost rᵀw over the
-    n·k singleton rows X_ij·w ≤ yᵢ in the sample-major order of
-    ``dataset.blocks()``, then at k>1 the empty-set row of each negative
-    label; ``block_set_lp`` solves it.
+    Its rows are the n·k singleton sets in the sample-major order of
+    ``dataset.blocks()``.  beta > 0 builds the QP over (w, u), cost
+    (beta·r, −y) and curvature I on u, with rows X_ij·w − uᵢ ≤ 0, then
+    −u ≤ 0.  beta == 0 builds the LP over w, cost r, with rows
+    X_ij·w ≤ yᵢ, then at k>1 the empty-set row of each negative label.
     """
     if not 0.0 <= beta < math.inf:
         raise RelaxError("beta must be nonnegative and finite")
@@ -142,26 +152,23 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
         b_ineq = np.concatenate([np.repeat(y, k), y[empty]])
         return RelaxationInstance(beta, r, ConvexProgram(c=c, a_ineq=a_ineq, b_ineq=b_ineq))
 
-    m = p + nz
-    # response constraints X_ij·w − z_ij ≤ 0, then slack nonnegativity
-    a_resp = np.zeros((nz, m))
-    a_resp[:, :p] = xb.reshape(nz, p)
-    a_resp[np.arange(nz), p + np.arange(nz)] = -1.0
-    a_nonneg = np.zeros((nz, m))
-    a_nonneg[np.arange(nz), p + np.arange(nz)] = -1.0
+    m = p + n
+    a_ineq = np.zeros((nz + n, m))
+    a_ineq[:nz, :p] = xb.reshape(nz, p)
+    a_ineq[np.arange(nz), p + np.repeat(np.arange(n), k)] = -1.0
+    a_ineq[nz + np.arange(n), p + np.arange(n)] = -1.0
     q = np.zeros((m, m))
-    for i in range(n):
-        q[p + i * k : p + (i + 1) * k, p + i * k : p + (i + 1) * k] = 1.0
-    program = ConvexProgram(c=c, q=q, a_ineq=np.vstack([a_resp, a_nonneg]), b_ineq=np.zeros(2 * nz))
+    q[p + np.arange(n), p + np.arange(n)] = 1.0
+    program = ConvexProgram(c=c, q=q, a_ineq=a_ineq, b_ineq=np.zeros(nz + n))
     return RelaxationInstance(beta, r, program)
 
 
 def _cost(dataset: Dataset, beta: float, r: np.ndarray) -> np.ndarray:
-    """Linear cost of the relaxation: beta·r on the filter and −yᵢ on each
-    slack of sample i for the QP; r on the filter alone in the LP limit."""
+    """Linear cost of the relaxation: beta·r on the filter and −yᵢ on the
+    slack sum uᵢ for the QP; r on the filter alone in the LP limit."""
     if beta == 0.0:
         return r.copy()
-    return np.concatenate([beta * r, np.repeat(-dataset.y, dataset.k)])
+    return np.concatenate([beta * r, -dataset.y])
 
 
 def _empty_set_samples(y: np.ndarray, k: int) -> np.ndarray:
@@ -175,37 +182,46 @@ def block_set_lp(
     tol: float = qpsolve.DEFAULT_TOL,
     max_iter: int = qpsolve.DEFAULT_MAX_ITER,
 ) -> tuple[SolveReport, np.ndarray, np.ndarray]:
-    """Minimize ``program.c``·w over every block-set row by row generation.
+    """Solve a relaxation over every block-set row by row generation.
 
-    ``program`` is ``build(dataset, 0.0, r).program`` with any cost; it
+    ``program`` is ``build(dataset, beta, r).program`` with any cost; it
     is not modified.  After each solve, every sample with a positively
     responding block at ŵ gets the row of those blocks (its most
-    violated set) when that row is violated by more than tol.  A sample
-    without one has a singleton row as its most violated set, and an
-    Optimal report meets each present row within tol, so only new sets
-    are added.  Returns the last report and, per row, its sample and
-    block set (all False for an empty-set row).  When MAX_ROW_ROUNDS
-    solves leave a row violated, the last report comes back with status
-    MaxIterations and a RuntimeWarning.
+    violated set) when that row is violated by more than tol: the row
+    Σ_{j∈S} X_ij·w ≤ yᵢ of the LP, or Σ_{j∈S} X_ij·w − uᵢ ≤ 0 of the QP.
+    A sample without one has a singleton or empty-set row as its most
+    violated set, and an Optimal report meets each present row within
+    tol, so only new sets are added.  Returns the last report and, per
+    row, its sample and block set (all False for an empty-set row).
+    When MAX_ROW_ROUNDS solves leave a row violated, the last report
+    comes back with status MaxIterations and a RuntimeWarning.
     """
     xb, y = dataset.blocks(), dataset.y
-    n, k, _ = xb.shape
-    empty = _empty_set_samples(y, k)
+    n, k, p = xb.shape
+    with_u = program.n_vars > p  # the QP over (w, u)
+    # the QP's rows −uᵢ ≤ 0 are the empty-set rows of every sample
+    empty = np.arange(n) if with_u else _empty_set_samples(y, k)
     sample = np.concatenate([np.repeat(np.arange(n), k), empty])
     blocks = np.vstack([np.tile(np.eye(k, dtype=bool), (n, 1)), np.zeros((empty.size, k), dtype=bool)])
     for _ in range(MAX_ROW_ROUNDS):
         report = qpsolve.solve(program, tol=tol, max_iter=max_iter)
         if report.status != SolveStatus.OPTIMAL:
             return report, sample, blocks
-        resp = xb @ report.x
+        resp = xb @ report.x[:p]
         pos = resp > 0.0
-        violated = np.where(pos, resp, 0.0).sum(axis=1) - y > tol
+        bound = report.x[p:] if with_u else y
+        violated = np.where(pos, resp, 0.0).sum(axis=1) - bound > tol
         new = np.flatnonzero(violated & pos.any(axis=1))
         if new.size == 0:
             return report, sample, blocks
         rows = (xb[new] * pos[new, :, None]).sum(axis=1)
-        program = ConvexProgram(c=program.c, a_ineq=np.vstack([program.a_ineq, rows]),
-                                b_ineq=np.concatenate([program.b_ineq, y[new]]))
+        if with_u:
+            rows = np.hstack([rows, np.zeros((new.size, n))])
+            rows[np.arange(new.size), p + new] = -1.0
+        # a shallow copy skips re-validating the program for finite new rows
+        program = copy.copy(program)
+        program.a_ineq = np.vstack([program.a_ineq, rows])
+        program.b_ineq = np.concatenate([program.b_ineq, np.zeros(new.size) if with_u else y[new]])
         sample = np.concatenate([sample, new])
         blocks = np.vstack([blocks, pos[new]])
     warnings.warn(f"block-set row generation stopped at the round cap MAX_ROW_ROUNDS="
@@ -243,16 +259,12 @@ def _solve_instance(
     dataset: Dataset, instance: RelaxationInstance, trial_seed: int, tol: float, max_iter: int
 ) -> FitResult:
     p = dataset.filter_size
-    if instance.beta == 0.0:
-        report = block_set_lp(dataset, instance.program, tol, max_iter)[0]
-        # rebuild the slacks from ŵ (module docstring)
-        z = np.maximum(block_responses(dataset.x, report.x, dataset.k), 0.0)
-        z[:, 0] = dataset.y - z[:, 1:].sum(axis=1)
-        z_hat = z.reshape(-1)
-    else:
-        report = qpsolve.solve(instance.program, tol=tol, max_iter=max_iter)
-        z_hat = report.x[p:].copy()
+    report = block_set_lp(dataset, instance.program, tol, max_iter)[0]
     w_hat = report.x[:p].copy()
+    # rebuild the slacks from ŵ and the slack sums (module docstring)
+    z = np.maximum(block_responses(dataset.x, w_hat, dataset.k), 0.0)
+    z[:, 0] = (dataset.y if instance.beta == 0.0 else report.x[p:]) - z[:, 1:].sum(axis=1)
+    z_hat = z.reshape(-1)
     return FitResult(
         w_hat=w_hat,
         z_hat=z_hat,

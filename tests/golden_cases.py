@@ -33,6 +33,7 @@ CLI_CASES = {
     "fit_k1_lp": ((200, 10, 1, 3), ["fit", "--json", "--seed", "1"]),
     "fit_k2_lifted_lp": ((40, 8, 2, 4), ["fit", "--json", "--trials", "3", "--seed", "2"]),
     "fit_beta_qp": ((60, 10, 1, 5), ["fit", "--json", "--beta", "1e-3", "--seed", "3"]),
+    "fit_k2_beta_qp": ((40, 8, 2, 7), ["fit", "--json", "--beta", "1e-3", "--trials", "2", "--seed", "5"]),
     "certify_k2": ((60, 8, 2, 6), ["certify", "--json", "--seed", "4"]),
     # n < d: the dual program is infeasible and its undefined fields print as null
     "certify_dual_infeasible": ((4, 10, 1, 1), ["certify", "--json"]),

@@ -4,9 +4,10 @@ Nothing here calls the package solver: small LPs are decided by vertex
 enumeration over bounded-by-construction polytopes, small QPs by
 exhaustive active-set search on the KKT equalities, cone membership
 by scipy's NNLS with HiGHS near the boundary, and LPs in A_ub form by
-HiGHS itself.  ``lifted_lp`` only builds a program: the vanishing-weight
-relaxation in the lifted form the package solved before it eliminated
-the slacks, kept as the reference for tests to solve.
+HiGHS itself.  ``lifted_lp`` and ``lifted_qp`` only build programs: the
+vanishing-weight and the β > 0 relaxation in the lifted form the package
+solved before it eliminated the slacks, kept as references for tests to
+solve.
 """
 
 from itertools import combinations
@@ -143,6 +144,27 @@ def lifted_lp(dataset, r):
     a_eq[:, p:] = np.repeat(np.eye(n), k, axis=1)
     return ConvexProgram(c=np.concatenate([r, np.zeros(nz)]), a_ineq=np.vstack([a_resp, a_nonneg]),
                          b_ineq=np.zeros(2 * nz), a_eq=a_eq, b_eq=dataset.y.copy())
+
+
+def lifted_qp(dataset, beta, r):
+    """The β > 0 relaxation over the filter w and the n·k slacks z, with z
+    ordered sample-major: min β·rᵀw + ½ Σᵢ (Σ_j z_ij)² − Σᵢ yᵢ·Σ_j z_ij
+    subject to X_ij·w − z_ij ≤ 0 and z ≥ 0.  A dense ConvexProgram with
+    p + nk variables and 2nk inequality rows (p = d/k)."""
+    from convrelax.qpsolve import ConvexProgram
+
+    n, k, p = dataset.n, dataset.k, dataset.filter_size
+    nz = n * k
+    m = p + nz
+    a_resp = np.zeros((nz, m))
+    a_resp[:, :p] = dataset.blocks().reshape(nz, p)
+    a_resp[np.arange(nz), p + np.arange(nz)] = -1.0
+    a_nonneg = np.zeros((nz, m))
+    a_nonneg[np.arange(nz), p + np.arange(nz)] = -1.0
+    q = np.zeros((m, m))
+    q[p:, p:] = np.kron(np.eye(n), np.ones((k, k)))
+    c = np.concatenate([beta * np.asarray(r, dtype=float), np.repeat(-dataset.y, k)])
+    return ConvexProgram(c=c, q=q, a_ineq=np.vstack([a_resp, a_nonneg]), b_ineq=np.zeros(2 * nz))
 
 
 # ---------------------------------------------------------------------------

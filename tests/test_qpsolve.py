@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import time
 
-from convrelax import model, relax
+from convrelax import model, qpsolve, relax
 from convrelax.qpsolve import (
     ConvexProgram,
+    SolveReport,
     SolverError,
     SolveStatus,
     _dedup_rows,
@@ -462,3 +463,121 @@ def test_random_lps_match_highs(make):
     rng = np.random.default_rng(51)
     for _ in range(20):
         _assert_matches_highs(*make(rng, int(rng.integers(2, 4))))
+
+
+# -- the Schur step on separable columns ---------------------------------------
+
+
+def _dense_step_solve(monkeypatch, program):
+    """The report of the dense (m+q)² LU step, the reference for the
+    Schur step: ``solve`` with separable-column detection switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(qpsolve._SchurKkt, "of", classmethod(lambda cls, program: None))
+        return solve(program)
+
+
+def _report_bits(report: SolveReport) -> bytes:
+    arrays = (report.x, report.lam, report.nu, report.primal_residual, report.dual_residual,
+              report.complementarity_gap)
+    return report.status.value.encode() + str(report.iterations).encode() + b"".join(
+        np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
+def _separable_qp(rng, n_w, n_u, rows, curved=True, untouched=False, shuffle=True):
+    """A feasible QP whose columns U (n_u of them) have a positive
+    diagonal curvature and nothing else in Q, and whose rows have a dense
+    part on the other n_w columns and at most one nonzero on U.  With
+    ``curved`` the other columns get a positive definite block of Q,
+    otherwise none and a box; with ``untouched`` the last column of U
+    appears in no row."""
+    m = n_w + n_u
+    perm = rng.permutation(m) if shuffle else np.arange(m)
+    w, u = perm[:n_w], perm[n_w:]
+    q = np.zeros((m, m))
+    root = rng.standard_normal((n_w, n_w))
+    q[np.ix_(w, w)] = root @ root.T + np.eye(n_w) if curved else 0.0
+    q[u, u] = rng.uniform(0.5, 2.0, n_u)
+    a = np.zeros((rows, m))
+    a[:, w] = rng.standard_normal((rows, n_w))
+    reach = n_u - 1 if untouched else n_u
+    hit = np.flatnonzero(rng.uniform(size=rows) < 0.7) if reach else np.zeros(0, dtype=int)
+    a[hit, u[rng.integers(reach, size=hit.size)]] = rng.choice([-1.0, 1.0], hit.size) * rng.uniform(
+        0.5, 2.0, hit.size)
+    x0 = 0.5 * rng.standard_normal(m)
+    b = a @ x0 + rng.uniform(0.1, 1.0, rows)
+    if not curved:
+        a = np.vstack([a, np.eye(m)[w], -np.eye(m)[w]])
+        b = np.concatenate([b, np.full(2 * n_w, 3.0)])
+    return ConvexProgram(c=rng.standard_normal(m), q=q, a_ineq=a, b_ineq=b)
+
+
+SEPARABLE_SHAPES = [  # (n_w, n_u, rows, curved, untouched, shuffle)
+    (0, 3, 5, True, False, False),
+    (0, 4, 6, True, True, True),
+    (2, 2, 5, True, False, True),
+    (3, 2, 6, True, True, False),
+    (2, 3, 6, False, False, True),
+    (3, 3, 4, False, True, True),
+    (8, 40, 90, False, False, False),
+    (6, 30, 70, True, True, True),
+]
+
+
+@pytest.mark.parametrize("shape", SEPARABLE_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_schur_step_matches_the_dense_step(shape, monkeypatch):
+    rng = np.random.default_rng(sum(map(int, shape)) * 7919)
+    for _ in range(5):
+        program = _separable_qp(rng, *shape)
+        assert qpsolve._SchurKkt.of(program) is not None
+        rep = solve(program)
+        ref = _dense_step_solve(monkeypatch, program)
+        assert rep.status == ref.status == SolveStatus.OPTIMAL
+        assert abs(rep.iterations - ref.iterations) <= 2
+        np.testing.assert_allclose(rep.x, ref.x, rtol=0.0, atol=1e-7 * (1.0 + np.max(np.abs(ref.x))))
+        assert abs(program.objective(rep.x) - program.objective(ref.x)) <= 1e-8 * (
+            1.0 + abs(program.objective(ref.x)))
+
+
+@pytest.mark.parametrize("shape", [s for s in SEPARABLE_SHAPES if s[3] and s[0] + s[1] <= 5],
+                         ids=lambda s: "-".join(map(str, s)))
+def test_schur_step_matches_the_active_set_oracle(shape):
+    rng = np.random.default_rng(sum(map(int, shape)) * 104729)
+    for _ in range(5):
+        program = _separable_qp(rng, *shape)
+        rep = solve(program)
+        assert rep.status == SolveStatus.OPTIMAL
+        oracle = qp_active_set_oracle(program.q, program.c, program.a_ineq, program.b_ineq)
+        assert oracle is not None
+        np.testing.assert_allclose(rep.x, oracle[0], atol=1e-7)
+        np.testing.assert_allclose(rep.lam, oracle[1], atol=1e-6)
+
+
+def _fallback_programs():
+    """Programs that miss one condition of the Schur step each."""
+    rng = np.random.default_rng(61)
+    base = _separable_qp(rng, 2, 3, 6, shuffle=False)
+    two_on_u = base.a_ineq.copy()
+    two_on_u[0, 2:4] = [1.0, -0.5]
+    yield "row-with-two-separable-nonzeros", ConvexProgram(c=base.c, q=base.q, a_ineq=two_on_u,
+                                                           b_ineq=base.b_ineq + 5.0)
+    # a coupled column just leaves U, so all of U is coupled here
+    coupled = base.q.copy()
+    coupled[2:, 2:] += 0.1 * (np.ones((3, 3)) - np.eye(3))
+    yield "off-diagonal-q-entry", ConvexProgram(c=base.c, q=coupled, a_ineq=base.a_ineq, b_ineq=base.b_ineq)
+    yield "equality-row", ConvexProgram(c=base.c, q=base.q, a_ineq=base.a_ineq, b_ineq=base.b_ineq,
+                                        a_eq=np.ones((1, 5)), b_eq=[0.5])
+
+
+@pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _fallback_programs()])
+def test_programs_without_the_structure_take_the_dense_step(program, monkeypatch):
+    assert qpsolve._SchurKkt.of(program) is None
+    rep = solve(program)
+    assert rep.status == SolveStatus.OPTIMAL
+    assert _report_bits(rep) == _report_bits(_dense_step_solve(monkeypatch, program))
+
+
+def test_relaxation_qp_takes_the_schur_step():
+    _, ds = model.sample_planted(30, 8, 2, 3)
+    program = relax.build(ds, 1e-3, np.ones(4)).program
+    kkt = qpsolve._SchurKkt.of(program)
+    assert kkt is not None and kkt.n_w == 4 and kkt.n_u == 30

@@ -48,7 +48,7 @@ def test_build_one_neuron_limit_lp():
 def test_build_one_neuron_qp_counts():
     _, ds = sample_planted(3, 2, 1, 5)
     inst = build(ds, 0.5, np.array([0.1, 0.2]))
-    assert inst.program.n_vars == 5  # w size 2 plus z size 3
+    assert inst.program.n_vars == 5  # w size 2 plus one slack sum u per sample
     assert inst.program.n_ineq == 6  # response rows then nonnegativity rows
     assert not inst.program.is_lp
 
@@ -257,9 +257,10 @@ def test_truth_is_feasible_in_every_built_instance():
         pm, ds = sample_planted(25, 6, k, 14)
         r = np.ones(ds.filter_size)
         inst = build(ds, beta, r)
-        z_true = np.maximum(ds.blocks() @ pm.w_star, 0.0).reshape(-1)
+        # the QP's variables are w and the slack sums uᵢ = Σ_j z_ij
+        u_true = np.maximum(ds.blocks() @ pm.w_star, 0.0).sum(axis=1)
         if beta > 0.0:
-            point = np.concatenate([pm.w_star, z_true])
+            point = np.concatenate([pm.w_star, u_true])
         else:
             point = pm.w_star
         prog = inst.program
