@@ -14,11 +14,12 @@ deliberate re-numbering shows its whole extent.
 
 The panel: k=1 relaxation LPs at n=400 and n=2000 (the dual route),
 the row-generated k=2 and k=5 relaxation LPs (one report per round), the
-beta=1e-3 QP at k=1 and row-generated at k=2 and k=5, certify's phase-1 cone program and the block-set LP that
-gives its primal fit and dual at k=1, 2 and 5 and on a k=2 dataset whose
-dual is infeasible, presolve cases with duplicate, zero, -0.0 and
-infeasible rows, an equality-only QP, and infeasible and unbounded LPs
-on the primal and on the dual route.
+beta=1e-3 QP at k=1 and row-generated at k=2 and k=5, certify's
+phase-1 cone program and the block-set LP that gives its primal fit and
+dual at k=1, 2 and 5 and on a k=2 dataset whose dual is infeasible,
+presolve cases with duplicate, zero, -0.0 and infeasible rows, the
+beta=1e-3 QP at k=2 over all n·k slacks (no separable column), and
+infeasible and unbounded LPs on the primal and on the dual route.
 
 With a single SRC the script prints that tree's panel as JSON instead.
 """
@@ -60,18 +61,39 @@ def _presolve_programs():
     yield "presolve-column-major", ConvexProgram(c=c, a_ineq=np.asfortranarray(g), b_ineq=h)
 
 
+def _coupled_qp():
+    """The beta=1e-3 relaxation at k=2 over the filter and all n·k slacks:
+    Q couples the k slacks of each sample, so no column is separable and
+    the QP step runs with none eliminated."""
+    import numpy as np
+
+    from convrelax import model
+    from convrelax.qpsolve import ConvexProgram
+
+    _, ds = model.sample_planted(10, 8, 2, 14)
+    n, k, p = ds.n, ds.k, ds.filter_size
+    nz = n * k
+    slack = p + np.arange(nz)
+    a = np.zeros((2 * nz, p + nz))
+    a[:nz, :p] = ds.blocks().reshape(nz, p)
+    a[np.arange(nz), slack] = -1.0
+    a[nz + np.arange(nz), slack] = -1.0
+    q = np.zeros((p + nz, p + nz))
+    q[p:, p:] = np.kron(np.eye(n), np.ones((k, k)))
+    r = model.substream(15, model.STREAM_PERTURBATION).standard_normal(p)
+    c = np.concatenate([1e-3 * r, np.repeat(-ds.y, k)])
+    return ConvexProgram(c=c, q=q, a_ineq=a, b_ineq=np.zeros(2 * nz))
+
+
 def _small_programs():
-    """An equality-only QP, and infeasible and unbounded LPs small enough
-    for the primal route and tall enough for the dual route (more than
-    twice as many rows as variables)."""
+    """A QP without separable columns, and infeasible and unbounded LPs
+    small enough for the primal route and tall enough for the dual route
+    (more than twice as many rows as variables)."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram
 
-    rng = np.random.default_rng(20261019)
-    f = rng.standard_normal((5, 4))
-    yield "qp-equality-only", ConvexProgram(c=rng.standard_normal(4), q=f.T @ f,
-                                            a_eq=rng.standard_normal((2, 4)), b_eq=[1.0, -0.5])
+    yield "qp-coupled", _coupled_qp()
     # x1 <= -1 against x1 >= 0
     yield "lp-infeasible-primal-route", ConvexProgram(
         c=[1.0, 1.0, 0.5], a_ineq=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], b_ineq=[-1.0, 0.0])

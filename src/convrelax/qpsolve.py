@@ -1,16 +1,17 @@
 """Dense convex solver for linearly constrained LPs and QPs.
 
 This is the single numerical engine used by the rest of the package.
-Linear programs run through a homogeneous self-dual embedding with
-Mehrotra predictor-corrector steps, which gives clean certificates of
-infeasibility and unboundedness.  Quadratic programs (PSD curvature)
-run an infeasible-start predictor-corrector on the slack KKT system
-with static regularization; when the program has separable columns
-(diagonal curvature, at most one of them per row) the step eliminates
-them onto the Schur complement of the others.  Candidate optima are
-refined by an active-set polish solve, and a report is declared
-Optimal only after the KKT residuals have been recomputed from scratch
-and verified against the requested tolerance.
+Linear programs, with or without equality rows, run through a
+homogeneous self-dual embedding with Mehrotra predictor-corrector steps,
+which gives clean certificates of infeasibility and unboundedness.
+Quadratic programs (PSD curvature, no equality row, at least one
+inequality row left after presolve) run an infeasible-start
+predictor-corrector on the slack KKT system with static regularization,
+stepping on the Cholesky factor of the Schur complement left by
+eliminating the separable columns (diagonal curvature, at most one per
+row).  Candidate optima are refined by an active-set polish solve, and
+a report is declared Optimal only after the KKT residuals have been
+recomputed from scratch and verified against the requested tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 # Static Tikhonov term added to every factorized KKT/normal system.
@@ -375,7 +375,7 @@ def _hsd(A, b, c, tol, max_iter):
             if failed:
                 status = SolveStatus.NUMERICAL_FAILURE
                 break
-        except (scipy.linalg.LinAlgError, FloatingPointError, ZeroDivisionError):
+        except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError):
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
@@ -534,105 +534,34 @@ def _lp_solve_dual_route(program: ConvexProgram, tol, max_iter):
 # ---------------------------------------------------------------------------
 
 
-def _qp_equality_only(program: ConvexProgram, tol):
-    m, q = program.n_vars, program.n_eq
-    sol = _kkt_lstsq(program, np.zeros(0, dtype=int))
-    x, nu = sol[:m], sol[m:]
-    stat, feas, _ = _kkt_measures(program, x, np.zeros(0), nu)
-    scale = 1.0 + float(np.max(np.abs(program.c))) + (float(np.max(np.abs(program.b_eq))) if q else 0.0)
-    if feas > tol * scale:
-        return SolveStatus.PRIMAL_INFEASIBLE, x, nu
-    if stat > tol * scale:
-        # consistent constraints but no stationary point: curvature is flat
-        # along a descent direction, so the objective is unbounded below
-        return SolveStatus.DUAL_UNBOUNDED, x, nu
-    return SolveStatus.OPTIMAL, x, nu
+def _separable_columns(program: ConvexProgram) -> np.ndarray:
+    """The separable columns U of a QP, as a mask over its columns.
 
-
-class _DenseKkt:
-    """The Newton step on the full (m+q)² KKT matrix [Q + GᵀDG, Aᵀ; A, 0],
-    LU-factored, with the products on the dense program."""
-
-    def __init__(self, program: ConvexProgram):
-        self.program = program
-
-    def g_dot(self, x):
-        return self.program.a_ineq @ x
-
-    def gt_dot(self, v):
-        return self.program.a_ineq.T @ v
-
-    def q_dot(self, x):
-        return self.program.q @ x
-
-    def objective(self, x):
-        return self.program.objective(x)
-
-    def factor(self, d, delta):
-        """A solve (rhs_x, rhs_eq) -> (dx, dnu) of the step system with
-        D = diag(d), or None when no regularization makes it factorable."""
-        Q, G, A = self.program.q, self.program.a_ineq, self.program.a_eq
-        m, q = self.program.n_vars, self.program.n_eq
-        K = np.zeros((m + q, m + q))
-        K[:m, :m] = Q + (G.T * d) @ G
-        K[np.diag_indices(m)] += delta
-        if q:
-            K[:m, m:] = A.T
-            K[m:, :m] = A
-            K[m + np.arange(q), m + np.arange(q)] -= delta
-
-        for attempt in range(3):
-            try:
-                lu = scipy.linalg.lu_factor(K, check_finite=False)
-                break
-            except scipy.linalg.LinAlgError:
-                bump = KKT_REGULARIZATION * (100.0 ** (attempt + 1))
-                K[np.diag_indices(m)] += bump
-                K[m + np.arange(q), m + np.arange(q)] -= bump
-        else:
-            return None
-
-        def solve(rhs_x, rhs_eq):
-            rhs = np.concatenate([rhs_x, rhs_eq]) if q else rhs_x
-            sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-            return sol[:m], (sol[m:] if q else np.zeros(0))
-
-        return solve
+    A column is separable when its diagonal entry of Q is positive and
+    the rest of its row and column of Q is zero.  U must also hold at
+    most one nonzero of every inequality row, so that the U-block of
+    Q + GᵀDG is diagonal; when a row holds two, U is empty.
+    """
+    Q = program.q
+    single = (np.count_nonzero(Q, axis=0) == 1) & (np.count_nonzero(Q, axis=1) == 1)
+    sep = single & (Q.diagonal() > 0.0)
+    if np.any(np.count_nonzero((program.a_ineq != 0.0) & sep, axis=1) > 1):
+        sep[:] = False
+    return sep
 
 
 class _SchurKkt:
-    """The Newton step with the separable columns U eliminated.
+    """The Newton step on K = Q + GᵀDG + δI, separable columns U eliminated.
 
     G is held as dense G_w on the other columns plus one (column,
-    coefficient) entry per row on U (coefficient 0 where a row has none),
-    so the products scatter with ``np.bincount``.  The U-block of the
-    normal matrix K = Q + GᵀDG + δI is a vector K_uu, and the step solves
-    the Schur complement S = K_ww − K_wu·K_uu⁻¹·K_uw by Cholesky.
+    coefficient) entry per row on U, so the products scatter with
+    ``np.bincount``; a row without a nonzero on U has coefficient 0 and
+    the spare column n_u, a bin that is dropped.  The U-block of K is a
+    vector K_uu, and the step solves the Schur complement
+    S = K_ww − K_wu·K_uu⁻¹·K_uw by Cholesky; with U empty, S is K itself.
     """
 
-    @classmethod
-    def of(cls, program: ConvexProgram):
-        """The step for ``program``, or None when it does not apply.
-
-        A column is separable when its diagonal entry of Q is positive
-        and the rest of its row and column of Q is zero.  The step
-        applies when U is nonempty, there are no equality rows and every
-        inequality row has at most one nonzero in U, so the U-block of
-        GᵀDG + Q is diagonal.
-        """
-        Q = program.q
-        if program.n_eq:
-            return None
-        single = (np.count_nonzero(Q, axis=0) == 1) & (np.count_nonzero(Q, axis=1) == 1)
-        sep = single & (Q.diagonal() > 0.0)
-        if not sep.any():
-            return None
-        touches = (program.a_ineq != 0.0)[:, sep]
-        if np.any(touches.sum(axis=1) > 1):
-            return None
-        return cls(program, sep, touches)
-
-    def __init__(self, program: ConvexProgram, sep: np.ndarray, touches: np.ndarray):
+    def __init__(self, program: ConvexProgram, sep: np.ndarray):
         Q, G = program.q, program.a_ineq
         self.c = program.c
         self.w, self.u = np.flatnonzero(~sep), np.flatnonzero(sep)
@@ -640,12 +569,16 @@ class _SchurKkt:
         self.q_ww = Q[np.ix_(self.w, self.w)]
         self.q_u = Q.diagonal()[self.u]
         self.g_w = G[:, self.w]
-        self.col = touches.argmax(axis=1)
-        self.coef = G[np.arange(G.shape[0]), self.u[self.col]]
-        # rows grouped by their column, for K_uw; a row without one adds 0
-        self.order = np.argsort(self.col, kind="stable")
+        on_u = (G != 0.0) & sep
+        self.x_col = on_u.argmax(axis=1)  # the entry's column of x (0 if none)
+        rows = np.arange(G.shape[0])
+        has = on_u[rows, self.x_col]
+        self.coef = np.where(has, G[rows, self.x_col], 0.0)
+        self.col = np.where(has, (np.cumsum(sep) - 1)[self.x_col], self.n_u)
+        # the rows on U grouped by their column, for K_uw
+        self.order = np.argsort(self.col, kind="stable")[: np.count_nonzero(has)]
         grouped = self.col[self.order]
-        self.starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        self.starts = np.flatnonzero(np.diff(grouped, prepend=-1))
         self.group_col = grouped[self.starts]
         self.g_w_grouped = self.g_w[self.order]
 
@@ -655,11 +588,14 @@ class _SchurKkt:
         x[self.u] = x_u
         return x
 
+    def _on_u(self, weights):
+        return np.bincount(self.col, weights=weights, minlength=self.n_u + 1)[: self.n_u]
+
     def g_dot(self, x):
-        return self.g_w @ x[self.w] + self.coef * x[self.u][self.col]
+        return self.g_w @ x[self.w] + self.coef * x[self.x_col]
 
     def gt_dot(self, v):
-        return self._join(self.g_w.T @ v, np.bincount(self.col, weights=self.coef * v, minlength=self.n_u))
+        return self._join(self.g_w.T @ v, self._on_u(self.coef * v))
 
     def q_dot(self, x):
         return self._join(self.q_ww @ x[self.w], self.q_u * x[self.u])
@@ -669,8 +605,10 @@ class _SchurKkt:
         return float(0.5 * (x_w @ self.q_ww @ x_w + self.q_u @ (x_u * x_u)) + self.c @ x)
 
     def factor(self, d, delta):
+        """A solve rhs -> dx of the step system with D = diag(d), or None
+        when no regularization makes S factorable."""
         dc = d * self.coef
-        k_uu = np.bincount(self.col, weights=dc * self.coef, minlength=self.n_u) + self.q_u + delta
+        k_uu = self._on_u(dc * self.coef) + self.q_u + delta
         k_uw = np.zeros((self.n_u, self.n_w))
         k_uw[self.group_col] = np.add.reduceat(self.g_w_grouped * dc[self.order, None], self.starts, axis=0)
         k_ww = self.q_ww + (self.g_w.T * d) @ self.g_w
@@ -687,28 +625,32 @@ class _SchurKkt:
         else:
             return None
 
-        def solve(rhs_x, rhs_eq):
-            rhs_w, t = rhs_x[self.w], rhs_x[self.u] / k_uu
+        def solve(rhs):
+            rhs_w, t = rhs[self.w], rhs[self.u] / k_uu
             dx_w = dpotrs(chol, rhs_w - k_uw.T @ t, lower=False)[0] if self.n_w else rhs_w
-            return self._join(dx_w, t - scaled @ dx_w), np.zeros(0)
+            return self._join(dx_w, t - scaled @ dx_w)
 
         return solve
 
 
+def _qp_step_length(s, ds, lam, dlam):
+    # on an unbounded QP a ratio can pass the float range: ∞ is its bound
+    with np.errstate(over="ignore"):
+        return min(1.0, _max_step(s, ds), _max_step(lam, dlam))
+
+
 def _qp_mehrotra(program: ConvexProgram, tol, max_iter):
     c, h = program.c, program.b_ineq
-    A, b = program.a_eq, program.b_eq
-    m, p, q = program.n_vars, program.n_ineq, program.n_eq
-    kkt = _SchurKkt.of(program) or _DenseKkt(program)
+    m, p = program.n_vars, program.n_ineq
+    kkt = _SchurKkt(program, _separable_columns(program))
 
-    x = least_squares(A, b) if q else np.zeros(m)
+    x = np.zeros(m)
     s_hat = h - kkt.g_dot(x)
     s = s_hat + max(-1.5 * float(np.min(s_hat)), 0.0) + 1.0
     lam = np.ones(p)
     shift = 0.5 * (s @ lam)
     s = s + shift / lam.sum()
     lam = lam + shift / s.sum()
-    nu = np.zeros(q)
 
     status = SolveStatus.MAX_ITERATIONS
     iteration = 0
@@ -716,15 +658,11 @@ def _qp_mehrotra(program: ConvexProgram, tol, max_iter):
     stalled = 0
     while iteration < max_iter:
         iteration += 1
-        r_dual = kkt.q_dot(x) + c + kkt.gt_dot(lam) + (A.T @ nu if q else 0.0)
-        r_eq = A @ x - b if q else np.zeros(0)
+        r_dual = kkt.q_dot(x) + c + kkt.gt_dot(lam)
         r_in = kkt.g_dot(x) + s - h
         mu = (s @ lam) / p
 
-        prim = max(
-            float(np.max(np.abs(r_in))) if p else 0.0,
-            float(np.max(np.abs(r_eq))) if q else 0.0,
-        )
+        prim = float(np.max(np.abs(r_in)))
         dual = float(np.max(np.abs(r_dual)))
         comp = float(np.max(s * lam))
         # multipliers scale with the objective's linear part, which can be
@@ -747,52 +685,34 @@ def _qp_mehrotra(program: ConvexProgram, tol, max_iter):
             break
 
         def newton(r_comp):
-            rhs_x = -r_dual + kkt.gt_dot((r_comp - lam * r_in) / s)
-            dx, dnu = lin_solve(rhs_x, -r_eq)
+            dx = lin_solve(-r_dual + kkt.gt_dot((r_comp - lam * r_in) / s))
             ds = -r_in - kkt.g_dot(dx)
             dlam = (-r_comp - lam * ds) / s
-            return dx, dnu, ds, dlam
+            return dx, ds, dlam
 
         # predictor
-        dx, dnu, ds, dlam = newton(s * lam)
-        alpha_aff = min(1.0, _max_step(s, ds), _max_step(lam, dlam))
+        dx, ds, dlam = newton(s * lam)
+        alpha_aff = _qp_step_length(s, ds, lam, dlam)
         mu_aff = ((s + alpha_aff * ds) @ (lam + alpha_aff * dlam)) / p
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # corrector
-        dx, dnu, ds, dlam = newton(s * lam + ds * dlam - sigma * mu)
-        alpha = 0.9995 * min(1.0, _max_step(s, ds), _max_step(lam, dlam))
+        dx, ds, dlam = newton(s * lam + ds * dlam - sigma * mu)
+        alpha = 0.9995 * _qp_step_length(s, ds, lam, dlam)
         stalled = stalled + 1 if alpha < 1e-3 else 0
         x = x + alpha * dx
-        nu = nu + alpha * dnu
         s = s + alpha * ds
         lam = lam + alpha * dlam
         if not np.all(np.isfinite(x)):
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
-    return status, x, lam, nu, iteration
+    return status, x, lam, iteration
 
 
 # ---------------------------------------------------------------------------
 # active-set polish and the public entry point
 # ---------------------------------------------------------------------------
-
-
-def _kkt_lstsq(program: ConvexProgram, active: np.ndarray) -> np.ndarray:
-    """Least-squares solution (x, λ on the active rows, ν) of the KKT
-    system that holds the active inequality rows as equalities."""
-    m, n_a, q = program.n_vars, active.size, program.n_eq
-    K = np.zeros((m + n_a + q, m + n_a + q))
-    K[:m, :m] = program.q
-    rhs = np.concatenate([-program.c, program.b_ineq[active], program.b_eq])
-    if n_a:
-        K[:m, m : m + n_a] = program.a_ineq[active].T
-        K[m : m + n_a, :m] = program.a_ineq[active]
-    if q:
-        K[:m, m + n_a :] = program.a_eq.T
-        K[m + n_a :, :m] = program.a_eq
-    return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
 def _polish(program: ConvexProgram, x, lam, nu, skippable: bool):
@@ -812,17 +732,22 @@ def _polish(program: ConvexProgram, x, lam, nu, skippable: bool):
     n_a = active.size
     if skippable and m + n_a + q > 600:
         return None
+    # the KKT system in (x, λ on the active rows, ν), with those rows tight
+    rows = np.vstack([program.a_ineq[active], program.a_eq])
+    K = np.zeros((m + n_a + q, m + n_a + q))
+    K[:m, :m] = program.q
+    K[:m, m:] = rows.T
+    K[m:, :m] = rows
+    rhs = np.concatenate([-program.c, program.b_ineq[active], program.b_eq])
     try:
-        sol = _kkt_lstsq(program, active)
+        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(sol)):
         return None
-    x_new = sol[:m]
     lam_new = np.zeros(p)
     lam_new[active] = sol[m : m + n_a]
-    nu_new = sol[m + n_a :]
-    return x_new, lam_new, nu_new
+    return sol[:m], lam_new, sol[m + n_a :]
 
 
 def _refine(program: ConvexProgram, status, x, lam, nu, tol):
@@ -862,6 +787,11 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
     Infeasible and unbounded LPs are detected through the self-dual
     embedding; the iteration cap and numerical breakdowns are reported
     through the status field, never as exceptions.
+
+    Any LP is accepted.  A QP is accepted only if, after presolve drops
+    its zero and duplicate rows, it has at least one inequality row and
+    no equality row; any other QP, like a malformed ``tol`` or
+    ``max_iter``, raises ``SolverError``.
     """
     if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
         raise SolverError(f"tol must lie in [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}]")
@@ -869,14 +799,17 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
         raise SolverError("max_iter must be positive")
 
     pre = _presolve(program)
+    red = pre.program
+    is_lp = red.is_lp
+    if not is_lp and (red.n_eq or not red.n_ineq):
+        raise SolverError("a QP needs at least one nonzero inequality row and no equality row")
     if pre.infeasible:
         zero = np.zeros(program.n_vars)
         lam0 = np.zeros(program.n_ineq)
         nu0 = np.zeros(program.n_eq)
         return _finalize(program, SolveStatus.PRIMAL_INFEASIBLE, zero, lam0, nu0, 0, tol)
-    red = pre.program
 
-    if red.is_lp:
+    if is_lp:
         rows = red.n_ineq + red.n_eq
         result = None
         if rows > 2 * red.n_vars and rows > 0:
@@ -885,11 +818,8 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
             result = _lp_solve_primal_route(red, tol, max_iter)
         status, x, lam_red, nu_red, iters = result
     else:
-        if red.n_ineq == 0:
-            status, x, nu_red = _qp_equality_only(red, tol)
-            lam_red, iters = np.zeros(0), 1
-        else:
-            status, x, lam_red, nu_red, iters = _qp_mehrotra(red, tol, max_iter)
+        status, x, lam_red, iters = _qp_mehrotra(red, tol, max_iter)
+        nu_red = np.zeros(0)
 
     x, lam_red, nu_red = _refine(red, status, x, lam_red, nu_red, tol)
     lam = np.zeros(program.n_ineq)

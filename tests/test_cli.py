@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -78,6 +79,19 @@ def test_fit_solver_failure_exit_code(tmp_path, capsys):
     main(["gen", "--n", "4", "--d", "12", "--seed", "1", "--out", str(path)])
     code = main(["fit", "--in", str(path), "--trials", "2"])
     assert code == EXIT_SOLVER
+
+
+def test_failing_beta_qp_fit_prints_no_numpy_warning(tmp_path, capsys):
+    # one sample at k=2, d=8: fewer block rows than filter entries, so
+    # the QP is unbounded and its steps grow past the float range
+    path = tmp_path / "one.csv"
+    main(["gen", "--n", "1", "--d", "8", "--k", "2", "--seed", "2", "--out", str(path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", "--in", str(path), "--beta", "1e-3", "--trials", "2"])
+    assert code == EXIT_SOLVER
+    assert "solver failure" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command", [["fit"], ["fit", "--method", "gd"], ["certify"]])

@@ -34,13 +34,6 @@ from oracles import (
 )
 
 
-def test_unconstrained_projection_qp():
-    # min 1/2||x - y||^2 with y = [3, -1]
-    rep = solve(ConvexProgram(c=[-3.0, 1.0], q=np.eye(2)))
-    assert rep.status == SolveStatus.OPTIMAL
-    np.testing.assert_allclose(rep.x, [3.0, -1.0], atol=1e-10)
-
-
 def test_orthant_lp():
     rep = solve(ConvexProgram(c=[1.0, 1.0], a_ineq=-np.eye(2), b_ineq=[0.0, 0.0]))
     assert rep.status == SolveStatus.OPTIMAL
@@ -361,27 +354,6 @@ def test_max_step_bitwise_matches_masked_divide(seed):
     assert _max_step(v, np.zeros(size)) == np.inf
 
 
-def test_equality_constrained_qp():
-    # min 1/2 x^T x subject to x1 + x2 = 2 -> x = [1, 1]
-    rep = solve(ConvexProgram(c=[0.0, 0.0], q=np.eye(2), a_eq=[[1.0, 1.0]], b_eq=[2.0]))
-    assert rep.status == SolveStatus.OPTIMAL
-    np.testing.assert_allclose(rep.x, [1.0, 1.0], atol=1e-9)
-    np.testing.assert_allclose(rep.nu, [-1.0], atol=1e-8)
-
-
-def test_inconsistent_equalities_rejected():
-    program = ConvexProgram(
-        c=[0.0], q=[[1.0]], a_eq=[[1.0], [1.0]], b_eq=[0.0, 1.0]
-    )
-    assert solve(program).status == SolveStatus.PRIMAL_INFEASIBLE
-
-
-def test_unbounded_qp_flat_direction():
-    # zero curvature along x2 with a pure linear pull and no constraint
-    program = ConvexProgram(c=[0.0, -1.0], q=np.diag([1.0, 0.0]))
-    assert solve(program).status == SolveStatus.DUAL_UNBOUNDED
-
-
 def test_program_validation():
     with pytest.raises(SolverError):
         ConvexProgram(c=[])
@@ -465,14 +437,15 @@ def test_random_lps_match_highs(make):
         _assert_matches_highs(*make(rng, int(rng.integers(2, 4))))
 
 
-# -- the Schur step on separable columns ---------------------------------------
+# -- the QP step and the programs it takes -------------------------------------
 
 
-def _dense_step_solve(monkeypatch, program):
-    """The report of the dense (m+q)² LU step, the reference for the
-    Schur step: ``solve`` with separable-column detection switched off."""
+def _unstructured_solve(monkeypatch, program):
+    """The report of the QP step with no column eliminated, the reference
+    for the Schur step: ``solve`` with separable-column detection
+    switched off."""
     with monkeypatch.context() as patch:
-        patch.setattr(qpsolve._SchurKkt, "of", classmethod(lambda cls, program: None))
+        patch.setattr(qpsolve, "_separable_columns", lambda program: np.zeros(program.n_vars, dtype=bool))
         return solve(program)
 
 
@@ -528,9 +501,9 @@ def test_schur_step_matches_the_dense_step(shape, monkeypatch):
     rng = np.random.default_rng(sum(map(int, shape)) * 7919)
     for _ in range(5):
         program = _separable_qp(rng, *shape)
-        assert qpsolve._SchurKkt.of(program) is not None
+        assert qpsolve._separable_columns(program).any()
         rep = solve(program)
-        ref = _dense_step_solve(monkeypatch, program)
+        ref = _unstructured_solve(monkeypatch, program)
         assert rep.status == ref.status == SolveStatus.OPTIMAL
         assert abs(rep.iterations - ref.iterations) <= 2
         np.testing.assert_allclose(rep.x, ref.x, rtol=0.0, atol=1e-7 * (1.0 + np.max(np.abs(ref.x))))
@@ -552,8 +525,8 @@ def test_schur_step_matches_the_active_set_oracle(shape):
         np.testing.assert_allclose(rep.lam, oracle[1], atol=1e-6)
 
 
-def _fallback_programs():
-    """Programs that miss one condition of the Schur step each."""
+def _unstructured_programs():
+    """Programs that miss one condition of a separable column each."""
     rng = np.random.default_rng(61)
     base = _separable_qp(rng, 2, 3, 6, shuffle=False)
     two_on_u = base.a_ineq.copy()
@@ -564,20 +537,47 @@ def _fallback_programs():
     coupled = base.q.copy()
     coupled[2:, 2:] += 0.1 * (np.ones((3, 3)) - np.eye(3))
     yield "off-diagonal-q-entry", ConvexProgram(c=base.c, q=coupled, a_ineq=base.a_ineq, b_ineq=base.b_ineq)
-    yield "equality-row", ConvexProgram(c=base.c, q=base.q, a_ineq=base.a_ineq, b_ineq=base.b_ineq,
-                                        a_eq=np.ones((1, 5)), b_eq=[0.5])
 
 
-@pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _fallback_programs()])
+@pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _unstructured_programs()])
 def test_programs_without_the_structure_take_the_dense_step(program, monkeypatch):
-    assert qpsolve._SchurKkt.of(program) is None
+    assert not qpsolve._separable_columns(program).any()
     rep = solve(program)
     assert rep.status == SolveStatus.OPTIMAL
-    assert _report_bits(rep) == _report_bits(_dense_step_solve(monkeypatch, program))
+    assert _report_bits(rep) == _report_bits(_unstructured_solve(monkeypatch, program))
+    oracle = qp_active_set_oracle(program.q, program.c, program.a_ineq, program.b_ineq)
+    assert oracle is not None
+    np.testing.assert_allclose(rep.x, oracle[0], atol=1e-7)
+    np.testing.assert_allclose(rep.lam, oracle[1], atol=1e-6)
 
 
 def test_relaxation_qp_takes_the_schur_step():
     _, ds = model.sample_planted(30, 8, 2, 3)
     program = relax.build(ds, 1e-3, np.ones(4)).program
-    kkt = qpsolve._SchurKkt.of(program)
-    assert kkt is not None and kkt.n_w == 4 and kkt.n_u == 30
+    sep = qpsolve._separable_columns(program)
+    kkt = qpsolve._SchurKkt(program, sep)
+    assert kkt.n_w == 4 and kkt.n_u == 30
+
+
+def _rejected_qps():
+    """QPs outside ``solve``'s contract: no inequality row left after
+    presolve, or an equality row."""
+    yield "unconstrained-projection", ConvexProgram(c=[-3.0, 1.0], q=np.eye(2))
+    yield "equality-constrained", ConvexProgram(c=[0.0, 0.0], q=np.eye(2), a_eq=[[1.0, 1.0]],
+                                                b_eq=[2.0])
+    yield "inconsistent-equalities", ConvexProgram(c=[0.0], q=[[1.0]], a_eq=[[1.0], [1.0]],
+                                                   b_eq=[0.0, 1.0])
+    # zero curvature along x2 with a pure linear pull
+    yield "unbounded-flat-direction", ConvexProgram(c=[0.0, -1.0], q=np.diag([1.0, 0.0]))
+    rng = np.random.default_rng(61)
+    base = _separable_qp(rng, 2, 3, 6, shuffle=False)
+    yield "equality-row", ConvexProgram(c=base.c, q=base.q, a_ineq=base.a_ineq, b_ineq=base.b_ineq,
+                                        a_eq=np.ones((1, 5)), b_eq=[0.5])
+    yield "inequality-rows-all-zero", ConvexProgram(c=[1.0, -1.0], q=np.eye(2), a_ineq=np.zeros((3, 2)),
+                                                    b_ineq=[0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _rejected_qps()])
+def test_qp_outside_the_contract_is_rejected(program):
+    with pytest.raises(SolverError, match="QP needs"):
+        solve(program)
