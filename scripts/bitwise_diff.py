@@ -7,10 +7,12 @@ Each SRC is a directory holding the ``convrelax`` package (a checkout's
 BLAS pinned to one thread, and every ``SolveReport`` that
 ``qpsolve.solve`` returns is compared field by field, floats by their
 bytes, case by case. The script prints one line for every report that
-differs, naming its case and its first differing field (and a line for
-every case whose number of reports differs), then how many cases
-differ; or it prints "identical". It exits 1 or 0 accordingly, so a
-deliberate re-numbering shows its whole extent.
+differs, naming its case, its first differing field and entry, and for
+every differing float field how many entries differ and the largest
+|delta| among them (and a line for every case whose number of reports
+differs), then how many cases differ; or it prints "identical". It
+exits 1 or 0 accordingly, so a deliberate re-numbering shows its whole
+extent and size.
 
 The panel: k=1 relaxation LPs at n=400 and n=2000 (the dual route),
 the row-generated k=2 and k=5 relaxation LPs (one report per round), the
@@ -31,8 +33,8 @@ import os
 import subprocess
 import sys
 
-FIELDS = ("status", "iterations", "x", "lam", "nu", "primal_residual", "dual_residual",
-          "complementarity_gap")
+FLOAT_FIELDS = ("x", "lam", "nu", "primal_residual", "dual_residual", "complementarity_gap")
+FIELDS = ("status", "iterations", *FLOAT_FIELDS)
 
 
 def _presolve_programs():
@@ -184,6 +186,18 @@ def _describe(name: str, old, new) -> str:
     return f"entry {j}: {float(a[j])!r} != {float(b[j])!r}"
 
 
+def _extent(name: str, old: str, new: str) -> str:
+    """How many entries of a float field differ, and by how much at most."""
+    import numpy as np
+
+    a, b = (np.frombuffer(bytes.fromhex(v), dtype=float) for v in (old, new))
+    if a.shape != b.shape:
+        return f"{name}: length {a.size} != {b.size}"
+    differ = a.view(np.int64) != b.view(np.int64)
+    delta = float(np.max(np.abs(a[differ] - b[differ])))
+    return f"{name}: {np.count_nonzero(differ)} of {a.size} entries differ, max |delta| {delta:.3g}"
+
+
 def _by_case(records: list[dict]) -> dict[str, list[dict]]:
     cases: dict[str, list[dict]] = {}
     for record in records:
@@ -206,7 +220,9 @@ def differences(old: list[dict], new: list[dict]) -> tuple[list[str], int]:
             name = next((name for name in FIELDS if fa[name] != fb[name]), None)
             if name is not None:
                 detail = _describe(name, fa[name], fb[name])
-                lines.append(f"{case}, report {i}: field {name} differs, {detail}")
+                extents = [_extent(f, fa[f], fb[f]) for f in FLOAT_FIELDS if fa[f] != fb[f]]
+                extent = f" ({'; '.join(extents)})" if extents else ""
+                lines.append(f"{case}, report {i}: field {name} differs, {detail}{extent}")
         differing += len(lines) > found
     return lines, differing
 

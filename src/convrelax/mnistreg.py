@@ -219,15 +219,25 @@ def ridge_fit(x: np.ndarray, y: np.ndarray, lam: float) -> RidgeModel:
         raise ValueError("lam must be nonnegative")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, d = x.shape
-    a = np.hstack([x, np.ones((n, 1))])
     if lam > 0:
-        reg = np.zeros((d, d + 1))
-        reg[:, :d] = np.sqrt(lam) * np.eye(d)
-        a = np.vstack([a, reg])
-        y = np.concatenate([y, np.zeros(d)])
-    sol = least_squares(a, y)
+        return _ridge_path(x, y)(lam)
+    n, d = x.shape
+    sol = least_squares(np.hstack([x, np.ones((n, 1))]), y)
     return RidgeModel(weights=sol[:d], intercept=float(sol[d]), lam=lam)
+
+
+def _ridge_path(x: np.ndarray, y: np.ndarray):
+    """λ ↦ ``ridge_fit(x, y, λ)`` for λ > 0, from one SVD U·diag(s)·Vᵀ of
+    the centred design: w = V·diag(s/(s²+λ))·Uᵀ(y − ȳ), b = ȳ − x̄ᵀw."""
+    x_mean, y_mean = x.mean(axis=0), float(y.mean())
+    u, s, vt = np.linalg.svd(x - x_mean, full_matrices=False)
+    uty = u.T @ (y - y_mean)
+
+    def at(lam: float) -> RidgeModel:
+        w = vt.T @ (s / (s * s + lam) * uty)
+        return RidgeModel(weights=w, intercept=y_mean - float(x_mean @ w), lam=lam)
+
+    return at
 
 
 def ridge_predict(model: RidgeModel, x: np.ndarray) -> np.ndarray:
@@ -290,14 +300,16 @@ def select_lambda(
     val_fraction: float = 0.1,
     seed: int = 0,
 ) -> float:
-    """Pick the ridge weight minimizing RMSE on a held-out validation slice."""
+    """Pick the ridge weight minimizing RMSE on a held-out validation
+    slice; one SVD of the training slice serves every λ > 0."""
     n = x.shape[0]
     order = substream(seed, STREAM_MNIST_SELECT, 1).permutation(n)
     n_val = max(1, int(round(val_fraction * n)))
     val, tr = order[:n_val], order[n_val:]
+    path = _ridge_path(x[tr], y[tr])
     best_lam, best_err = None, np.inf
     for lam in grid:
-        m = ridge_fit(x[tr], y[tr], lam)
+        m = path(lam) if lam > 0 else ridge_fit(x[tr], y[tr], lam)
         err = rmse(ridge_predict(m, x[val]), y[val])
         if err < best_err:
             best_lam, best_err = lam, err

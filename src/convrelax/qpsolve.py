@@ -9,14 +9,16 @@ inequality row left after presolve) run an infeasible-start
 predictor-corrector on the slack KKT system with static regularization,
 stepping on the Cholesky factor of the Schur complement left by
 eliminating the separable columns (diagonal curvature, at most one per
-row).  Candidate optima are refined by an active-set polish solve, and
-a report is declared Optimal only after the KKT residuals have been
-recomputed from scratch and verified against the requested tolerance.
+row).  Candidate optima are refined by an active-set polish, which
+eliminates the same columns and those fixed at 0 by active sign bounds
+before its lstsq.  A report is declared Optimal only after the KKT
+residuals have been recomputed from scratch and verified against the
+requested tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -43,12 +45,10 @@ class SolverError(RuntimeError):
     """Raised for malformed solver inputs (not for solve outcomes)."""
 
 
-def _as_matrix(a, cols: int | None, name: str) -> np.ndarray:
-    if a is None:
-        a = np.zeros((0, cols if cols is not None else 0))
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+def _as_matrix(a, cols: int, name: str) -> np.ndarray:
+    a = np.zeros((0, cols)) if a is None else np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
-        a = a.reshape(0, cols if cols is not None else a.shape[1] if a.ndim == 2 else 0)
+        a = a.reshape(0, cols)
     if not np.all(np.isfinite(a)):
         raise SolverError(f"{name} contains non-finite entries")
     return a
@@ -241,17 +241,9 @@ def _presolve(program: ConvexProgram) -> _Presolved:
         and program.a_ineq.flags.c_contiguous
         and program.a_eq.flags.c_contiguous
     )
-    if unchanged:
-        reduced = program
-    else:
-        reduced = ConvexProgram(
-            c=program.c,
-            q=program.q,
-            a_ineq=program.a_ineq[keep_ineq],
-            b_ineq=program.b_ineq[keep_ineq],
-            a_eq=program.a_eq[keep_eq],
-            b_eq=program.b_eq[keep_eq],
-        )
+    reduced = program if unchanged else replace(
+        program, a_ineq=program.a_ineq[keep_ineq], b_ineq=program.b_ineq[keep_ineq],
+        a_eq=program.a_eq[keep_eq], b_eq=program.b_eq[keep_eq])
     return _Presolved(reduced, keep_ineq, keep_eq, infeasible=bad_ineq or bad_eq)
 
 
@@ -411,25 +403,29 @@ class _StdForm:
     n_eq: int
 
 
-def _lp_standard_form(program: ConvexProgram) -> _StdForm:
-    m = program.n_vars
-    G, h = program.a_ineq, program.b_ineq
-    A, b = program.a_eq, program.b_eq
-
-    # a row −s·x_j ≤ 0 with s > 0 is the sign bound x_j ≥ 0; the first
-    # such row of each variable becomes its bound, later ones stay generic
+def _sign_bounds(G: np.ndarray, h: np.ndarray):
+    """(variables j, rows, scales s) of the sign bounds x_j ≥ 0 in G·x ≤ h:
+    the first row −s·x_j ≤ 0 with s > 0 of each variable."""
     nonzero = G != 0.0
     first = nonzero.argmax(axis=1)
     lead = G[np.arange(G.shape[0]), first]
     candidates = np.flatnonzero((h == 0.0) & (nonzero.sum(axis=1) == 1) & (lead < 0))
     bound_vars, first_row = np.unique(first[candidates], return_index=True)
     bound_rows = candidates[first_row]
-    is_generic = np.ones(G.shape[0], dtype=bool)
-    is_generic[bound_rows] = False
-    generic = np.flatnonzero(is_generic)
+    return bound_vars, bound_rows, -lead[bound_rows]
 
-    split = np.ones(m, dtype=bool)
-    split[bound_vars] = False
+
+def _lp_standard_form(program: ConvexProgram) -> _StdForm:
+    m = program.n_vars
+    G, h = program.a_ineq, program.b_ineq
+    A, b = program.a_eq, program.b_eq
+
+    # each sign bound makes its variable nonnegative; later rows of the
+    # same variable stay generic
+    bound_vars, bound_rows, bound_scales = _sign_bounds(G, h)
+    generic = np.flatnonzero(np.bincount(bound_rows, minlength=G.shape[0]) == 0)
+
+    split = np.bincount(bound_vars, minlength=m) == 0
     width = np.where(split, 2, 1)
     col = np.cumsum(width) - width
     next_col = int(width.sum())
@@ -449,8 +445,7 @@ def _lp_standard_form(program: ConvexProgram) -> _StdForm:
     slack = np.arange(generic.size)
     A_std[q_eq + slack, next_col + slack] = 1.0
 
-    return _StdForm(A_std, b_std, c_std, col, split, bound_rows, bound_vars, -lead[bound_rows],
-                    generic, q_eq)
+    return _StdForm(A_std, b_std, c_std, col, split, bound_rows, bound_vars, bound_scales, generic, q_eq)
 
 
 def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
@@ -639,10 +634,10 @@ def _qp_step_length(s, ds, lam, dlam):
         return min(1.0, _max_step(s, ds), _max_step(lam, dlam))
 
 
-def _qp_mehrotra(program: ConvexProgram, tol, max_iter):
+def _qp_mehrotra(program: ConvexProgram, sep, tol, max_iter):
     c, h = program.c, program.b_ineq
     m, p = program.n_vars, program.n_ineq
-    kkt = _SchurKkt(program, _separable_columns(program))
+    kkt = _SchurKkt(program, sep)
 
     x = np.zeros(m)
     s_hat = h - kkt.g_dot(x)
@@ -715,47 +710,68 @@ def _qp_mehrotra(program: ConvexProgram, tol, max_iter):
 # ---------------------------------------------------------------------------
 
 
-def _polish(program: ConvexProgram, x, lam, nu, skippable: bool):
+def _polish(program: ConvexProgram, sep, x, lam, nu, skippable: bool):
     """Refine a near-optimal pair by solving the KKT system of the guessed
     active set; returns the refined triple or None when the guess fails.
 
-    Massively degenerate solutions (think the zero vertex with every
-    zero-label row tight) would make this cubic-cost solve dominate the
-    whole run, so a large system is skipped when the iterate is already
-    within tolerance (``skippable``)."""
+    Columns leave the system in closed form before lstsq: a column j
+    fixed at 0 by a tight row −s·x_j ≤ 0 (or = 0), s > 0, with that row,
+    whose multiplier comes from j's stationarity row; and a separable
+    column of ``sep`` (the QP step's mask), x_U = −(c_U + R_Uᵀλ)/q_U over
+    the kept rows R.  The core over the other columns W is
+    [[Q_WW, R_Wᵀ], [R_W, −R_U·diag(q_U)⁻¹·R_Uᵀ]], the whole system if
+    nothing leaves.  Massively degenerate solutions (think the zero
+    vertex with every zero-label row tight) would make this solve
+    dominate, so a system of over 600 rows before elimination is
+    skipped when the iterate already meets tol (``skippable``)."""
     m, p, q = program.n_vars, program.n_ineq, program.n_eq
-    if p:
-        slack = program.b_ineq - program.a_ineq @ x
-        active = np.flatnonzero((slack < lam) | (slack <= 1e-7 * (1.0 + np.abs(program.b_ineq))))
-    else:
-        active = np.zeros(0, dtype=int)
+    slack = program.b_ineq - program.a_ineq @ x
+    active = np.flatnonzero((slack < lam) | (slack <= 1e-7 * (1.0 + np.abs(program.b_ineq))))
     n_a = active.size
     if skippable and m + n_a + q > 600:
         return None
-    # the KKT system in (x, λ on the active rows, ν), with those rows tight
-    rows = np.vstack([program.a_ineq[active], program.a_eq])
-    K = np.zeros((m + n_a + q, m + n_a + q))
-    K[:m, :m] = program.q
-    K[:m, m:] = rows.T
-    K[m:, :m] = rows
-    rhs = np.concatenate([-program.c, program.b_ineq[active], program.b_eq])
+    # the active and the equality rows, all tight
+    g_a = np.vstack([program.a_ineq[active], program.a_eq])
+    h_a = np.concatenate([program.b_ineq[active], program.b_eq])
+    fixed, bound_rows, scales = _sign_bounds(g_a, h_a)
+    kept = np.bincount(bound_rows, minlength=n_a + q) == 0
+    rows = g_a[kept]
+    is_fixed = np.bincount(fixed, minlength=m) > 0
+    w, u = np.flatnonzero(~(sep | is_fixed)), np.flatnonzero(sep & ~is_fixed)
+    n_w = w.size
+    q_u, r_u = program.q.diagonal()[u], rows[:, u]
+    x_u0 = -program.c[u] / q_u  # x_U at λ = 0
+    # the KKT system in (x_W, the kept rows' multipliers)
+    K = np.zeros((n_w + rows.shape[0],) * 2)
+    K[:n_w, :n_w] = program.q[w][:, w]
+    K[:n_w, n_w:] = rows[:, w].T
+    K[n_w:, :n_w] = rows[:, w]
+    K[n_w:, n_w:] -= (r_u / q_u) @ r_u.T
+    rhs = np.concatenate([-program.c[w], h_a[kept] - r_u @ x_u0])
     try:
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(sol)):
         return None
+    x_new = np.zeros(m)
+    x_new[w] = sol[:n_w]
+    x_new[u] = x_u0 - (r_u.T @ sol[n_w:]) / q_u
+    mult = np.zeros(n_a + q)
+    mult[kept] = sol[n_w:]
+    # a dropped row's −s·λ balances the rest of its column's stationarity row
+    mult[bound_rows] = (program.q[fixed] @ x_new + program.c[fixed] + g_a[:, fixed].T @ mult) / scales
     lam_new = np.zeros(p)
-    lam_new[active] = sol[m : m + n_a]
-    return sol[:m], lam_new, sol[m + n_a :]
+    lam_new[active] = mult[:n_a]
+    return x_new, lam_new, mult[n_a:]
 
 
-def _refine(program: ConvexProgram, status, x, lam, nu, tol):
+def _refine(program: ConvexProgram, sep, status, x, lam, nu, tol):
     """Apply the polish when optimal and keep whichever pair is cleaner."""
     if status != SolveStatus.OPTIMAL:
         return x, lam, nu
     raw = _kkt_measures(program, x, lam, nu)
-    candidate = _polish(program, x, lam, nu, skippable=max(raw) <= tol)
+    candidate = _polish(program, sep, x, lam, nu, skippable=max(raw) <= tol)
     if candidate is None:
         return x, lam, nu
     if max(_kkt_measures(program, *candidate)) < max(raw):
@@ -804,10 +820,8 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
     if not is_lp and (red.n_eq or not red.n_ineq):
         raise SolverError("a QP needs at least one nonzero inequality row and no equality row")
     if pre.infeasible:
-        zero = np.zeros(program.n_vars)
-        lam0 = np.zeros(program.n_ineq)
-        nu0 = np.zeros(program.n_eq)
-        return _finalize(program, SolveStatus.PRIMAL_INFEASIBLE, zero, lam0, nu0, 0, tol)
+        zeros = (np.zeros(program.n_vars), np.zeros(program.n_ineq), np.zeros(program.n_eq))
+        return _finalize(program, SolveStatus.PRIMAL_INFEASIBLE, *zeros, 0, tol)
 
     if is_lp:
         rows = red.n_ineq + red.n_eq
@@ -817,11 +831,13 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
         if result is None:
             result = _lp_solve_primal_route(red, tol, max_iter)
         status, x, lam_red, nu_red, iters = result
+        sep = np.zeros(red.n_vars, dtype=bool)
     else:
-        status, x, lam_red, iters = _qp_mehrotra(red, tol, max_iter)
+        sep = _separable_columns(red)
+        status, x, lam_red, iters = _qp_mehrotra(red, sep, tol, max_iter)
         nu_red = np.zeros(0)
 
-    x, lam_red, nu_red = _refine(red, status, x, lam_red, nu_red, tol)
+    x, lam_red, nu_red = _refine(red, sep, status, x, lam_red, nu_red, tol)
     lam = np.zeros(program.n_ineq)
     nu = np.zeros(program.n_eq)
     lam[pre.keep_ineq] = lam_red

@@ -7,7 +7,8 @@ by scipy's NNLS with HiGHS near the boundary, and LPs in A_ub form by
 HiGHS itself.  ``lifted_lp`` and ``lifted_qp`` only build programs: the
 vanishing-weight and the β > 0 relaxation in the lifted form the package
 solved before it eliminated the slacks, kept as references for tests to
-solve.
+solve.  ``full_polish`` is the solver's active-set polish as it was
+before it eliminated columns: one lstsq over the whole KKT system.
 """
 
 from itertools import combinations
@@ -165,6 +166,37 @@ def lifted_qp(dataset, beta, r):
     q[p:, p:] = np.kron(np.eye(n), np.ones((k, k)))
     c = np.concatenate([beta * np.asarray(r, dtype=float), np.repeat(-dataset.y, k)])
     return ConvexProgram(c=c, q=q, a_ineq=np.vstack([a_resp, a_nonneg]), b_ineq=np.zeros(2 * nz))
+
+
+def full_polish(program, sep, x, lam, nu, skippable):
+    """The active-set polish over the whole KKT system, in the call
+    signature of ``qpsolve._polish``, which it replaces in tests: the
+    (x, λ on the guessed active rows, ν) system with those rows tight,
+    solved by one lstsq with no column eliminated (``sep`` unused)."""
+    m, p, q = program.n_vars, program.n_ineq, program.n_eq
+    if p:
+        slack = program.b_ineq - program.a_ineq @ x
+        active = np.flatnonzero((slack < lam) | (slack <= 1e-7 * (1.0 + np.abs(program.b_ineq))))
+    else:
+        active = np.zeros(0, dtype=int)
+    n_a = active.size
+    if skippable and m + n_a + q > 600:
+        return None
+    rows = np.vstack([program.a_ineq[active], program.a_eq])
+    K = np.zeros((m + n_a + q, m + n_a + q))
+    K[:m, :m] = program.q
+    K[:m, m:] = rows.T
+    K[m:, :m] = rows
+    rhs = np.concatenate([-program.c, program.b_ineq[active], program.b_eq])
+    try:
+        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(sol)):
+        return None
+    lam_new = np.zeros(p)
+    lam_new[active] = sol[m : m + n_a]
+    return sol[:m], lam_new, sol[m + n_a :]
 
 
 # ---------------------------------------------------------------------------

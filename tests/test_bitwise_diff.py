@@ -34,12 +34,26 @@ def test_every_differing_case_is_listed_with_its_first_field():
            _record("c"), _record("d"), _record("d", x=(1.0, -0.0))]
     lines, differing = bitwise_diff.differences(old, new)
     assert lines == [
-        "b, report 0: field x differs, entry 1: 2.0 != 2.5",
+        "b, report 0: field x differs, entry 1: 2.0 != 2.5 (x: 1 of 2 entries differ, max |delta| 0.5)",
         "c: report count 1 != 2",
-        "c, report 0: field status differs, 'Optimal' != 'DualUnbounded'",
-        "d, report 1: field x differs, entry 1: 2.0 != -0.0",
+        "c, report 0: field status differs, 'Optimal' != 'DualUnbounded' (x: length 2 != 1)",
+        "d, report 1: field x differs, entry 1: 2.0 != -0.0 (x: 1 of 2 entries differ, max |delta| 2)",
     ]
     assert differing == 3
+
+
+def test_every_differing_float_field_states_its_count_and_largest_delta():
+    old = _record("a", x=(1.0, 2.0, 3.0, 0.0))
+    new = _record("a", x=(1.0, 2.0 + 1e-12, 3.0 - 4e-12, -0.0))
+    new["fields"]["lam"] = _hex([0.25])
+    new["fields"]["dual_residual"] = _hex(1e-15)
+    lines, differing = bitwise_diff.differences([old], [new])
+    assert lines == [
+        "a, report 0: field x differs, entry 1: 2.0 != 2.000000000001 (x: 3 of 4 entries differ, "
+        "max |delta| 4e-12; lam: 1 of 1 entries differ, max |delta| 0.25; "
+        "dual_residual: 1 of 1 entries differ, max |delta| 1e-15)",
+    ]
+    assert differing == 1
 
 
 def test_a_case_missing_on_one_side_is_listed():

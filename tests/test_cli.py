@@ -1,7 +1,11 @@
 import json
+import os
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convrelax import qpsolve, relax, sweep
 from convrelax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
@@ -216,3 +220,35 @@ def test_sweep_invalid_tau_fails_before_any_trial(tmp_path, capsys, tau):
                  "--tau", tau, "--out", str(out)]) == EXIT_USAGE
     assert not out.exists()
     assert "tau" in capsys.readouterr().err
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300, 1e300, float("nan"),
+                            float("inf"), float("-inf")])
+
+
+@st.composite
+def _small_csvs(draw):
+    """A small CSV in the dataset format: any width, a k that may not
+    divide it, a few rows of entries drawn with non-finite values,
+    negative labels and all-zero rows among them."""
+    n, d, k = draw(st.integers(0, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rows = []
+    for _ in range(n):
+        row = [0.0] * (d + 1) if draw(st.booleans()) and draw(st.booleans()) else draw(
+            st.lists(_ENTRIES | st.floats(-5.0, 5.0), min_size=d + 1, max_size=d + 1))
+        rows.append(",".join(repr(v) for v in row))
+    head = [f"# n={n} d={d} k={k} seed={draw(st.integers(0, 50))}",
+            "y," + ",".join(f"x_{j}" for j in range(1, d + 1))]
+    return "\n".join(head + rows) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_small_csvs())
+def test_fit_and_certify_exit_with_a_documented_code_on_any_small_csv(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="ascii") as f:
+            f.write(text)
+        for argv in (["fit", "--in", path, "--beta", "0"], ["fit", "--in", path, "--beta", "1e-3"],
+                     ["certify", "--in", path]):
+            assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER, EXIT_IO)

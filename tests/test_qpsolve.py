@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import time
 
-from convrelax import model, qpsolve, relax
+from convrelax import certify, model, qpsolve, relax
 from convrelax.qpsolve import (
     ConvexProgram,
     SolveReport,
@@ -24,6 +24,7 @@ from convrelax.qpsolve import (
 
 from oracles import (
     bounded_feasible_lp,
+    full_polish,
     highs_lp,
     infeasible_lp,
     lifted_lp,
@@ -581,3 +582,109 @@ def _rejected_qps():
 def test_qp_outside_the_contract_is_rejected(program):
     with pytest.raises(SolverError, match="QP needs"):
         solve(program)
+
+
+# -- the polish's eliminated columns, against the full-system polish -----------
+
+
+def _lstsq_orders(patch):
+    """Record the order of every lstsq system solved under ``patch``."""
+    orders = []
+    lstsq = np.linalg.lstsq
+
+    def recording(a, b, rcond=None):
+        orders.append(a.shape[0])
+        return lstsq(a, b, rcond=rcond)
+
+    patch.setattr(np.linalg, "lstsq", recording)
+    return orders
+
+
+def _with_and_without_elimination(monkeypatch, run):
+    """``run()`` and the orders of its lstsq systems, once as it is and
+    once with ``oracles.full_polish`` in place of the polish."""
+    results = []
+    for polish in (qpsolve._polish, full_polish):
+        with monkeypatch.context() as patch:
+            patch.setattr(qpsolve, "_polish", polish)
+            orders = _lstsq_orders(patch)
+            results.append((run(), orders))
+    return results
+
+
+@pytest.mark.parametrize("k, n", [(1, 200), (2, 100), (5, 60)])
+def test_relaxation_qp_polish_matches_the_full_polish(k, n, monkeypatch):
+    for seed in range(3):
+        _, ds = model.sample_planted(n, 20, k, 40 + seed)
+        r = model.substream(seed, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
+        program = relax.build(ds, 1e-3, r).program
+        # one solve: the same iterate polished both ways
+        (rep, core), (ref, full) = _with_and_without_elimination(monkeypatch, lambda: solve(program))
+        assert rep.status == ref.status == SolveStatus.OPTIMAL
+        np.testing.assert_allclose(rep.x, ref.x, rtol=0.0, atol=1e-9)
+        # the n slack-sum columns leave the system, fixed or separable
+        assert len(core) == len(full) == 1 and core[0] <= full[0] - n
+        # the whole fit, whose generated rows follow the polished iterates
+        (fit, _), (fit_ref, _) = _with_and_without_elimination(
+            monkeypatch, lambda: relax.block_set_lp(ds, program)[0])
+        assert fit.status == fit_ref.status == SolveStatus.OPTIMAL
+        np.testing.assert_allclose(fit.x, fit_ref.x, rtol=0.0, atol=1e-9)
+
+
+def test_phase1_polish_keeps_certificates_at_degenerate_vertices(monkeypatch):
+    degenerate = 0
+    for k, d in ((1, 6), (2, 8), (3, 12), (5, 20)):
+        for n in (20, 40):
+            for seed in range(6):
+                _, ds = model.sample_planted(n, d, k, seed)
+                sets = certify.active_sets(ds.x, model.teacher_filter(ds), k)
+                gens, _ = certify.cone_generators(ds, sets)
+                r = model.substream(seed + 100, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
+                (cert, core), (ref, full) = _with_and_without_elimination(
+                    monkeypatch, lambda: certify.check_cone_condition(gens, -r))
+                assert (cert.exists, cert.boundary) == (ref.exists, ref.boundary)
+                assert abs(cert.elastic_value - ref.elastic_value) <= 1e-10
+                # every sign-bound row of a zero variable leaves the system
+                assert core[-1] < full[-1]
+                degenerate += np.count_nonzero(ref.coefficients > 1e-9) < ds.filter_size
+    assert degenerate >= 10
+
+
+def test_polished_pairs_meet_stationarity_on_every_column(monkeypatch):
+    """The eliminated columns' rows too: x_U from its closed form and the
+    λ of a dropped sign-bound row from its column's stationarity row."""
+    polished = []
+    polish = qpsolve._polish
+
+    def recording(program, *args, **kwargs):
+        candidate = polish(program, *args, **kwargs)
+        polished.append((program, candidate))
+        return candidate
+
+    monkeypatch.setattr(qpsolve, "_polish", recording)
+    for k, n in ((1, 60), (2, 40), (5, 30)):
+        _, ds = model.sample_planted(n, 20, k, 50)
+        r = model.substream(k, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
+        relax.block_set_lp(ds, relax.build(ds, 1e-3, r).program)
+        sets = certify.active_sets(ds.x, model.teacher_filter(ds), k)
+        certify.check_cone_condition(certify.cone_generators(ds, sets)[0], -r)
+    assert len(polished) >= 6
+    for program, candidate in polished:
+        assert qpsolve._kkt_measures(program, *candidate)[0] <= 1e-12
+
+
+def _unstructured_polish_programs():
+    """Programs with no separable column and no sign-bound row."""
+    _, ds = model.sample_planted(200, 20, 1, 3)
+    r = model.substream(3, model.STREAM_PERTURBATION).standard_normal(20)
+    yield "k1-relaxation-lp", relax.build(ds, 0.0, r).program
+    q, c, a, b = random_feasible_qp(np.random.default_rng(71), 6, 8)
+    yield "dense-qp", ConvexProgram(c=c, q=q, a_ineq=a, b_ineq=b)
+
+
+@pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _unstructured_polish_programs()])
+def test_polish_without_structure_is_the_full_polish(program, monkeypatch):
+    (rep, core), (ref, full) = _with_and_without_elimination(monkeypatch, lambda: solve(program))
+    assert rep.status == SolveStatus.OPTIMAL
+    assert core == full and len(core) == 1
+    assert _report_bits(rep) == _report_bits(ref)
