@@ -33,7 +33,7 @@ import os
 import subprocess
 import sys
 
-FLOAT_FIELDS = ("x", "lam", "nu", "primal_residual", "dual_residual", "complementarity_gap")
+FLOAT_FIELDS = ("x", "lam", "primal_residual", "dual_residual", "complementarity_gap")
 FIELDS = ("status", "iterations", *FLOAT_FIELDS)
 
 
@@ -54,12 +54,8 @@ def _presolve_programs():
     h_dup = np.concatenate([h, h[[3, 7, 3]], [1.0, 0.0], [h[2], h[2]], np.zeros(3)])
     c = rng.standard_normal(3)
     yield "presolve-duplicates-zeros-signed-zero", ConvexProgram(c=c, a_ineq=g_dup, b_ineq=h_dup)
-    yield "presolve-equality-duplicates", ConvexProgram(
-        c=c, a_ineq=-np.eye(3), b_ineq=np.zeros(3),
-        a_eq=np.vstack([g[:1], g[:1], np.zeros((1, 3))]), b_eq=[1.0, 1.0, 0.0])
     yield "presolve-infeasible-zero-ineq", ConvexProgram(c=c, a_ineq=np.vstack([g, np.zeros((1, 3))]),
                                                          b_ineq=np.concatenate([h, [-1.0]]))
-    yield "presolve-infeasible-zero-eq", ConvexProgram(c=c, a_eq=np.zeros((1, 3)), b_eq=[2.0])
     yield "presolve-column-major", ConvexProgram(c=c, a_ineq=np.asfortranarray(g), b_ineq=h)
 
 

@@ -102,9 +102,13 @@ def check_cone_condition(
 ) -> Certificate:
     """Decide r ∈ cone(generators) through a phase-1 elastic LP.
 
-    Finds v ≥ 0 minimizing the elastic violation ‖Σ v_i g_i − r‖₁;
-    membership holds iff the optimal violation is at most tol.  Elastic
-    values within a factor ten of tol are flagged boundary-degenerate.
+    Finds v ≥ 0 minimizing the elastic violation ‖Gᵀv − r‖₁, G holding
+    the generators as rows, by the LP over (v, t), t free: minimize 1ᵀt
+    subject to −v ≤ 0, Gᵀv − t ≤ r and −Gᵀv − t ≤ −r.  The elastic value
+    and the residual are the sum and the max of |Gᵀv − r|, recomputed
+    from the solution's v.  Membership holds iff the elastic value is at
+    most tol; values within a factor ten of tol are flagged
+    boundary-degenerate.
     """
     if not 0.0 < tol < math.inf:
         raise CertifyError("tol must be positive and finite")
@@ -113,26 +117,22 @@ def check_cone_condition(
     m, p = generators.shape
     if r.shape != (p,):
         raise CertifyError("generators and r disagree on dimension")
-    n_var = m + 2 * p
-    c = np.concatenate([np.zeros(m), np.ones(2 * p)])
-    a_eq = np.hstack([generators.T, np.eye(p), -np.eye(p)])
-    program = ConvexProgram(
-        c=c,
-        a_ineq=-np.eye(n_var),
-        b_ineq=np.zeros(n_var),
-        a_eq=a_eq,
-        b_eq=r,
-    )
+    eye = np.eye(p)
+    a_ineq = np.block([[-np.eye(m), np.zeros((m, p))],
+                       [generators.T, -eye],
+                       [-generators.T, -eye]])
+    program = ConvexProgram(c=np.concatenate([np.zeros(m), np.ones(p)]), a_ineq=a_ineq,
+                            b_ineq=np.concatenate([np.zeros(m), r, -r]))
     report = qpsolve.solve(program)
     if report.status != SolveStatus.OPTIMAL:
         raise IndeterminateCertificate(f"phase-1 solve ended with {report.status.value}")
     v = report.x[:m]
-    elastic = float(c @ report.x)
-    resid = float(np.max(np.abs(generators.T @ v - r))) if m else float(np.max(np.abs(r)))
+    gap = np.abs(generators.T @ v - r)
+    elastic = float(gap.sum())
     return Certificate(
         exists=elastic <= tol,
         coefficients=v.copy(),
-        equality_residual=resid,
+        equality_residual=float(gap.max()),
         min_coefficient=float(v.min()) if m else 0.0,
         elastic_value=elastic,
         boundary=(tol / 10.0 < elastic < tol * 10.0),

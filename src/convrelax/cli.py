@@ -10,6 +10,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import baseline, certify, mnistreg, model, qpsolve, relax, sweep
 
 EXIT_OK = 0
@@ -236,7 +238,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        # huge entries overflow along the way; the outcome is reported by
+        # exit code and message, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except (model.ModelError, relax.RelaxError, certify.CertifyError, sweep.SweepError,
             baseline.BaselineError, ValueError) as exc:
         if isinstance(exc, (model.CsvFormatError, mnistreg.IdxFormatError)):

@@ -1,11 +1,11 @@
-"""Dense convex solver for linearly constrained LPs and QPs.
+"""Dense convex solver for LPs and QPs over inequality rows.
 
 This is the single numerical engine used by the rest of the package.
-Linear programs, with or without equality rows, run through a
-homogeneous self-dual embedding with Mehrotra predictor-corrector steps,
-which gives clean certificates of infeasibility and unboundedness.
-Quadratic programs (PSD curvature, no equality row, at least one
-inequality row left after presolve) run an infeasible-start
+Every constraint is an inequality row, for LPs and QPs alike.  Linear
+programs run through a homogeneous self-dual embedding with Mehrotra
+predictor-corrector steps, which gives clean certificates of
+infeasibility and unboundedness.  Quadratic programs (PSD curvature, at
+least one inequality row left after presolve) run an infeasible-start
 predictor-corrector on the slack KKT system with static regularization,
 stepping on the Cholesky factor of the Schur complement left by
 eliminating the separable columns (diagonal curvature, at most one per
@@ -65,14 +65,12 @@ def _as_vector(v, name: str) -> np.ndarray:
 
 @dataclass
 class ConvexProgram:
-    """min ½ xᵀQx + cᵀx  s.t.  A_ineq·x ≤ b_ineq,  A_eq·x = b_eq."""
+    """min ½ xᵀQx + cᵀx  s.t.  A_ineq·x ≤ b_ineq."""
 
     c: np.ndarray
     q: np.ndarray | None = None
     a_ineq: np.ndarray | None = None
     b_ineq: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
 
     def __post_init__(self):
         self.c = _as_vector(self.c, "c")
@@ -88,15 +86,11 @@ class ConvexProgram:
             if not np.allclose(self.q, self.q.T, atol=1e-12, rtol=0.0):
                 raise SolverError("q must be symmetric within 1e-12")
         self.a_ineq = _as_matrix(self.a_ineq, m, "a_ineq")
-        self.a_eq = _as_matrix(self.a_eq, m, "a_eq")
-        if self.a_ineq.shape[1] != m or self.a_eq.shape[1] != m:
-            raise SolverError("constraint matrices must have one column per variable")
+        if self.a_ineq.shape[1] != m:
+            raise SolverError("the constraint matrix must have one column per variable")
         self.b_ineq = _as_vector(self.b_ineq if self.b_ineq is not None else [], "b_ineq")
-        self.b_eq = _as_vector(self.b_eq if self.b_eq is not None else [], "b_eq")
         if self.b_ineq.shape[0] != self.a_ineq.shape[0]:
             raise SolverError("a_ineq and b_ineq disagree on row count")
-        if self.b_eq.shape[0] != self.a_eq.shape[0]:
-            raise SolverError("a_eq and b_eq disagree on row count")
 
     @property
     def n_vars(self) -> int:
@@ -107,8 +101,9 @@ class ConvexProgram:
         return self.a_ineq.shape[0]
 
     @property
-    def n_eq(self) -> int:
-        return self.a_eq.shape[0]
+    def a_eq(self) -> np.ndarray:
+        # read only by bench/tracing.py's program-size counters
+        return np.zeros((0, self.n_vars))
 
     @property
     def is_lp(self) -> bool:
@@ -124,7 +119,6 @@ class SolveReport:
     status: SolveStatus
     x: np.ndarray
     lam: np.ndarray = field(metadata={"json": "lambda"})  # inequality multipliers, >= 0
-    nu: np.ndarray  # equality multipliers
     primal_residual: float
     dual_residual: float
     complementarity_gap: float
@@ -139,16 +133,13 @@ class KktSummary:
     passed: bool
 
 
-def _kkt_measures(program: ConvexProgram, x, lam, nu) -> tuple[float, float, float]:
+def _kkt_measures(program: ConvexProgram, x, lam) -> tuple[float, float, float]:
     """(stationarity, feasibility incl. λ sign, complementarity), ∞-norms."""
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    nu = np.asarray(nu, dtype=float)
     grad = program.q @ x + program.c
     if program.n_ineq:
         grad = grad + program.a_ineq.T @ lam
-    if program.n_eq:
-        grad = grad + program.a_eq.T @ nu
     stationarity = float(np.max(np.abs(grad)))
     feas = 0.0
     comp = 0.0
@@ -156,8 +147,6 @@ def _kkt_measures(program: ConvexProgram, x, lam, nu) -> tuple[float, float, flo
         slack_violation = program.a_ineq @ x - program.b_ineq
         feas = max(feas, float(np.max(slack_violation)), float(np.max(-lam)))
         comp = float(np.max(np.abs(lam * slack_violation)))
-    if program.n_eq:
-        feas = max(feas, float(np.max(np.abs(program.a_eq @ x - program.b_eq))))
     return stationarity, max(feas, 0.0), comp
 
 
@@ -165,9 +154,9 @@ def check_kkt(program: ConvexProgram, report: SolveReport, tol: float) -> KktSum
     """Recompute the KKT residuals of a primal-dual pair from scratch."""
     if len(report.x) != program.n_vars:
         raise SolverError("report.x length does not match program")
-    if len(report.lam) != program.n_ineq or len(report.nu) != program.n_eq:
-        raise SolverError("multiplier lengths do not match program")
-    stat, feas, comp = _kkt_measures(program, report.x, report.lam, report.nu)
+    if len(report.lam) != program.n_ineq:
+        raise SolverError("multiplier length does not match program")
+    stat, feas, comp = _kkt_measures(program, report.x, report.lam)
     return KktSummary(stat, feas, comp, passed=max(stat, feas, comp) <= tol)
 
 
@@ -186,17 +175,9 @@ def least_squares(a, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Presolved:
-    program: ConvexProgram
-    keep_ineq: np.ndarray  # indices into the original inequality rows
-    keep_eq: np.ndarray
-    infeasible: bool = False
-
-
-def _dedup_rows(a: np.ndarray, b: np.ndarray, is_eq: bool):
+def _dedup_rows(a: np.ndarray, b: np.ndarray):
     """Indices of the first occurrence of each distinct nonzero row of
-    [a | b], ascending, and whether a zero row is infeasible.
+    [a | b], ascending, and whether a zero row is infeasible (b < 0).
 
     Rows are distinct when their bytes differ, so -0.0 and 0.0 entries
     tell rows apart, while a row whose entries are all ±0.0 counts as zero.
@@ -206,8 +187,7 @@ def _dedup_rows(a: np.ndarray, b: np.ndarray, is_eq: bool):
     """
     nonzero = a != 0.0
     is_zero_row = ~nonzero.any(axis=1)
-    b_zero = b[is_zero_row]
-    infeasible = bool(np.any(b_zero != 0.0) if is_eq else np.any(b_zero < 0.0))
+    infeasible = bool(np.any(b[is_zero_row] < 0.0))
     rows = np.flatnonzero(~is_zero_row)
     if rows.size < 2:
         return rows, infeasible
@@ -230,21 +210,16 @@ def _dedup_rows(a: np.ndarray, b: np.ndarray, is_eq: bool):
     return rows[keep], infeasible
 
 
-def _presolve(program: ConvexProgram) -> _Presolved:
-    keep_ineq, bad_ineq = _dedup_rows(program.a_ineq, program.b_ineq, is_eq=False)
-    keep_eq, bad_eq = _dedup_rows(program.a_eq, program.b_eq, is_eq=True)
-    unchanged = (
-        keep_ineq.size == program.n_ineq
-        and keep_eq.size == program.n_eq
-        # a reduced program holds row-major copies, and BLAS may round a
-        # product differently on another layout
-        and program.a_ineq.flags.c_contiguous
-        and program.a_eq.flags.c_contiguous
-    )
+def _presolve(program: ConvexProgram) -> tuple[ConvexProgram, np.ndarray, bool]:
+    """(the reduced program, the indices of its rows in the original,
+    whether a zero row is infeasible)."""
+    keep, infeasible = _dedup_rows(program.a_ineq, program.b_ineq)
+    # a reduced program holds row-major copies, and BLAS may round a
+    # product differently on another layout
+    unchanged = keep.size == program.n_ineq and program.a_ineq.flags.c_contiguous
     reduced = program if unchanged else replace(
-        program, a_ineq=program.a_ineq[keep_ineq], b_ineq=program.b_ineq[keep_ineq],
-        a_eq=program.a_eq[keep_eq], b_eq=program.b_eq[keep_eq])
-    return _Presolved(reduced, keep_ineq, keep_eq, infeasible=bad_ineq or bad_eq)
+        program, a_ineq=program.a_ineq[keep], b_ineq=program.b_ineq[keep])
+    return reduced, keep, infeasible
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +375,6 @@ class _StdForm:
     bound_vars: np.ndarray  # the var each bound row keeps nonnegative
     bound_scales: np.ndarray  # −G[row, var] > 0 of each bound row
     generic_rows: np.ndarray  # original ineq rows kept as slack rows, in order
-    n_eq: int
 
 
 def _sign_bounds(G: np.ndarray, h: np.ndarray):
@@ -418,7 +392,6 @@ def _sign_bounds(G: np.ndarray, h: np.ndarray):
 def _lp_standard_form(program: ConvexProgram) -> _StdForm:
     m = program.n_vars
     G, h = program.a_ineq, program.b_ineq
-    A, b = program.a_eq, program.b_eq
 
     # each sign bound makes its variable nonnegative; later rows of the
     # same variable stay generic
@@ -431,21 +404,19 @@ def _lp_standard_form(program: ConvexProgram) -> _StdForm:
     next_col = int(width.sum())
     n_std = next_col + generic.size
 
-    q_eq = A.shape[0]
-    rows = q_eq + generic.size
-    A_std = np.zeros((rows, n_std))
-    b_std = np.concatenate([b, h[generic]])
+    A_std = np.zeros((generic.size, n_std))
+    b_std = h[generic]
     c_std = np.zeros(n_std)
 
-    stacked = np.vstack([A, G[generic]]) if rows else np.zeros((0, m))
-    A_std[:, col] = stacked
-    A_std[:, col[split] + 1] = -stacked[:, split]
+    rows = G[generic]
+    A_std[:, col] = rows
+    A_std[:, col[split] + 1] = -rows[:, split]
     c_std[col] = program.c
     c_std[col[split] + 1] = -program.c[split]
     slack = np.arange(generic.size)
-    A_std[q_eq + slack, next_col + slack] = 1.0
+    A_std[slack, next_col + slack] = 1.0
 
-    return _StdForm(A_std, b_std, c_std, col, split, bound_rows, bound_vars, bound_scales, generic, q_eq)
+    return _StdForm(A_std, b_std, c_std, col, split, bound_rows, bound_vars, bound_scales, generic)
 
 
 def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
@@ -458,9 +429,9 @@ def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
         zero = np.zeros(program.n_vars)
         lam = np.zeros(program.n_ineq)
         if np.any(c[~sf.split] < 0) or np.any(c[sf.split] != 0):
-            return SolveStatus.DUAL_UNBOUNDED, zero, lam, np.zeros(program.n_eq), 0
+            return SolveStatus.DUAL_UNBOUNDED, zero, lam, 0
         lam[sf.bound_rows] = c[sf.bound_vars] / sf.bound_scales
-        return SolveStatus.OPTIMAL, zero, lam, np.zeros(program.n_eq), 0
+        return SolveStatus.OPTIMAL, zero, lam, 0
 
     inner_tol = max(tol * 1e-2, 1e-13)
     x, y, z, tau, kappa, status, iters = _hsd(sf.A, sf.b, sf.c, inner_tol, max_iter)
@@ -469,17 +440,14 @@ def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
     if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
         xs = x / tau
         zs = z / tau
-        ys = y / tau
         x_orig = xs[sf.col]
         plus = sf.col[sf.split]
         x_orig[sf.split] = xs[plus] - xs[plus + 1]
         lam = np.zeros(program.n_ineq)
         lam[sf.bound_rows] = zs[sf.col[sf.bound_vars]] / sf.bound_scales
-        y_in = ys[sf.n_eq :]
-        lam[sf.generic_rows] = -y_in
-        nu = -ys[: sf.n_eq]
-        return status, x_orig, lam, nu, iters
-    return status, np.zeros(m), np.zeros(program.n_ineq), np.zeros(program.n_eq), iters
+        lam[sf.generic_rows] = -(y / tau)
+        return status, x_orig, lam, iters
+    return status, np.zeros(m), np.zeros(program.n_ineq), iters
 
 
 def _lp_solve_dual_route(program: ConvexProgram, tol, max_iter):
@@ -490,37 +458,17 @@ def _lp_solve_dual_route(program: ConvexProgram, tol, max_iter):
     decide (the dual being infeasible does not separate an unbounded
     original from an infeasible one).
     """
-    G, h = program.a_ineq, program.b_ineq
-    A, b = program.a_eq, program.b_eq
-    m = program.n_vars
-    p, q = G.shape[0], A.shape[0]
-    blocks = []
-    costs = []
-    if p:
-        blocks.append(-G.T)
-        costs.append(h)
-    if q:
-        blocks.append(-A.T)
-        blocks.append(A.T)
-        costs.append(b)
-        costs.append(-b)
-    A_std = np.hstack(blocks)
-    c_std = np.concatenate(costs)
-    b_std = program.c.copy()
+    # min hᵀλ s.t. −Gᵀλ = c, λ ≥ 0; −Gᵀ stays column-major, since BLAS
+    # may round a product differently on another layout
+    A_std = -program.a_ineq.T
 
     inner_tol = max(tol * 1e-2, 1e-13)
-    x, y, z, tau, kappa, status, iters = _hsd(A_std, b_std, c_std, inner_tol, max_iter)
+    x, y, z, tau, kappa, status, iters = _hsd(A_std, program.c, program.b_ineq, inner_tol, max_iter)
     if status == SolveStatus.OPTIMAL:
-        xs = x / tau
-        ys = y / tau
-        lam = xs[:p]
-        nu = xs[p : p + q] - xs[p + q : p + 2 * q] if q else np.zeros(0)
-        x_orig = -ys
-        return SolveStatus.OPTIMAL, x_orig, lam, nu, iters
+        return SolveStatus.OPTIMAL, -(y / tau), x / tau, iters
     if status == SolveStatus.DUAL_UNBOUNDED:
         # the dual improving ray certifies that the original is infeasible
-        zeros = (np.zeros(m), np.zeros(p), np.zeros(q))
-        return SolveStatus.PRIMAL_INFEASIBLE, *zeros, iters
+        return SolveStatus.PRIMAL_INFEASIBLE, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
     return None
 
 
@@ -710,12 +658,12 @@ def _qp_mehrotra(program: ConvexProgram, sep, tol, max_iter):
 # ---------------------------------------------------------------------------
 
 
-def _polish(program: ConvexProgram, sep, x, lam, nu, skippable: bool):
+def _polish(program: ConvexProgram, sep, x, lam, skippable: bool):
     """Refine a near-optimal pair by solving the KKT system of the guessed
-    active set; returns the refined triple or None when the guess fails.
+    active set; returns the refined pair or None when the guess fails.
 
     Columns leave the system in closed form before lstsq: a column j
-    fixed at 0 by a tight row −s·x_j ≤ 0 (or = 0), s > 0, with that row,
+    fixed at 0 by a tight row −s·x_j ≤ 0, s > 0, with that row,
     whose multiplier comes from j's stationarity row; and a separable
     column of ``sep`` (the QP step's mask), x_U = −(c_U + R_Uᵀλ)/q_U over
     the kept rows R.  The core over the other columns W is
@@ -724,17 +672,16 @@ def _polish(program: ConvexProgram, sep, x, lam, nu, skippable: bool):
     vertex with every zero-label row tight) would make this solve
     dominate, so a system of over 600 rows before elimination is
     skipped when the iterate already meets tol (``skippable``)."""
-    m, p, q = program.n_vars, program.n_ineq, program.n_eq
+    m = program.n_vars
     slack = program.b_ineq - program.a_ineq @ x
     active = np.flatnonzero((slack < lam) | (slack <= 1e-7 * (1.0 + np.abs(program.b_ineq))))
     n_a = active.size
-    if skippable and m + n_a + q > 600:
+    if skippable and m + n_a > 600:
         return None
-    # the active and the equality rows, all tight
-    g_a = np.vstack([program.a_ineq[active], program.a_eq])
-    h_a = np.concatenate([program.b_ineq[active], program.b_eq])
+    # the active rows, all tight
+    g_a, h_a = program.a_ineq[active], program.b_ineq[active]
     fixed, bound_rows, scales = _sign_bounds(g_a, h_a)
-    kept = np.bincount(bound_rows, minlength=n_a + q) == 0
+    kept = np.bincount(bound_rows, minlength=n_a) == 0
     rows = g_a[kept]
     is_fixed = np.bincount(fixed, minlength=m) > 0
     w, u = np.flatnonzero(~(sep | is_fixed)), np.flatnonzero(sep & ~is_fixed)
@@ -757,37 +704,36 @@ def _polish(program: ConvexProgram, sep, x, lam, nu, skippable: bool):
     x_new = np.zeros(m)
     x_new[w] = sol[:n_w]
     x_new[u] = x_u0 - (r_u.T @ sol[n_w:]) / q_u
-    mult = np.zeros(n_a + q)
+    mult = np.zeros(n_a)
     mult[kept] = sol[n_w:]
     # a dropped row's −s·λ balances the rest of its column's stationarity row
     mult[bound_rows] = (program.q[fixed] @ x_new + program.c[fixed] + g_a[:, fixed].T @ mult) / scales
-    lam_new = np.zeros(p)
-    lam_new[active] = mult[:n_a]
-    return x_new, lam_new, mult[n_a:]
+    lam_new = np.zeros(program.n_ineq)
+    lam_new[active] = mult
+    return x_new, lam_new
 
 
-def _refine(program: ConvexProgram, sep, status, x, lam, nu, tol):
+def _refine(program: ConvexProgram, sep, status, x, lam, tol):
     """Apply the polish when optimal and keep whichever pair is cleaner."""
     if status != SolveStatus.OPTIMAL:
-        return x, lam, nu
-    raw = _kkt_measures(program, x, lam, nu)
-    candidate = _polish(program, sep, x, lam, nu, skippable=max(raw) <= tol)
+        return x, lam
+    raw = _kkt_measures(program, x, lam)
+    candidate = _polish(program, sep, x, lam, skippable=max(raw) <= tol)
     if candidate is None:
-        return x, lam, nu
+        return x, lam
     if max(_kkt_measures(program, *candidate)) < max(raw):
         return candidate
-    return x, lam, nu
+    return x, lam
 
 
-def _finalize(program: ConvexProgram, status, x, lam, nu, iterations, tol) -> SolveReport:
-    stat, feas, comp = _kkt_measures(program, x, lam, nu)
+def _finalize(program: ConvexProgram, status, x, lam, iterations, tol) -> SolveReport:
+    stat, feas, comp = _kkt_measures(program, x, lam)
     if status == SolveStatus.OPTIMAL and max(stat, feas, comp) > tol:
         status = SolveStatus.MAX_ITERATIONS
     return SolveReport(
         status=status,
         x=np.asarray(x, dtype=float),
         lam=np.asarray(lam, dtype=float),
-        nu=np.asarray(nu, dtype=float),
         primal_residual=feas,
         dual_residual=stat,
         complementarity_gap=comp,
@@ -804,42 +750,38 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
     embedding; the iteration cap and numerical breakdowns are reported
     through the status field, never as exceptions.
 
-    Any LP is accepted.  A QP is accepted only if, after presolve drops
-    its zero and duplicate rows, it has at least one inequality row and
-    no equality row; any other QP, like a malformed ``tol`` or
-    ``max_iter``, raises ``SolverError``.
+    Every constraint is an inequality row, for LPs and QPs alike.  Any
+    LP is accepted.  A QP is accepted only if, after presolve drops its
+    zero and duplicate rows, it has at least one inequality row; any
+    other QP, like a malformed ``tol`` or ``max_iter``, raises
+    ``SolverError``.
     """
     if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
         raise SolverError(f"tol must lie in [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}]")
     if max_iter < 1:
         raise SolverError("max_iter must be positive")
 
-    pre = _presolve(program)
-    red = pre.program
+    red, keep, infeasible = _presolve(program)
     is_lp = red.is_lp
-    if not is_lp and (red.n_eq or not red.n_ineq):
-        raise SolverError("a QP needs at least one nonzero inequality row and no equality row")
-    if pre.infeasible:
-        zeros = (np.zeros(program.n_vars), np.zeros(program.n_ineq), np.zeros(program.n_eq))
+    if not is_lp and not red.n_ineq:
+        raise SolverError("a QP needs at least one nonzero inequality row")
+    if infeasible:
+        zeros = (np.zeros(program.n_vars), np.zeros(program.n_ineq))
         return _finalize(program, SolveStatus.PRIMAL_INFEASIBLE, *zeros, 0, tol)
 
     if is_lp:
-        rows = red.n_ineq + red.n_eq
         result = None
-        if rows > 2 * red.n_vars and rows > 0:
+        if red.n_ineq > 2 * red.n_vars:
             result = _lp_solve_dual_route(red, tol, max_iter)
         if result is None:
             result = _lp_solve_primal_route(red, tol, max_iter)
-        status, x, lam_red, nu_red, iters = result
+        status, x, lam_red, iters = result
         sep = np.zeros(red.n_vars, dtype=bool)
     else:
         sep = _separable_columns(red)
         status, x, lam_red, iters = _qp_mehrotra(red, sep, tol, max_iter)
-        nu_red = np.zeros(0)
 
-    x, lam_red, nu_red = _refine(red, sep, status, x, lam_red, nu_red, tol)
+    x, lam_red = _refine(red, sep, status, x, lam_red, tol)
     lam = np.zeros(program.n_ineq)
-    nu = np.zeros(program.n_eq)
-    lam[pre.keep_ineq] = lam_red
-    nu[pre.keep_eq] = nu_red
-    return _finalize(program, status, x, lam, nu, iters, tol)
+    lam[keep] = lam_red
+    return _finalize(program, status, x, lam, iters, tol)

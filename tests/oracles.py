@@ -3,12 +3,15 @@
 Nothing here calls the package solver: small LPs are decided by vertex
 enumeration over bounded-by-construction polytopes, small QPs by
 exhaustive active-set search on the KKT equalities, cone membership
-by scipy's NNLS with HiGHS near the boundary, and LPs in A_ub form by
-HiGHS itself.  ``lifted_lp`` and ``lifted_qp`` only build programs: the
-vanishing-weight and the β > 0 relaxation in the lifted form the package
-solved before it eliminated the slacks, kept as references for tests to
-solve.  ``full_polish`` is the solver's active-set polish as it was
-before it eliminated columns: one lstsq over the whole KKT system.
+by scipy's NNLS with HiGHS near the boundary, and LPs in A_ub/A_eq form
+by HiGHS itself.  ``lifted_lp`` is the vanishing-weight relaxation in
+the lifted form the package solved before it eliminated the slacks,
+solved by HiGHS, since its rows Σ_j z_ij = yᵢ are equalities, which the
+package solver does not take; ``lifted_lp_rows`` gives its rows.
+``lifted_qp`` only builds the β > 0 relaxation in that form, a program
+of inequality rows for tests to solve.  ``full_polish`` is the solver's
+active-set polish as it was before it eliminated columns: one lstsq
+over the whole KKT system.
 """
 
 from itertools import combinations
@@ -104,15 +107,16 @@ def cone_membership(gens, v, inside=1e-9, outside=1e-5):
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def highs_lp(c, a, b):
-    """(status, value, x) of min c·x over {a·x <= b}, x free, by HiGHS.
+def highs_lp(c, a, b, a_eq=None, b_eq=None):
+    """(status, value, x) of min c·x over {a·x <= b, a_eq·x = b_eq}, x
+    free, by HiGHS.
 
     HiGHS's presolve can report an unbounded program as infeasible, so an
     infeasible verdict is taken from a solve without presolve."""
-    res = linprog(c, A_ub=a, b_ub=b, bounds=(None, None), method="highs")
+    rows = dict(A_ub=a, b_ub=b, A_eq=a_eq, b_eq=b_eq, bounds=(None, None), method="highs")
+    res = linprog(c, **rows)
     if res.status == 2:
-        res = linprog(c, A_ub=a, b_ub=b, bounds=(None, None), method="highs",
-                      options={"presolve": False})
+        res = linprog(c, **rows, options={"presolve": False})
     return HIGHS_STATUS.get(res.status, f"status {res.status}"), res.fun, res.x
 
 
@@ -126,13 +130,11 @@ def block_set_expansion(xb, y):
     return a, np.repeat(np.asarray(y, dtype=float), len(sets))
 
 
-def lifted_lp(dataset, r):
+def lifted_lp_rows(dataset, r):
     """The β=0 relaxation over the filter w and the n·k slacks z, with z
     ordered sample-major: min rᵀw subject to X_ij·w − z_ij ≤ 0, z ≥ 0
-    and Σ_j z_ij = yᵢ.  A dense ConvexProgram with p + nk variables,
-    2nk inequality rows and n equality rows (p = d/k)."""
-    from convrelax.qpsolve import ConvexProgram
-
+    and Σ_j z_ij = yᵢ.  Returns (c, a_ub, b_ub, a_eq, b_eq), dense, with
+    p + nk columns, 2nk inequality rows and n equality rows (p = d/k)."""
     n, k, p = dataset.n, dataset.k, dataset.filter_size
     nz = n * k
     m = p + nz
@@ -143,8 +145,13 @@ def lifted_lp(dataset, r):
     a_nonneg[np.arange(nz), p + np.arange(nz)] = -1.0
     a_eq = np.zeros((n, m))
     a_eq[:, p:] = np.repeat(np.eye(n), k, axis=1)
-    return ConvexProgram(c=np.concatenate([r, np.zeros(nz)]), a_ineq=np.vstack([a_resp, a_nonneg]),
-                         b_ineq=np.zeros(2 * nz), a_eq=a_eq, b_eq=dataset.y.copy())
+    return (np.concatenate([r, np.zeros(nz)]), np.vstack([a_resp, a_nonneg]), np.zeros(2 * nz),
+            a_eq, dataset.y.copy())
+
+
+def lifted_lp(dataset, r):
+    """(status, value, (w, z)) of ``lifted_lp_rows`` by HiGHS."""
+    return highs_lp(*lifted_lp_rows(dataset, r))
 
 
 def lifted_qp(dataset, beta, r):
@@ -168,26 +175,26 @@ def lifted_qp(dataset, beta, r):
     return ConvexProgram(c=c, q=q, a_ineq=np.vstack([a_resp, a_nonneg]), b_ineq=np.zeros(2 * nz))
 
 
-def full_polish(program, sep, x, lam, nu, skippable):
+def full_polish(program, sep, x, lam, skippable):
     """The active-set polish over the whole KKT system, in the call
     signature of ``qpsolve._polish``, which it replaces in tests: the
-    (x, λ on the guessed active rows, ν) system with those rows tight,
+    (x, λ on the guessed active rows) system with those rows tight,
     solved by one lstsq with no column eliminated (``sep`` unused)."""
-    m, p, q = program.n_vars, program.n_ineq, program.n_eq
+    m, p = program.n_vars, program.n_ineq
     if p:
         slack = program.b_ineq - program.a_ineq @ x
         active = np.flatnonzero((slack < lam) | (slack <= 1e-7 * (1.0 + np.abs(program.b_ineq))))
     else:
         active = np.zeros(0, dtype=int)
     n_a = active.size
-    if skippable and m + n_a + q > 600:
+    if skippable and m + n_a > 600:
         return None
-    rows = np.vstack([program.a_ineq[active], program.a_eq])
-    K = np.zeros((m + n_a + q, m + n_a + q))
+    rows = program.a_ineq[active]
+    K = np.zeros((m + n_a, m + n_a))
     K[:m, :m] = program.q
     K[:m, m:] = rows.T
     K[m:, :m] = rows
-    rhs = np.concatenate([-program.c, program.b_ineq[active], program.b_eq])
+    rhs = np.concatenate([-program.c, program.b_ineq[active]])
     try:
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     except np.linalg.LinAlgError:
@@ -195,8 +202,8 @@ def full_polish(program, sep, x, lam, nu, skippable):
     if not np.all(np.isfinite(sol)):
         return None
     lam_new = np.zeros(p)
-    lam_new[active] = sol[m : m + n_a]
-    return sol[:m], lam_new, sol[m + n_a :]
+    lam_new[active] = sol[m:]
+    return sol[:m], lam_new
 
 
 # ---------------------------------------------------------------------------

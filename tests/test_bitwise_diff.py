@@ -17,7 +17,7 @@ def _hex(values):
 
 
 def _record(case, status="Optimal", x=(1.0, 2.0)):
-    fields = {"status": status, "iterations": 5, "x": _hex(x), "lam": _hex([0.5]), "nu": _hex([]),
+    fields = {"status": status, "iterations": 5, "x": _hex(x), "lam": _hex([0.5]),
               "primal_residual": _hex(0.0), "dual_residual": _hex(0.0),
               "complementarity_gap": _hex(0.0)}
     return {"case": case, "fields": fields}

@@ -5,8 +5,8 @@ row generation: the n·k singleton rows X_ij·w ≤ yᵢ, then per sample the
 row Σ_{j∈S} X_ij·w ≤ yᵢ of its positively responding blocks S while one
 is violated.  Checked here against
 
-- the dense lifted (p + nk)-variable LP, ``oracles.lifted_lp``, on
-  status, exit code, ŵ and the recovery verdict;
+- the dense lifted (p + nk)-variable LP, ``oracles.lifted_lp``, solved
+  by HiGHS, on status, exit code, ŵ and the recovery verdict;
 - HiGHS on the full 2^k − 1 block-set expansion (k ≤ 4), on status and
   objective;
 - the lifted LP's constraints, on the reconstructed slack z_hat;
@@ -29,7 +29,10 @@ from convrelax.model import (
 )
 from convrelax.qpsolve import SolveStatus
 from golden_cases import CLI_CASES, SWEEP_CASES, write_planted_csv
-from oracles import block_set_expansion, highs_lp, lifted_lp
+from oracles import block_set_expansion, highs_lp, lifted_lp, lifted_lp_rows
+
+STATUS_OF_HIGHS = {"optimal": SolveStatus.OPTIMAL, "unbounded": SolveStatus.DUAL_UNBOUNDED,
+                   "infeasible": SolveStatus.PRIMAL_INFEASIBLE}
 
 # -- failure paths ------------------------------------------------------------
 
@@ -53,14 +56,14 @@ def test_negative_label_at_k1_is_a_tighter_row(tmp_path, capsys):
 
 def test_negative_label_outranks_unbounded_rows():
     # with too few rows to bound w and a negative label, the program is
-    # infeasible; the lifted solve called it unbounded instead
+    # infeasible, as HiGHS finds for the lifted LP
     _, ds = sample_planted(4, 10, 2, 1)
     y = ds.y.copy()
     y[0] = -0.5
     neg = Dataset(x=ds.x, y=y, k=2)
     r = substream(0, STREAM_PERTURBATION).standard_normal(5)
     assert relax.fit_with_perturbation(neg, 0.0, r).report.status == SolveStatus.PRIMAL_INFEASIBLE
-    assert qpsolve.solve(lifted_lp(neg, r)).status == SolveStatus.DUAL_UNBOUNDED
+    assert lifted_lp(neg, r)[0] == "infeasible"
     assert relax.fit_with_perturbation(ds, 0.0, r).report.status == SolveStatus.DUAL_UNBOUNDED
     assert certify.dual_solve(neg, r).status == certify.DUAL_FAILED
 
@@ -147,18 +150,18 @@ def test_panel_covers_every_kind():
 def test_fit_matches_the_lifted_reference(case, tmp_path, capsys):
     ds, r, w_star = _dataset(case)
     fit = relax.fit_with_perturbation(ds, 0.0, r)
-    reference = qpsolve.solve(lifted_lp(ds, r))
-    assert fit.report.status == reference.status
-    assert len(fit.report.x) == ds.filter_size and fit.report.nu.size == 0
+    status, _, x_ref = lifted_lp(ds, r)
+    assert fit.report.status == STATUS_OF_HIGHS[status]
+    assert len(fit.report.x) == ds.filter_size
     if case[0] not in ("golden-fit", "golden-sweep"):
         path = str(tmp_path / "data.csv")
         export_csv(ds, path)
         code = main(["fit", "--in", path, "--trials", "1", "--seed", str(case[4])])
         capsys.readouterr()
-        assert code == (EXIT_OK if reference.status == SolveStatus.OPTIMAL else EXIT_SOLVER)
-    if reference.status != SolveStatus.OPTIMAL:
+        assert code == (EXIT_OK if status == "optimal" else EXIT_SOLVER)
+    if status != "optimal":
         return
-    w_ref = reference.x[: ds.filter_size]
+    w_ref = x_ref[: ds.filter_size]
     assert np.max(np.abs(fit.w_hat - w_ref)) <= 1e-6 * (1.0 + np.linalg.norm(w_star))
     assert relax.assess(fit.w_hat, w_star).success == relax.assess(w_ref, w_star).success
 
@@ -172,8 +175,7 @@ def test_fit_matches_highs_on_full_expansion(case):
         # no nonnegative slacks sum to a negative label: the empty set's row
         a, b = np.vstack([a, np.zeros((1, ds.filter_size))]), np.append(b, ds.y.min())
     status, value, _ = highs_lp(r, a, b)
-    assert fit.report.status == {"optimal": SolveStatus.OPTIMAL, "unbounded": SolveStatus.DUAL_UNBOUNDED,
-                                 "infeasible": SolveStatus.PRIMAL_INFEASIBLE}[status]
+    assert fit.report.status == STATUS_OF_HIGHS[status]
     if status == "optimal":
         assert abs(r @ fit.w_hat - value) <= 1e-8 * (1.0 + abs(value))
 
@@ -185,7 +187,7 @@ def test_z_hat_is_feasible_for_the_lifted_program(case):
     if fit.report.status != SolveStatus.OPTIMAL:
         return
     np.testing.assert_allclose(fit.z_hat.reshape(ds.n, ds.k).sum(axis=1), ds.y, rtol=0.0, atol=1e-12)
-    program = lifted_lp(ds, r)
+    _, a_ub, b_ub, a_eq, b_eq = lifted_lp_rows(ds, r)
     point = np.concatenate([fit.w_hat, fit.z_hat])
-    assert np.max(program.a_ineq @ point - program.b_ineq) <= qpsolve.DEFAULT_TOL
-    assert np.max(np.abs(program.a_eq @ point - program.b_eq)) <= 1e-12 * (1.0 + np.max(np.abs(ds.y)))
+    assert np.max(a_ub @ point - b_ub) <= qpsolve.DEFAULT_TOL
+    assert np.max(np.abs(a_eq @ point - b_eq)) <= 1e-12 * (1.0 + np.max(np.abs(ds.y)))

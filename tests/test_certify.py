@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from convrelax import certify
+from convrelax import certify, model
 from convrelax.certify import (
     CertifyError,
     active_sets,
@@ -21,6 +21,7 @@ from convrelax.model import (
 )
 from convrelax.qpsolve import SolveStatus
 from convrelax.relax import assess, fit
+from oracles import cone_membership, highs_lp
 
 
 def two_by_two() -> tuple[Dataset, np.ndarray]:
@@ -115,6 +116,44 @@ def test_certificate_soundness_random_cones():
             assert resid <= 1e-5
         elif not cert.boundary:
             assert resid > 1e-8
+
+
+def _phase1_panel():
+    """(generators, target) pairs: the random cones above, then the
+    planted cones of the degenerate phase-1 polish cases in
+    test_qpsolve.py (k ∈ {1, 2, 3, 5}, n ∈ {20, 40}, six seeds each)."""
+    rng = np.random.default_rng(8)
+    for _ in range(25):
+        m, p = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        yield rng.standard_normal((m, p)), rng.standard_normal(p)
+    for k, d in ((1, 6), (2, 8), (3, 12), (5, 20)):
+        for n in (20, 40):
+            for seed in range(6):
+                _, ds = sample_planted(n, d, k, seed)
+                sets = active_sets(ds.x, model.teacher_filter(ds), k)
+                r = substream(seed + 100, STREAM_PERTURBATION).standard_normal(ds.filter_size)
+                yield cone_generators(ds, sets)[0], -r
+
+
+def test_elastic_value_and_verdict_match_independent_solvers():
+    # HiGHS solves the elastic LP in its equality form: min 1ᵀ(t⁺ + t⁻)
+    # over v, t⁺, t⁻ ≥ 0 with Gᵀv + t⁺ − t⁻ = r
+    checked, inside = 0, 0
+    for gens, r in _phase1_panel():
+        m, p = gens.shape
+        cert = check_cone_condition(gens, r)
+        c = np.concatenate([np.zeros(m), np.ones(2 * p)])
+        a_eq = np.hstack([gens.T, np.eye(p), -np.eye(p)])
+        status, value, _ = highs_lp(c, -np.eye(m + 2 * p), np.zeros(m + 2 * p), a_eq, r)
+        assert status == "optimal"
+        assert abs(cert.elastic_value - value) <= 1e-8
+        member = cone_membership(gens, r)
+        if not cert.boundary and member is not None:
+            assert cert.exists == member
+            checked += 1
+            inside += member
+    # both verdicts occur
+    assert checked >= 70 and 0 < inside < checked
 
 
 def test_cone_condition_dimension_mismatch():

@@ -6,12 +6,13 @@ block set S, by row generation.  Its solution is the primal fit ŵ, and
 its row multipliers μ map back to the lifted dual: λ_ij = Σ_{S∋j} μ_iS,
 vᵢ = Σ_S μ_iS.  Checked here against
 
-- the dual programs it replaced, kept below as the references: the
-  explicit k=1 dual and the lifted (n + nk)-variable dual at k>1, on
-  status, objective, and lifted-dual feasibility of the mapped (λ, v);
+- the dual programs it replaced, kept below as the references and
+  solved by HiGHS: the explicit k=1 dual and the lifted (n + nk)-variable
+  dual at k>1, on status, objective, and lifted-dual feasibility of the
+  mapped (λ, v);
 - ``relax.fit_with_perturbation``, which makes the same solve, bit for
-  bit, and the lifted k>1 LP it replaced (``oracles.lifted_lp``), on ŵ,
-  the primal objective and the recovery verdict;
+  bit, and the lifted k>1 LP it replaced (``oracles.lifted_lp``, by
+  HiGHS), on ŵ, the primal objective and the recovery verdict;
 - HiGHS on the full 2^k − 1 block-set expansion (k ≤ 4);
 - HiGHS on the rows the generation ended with;
 
@@ -24,7 +25,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from convrelax import certify, qpsolve, relax
+from convrelax import certify, relax
 from convrelax.cli import EXIT_OK, EXIT_SOLVER, main
 from convrelax.model import (
     STREAM_PERTURBATION,
@@ -33,37 +34,32 @@ from convrelax.model import (
     sample_planted,
     substream,
 )
-from convrelax.qpsolve import ConvexProgram, SolveStatus
+from convrelax.qpsolve import SolveStatus
 from golden_cases import strict_json, write_planted_csv
 from oracles import block_set_expansion, highs_lp, lifted_lp
 
 DUAL_STATUS_OF_HIGHS = {"optimal": certify.DUAL_OPTIMAL, "unbounded": certify.DUAL_INFEASIBLE}
 
 
-def _dual_status(report, objective):
-    if report.status == SolveStatus.PRIMAL_INFEASIBLE:
+def _dual_reference(c, a, b, a_eq, b_eq):
+    """(status, objective) of the dual program max −cᵀx over {a·x ≤ b,
+    a_eq·x = b_eq} by HiGHS, whose min cᵀx is the negated objective."""
+    status, value, _ = highs_lp(c, a, b, a_eq, b_eq)
+    if status == "infeasible":
         return certify.DUAL_INFEASIBLE, None
-    if report.status != SolveStatus.OPTIMAL:
+    if status != "optimal":
         return certify.DUAL_FAILED, None
-    return certify.DUAL_OPTIMAL, objective
+    return certify.DUAL_OPTIMAL, -value
 
 
-def explicit_dual_reference(dataset, r, tol=qpsolve.DEFAULT_TOL):
+def explicit_dual_reference(dataset, r):
     """The k=1 dual program ``dual_solve`` solved next to the primal fit:
     max −yᵀu over u ≥ 0 with Xᵀu = −r.  Returns (status, objective)."""
     n = dataset.n
-    program = ConvexProgram(
-        c=dataset.y.copy(),
-        a_ineq=-np.eye(n),
-        b_ineq=np.zeros(n),
-        a_eq=dataset.x.T.copy(),
-        b_eq=-r,
-    )
-    report = qpsolve.solve(program, tol=tol)
-    return _dual_status(report, -float(dataset.y @ report.x))
+    return _dual_reference(dataset.y, -np.eye(n), np.zeros(n), dataset.x.T, -r)
 
 
-def lifted_dual_reference(dataset, r, tol=qpsolve.DEFAULT_TOL):
+def lifted_dual_reference(dataset, r):
     """The k>1 dual program ``dual_solve`` solved before row generation:
     max −yᵀv over v and λ with 0 ≤ λ_ij ≤ vᵢ and Σ X_ijᵀλ_ij = −r, as one
     dense (n + nk)-variable program.  Returns (status, objective)."""
@@ -78,15 +74,7 @@ def lifted_dual_reference(dataset, r, tol=qpsolve.DEFAULT_TOL):
     a_nonneg[np.arange(nz), n + np.arange(nz)] = -1.0
     a_eq = np.zeros((p, m))
     a_eq[:, n:] = dataset.blocks().reshape(nz, p).T
-    program = ConvexProgram(
-        c=c,
-        a_ineq=np.vstack([a_bound, a_nonneg]),
-        b_ineq=np.zeros(2 * nz),
-        a_eq=a_eq,
-        b_eq=-r,
-    )
-    report = qpsolve.solve(program, tol=tol)
-    return _dual_status(report, -float(dataset.y @ report.x[:n]))
+    return _dual_reference(c, np.vstack([a_bound, a_nonneg]), np.zeros(2 * nz), a_eq, -r)
 
 
 def _panel():
@@ -164,14 +152,18 @@ def test_primal_matches_relax_fit(case):
     out = certify.dual_solve(ds, r)
     fit = relax.fit_with_perturbation(ds, 0.0, r)
     # at k=1 the lifted program is the singleton-row LP itself
-    reference = fit.report if ds.k == 1 else qpsolve.solve(lifted_lp(ds, r))
-    w_ref = reference.x[: ds.filter_size]
+    if ds.k == 1:
+        optimal, x_ref = fit.report.status == SolveStatus.OPTIMAL, fit.report.x
+    else:
+        status, _, x_ref = lifted_lp(ds, r)
+        optimal = status == "optimal"
     if out.status != certify.DUAL_OPTIMAL:
         assert fit.report.status != SolveStatus.OPTIMAL
-        assert reference.status != SolveStatus.OPTIMAL
+        assert not optimal
         assert np.isnan(out.primal_objective) and np.all(out.w_hat == 0.0)
         return
-    assert fit.report.status == reference.status == SolveStatus.OPTIMAL
+    assert fit.report.status == SolveStatus.OPTIMAL and optimal
+    w_ref = x_ref[: ds.filter_size]
     np.testing.assert_array_equal(out.w_hat, fit.w_hat)
     obj = float(r @ w_ref)
     assert abs(out.primal_objective - obj) <= 1e-8 * (1.0 + abs(obj))

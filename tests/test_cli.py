@@ -98,6 +98,31 @@ def test_failing_beta_qp_fit_prints_no_numpy_warning(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command, message", [
+    (["fit", "--beta", "0"], "all 1 trials failed: NumericalFailure"),
+    (["fit", "--beta", "1e-3"], "all 1 trials failed: NumericalFailure"),
+    (["certify"], "solver failure: phase-1 solve ended with"),
+    (["fit", "--method", "gd"], "gradient descent diverged"),
+])
+def test_huge_entries_fail_without_numpy_warnings(tmp_path, capsys, command, message):
+    # one sample of 1e300 entries: every route overflows on its way to
+    # a solver failure, which the exit code and message report
+    path = str(tmp_path / "huge.csv")
+    main(["gen", "--n", "20", "--d", "4", "--seed", "1", "--out", path])
+    with open(path, encoding="ascii") as f:
+        lines = f.read().splitlines()
+    lines[2] = ",".join(["1e300"] * 5)
+    with open(path, "w", encoding="ascii") as f:
+        f.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*command, "--in", path])
+    assert code == EXIT_SOLVER
+    assert message in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("command", [["fit"], ["fit", "--method", "gd"], ["certify"]])
 def test_non_finite_dataset_is_an_io_error(dataset_csv, capsys, command):
     lines = dataset_csv.read_text().splitlines()
@@ -250,5 +275,5 @@ def test_fit_and_certify_exit_with_a_documented_code_on_any_small_csv(text):
         with open(path, "w", encoding="ascii") as f:
             f.write(text)
         for argv in (["fit", "--in", path, "--beta", "0"], ["fit", "--in", path, "--beta", "1e-3"],
-                     ["certify", "--in", path]):
+                     ["certify", "--in", path], ["fit", "--in", path, "--method", "gd"]):
             assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER, EXIT_IO)

@@ -191,7 +191,6 @@ def test_to_json_writes_fields_arrays_enums_and_null_for_non_finite():
         status=SolveStatus.OPTIMAL,
         x=np.array([1.5, np.nan]),
         lam=np.array([np.inf, -np.inf, 0.25]),
-        nu=np.zeros(0),
         primal_residual=np.float64(np.nan),
         dual_residual=0.0,
         complementarity_gap=float("inf"),
@@ -203,7 +202,6 @@ def test_to_json_writes_fields_arrays_enums_and_null_for_non_finite():
             "status": "Optimal",
             "x": [1.5, None],
             "lambda": [None, None, 0.25],
-            "nu": [],
             "primal_residual": None,
             "dual_residual": 0.0,
             "complementarity_gap": None,

@@ -27,7 +27,7 @@ from oracles import (
     full_polish,
     highs_lp,
     infeasible_lp,
-    lifted_lp,
+    lifted_lp_rows,
     lp_vertex_oracle,
     qp_active_set_oracle,
     random_feasible_qp,
@@ -166,7 +166,7 @@ def test_presolve_duplicate_and_zero_rows():
     assert solve(bad).status == SolveStatus.PRIMAL_INFEASIBLE
 
 
-def _dedup_rows_reference(a, b, is_eq):
+def _dedup_rows_reference(a, b):
     """The row loop the vectorized presolve must reproduce index for index."""
     keep = []
     seen = set()
@@ -174,8 +174,7 @@ def _dedup_rows_reference(a, b, is_eq):
     for i in range(a.shape[0]):
         row = a[i]
         if not row.any():
-            if (is_eq and b[i] != 0.0) or (not is_eq and b[i] < 0.0):
-                infeasible = True
+            infeasible |= b[i] < 0.0
             continue
         key = row.tobytes() + np.float64(b[i]).tobytes()
         if key in seen:
@@ -207,18 +206,17 @@ def _program_with_redundant_rows(rng, rows, cols):
 def test_dedup_rows_matches_reference_loop(seed):
     rng = np.random.default_rng(seed)
     a, b = _program_with_redundant_rows(rng, int(rng.integers(1, 40)), int(rng.integers(1, 6)))
-    for is_eq in (False, True):
-        keep, infeasible = _dedup_rows(a, b, is_eq)
-        ref_keep, ref_infeasible = _dedup_rows_reference(a, b, is_eq)
-        np.testing.assert_array_equal(keep, ref_keep)
-        assert keep.dtype == ref_keep.dtype
-        assert infeasible == ref_infeasible
+    keep, infeasible = _dedup_rows(a, b)
+    ref_keep, ref_infeasible = _dedup_rows_reference(a, b)
+    np.testing.assert_array_equal(keep, ref_keep)
+    assert keep.dtype == ref_keep.dtype
+    assert infeasible == ref_infeasible
     # -0.0 and 0.0 tell rows apart; a row of signed zeros is still a zero row
     a = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, -0.0], [0.0, 1.0]])
     b = np.array([1.0, 1.0, 1.0, -2.0, -0.0])
-    keep, infeasible = _dedup_rows(a, b, is_eq=False)
+    keep, infeasible = _dedup_rows(a, b)
     assert keep.tolist() == [0, 1, 4] and infeasible
-    assert _dedup_rows(np.zeros((0, 3)), np.zeros(0), is_eq=True)[0].size == 0
+    assert _dedup_rows(np.zeros((0, 3)), np.zeros(0))[0].size == 0
 
 
 def _best_ms(fn, *args, reps):
@@ -235,10 +233,13 @@ def test_dedup_rows_faster_than_reference_loop(n, d, k):
     # a tall k=1 program (2000x10) and a wide lifted one (4000x2004)
     _, ds = model.sample_planted(n, d, k, 1)
     r = np.ones(d // k)
-    program = relax.build(ds, 0.0, r).program if k == 1 else lifted_lp(ds, r)
-    a, b = program.a_ineq, program.b_ineq
+    if k == 1:
+        program = relax.build(ds, 0.0, r).program
+        a, b = program.a_ineq, program.b_ineq
+    else:
+        _, a, b, _, _ = lifted_lp_rows(ds, r)
     reps = 15 if k == 1 else 3
-    assert _best_ms(_dedup_rows, a, b, False, reps=reps) < _best_ms(_dedup_rows_reference, a, b, False, reps=reps)
+    assert _best_ms(_dedup_rows, a, b, reps=reps) < _best_ms(_dedup_rows_reference, a, b, reps=reps)
 
 
 def _standard_form_reference(program):
@@ -265,8 +266,7 @@ def _standard_form_reference(program):
         else:
             split[j] = (next_col, next_col + 1)
             next_col += 2
-    q_eq = program.n_eq
-    stacked = np.vstack([program.a_eq, G[generic]])
+    stacked = G[generic]
     A = np.zeros((stacked.shape[0], next_col + len(generic)))
     c = np.zeros(A.shape[1])
     for j in range(m):
@@ -279,8 +279,8 @@ def _standard_form_reference(program):
             c[split[j][0]] = program.c[j]
             c[split[j][1]] = -program.c[j]
     for r in range(len(generic)):
-        A[q_eq + r, next_col + r] = 1.0
-    b = np.concatenate([program.b_eq, h[generic]])
+        A[r, next_col + r] = 1.0
+    b = h[generic]
     return A, b, c, nonneg, split, bound_row, generic
 
 
@@ -289,7 +289,7 @@ def test_lp_standard_form_matches_reference_loops(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 6))
     # sign-bound rows (some repeated with other scales, some with h != 0 or
-    # a positive entry) mixed with dense rows and a few equalities
+    # a positive entry) mixed with dense rows
     bounds = []
     for _ in range(int(rng.integers(0, 2 * m + 1))):
         row = np.zeros(m)
@@ -299,9 +299,7 @@ def test_lp_standard_form_matches_reference_loops(seed):
     G = np.vstack([*bounds, dense]) if bounds or dense.size else np.zeros((0, m))
     G = G[rng.permutation(G.shape[0])]
     h = np.where(rng.random(G.shape[0]) < 0.8, 0.0, 1.0)
-    q = int(rng.integers(0, 3))
-    program = ConvexProgram(c=rng.standard_normal(m), a_ineq=G, b_ineq=h,
-                            a_eq=rng.standard_normal((q, m)), b_eq=rng.standard_normal(q))
+    program = ConvexProgram(c=rng.standard_normal(m), a_ineq=G, b_ineq=h)
     sf = _lp_standard_form(program)
     A, b, c, nonneg, split, bound_row, generic = _standard_form_reference(program)
     for got, want in ((sf.A, A), (sf.b, b), (sf.c, c)):
@@ -317,13 +315,13 @@ def test_presolve_returns_the_program_when_no_row_drops():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((6, 2))
     kept = ConvexProgram(c=[1.0, -1.0], a_ineq=a, b_ineq=np.ones(6))
-    assert _presolve(kept).program is kept
+    assert _presolve(kept)[0] is kept
     dropped = ConvexProgram(c=[1.0, -1.0], a_ineq=np.vstack([a, a[:1]]), b_ineq=np.ones(7))
-    reduced = _presolve(dropped).program
+    reduced = _presolve(dropped)[0]
     assert reduced is not dropped and reduced.n_ineq == 6
     # a column-major program is copied row-major, as every reduced one is
     fortran = ConvexProgram(c=[1.0, -1.0], a_ineq=np.asfortranarray(a), b_ineq=np.ones(6))
-    assert _presolve(fortran).program.a_ineq.flags.c_contiguous
+    assert _presolve(fortran)[0].a_ineq.flags.c_contiguous
 
 
 def _max_step_reference(v, dv):
@@ -366,19 +364,20 @@ def test_program_validation():
         solve(ConvexProgram(c=[1.0]), tol=1.0)
     with pytest.raises(SolverError):
         solve(ConvexProgram(c=[1.0]), max_iter=0)
+    # every constraint is an inequality row
+    with pytest.raises(TypeError):
+        ConvexProgram(c=[1.0], a_eq=[[1.0]], b_eq=[0.0])
 
 
 def test_program_json_round_trip():
     rng = np.random.default_rng(3)
     q, c, a, b = random_feasible_qp(rng, 3, 4)
-    program = ConvexProgram(c=c, q=q, a_ineq=a, b_ineq=b, a_eq=[[1.0, 1.0, 1.0]], b_eq=[0.5])
+    program = ConvexProgram(c=c, q=q, a_ineq=a, b_ineq=b)
     back = ConvexProgram(**json.loads(model.to_json(program)))
     np.testing.assert_array_equal(back.q, program.q)
     np.testing.assert_array_equal(back.c, program.c)
     np.testing.assert_array_equal(back.a_ineq, program.a_ineq)
     np.testing.assert_array_equal(back.b_ineq, program.b_ineq)
-    np.testing.assert_array_equal(back.a_eq, program.a_eq)
-    np.testing.assert_array_equal(back.b_eq, program.b_eq)
 
 
 def test_solve_is_deterministic():
@@ -451,7 +450,7 @@ def _unstructured_solve(monkeypatch, program):
 
 
 def _report_bits(report: SolveReport) -> bytes:
-    arrays = (report.x, report.lam, report.nu, report.primal_residual, report.dual_residual,
+    arrays = (report.x, report.lam, report.primal_residual, report.dual_residual,
               report.complementarity_gap)
     return report.status.value.encode() + str(report.iterations).encode() + b"".join(
         np.asarray(a, dtype=float).tobytes() for a in arrays)
@@ -562,18 +561,10 @@ def test_relaxation_qp_takes_the_schur_step():
 
 def _rejected_qps():
     """QPs outside ``solve``'s contract: no inequality row left after
-    presolve, or an equality row."""
+    presolve."""
     yield "unconstrained-projection", ConvexProgram(c=[-3.0, 1.0], q=np.eye(2))
-    yield "equality-constrained", ConvexProgram(c=[0.0, 0.0], q=np.eye(2), a_eq=[[1.0, 1.0]],
-                                                b_eq=[2.0])
-    yield "inconsistent-equalities", ConvexProgram(c=[0.0], q=[[1.0]], a_eq=[[1.0], [1.0]],
-                                                   b_eq=[0.0, 1.0])
     # zero curvature along x2 with a pure linear pull
     yield "unbounded-flat-direction", ConvexProgram(c=[0.0, -1.0], q=np.diag([1.0, 0.0]))
-    rng = np.random.default_rng(61)
-    base = _separable_qp(rng, 2, 3, 6, shuffle=False)
-    yield "equality-row", ConvexProgram(c=base.c, q=base.q, a_ineq=base.a_ineq, b_ineq=base.b_ineq,
-                                        a_eq=np.ones((1, 5)), b_eq=[0.5])
     yield "inequality-rows-all-zero", ConvexProgram(c=[1.0, -1.0], q=np.eye(2), a_ineq=np.zeros((3, 2)),
                                                     b_ineq=[0.0, 1.0, 2.0])
 
@@ -644,8 +635,11 @@ def test_phase1_polish_keeps_certificates_at_degenerate_vertices(monkeypatch):
                     monkeypatch, lambda: certify.check_cone_condition(gens, -r))
                 assert (cert.exists, cert.boundary) == (ref.exists, ref.boundary)
                 assert abs(cert.elastic_value - ref.elastic_value) <= 1e-10
-                # every sign-bound row of a zero variable leaves the system
-                assert core[-1] < full[-1]
+                # every sign-bound row of a zero coefficient leaves the system
+                # with its column; t is free, so with every coefficient
+                # positive nothing leaves
+                zero = np.count_nonzero(ref.coefficients <= 1e-9)
+                assert core[-1] == full[-1] - 2 * zero
                 degenerate += np.count_nonzero(ref.coefficients > 1e-9) < ds.filter_size
     assert degenerate >= 10
 

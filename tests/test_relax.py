@@ -39,7 +39,7 @@ def two_sample_d1() -> Dataset:
 def test_build_one_neuron_limit_lp():
     inst = build(two_sample_d1(), 0.0, np.array([0.5]))
     prog = inst.program
-    assert prog.is_lp and prog.n_vars == 1 and prog.n_eq == 0
+    assert prog.is_lp and prog.n_vars == 1
     np.testing.assert_array_equal(prog.a_ineq, [[1.0], [-1.0]])
     np.testing.assert_array_equal(prog.b_ineq, [1.0, 0.0])
     np.testing.assert_array_equal(prog.c, [0.5])
@@ -57,7 +57,7 @@ def test_build_multi_neuron_lp_counts():
     _, ds = sample_planted(2, 2, 2, 5)
     inst = build(ds, 0.0, np.array([0.3]))
     # the slacks are eliminated: one singleton row X_ij·w ≤ yᵢ per block
-    assert inst.program.n_vars == 1 and inst.program.n_eq == 0
+    assert inst.program.n_vars == 1
     np.testing.assert_array_equal(inst.program.a_ineq, ds.x.reshape(4, 1))
     np.testing.assert_array_equal(inst.program.b_ineq, np.repeat(ds.y, 2))
 
@@ -121,7 +121,7 @@ def test_fit_amplified_single_trial_matches_fit():
 
 
 def _report_bytes(report) -> bytes:
-    arrays = b"".join(np.asarray(a, dtype=float).tobytes() for a in (report.x, report.lam, report.nu))
+    arrays = b"".join(np.asarray(a, dtype=float).tobytes() for a in (report.x, report.lam))
     return report.status.value.encode() + repr(dataclasses.astuple(report)).encode() + arrays
 
 
@@ -265,8 +265,6 @@ def test_truth_is_feasible_in_every_built_instance():
             point = pm.w_star
         prog = inst.program
         assert np.max(prog.a_ineq @ point - prog.b_ineq) <= 1e-12
-        if prog.n_eq:
-            assert np.max(np.abs(prog.a_eq @ point - prog.b_eq)) <= 1e-12
 
 
 def test_beta_continuity_toward_the_limit_lp():
