@@ -38,7 +38,9 @@ FIELDS = ("status", "iterations", *FLOAT_FIELDS)
 
 
 def _presolve_programs():
-    """Programs whose presolve drops rows, keeps -0.0 twins or is infeasible."""
+    """Programs whose presolve drops zero rows (duplicates and a -0.0 twin
+    are solved as given), finds an infeasible zero row, or copies a
+    column-major matrix row-major."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram

@@ -157,8 +157,8 @@ class DualSolveResult:
     dual_objective: float
     primal_objective: float
     duality_gap: float
-    duals: np.ndarray  # u for one neuron, flattened λ_ij for several
-    v: np.ndarray  # per-sample dual bound (equals u for one neuron)
+    duals: np.ndarray  # lifted λ_ij = Σ_{S∋j} μ_iS, flattened sample-major
+    v: np.ndarray  # per-sample dual bound vᵢ = Σ_S μ_iS (equals λ at k=1)
     complementarity: float
     structure_off_violation: float  # max |λ_ij| over inactive (i, j)
     structure_on_violation: float  # max |λ_ij − v_i| over active (i, j)

@@ -185,6 +185,10 @@ def build_rotation_dataset(
     if len(images.dims) != 3:
         raise ValueError(f"expected an (N, H, W) image tensor, got dims {images.dims}")
     total, h, w = images.dims
+    if n_train < 2 or n_test < 1:
+        # the ridge weight is chosen on a validation slice held out of the
+        # training split, so both slices need a row
+        raise ValueError(f"need n_train >= 2 and n_test >= 1, got {n_train} and {n_test}")
     if total < n_train + n_test:
         raise ValueError(f"need {n_train + n_test} images, file has {total}")
     raw = images.reshaped().astype(float)
@@ -282,8 +286,10 @@ def learn_filter_features(
     3·(784/k)/k rows.
     """
     d = train.x.shape[1]
-    if d % k != 0:
-        raise ValueError(f"k={k} must divide the feature width {d}")
+    if k < 1 or d % k != 0:
+        raise ValueError(f"k={k} must be a positive divisor of the feature width {d}")
+    if fit_samples < 1:
+        raise ValueError(f"fit_samples must be positive, got {fit_samples}")
     fit_samples = min(fit_samples, train.n)
     pick = substream(seed, STREAM_MNIST_FIT).permutation(train.n)[:fit_samples]
     y_fit = train.y[pick] - float(np.min(train.y[pick]))

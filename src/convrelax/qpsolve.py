@@ -1,7 +1,8 @@
 """Dense convex solver for LPs and QPs over inequality rows.
 
 This is the single numerical engine used by the rest of the package.
-Every constraint is an inequality row, for LPs and QPs alike.  Linear
+Every constraint is an inequality row, for LPs and QPs alike.  Presolve
+drops zero rows only; duplicate rows are solved as given.  Linear
 programs run through a homogeneous self-dual embedding with Mehrotra
 predictor-corrector steps, which gives clean certificates of
 infeasibility and unboundedness.  Quadratic programs (PSD curvature, at
@@ -170,56 +171,25 @@ def least_squares(a, b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# presolve: drop zero rows and exact duplicate rows, nothing else, so the
-# multiplier indexing of callers stays aligned (dropped rows get zero duals).
+# presolve: drop zero rows, nothing else, so the multiplier indexing of
+# callers stays aligned (dropped rows get zero duals).  Duplicate rows are
+# solved as given; their multipliers may split between them.
 # ---------------------------------------------------------------------------
 
 
-def _dedup_rows(a: np.ndarray, b: np.ndarray):
-    """Indices of the first occurrence of each distinct nonzero row of
-    [a | b], ascending, and whether a zero row is infeasible (b < 0).
-
-    Rows are distinct when their bytes differ, so -0.0 and 0.0 entries
-    tell rows apart, while a row whose entries are all ±0.0 counts as zero.
-    Rows are first grouped by a signature that byte-equal rows share
-    (nonzero count, first nonzero column, the bits of its value and of
-    b); only rows whose signatures collide are compared byte for byte.
-    """
-    nonzero = a != 0.0
-    is_zero_row = ~nonzero.any(axis=1)
-    infeasible = bool(np.any(b[is_zero_row] < 0.0))
-    rows = np.flatnonzero(~is_zero_row)
-    if rows.size < 2:
-        return rows, infeasible
-    nonzero = nonzero[rows]
-    first = nonzero.argmax(axis=1)
-    signature = (nonzero.sum(axis=1), first, a[rows, first].view(np.int64), b[rows].view(np.int64))
-    order = np.lexsort(signature)
-    ordered = np.stack(signature)[:, order]
-    starts = np.flatnonzero(np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0), True])
-    group_size = np.diff(starts)
-    shared = np.zeros(rows.size, dtype=bool)
-    shared[order] = np.repeat(group_size > 1, group_size)
-    keep = ~shared
-    if shared.any():
-        candidates = np.flatnonzero(shared)
-        pairs = np.column_stack([a[rows[candidates]], b[rows[candidates]]])
-        keys = pairs.view(np.dtype((np.void, pairs.itemsize * pairs.shape[1]))).ravel()
-        _, first_of_key = np.unique(keys, return_index=True)
-        keep[candidates[first_of_key]] = True
-    return rows[keep], infeasible
-
-
 def _presolve(program: ConvexProgram) -> tuple[ConvexProgram, np.ndarray, bool]:
-    """(the reduced program, the indices of its rows in the original,
-    whether a zero row is infeasible)."""
-    keep, infeasible = _dedup_rows(program.a_ineq, program.b_ineq)
+    """(the reduced program, the mask of its rows in the original,
+    whether a zero row is infeasible).  A row of ±0.0 entries is zero."""
+    nonzero = program.a_ineq.any(axis=1)
+    infeasible = bool(np.any(program.b_ineq[~nonzero] < 0.0))
     # a reduced program holds row-major copies, and BLAS may round a
     # product differently on another layout
-    unchanged = keep.size == program.n_ineq and program.a_ineq.flags.c_contiguous
+    unchanged = nonzero.all() and program.a_ineq.flags.c_contiguous
     reduced = program if unchanged else replace(
-        program, a_ineq=program.a_ineq[keep], b_ineq=program.b_ineq[keep])
-    return reduced, keep, infeasible
+        program, a_ineq=program.a_ineq[nonzero], b_ineq=program.b_ineq[nonzero])
+    if not reduced.n_ineq and not reduced.is_lp:
+        raise SolverError("a QP needs at least one nonzero inequality row")
+    return reduced, nonzero, infeasible
 
 
 # ---------------------------------------------------------------------------
@@ -752,9 +722,10 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
 
     Every constraint is an inequality row, for LPs and QPs alike.  Any
     LP is accepted.  A QP is accepted only if, after presolve drops its
-    zero and duplicate rows, it has at least one inequality row; any
-    other QP, like a malformed ``tol`` or ``max_iter``, raises
-    ``SolverError``.
+    zero rows, it has at least one inequality row; any other QP, like a
+    malformed ``tol`` or ``max_iter``, raises ``SolverError``.  Presolve
+    drops nothing else: duplicate rows are solved as given, and their
+    multipliers may split between them.
     """
     if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
         raise SolverError(f"tol must lie in [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}]")
@@ -762,14 +733,11 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
         raise SolverError("max_iter must be positive")
 
     red, keep, infeasible = _presolve(program)
-    is_lp = red.is_lp
-    if not is_lp and not red.n_ineq:
-        raise SolverError("a QP needs at least one nonzero inequality row")
     if infeasible:
         zeros = (np.zeros(program.n_vars), np.zeros(program.n_ineq))
         return _finalize(program, SolveStatus.PRIMAL_INFEASIBLE, *zeros, 0, tol)
 
-    if is_lp:
+    if red.is_lp:
         result = None
         if red.n_ineq > 2 * red.n_vars:
             result = _lp_solve_dual_route(red, tol, max_iter)

@@ -52,6 +52,8 @@ class GridSpec:
             raise SweepError("n_values must be ascending positive integers")
         if list(self.d_values) != sorted(self.d_values) or any(v <= 0 for v in self.d_values):
             raise SweepError("d_values must be ascending positive integers")
+        if self.k < 1:
+            raise SweepError("k must be a positive integer")
         if any(d % self.k != 0 for d in self.d_values):
             raise SweepError("every d value must be divisible by k")
         if self.trials < 1 or self.amplify < 1:

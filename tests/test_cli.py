@@ -3,6 +3,7 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +188,51 @@ def test_exit_codes_for_bad_usage(tmp_path, capsys):
                  "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
     assert main(["mnist", "--out", str(tmp_path / "m.csv")]) in (EXIT_USAGE,)
     capsys.readouterr()
+
+
+def test_sweep_rejects_k_below_one_and_unknown_methods(tmp_path, capsys):
+    out = tmp_path / "cells.csv"
+    base = ["sweep", "--n-values", "10", "--d-values", "4", "--trials", "2", "--out", str(out)]
+    assert main([*base, "--k", "0"]) == EXIT_USAGE
+    assert "usage error: k must be a positive integer" in capsys.readouterr().err
+    assert main([*base, "--methods", "relax,foo"]) == EXIT_USAGE
+    assert "unknown method 'foo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mnist_writes_a_two_row_csv(idx_dir, capsys):
+    out = idx_dir / "table.csv"
+    assert main(["mnist", "--data-dir", str(idx_dir), "--out", str(out), "--k", "16",
+                 "--n-train", "60", "--n-test", "30", "--seed", "1", "--fit-samples", "40"]) == EXIT_OK
+    header, *rows = out.read_text().splitlines()
+    assert header == "experiment,rmse"
+    assert [row.split(",")[0] for row in rows] == ["ls_raw_pixels", "ls_learned_filter"]
+    assert all(np.isfinite(float(row.split(",")[1])) for row in rows)
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+_MNIST_BAD_ARGS = [
+    (["--k", "0"], "usage error: k=0"),
+    (["--n-train", "0"], "usage error: need n_train >= 2"),
+    (["--n-train", "-5"], "usage error: need n_train >= 2"),
+    (["--n-test", "0"], "usage error: need n_train >= 2 and n_test >= 1"),
+    (["--fit-samples", "0"], "usage error: fit_samples must be positive"),
+    (["--fit-samples", "-5"], "usage error: fit_samples must be positive"),
+    (["--angle-range", "abc"], "argument --angle-range"),
+    (["--angle-range", "1,2,3"], "argument --angle-range"),
+    (["--angle-range", "1,x"], "argument --angle-range"),
+]
+
+
+@pytest.mark.parametrize("args, message", _MNIST_BAD_ARGS, ids=[" ".join(a) for a, _ in _MNIST_BAD_ARGS])
+def test_mnist_bad_sizes_are_usage_errors(idx_dir, capsys, args, message):
+    out = idx_dir / "table.csv"
+    base = ["mnist", "--data-dir", str(idx_dir), "--out", str(out),
+            "--k", "16", "--n-train", "60", "--n-test", "30", "--fit-samples", "40"]
+    assert main([*base, *args]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_workers_flag_matches_serial(tmp_path):

@@ -275,17 +275,8 @@ def test_run_table_produces_both_rows(tmp_path):
     assert lines[2].startswith("ls_learned_filter,")
 
 
-def test_run_experiment_from_idx_files(tmp_path):
-    rng = np.random.default_rng(0)
-    for name, fname in mnistreg.IDX_FILES.items():
-        count = 70
-        if "images" in name:
-            data = rng.integers(0, 256, size=count * 28 * 28).astype(">u1")
-            t = IdxTensor("unsigned-byte", (count, 28, 28), data)
-        else:
-            t = IdxTensor("unsigned-byte", (count,), rng.integers(0, 10, size=count).astype(">u1"))
-        (tmp_path / fname).write_bytes(write_idx(t))
+def test_run_experiment_from_idx_files(idx_dir):
     rows = mnistreg.run_experiment(
-        str(tmp_path), k=16, n_train=60, n_test=30, seed=1, fit_samples=40
+        str(idx_dir), k=16, n_train=60, n_test=30, seed=1, fit_samples=40
     )
     assert len(rows) == 2 and all(np.isfinite(v) for _, v in rows)

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import time
-
 from convrelax import certify, model, qpsolve, relax
 from convrelax.qpsolve import (
     ConvexProgram,
     SolveReport,
     SolverError,
     SolveStatus,
-    _dedup_rows,
     _lp_standard_form,
     _max_step,
     _presolve,
@@ -27,7 +24,6 @@ from oracles import (
     full_polish,
     highs_lp,
     infeasible_lp,
-    lifted_lp_rows,
     lp_vertex_oracle,
     qp_active_set_oracle,
     random_feasible_qp,
@@ -109,6 +105,54 @@ def test_infeasible_and_unbounded_detection():
         assert solve(ConvexProgram(c=c, a_ineq=a, b_ineq=b)).status == SolveStatus.DUAL_UNBOUNDED
 
 
+def test_dual_route_certifies_infeasibility(monkeypatch):
+    # x <= 1 and x >= 2 among four rows over one variable: more rows than
+    # twice the columns, and no zero row, so the dual route's improving
+    # ray decides without the primal route
+    def primal_route(*args):
+        raise AssertionError("the primal route ran")
+
+    monkeypatch.setattr(qpsolve, "_lp_solve_primal_route", primal_route)
+    a, b = np.array([[1.0], [-1.0], [1.0], [2.0]]), np.array([1.0, -2.0, 3.0, 5.0])
+    for c in ([1.0], [-1.0], [0.0]):
+        assert solve(ConvexProgram(c=c, a_ineq=a, b_ineq=b)).status == SolveStatus.PRIMAL_INFEASIBLE
+        assert highs_lp(c, a, b)[0] == "infeasible"
+
+
+def _short_and_tall_lps():
+    rng = np.random.default_rng(17)
+    c, a, b = bounded_feasible_lp(rng, 3)
+    yield "short", ConvexProgram(c=c, a_ineq=a, b_ineq=b)
+    a = rng.standard_normal((40, 3))
+    b = a @ rng.standard_normal(3) + rng.uniform(0.1, 1.0, 40)
+    yield "tall", ConvexProgram(c=rng.standard_normal(3), a_ineq=a, b_ineq=b)
+
+
+@pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _short_and_tall_lps()])
+def test_hsd_iteration_cap_is_max_iterations(program):
+    assert solve(program).status == SolveStatus.OPTIMAL
+    rep = solve(program, max_iter=1)
+    assert rep.status == SolveStatus.MAX_ITERATIONS and rep.iterations == 1
+    assert np.all(np.isfinite(rep.x)) and np.all(np.isfinite(rep.lam))
+
+
+def test_optimal_claim_that_misses_tol_is_downgraded(monkeypatch):
+    # the embedding claims Optimal after one step and the polish gives up:
+    # the recomputed KKT residuals decide the status
+    hsd = qpsolve._hsd
+
+    def one_step_claimed_optimal(A, b, c, tol, max_iter):
+        *iterate, _, iters = hsd(A, b, c, tol, 1)
+        return (*iterate, SolveStatus.OPTIMAL, iters)
+
+    monkeypatch.setattr(qpsolve, "_hsd", one_step_claimed_optimal)
+    monkeypatch.setattr(qpsolve, "_polish", lambda *args, **kwargs: None)
+    for _, program in _short_and_tall_lps():
+        rep = solve(program, tol=1e-8)
+        assert rep.status == SolveStatus.MAX_ITERATIONS and rep.iterations == 1
+        assert max(rep.primal_residual, rep.dual_residual, rep.complementarity_gap) > 1e-8
+
+
 def test_strong_duality_invariant():
     rng = np.random.default_rng(21)
     tol = 1e-8
@@ -150,7 +194,8 @@ def test_lp_scaling_covariance():
 
 
 def test_presolve_duplicate_and_zero_rows():
-    # duplicated and all-zero rows are dropped; their multipliers read zero
+    # an all-zero row is dropped and its multiplier reads zero; a duplicated
+    # row is solved as given, its multiplier split between the copies
     program = ConvexProgram(
         c=[-1.0],
         a_ineq=[[1.0], [1.0], [0.0], [-1.0]],
@@ -159,87 +204,48 @@ def test_presolve_duplicate_and_zero_rows():
     rep = solve(program)
     assert rep.status == SolveStatus.OPTIMAL
     np.testing.assert_allclose(rep.x, [1.0], atol=1e-9)
-    assert rep.lam[1] == 0.0 and rep.lam[2] == 0.0
+    assert rep.lam[2] == 0.0
+    assert min(rep.lam[:2]) >= 0.0 and abs(rep.lam[0] + rep.lam[1] - 1.0) <= 1e-8
     assert check_kkt(program, rep, tol=1e-8).passed
-    # a zero row with negative bound is infeasible outright
-    bad = ConvexProgram(c=[1.0], a_ineq=[[0.0]], b_ineq=[-1.0])
-    assert solve(bad).status == SolveStatus.PRIMAL_INFEASIBLE
+    # a zero row with negative bound is infeasible outright, -0.0 entries
+    # and all
+    for row in ([0.0], [-0.0]):
+        bad = solve(ConvexProgram(c=[1.0], a_ineq=[[1.0], row], b_ineq=[1.0, -1.0]))
+        assert bad.status == SolveStatus.PRIMAL_INFEASIBLE and bad.iterations == 0
 
 
-def _dedup_rows_reference(a, b):
-    """The row loop the vectorized presolve must reproduce index for index."""
-    keep = []
-    seen = set()
-    infeasible = False
-    for i in range(a.shape[0]):
-        row = a[i]
-        if not row.any():
-            infeasible |= b[i] < 0.0
-            continue
-        key = row.tobytes() + np.float64(b[i]).tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        keep.append(i)
-    return np.asarray(keep, dtype=int), infeasible
+def _duplicated_row_programs():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 5))
+    b = a @ rng.standard_normal(5) + rng.uniform(0.1, 1.0, 40)
+    yield "lp-dual", ConvexProgram(c=rng.standard_normal(5), a_ineq=a, b_ineq=b)
+    c, a, b = bounded_feasible_lp(rng, 6)
+    yield "lp-primal", ConvexProgram(c=c, a_ineq=a, b_ineq=b)
+    _, ds = model.sample_planted(30, 6, 1, 3)
+    r = model.substream(3, model.STREAM_PERTURBATION).standard_normal(6)
+    yield "relaxation-qp", relax.build(ds, 1e-3, r).program
 
 
-def _program_with_redundant_rows(rng, rows, cols):
-    """Random rows, then exact duplicates, zero rows (some of them -0.0),
-    -0.0 twins of rows and twins that differ only in b, shuffled."""
-    a = rng.standard_normal((rows, cols))
-    a[rng.random((rows, cols)) < 0.3] = 0.0
-    b = rng.standard_normal(rows)
-    b[rng.random(rows) < 0.2] = 0.0
-    pick = rng.integers(0, rows, size=rows // 2)
-    twins = a[pick].copy()
-    twins[twins == 0.0] = -0.0
-    zeros = np.zeros((3, cols))
-    zeros[1, 0] = -0.0
-    a = np.vstack([a, a[pick], twins, a[pick[:2]], zeros])
-    b = np.concatenate([b, b[pick], b[pick], b[pick[:2]] + 1.0, [0.0, -0.0, rng.choice([-1.0, 1.0])]])
-    perm = rng.permutation(a.shape[0])
-    return a[perm], b[perm]
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_dedup_rows_matches_reference_loop(seed):
-    rng = np.random.default_rng(seed)
-    a, b = _program_with_redundant_rows(rng, int(rng.integers(1, 40)), int(rng.integers(1, 6)))
-    keep, infeasible = _dedup_rows(a, b)
-    ref_keep, ref_infeasible = _dedup_rows_reference(a, b)
-    np.testing.assert_array_equal(keep, ref_keep)
-    assert keep.dtype == ref_keep.dtype
-    assert infeasible == ref_infeasible
-    # -0.0 and 0.0 tell rows apart; a row of signed zeros is still a zero row
-    a = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, -0.0], [0.0, 1.0]])
-    b = np.array([1.0, 1.0, 1.0, -2.0, -0.0])
-    keep, infeasible = _dedup_rows(a, b)
-    assert keep.tolist() == [0, 1, 4] and infeasible
-    assert _dedup_rows(np.zeros((0, 3)), np.zeros(0))[0].size == 0
-
-
-def _best_ms(fn, *args, reps):
-    best = np.inf
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best * 1e3
-
-
-@pytest.mark.parametrize("n, d, k", [(2000, 10, 1), (400, 20, 5)])
-def test_dedup_rows_faster_than_reference_loop(n, d, k):
-    # a tall k=1 program (2000x10) and a wide lifted one (4000x2004)
-    _, ds = model.sample_planted(n, d, k, 1)
-    r = np.ones(d // k)
-    if k == 1:
-        program = relax.build(ds, 0.0, r).program
-        a, b = program.a_ineq, program.b_ineq
-    else:
-        _, a, b, _, _ = lifted_lp_rows(ds, r)
-    reps = 15 if k == 1 else 3
-    assert _best_ms(_dedup_rows, a, b, reps=reps) < _best_ms(_dedup_rows_reference, a, b, reps=reps)
+@pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _duplicated_row_programs()])
+def test_duplicate_rows_are_solved_as_given(program):
+    ref = solve(program)
+    assert ref.status == SolveStatus.OPTIMAL
+    active, inactive = np.flatnonzero(ref.lam > 1e-9), np.flatnonzero(ref.lam <= 1e-9)
+    assert active.size >= 3 and inactive.size >= 1
+    # three active rows twice, the first of them three times, and an
+    # inactive row twice, shuffled; ``origin`` maps each row to its original
+    extra = np.concatenate([active[:3], active[:1], inactive[:1]])
+    origin = np.random.default_rng(4).permutation(np.concatenate([np.arange(program.n_ineq), extra]))
+    dup = ConvexProgram(c=program.c, q=program.q, a_ineq=program.a_ineq[origin], b_ineq=program.b_ineq[origin])
+    # the duplicates leave the route unchanged
+    assert (dup.n_ineq > 2 * dup.n_vars) == (program.n_ineq > 2 * program.n_vars)
+    rep = solve(dup)
+    assert rep.status == ref.status
+    np.testing.assert_allclose(rep.x, ref.x, rtol=0.0, atol=1e-9)
+    assert rep.lam.min() >= 0.0
+    group_sums = np.bincount(origin, weights=rep.lam, minlength=program.n_ineq)
+    np.testing.assert_allclose(group_sums, ref.lam, rtol=0.0, atol=1e-8)
+    assert check_kkt(dup, rep, tol=1e-8).passed
 
 
 def _standard_form_reference(program):
@@ -316,9 +322,12 @@ def test_presolve_returns_the_program_when_no_row_drops():
     a = rng.standard_normal((6, 2))
     kept = ConvexProgram(c=[1.0, -1.0], a_ineq=a, b_ineq=np.ones(6))
     assert _presolve(kept)[0] is kept
-    dropped = ConvexProgram(c=[1.0, -1.0], a_ineq=np.vstack([a, a[:1]]), b_ineq=np.ones(7))
+    duplicated = ConvexProgram(c=[1.0, -1.0], a_ineq=np.vstack([a, a[:1]]), b_ineq=np.ones(7))
+    assert _presolve(duplicated)[0] is duplicated
+    dropped = ConvexProgram(c=[1.0, -1.0], a_ineq=np.vstack([a, np.zeros((1, 2))]), b_ineq=np.ones(7))
     reduced = _presolve(dropped)[0]
     assert reduced is not dropped and reduced.n_ineq == 6
+    assert reduced.a_ineq.tobytes() == a.tobytes()
     # a column-major program is copied row-major, as every reduced one is
     fortran = ConvexProgram(c=[1.0, -1.0], a_ineq=np.asfortranarray(a), b_ineq=np.ones(6))
     assert _presolve(fortran)[0].a_ineq.flags.c_contiguous
