@@ -20,7 +20,8 @@ beta=1e-3 QP at k=1 and row-generated at k=2 and k=5, certify's
 phase-1 cone program and the block-set LP that gives its primal fit and
 dual at k=1, 2 and 5 and on a k=2 dataset whose dual is infeasible,
 presolve cases with duplicate, zero, -0.0 and infeasible rows, the
-beta=1e-3 QP at k=2 over all n·k slacks (no separable column), and
+beta=1e-3 QP at k=2 over all n·k slacks (no separable column), Optimal
+LPs on the primal route with and without sign-bound rows, and
 infeasible and unbounded LPs on the primal and on the dual route.
 
 With a single SRC the script prints that tree's panel as JSON instead.
@@ -86,14 +87,21 @@ def _coupled_qp():
 
 
 def _small_programs():
-    """A QP without separable columns, and infeasible and unbounded LPs
-    small enough for the primal route and tall enough for the dual route
-    (more than twice as many rows as variables)."""
+    """A QP without separable columns; two Optimal LPs on the primal route,
+    one with sign-bound rows -x_j <= 0 and one without; and infeasible
+    and unbounded LPs small enough for the primal route and tall enough
+    for the dual route (more than twice as many rows as variables)."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram
 
     yield "qp-coupled", _coupled_qp()
+    yield "lp-optimal-primal-route-sign-bounds", ConvexProgram(
+        c=[-1.0, -2.0], a_ineq=[[1.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, -1.0]],
+        b_ineq=[4.0, 6.0, 0.0, 0.0])
+    # free variables, optimal at the vertex (0.8, 0.6)
+    yield "lp-optimal-primal-route", ConvexProgram(
+        c=[1.0, 1.0], a_ineq=[[-1.0, -2.0], [-3.0, -1.0], [1.0, -1.0]], b_ineq=[-2.0, -3.0, 1.0])
     # x1 <= -1 against x1 >= 0
     yield "lp-infeasible-primal-route", ConvexProgram(
         c=[1.0, 1.0, 0.5], a_ineq=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], b_ineq=[-1.0, 0.0])

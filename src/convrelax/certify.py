@@ -3,8 +3,9 @@
 The planted filter solves the perturbed LP exactly when the perturbation
 sits inside the conic hull of the active generators: for each sample,
 the sum of its active block rows.  Membership is decided by a phase-1
-elastic LP; the dual program supplies the matching multiplier witness
-and the duality cross-check.
+LP, the Farkas LP whose dual is the elastic LP (see
+``check_cone_condition``); the dual program supplies the matching
+multiplier witness and the duality cross-check.
 
 Orientation note: the fit minimizes rᵀw, so the planted filter is
 optimal iff −r lies in the generator cone.  ``check_cone_condition``
@@ -103,12 +104,14 @@ def check_cone_condition(
     """Decide r ∈ cone(generators) through a phase-1 elastic LP.
 
     Finds v ≥ 0 minimizing the elastic violation ‖Gᵀv − r‖₁, G holding
-    the generators as rows, by the LP over (v, t), t free: minimize 1ᵀt
-    subject to −v ≤ 0, Gᵀv − t ≤ r and −Gᵀv − t ≤ −r.  The elastic value
-    and the residual are the sum and the max of |Gᵀv − r|, recomputed
-    from the solution's v.  Membership holds iff the elastic value is at
-    most tol; values within a factor ten of tol are flagged
-    boundary-degenerate.
+    the generators as rows.  v is read off the multipliers of the rows
+    G·y ≤ 0 of the Farkas LP over y: maximize rᵀy subject to G·y ≤ 0
+    and −1 ≤ y ≤ 1.  That LP is feasible at y = 0 and bounded by its
+    box, and its dual is the minimization over v, so by strong duality
+    both have the same value.  The elastic value and the residual are
+    the sum and the max of |Gᵀv − r|, recomputed from v.  Membership
+    holds iff the elastic value is at most tol; values within a factor
+    ten of tol are flagged boundary-degenerate.
     """
     if not 0.0 < tol < math.inf:
         raise CertifyError("tol must be positive and finite")
@@ -118,15 +121,12 @@ def check_cone_condition(
     if r.shape != (p,):
         raise CertifyError("generators and r disagree on dimension")
     eye = np.eye(p)
-    a_ineq = np.block([[-np.eye(m), np.zeros((m, p))],
-                       [generators.T, -eye],
-                       [-generators.T, -eye]])
-    program = ConvexProgram(c=np.concatenate([np.zeros(m), np.ones(p)]), a_ineq=a_ineq,
-                            b_ineq=np.concatenate([np.zeros(m), r, -r]))
+    program = ConvexProgram(c=-r, a_ineq=np.vstack([generators, eye, -eye]),
+                            b_ineq=np.concatenate([np.zeros(m), np.ones(2 * p)]))
     report = qpsolve.solve(program)
     if report.status != SolveStatus.OPTIMAL:
         raise IndeterminateCertificate(f"phase-1 solve ended with {report.status.value}")
-    v = report.x[:m]
+    v = report.lam[:m]
     gap = np.abs(generators.T @ v - r)
     elastic = float(gap.sum())
     return Certificate(
@@ -165,12 +165,7 @@ class DualSolveResult:
     w_hat: np.ndarray
 
 
-def dual_solve(
-    dataset: Dataset,
-    r: np.ndarray,
-    sets: ActiveSets | None = None,
-    tol: float = qpsolve.DEFAULT_TOL,
-) -> DualSolveResult:
+def dual_solve(dataset: Dataset, r: np.ndarray, sets: ActiveSets | None = None) -> DualSolveResult:
     """Solve the vanishing-weight LP and its dual, and cross-check them.
 
     The primal minimizes rᵀw, so the dual seeks nonnegative multipliers
@@ -178,9 +173,10 @@ def dual_solve(
     block-set solve (see the module docstring).  Primal feasibility of ŵ
     and lifted-dual feasibility of (λ, v) are recomputed from x, y and r,
     not from the generated rows, so the duality gap bounds the distance
-    to the optimum; a residual above tol ends Failed with a
-    RuntimeWarning, as does the round cap relax.MAX_ROW_ROUNDS.  An
-    infeasible LP (a negative label at k>1) ends Failed.  Reported too:
+    to the optimum; a residual above the solver's tolerance
+    ``qpsolve.DEFAULT_TOL`` ends Failed with a RuntimeWarning, as does
+    the round cap relax.MAX_ROW_ROUNDS.  An infeasible LP (a negative
+    label at k>1) ends Failed.  Reported too:
     complementary slackness over the solved rows and, when active sets
     are supplied, the multiplier structure (λ zero off the active sets,
     equal to v on them).  Results that are not Optimal carry NaN
@@ -194,7 +190,7 @@ def dual_solve(
     xb = dataset.blocks()
 
     program = relax.build(dataset, 0.0, r).program
-    report, sample, blocks = relax.block_set_lp(dataset, program, tol)
+    report, sample, blocks = relax.block_set_lp(dataset, program)
     status = {SolveStatus.OPTIMAL: DUAL_OPTIMAL,
               SolveStatus.DUAL_UNBOUNDED: DUAL_INFEASIBLE}.get(report.status, DUAL_FAILED)
 
@@ -213,9 +209,9 @@ def dual_solve(
             "lifted-dual feasibility": max(-lam.min(), np.max(lam - v[:, None]), stationarity.max()),
         }
         for name, value in residuals.items():
-            if value > tol:
+            if value > qpsolve.DEFAULT_TOL:
                 warnings.warn(f"{name} residual {value:.3g} of the block-set solution exceeds "
-                              f"tol={tol:g}", RuntimeWarning, stacklevel=2)
+                              f"tol={qpsolve.DEFAULT_TOL:g}", RuntimeWarning, stacklevel=2)
                 status = DUAL_FAILED
 
     nan = float("nan")

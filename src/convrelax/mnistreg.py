@@ -17,6 +17,7 @@ slacks to sum to the label, which requires nonnegative targets).
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -267,6 +268,13 @@ def make_augmenter(w_hat: np.ndarray, k: int, center: np.ndarray | None = None):
     return augment
 
 
+def _check_fit_args(d: int, k: int, fit_samples: int) -> None:
+    if k < 1 or d % k != 0:
+        raise ValueError(f"k={k} must be a positive divisor of the feature width {d}")
+    if fit_samples < 1:
+        raise ValueError(f"fit_samples must be positive, got {fit_samples}")
+
+
 def learn_filter_features(
     train: RotationDataset,
     k: int,
@@ -285,11 +293,7 @@ def learn_filter_features(
     centered block rows positively span filter space, on the order of
     3·(784/k)/k rows.
     """
-    d = train.x.shape[1]
-    if k < 1 or d % k != 0:
-        raise ValueError(f"k={k} must be a positive divisor of the feature width {d}")
-    if fit_samples < 1:
-        raise ValueError(f"fit_samples must be positive, got {fit_samples}")
+    _check_fit_args(train.x.shape[1], k, fit_samples)
     fit_samples = min(fit_samples, train.n)
     pick = substream(seed, STREAM_MNIST_FIT).permutation(train.n)[:fit_samples]
     y_fit = train.y[pick] - float(np.min(train.y[pick]))
@@ -338,7 +342,10 @@ def run_experiment(
         path = os.path.join(data_dir, fname)
         if not os.path.exists(path) and os.path.exists(path + ".gz"):
             path = path + ".gz"
-        tensors[name] = load_idx_file(path)
+        tensors[name] = t = load_idx_file(path)
+        if "images" in name and t.data.dtype.kind == "f" and not np.isfinite(t.data).all():
+            image = int(np.flatnonzero(~np.isfinite(t.data))[0]) // math.prod(t.dims[1:])
+            raise IdxFormatError(f"{fname}: image {image} has a non-finite pixel")
     # digit labels are parsed to validate the files but the task is rotation
     del tensors["train_labels"], tensors["test_labels"]
     pool = IdxTensor(
@@ -349,6 +356,8 @@ def run_experiment(
         ),
         data=np.concatenate([tensors["train_images"].data, tensors["test_images"].data]),
     )
+    # checked here, before every image is rotated, and again by the fit
+    _check_fit_args(math.prod(pool.dims[1:]), k, fit_samples)
     train, test = build_rotation_dataset(pool, angle_range, n_train, n_test, seed)
     return run_table(train, test, k, seed, lambda_grid, fit_samples)
 

@@ -5,7 +5,10 @@ Every constraint is an inequality row, for LPs and QPs alike.  Presolve
 drops zero rows only; duplicate rows are solved as given.  Linear
 programs run through a homogeneous self-dual embedding with Mehrotra
 predictor-corrector steps, which gives clean certificates of
-infeasibility and unboundedness.  Quadratic programs (PSD curvature, at
+infeasibility and unboundedness: an LP with more than twice as many
+rows as variables through its dual, any other in one standard form,
+where variable j splits into columns 2j and 2j+1 and row i gets the
+slack column 2m+i (m variables).  Quadratic programs (PSD curvature, at
 least one inequality row left after presolve) run an infeasible-start
 predictor-corrector on the slack KKT system with static regularization,
 stepping on the Cholesky factor of the Schur complement left by
@@ -334,89 +337,36 @@ def _hsd(A, b, c, tol, max_iter):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _StdForm:
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    col: np.ndarray  # original var -> its standard col (the plus part if split)
-    split: np.ndarray  # original var is free: plus part in col, minus in col + 1
-    bound_rows: np.ndarray  # original ineq rows read as sign bounds, one per var
-    bound_vars: np.ndarray  # the var each bound row keeps nonnegative
-    bound_scales: np.ndarray  # −G[row, var] > 0 of each bound row
-    generic_rows: np.ndarray  # original ineq rows kept as slack rows, in order
-
-
-def _sign_bounds(G: np.ndarray, h: np.ndarray):
-    """(variables j, rows, scales s) of the sign bounds x_j ≥ 0 in G·x ≤ h:
-    the first row −s·x_j ≤ 0 with s > 0 of each variable."""
-    nonzero = G != 0.0
-    first = nonzero.argmax(axis=1)
-    lead = G[np.arange(G.shape[0]), first]
-    candidates = np.flatnonzero((h == 0.0) & (nonzero.sum(axis=1) == 1) & (lead < 0))
-    bound_vars, first_row = np.unique(first[candidates], return_index=True)
-    bound_rows = candidates[first_row]
-    return bound_vars, bound_rows, -lead[bound_rows]
-
-
-def _lp_standard_form(program: ConvexProgram) -> _StdForm:
+def _lp_standard_form(program: ConvexProgram):
+    """(A, b, c) of min cᵀx s.t. Ax = b, x ≥ 0: variable j splits into
+    columns 2j and 2j+1 (its plus and minus parts), and row i gets the
+    slack column 2m+i."""
     m = program.n_vars
     G, h = program.a_ineq, program.b_ineq
-
-    # each sign bound makes its variable nonnegative; later rows of the
-    # same variable stay generic
-    bound_vars, bound_rows, bound_scales = _sign_bounds(G, h)
-    generic = np.flatnonzero(np.bincount(bound_rows, minlength=G.shape[0]) == 0)
-
-    split = np.bincount(bound_vars, minlength=m) == 0
-    width = np.where(split, 2, 1)
-    col = np.cumsum(width) - width
-    next_col = int(width.sum())
-    n_std = next_col + generic.size
-
-    A_std = np.zeros((generic.size, n_std))
-    b_std = h[generic]
-    c_std = np.zeros(n_std)
-
-    rows = G[generic]
-    A_std[:, col] = rows
-    A_std[:, col[split] + 1] = -rows[:, split]
-    c_std[col] = program.c
-    c_std[col[split] + 1] = -program.c[split]
-    slack = np.arange(generic.size)
-    A_std[slack, next_col + slack] = 1.0
-
-    return _StdForm(A_std, b_std, c_std, col, split, bound_rows, bound_vars, bound_scales, generic)
+    rows = G.shape[0]
+    A_std = np.zeros((rows, 2 * m + rows))
+    A_std[:, 0 : 2 * m : 2] = G
+    A_std[:, 1 : 2 * m : 2] = -G
+    A_std[np.arange(rows), 2 * m + np.arange(rows)] = 1.0
+    c_std = np.zeros(2 * m + rows)
+    c_std[0 : 2 * m : 2] = program.c
+    c_std[1 : 2 * m : 2] = -program.c
+    return A_std, h, c_std
 
 
 def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
-    sf = _lp_standard_form(program)
-    if sf.A.shape[0] == 0:
-        # only sign bounds remain: the optimum sits at the origin whenever
-        # every bounded direction has nonnegative cost and every free
-        # direction has zero cost, otherwise the objective is unbounded
-        c = program.c
-        zero = np.zeros(program.n_vars)
-        lam = np.zeros(program.n_ineq)
-        if np.any(c[~sf.split] < 0) or np.any(c[sf.split] != 0):
-            return SolveStatus.DUAL_UNBOUNDED, zero, lam, 0
-        lam[sf.bound_rows] = c[sf.bound_vars] / sf.bound_scales
-        return SolveStatus.OPTIMAL, zero, lam, 0
-
-    inner_tol = max(tol * 1e-2, 1e-13)
-    x, y, z, tau, kappa, status, iters = _hsd(sf.A, sf.b, sf.c, inner_tol, max_iter)
-
     m = program.n_vars
+    if not program.n_ineq:
+        # with no row every x is feasible: the optimum is 0 iff c is zero
+        status = SolveStatus.OPTIMAL if not program.c.any() else SolveStatus.DUAL_UNBOUNDED
+        return status, np.zeros(m), np.zeros(0), 0
+
+    A, b, c = _lp_standard_form(program)
+    inner_tol = max(tol * 1e-2, 1e-13)
+    x, y, z, tau, kappa, status, iters = _hsd(A, b, c, inner_tol, max_iter)
     if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
         xs = x / tau
-        zs = z / tau
-        x_orig = xs[sf.col]
-        plus = sf.col[sf.split]
-        x_orig[sf.split] = xs[plus] - xs[plus + 1]
-        lam = np.zeros(program.n_ineq)
-        lam[sf.bound_rows] = zs[sf.col[sf.bound_vars]] / sf.bound_scales
-        lam[sf.generic_rows] = -(y / tau)
-        return status, x_orig, lam, iters
+        return status, xs[0 : 2 * m : 2] - xs[1 : 2 * m : 2], -(y / tau), iters
     return status, np.zeros(m), np.zeros(program.n_ineq), iters
 
 
@@ -626,6 +576,18 @@ def _qp_mehrotra(program: ConvexProgram, sep, tol, max_iter):
 # ---------------------------------------------------------------------------
 # active-set polish and the public entry point
 # ---------------------------------------------------------------------------
+
+
+def _sign_bounds(G: np.ndarray, h: np.ndarray):
+    """(variables j, rows, scales s) of the sign bounds x_j ≥ 0 in G·x ≤ h:
+    the first row −s·x_j ≤ 0 with s > 0 of each variable."""
+    nonzero = G != 0.0
+    first = nonzero.argmax(axis=1)
+    lead = G[np.arange(G.shape[0]), first]
+    candidates = np.flatnonzero((h == 0.0) & (nonzero.sum(axis=1) == 1) & (lead < 0))
+    bound_vars, first_row = np.unique(first[candidates], return_index=True)
+    bound_rows = candidates[first_row]
+    return bound_vars, bound_rows, -lead[bound_rows]
 
 
 def _polish(program: ConvexProgram, sep, x, lam, skippable: bool):

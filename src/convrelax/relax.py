@@ -176,23 +176,19 @@ def _empty_set_samples(y: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(y < 0.0) if k > 1 else np.zeros(0, dtype=int)
 
 
-def block_set_lp(
-    dataset: Dataset,
-    program: ConvexProgram,
-    tol: float = qpsolve.DEFAULT_TOL,
-    max_iter: int = qpsolve.DEFAULT_MAX_ITER,
-) -> tuple[SolveReport, np.ndarray, np.ndarray]:
+def block_set_lp(dataset: Dataset, program: ConvexProgram) -> tuple[SolveReport, np.ndarray, np.ndarray]:
     """Solve a relaxation over every block-set row by row generation.
 
     ``program`` is ``build(dataset, beta, r).program`` with any cost; it
     is not modified.  After each solve, every sample with a positively
     responding block at ŵ gets the row of those blocks (its most
-    violated set) when that row is violated by more than tol: the row
-    Σ_{j∈S} X_ij·w ≤ yᵢ of the LP, or Σ_{j∈S} X_ij·w − uᵢ ≤ 0 of the QP.
-    A sample without one has a singleton or empty-set row as its most
-    violated set, and an Optimal report meets each present row within
-    tol, so only new sets are added.  Returns the last report and, per
-    row, its sample and block set (all False for an empty-set row).
+    violated set) when that row is violated by more than the solver's
+    tolerance ``qpsolve.DEFAULT_TOL``: the row Σ_{j∈S} X_ij·w ≤ yᵢ of
+    the LP, or Σ_{j∈S} X_ij·w − uᵢ ≤ 0 of the QP.  A sample without one
+    has a singleton or empty-set row as its most violated set, and an
+    Optimal report meets each present row within that tolerance, so
+    only new sets are added.  Returns the last report and, per row, its
+    sample and block set (all False for an empty-set row).
     When MAX_ROW_ROUNDS solves leave a row violated, the last report
     comes back with status MaxIterations and a RuntimeWarning.
     """
@@ -204,13 +200,13 @@ def block_set_lp(
     sample = np.concatenate([np.repeat(np.arange(n), k), empty])
     blocks = np.vstack([np.tile(np.eye(k, dtype=bool), (n, 1)), np.zeros((empty.size, k), dtype=bool)])
     for _ in range(MAX_ROW_ROUNDS):
-        report = qpsolve.solve(program, tol=tol, max_iter=max_iter)
+        report = qpsolve.solve(program)
         if report.status != SolveStatus.OPTIMAL:
             return report, sample, blocks
         resp = xb @ report.x[:p]
         pos = resp > 0.0
         bound = report.x[p:] if with_u else y
-        violated = np.where(pos, resp, 0.0).sum(axis=1) - bound > tol
+        violated = np.where(pos, resp, 0.0).sum(axis=1) - bound > qpsolve.DEFAULT_TOL
         new = np.flatnonzero(violated & pos.any(axis=1))
         if new.size == 0:
             return report, sample, blocks
@@ -230,36 +226,20 @@ def block_set_lp(
     return dataclasses.replace(report, status=SolveStatus.MAX_ITERATIONS), sample[:m], blocks[:m]
 
 
-def fit(
-    dataset: Dataset,
-    beta: float,
-    seed: int,
-    tol: float = qpsolve.DEFAULT_TOL,
-    max_iter: int = qpsolve.DEFAULT_MAX_ITER,
-) -> FitResult:
+def fit(dataset: Dataset, beta: float, seed: int) -> FitResult:
     """Draw a Gaussian perturbation from the seed, build and solve."""
     p = dataset.filter_size
     r = substream(seed, STREAM_PERTURBATION).standard_normal(p)
-    return fit_with_perturbation(dataset, beta, r, trial_seed=seed, tol=tol, max_iter=max_iter)
+    return fit_with_perturbation(dataset, beta, r, trial_seed=seed)
 
 
-def fit_with_perturbation(
-    dataset: Dataset,
-    beta: float,
-    r: np.ndarray,
-    trial_seed: int = 0,
-    tol: float = qpsolve.DEFAULT_TOL,
-    max_iter: int = qpsolve.DEFAULT_MAX_ITER,
-) -> FitResult:
-    instance = build(dataset, beta, r)
-    return _solve_instance(dataset, instance, trial_seed, tol, max_iter)
+def fit_with_perturbation(dataset: Dataset, beta: float, r: np.ndarray, trial_seed: int = 0) -> FitResult:
+    return _solve_instance(dataset, build(dataset, beta, r), trial_seed)
 
 
-def _solve_instance(
-    dataset: Dataset, instance: RelaxationInstance, trial_seed: int, tol: float, max_iter: int
-) -> FitResult:
+def _solve_instance(dataset: Dataset, instance: RelaxationInstance, trial_seed: int) -> FitResult:
     p = dataset.filter_size
-    report = block_set_lp(dataset, instance.program, tol, max_iter)[0]
+    report = block_set_lp(dataset, instance.program)[0]
     w_hat = report.x[:p].copy()
     # rebuild the slacks from ŵ and the slack sums (module docstring)
     z = np.maximum(block_responses(dataset.x, w_hat, dataset.k), 0.0)
@@ -282,8 +262,6 @@ def fit_amplified(
     beta: float = 0.0,
     w_star: np.ndarray | None = None,
     tau: float = DEFAULT_TAU,
-    tol: float = qpsolve.DEFAULT_TOL,
-    max_iter: int = qpsolve.DEFAULT_MAX_ITER,
 ) -> RecoveryOutcome:
     """Run independent perturbation trials and keep the smallest residual.
 
@@ -315,7 +293,7 @@ def fit_amplified(
             program = copy.copy(instance.program)
             program.c = _cost(dataset, beta, r)
             instance = dataclasses.replace(instance, r=r, program=program)
-        res = _solve_instance(dataset, instance, ts, tol, max_iter)
+        res = _solve_instance(dataset, instance, ts)
         results.append(res)
         l2 = (
             float(np.linalg.norm(res.w_hat - w_star))

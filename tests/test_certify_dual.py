@@ -271,8 +271,8 @@ def _spoil(monkeypatch, field):
     (field "x", moved to lower rᵀŵ) is off by 1e-6."""
     solve = relax.block_set_lp
 
-    def spoiled(dataset, program, tol):
-        report, sample, blocks = solve(dataset, program, tol)
+    def spoiled(dataset, program):
+        report, sample, blocks = solve(dataset, program)
         r = program.c
         assert report.status == SolveStatus.OPTIMAL
         value = getattr(report, field).copy()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convrelax import qpsolve, relax, sweep
+from convrelax import mnistreg, qpsolve, relax, sweep
 from convrelax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 from convrelax.model import CsvFormatError, export_csv, import_csv, sample_planted
 from golden_cases import strict_json
@@ -102,7 +102,7 @@ def test_failing_beta_qp_fit_prints_no_numpy_warning(tmp_path, capsys):
 @pytest.mark.parametrize("command, message", [
     (["fit", "--beta", "0"], "all 1 trials failed: NumericalFailure"),
     (["fit", "--beta", "1e-3"], "all 1 trials failed: NumericalFailure"),
-    (["certify"], "solver failure: phase-1 solve ended with"),
+    (["certify"], "solver failure: phase-1 solve ended with NumericalFailure"),
     (["fit", "--method", "gd"], "gradient descent diverged"),
 ])
 def test_huge_entries_fail_without_numpy_warnings(tmp_path, capsys, command, message):
@@ -211,8 +211,16 @@ def test_mnist_writes_a_two_row_csv(idx_dir, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+def _no_rotation(monkeypatch):
+    def rotate_image(image, theta):
+        raise AssertionError("an image was rotated")
+
+    monkeypatch.setattr(mnistreg, "rotate_image", rotate_image)
+
+
 _MNIST_BAD_ARGS = [
     (["--k", "0"], "usage error: k=0"),
+    (["--k", "5"], "usage error: k=5 must be a positive divisor"),
     (["--n-train", "0"], "usage error: need n_train >= 2"),
     (["--n-train", "-5"], "usage error: need n_train >= 2"),
     (["--n-test", "0"], "usage error: need n_train >= 2 and n_test >= 1"),
@@ -225,13 +233,43 @@ _MNIST_BAD_ARGS = [
 
 
 @pytest.mark.parametrize("args, message", _MNIST_BAD_ARGS, ids=[" ".join(a) for a, _ in _MNIST_BAD_ARGS])
-def test_mnist_bad_sizes_are_usage_errors(idx_dir, capsys, args, message):
+def test_mnist_bad_sizes_are_usage_errors(idx_dir, capsys, monkeypatch, args, message):
+    # every bad argument is found before any image is rotated
+    _no_rotation(monkeypatch)
     out = idx_dir / "table.csv"
     base = ["mnist", "--data-dir", str(idx_dir), "--out", str(out),
             "--k", "16", "--n-train", "60", "--n-test", "30", "--fit-samples", "40"]
     assert main([*base, *args]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def _float_images_with_nans(directory, nan_at):
+    """Rewrite the two image files of ``directory`` as 32-bit float IDX
+    files with NaN at the flat pixel indices ``nan_at[fname]``."""
+    for name, fname in mnistreg.IDX_FILES.items():
+        if "images" not in name:
+            continue
+        t = mnistreg.parse_idx((directory / fname).read_bytes())
+        data = t.data.astype(np.float32) / 255.0
+        data[nan_at.get(fname, [])] = np.nan
+        (directory / fname).write_bytes(mnistreg.write_idx(mnistreg.IdxTensor("32-bit float", t.dims, data)))
+
+
+@pytest.mark.parametrize("train_nans, test_nans, message", [
+    (slice(96, None, 97), slice(96, None, 97), "train-images-idx3-ubyte: image 0 has a non-finite pixel"),
+    ([], [3 * 784 + 5], "t10k-images-idx3-ubyte: image 3 has a non-finite pixel"),
+])
+def test_mnist_non_finite_pixels_are_an_io_error(idx_dir, capsys, monkeypatch, train_nans, test_nans, message):
+    _float_images_with_nans(idx_dir, {mnistreg.IDX_FILES["train_images"]: train_nans,
+                                      mnistreg.IDX_FILES["test_images"]: test_nans})
+    _no_rotation(monkeypatch)
+    out = idx_dir / "table.csv"
+    assert main(["mnist", "--data-dir", str(idx_dir), "--out", str(out), "--k", "16",
+                 "--n-train", "60", "--n-test", "30", "--fit-samples", "40"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert f"I/O error: {message}" in captured.err and "Traceback" not in captured.err
     assert not out.exists()
 
 

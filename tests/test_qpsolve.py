@@ -250,52 +250,28 @@ def test_duplicate_rows_are_solved_as_given(program):
 
 def _standard_form_reference(program):
     """The per-row and per-column loops the vectorized standard form must
-    reproduce: (A, b, c, nonneg, split, bound_row, generic rows)."""
+    reproduce: variable j split into columns 2j and 2j+1, and a slack
+    column 2m+i for row i.  Returns (A, b, c)."""
     m = program.n_vars
     G, h = program.a_ineq, program.b_ineq
-    nonneg = np.full(m, -1, dtype=int)
-    bound_row = {}
-    generic = []
-    for i in range(G.shape[0]):
-        nz = np.flatnonzero(G[i])
-        if h[i] == 0.0 and nz.size == 1 and G[i, nz[0]] < 0 and nonneg[nz[0]] < 0:
-            nonneg[nz[0]] = 0
-            bound_row[i] = (int(nz[0]), float(-G[i, nz[0]]))
-        else:
-            generic.append(i)
-    split = {}
-    next_col = 0
-    for j in range(m):
-        if nonneg[j] == 0:
-            nonneg[j] = next_col
-            next_col += 1
-        else:
-            split[j] = (next_col, next_col + 1)
-            next_col += 2
-    stacked = G[generic]
-    A = np.zeros((stacked.shape[0], next_col + len(generic)))
+    A = np.zeros((G.shape[0], 2 * m + G.shape[0]))
     c = np.zeros(A.shape[1])
     for j in range(m):
-        if nonneg[j] >= 0:
-            A[:, nonneg[j]] = stacked[:, j]
-            c[nonneg[j]] = program.c[j]
-        else:
-            A[:, split[j][0]] = stacked[:, j]
-            A[:, split[j][1]] = -stacked[:, j]
-            c[split[j][0]] = program.c[j]
-            c[split[j][1]] = -program.c[j]
-    for r in range(len(generic)):
-        A[r, next_col + r] = 1.0
-    b = h[generic]
-    return A, b, c, nonneg, split, bound_row, generic
+        A[:, 2 * j] = G[:, j]
+        A[:, 2 * j + 1] = -G[:, j]
+        c[2 * j] = program.c[j]
+        c[2 * j + 1] = -program.c[j]
+    for i in range(G.shape[0]):
+        A[i, 2 * m + i] = 1.0
+    return A, h.copy(), c
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_lp_standard_form_matches_reference_loops(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 6))
-    # sign-bound rows (some repeated with other scales, some with h != 0 or
-    # a positive entry) mixed with dense rows
+    # rows of sign-bound shape (some repeated with other scales, some with
+    # h != 0 or a positive entry) mixed with dense rows: all are generic
     bounds = []
     for _ in range(int(rng.integers(0, 2 * m + 1))):
         row = np.zeros(m)
@@ -306,15 +282,8 @@ def test_lp_standard_form_matches_reference_loops(seed):
     G = G[rng.permutation(G.shape[0])]
     h = np.where(rng.random(G.shape[0]) < 0.8, 0.0, 1.0)
     program = ConvexProgram(c=rng.standard_normal(m), a_ineq=G, b_ineq=h)
-    sf = _lp_standard_form(program)
-    A, b, c, nonneg, split, bound_row, generic = _standard_form_reference(program)
-    for got, want in ((sf.A, A), (sf.b, b), (sf.c, c)):
+    for got, want in zip(_lp_standard_form(program), _standard_form_reference(program)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert sf.generic_rows.tolist() == generic
-    assert sf.split.tolist() == [j in split for j in range(m)]
-    assert sf.col.tolist() == [split[j][0] if j in split else nonneg[j] for j in range(m)]
-    got_bounds = dict(zip(sf.bound_rows.tolist(), zip(sf.bound_vars.tolist(), sf.bound_scales.tolist())))
-    assert got_bounds == bound_row
 
 
 def test_presolve_returns_the_program_when_no_row_drops():
@@ -642,13 +611,13 @@ def test_phase1_polish_keeps_certificates_at_degenerate_vertices(monkeypatch):
                 r = model.substream(seed + 100, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
                 (cert, core), (ref, full) = _with_and_without_elimination(
                     monkeypatch, lambda: certify.check_cone_condition(gens, -r))
+                # the Farkas LP has no separable column and no sign-bound
+                # row (its box rows have b = 1), so nothing leaves the
+                # system and the certificate is the full polish's
+                assert core == full and len(core) == 1
                 assert (cert.exists, cert.boundary) == (ref.exists, ref.boundary)
-                assert abs(cert.elastic_value - ref.elastic_value) <= 1e-10
-                # every sign-bound row of a zero coefficient leaves the system
-                # with its column; t is free, so with every coefficient
-                # positive nothing leaves
-                zero = np.count_nonzero(ref.coefficients <= 1e-9)
-                assert core[-1] == full[-1] - 2 * zero
+                assert cert.elastic_value == ref.elastic_value
+                assert cert.coefficients.tobytes() == ref.coefficients.tobytes()
                 degenerate += np.count_nonzero(ref.coefficients > 1e-9) < ds.filter_size
     assert degenerate >= 10
 
