@@ -21,8 +21,10 @@ phase-1 cone program and the block-set LP that gives its primal fit and
 dual at k=1, 2 and 5 and on a k=2 dataset whose dual is infeasible,
 presolve cases with duplicate, zero, -0.0 and infeasible rows, the
 beta=1e-3 QP at k=2 over all n·k slacks (no separable column), Optimal
-LPs on the primal route with and without sign-bound rows, and
-infeasible and unbounded LPs on the primal and on the dual route.
+LPs on the primal route with and without sign-bound rows, infeasible
+and unbounded LPs on the primal and on the dual route, an infeasible
+LP with a descent ray on the dual route (its dual is infeasible, so the
+zero-cost dual decides), and a tall LP cut off at max_iter=2.
 
 With a single SRC the script prints that tree's panel as JSON instead.
 """
@@ -88,9 +90,10 @@ def _coupled_qp():
 
 def _small_programs():
     """A QP without separable columns; two Optimal LPs on the primal route,
-    one with sign-bound rows -x_j <= 0 and one without; and infeasible
-    and unbounded LPs small enough for the primal route and tall enough
-    for the dual route (more than twice as many rows as variables)."""
+    one with sign-bound rows -x_j <= 0 and one without; infeasible and
+    unbounded LPs small enough for the primal route and tall enough for
+    the dual route (more than twice as many rows as variables); and a
+    tall LP that is infeasible and has a descent ray."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram
@@ -115,6 +118,22 @@ def _small_programs():
     yield "lp-unbounded-dual-route", ConvexProgram(
         c=[-1.0, -1.0], a_ineq=[[-1.0, 0.0], [0.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
         b_ineq=[0.0, 0.0, 1.0, 1.0, 0.0])
+    # x1 <= -1 against x1 >= 0, and x2 -> inf lowers the cost
+    yield "lp-infeasible-descent-ray-dual-route", ConvexProgram(
+        c=[0.0, -1.0], a_ineq=[[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, -1.0]],
+        b_ineq=[-1.0, 0.0, 3.0, 0.0, 1.0])
+
+
+def _tall_lp():
+    """40 rows over 3 variables, feasible and bounded: the dual route."""
+    import numpy as np
+
+    from convrelax.qpsolve import ConvexProgram
+
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((40, 3))
+    b = a @ rng.standard_normal(3) + rng.uniform(0.1, 1.0, 40)
+    return ConvexProgram(c=rng.standard_normal(3), a_ineq=a, b_ineq=b)
 
 
 def run_panel() -> list[dict]:
@@ -167,6 +186,8 @@ def run_panel() -> list[dict]:
         for name, program in (*_presolve_programs(), *_small_programs()):
             label[0] = name
             qpsolve.solve(program)
+        label[0] = "lp-max-iterations-dual-route"
+        qpsolve.solve(_tall_lp(), max_iter=2)
     finally:
         qpsolve.solve = solve
     return records

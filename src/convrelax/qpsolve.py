@@ -5,10 +5,11 @@ Every constraint is an inequality row, for LPs and QPs alike.  Presolve
 drops zero rows only; duplicate rows are solved as given.  Linear
 programs run through a homogeneous self-dual embedding with Mehrotra
 predictor-corrector steps, which gives clean certificates of
-infeasibility and unboundedness: an LP with more than twice as many
-rows as variables through its dual, any other in one standard form,
-where variable j splits into columns 2j and 2j+1 and row i gets the
-slack column 2m+i (m variables).  Quadratic programs (PSD curvature, at
+infeasibility and unboundedness.  Its shape puts each LP on one route:
+with more than twice as many rows as variables through its dual (whose
+zero-cost twin tells unbounded from infeasible), any other in one
+standard form, where variable j splits into columns 2j and 2j+1 and row
+i gets the slack column 2m+i (m variables).  Quadratic programs (PSD curvature, at
 least one inequality row left after presolve) run an infeasible-start
 predictor-corrector on the slack KKT system with static regularization,
 stepping on the Cholesky factor of the Schur complement left by
@@ -206,13 +207,13 @@ def _max_step(v, dv):
     return (v[i] / -dv[i]).min(initial=np.inf)
 
 
-def _hsd_step_length(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, alpha0):
+def _hsd_step_length(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa):
     alpha = min(1.0, _max_step(x, d_x), _max_step(z, d_z))
     if d_tau < 0:
         alpha = min(alpha, tau / -d_tau)
     if d_kappa < 0:
         alpha = min(alpha, kappa / -d_kappa)
-    return alpha0 * alpha
+    return alpha
 
 
 def _hsd(A, b, c, tol, max_iter):
@@ -220,8 +221,11 @@ def _hsd(A, b, c, tol, max_iter):
 
     Returns (x, y, z, tau, kappa, status, iterations), the status being
     that of the standard-form program; on optimal termination x/tau is
-    the primal solution and y/tau, z/tau the duals.
+    the primal solution and y/tau, z/tau the duals.  ``tol`` is the
+    caller's KKT tolerance: the embedding's residual ratios are driven
+    to a hundredth of it, but not below 1e-13.
     """
+    tol = max(tol * 1e-2, 1e-13)
     m, n = A.shape
     x = np.ones(n)
     y = np.zeros(m)
@@ -271,10 +275,15 @@ def _hsd(A, b, c, tol, max_iter):
             def lin_solve(rhs, factor=factor):
                 return dpotrs(factor, rhs, lower=False)[0]
 
-        else:
+        elif np.isfinite(M).all():
 
             def lin_solve(rhs, M=M):
                 return np.linalg.lstsq(M, rhs, rcond=None)[0]
+
+        else:
+            # LAPACK's least squares does not return on a non-finite matrix
+            status = SolveStatus.NUMERICAL_FAILURE
+            break
 
         def sym_solve(r1, r2):
             # block elimination of the (x, y) system through the normal matrix
@@ -310,7 +319,7 @@ def _hsd(A, b, c, tol, max_iter):
                 d_y = v + q * d_tau
                 d_z = (rhatxs - z * d_x) / x
                 d_kappa = (rhattk - kappa * d_tau) / tau
-                alpha = _hsd_step_length(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, 1.0)
+                alpha = _hsd_step_length(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa)
                 gamma = (1.0 - alpha) ** 2 * min(0.1, 1.0 - alpha)
             if failed:
                 status = SolveStatus.NUMERICAL_FAILURE
@@ -319,7 +328,7 @@ def _hsd(A, b, c, tol, max_iter):
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
-        alpha = _hsd_step_length(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, 0.99995)
+        alpha = 0.99995 * alpha
         x = x + alpha * d_x
         y = y + alpha * d_y
         z = z + alpha * d_z
@@ -362,8 +371,7 @@ def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
         return status, np.zeros(m), np.zeros(0), 0
 
     A, b, c = _lp_standard_form(program)
-    inner_tol = max(tol * 1e-2, 1e-13)
-    x, y, z, tau, kappa, status, iters = _hsd(A, b, c, inner_tol, max_iter)
+    x, y, z, tau, kappa, status, iters = _hsd(A, b, c, tol, max_iter)
     if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
         xs = x / tau
         return status, xs[0 : 2 * m : 2] - xs[1 : 2 * m : 2], -(y / tau), iters
@@ -374,22 +382,26 @@ def _lp_solve_dual_route(program: ConvexProgram, tol, max_iter):
     """Solve the LP through its dual, which has one constraint per variable.
 
     Pays off when the program has many more constraints than variables.
-    Returns None when the outcome is ambiguous and the primal route must
-    decide (the dual being infeasible does not separate an unbounded
-    original from an infeasible one).
+    The dual's improving ray certifies that the original is infeasible.
+    An infeasible dual leaves the original a descent ray, so it is
+    unbounded iff feasible: the dual with zero cost, feasible at λ = 0,
+    ends Optimal (DualUnbounded) or with an improving ray (PrimalInfeasible).
     """
     # min hᵀλ s.t. −Gᵀλ = c, λ ≥ 0; −Gᵀ stays column-major, since BLAS
     # may round a product differently on another layout
     A_std = -program.a_ineq.T
-
-    inner_tol = max(tol * 1e-2, 1e-13)
-    x, y, z, tau, kappa, status, iters = _hsd(A_std, program.c, program.b_ineq, inner_tol, max_iter)
-    if status == SolveStatus.OPTIMAL:
-        return SolveStatus.OPTIMAL, -(y / tau), x / tau, iters
+    x, y, z, tau, kappa, status, iters = _hsd(A_std, program.c, program.b_ineq, tol, max_iter)
+    if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
+        return status, -(y / tau), x / tau, iters
+    if status == SolveStatus.PRIMAL_INFEASIBLE:
+        # the dual is infeasible: is the original feasible?
+        *_, status, more = _hsd(A_std, np.zeros(program.n_vars), program.b_ineq, tol, max_iter)
+        iters += more
+        if status == SolveStatus.OPTIMAL:
+            return SolveStatus.DUAL_UNBOUNDED, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
     if status == SolveStatus.DUAL_UNBOUNDED:
-        # the dual improving ray certifies that the original is infeasible
-        return SolveStatus.PRIMAL_INFEASIBLE, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
-    return None
+        status = SolveStatus.PRIMAL_INFEASIBLE
+    return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
 
 
 # ---------------------------------------------------------------------------
@@ -700,12 +712,8 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
         return _finalize(program, SolveStatus.PRIMAL_INFEASIBLE, *zeros, 0, tol)
 
     if red.is_lp:
-        result = None
-        if red.n_ineq > 2 * red.n_vars:
-            result = _lp_solve_dual_route(red, tol, max_iter)
-        if result is None:
-            result = _lp_solve_primal_route(red, tol, max_iter)
-        status, x, lam_red, iters = result
+        route = _lp_solve_dual_route if red.n_ineq > 2 * red.n_vars else _lp_solve_primal_route
+        status, x, lam_red, iters = route(red, tol, max_iter)
         sep = np.zeros(red.n_vars, dtype=bool)
     else:
         sep = _separable_columns(red)

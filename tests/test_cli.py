@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convrelax
 from convrelax import mnistreg, qpsolve, relax, sweep
 from convrelax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 from convrelax.model import CsvFormatError, export_csv, import_csv, sample_planted
@@ -99,29 +102,50 @@ def test_failing_beta_qp_fit_prints_no_numpy_warning(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("command, message", [
-    (["fit", "--beta", "0"], "all 1 trials failed: NumericalFailure"),
-    (["fit", "--beta", "1e-3"], "all 1 trials failed: NumericalFailure"),
-    (["certify"], "solver failure: phase-1 solve ended with NumericalFailure"),
-    (["fit", "--method", "gd"], "gradient descent diverged"),
-])
-def test_huge_entries_fail_without_numpy_warnings(tmp_path, capsys, command, message):
-    # one sample of 1e300 entries: every route overflows on its way to
-    # a solver failure, which the exit code and message report
+_GEN_20 = ["--n", "20", "--d", "4", "--seed", "1"]
+# (gen arguments, the first sample's entries, command, message): a sample
+# of 1e300 entries, label included, overflows every route on its way to a
+# solver failure; 1e200 features under a finite label overflow the normal
+# matrix of the embedding, on the primal route (fit at n=20, 8 and 6, and
+# certify's k=2 dual) and on the dual route (fit at n=2000)
+_HUGE_CASES = [
+    (_GEN_20, "1e300", ["fit", "--beta", "0"], "all 1 trials failed: NumericalFailure"),
+    (_GEN_20, "1e300", ["fit", "--beta", "1e-3"], "all 1 trials failed: NumericalFailure"),
+    (_GEN_20, "1e300", ["certify"], "solver failure: phase-1 solve ended with NumericalFailure"),
+    (_GEN_20, "1e300", ["fit", "--method", "gd"], "gradient descent diverged"),
+    (_GEN_20, "1e200", ["fit"], "all 1 trials failed: NumericalFailure"),
+    (["--n", "20", "--d", "4", "--k", "2", "--seed", "1"], "1e200", ["certify"],
+     "solver failure: phase-1 solve ended with NumericalFailure"),
+    (["--n", "8", "--d", "4", "--seed", "2"], "1e200", ["fit"], "all 1 trials failed: NumericalFailure"),
+    (["--n", "6", "--d", "4", "--seed", "3"], "1e200", ["fit"], "all 1 trials failed: NumericalFailure"),
+    (["--n", "2000", "--d", "10", "--seed", "1"], "1e200", ["fit", "--trials", "2"],
+     "all 2 trials failed: NumericalFailure, NumericalFailure"),
+]
+
+
+# the ids pytest gives to (command, message) alone
+@pytest.mark.parametrize("gen, entry, command, message", _HUGE_CASES,
+                         ids=[f"command{i}-{case[-1]}" for i, case in enumerate(_HUGE_CASES)])
+def test_huge_entries_fail_without_numpy_warnings(tmp_path, capfd, gen, entry, command, message):
+    # the command runs in a child interpreter with a timeout, so that a
+    # hang fails the test; LAPACK prints its complaints straight to a
+    # file descriptor, which capfd captures for the child too
     path = str(tmp_path / "huge.csv")
-    main(["gen", "--n", "20", "--d", "4", "--seed", "1", "--out", path])
+    assert main(["gen", *gen, "--out", path]) == EXIT_OK
     with open(path, encoding="ascii") as f:
         lines = f.read().splitlines()
-    lines[2] = ",".join(["1e300"] * 5)
+    label = entry if entry == "1e300" else lines[2].split(",", 1)[0]
+    lines[2] = ",".join([label] + [entry] * (len(lines[2].split(",")) - 1))
     with open(path, "w", encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")
-    capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main([*command, "--in", path])
+    capfd.readouterr()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(convrelax.__file__)))
+    code = subprocess.run([sys.executable, "-m", "convrelax", *command, "--in", path],
+                          env=env, timeout=60).returncode
+    out, err = capfd.readouterr()
     assert code == EXIT_SOLVER
-    assert message in capsys.readouterr().err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert message in err
+    assert "Warning" not in err and "Traceback" not in err and "On entry" not in out + err
 
 
 @pytest.mark.parametrize("command", [["fit"], ["fit", "--method", "gd"], ["certify"]])
@@ -361,3 +385,42 @@ def test_fit_and_certify_exit_with_a_documented_code_on_any_small_csv(text):
         for argv in (["fit", "--in", path, "--beta", "0"], ["fit", "--in", path, "--beta", "1e-3"],
                      ["certify", "--in", path], ["fit", "--in", path, "--method", "gd"]):
             assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER, EXIT_IO)
+
+
+_BAD_VALUES = st.sampled_from(["", "0", "-1", "3,1", "nan", "inf", "x", "foo"])
+
+
+def _ints(draw, low, high, scale=1):
+    values = draw(st.lists(st.integers(low, high), min_size=1, max_size=2, unique=True))
+    return ",".join(str(scale * v) for v in sorted(values))
+
+
+@st.composite
+def _gen_and_sweep_argvs(draw):
+    """gen and sweep argument lists over tiny sizes and grids, at most two
+    trials and one worker; in about half of them one value is replaced
+    by a bad one (zero, negative, unsorted, non-finite or no number)."""
+    k = draw(st.integers(1, 2))
+    gen = {"--n": str(draw(st.integers(1, 6))), "--d": str(k * draw(st.integers(1, 3))), "--k": str(k),
+           "--seed": str(draw(st.integers(0, 50)))}
+    sweep_opts = {"--n-values": _ints(draw, 1, 6), "--d-values": _ints(draw, 1, 3, k), "--k": str(k),
+                  "--trials": str(draw(st.integers(1, 2))), "--amplify": str(draw(st.integers(1, 2))),
+                  "--seed": str(draw(st.integers(0, 50))), "--tau": "0.1",
+                  "--methods": draw(st.sampled_from(["relax", "gd", "relax,gd"]))}
+    for opts in (gen, sweep_opts):
+        if draw(st.booleans()):
+            opts[draw(st.sampled_from(sorted(opts)))] = draw(_BAD_VALUES)
+    flags = ["--heatmap"] if draw(st.booleans()) else []
+    return (["gen", *(a for item in gen.items() for a in item)],
+            ["sweep", *(a for item in sweep_opts.items() for a in item), "--workers", "1", *flags])
+
+
+@settings(max_examples=50, deadline=None)
+@given(argvs=_gen_and_sweep_argvs())
+def test_gen_and_sweep_exit_with_a_documented_code_on_small_arguments(argvs):
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in argvs:
+            out = ["--out", os.path.join(tmp, "out.csv")]
+            if argv[0] == "sweep":
+                out += ["--spec-json", os.path.join(tmp, "spec.json")]
+            assert main([*argv, *out]) in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER, EXIT_IO)

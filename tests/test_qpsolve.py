@@ -105,18 +105,78 @@ def test_infeasible_and_unbounded_detection():
         assert solve(ConvexProgram(c=c, a_ineq=a, b_ineq=b)).status == SolveStatus.DUAL_UNBOUNDED
 
 
-def test_dual_route_certifies_infeasibility(monkeypatch):
-    # x <= 1 and x >= 2 among four rows over one variable: more rows than
-    # twice the columns, and no zero row, so the dual route's improving
-    # ray decides without the primal route
+def _unbounded_tall_lp(n, d, seed):
+    """n rows over d variables, each turned against a direction u, with
+    cost −u: feasible at 0, and unbounded along u."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(d)
+    a = rng.standard_normal((n, d))
+    a[a @ u > 0] *= -1.0
+    return -u, a, rng.uniform(0.5, 2.0, n)
+
+
+def _tall_lps():
+    """(id, c, a, b, max_iter, status, _hsd calls) of LPs with more than
+    twice as many rows as variables, covering every status."""
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((40, 3))
+    b = a @ rng.standard_normal(3) + rng.uniform(0.1, 1.0, 40)
+    c = rng.standard_normal(3)
+    yield "optimal", c, a, b, 200, SolveStatus.OPTIMAL, 1
+    yield "max-iterations", c, a, b, 2, SolveStatus.MAX_ITERATIONS, 1
+    # one row scaled by 1e300 overflows the normal matrix
+    huge = a.copy()
+    huge[0] *= 1e300
+    yield "numerical-failure", c, huge, b, 200, SolveStatus.NUMERICAL_FAILURE, 1
+    # x <= 1 and x >= 2 among four rows over one variable: the dual is
+    # feasible for every cost, and its improving ray decides
+    a1, b1 = np.array([[1.0], [-1.0], [1.0], [2.0]]), np.array([1.0, -2.0, 3.0, 5.0])
+    for c1 in (1.0, -1.0, 0.0):
+        yield f"infeasible-c={c1}", np.array([c1]), a1, b1, 200, SolveStatus.PRIMAL_INFEASIBLE, 1
+    # x1 <= -1 and x1 >= 0 with a descent ray along x2: the dual is
+    # infeasible, and the zero-cost dual decides
+    a2 = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, -1.0]])
+    b2 = np.array([-1.0, 0.0, 3.0, 0.0, 1.0])
+    yield "infeasible-descent-ray", np.array([0.0, -1.0]), a2, b2, 200, SolveStatus.PRIMAL_INFEASIBLE, 2
+    for n, d in ((5, 2), (2000, 20)):
+        yield f"unbounded-n={n}-d={d}", *_unbounded_tall_lp(n, d, 3), 200, SolveStatus.DUAL_UNBOUNDED, 2
+
+
+_HIGHS_STATUS = {SolveStatus.OPTIMAL: "optimal", SolveStatus.PRIMAL_INFEASIBLE: "infeasible",
+                 SolveStatus.DUAL_UNBOUNDED: "unbounded"}
+
+
+@pytest.mark.parametrize("c, a, b, max_iter, status, hsd_calls",
+                         [pytest.param(*case[1:], id=case[0]) for case in _tall_lps()])
+def test_dual_route_decides_every_tall_lp(monkeypatch, c, a, b, max_iter, status, hsd_calls):
+    # the shape picks the dual route, which decides every outcome without
+    # the primal route; only an infeasible dual takes the zero-cost solve
     def primal_route(*args):
         raise AssertionError("the primal route ran")
 
+    calls = []
+    hsd = qpsolve._hsd
+
+    def counted_hsd(*args):
+        calls.append(args)
+        return hsd(*args)
+
     monkeypatch.setattr(qpsolve, "_lp_solve_primal_route", primal_route)
-    a, b = np.array([[1.0], [-1.0], [1.0], [2.0]]), np.array([1.0, -2.0, 3.0, 5.0])
-    for c in ([1.0], [-1.0], [0.0]):
-        assert solve(ConvexProgram(c=c, a_ineq=a, b_ineq=b)).status == SolveStatus.PRIMAL_INFEASIBLE
-        assert highs_lp(c, a, b)[0] == "infeasible"
+    monkeypatch.setattr(qpsolve, "_hsd", counted_hsd)
+    program = ConvexProgram(c=c, a_ineq=a, b_ineq=b)
+    assert program.n_ineq > 2 * program.n_vars
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = solve(program, max_iter=max_iter)
+    assert rep.status == status and len(calls) == hsd_calls
+    if status == SolveStatus.MAX_ITERATIONS:
+        # the iterate −y/τ, x/τ of the cut-off solve, not zeros
+        assert rep.iterations == max_iter and np.all(np.isfinite(rep.x)) and np.all(np.isfinite(rep.lam))
+        assert rep.lam.any()
+    if status in _HIGHS_STATUS:
+        highs_status, value, _ = highs_lp(c, a, b)
+        assert highs_status == _HIGHS_STATUS[status]
+    if status == SolveStatus.OPTIMAL:
+        assert abs(c @ rep.x - value) <= 1e-7 * (1.0 + abs(value))
 
 
 def _short_and_tall_lps():
