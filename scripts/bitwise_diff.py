@@ -14,16 +14,16 @@ differs), then how many cases differ; or it prints "identical". It
 exits 1 or 0 accordingly, so a deliberate re-numbering shows its whole
 extent and size.
 
-The panel: k=1 relaxation LPs at n=400 and n=2000 (the dual route),
-the row-generated k=2 and k=5 relaxation LPs (one report per round), the
-beta=1e-3 QP at k=1 and row-generated at k=2 and k=5, certify's
-phase-1 cone program and the block-set LP that gives its primal fit and
-dual at k=1, 2 and 5 and on a k=2 dataset whose dual is infeasible,
-presolve cases with duplicate, zero, -0.0 and infeasible rows, the
-beta=1e-3 QP at k=2 over all n·k slacks (no separable column), Optimal
-LPs on the primal route with and without sign-bound rows, infeasible
-and unbounded LPs on the primal and on the dual route, an infeasible
-LP with a descent ray on the dual route (its dual is infeasible, so the
+The panel: k=1 relaxation LPs at n=400 and n=2000, the row-generated
+k=2 and k=5 relaxation LPs (one report per round), the beta=1e-3 QP at
+k=1 and row-generated at k=2 and k=5, certify's phase-1 cone program
+and the block-set LP that gives its primal fit and dual at k=1, 2 and 5
+and on a k=2 dataset whose dual is infeasible, presolve cases with
+duplicate, zero, -0.0 and infeasible rows, the beta=1e-3 QP at k=2 over
+all n·k slacks (no separable column), Optimal LPs with at most twice as
+many rows as variables (short), with and without sign-bound rows,
+infeasible and unbounded LPs both short and tall, an infeasible LP with
+a descent ray both short and tall (its dual is infeasible, so the
 zero-cost dual decides), and a tall LP cut off at max_iter=2.
 
 With a single SRC the script prints that tree's panel as JSON instead.
@@ -89,43 +89,43 @@ def _coupled_qp():
 
 
 def _small_programs():
-    """A QP without separable columns; two Optimal LPs on the primal route,
-    one with sign-bound rows -x_j <= 0 and one without; infeasible and
-    unbounded LPs small enough for the primal route and tall enough for
-    the dual route (more than twice as many rows as variables); and a
-    tall LP that is infeasible and has a descent ray."""
+    """A QP without separable columns; two short Optimal LPs (at most
+    twice as many rows as variables), one with sign-bound rows -x_j <= 0
+    and one without; infeasible and unbounded LPs, short and tall; and an
+    infeasible LP with a descent ray, short and tall."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram
 
     yield "qp-coupled", _coupled_qp()
-    yield "lp-optimal-primal-route-sign-bounds", ConvexProgram(
+    yield "lp-optimal-short-sign-bounds", ConvexProgram(
         c=[-1.0, -2.0], a_ineq=[[1.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, -1.0]],
         b_ineq=[4.0, 6.0, 0.0, 0.0])
     # free variables, optimal at the vertex (0.8, 0.6)
-    yield "lp-optimal-primal-route", ConvexProgram(
+    yield "lp-optimal-short", ConvexProgram(
         c=[1.0, 1.0], a_ineq=[[-1.0, -2.0], [-3.0, -1.0], [1.0, -1.0]], b_ineq=[-2.0, -3.0, 1.0])
     # x1 <= -1 against x1 >= 0
-    yield "lp-infeasible-primal-route", ConvexProgram(
+    yield "lp-infeasible-short", ConvexProgram(
         c=[1.0, 1.0, 0.5], a_ineq=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], b_ineq=[-1.0, 0.0])
     # the ray x1 = x2 -> inf keeps x1 - x2 <= 1
-    yield "lp-unbounded-primal-route", ConvexProgram(
+    yield "lp-unbounded-short", ConvexProgram(
         c=[-1.0, 0.0, 0.0], a_ineq=[[1.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
         b_ineq=[1.0, 0.0, 0.0])
     tall = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
-    yield "lp-infeasible-dual-route", ConvexProgram(c=[1.0, 2.0], a_ineq=tall,
-                                                    b_ineq=[-1.0, 0.0, 1.0, 1.0, 5.0])
-    yield "lp-unbounded-dual-route", ConvexProgram(
+    yield "lp-infeasible-tall", ConvexProgram(c=[1.0, 2.0], a_ineq=tall, b_ineq=[-1.0, 0.0, 1.0, 1.0, 5.0])
+    yield "lp-unbounded-tall", ConvexProgram(
         c=[-1.0, -1.0], a_ineq=[[-1.0, 0.0], [0.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
         b_ineq=[0.0, 0.0, 1.0, 1.0, 0.0])
     # x1 <= -1 against x1 >= 0, and x2 -> inf lowers the cost
-    yield "lp-infeasible-descent-ray-dual-route", ConvexProgram(
-        c=[0.0, -1.0], a_ineq=[[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, -1.0]],
-        b_ineq=[-1.0, 0.0, 3.0, 0.0, 1.0])
+    descent = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]]
+    yield "lp-infeasible-descent-ray-short", ConvexProgram(c=[0.0, -1.0], a_ineq=descent,
+                                                           b_ineq=[-1.0, 0.0, 3.0, 1.0])
+    yield "lp-infeasible-descent-ray-tall", ConvexProgram(
+        c=[0.0, -1.0], a_ineq=[*descent, [0.0, -1.0]], b_ineq=[-1.0, 0.0, 3.0, 0.0, 1.0])
 
 
 def _tall_lp():
-    """40 rows over 3 variables, feasible and bounded: the dual route."""
+    """40 rows over 3 variables, feasible and bounded."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram
@@ -186,7 +186,7 @@ def run_panel() -> list[dict]:
         for name, program in (*_presolve_programs(), *_small_programs()):
             label[0] = name
             qpsolve.solve(program)
-        label[0] = "lp-max-iterations-dual-route"
+        label[0] = "lp-max-iterations-tall"
         qpsolve.solve(_tall_lp(), max_iter=2)
     finally:
         qpsolve.solve = solve

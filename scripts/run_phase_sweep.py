@@ -18,7 +18,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from convrelax import model, sweep
+from convrelax import sweep
 
 
 def main() -> int:
@@ -47,8 +47,7 @@ def main() -> int:
         cells = sweep.run_grid(spec, workers=args.workers)
         out = os.path.join(args.out_dir, f"phase_k{k}.csv")
         sweep.write_csv(cells, out)
-        with open(os.path.join(args.out_dir, f"phase_k{k}_spec.json"), "w") as f:
-            f.write(model.to_json(spec) + "\n")
+        sweep.write_spec(spec, os.path.join(args.out_dir, f"phase_k{k}_spec.json"))
         print(f"k={k}: {len(cells)} cells in {time.time() - t0:.1f}s -> {out}")
         for method in spec.methods:
             print(sweep.ascii_heatmap(cells, method))

@@ -194,8 +194,7 @@ def _cmd_sweep(args) -> int:
     cells = sweep.run_grid(spec, workers=args.workers)
     sweep.write_csv(cells, args.out)
     if args.spec_json:
-        with open(args.spec_json, "w", encoding="ascii") as f:
-            f.write(model.to_json(spec) + "\n")
+        sweep.write_spec(spec, args.spec_json)
     if args.heatmap:
         for method in methods:
             print(sweep.ascii_heatmap(cells, method))

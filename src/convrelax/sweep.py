@@ -10,19 +10,25 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import baseline, relax
-from .model import _fmt, sample_planted
+from .model import _fmt, sample_planted, to_json
 from .qpsolve import SolveStatus
 
 METHOD_RELAXATION = "Relaxation"
 METHOD_GRADIENT_DESCENT = "GradientDescent"
 
 CSV_HEADER = "method,k,n,d,trials,min_err,mean_err,success_rate,failures"
+
+# the BLAS thread settings a grid's provenance records, null when unset
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _HEAT_GLYPHS = " .:-=+*#%@"
 
@@ -159,6 +165,19 @@ def write_csv(cells: list[PhaseCell], path: str) -> None:
                 f"{c.method},{c.k},{c.n},{c.d},{c.trials_run},"
                 f"{_fmt(c.min_err)},{_fmt(c.mean_err)},{_fmt(c.success_rate)},{c.failures}\n"
             )
+
+
+def write_spec(spec: GridSpec, path: str) -> None:
+    """Write the spec sidecar: the spec's fields, and under ``provenance``
+    the convrelax, Python, numpy and scipy versions and the BLAS thread
+    settings of this process."""
+    from . import __version__  # set by the package after it imports this module
+
+    provenance = {"convrelax": __version__, "python": platform.python_version(),
+                  "numpy": np.__version__, "scipy": scipy.__version__,
+                  **{name: os.environ.get(name) for name in _THREAD_ENV}}
+    with open(path, "w", encoding="ascii") as f:
+        f.write(to_json({**dataclasses.asdict(spec), "provenance": provenance}) + "\n")
 
 
 def read_csv(path: str) -> list[PhaseCell]:

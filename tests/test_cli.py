@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -7,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,10 +106,10 @@ def test_failing_beta_qp_fit_prints_no_numpy_warning(tmp_path, capsys):
 
 _GEN_20 = ["--n", "20", "--d", "4", "--seed", "1"]
 # (gen arguments, the first sample's entries, command, message): a sample
-# of 1e300 entries, label included, overflows every route on its way to a
-# solver failure; 1e200 features under a finite label overflow the normal
-# matrix of the embedding, on the primal route (fit at n=20, 8 and 6, and
-# certify's k=2 dual) and on the dual route (fit at n=2000)
+# of 1e300 entries, label included, overflows every program on its way to
+# a solver failure; 1e200 features under a finite label overflow the
+# normal matrix of the embedding, on LPs with few rows (fit at n=8 and 6,
+# certify's k=2 dual) and many (fit at n=20 and 2000)
 _HUGE_CASES = [
     (_GEN_20, "1e300", ["fit", "--beta", "0"], "all 1 trials failed: NumericalFailure"),
     (_GEN_20, "1e300", ["fit", "--beta", "1e-3"], "all 1 trials failed: NumericalFailure"),
@@ -175,7 +177,9 @@ def test_certify_json(dataset_csv, capsys):
     assert isinstance(data["certificate"]["exists"], bool)
 
 
-def test_sweep_csv_and_sidecar(tmp_path, capsys):
+def test_sweep_csv_and_sidecar(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = tmp_path / "cells.csv"
     side = tmp_path / "spec.json"
     code = main([
@@ -188,6 +192,13 @@ def test_sweep_csv_and_sidecar(tmp_path, capsys):
     assert len(cells) == 2
     spec = json.loads(side.read_text())
     assert spec["master_seed"] == 5 and spec["trials"] == 5
+    # the versions and BLAS thread settings the grid ran under
+    provenance = spec["provenance"]
+    assert provenance["convrelax"] == convrelax.__version__ and provenance["numpy"] == np.__version__
+    assert provenance["python"] == platform.python_version() and provenance["scipy"] == scipy.__version__
+    assert provenance["OMP_NUM_THREADS"] == "1" and provenance["MKL_NUM_THREADS"] is None
+    assert set(provenance) == {"convrelax", "python", "numpy", "scipy", "OPENBLAS_NUM_THREADS",
+                               "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert "Relaxation success rate" in capsys.readouterr().out
 
 
@@ -424,3 +435,52 @@ def test_gen_and_sweep_exit_with_a_documented_code_on_small_arguments(argvs):
             if argv[0] == "sweep":
                 out += ["--spec-json", os.path.join(tmp, "spec.json")]
             assert main([*argv, *out]) in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER, EXIT_IO)
+
+
+# Two bounds keep the property at a few seconds; each leaves out LPs that
+# the dual route decides slowly.  k is a divisor of 784 from 4 up: at
+# k = 1 and 2 a fit's LP has 784 or 392 columns over at most three rows,
+# and the dual's normal matrix is columns×columns (0.5–5 s a run).  Finite
+# float pixels lie within ±1e4: constant images of 1e16 give rows of that
+# scale, whose wide LPs run to the iteration cap (up to 10 s a run).
+_MNIST_KS = (4, 7, 8, 14, 16, 28, 49, 56, 98, 112, 196, 392, 784)
+
+
+@st.composite
+def _mnist_cases(draw):
+    """(element kind, train and test image counts, pixel palette, pixel
+    seed, mnist arguments): IDX files of a few 28×28 images whose pixels
+    are drawn from a palette of up to three values (unsigned bytes, or
+    32-bit floats, non-finite ones among them), and tiny sizes; in about
+    half of them one argument is replaced by a bad value."""
+    kind = draw(st.sampled_from(["unsigned-byte", "32-bit float"]))
+    if kind == "unsigned-byte":
+        values = st.integers(0, 255)
+    else:
+        values = st.floats(-1e4, 1e4, width=32) | st.sampled_from([np.nan, np.inf, -np.inf])
+    palette = draw(st.lists(values, min_size=1, max_size=3))
+    counts = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    opts = {"--k": str(draw(st.sampled_from(_MNIST_KS))), "--n-train": str(draw(st.integers(2, 8))),
+            "--n-test": str(draw(st.integers(1, 3))), "--fit-samples": str(draw(st.integers(1, 3))),
+            "--seed": str(draw(st.integers(0, 50)))}
+    if draw(st.booleans()):
+        opts[draw(st.sampled_from(sorted(opts)))] = draw(_BAD_VALUES)
+    return kind, counts, palette, draw(st.integers(0, 2**32 - 1)), [a for item in opts.items() for a in item]
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_mnist_cases())
+def test_mnist_exits_with_a_documented_code_on_small_idx_files(case):
+    kind, counts, palette, seed, args = case
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, fname in mnistreg.IDX_FILES.items():
+            count = counts[1] if name.startswith("test") else counts[0]
+            if "images" in name:
+                t = mnistreg.IdxTensor(kind, (count, 28, 28), rng.choice(palette, size=count * 28 * 28))
+            else:
+                t = mnistreg.IdxTensor("unsigned-byte", (count,), rng.integers(0, 10, size=count))
+            with open(os.path.join(tmp, fname), "wb") as f:
+                f.write(mnistreg.write_idx(t))
+        argv = ["mnist", "--data-dir", tmp, "--out", os.path.join(tmp, "table.csv"), *args]
+        assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER, EXIT_IO)
