@@ -20,11 +20,12 @@ k=1 and row-generated at k=2 and k=5, certify's phase-1 cone program
 and the block-set LP that gives its primal fit and dual at k=1, 2 and 5
 and on a k=2 dataset whose dual is infeasible, presolve cases with
 duplicate, zero, -0.0 and infeasible rows, the beta=1e-3 QP at k=2 over
-all n·k slacks (no separable column), Optimal LPs with at most twice as
-many rows as variables (short), with and without sign-bound rows,
-infeasible and unbounded LPs both short and tall, an infeasible LP with
-a descent ray both short and tall (its dual is infeasible, so the
-zero-cost dual decides), and a tall LP cut off at max_iter=2.
+all n·k slacks (no separable column), and small LPs named by their
+shape (rows×variables): Optimal ones with and without sign-bound rows,
+infeasible and unbounded ones with fewer rows than variables (the
+primal route) and with at least as many (the dual route), an
+infeasible LP with a descent ray, 4×2 and 5×2 (its dual is infeasible,
+so the zero-cost dual decides), and a 40×3 LP cut off at max_iter=2.
 
 With a single SRC the script prints that tree's panel as JSON instead.
 """
@@ -89,38 +90,40 @@ def _coupled_qp():
 
 
 def _small_programs():
-    """A QP without separable columns; two short Optimal LPs (at most
-    twice as many rows as variables), one with sign-bound rows -x_j <= 0
-    and one without; infeasible and unbounded LPs, short and tall; and an
-    infeasible LP with a descent ray, short and tall."""
+    """A QP without separable columns; and LPs named by their shape,
+    rows×variables (fewer rows than variables take the primal route, any
+    other the dual route): two Optimal ones, one with sign-bound rows
+    -x_j <= 0 and one without; infeasible and unbounded ones on either
+    route; and an infeasible LP with a descent ray, 4×2 and 5×2."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram
 
     yield "qp-coupled", _coupled_qp()
-    yield "lp-optimal-short-sign-bounds", ConvexProgram(
+    yield "lp-optimal-4x2-sign-bounds", ConvexProgram(
         c=[-1.0, -2.0], a_ineq=[[1.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, -1.0]],
         b_ineq=[4.0, 6.0, 0.0, 0.0])
     # free variables, optimal at the vertex (0.8, 0.6)
-    yield "lp-optimal-short", ConvexProgram(
+    yield "lp-optimal-3x2", ConvexProgram(
         c=[1.0, 1.0], a_ineq=[[-1.0, -2.0], [-3.0, -1.0], [1.0, -1.0]], b_ineq=[-2.0, -3.0, 1.0])
     # x1 <= -1 against x1 >= 0
-    yield "lp-infeasible-short", ConvexProgram(
+    yield "lp-infeasible-2x3", ConvexProgram(
         c=[1.0, 1.0, 0.5], a_ineq=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], b_ineq=[-1.0, 0.0])
-    # the ray x1 = x2 -> inf keeps x1 - x2 <= 1
-    yield "lp-unbounded-short", ConvexProgram(
+    # the ray x1 = x2 -> inf keeps x1 - x2 <= 1, with and without sign bounds
+    yield "lp-unbounded-1x3", ConvexProgram(c=[-1.0, 0.0, 0.0], a_ineq=[[1.0, -1.0, 0.0]], b_ineq=[1.0])
+    yield "lp-unbounded-3x3", ConvexProgram(
         c=[-1.0, 0.0, 0.0], a_ineq=[[1.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
         b_ineq=[1.0, 0.0, 0.0])
     tall = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
-    yield "lp-infeasible-tall", ConvexProgram(c=[1.0, 2.0], a_ineq=tall, b_ineq=[-1.0, 0.0, 1.0, 1.0, 5.0])
-    yield "lp-unbounded-tall", ConvexProgram(
+    yield "lp-infeasible-5x2", ConvexProgram(c=[1.0, 2.0], a_ineq=tall, b_ineq=[-1.0, 0.0, 1.0, 1.0, 5.0])
+    yield "lp-unbounded-5x2", ConvexProgram(
         c=[-1.0, -1.0], a_ineq=[[-1.0, 0.0], [0.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
         b_ineq=[0.0, 0.0, 1.0, 1.0, 0.0])
     # x1 <= -1 against x1 >= 0, and x2 -> inf lowers the cost
     descent = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]]
-    yield "lp-infeasible-descent-ray-short", ConvexProgram(c=[0.0, -1.0], a_ineq=descent,
-                                                           b_ineq=[-1.0, 0.0, 3.0, 1.0])
-    yield "lp-infeasible-descent-ray-tall", ConvexProgram(
+    yield "lp-infeasible-descent-ray-4x2", ConvexProgram(c=[0.0, -1.0], a_ineq=descent,
+                                                         b_ineq=[-1.0, 0.0, 3.0, 1.0])
+    yield "lp-infeasible-descent-ray-5x2", ConvexProgram(
         c=[0.0, -1.0], a_ineq=[*descent, [0.0, -1.0]], b_ineq=[-1.0, 0.0, 3.0, 0.0, 1.0])
 
 
@@ -186,7 +189,7 @@ def run_panel() -> list[dict]:
         for name, program in (*_presolve_programs(), *_small_programs()):
             label[0] = name
             qpsolve.solve(program)
-        label[0] = "lp-max-iterations-tall"
+        label[0] = "lp-max-iterations-40x3"
         qpsolve.solve(_tall_lp(), max_iter=2)
     finally:
         qpsolve.solve = solve

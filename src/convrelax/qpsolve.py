@@ -5,10 +5,12 @@ Every constraint is an inequality row, for LPs and QPs alike.  Presolve
 drops zero rows only; duplicate rows are solved as given.  Linear
 programs run through a homogeneous self-dual embedding with Mehrotra
 predictor-corrector steps, which gives clean certificates of
-infeasibility and unboundedness.  Every LP with a row left after
-presolve is solved through its dual, whose zero-cost twin tells
-unbounded from infeasible; an LP with no row is optimal at 0 iff its
-cost is zero, and unbounded otherwise.  Quadratic programs (PSD
+infeasibility and unboundedness.  Its shape puts each LP on one route:
+with at least as many rows as variables through its dual (whose
+zero-cost twin tells unbounded from infeasible), with fewer in one
+standard form, where variable j splits into columns 2j and 2j+1 and row
+i gets the slack column 2m+i (m variables), so the normal matrix is
+the smaller of vars×vars and rows×rows.  Quadratic programs (PSD
 curvature, at least one inequality row left after presolve) run an
 infeasible-start predictor-corrector on the slack KKT system with static
 regularization, stepping on the Cholesky factor of the Schur complement
@@ -341,14 +343,48 @@ def _hsd(A, b, c, tol, max_iter):
 
 
 # ---------------------------------------------------------------------------
-# LP path: the dual in standard form, mapping back
+# LP path: conversion to standard form (primal or dualized), mapping back
 # ---------------------------------------------------------------------------
 
 
+def _lp_standard_form(program: ConvexProgram):
+    """(A, b, c) of min cᵀx s.t. Ax = b, x ≥ 0: variable j splits into
+    columns 2j and 2j+1 (its plus and minus parts), and row i gets the
+    slack column 2m+i."""
+    m = program.n_vars
+    G, h = program.a_ineq, program.b_ineq
+    rows = G.shape[0]
+    A_std = np.zeros((rows, 2 * m + rows))
+    A_std[:, 0 : 2 * m : 2] = G
+    A_std[:, 1 : 2 * m : 2] = -G
+    A_std[np.arange(rows), 2 * m + np.arange(rows)] = 1.0
+    c_std = np.zeros(2 * m + rows)
+    c_std[0 : 2 * m : 2] = program.c
+    c_std[1 : 2 * m : 2] = -program.c
+    return A_std, h, c_std
+
+
+def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
+    """Solve an LP with fewer rows than variables in the standard form,
+    whose normal matrix is rows×rows."""
+    m = program.n_vars
+    if not program.n_ineq:
+        # with no row every x is feasible: the optimum is 0 iff c is zero
+        status = SolveStatus.OPTIMAL if not program.c.any() else SolveStatus.DUAL_UNBOUNDED
+        return status, np.zeros(m), np.zeros(0), 0
+
+    A, b, c = _lp_standard_form(program)
+    x, y, z, tau, kappa, status, iters = _hsd(A, b, c, tol, max_iter)
+    if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
+        xs = x / tau
+        return status, xs[0 : 2 * m : 2] - xs[1 : 2 * m : 2], -(y / tau), iters
+    return status, np.zeros(m), np.zeros(program.n_ineq), iters
+
+
 def _lp_solve_dual_route(program: ConvexProgram, tol, max_iter):
-    """Solve an LP with at least one row through its dual, which has one
-    constraint per variable, so its normal matrix is vars×vars whatever
-    the row count.
+    """Solve an LP with at least as many rows as variables through its
+    dual, which has one constraint per variable, so its normal matrix is
+    vars×vars whatever the row count.
 
     The dual's improving ray certifies that the original is infeasible.
     An infeasible dual leaves the original a descent ray, so it is
@@ -680,13 +716,9 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
         return _finalize(program, SolveStatus.PRIMAL_INFEASIBLE, *zeros, 0, tol)
 
     if red.is_lp:
+        route = _lp_solve_primal_route if red.n_ineq < red.n_vars else _lp_solve_dual_route
+        status, x, lam_red, iters = route(red, tol, max_iter)
         sep = np.zeros(red.n_vars, dtype=bool)
-        if red.n_ineq:
-            status, x, lam_red, iters = _lp_solve_dual_route(red, tol, max_iter)
-        else:
-            # with no row every x is feasible: the optimum is 0 iff c is zero
-            status = SolveStatus.DUAL_UNBOUNDED if red.c.any() else SolveStatus.OPTIMAL
-            x, lam_red, iters = np.zeros(red.n_vars), np.zeros(0), 0
     else:
         sep = _separable_columns(red)
         status, x, lam_red, iters = _qp_mehrotra(red, sep, tol, max_iter)

@@ -108,8 +108,9 @@ _GEN_20 = ["--n", "20", "--d", "4", "--seed", "1"]
 # (gen arguments, the first sample's entries, command, message): a sample
 # of 1e300 entries, label included, overflows every program on its way to
 # a solver failure; 1e200 features under a finite label overflow the
-# normal matrix of the embedding, on LPs with few rows (fit at n=8 and 6,
-# certify's k=2 dual) and many (fit at n=20 and 2000)
+# normal matrix of the embedding, on LPs with at most twice as many rows
+# as variables (fit at n=8 and 6) and with more (fit at n=20 and 2000,
+# certify's k=2 phase-1)
 _HUGE_CASES = [
     (_GEN_20, "1e300", ["fit", "--beta", "0"], "all 1 trials failed: NumericalFailure"),
     (_GEN_20, "1e300", ["fit", "--beta", "1e-3"], "all 1 trials failed: NumericalFailure"),
@@ -437,13 +438,7 @@ def test_gen_and_sweep_exit_with_a_documented_code_on_small_arguments(argvs):
             assert main([*argv, *out]) in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER, EXIT_IO)
 
 
-# Two bounds keep the property at a few seconds; each leaves out LPs that
-# the dual route decides slowly.  k is a divisor of 784 from 4 up: at
-# k = 1 and 2 a fit's LP has 784 or 392 columns over at most three rows,
-# and the dual's normal matrix is columns×columns (0.5–5 s a run).  Finite
-# float pixels lie within ±1e4: constant images of 1e16 give rows of that
-# scale, whose wide LPs run to the iteration cap (up to 10 s a run).
-_MNIST_KS = (4, 7, 8, 14, 16, 28, 49, 56, 98, 112, 196, 392, 784)
+_MNIST_KS = tuple(k for k in range(1, 785) if 784 % k == 0)
 
 
 @st.composite
@@ -451,13 +446,13 @@ def _mnist_cases(draw):
     """(element kind, train and test image counts, pixel palette, pixel
     seed, mnist arguments): IDX files of a few 28×28 images whose pixels
     are drawn from a palette of up to three values (unsigned bytes, or
-    32-bit floats, non-finite ones among them), and tiny sizes; in about
+    any 32-bit floats, non-finite ones included), and tiny sizes; in about
     half of them one argument is replaced by a bad value."""
     kind = draw(st.sampled_from(["unsigned-byte", "32-bit float"]))
     if kind == "unsigned-byte":
         values = st.integers(0, 255)
     else:
-        values = st.floats(-1e4, 1e4, width=32) | st.sampled_from([np.nan, np.inf, -np.inf])
+        values = st.floats(width=32)
     palette = draw(st.lists(values, min_size=1, max_size=3))
     counts = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     opts = {"--k": str(draw(st.sampled_from(_MNIST_KS))), "--n-train": str(draw(st.integers(2, 8))),

@@ -11,6 +11,7 @@ from convrelax.qpsolve import (
     SolveReport,
     SolverError,
     SolveStatus,
+    _lp_standard_form,
     _max_step,
     _presolve,
     check_kkt,
@@ -115,8 +116,8 @@ def _unbounded_tall_lp(n, d, seed):
 
 
 def _tall_lps():
-    """(id, c, a, b, max_iter, status, _hsd calls) of LPs with more than
-    twice as many rows as variables, covering every status."""
+    """(id, c, a, b, max_iter, status, _hsd calls) of LPs with at least as
+    many rows as variables, covering every status."""
     rng = np.random.default_rng(17)
     a = rng.standard_normal((40, 3))
     b = a @ rng.standard_normal(3) + rng.uniform(0.1, 1.0, 40)
@@ -137,37 +138,32 @@ def _tall_lps():
     a2 = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, -1.0]])
     b2 = np.array([-1.0, 0.0, 3.0, 0.0, 1.0])
     yield "infeasible-descent-ray", np.array([0.0, -1.0]), a2, b2, 200, SolveStatus.PRIMAL_INFEASIBLE, 2
+    # the same LP without its row x2 >= 0: twice as many rows as variables
+    yield ("infeasible-descent-ray-4x2", np.array([0.0, -1.0]), a2[[0, 1, 2, 4]], b2[[0, 1, 2, 4]], 200,
+           SolveStatus.PRIMAL_INFEASIBLE, 2)
+    # free variables, optimal at the vertex (0.8, 0.6)
+    a3, b3 = np.array([[-1.0, -2.0], [-3.0, -1.0], [1.0, -1.0]]), np.array([-2.0, -3.0, 1.0])
+    yield "optimal-3x2", np.array([1.0, 1.0]), a3, b3, 200, SolveStatus.OPTIMAL, 1
+    # the ray x1 = x2 -> inf keeps x1 - x2 <= 1
+    a4, b4 = np.array([[1.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]), np.array([1.0, 0.0, 0.0])
+    yield "unbounded-3x3", np.array([-1.0, 0.0, 0.0]), a4, b4, 200, SolveStatus.DUAL_UNBOUNDED, 2
     for n, d in ((5, 2), (2000, 20)):
         yield f"unbounded-n={n}-d={d}", *_unbounded_tall_lp(n, d, 3), 200, SolveStatus.DUAL_UNBOUNDED, 2
-
-
-def _short_lps():
-    """(id, c, a, b, max_iter, status, _hsd calls) of LPs with at most
-    twice as many rows as variables, two of them with no row at all."""
-    # x1 <= -1 and x1 >= 0 with a descent ray along x2: the dual is
-    # infeasible, and the zero-cost dual decides
-    a, b = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]]), np.array([-1.0, 0.0, 3.0, 1.0])
-    yield "infeasible-descent-ray", np.array([0.0, -1.0]), a, b, 200, SolveStatus.PRIMAL_INFEASIBLE, 2
-    # free variables, optimal at the vertex (0.8, 0.6)
-    a, b = np.array([[-1.0, -2.0], [-3.0, -1.0], [1.0, -1.0]]), np.array([-2.0, -3.0, 1.0])
-    yield "optimal", np.array([1.0, 1.0]), a, b, 200, SolveStatus.OPTIMAL, 1
-    # the ray x1 = x2 -> inf keeps x1 - x2 <= 1
-    a, b = np.array([[1.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]), np.array([1.0, 0.0, 0.0])
-    yield "unbounded", np.array([-1.0, 0.0, 0.0]), a, b, 200, SolveStatus.DUAL_UNBOUNDED, 2
-    # with no row, the optimum is 0 iff the cost is zero
-    a, b = np.zeros((0, 2)), np.zeros(0)
-    yield "no-row-zero-cost", np.zeros(2), a, b, 200, SolveStatus.OPTIMAL, 0
-    yield "no-row", np.array([0.0, 1.0]), a, b, 200, SolveStatus.DUAL_UNBOUNDED, 0
 
 
 _HIGHS_STATUS = {SolveStatus.OPTIMAL: "optimal", SolveStatus.PRIMAL_INFEASIBLE: "infeasible",
                  SolveStatus.DUAL_UNBOUNDED: "unbounded"}
 
 
-def _assert_lp_decided(monkeypatch, c, a, b, max_iter, status, hsd_calls):
-    """Every LP with a row is decided by the dual route, where only an
-    infeasible dual takes the zero-cost solve; an LP with no row by no
-    solve at all."""
+@pytest.mark.parametrize("c, a, b, max_iter, status, hsd_calls",
+                         [pytest.param(*case[1:], id=case[0]) for case in _tall_lps()])
+def test_dual_route_decides_every_tall_lp(monkeypatch, c, a, b, max_iter, status, hsd_calls):
+    # at least as many rows as variables pick the dual route, which decides
+    # every outcome without the primal route; only an infeasible dual takes
+    # the zero-cost solve
+    def primal_route(*args):
+        raise AssertionError("the primal route ran")
+
     calls = []
     hsd = qpsolve._hsd
 
@@ -175,12 +171,13 @@ def _assert_lp_decided(monkeypatch, c, a, b, max_iter, status, hsd_calls):
         calls.append(args)
         return hsd(*args)
 
+    monkeypatch.setattr(qpsolve, "_lp_solve_primal_route", primal_route)
     monkeypatch.setattr(qpsolve, "_hsd", counted_hsd)
+    program = ConvexProgram(c=c, a_ineq=a, b_ineq=b)
+    assert program.n_ineq >= program.n_vars
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = solve(ConvexProgram(c=c, a_ineq=a, b_ineq=b), max_iter=max_iter)
+        rep = solve(program, max_iter=max_iter)
     assert rep.status == status and len(calls) == hsd_calls
-    if not hsd_calls:
-        assert rep.iterations == 0
     if status == SolveStatus.MAX_ITERATIONS:
         # the iterate −y/τ, x/τ of the cut-off solve, not zeros
         assert rep.iterations == max_iter and np.all(np.isfinite(rep.x)) and np.all(np.isfinite(rep.lam))
@@ -192,16 +189,16 @@ def _assert_lp_decided(monkeypatch, c, a, b, max_iter, status, hsd_calls):
         assert abs(c @ rep.x - value) <= 1e-7 * (1.0 + abs(value))
 
 
-@pytest.mark.parametrize("c, a, b, max_iter, status, hsd_calls",
-                         [pytest.param(*case[1:], id=case[0]) for case in _tall_lps()])
-def test_dual_route_decides_every_tall_lp(monkeypatch, c, a, b, max_iter, status, hsd_calls):
-    _assert_lp_decided(monkeypatch, c, a, b, max_iter, status, hsd_calls)
+@pytest.mark.parametrize("c, status", [(np.zeros(2), SolveStatus.OPTIMAL),
+                                       (np.array([0.0, 1.0]), SolveStatus.DUAL_UNBOUNDED)])
+def test_lp_with_no_row_is_decided_without_a_solve(monkeypatch, c, status):
+    # every x is feasible: the optimum is 0 iff the cost is zero
+    def hsd(*args):
+        raise AssertionError("_hsd ran")
 
-
-@pytest.mark.parametrize("c, a, b, max_iter, status, hsd_calls",
-                         [pytest.param(*case[1:], id=case[0]) for case in _short_lps()])
-def test_solve_decides_every_short_lp(monkeypatch, c, a, b, max_iter, status, hsd_calls):
-    _assert_lp_decided(monkeypatch, c, a, b, max_iter, status, hsd_calls)
+    monkeypatch.setattr(qpsolve, "_hsd", hsd)
+    rep = solve(ConvexProgram(c=c, a_ineq=np.zeros((0, 2)), b_ineq=np.zeros(0)))
+    assert rep.status == status and rep.iterations == 0 and not rep.x.any()
 
 
 def _short_and_tall_lps():
@@ -322,6 +319,8 @@ def test_duplicate_rows_are_solved_as_given(program):
     extra = np.concatenate([active[:3], active[:1], inactive[:1]])
     origin = np.random.default_rng(4).permutation(np.concatenate([np.arange(program.n_ineq), extra]))
     dup = ConvexProgram(c=program.c, q=program.q, a_ineq=program.a_ineq[origin], b_ineq=program.b_ineq[origin])
+    # the duplicates leave the route unchanged
+    assert (dup.n_ineq < dup.n_vars) == (program.n_ineq < program.n_vars)
     rep = solve(dup)
     assert rep.status == ref.status
     np.testing.assert_allclose(rep.x, ref.x, rtol=0.0, atol=1e-9)
@@ -329,6 +328,44 @@ def test_duplicate_rows_are_solved_as_given(program):
     group_sums = np.bincount(origin, weights=rep.lam, minlength=program.n_ineq)
     np.testing.assert_allclose(group_sums, ref.lam, rtol=0.0, atol=1e-8)
     assert check_kkt(dup, rep, tol=1e-8).passed
+
+
+def _standard_form_reference(program):
+    """The per-row and per-column loops the vectorized standard form must
+    reproduce: variable j split into columns 2j and 2j+1, and a slack
+    column 2m+i for row i.  Returns (A, b, c)."""
+    m = program.n_vars
+    G, h = program.a_ineq, program.b_ineq
+    A = np.zeros((G.shape[0], 2 * m + G.shape[0]))
+    c = np.zeros(A.shape[1])
+    for j in range(m):
+        A[:, 2 * j] = G[:, j]
+        A[:, 2 * j + 1] = -G[:, j]
+        c[2 * j] = program.c[j]
+        c[2 * j + 1] = -program.c[j]
+    for i in range(G.shape[0]):
+        A[i, 2 * m + i] = 1.0
+    return A, h.copy(), c
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lp_standard_form_matches_reference_loops(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    # rows of sign-bound shape (some repeated with other scales, some with
+    # h != 0 or a positive entry) mixed with dense rows: all are generic
+    bounds = []
+    for _ in range(int(rng.integers(0, 2 * m + 1))):
+        row = np.zeros(m)
+        row[rng.integers(m)] = -rng.choice([1.0, 2.0]) * rng.choice([1.0, 1.0, -1.0])
+        bounds.append(row)
+    dense = rng.standard_normal((int(rng.integers(0, 4)), m))
+    G = np.vstack([*bounds, dense]) if bounds or dense.size else np.zeros((0, m))
+    G = G[rng.permutation(G.shape[0])]
+    h = np.where(rng.random(G.shape[0]) < 0.8, 0.0, 1.0)
+    program = ConvexProgram(c=rng.standard_normal(m), a_ineq=G, b_ineq=h)
+    for got, want in zip(_lp_standard_form(program), _standard_form_reference(program)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_presolve_returns_the_program_when_no_row_drops():
@@ -444,8 +481,9 @@ def _assert_matches_highs(c, a, b):
 @pytest.mark.parametrize("n, d, seed", [(400, 20, 1), (2000, 10, 2), (120, 10, 3), (40, 8, 4),
                                         (16, 8, 5), (6, 10, 6), (40, 40, 0), (80, 80, 2)])
 def test_k1_relaxation_lp_matches_highs(n, d, seed):
-    # tall and short LPs alike take the dual route; n < d is unbounded, and
-    # so are the square (40, 40, 0) and (80, 80, 2), feasible at w = 0
+    # n >= d takes the dual route, n < d the primal one; n < d is
+    # unbounded, and so are the square (40, 40, 0) and (80, 80, 2),
+    # feasible at w = 0
     _, ds = model.sample_planted(n, d, 1, seed)
     r = model.substream(seed, model.STREAM_PERTURBATION).standard_normal(d)
     program = relax.build(ds, 0.0, r).program
