@@ -208,6 +208,10 @@ def _short_and_tall_lps():
     a = rng.standard_normal((40, 3))
     b = a @ rng.standard_normal(3) + rng.uniform(0.1, 1.0, 40)
     yield "tall", ConvexProgram(c=rng.standard_normal(3), a_ineq=a, b_ineq=b)
+    # two rows over three variables, the primal route: feasible at 0, and
+    # bounded since c = −aᵀλ with λ > 0
+    a = rng.standard_normal((2, 3))
+    yield "wide", ConvexProgram(c=-a.T @ rng.uniform(0.5, 1.5, 2), a_ineq=a, b_ineq=rng.uniform(0.5, 2.0, 2))
 
 
 @pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _short_and_tall_lps()])
