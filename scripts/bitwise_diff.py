@@ -20,12 +20,21 @@ k=1 and row-generated at k=2 and k=5, certify's phase-1 cone program
 and the block-set LP that gives its primal fit and dual at k=1, 2 and 5
 and on a k=2 dataset whose dual is infeasible, presolve cases with
 duplicate, zero, -0.0 and infeasible rows, the beta=1e-3 QP at k=2 over
-all n·k slacks (no separable column), and small LPs named by their
+all n·k slacks (no separable column) and at k=1 with its columns
+shuffled (the separable ones not last), and small LPs named by their
 shape (rows×variables): Optimal ones with and without sign-bound rows,
 infeasible and unbounded ones with fewer rows than variables (the
 primal route) and with at least as many (the dual route), an
 infeasible LP with a descent ray, 4×2 and 5×2 (its dual is infeasible,
-so the zero-cost dual decides), and a 40×3 LP cut off at max_iter=2.
+so the zero-cost dual decides), a 40×3 LP cut off at max_iter=2, and a
+6×3 LP over x1 + x2 and x3, whose singular normal matrix takes the
+interior point's lstsq solve, run to Optimal and cut off at max_iter=4.
+Failure exits: the k=1 relaxation with a sample of 1e200 features,
+whose normal matrix overflows on the way to NumericalFailure; the
+unbounded beta=1e-3 fits at n=1, (k, d) = (2, 8) (MaxIterations) and
+(3, 12) (NumericalFailure); and the beta=1e-3 QP at k=1 cut off at
+max_iter=2.  When a panel run fails, its stderr is printed and the
+script exits 2.
 
 With a single SRC the script prints that tree's panel as JSON instead.
 """
@@ -89,17 +98,35 @@ def _coupled_qp():
     return ConvexProgram(c=c, q=q, a_ineq=a, b_ineq=np.zeros(2 * nz))
 
 
+def _shuffled_qp():
+    """The beta=1e-3 relaxation at k=1 with its columns shuffled, so that
+    the separable columns (the slacks) are not the last ones."""
+    import numpy as np
+
+    from convrelax import model, relax
+    from convrelax.qpsolve import ConvexProgram
+
+    _, ds = model.sample_planted(30, 6, 1, 16)
+    r = model.substream(17, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
+    program = relax.build(ds, 1e-3, r).program
+    perm = np.random.default_rng(18).permutation(program.n_vars)
+    return ConvexProgram(c=program.c[perm], q=program.q[np.ix_(perm, perm)],
+                         a_ineq=program.a_ineq[:, perm], b_ineq=program.b_ineq)
+
+
 def _small_programs():
-    """A QP without separable columns; and LPs named by their shape,
-    rows×variables (fewer rows than variables take the primal route, any
-    other the dual route): two Optimal ones, one with sign-bound rows
-    -x_j <= 0 and one without; infeasible and unbounded ones on either
-    route; and an infeasible LP with a descent ray, 4×2 and 5×2."""
+    """QPs without separable columns and with shuffled ones; and LPs
+    named by their shape, rows×variables (fewer rows than variables take
+    the primal route, any other the dual route): two Optimal ones, one
+    with sign-bound rows -x_j <= 0 and one without; infeasible and
+    unbounded ones on either route; and an infeasible LP with a descent
+    ray, 4×2 and 5×2."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram
 
     yield "qp-coupled", _coupled_qp()
+    yield "qp-shuffled-columns", _shuffled_qp()
     yield "lp-optimal-4x2-sign-bounds", ConvexProgram(
         c=[-1.0, -2.0], a_ineq=[[1.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, -1.0]],
         b_ineq=[4.0, 6.0, 0.0, 0.0])
@@ -143,6 +170,7 @@ def run_panel() -> list[dict]:
     import numpy as np
 
     from convrelax import certify, model, qpsolve, relax
+    from convrelax.qpsolve import ConvexProgram
 
     records: list[dict] = []
     label = ["?"]
@@ -191,6 +219,28 @@ def run_panel() -> list[dict]:
             qpsolve.solve(program)
         label[0] = "lp-max-iterations-40x3"
         qpsolve.solve(_tall_lp(), max_iter=2)
+        # x1 and x2 enter only as x1 + x2: the normal matrix is singular up
+        # to its regularization, its Cholesky factorization fails from the
+        # fourth iteration on, and the cut-off solve reports that iterate
+        label[0] = "lp-lstsq-6x3"
+        for max_iter in (qpsolve.DEFAULT_MAX_ITER, 4):
+            qpsolve.solve(ConvexProgram(
+                c=[1.0, 1.0, -2.0], a_ineq=[[-1.0, -1.0, 3.0], [1.0, 1.0, 1.0], [1.0, 1.0, 3.0],
+                                            [-3.0, -3.0, 2.0], [2.0, 2.0, -1.0], [-1.0, -1.0, 0.0]],
+                b_ineq=[3.0, 5.0, -3.0, 5.0, 1.0, 0.0]), max_iter=max_iter)
+        label[0] = "k1-lp rows of 1e200 n=8 d=4"
+        _, ds = model.sample_planted(8, 4, 1, 2)
+        huge = ds.x.copy()
+        huge[0] = 1e200
+        relax.fit(model.Dataset(huge, ds.y, 1), 0.0, 0)
+        # fewer block rows than filter entries: w is unbounded
+        for k, d in ((2, 8), (3, 12)):
+            label[0] = f"beta-qp unbounded k={k} n=1 d={d}"
+            relax.fit(model.sample_planted(1, d, k, 0)[1], 1e-3, 0)
+        label[0] = "beta-qp-max-iterations k=1 n=200 d=20"
+        _, ds = model.sample_planted(200, 20, 1, 8)
+        r = model.substream(9, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
+        qpsolve.solve(relax.build(ds, 1e-3, r).program, max_iter=2)
     finally:
         qpsolve.solve = solve
     return records
@@ -200,7 +250,12 @@ def _panel_of(src: str) -> list[dict]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.path.abspath(src))
     out = subprocess.run([sys.executable, os.path.abspath(__file__), src], env=env,
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True)
+    if out.returncode != 0:
+        # the tree under test failed: show its traceback, not this script's
+        sys.stderr.write(out.stderr)
+        print(f"the panel of {src} exited with {out.returncode}", file=sys.stderr)
+        raise SystemExit(2)
     return json.loads(out.stdout)
 
 

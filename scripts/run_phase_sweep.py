@@ -61,4 +61,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except sweep.SweepError as exc:  # a bad grid or worker count, as `convrelax sweep` reports it
+        print(f"usage error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -24,6 +24,7 @@ requested tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -89,7 +90,8 @@ class ConvexProgram:
             self.q = _as_matrix(self.q, m, "q")
             if self.q.shape != (m, m):
                 raise SolverError(f"q must be {m}x{m}, got {self.q.shape}")
-            if not np.allclose(self.q, self.q.T, atol=1e-12, rtol=0.0):
+            # on finite entries, allclose(q, q.T, atol=1e-12, rtol=0) at less cost
+            if np.abs(self.q - self.q.T).max() > 1e-12:
                 raise SolverError("q must be symmetric within 1e-12")
         self.a_ineq = _as_matrix(self.a_ineq, m, "a_ineq")
         if self.a_ineq.shape[1] != m:
@@ -204,17 +206,8 @@ def _presolve(program: ConvexProgram) -> tuple[ConvexProgram, np.ndarray, bool]:
 
 def _max_step(v, dv):
     """Largest α with v + α·dv ≥ 0, from the entries where dv < 0 (∞ if none)."""
-    i = np.flatnonzero(dv < 0)
+    i = (dv < 0).nonzero()[0]
     return (v[i] / -dv[i]).min(initial=np.inf)
-
-
-def _hsd_step_length(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa):
-    alpha = min(1.0, _max_step(x, d_x), _max_step(z, d_z))
-    if d_tau < 0:
-        alpha = min(alpha, tau / -d_tau)
-    if d_kappa < 0:
-        alpha = min(alpha, kappa / -d_kappa)
-    return alpha
 
 
 def _hsd(A, b, c, tol, max_iter):
@@ -228,13 +221,20 @@ def _hsd(A, b, c, tol, max_iter):
     """
     tol = max(tol * 1e-2, 1e-13)
     m, n = A.shape
-    x = np.ones(n)
+    # x and z are the halves of one buffer, and so are their directions:
+    # one ratio test (the minimum over both halves is the smaller of
+    # theirs) and one update cover both
+    xz = np.ones(2 * n)
+    x, z = xz[:n], xz[n:]
+    d_xz = np.empty(2 * n)
+    d_x, d_z = d_xz[:n], d_xz[n:]
     y = np.zeros(m)
-    z = np.ones(n)
     tau, kappa = 1.0, 1.0
+    neg_c = -c
 
-    r_p0 = max(1.0, np.linalg.norm(b - A @ x))
-    r_d0 = max(1.0, np.linalg.norm(c - A.T @ y - z))
+    # ‖r‖₂ is taken as np.linalg.norm takes it for a 1-D float array
+    r_p, r_d = b - A @ x, c - A.T @ y - z
+    r_p0, r_d0 = max(1.0, math.sqrt(r_p @ r_p)), max(1.0, math.sqrt(r_d @ r_d))
     r_g0 = max(1.0, abs(1.0 + c @ x - b @ y))
     mu_0 = (x @ z + tau * kappa) / (n + 1)
 
@@ -242,15 +242,16 @@ def _hsd(A, b, c, tol, max_iter):
     status = SolveStatus.MAX_ITERATIONS
     iteration = 0
     while True:
+        cx, by = c @ x, b @ y
         r_P = b * tau - A @ x
         r_D = c * tau - A.T @ y - z
-        r_G = kappa + c @ x - b @ y
+        r_G = kappa + cx - by
         mu = (x @ z + tau * kappa) / (n + 1)
 
-        rho_p = np.linalg.norm(r_P) / r_p0
-        rho_d = np.linalg.norm(r_D) / r_d0
+        rho_p = math.sqrt(r_P @ r_P) / r_p0
+        rho_d = math.sqrt(r_D @ r_D) / r_d0
         rho_g = abs(r_G) / r_g0
-        rho_A = abs(c @ x - b @ y) / (tau + abs(b @ y))
+        rho_A = abs(cx - by) / (tau + abs(by))
         rho_mu = mu / mu_0
 
         if rho_p <= tol and rho_d <= tol and rho_A <= tol:
@@ -259,7 +260,7 @@ def _hsd(A, b, c, tol, max_iter):
         inf1 = rho_p <= tol and rho_d <= tol and rho_g <= tol and tau <= tol * max(1.0, kappa)
         inf2 = rho_mu <= tol and tau <= tol * min(1.0, kappa)
         if inf1 or inf2:
-            status = SolveStatus.PRIMAL_INFEASIBLE if b @ y > tol else SolveStatus.DUAL_UNBOUNDED
+            status = SolveStatus.PRIMAL_INFEASIBLE if by > tol else SolveStatus.DUAL_UNBOUNDED
             break
         if iteration >= max_iter:
             break
@@ -271,56 +272,48 @@ def _hsd(A, b, c, tol, max_iter):
         # the LAPACK calls behind scipy.linalg.cho_factor and cho_solve,
         # without their per-call argument checks
         factor, info = dpotrf(M, lower=False, clean=False)
-        if info == 0:
-
-            def lin_solve(rhs, factor=factor):
-                return dpotrs(factor, rhs, lower=False)[0]
-
-        elif np.isfinite(M).all():
-
-            def lin_solve(rhs, M=M):
-                return np.linalg.lstsq(M, rhs, rcond=None)[0]
-
-        else:
+        if info != 0 and not np.isfinite(M).all():
             # LAPACK's least squares does not return on a non-finite matrix
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
         def sym_solve(r1, r2):
             # block elimination of the (x, y) system through the normal matrix
-            v = lin_solve(r2 + A @ (d_inv * r1))
-            u = d_inv * (A.T @ v - r1)
-            return u, v
+            rhs = r2 + A @ (d_inv * r1)
+            v = dpotrs(factor, rhs, lower=False)[0] if info == 0 else np.linalg.lstsq(M, rhs, rcond=None)[0]
+            return d_inv * (A.T @ v - r1), v
 
         try:
             p, q = sym_solve(c, b)
-            denom_base = kappa / tau + (-c @ p + b @ q)
+            denom_base = kappa / tau + (neg_c @ p + b @ q)
 
-            d_x = d_z = np.zeros(n)
-            d_tau = d_kappa = 0.0
-            alpha = 0.0
+            # stage 0, the predictor, has γ = 0: η = 1 leaves the residuals as they are
+            rhatp, rhatd, rhatg = r_P, r_D, r_G
             gamma = 0.0
             failed = False
+            x_times_z = x * z
             for stage in range(2):
-                eta = 1.0 - gamma
-                rhatp = eta * r_P
-                rhatd = eta * r_D
-                rhatg = eta * r_G
-                rhatxs = gamma * mu - x * z
+                rhatxs = gamma * mu - x_times_z
                 rhattk = gamma * mu - tau * kappa
                 if stage == 1:
-                    rhatxs = rhatxs - d_x * d_z
+                    eta = 1.0 - gamma
+                    rhatp, rhatd, rhatg = eta * r_P, eta * r_D, eta * r_G
+                    rhatxs -= d_x * d_z
                     rhattk = rhattk - d_tau * d_kappa
                 u, v = sym_solve(rhatd - rhatxs / x, rhatp)
-                if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+                if not (np.isfinite(u).all() and np.isfinite(v).all()):
                     failed = True
                     break
-                d_tau = (rhatg + rhattk / tau - (-c @ u + b @ v)) / denom_base
-                d_x = u + p * d_tau
+                d_tau = (rhatg + rhattk / tau - (neg_c @ u + b @ v)) / denom_base
+                np.add(u, np.multiply(p, d_tau, out=d_x), out=d_x)
                 d_y = v + q * d_tau
-                d_z = (rhatxs - z * d_x) / x
+                np.divide(np.subtract(rhatxs, np.multiply(z, d_x, out=d_z), out=d_z), x, out=d_z)
                 d_kappa = (rhattk - kappa * d_tau) / tau
-                alpha = _hsd_step_length(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa)
+                alpha = min(1.0, _max_step(xz, d_xz))
+                if d_tau < 0:
+                    alpha = min(alpha, tau / -d_tau)
+                if d_kappa < 0:
+                    alpha = min(alpha, kappa / -d_kappa)
                 gamma = (1.0 - alpha) ** 2 * min(0.1, 1.0 - alpha)
             if failed:
                 status = SolveStatus.NUMERICAL_FAILURE
@@ -330,12 +323,11 @@ def _hsd(A, b, c, tol, max_iter):
             break
 
         alpha = 0.99995 * alpha
-        x = x + alpha * d_x
-        y = y + alpha * d_y
-        z = z + alpha * d_z
+        xz += alpha * d_xz
+        y += alpha * d_y
         tau = tau + alpha * d_tau
         kappa = kappa + alpha * d_kappa
-        if not np.all(np.isfinite(x)) or tau <= 0 or kappa < 0:
+        if not np.isfinite(x).all() or tau <= 0 or kappa < 0:
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
@@ -445,6 +437,7 @@ class _SchurKkt:
         self.c = program.c
         self.w, self.u = np.flatnonzero(~sep), np.flatnonzero(sep)
         self.n_w, self.n_u = self.w.size, self.u.size
+        self.perm = np.argsort(np.concatenate([self.w, self.u]))  # (x_W, x_U) -> x
         self.q_ww = Q[np.ix_(self.w, self.w)]
         self.q_u = Q.diagonal()[self.u]
         self.g_w = G[:, self.w]
@@ -462,10 +455,7 @@ class _SchurKkt:
         self.g_w_grouped = self.g_w[self.order]
 
     def _join(self, x_w, x_u):
-        x = np.empty(self.n_w + self.n_u)
-        x[self.w] = x_w
-        x[self.u] = x_u
-        return x
+        return np.concatenate((x_w, x_u))[self.perm]
 
     def _on_u(self, weights):
         return np.bincount(self.col, weights=weights, minlength=self.n_u + 1)[: self.n_u]
@@ -512,24 +502,23 @@ class _SchurKkt:
         return solve
 
 
-def _qp_step_length(s, ds, lam, dlam):
-    # on an unbounded QP a ratio can pass the float range: ∞ is its bound
-    with np.errstate(over="ignore"):
-        return min(1.0, _max_step(s, ds), _max_step(lam, dlam))
-
-
 def _qp_mehrotra(program: ConvexProgram, sep, tol, max_iter):
     c, h = program.c, program.b_ineq
     m, p = program.n_vars, program.n_ineq
     kkt = _SchurKkt(program, sep)
 
     x = np.zeros(m)
+    # s and λ are the halves of one buffer, and so are their directions,
+    # as x and z are in _hsd
+    s_lam, d_s_lam = np.empty(2 * p), np.empty(2 * p)
+    s, lam = s_lam[:p], s_lam[p:]
+    ds, dlam = d_s_lam[:p], d_s_lam[p:]
     s_hat = h - kkt.g_dot(x)
-    s = s_hat + max(-1.5 * float(np.min(s_hat)), 0.0) + 1.0
-    lam = np.ones(p)
+    s[:] = s_hat + max(-1.5 * float(np.min(s_hat)), 0.0) + 1.0
+    lam[:] = 1.0
     shift = 0.5 * (s @ lam)
-    s = s + shift / lam.sum()
-    lam = lam + shift / s.sum()
+    s += shift / lam.sum()
+    lam += shift / s.sum()
 
     status = SolveStatus.MAX_ITERATIONS
     iteration = 0
@@ -539,19 +528,20 @@ def _qp_mehrotra(program: ConvexProgram, sep, tol, max_iter):
         iteration += 1
         r_dual = kkt.q_dot(x) + c + kkt.gt_dot(lam)
         r_in = kkt.g_dot(x) + s - h
+        s_times_lam = s * lam
         mu = (s @ lam) / p
 
-        prim = float(np.max(np.abs(r_in)))
-        dual = float(np.max(np.abs(r_dual)))
-        comp = float(np.max(s * lam))
+        prim = float(np.abs(r_in).max())
+        dual = float(np.abs(r_dual).max())
+        comp = float(s_times_lam.max())
         # multipliers scale with the objective's linear part, which can be
         # tiny; squeezing mu well below the multiplier scale keeps the
         # active set identifiable for the polish step
-        mu_target = max(1e-13, 0.01 * tol * min(1.0, float(np.max(lam))))
+        mu_target = max(1e-13, 0.01 * tol * min(1.0, float(lam.max())))
         if max(prim, dual, comp) <= 0.5 * tol and (mu <= mu_target or stalled >= 3):
             status = SolveStatus.OPTIMAL
             break
-        if not np.isfinite(mu) or np.max(np.abs(x)) > 1e13:
+        if not np.isfinite(mu) or np.abs(x).max() > 1e13:
             status = SolveStatus.DUAL_UNBOUNDED
             break
         if kkt.objective(x) < -1e16:
@@ -562,27 +552,35 @@ def _qp_mehrotra(program: ConvexProgram, sep, tol, max_iter):
         if lin_solve is None:
             status = SolveStatus.NUMERICAL_FAILURE
             break
+        neg_r_dual, neg_r_in, lam_r_in = -r_dual, -r_in, lam * r_in
 
         def newton(r_comp):
-            dx = lin_solve(-r_dual + kkt.gt_dot((r_comp - lam * r_in) / s))
-            ds = -r_in - kkt.g_dot(dx)
-            dlam = (-r_comp - lam * ds) / s
-            return dx, ds, dlam
+            """dx, with ds and dλ written into their halves of d_s_lam."""
+            dx = lin_solve(neg_r_dual + kkt.gt_dot((r_comp - lam_r_in) / s))
+            np.subtract(neg_r_in, kkt.g_dot(dx), out=ds)
+            np.subtract(-r_comp, np.multiply(lam, ds, out=dlam), out=dlam)
+            np.divide(dlam, s, out=dlam)
+            return dx
+
+        def step_length():
+            # on an unbounded QP a ratio can pass the float range: ∞ is its bound
+            with np.errstate(over="ignore"):
+                return min(1.0, _max_step(s_lam, d_s_lam))
 
         # predictor
-        dx, ds, dlam = newton(s * lam)
-        alpha_aff = _qp_step_length(s, ds, lam, dlam)
-        mu_aff = ((s + alpha_aff * ds) @ (lam + alpha_aff * dlam)) / p
+        newton(s_times_lam)
+        alpha_aff = step_length()
+        trial = s_lam + alpha_aff * d_s_lam
+        mu_aff = (trial[:p] @ trial[p:]) / p
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # corrector
-        dx, ds, dlam = newton(s * lam + ds * dlam - sigma * mu)
-        alpha = 0.9995 * _qp_step_length(s, ds, lam, dlam)
+        dx = newton(s_times_lam + ds * dlam - sigma * mu)
+        alpha = 0.9995 * step_length()
         stalled = stalled + 1 if alpha < 1e-3 else 0
-        x = x + alpha * dx
-        s = s + alpha * ds
-        lam = lam + alpha * dlam
-        if not np.all(np.isfinite(x)):
+        x += alpha * dx
+        s_lam += alpha * d_s_lam
+        if not np.isfinite(x).all():
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
@@ -662,20 +660,22 @@ def _polish(program: ConvexProgram, sep, x, lam, skippable: bool):
 
 
 def _refine(program: ConvexProgram, sep, status, x, lam, tol):
-    """Apply the polish when optimal and keep whichever pair is cleaner."""
+    """Apply the polish when optimal and keep whichever pair is cleaner;
+    returns the pair and its KKT measures (None when not optimal)."""
     if status != SolveStatus.OPTIMAL:
-        return x, lam
+        return x, lam, None
     raw = _kkt_measures(program, x, lam)
     candidate = _polish(program, sep, x, lam, skippable=max(raw) <= tol)
-    if candidate is None:
-        return x, lam
-    if max(_kkt_measures(program, *candidate)) < max(raw):
-        return candidate
-    return x, lam
+    if candidate is not None:
+        polished = _kkt_measures(program, *candidate)
+        if max(polished) < max(raw):
+            return *candidate, polished
+    return x, lam, raw
 
 
-def _finalize(program: ConvexProgram, status, x, lam, iterations, tol) -> SolveReport:
-    stat, feas, comp = _kkt_measures(program, x, lam)
+def _finalize(program: ConvexProgram, status, x, lam, iterations, tol, measures=None) -> SolveReport:
+    """The report of a pair; ``measures`` are its KKT measures on ``program``, if taken."""
+    stat, feas, comp = measures or _kkt_measures(program, x, lam)
     if status == SolveStatus.OPTIMAL and max(stat, feas, comp) > tol:
         status = SolveStatus.MAX_ITERATIONS
     return SolveReport(
@@ -723,7 +723,8 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
         sep = _separable_columns(red)
         status, x, lam_red, iters = _qp_mehrotra(red, sep, tol, max_iter)
 
-    x, lam_red = _refine(red, sep, status, x, lam_red, tol)
+    x, lam_red, measures = _refine(red, sep, status, x, lam_red, tol)
     lam = np.zeros(program.n_ineq)
     lam[keep] = lam_red
-    return _finalize(program, status, x, lam, iters, tol)
+    # with every row kept, the measures on red are those on program
+    return _finalize(program, status, x, lam, iters, tol, measures if red is program else None)

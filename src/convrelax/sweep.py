@@ -141,7 +141,10 @@ def _run_cell(args) -> PhaseCell:
 
 def run_grid(spec: GridSpec, workers: int = 1) -> list[PhaseCell]:
     """Run every (method, d, n) cell; output order is canonical and the
-    results do not depend on the execution schedule."""
+    results do not depend on the execution schedule.  ``workers`` must be
+    positive; the pool never holds more processes than there are cells."""
+    if workers < 1:
+        raise SweepError("workers must be a positive integer")
     spec_dict = dataclasses.asdict(spec)
     jobs = [
         (spec_dict, method, n, d)
@@ -149,6 +152,7 @@ def run_grid(spec: GridSpec, workers: int = 1) -> list[PhaseCell]:
         for d in spec.d_values
         for n in spec.n_values
     ]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, jobs))

@@ -318,6 +318,15 @@ def test_workers_flag_matches_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_a_nonpositive_worker_count(tmp_path, capsys, workers):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--n-values", "15", "--d-values", "3", "--trials", "1",
+                 "--out", str(out), "--workers", workers]) == EXIT_USAGE
+    assert "usage error: workers must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_json_is_strict_when_the_dual_is_infeasible(tmp_path, capsys):
     # n < d: the dual program is infeasible, so its objective, gap and
     # structure measures are undefined

@@ -388,6 +388,33 @@ def test_presolve_returns_the_program_when_no_row_drops():
     assert _presolve(fortran)[0].a_ineq.flags.c_contiguous
 
 
+def test_report_reuses_the_measures_of_the_refined_pair(monkeypatch):
+    # with every row kept, the report carries the KKT measures that
+    # _refine took on the pair it kept; when presolve drops a row, they
+    # are taken once more on the original program
+    measures = qpsolve._kkt_measures
+    calls = []
+
+    def counted(program, x, lam):
+        calls.append(program)
+        return measures(program, x, lam)
+
+    monkeypatch.setattr(qpsolve, "_kkt_measures", counted)
+    rng = np.random.default_rng(5)
+    a = np.vstack([np.eye(2), -np.eye(2), rng.standard_normal((3, 2))])
+    kept = ConvexProgram(c=[1.0, -1.0], a_ineq=a, b_ineq=np.ones(7))
+    dropped = ConvexProgram(c=[1.0, -1.0], a_ineq=np.vstack([a, np.zeros((1, 2))]), b_ineq=np.ones(8))
+    # (program, measures taken on it, measures taken in all): the raw and
+    # the polished pair, and the report's when a row was dropped
+    for program, on_it, taken in ((kept, 2, 2), (dropped, 1, 3)):
+        calls.clear()
+        rep = solve(program)
+        assert rep.status == SolveStatus.OPTIMAL
+        assert sum(p is program for p in calls) == on_it and len(calls) == taken
+        stat, feas, comp = measures(program, rep.x, rep.lam)
+        assert (rep.dual_residual, rep.primal_residual, rep.complementarity_gap) == (stat, feas, comp)
+
+
 def _max_step_reference(v, dv):
     # the interior point's former masked form; entries off ``neg`` are
     # never divided nor read
@@ -415,6 +442,54 @@ def test_max_step_bitwise_matches_masked_divide(seed):
         signed = np.where(rng.random(size) < 0.3, -0.0, v)
         assert _max_step(signed, dv) == _max_step_reference(signed, dv)
     assert _max_step(v, np.zeros(size)) == np.inf
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stacked_ratio_test_is_the_smaller_of_the_two(seed):
+    # _hsd and _qp_mehrotra hold (x, z) and (s, λ) as the halves of one
+    # buffer, and their directions likewise, and take one ratio test
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    halves = [np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-8, 8, n) for _ in range(2)]
+    halves[1] = np.where(rng.random(n) < 0.2, 0.0, halves[1])
+    directions = [
+        rng.standard_normal(n),
+        np.abs(rng.standard_normal(n)),  # all positive: no bound
+        -np.abs(rng.standard_normal(n)) - 1e-300,  # all negative
+        np.where(rng.random(n) < 0.3, 0.0, rng.standard_normal(n)),
+        np.where(rng.random(n) < 0.3, -0.0, rng.standard_normal(n)),
+    ]
+    for dx in directions:
+        for dz in directions:
+            stacked = _max_step(np.concatenate(halves), np.concatenate([dx, dz]))
+            smaller = min(_max_step(halves[0], dx), _max_step(halves[1], dz))
+            assert np.float64(stacked).tobytes() == np.float64(smaller).tobytes()
+
+
+def test_q_symmetry_is_checked_to_1e_12():
+    for gap in (1e-12, -1e-12, 2e-12, -2e-12):
+        q = np.eye(3)
+        q[0, 2] = gap
+        if abs(gap) <= 1e-12:
+            ConvexProgram(c=np.ones(3), q=q)
+        else:
+            with pytest.raises(SolverError, match="symmetric within 1e-12"):
+                ConvexProgram(c=np.ones(3), q=q)
+    # the same verdicts as allclose(q, q.T, atol=1e-12, rtol=0)
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for _ in range(200):
+        q = rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-3, 1)
+        q = q + q.T
+        i, j = rng.choice(4, size=2, replace=False)
+        q[i, j] += rng.uniform(-3e-12, 3e-12)
+        try:
+            ConvexProgram(c=np.ones(4), q=q)
+            verdicts.append(True)
+        except SolverError:
+            verdicts.append(False)
+        assert verdicts[-1] == np.allclose(q, q.T, atol=1e-12, rtol=0.0)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_program_validation():

@@ -56,6 +56,49 @@ def test_run_grid_deterministic_and_schedule_independent():
     assert a == c
 
 
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs
+    the jobs in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_run_grid_caps_the_pool_at_the_cell_count(monkeypatch):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    one = GridSpec(n_values=(20,), d_values=(4,), k=1, trials=1, master_seed=5,
+                   methods=(METHOD_RELAXATION,))
+    three = GridSpec(n_values=(20, 30, 40), d_values=(4,), k=1, trials=1, master_seed=5,
+                     methods=(METHOD_RELAXATION,))
+    serial = run_grid(three, workers=1)
+    assert run_grid(one, workers=64) == serial[:1]  # one cell: no pool at all
+    assert run_grid(three, workers=64) == serial
+    assert run_grid(three, workers=2) == serial
+    assert _RecordingPool.sizes == [3, 2]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_grid_rejects_a_nonpositive_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    spec = GridSpec(n_values=(20,), d_values=(4,), k=1, trials=1)
+    with pytest.raises(SweepError, match="workers must be a positive integer"):
+        run_grid(spec, workers=workers)
+    assert _RecordingPool.sizes == []
+
+
 def test_grid_extension_leaves_existing_cells_alone():
     base = GridSpec(n_values=(20,), d_values=(4,), k=1, trials=4, master_seed=3)
     bigger = GridSpec(n_values=(20, 30), d_values=(4, 8), k=1, trials=4, master_seed=3)
