@@ -32,10 +32,21 @@ interior point's lstsq solve, run to Optimal and cut off at max_iter=4.
 Failure exits: the k=1 relaxation with a sample of 1e200 features,
 whose normal matrix overflows on the way to NumericalFailure; the
 unbounded beta=1e-3 fits at n=1, (k, d) = (2, 8) (MaxIterations) and
-(3, 12) (NumericalFailure); and the beta=1e-3 QP at k=1 cut off at
-max_iter=2.  When a panel run fails, its stderr is printed and the
-script exits 2.
+(3, 12) (NumericalFailure); the 40×3 LP with every row multiplied by
+1e160 and by 1e200 (b left alone), whose normal matrix overflows; and
+the beta=1e-3 QP at k=1 cut off at max_iter=2.  Last, the k=1
+relaxation LP at n=2000, d=20 of the sweep-k1 benchmark trial at
+--seed 13, whose kept multipliers miss tol until they are refitted on
+the active rows.
 
+The script also compares the stdout bytes and the exit code of
+``convrelax fit --json`` and ``convrelax certify --json``, run in
+process on CSVs that each tree writes from the same planted datasets:
+fit at beta=0 with --trials 3 at k=2 and k=5 and at beta=1e-3 at k=1,
+and certify at k=1 and k=2.  It prints one line for every command whose
+output differs.
+
+When a panel run fails, its stderr is printed and the script exits 2.
 With a single SRC the script prints that tree's panel as JSON instead.
 """
 
@@ -169,7 +180,7 @@ def _tall_lp():
 def run_panel() -> list[dict]:
     import numpy as np
 
-    from convrelax import certify, model, qpsolve, relax
+    from convrelax import certify, model, qpsolve, relax, sweep
     from convrelax.qpsolve import ConvexProgram
 
     records: list[dict] = []
@@ -237,16 +248,53 @@ def run_panel() -> list[dict]:
         for k, d in ((2, 8), (3, 12)):
             label[0] = f"beta-qp unbounded k={k} n=1 d={d}"
             relax.fit(model.sample_planted(1, d, k, 0)[1], 1e-3, 0)
+        tall = _tall_lp()
+        for scale in (1e160, 1e200):
+            label[0] = f"lp-rows-of-{scale:g}-40x3"
+            qpsolve.solve(ConvexProgram(c=tall.c, a_ineq=tall.a_ineq * scale, b_ineq=tall.b_ineq))
         label[0] = "beta-qp-max-iterations k=1 n=200 d=20"
         _, ds = model.sample_planted(200, 20, 1, 8)
         r = model.substream(9, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
         qpsolve.solve(relax.build(ds, 1e-3, r).program, max_iter=2)
+        label[0] = "k1-lp refitted multipliers n=2000 d=20"
+        seed = sweep.cell_trial_seed(2788924227, sweep.METHOD_RELAXATION, 2000, 20, 0)
+        relax.fit(model.sample_planted(2000, 20, 1, seed)[1], 0.0, seed)
     finally:
         qpsolve.solve = solve
     return records
 
 
-def _panel_of(src: str) -> list[dict]:
+# (case, planted n, d, k, seed, command and options)
+CLI_CASES = (
+    ("fit k=2 n=100 d=20 --trials 3", (100, 20, 2, 21), ["fit", "--json", "--trials", "3", "--seed", "1"]),
+    ("fit k=5 n=60 d=20 --trials 3", (60, 20, 5, 22), ["fit", "--json", "--trials", "3", "--seed", "2"]),
+    ("fit k=1 n=200 d=20 --beta 1e-3", (200, 20, 1, 23), ["fit", "--json", "--beta", "1e-3", "--seed", "3"]),
+    ("certify k=1 n=80 d=6", (80, 6, 1, 24), ["certify", "--json", "--seed", "4"]),
+    ("certify k=2 n=120 d=8", (120, 8, 2, 25), ["certify", "--json", "--seed", "5"]),
+)
+
+
+def run_cli_panel() -> list[dict]:
+    """The exit code and stdout of each command of CLI_CASES."""
+    import contextlib
+    import io
+    import tempfile
+
+    from convrelax import cli, model
+
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, (n, d, k, seed), (command, *options) in CLI_CASES:
+            path = os.path.join(tmp, "data.csv")
+            model.export_csv(model.sample_planted(n, d, k, seed)[1], path)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main([command, "--in", path, *options])
+            records.append({"case": case, "exit": code, "stdout": out.getvalue()})
+    return records
+
+
+def _panel_of(src: str) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.path.abspath(src))
     out = subprocess.run([sys.executable, os.path.abspath(__file__), src], env=env,
@@ -312,6 +360,26 @@ def differences(old: list[dict], new: list[dict]) -> tuple[list[str], int]:
     return lines, differing
 
 
+def cli_differences(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per command whose exit code or stdout differs, or that
+    only one side ran."""
+    old_cases = {record["case"]: record for record in old}
+    new_cases = {record["case"]: record for record in new}
+    lines = []
+    for case in dict.fromkeys([*old_cases, *new_cases]):
+        a, b = old_cases.get(case), new_cases.get(case)
+        if a is None or b is None:
+            lines.append(f"{case}: run by one tree only")
+        elif a["exit"] != b["exit"]:
+            lines.append(f"{case}: exit code {a['exit']} != {b['exit']}")
+        elif a["stdout"] != b["stdout"]:
+            at = next((i for i, (u, v) in enumerate(zip(a["stdout"], b["stdout"])) if u != v),
+                      min(len(a["stdout"]), len(b["stdout"])))
+            lines.append(f"{case}: stdout differs from character {at}: "
+                         f"{a['stdout'][at:at + 40]!r} != {b['stdout'][at:at + 40]!r}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 1:
         import convrelax
@@ -319,19 +387,21 @@ def main(argv: list[str]) -> int:
         package_dir = os.path.dirname(os.path.abspath(convrelax.__file__))
         if os.path.dirname(package_dir) != os.path.abspath(argv[0]):
             raise SystemExit(f"convrelax was imported from {package_dir}, not from {argv[0]}")
-        json.dump(run_panel(), sys.stdout)
+        json.dump({"reports": run_panel(), "cli": run_cli_panel()}, sys.stdout)
         return 0
     if len(argv) != 2:
         print("usage: python scripts/bitwise_diff.py OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
     old, new = _panel_of(argv[0]), _panel_of(argv[1])
-    lines, differing = differences(old, new)
-    cases = len(_by_case(old))
-    if not lines:
-        print(f"identical ({len(old)} reports over {cases} cases)")
+    lines, differing = differences(old["reports"], new["reports"])
+    cli_lines = cli_differences(old["cli"], new["cli"])
+    cases = len(_by_case(old["reports"]))
+    if not lines and not cli_lines:
+        print(f"identical ({len(old['reports'])} reports over {cases} cases; "
+              f"{len(old['cli'])} CLI outputs)")
         return 0
-    print("\n".join(lines))
-    print(f"{differing} of {cases} cases differ")
+    print("\n".join(lines + cli_lines))
+    print(f"{differing} of {cases} cases differ; {len(cli_lines)} of {len(old['cli'])} CLI outputs differ")
     return 1
 
 

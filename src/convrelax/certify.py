@@ -60,8 +60,19 @@ def active_sets(x: np.ndarray, w_star: np.ndarray, k: int) -> ActiveSets:
         raise CertifyError("w_star must have length d/k")
     active = (x.reshape(n, k, d // k) @ w_star) > 0.0
     s = [np.flatnonzero(active[:, j]) for j in range(k)]
-    r_sets = [np.flatnonzero(active[i, :]) for i in range(n)]
+    # r_sets[i] is sample i's run of the row-major nonzero columns
+    bounds = np.concatenate(([0], np.cumsum(active.sum(axis=1)))).tolist()
+    cols = active.nonzero()[1]
+    r_sets = [cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     return ActiveSets(s=s, r_sets=r_sets, n=n, k=k)
+
+
+def _active_mask(sets: ActiveSets) -> np.ndarray:
+    """The (n, k) mask of the active (sample, block) pairs."""
+    active = np.zeros((sets.n, sets.k), dtype=bool)
+    for j, s_j in enumerate(sets.s):
+        active[s_j, j] = True
+    return active
 
 
 def cone_generators(dataset: Dataset, sets: ActiveSets) -> tuple[np.ndarray, np.ndarray]:
@@ -73,15 +84,18 @@ def cone_generators(dataset: Dataset, sets: ActiveSets) -> tuple[np.ndarray, np.
     if sets.n != dataset.n or sets.k != dataset.k:
         raise CertifyError("active sets were computed for a different dataset shape")
     xb = dataset.blocks()
-    rows = []
-    indices = []
-    for i, r_i in enumerate(sets.r_sets):
-        if len(r_i) == 0:
-            continue
-        rows.append(xb[i, r_i, :].sum(axis=0))
-        indices.append(i)
-    gens = np.asarray(rows, dtype=float).reshape(len(rows), dataset.filter_size)
-    return gens, np.asarray(indices, dtype=int)
+    active = _active_mask(sets)
+    counts = active.sum(axis=1)
+    gens = np.empty((dataset.n, dataset.filter_size))
+    # the samples with m active blocks at once: their (g, m, p) rows summed
+    # over m, the reduction a single sample's (m, p) rows get, in the same
+    # block order, so the generators keep their bits
+    for m in np.unique(counts[counts > 0]).tolist():
+        samples = np.flatnonzero(counts == m)
+        blocks = active[samples].nonzero()[1].reshape(-1, m)
+        gens[samples] = xb[samples[:, None], blocks, :].sum(axis=1)
+    indices = np.flatnonzero(counts)
+    return gens[indices], indices
 
 
 @dataclass
@@ -143,7 +157,7 @@ def r1_singleton_fraction(sets: ActiveSets) -> float:
     """Fraction of samples with exactly one active block."""
     if sets.n == 0:
         return 0.0
-    return sum(1 for r_i in sets.r_sets if len(r_i) == 1) / sets.n
+    return np.count_nonzero(_active_mask(sets).sum(axis=1) == 1) / sets.n
 
 
 DUAL_OPTIMAL = "Optimal"
@@ -239,9 +253,7 @@ def dual_solve(dataset: Dataset, r: np.ndarray, sets: ActiveSets | None = None) 
     off_viol = 0.0
     on_viol = 0.0
     if sets is not None:
-        active = np.zeros((n, k), dtype=bool)
-        for j, s_j in enumerate(sets.s):
-            active[s_j, j] = True
+        active = _active_mask(sets)
         if np.any(~active):
             off_viol = float(np.max(np.abs(lam[~active])))
         if np.any(active):

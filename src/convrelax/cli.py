@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 solver failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -36,7 +37,10 @@ def _parse_float_pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it
+    unchanged, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="convrelax",
         description="Randomized convex relaxations for block-ReLU regression",
@@ -84,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--heatmap", action="store_true", help="print an ASCII preview")
 
     m = sub.add_parser("mnist", help="rotation-regression experiment, CSV output")
-    m.add_argument("--data-dir", default=os.environ.get(DATA_DIR_ENV))
+    m.add_argument("--data-dir")
     m.add_argument("--out", required=True)
     m.add_argument("--k", type=int, default=mnistreg.DEFAULT_K)
     m.add_argument("--n-train", type=int, default=mnistreg.DEFAULT_N_TRAIN)
@@ -203,11 +207,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mnist(args) -> int:
-    if not args.data_dir:
+    # read when the command runs, not when the cached parser was built
+    data_dir = os.environ.get(DATA_DIR_ENV) if args.data_dir is None else args.data_dir
+    if not data_dir:
         print(f"no --data-dir given and ${DATA_DIR_ENV} is unset", file=sys.stderr)
         return EXIT_USAGE
     rows = mnistreg.run_experiment(
-        args.data_dir,
+        data_dir,
         k=args.k,
         angle_range=args.angle_range,
         n_train=args.n_train,

@@ -234,22 +234,35 @@ def import_csv(path: str) -> Dataset:
         raise CsvFormatError(2, f"expected header '{expected_header}'")
     if len(lines) != 2 + n:
         raise CsvFormatError(len(lines) + 1, f"expected {n} data rows, found {len(lines) - 2}")
-    x = np.empty((n, d))
-    y = np.empty(n)
-    for i in range(n):
-        lineno = 3 + i
-        parts = lines[2 + i].split(",")
-        if len(parts) != d + 1:
-            raise CsvFormatError(lineno, f"expected {d + 1} columns, found {len(parts)}")
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise CsvFormatError(lineno, str(exc)) from exc
-        y[i] = vals[0]
-        x[i] = vals[1:]
-    finite = np.isfinite(np.column_stack([y, x]))
+    data = _parse_rows(lines[2:], d)
+    finite = np.isfinite(data)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         column = "y" if j == 0 else f"x_{j}"
         raise CsvFormatError(3 + i, f"non-finite value in column {column}")
-    return Dataset(x=x, y=y, k=k, seed=seed)
+    # contiguous copies: BLAS may round a product differently on a strided view
+    return Dataset(x=np.ascontiguousarray(data[:, 1:]), y=data[:, 0].copy(), k=k, seed=seed)
+
+
+def _parse_rows(rows: list[str], d: int) -> np.ndarray:
+    """The (n, d+1) floats of the data rows, each token as float() parses
+    it; raises at the first bad line, whether its column count or one of
+    its tokens is wrong."""
+    if all(row.count(",") == d for row in rows):
+        try:
+            # numpy converts a str token by float(): the same bits, and
+            # the same tokens accepted
+            return np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), d + 1)
+        except ValueError:
+            pass  # a bad token, whose line the loop below finds
+    data = np.empty((len(rows), d + 1))
+    for i, row in enumerate(rows):
+        lineno = 3 + i
+        parts = row.split(",")
+        if len(parts) != d + 1:
+            raise CsvFormatError(lineno, f"expected {d + 1} columns, found {len(parts)}")
+        try:
+            data[i] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise CsvFormatError(lineno, str(exc)) from exc
+    return data

@@ -17,9 +17,11 @@ regularization, stepping on the Cholesky factor of the Schur complement
 left by eliminating the separable columns (diagonal curvature, at most
 one per row).  Candidate optima are refined by an active-set polish,
 which eliminates the same columns and those fixed at 0 by active sign
-bounds before its lstsq.  A report is declared Optimal only after the
-KKT residuals have been recomputed from scratch and verified against the
-requested tolerance.
+bounds before its lstsq; an LP pair that still misses the tolerance has
+its multipliers refitted by nonnegative least squares on the active
+rows.  A report is declared Optimal only after the KKT residuals have
+been recomputed from scratch and verified against the requested
+tolerance.
 """
 
 from __future__ import annotations
@@ -271,11 +273,12 @@ def _hsd(A, b, c, tol, max_iter):
         M.reshape(-1)[:: m + 1] += KKT_REGULARIZATION  # the diagonal, in place
         # the LAPACK calls behind scipy.linalg.cho_factor and cho_solve,
         # without their per-call argument checks
-        factor, info = dpotrf(M, lower=False, clean=False)
-        if info != 0 and not np.isfinite(M).all():
-            # LAPACK's least squares does not return on a non-finite matrix
+        if not np.isfinite(M).all():
+            # an overflowed M can factor with info 0, and LAPACK's least
+            # squares does not return on a non-finite matrix
             status = SolveStatus.NUMERICAL_FAILURE
             break
+        factor, info = dpotrf(M, lower=False, clean=False)
 
         def sym_solve(r1, r2):
             # block elimination of the (x, y) system through the normal matrix
@@ -604,6 +607,12 @@ def _sign_bounds(G: np.ndarray, h: np.ndarray):
     return bound_vars, bound_rows, -lead[bound_rows]
 
 
+def _guess_active(program: ConvexProgram, x, lam) -> np.ndarray:
+    """The rows taken as active at a near-optimal pair."""
+    slack = program.b_ineq - program.a_ineq @ x
+    return np.flatnonzero((slack < lam) | (slack <= 1e-7 * (1.0 + np.abs(program.b_ineq))))
+
+
 def _polish(program: ConvexProgram, sep, x, lam, skippable: bool):
     """Refine a near-optimal pair by solving the KKT system of the guessed
     active set; returns the refined pair or None when the guess fails.
@@ -619,8 +628,7 @@ def _polish(program: ConvexProgram, sep, x, lam, skippable: bool):
     dominate, so a system of over 600 rows before elimination is
     skipped when the iterate already meets tol (``skippable``)."""
     m = program.n_vars
-    slack = program.b_ineq - program.a_ineq @ x
-    active = np.flatnonzero((slack < lam) | (slack <= 1e-7 * (1.0 + np.abs(program.b_ineq))))
+    active = _guess_active(program, x, lam)
     n_a = active.size
     if skippable and m + n_a > 600:
         return None
@@ -659,18 +667,50 @@ def _polish(program: ConvexProgram, sep, x, lam, skippable: bool):
     return x_new, lam_new
 
 
+def _nnls_multipliers(program: ConvexProgram, x, lam):
+    """Multipliers of an LP's x refitted on the guessed active rows R:
+    λ_R ≥ 0 minimizing ‖Rᵀλ_R + c‖₂, zero elsewhere; None when no row
+    is active or the fit hits its iteration cap."""
+    # scipy.optimize takes longer to import than most solves take: only
+    # the rare pair that misses tol pays for it
+    from scipy.optimize import nnls
+
+    active = _guess_active(program, x, lam)
+    if not active.size:
+        return None
+    try:
+        fitted = nnls(program.a_ineq[active].T, -program.c)[0]
+    except RuntimeError:
+        return None
+    refit = np.zeros(program.n_ineq)
+    refit[active] = fitted
+    return refit
+
+
 def _refine(program: ConvexProgram, sep, status, x, lam, tol):
     """Apply the polish when optimal and keep whichever pair is cleaner;
-    returns the pair and its KKT measures (None when not optimal)."""
+    returns the pair and its KKT measures (None when not optimal).
+
+    When the kept pair of an LP misses tol, the multipliers are refitted
+    by nonnegative least squares on its active rows, and that pair is
+    taken if it meets tol: an x at the optimum can carry multipliers
+    whose stationarity residual the polish's lstsq does not mend, since
+    its λ may have negative entries."""
     if status != SolveStatus.OPTIMAL:
         return x, lam, None
-    raw = _kkt_measures(program, x, lam)
-    candidate = _polish(program, sep, x, lam, skippable=max(raw) <= tol)
+    measures = _kkt_measures(program, x, lam)
+    candidate = _polish(program, sep, x, lam, skippable=max(measures) <= tol)
     if candidate is not None:
         polished = _kkt_measures(program, *candidate)
-        if max(polished) < max(raw):
-            return *candidate, polished
-    return x, lam, raw
+        if max(polished) < max(measures):
+            (x, lam), measures = candidate, polished
+    if max(measures) > tol and program.is_lp:
+        refit = _nnls_multipliers(program, x, lam)
+        if refit is not None:
+            refitted = _kkt_measures(program, x, refit)
+            if max(refitted) <= tol:
+                return x, refit, refitted
+    return x, lam, measures
 
 
 def _finalize(program: ConvexProgram, status, x, lam, iterations, tol, measures=None) -> SolveReport:

@@ -59,3 +59,19 @@ def test_every_differing_float_field_states_its_count_and_largest_delta():
 def test_a_case_missing_on_one_side_is_listed():
     lines, differing = bitwise_diff.differences([_record("a")], [_record("a"), _record("e")])
     assert lines == ["e: report count 0 != 1"] and differing == 1
+
+
+def test_every_differing_cli_output_is_listed():
+    old = [{"case": "fit", "exit": 0, "stdout": '{"a": 1.5}\n'},
+           {"case": "certify", "exit": 0, "stdout": "{}\n"},
+           {"case": "same", "exit": 0, "stdout": "x\n"},
+           {"case": "gone", "exit": 0, "stdout": ""}]
+    new = [{"case": "fit", "exit": 0, "stdout": '{"a": 1.25}\n'},
+           {"case": "certify", "exit": 3, "stdout": ""},
+           {"case": "same", "exit": 0, "stdout": "x\n"}]
+    assert bitwise_diff.cli_differences(old, new) == [
+        "fit: stdout differs from character 8: '5}\\n' != '25}\\n'",
+        "certify: exit code 0 != 3",
+        "gone: run by one tree only",
+    ]
+    assert bitwise_diff.cli_differences(old, old) == []

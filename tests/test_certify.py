@@ -72,6 +72,28 @@ def test_cone_generators_single_block_are_rows():
     np.testing.assert_array_equal(gens, ds.x[sets.s[0]])
 
 
+@pytest.mark.parametrize("n, k, p, seed", [(40, 2, 4, 0), (30, 5, 3, 1), (25, 12, 1, 2), (20, 16, 1, 3),
+                                           (25, 9, 2, 4), (1, 3, 2, 5)])
+def test_active_sets_and_generators_match_the_per_sample_loops(n, k, p, seed):
+    # the sets, generators and singleton fraction have the bits of the
+    # per-sample loops, also where a sample's (m, 1) sum is pairwise (m >= 8)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k * p)) * 10.0 ** rng.integers(-6, 7, (n, 1))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    w = np.abs(rng.standard_normal(p)) if seed % 2 else rng.standard_normal(p)
+    sets = active_sets(x, w, k)
+    active = x.reshape(n, k, p) @ w > 0.0
+    assert [r.tolist() for r in sets.r_sets] == [np.flatnonzero(active[i]).tolist() for i in range(n)]
+    ds = Dataset(x=x, y=np.zeros(n), k=k)
+    gens, idx = cone_generators(ds, sets)
+    xb = ds.blocks()
+    ref = [i for i, r_i in enumerate(sets.r_sets) if len(r_i)]
+    want = np.asarray([xb[i, sets.r_sets[i], :].sum(axis=0) for i in ref]).reshape(len(ref), p)
+    assert idx.tolist() == ref and gens.tobytes() == want.tobytes()
+    assert r1_singleton_fraction(sets) == sum(1 for r_i in sets.r_sets if len(r_i) == 1) / n
+
+
 def test_cone_generators_two_by_two_example():
     ds, w_star = two_by_two()
     sets = active_sets(ds.x, w_star, 2)

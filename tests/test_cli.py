@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convrelax
-from convrelax import mnistreg, qpsolve, relax, sweep
+from convrelax import cli, mnistreg, qpsolve, relax, sweep
 from convrelax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 from convrelax.model import CsvFormatError, export_csv, import_csv, sample_planted
 from golden_cases import strict_json
@@ -224,6 +224,59 @@ def test_exit_codes_for_bad_usage(tmp_path, capsys):
                  "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
     assert main(["mnist", "--out", str(tmp_path / "m.csv")]) in (EXIT_USAGE,)
     capsys.readouterr()
+
+
+def test_data_dir_from_the_environment_is_read_when_mnist_runs(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process, so $CONVRELAX_DATA_DIR set
+    # after a first call must still reach the command
+    monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
+    out = str(tmp_path / "table.csv")
+    assert main(["mnist", "--out", out]) == EXIT_USAGE
+    assert f"no --data-dir given and ${cli.DATA_DIR_ENV} is unset" in capsys.readouterr().err
+    missing = tmp_path / "no-idx-here"
+    monkeypatch.setenv(cli.DATA_DIR_ENV, str(missing))
+    assert main(["mnist", "--out", out]) == EXIT_IO
+    assert str(missing / mnistreg.IDX_FILES["train_images"]) in capsys.readouterr().err
+    # --data-dir wins over the environment, an empty one too
+    assert main(["mnist", "--out", out, "--data-dir", ""]) == EXIT_USAGE
+    assert "no --data-dir given" in capsys.readouterr().err
+
+
+_REPEATED_ARGVS = [
+    ["gen", "--n", "12", "--d", "4", "--k", "2", "--seed", "3", "--out", "{tmp}/a.csv"],
+    ["fit", "--in", "{tmp}/a.csv", "--json"],
+    ["frobnicate"],
+    ["fit", "--in", "{tmp}/a.csv", "--trials", "x"],
+    ["certify", "--in", "{tmp}/a.csv", "--json", "--seed", "2"],
+    [],
+    ["fit", "--in", "{tmp}/a.csv", "--method", "gd", "--json"],
+    ["sweep", "--n-values", "xyz", "--d-values", "4", "--out", "{tmp}/s.csv"],
+    ["fit"],
+    ["certify", "--in", "{tmp}/a.csv", "--tol", "1e-6"],
+    ["fit", "--in", "{tmp}/a.csv", "--method", "newton"],
+    ["gen", "--help"],
+    ["fit", "--in", "{tmp}/a.csv", "--trials", "2", "--seed", "5"],
+]
+
+
+def test_repeated_main_calls_match_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    # one parser serves every call of a process; commands and usage
+    # errors, mixed and repeated, give what a parser built afresh gives
+    argvs = [[a.format(tmp=tmp_path) for a in argv] for argv in _REPEATED_ARGVS] * 2
+
+    def run_all():
+        results = []
+        for argv in argvs:
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    assert cli._build_parser() is cli._build_parser()
+    cached = run_all()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = run_all()
+    assert cached == fresh
+    assert {code for code, _, _ in cached} == {EXIT_OK, EXIT_USAGE}
 
 
 def test_sweep_rejects_k_below_one_and_unknown_methods(tmp_path, capsys):

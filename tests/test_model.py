@@ -169,6 +169,118 @@ def test_csv_non_finite_value_names_line(tmp_path, value, column):
     assert ("y" if column == 0 else f"x_{column}") in str(exc.value)
 
 
+def _reference_rows(lines, d):
+    """The data rows parsed token by token with float(): the array, or
+    the (line, message) of the first bad line."""
+    data = np.empty((len(lines), d + 1))
+    for i, line in enumerate(lines):
+        parts = line.split(",")
+        if len(parts) != d + 1:
+            return 3 + i, f"line {3 + i}: expected {d + 1} columns, found {len(parts)}"
+        try:
+            data[i] = [float(p) for p in parts]
+        except ValueError as exc:
+            return 3 + i, f"line {3 + i}: {exc}"
+    finite = np.isfinite(data)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        return 3 + i, f"line {3 + i}: non-finite value in column {'y' if j == 0 else f'x_{j}'}"
+    return data
+
+
+def _write_rows(path, lines, d, n=None):
+    header = "y," + ",".join(f"x_{j}" for j in range(1, d + 1))
+    n = len(lines) if n is None else n
+    path.write_text("\n".join([f"# n={n} d={d} k=1 seed=0", header, *lines]) + "\n")
+
+
+def _import_outcome(path):
+    try:
+        ds = import_csv(str(path))
+    except CsvFormatError as exc:
+        return exc.line, str(exc)
+    return np.column_stack([ds.y, ds.x]).reshape(ds.n, ds.d + 1)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return not isinstance(got, tuple) and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_GOOD_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g")),
+    st.floats(min_value=-1e-300, max_value=1e-300).map(repr),  # subnormals and signed zeros
+    st.sampled_from(["1_0", "1e5_0", " 1.5 ", "\t-2e3", "+.5", "5.", "-0", "1e-400", "-1E308", "0x0p0"]),
+)
+_BAD_TOKENS = st.sampled_from(["", " ", "abc", "1__0", "_1", "1e", "0x10", "1d5", "--1", "nan", "-inf", "1e999"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 4), data=st.data())
+def test_csv_rows_parse_as_float_parses_each_token(tmp_path_factory, d, data):
+    # the bits, the tokens accepted and the first bad line, of either
+    # kind, are those of parsing token by token with float()
+    n = data.draw(st.integers(0, 6))
+    rows = [data.draw(st.lists(_GOOD_TOKENS, min_size=d + 1, max_size=d + 1)) for _ in range(n)]
+    for _ in range(data.draw(st.integers(0, 2)) if n else 0):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d))
+        if data.draw(st.booleans()):
+            rows[i][j % len(rows[i])] = data.draw(_BAD_TOKENS)
+        else:
+            rows[i] = rows[i][:j] if j else rows[i] + ["1"]
+    lines = [",".join(row) for row in rows]
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    _write_rows(path, lines, d)
+    assert _same_outcome(_import_outcome(path), _reference_rows(lines, d))
+
+
+@pytest.mark.parametrize("bad, line", [
+    ({4: "1,abc,2", 6: "1,2"}, 4), ({4: "1,2", 6: "1,abc,2"}, 4), ({3: "1,2", 4: "3,4"}, 3),
+    # every row one column short: the shape is uniform, and wrong
+    ({i: "1,2" for i in range(3, 8)}, 3),
+    # a non-finite value is found only after every token has parsed
+    ({3: "1,nan,2", 5: "1,2,x"}, 5),
+])
+def test_csv_first_bad_line_wins_whatever_its_kind(tmp_path, bad, line):
+    lines = ["0.5,1,2"] * 5
+    for lineno, text in bad.items():
+        lines[lineno - 3] = text
+    _write_rows(tmp_path / "rows.csv", lines, 2)
+    want = _reference_rows(lines, 2)
+    assert _import_outcome(tmp_path / "rows.csv") == want and want[0] == line
+
+
+def test_csv_without_data_rows_or_missing_some(tmp_path):
+    _write_rows(tmp_path / "empty.csv", [], 3)
+    ds = import_csv(str(tmp_path / "empty.csv"))
+    assert ds.x.shape == (0, 3) and ds.y.shape == (0,)
+    _write_rows(tmp_path / "short.csv", ["0,1,2,3"] * 2, 3, n=4)
+    with pytest.raises(CsvFormatError, match="expected 4 data rows, found 2") as exc:
+        import_csv(str(tmp_path / "short.csv"))
+    assert exc.value.line == 5
+
+
+def test_csv_numbers_are_contiguous_arrays(tmp_path):
+    _, ds = sample_planted(9, 6, 2, 4)
+    export_csv(ds, str(tmp_path / "ds.csv"))
+    back = import_csv(str(tmp_path / "ds.csv"))
+    assert back.x.flags.c_contiguous and back.y.flags.c_contiguous
+
+
+@pytest.mark.parametrize("token", ["1_0", "１２", "١٢٣", " 1.5 ", "\t2e3\n", "4.9e-324", "-1e-400", "1e400",
+                                   "", "٫5", "1__0", "0x10", "abc"])
+def test_numpy_converts_a_str_token_as_float_does(token):
+    # import_csv's one conversion relies on numpy parsing a str by float()
+    try:
+        want = np.array([float(token)])
+    except ValueError:
+        with pytest.raises(ValueError):
+            np.array([[token]], dtype=float)
+        return
+    assert np.array([[token]], dtype=float).reshape(1).tobytes() == want.tobytes()
+
+
 def test_dataset_rejects_non_finite_values():
     with pytest.raises(ModelError):
         Dataset(x=np.array([[1.0, np.nan]]), y=np.array([0.0]), k=1)

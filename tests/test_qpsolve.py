@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convrelax import certify, model, qpsolve, relax
+from convrelax import certify, model, qpsolve, relax, sweep
 from convrelax.qpsolve import (
     ConvexProgram,
     SolveReport,
@@ -128,6 +128,10 @@ def _tall_lps():
     huge = a.copy()
     huge[0] *= 1e300
     yield "numerical-failure", c, huge, b, 200, SolveStatus.NUMERICAL_FAILURE, 1
+    # every row scaled, b left alone: the normal matrix overflows, and
+    # OpenBLAS may still factor it with info 0
+    for scale in (1e160, 1e200):
+        yield f"rows-of-{scale:g}", c, a * scale, b, 200, SolveStatus.NUMERICAL_FAILURE, 1
     # x <= 1 and x >= 2 among four rows over one variable: the dual is
     # feasible for every cost, and its improving ray decides
     a1, b1 = np.array([[1.0], [-1.0], [1.0], [2.0]]), np.array([1.0, -2.0, 3.0, 5.0])
@@ -557,8 +561,15 @@ def _assert_matches_highs(c, a, b):
         assert np.max(np.abs(rep.x - x)) <= 1e-7 * (1.0 + np.max(np.abs(x)))
 
 
+# the seed of the k=1 relaxation trial at n=2000, d=20 that the bench's
+# sweep-k1 panel draws at --seed 13: an Optimal x whose interior-point
+# multipliers miss tol (stationarity 1.3e-8)
+_REFIT_SEED = sweep.cell_trial_seed(2788924227, sweep.METHOD_RELAXATION, 2000, 20, 0)
+
+
 @pytest.mark.parametrize("n, d, seed", [(400, 20, 1), (2000, 10, 2), (120, 10, 3), (40, 8, 4),
-                                        (16, 8, 5), (6, 10, 6), (40, 40, 0), (80, 80, 2)])
+                                        (16, 8, 5), (6, 10, 6), (40, 40, 0), (80, 80, 2),
+                                        (2000, 20, _REFIT_SEED)])
 def test_k1_relaxation_lp_matches_highs(n, d, seed):
     # n >= d takes the dual route, n < d the primal one; n < d is
     # unbounded, and so are the square (40, 40, 0) and (80, 80, 2),
@@ -567,6 +578,36 @@ def test_k1_relaxation_lp_matches_highs(n, d, seed):
     r = model.substream(seed, model.STREAM_PERTURBATION).standard_normal(d)
     program = relax.build(ds, 0.0, r).program
     _assert_matches_highs(program.c, program.a_ineq, program.b_ineq)
+
+
+def test_multipliers_are_refitted_only_when_the_kept_pair_misses_tol(monkeypatch):
+    refit = qpsolve._nnls_multipliers
+    calls = []
+
+    def counted(program, x, lam):
+        calls.append(program)
+        return refit(program, x, lam)
+
+    monkeypatch.setattr(qpsolve, "_nnls_multipliers", counted)
+    pm, ds = model.sample_planted(2000, 20, 1, _REFIT_SEED)
+    r = model.substream(_REFIT_SEED, model.STREAM_PERTURBATION).standard_normal(20)
+    program = relax.build(ds, 0.0, r).program
+    rep = solve(program)
+    assert rep.status == SolveStatus.OPTIMAL and len(calls) == 1
+    assert check_kkt(program, rep, qpsolve.DEFAULT_TOL).passed
+    assert np.max(np.abs(rep.x - pm.w_star)) <= 1e-9
+    # without the refit the same x is downgraded
+    monkeypatch.setattr(qpsolve, "_nnls_multipliers", lambda *args: None)
+    downgraded = solve(program)
+    assert downgraded.status == SolveStatus.MAX_ITERATIONS and downgraded.dual_residual > qpsolve.DEFAULT_TOL
+    assert downgraded.x.tobytes() == rep.x.tobytes()
+    # a pair that meets tol never reaches the refit
+    calls.clear()
+    monkeypatch.setattr(qpsolve, "_nnls_multipliers", counted)
+    for _, lp in _short_and_tall_lps():
+        assert solve(lp).status == SolveStatus.OPTIMAL
+    assert solve(relax.build(ds, 0.0, -r).program).status == SolveStatus.OPTIMAL
+    assert not calls
 
 
 @pytest.mark.parametrize("make", [bounded_feasible_lp, infeasible_lp, unbounded_lp],
