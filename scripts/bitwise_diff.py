@@ -23,10 +23,12 @@ duplicate, zero, -0.0 and infeasible rows, the beta=1e-3 QP at k=2 over
 all n·k slacks (no separable column) and at k=1 with its columns
 shuffled (the separable ones not last), and small LPs named by their
 shape (rows×variables): Optimal ones with and without sign-bound rows,
-infeasible and unbounded ones with fewer rows than variables (the
-primal route) and with at least as many (the dual route), an
-infeasible LP with a descent ray, 4×2 and 5×2 (its dual is infeasible,
-so the zero-cost dual decides), a 40×3 LP cut off at max_iter=2, and a
+infeasible and unbounded ones with fewer rows than variables (first
+written over their rows' span by the column presolve) and with at least
+as many (the dual route alone), an Optimal 2×4 LP whose cost lies in its
+rows' span, an infeasible LP with a descent ray, 4×2 and 5×2 (its dual
+is infeasible, so the zero-cost dual decides) and 3×4 (its cost is off
+the rows' span), a 40×3 LP cut off at max_iter=2, and a
 6×3 LP over x1 + x2 and x3, whose singular normal matrix takes the
 interior point's lstsq solve, run to Optimal and cut off at max_iter=4.
 Failure exits: the k=1 relaxation with a sample of 1e200 features,
@@ -127,11 +129,12 @@ def _shuffled_qp():
 
 def _small_programs():
     """QPs without separable columns and with shuffled ones; and LPs
-    named by their shape, rows×variables (fewer rows than variables take
-    the primal route, any other the dual route): two Optimal ones, one
-    with sign-bound rows -x_j <= 0 and one without; infeasible and
-    unbounded ones on either route; and an infeasible LP with a descent
-    ray, 4×2 and 5×2."""
+    named by their shape, rows×variables (fewer rows than variables are
+    first written over their rows' span, then every LP takes the dual
+    route): Optimal ones, with sign-bound rows -x_j <= 0, without, and
+    with fewer rows than variables; infeasible and unbounded ones of
+    either shape; and an infeasible LP with a descent ray, 4×2, 5×2 and
+    3×4."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram
@@ -163,6 +166,14 @@ def _small_programs():
                                                          b_ineq=[-1.0, 0.0, 3.0, 1.0])
     yield "lp-infeasible-descent-ray-5x2", ConvexProgram(
         c=[0.0, -1.0], a_ineq=[*descent, [0.0, -1.0]], b_ineq=[-1.0, 0.0, 3.0, 0.0, 1.0])
+    # x1 <= -1 against x1 >= 0, and x4, which no row holds, lowers the cost
+    yield "lp-infeasible-descent-ray-3x4", ConvexProgram(
+        c=[0.0, 0.0, 0.0, -1.0], a_ineq=[[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+        b_ineq=[-1.0, 0.0, 2.0])
+    # c = -(row 1 + 2·row 2): both rows tight at the optimum, (1, 0, 1, 0)
+    # among others
+    wide = np.array([[1.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0]])
+    yield "lp-optimal-2x4", ConvexProgram(c=-(wide[0] + 2.0 * wide[1]), a_ineq=wide, b_ineq=[1.0, 1.0])
 
 
 def _tall_lp():

@@ -5,12 +5,12 @@ Every constraint is an inequality row, for LPs and QPs alike.  Presolve
 drops zero rows only; duplicate rows are solved as given.  Linear
 programs run through a homogeneous self-dual embedding with Mehrotra
 predictor-corrector steps, which gives clean certificates of
-infeasibility and unboundedness.  Its shape puts each LP on one route:
-with at least as many rows as variables through its dual (whose
-zero-cost twin tells unbounded from infeasible), with fewer in one
-standard form, where variable j splits into columns 2j and 2j+1 and row
-i gets the slack column 2m+i (m variables), so the normal matrix is
-the smaller of vars×vars and rows×rows.  Quadratic programs (PSD
+infeasibility and unboundedness.  Every LP with a row is solved through
+its dual, whose zero-cost twin tells unbounded from infeasible and
+whose normal matrix is vars×vars.  An LP with fewer rows than variables
+is first written over an orthonormal basis of its rows' span, so that
+it has no more variables than rows; a cost with a part off that span
+makes it unbounded iff feasible.  Quadratic programs (PSD
 curvature, at least one inequality row left after presolve) run an
 infeasible-start predictor-corrector on the slack KKT system with static
 regularization, stepping on the Cholesky factor of the Schur complement
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 # Static Tikhonov term added to every factorized KKT/normal system.
@@ -338,42 +339,9 @@ def _hsd(A, b, c, tol, max_iter):
 
 
 # ---------------------------------------------------------------------------
-# LP path: conversion to standard form (primal or dualized), mapping back
+# LP path: the dual route, and the column presolve that puts every LP
+# with a row on it
 # ---------------------------------------------------------------------------
-
-
-def _lp_standard_form(program: ConvexProgram):
-    """(A, b, c) of min cᵀx s.t. Ax = b, x ≥ 0: variable j splits into
-    columns 2j and 2j+1 (its plus and minus parts), and row i gets the
-    slack column 2m+i."""
-    m = program.n_vars
-    G, h = program.a_ineq, program.b_ineq
-    rows = G.shape[0]
-    A_std = np.zeros((rows, 2 * m + rows))
-    A_std[:, 0 : 2 * m : 2] = G
-    A_std[:, 1 : 2 * m : 2] = -G
-    A_std[np.arange(rows), 2 * m + np.arange(rows)] = 1.0
-    c_std = np.zeros(2 * m + rows)
-    c_std[0 : 2 * m : 2] = program.c
-    c_std[1 : 2 * m : 2] = -program.c
-    return A_std, h, c_std
-
-
-def _lp_solve_primal_route(program: ConvexProgram, tol, max_iter):
-    """Solve an LP with fewer rows than variables in the standard form,
-    whose normal matrix is rows×rows."""
-    m = program.n_vars
-    if not program.n_ineq:
-        # with no row every x is feasible: the optimum is 0 iff c is zero
-        status = SolveStatus.OPTIMAL if not program.c.any() else SolveStatus.DUAL_UNBOUNDED
-        return status, np.zeros(m), np.zeros(0), 0
-
-    A, b, c = _lp_standard_form(program)
-    x, y, z, tau, kappa, status, iters = _hsd(A, b, c, tol, max_iter)
-    if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
-        xs = x / tau
-        return status, xs[0 : 2 * m : 2] - xs[1 : 2 * m : 2], -(y / tau), iters
-    return status, np.zeros(m), np.zeros(program.n_ineq), iters
 
 
 def _lp_solve_dual_route(program: ConvexProgram, tol, max_iter):
@@ -401,6 +369,27 @@ def _lp_solve_dual_route(program: ConvexProgram, tol, max_iter):
     if status == SolveStatus.DUAL_UNBOUNDED:
         status = SolveStatus.PRIMAL_INFEASIBLE
     return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
+
+
+def _lp_solve_wide(program: ConvexProgram, tol, max_iter):
+    """Solve an LP with fewer rows than variables over x = V·u, V an
+    orthonormal basis of its rows' span (pivoted QR of Gᵀ, rank by
+    numpy's ``matrix_rank`` rule): rows G·V, cost Vᵀc, no more columns
+    than rows, so the dual route takes it, and λ maps back unchanged.
+    A cost off the span is a descent ray that leaves every row as it is,
+    so the LP is unbounded iff the zero-cost LP over u is feasible."""
+    G = program.a_ineq
+    basis, r, _ = qr(G.T, mode="economic", pivoting=True)
+    diag = np.abs(r.diagonal())
+    V = basis[:, : np.count_nonzero(diag > max(G.shape) * np.finfo(float).eps * diag[0])]
+    c_u = V.T @ program.c
+    off_span = np.abs(program.c - V @ c_u).max() > tol
+    reduced = ConvexProgram(c=np.zeros_like(c_u) if off_span else c_u, a_ineq=G @ V, b_ineq=program.b_ineq)
+    status, u, lam, iters = _lp_solve_dual_route(reduced, tol, max_iter)
+    if off_span:
+        status = SolveStatus.DUAL_UNBOUNDED if status == SolveStatus.OPTIMAL else status
+        return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
+    return status, V @ u, lam, iters
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +602,7 @@ def _guess_active(program: ConvexProgram, x, lam) -> np.ndarray:
     return np.flatnonzero((slack < lam) | (slack <= 1e-7 * (1.0 + np.abs(program.b_ineq))))
 
 
-def _polish(program: ConvexProgram, sep, x, lam, skippable: bool):
+def _polish(program: ConvexProgram, sep, x, lam):
     """Refine a near-optimal pair by solving the KKT system of the guessed
     active set; returns the refined pair or None when the guess fails.
 
@@ -626,11 +615,11 @@ def _polish(program: ConvexProgram, sep, x, lam, skippable: bool):
     nothing leaves.  Massively degenerate solutions (think the zero
     vertex with every zero-label row tight) would make this solve
     dominate, so a system of over 600 rows before elimination is
-    skipped when the iterate already meets tol (``skippable``)."""
+    skipped."""
     m = program.n_vars
     active = _guess_active(program, x, lam)
     n_a = active.size
-    if skippable and m + n_a > 600:
+    if m + n_a > 600:
         return None
     # the active rows, all tight
     g_a, h_a = program.a_ineq[active], program.b_ineq[active]
@@ -699,7 +688,7 @@ def _refine(program: ConvexProgram, sep, status, x, lam, tol):
     if status != SolveStatus.OPTIMAL:
         return x, lam, None
     measures = _kkt_measures(program, x, lam)
-    candidate = _polish(program, sep, x, lam, skippable=max(measures) <= tol)
+    candidate = _polish(program, sep, x, lam)
     if candidate is not None:
         polished = _kkt_measures(program, *candidate)
         if max(polished) < max(measures):
@@ -755,8 +744,12 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
         zeros = (np.zeros(program.n_vars), np.zeros(program.n_ineq))
         return _finalize(program, SolveStatus.PRIMAL_INFEASIBLE, *zeros, 0, tol)
 
+    if red.is_lp and not red.n_ineq:
+        # with no row every x is feasible: the optimum is 0 iff c is zero
+        status = SolveStatus.OPTIMAL if not red.c.any() else SolveStatus.DUAL_UNBOUNDED
+        return _finalize(program, status, np.zeros(program.n_vars), np.zeros(program.n_ineq), 0, tol)
     if red.is_lp:
-        route = _lp_solve_primal_route if red.n_ineq < red.n_vars else _lp_solve_dual_route
+        route = _lp_solve_wide if red.n_ineq < red.n_vars else _lp_solve_dual_route
         status, x, lam_red, iters = route(red, tol, max_iter)
         sep = np.zeros(red.n_vars, dtype=bool)
     else:

@@ -48,6 +48,10 @@ SWEEP_CASES = {
                      methods=("Relaxation", "GradientDescent"), master_seed=12),
     "sweep_k1_amplified": dict(n_values=(60,), d_values=(6,), k=1, trials=2,
                                methods=("Relaxation",), master_seed=13, amplify=3),
+    # n < d: wide relaxation LPs, unbounded and counted as failures; trial 1
+    # of (50, 60) is one of the paper grid's
+    "sweep_k1_wide": dict(n_values=(25, 50), d_values=(40, 60), k=1, trials=3,
+                          methods=("Relaxation",), master_seed=0),
 }
 
 

@@ -175,7 +175,7 @@ def lifted_qp(dataset, beta, r):
     return ConvexProgram(c=c, q=q, a_ineq=np.vstack([a_resp, a_nonneg]), b_ineq=np.zeros(2 * nz))
 
 
-def full_polish(program, sep, x, lam, skippable):
+def full_polish(program, sep, x, lam):
     """The active-set polish over the whole KKT system, in the call
     signature of ``qpsolve._polish``, which it replaces in tests: the
     (x, λ on the guessed active rows) system with those rows tight,
@@ -187,7 +187,7 @@ def full_polish(program, sep, x, lam, skippable):
     else:
         active = np.zeros(0, dtype=int)
     n_a = active.size
-    if skippable and m + n_a > 600:
+    if m + n_a > 600:
         return None
     rows = program.a_ineq[active]
     K = np.zeros((m + n_a, m + n_a))

@@ -11,7 +11,6 @@ from convrelax.qpsolve import (
     SolveReport,
     SolverError,
     SolveStatus,
-    _lp_standard_form,
     _max_step,
     _presolve,
     check_kkt,
@@ -163,10 +162,10 @@ _HIGHS_STATUS = {SolveStatus.OPTIMAL: "optimal", SolveStatus.PRIMAL_INFEASIBLE: 
                          [pytest.param(*case[1:], id=case[0]) for case in _tall_lps()])
 def test_dual_route_decides_every_tall_lp(monkeypatch, c, a, b, max_iter, status, hsd_calls):
     # at least as many rows as variables pick the dual route, which decides
-    # every outcome without the primal route; only an infeasible dual takes
-    # the zero-cost solve
-    def primal_route(*args):
-        raise AssertionError("the primal route ran")
+    # every outcome without the column presolve of wide LPs; only an
+    # infeasible dual takes the zero-cost solve
+    def wide(*args):
+        raise AssertionError("the wide LP solver ran")
 
     calls = []
     hsd = qpsolve._hsd
@@ -175,7 +174,7 @@ def test_dual_route_decides_every_tall_lp(monkeypatch, c, a, b, max_iter, status
         calls.append(args)
         return hsd(*args)
 
-    monkeypatch.setattr(qpsolve, "_lp_solve_primal_route", primal_route)
+    monkeypatch.setattr(qpsolve, "_lp_solve_wide", wide)
     monkeypatch.setattr(qpsolve, "_hsd", counted_hsd)
     program = ConvexProgram(c=c, a_ineq=a, b_ineq=b)
     assert program.n_ineq >= program.n_vars
@@ -212,8 +211,8 @@ def _short_and_tall_lps():
     a = rng.standard_normal((40, 3))
     b = a @ rng.standard_normal(3) + rng.uniform(0.1, 1.0, 40)
     yield "tall", ConvexProgram(c=rng.standard_normal(3), a_ineq=a, b_ineq=b)
-    # two rows over three variables, the primal route: feasible at 0, and
-    # bounded since c = −aᵀλ with λ > 0
+    # two rows over three variables, solved over their span: feasible at
+    # 0, and bounded since c = −aᵀλ with λ > 0
     a = rng.standard_normal((2, 3))
     yield "wide", ConvexProgram(c=-a.T @ rng.uniform(0.5, 1.5, 2), a_ineq=a, b_ineq=rng.uniform(0.5, 2.0, 2))
 
@@ -336,44 +335,6 @@ def test_duplicate_rows_are_solved_as_given(program):
     group_sums = np.bincount(origin, weights=rep.lam, minlength=program.n_ineq)
     np.testing.assert_allclose(group_sums, ref.lam, rtol=0.0, atol=1e-8)
     assert check_kkt(dup, rep, tol=1e-8).passed
-
-
-def _standard_form_reference(program):
-    """The per-row and per-column loops the vectorized standard form must
-    reproduce: variable j split into columns 2j and 2j+1, and a slack
-    column 2m+i for row i.  Returns (A, b, c)."""
-    m = program.n_vars
-    G, h = program.a_ineq, program.b_ineq
-    A = np.zeros((G.shape[0], 2 * m + G.shape[0]))
-    c = np.zeros(A.shape[1])
-    for j in range(m):
-        A[:, 2 * j] = G[:, j]
-        A[:, 2 * j + 1] = -G[:, j]
-        c[2 * j] = program.c[j]
-        c[2 * j + 1] = -program.c[j]
-    for i in range(G.shape[0]):
-        A[i, 2 * m + i] = 1.0
-    return A, h.copy(), c
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_lp_standard_form_matches_reference_loops(seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 6))
-    # rows of sign-bound shape (some repeated with other scales, some with
-    # h != 0 or a positive entry) mixed with dense rows: all are generic
-    bounds = []
-    for _ in range(int(rng.integers(0, 2 * m + 1))):
-        row = np.zeros(m)
-        row[rng.integers(m)] = -rng.choice([1.0, 2.0]) * rng.choice([1.0, 1.0, -1.0])
-        bounds.append(row)
-    dense = rng.standard_normal((int(rng.integers(0, 4)), m))
-    G = np.vstack([*bounds, dense]) if bounds or dense.size else np.zeros((0, m))
-    G = G[rng.permutation(G.shape[0])]
-    h = np.where(rng.random(G.shape[0]) < 0.8, 0.0, 1.0)
-    program = ConvexProgram(c=rng.standard_normal(m), a_ineq=G, b_ineq=h)
-    for got, want in zip(_lp_standard_form(program), _standard_form_reference(program)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_presolve_returns_the_program_when_no_row_drops():
@@ -569,15 +530,76 @@ _REFIT_SEED = sweep.cell_trial_seed(2788924227, sweep.METHOD_RELAXATION, 2000, 2
 
 @pytest.mark.parametrize("n, d, seed", [(400, 20, 1), (2000, 10, 2), (120, 10, 3), (40, 8, 4),
                                         (16, 8, 5), (6, 10, 6), (40, 40, 0), (80, 80, 2),
-                                        (2000, 20, _REFIT_SEED)])
+                                        (2000, 20, _REFIT_SEED),
+                                        (50, 60, sweep.cell_trial_seed(0, sweep.METHOD_RELAXATION, 50, 60, 1)),
+                                        (75, 80, sweep.cell_trial_seed(0, sweep.METHOD_RELAXATION, 75, 80, 0))])
 def test_k1_relaxation_lp_matches_highs(n, d, seed):
-    # n >= d takes the dual route, n < d the primal one; n < d is
-    # unbounded, and so are the square (40, 40, 0) and (80, 80, 2),
-    # feasible at w = 0
+    # n >= d takes the dual route, n < d first the column presolve; n < d
+    # is unbounded, and so are the square (40, 40, 0) and (80, 80, 2),
+    # feasible at w = 0.  The last two are trials of the paper's grid at
+    # master seed 0 that the standard form called PrimalInfeasible
     _, ds = model.sample_planted(n, d, 1, seed)
     r = model.substream(seed, model.STREAM_PERTURBATION).standard_normal(d)
     program = relax.build(ds, 0.0, r).program
     _assert_matches_highs(program.c, program.a_ineq, program.b_ineq)
+
+
+def _wide_lps():
+    """(id, program, status) of LPs with fewer rows than variables."""
+    # x1 <= -1 against x1 >= 0, and x4, which no row holds, lowers the cost
+    yield "infeasible-descent-ray-3x4", ConvexProgram(
+        c=[0.0, 0.0, 0.0, -1.0], a_ineq=[[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+        b_ineq=[-1.0, 0.0, 2.0]), SolveStatus.PRIMAL_INFEASIBLE
+    # c = −Gᵀλ with λ > 0 lies in the rows' span: the optimum is every row
+    # tight, feasible at 0; the last row repeats the first, doubled, so G
+    # has rank 3 over 4 rows
+    rng = np.random.default_rng(29)
+    g, h = rng.standard_normal((3, 7)), rng.uniform(0.5, 2.0, 3)
+    for name, a, b in (("optimal-3x7", g, h),
+                       ("optimal-rank-3-4x7", np.vstack([g, 2.0 * g[:1]]), np.append(h, 2.0 * h[0]))):
+        c = -a.T @ rng.uniform(0.5, 1.5, a.shape[0])
+        yield name, ConvexProgram(c=c, a_ineq=a, b_ineq=b), SolveStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("program, status", [pytest.param(*case[1:], id=case[0]) for case in _wide_lps()])
+def test_wide_lp_matches_highs(program, status):
+    assert program.n_ineq < program.n_vars
+    rep = solve(program)
+    highs_status, value, _ = highs_lp(program.c, program.a_ineq, program.b_ineq)
+    assert rep.status == status == STATUS_OF_HIGHS[highs_status]
+    if status == SolveStatus.OPTIMAL:
+        assert check_kkt(program, rep, qpsolve.DEFAULT_TOL).passed
+        assert abs(program.c @ rep.x - value) <= 1e-8 * (1.0 + abs(value))
+        # every row is tight at the optimum, and x lies in the rows' span:
+        # the minimum-norm solution of G·x = h
+        np.testing.assert_allclose(rep.x, np.linalg.pinv(program.a_ineq) @ program.b_ineq, rtol=0.0, atol=1e-9)
+
+
+def test_wide_lps_match_highs_on_a_seeded_panel(monkeypatch):
+    # 1,000 wide LPs with entries in −3..3, three in ten with a cost in the
+    # rows' span; every interior point they run solves the dual of an LP
+    # with no more variables than rows
+    hsd = qpsolve._hsd
+
+    def not_wide(A, *args):
+        assert A.shape[0] <= A.shape[1]
+        return hsd(A, *args)
+
+    monkeypatch.setattr(qpsolve, "_hsd", not_wide)
+    rng = np.random.default_rng(2026)
+    verdicts = dict.fromkeys(STATUS_OF_HIGHS, 0)
+    for _ in range(1000):
+        m = int(rng.integers(2, 8))
+        a = rng.integers(-3, 4, (int(rng.integers(1, m)), m)).astype(float)
+        b = rng.integers(-3, 4, a.shape[0]).astype(float)
+        c = a.T @ rng.integers(-3, 4, a.shape[0]) if rng.random() < 0.3 else rng.integers(-3, 4, m).astype(float)
+        rep = solve(ConvexProgram(c=c, a_ineq=a, b_ineq=b))
+        status, value, _ = highs_lp(c, a, b)
+        assert rep.status == STATUS_OF_HIGHS[status], (c, a, b)
+        if status == "optimal":
+            assert abs(c @ rep.x - value) <= 1e-7 * (1.0 + abs(value)), (c, a, b)
+        verdicts[status] += 1
+    assert min(verdicts.values()) >= 1
 
 
 def test_multipliers_are_refitted_only_when_the_kept_pair_misses_tol(monkeypatch):
