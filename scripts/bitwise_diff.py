@@ -28,7 +28,10 @@ written over their rows' span by the column presolve) and with at least
 as many (the dual route alone), an Optimal 2×4 LP whose cost lies in its
 rows' span, an infeasible LP with a descent ray, 4×2 and 5×2 (its dual
 is infeasible, so the zero-cost dual decides) and 3×4 (its cost is off
-the rows' span), a 40×3 LP cut off at max_iter=2, and a
+the rows' span), two degenerate Optimal LPs whose polish runs: 10×3
+with each tight row given twice (the polish is kept) and 5×2 with a
+tight row scaled by 1e6 (too ill-conditioned for the multiplier check),
+a 40×3 LP cut off at max_iter=2, and a
 6×3 LP over x1 + x2 and x3, whose singular normal matrix takes the
 interior point's lstsq solve, run to Optimal and cut off at max_iter=4.
 Failure exits: the k=1 relaxation with a sample of 1e200 features,
@@ -45,8 +48,11 @@ The script also compares the stdout bytes and the exit code of
 ``convrelax fit --json`` and ``convrelax certify --json``, run in
 process on CSVs that each tree writes from the same planted datasets:
 fit at beta=0 with --trials 3 at k=2 and k=5 and at beta=1e-3 at k=1,
-and certify at k=1 and k=2.  It prints one line for every command whose
-output differs.
+and certify at k=1 and k=2.  It compares those of ``convrelax sweep``
+too, with the bytes of the CSV it writes, whose errors have 17 digits:
+k=1 at n in {25, 400}, d in {5, 20} and k=2 at n in {50, 200}, d in
+{8, 16}, each cell with 2 trials of both methods.  It prints one line
+for every command whose output differs.
 
 When a panel run fails, its stderr is printed and the script exits 2.
 With a single SRC the script prints that tree's panel as JSON instead.
@@ -134,7 +140,8 @@ def _small_programs():
     route): Optimal ones, with sign-bound rows -x_j <= 0, without, and
     with fewer rows than variables; infeasible and unbounded ones of
     either shape; and an infeasible LP with a descent ray, 4×2, 5×2 and
-    3×4."""
+    3×4; and degenerate ones whose polish runs, with each tight row
+    given twice and with a tight row scaled by 1e6."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram
@@ -174,6 +181,16 @@ def _small_programs():
     # among others
     wide = np.array([[1.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0]])
     yield "lp-optimal-2x4", ConvexProgram(c=-(wide[0] + 2.0 * wide[1]), a_ineq=wide, b_ineq=[1.0, 1.0])
+    # three rows tight at the vertex x0, each twice: the polish is kept
+    rng = np.random.default_rng(27)
+    x0, g_t, g_s = rng.standard_normal(3), rng.standard_normal((3, 3)), rng.standard_normal((4, 3))
+    yield "lp-duplicate-rows-10x3", ConvexProgram(
+        c=-g_t.T @ rng.uniform(0.5, 2.0, 3), a_ineq=np.vstack([g_t, g_t, g_s]),
+        b_ineq=np.concatenate([g_t @ x0, g_t @ x0, g_s @ x0 + rng.uniform(0.5, 2.0, 4)]))
+    # three rows tight at (1, 1), x1 + x2 <= 2 scaled by 1e6
+    yield "lp-row-of-1e6-5x2", ConvexProgram(
+        c=[-1.0, -0.1], a_ineq=[[1.0, 0.0], [0.0, 1.0], [1e6, 1e6], [-1.0, 0.0], [0.0, -1.0]],
+        b_ineq=[1.0, 1.0, 2e6, 5.0, 5.0])
 
 
 def _tall_lp():
@@ -284,9 +301,18 @@ CLI_CASES = (
     ("certify k=2 n=120 d=8", (120, 8, 2, 25), ["certify", "--json", "--seed", "5"]),
 )
 
+# (case, sweep options): stdout and the CSV written
+SWEEP_CASES = (
+    ("sweep k=1 n=25,400 d=5,20 --trials 2",
+     ["--n-values", "25,400", "--d-values", "5,20", "--trials", "2", "--seed", "6"]),
+    ("sweep k=2 n=50,200 d=8,16 --trials 2",
+     ["--k", "2", "--n-values", "50,200", "--d-values", "8,16", "--trials", "2", "--seed", "7"]),
+)
+
 
 def run_cli_panel() -> list[dict]:
-    """The exit code and stdout of each command of CLI_CASES."""
+    """The exit code and stdout of each command of CLI_CASES, and those
+    and the CSV of each sweep of SWEEP_CASES."""
     import contextlib
     import io
     import tempfile
@@ -302,6 +328,15 @@ def run_cli_panel() -> list[dict]:
             with contextlib.redirect_stdout(out):
                 code = cli.main([command, "--in", path, *options])
             records.append({"case": case, "exit": code, "stdout": out.getvalue()})
+        for case, options in SWEEP_CASES:
+            path = os.path.join(tmp, "sweep.csv")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["sweep", *options, "--out", path])
+            with open(path, encoding="ascii") as f:
+                # stdout names the CSV, whose directory differs between runs
+                records.append({"case": case, "exit": code, "stdout": out.getvalue().replace(tmp, "TMP"),
+                                "csv": f.read()})
     return records
 
 
@@ -372,8 +407,8 @@ def differences(old: list[dict], new: list[dict]) -> tuple[list[str], int]:
 
 
 def cli_differences(old: list[dict], new: list[dict]) -> list[str]:
-    """One line per command whose exit code or stdout differs, or that
-    only one side ran."""
+    """One line per command whose exit code, stdout or CSV differs, or
+    that only one side ran."""
     old_cases = {record["case"]: record for record in old}
     new_cases = {record["case"]: record for record in new}
     lines = []
@@ -383,11 +418,14 @@ def cli_differences(old: list[dict], new: list[dict]) -> list[str]:
             lines.append(f"{case}: run by one tree only")
         elif a["exit"] != b["exit"]:
             lines.append(f"{case}: exit code {a['exit']} != {b['exit']}")
-        elif a["stdout"] != b["stdout"]:
-            at = next((i for i, (u, v) in enumerate(zip(a["stdout"], b["stdout"])) if u != v),
-                      min(len(a["stdout"]), len(b["stdout"])))
-            lines.append(f"{case}: stdout differs from character {at}: "
-                         f"{a['stdout'][at:at + 40]!r} != {b['stdout'][at:at + 40]!r}")
+        else:
+            for key in ("stdout", "csv"):
+                u, v = a.get(key, ""), b.get(key, "")
+                if u != v:
+                    at = next((i for i, (p, q) in enumerate(zip(u, v)) if p != q), min(len(u), len(v)))
+                    lines.append(f"{case}: {key} differs from character {at}: "
+                                 f"{u[at:at + 40]!r} != {v[at:at + 40]!r}")
+                    break
     return lines
 
 

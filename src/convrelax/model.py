@@ -204,12 +204,12 @@ def export_csv(dataset: Dataset, path: str) -> None:
     if dataset.seed is None:
         raise ModelError("dataset carries no generation seed; cannot export")
     n, d = dataset.x.shape
+    # "%.17g" % v is _fmt(v), one % per row
+    row = ",".join(["%.17g"] * (d + 1)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(f"# n={n} d={d} k={dataset.k} seed={dataset.seed}\n")
         f.write("y," + ",".join(f"x_{j}" for j in range(1, d + 1)) + "\n")
-        for i in range(n):
-            row = [_fmt(dataset.y[i])] + [_fmt(v) for v in dataset.x[i]]
-            f.write(",".join(row) + "\n")
+        f.writelines(row % tuple(values) for values in np.column_stack([dataset.y, dataset.x]).tolist())
 
 
 class CsvFormatError(ValueError):

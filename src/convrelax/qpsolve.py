@@ -17,7 +17,9 @@ regularization, stepping on the Cholesky factor of the Schur complement
 left by eliminating the separable columns (diagonal curvature, at most
 one per row).  Candidate optima are refined by an active-set polish,
 which eliminates the same columns and those fixed at 0 by active sign
-bounds before its lstsq; an LP pair that still misses the tolerance has
+bounds before its lstsq, and is skipped when an LP's polished
+multipliers, found first on their own, are negative beyond the raw
+pair's residual; an LP pair that still misses the tolerance has
 its multipliers refitted by nonnegative least squares on the active
 rows.  A report is declared Optimal only after the KKT residuals have
 been recomputed from scratch and verified against the requested
@@ -602,7 +604,7 @@ def _guess_active(program: ConvexProgram, x, lam) -> np.ndarray:
     return np.flatnonzero((slack < lam) | (slack <= 1e-7 * (1.0 + np.abs(program.b_ineq))))
 
 
-def _polish(program: ConvexProgram, sep, x, lam):
+def _polish(program: ConvexProgram, sep, x, lam, bar):
     """Refine a near-optimal pair by solving the KKT system of the guessed
     active set; returns the refined pair or None when the guess fails.
 
@@ -615,7 +617,11 @@ def _polish(program: ConvexProgram, sep, x, lam):
     nothing leaves.  Massively degenerate solutions (think the zero
     vertex with every zero-label row tight) would make this solve
     dominate, so a system of over 600 rows before elimination is
-    skipped."""
+    skipped.  With Q_WW = 0 and U empty (an LP) the core decouples, and
+    its λ is the min-norm solution of R_Wᵀλ = −c_W, an n_kept×n_w lstsq;
+    when n_w < n_kept, R_W is well conditioned and that λ dips below
+    −``bar`` (the raw pair's worst KKT measure) by more than rounding
+    could explain, the polished pair would lose, and None is returned."""
     m = program.n_vars
     active = _guess_active(program, x, lam)
     n_a = active.size
@@ -628,14 +634,21 @@ def _polish(program: ConvexProgram, sep, x, lam):
     rows = g_a[kept]
     is_fixed = np.bincount(fixed, minlength=m) > 0
     w, u = np.flatnonzero(~(sep | is_fixed)), np.flatnonzero(sep & ~is_fixed)
-    n_w = w.size
+    n_w, n_kept = w.size, rows.shape[0]
+    q_ww, r_w = program.q[w][:, w], rows[:, w]
+    if 0 < n_w < n_kept and not (u.size or q_ww.any()):
+        left, sigma, right = np.linalg.svd(r_w, full_matrices=False)
+        if sigma[-1] > 1e-6 * sigma[0]:
+            est = -left @ ((right @ program.c[w]) / sigma)
+            if est.min() < -(bar + 1e-6 * max(1.0, np.abs(est).max())):
+                return None
     q_u, r_u = program.q.diagonal()[u], rows[:, u]
     x_u0 = -program.c[u] / q_u  # x_U at λ = 0
     # the KKT system in (x_W, the kept rows' multipliers)
-    K = np.zeros((n_w + rows.shape[0],) * 2)
-    K[:n_w, :n_w] = program.q[w][:, w]
-    K[:n_w, n_w:] = rows[:, w].T
-    K[n_w:, :n_w] = rows[:, w]
+    K = np.zeros((n_w + n_kept,) * 2)
+    K[:n_w, :n_w] = q_ww
+    K[:n_w, n_w:] = r_w.T
+    K[n_w:, :n_w] = r_w
     K[n_w:, n_w:] -= (r_u / q_u) @ r_u.T
     rhs = np.concatenate([-program.c[w], h_a[kept] - r_u @ x_u0])
     try:
@@ -688,7 +701,7 @@ def _refine(program: ConvexProgram, sep, status, x, lam, tol):
     if status != SolveStatus.OPTIMAL:
         return x, lam, None
     measures = _kkt_measures(program, x, lam)
-    candidate = _polish(program, sep, x, lam)
+    candidate = _polish(program, sep, x, lam, max(measures))
     if candidate is not None:
         polished = _kkt_measures(program, *candidate)
         if max(polished) < max(measures):

@@ -123,6 +123,26 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 5), data=st.data())
+def test_csv_export_formats_each_value_as_fmt(tmp_path_factory, d, data):
+    # the bytes of formatting value by value with model._fmt, the loop
+    # the one-% row template replaced
+    n = data.draw(st.integers(0, 5))
+    x = np.array(data.draw(st.lists(st.lists(_FINITE, min_size=d, max_size=d), min_size=n, max_size=n)),
+                 dtype=float).reshape(n, d)
+    y = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)), dtype=float)
+    ds = Dataset(x, y, 1, seed=data.draw(st.integers(0, 2**32 - 1)))
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    export_csv(ds, str(path))
+    lines = [f"# n={n} d={d} k=1 seed={ds.seed}", "y," + ",".join(f"x_{j}" for j in range(1, d + 1))]
+    lines += [",".join([model._fmt(y[i])] + [model._fmt(v) for v in x[i]]) for i in range(n)]
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("ascii")
+
+
 def test_csv_missing_metadata_names_line_one(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("y,x_1\n0.0,1.0\n")

@@ -838,8 +838,9 @@ def test_phase1_polish_keeps_certificates_at_degenerate_vertices(monkeypatch):
                     monkeypatch, lambda: certify.check_cone_condition(gens, -r))
                 # the Farkas LP has no separable column and no sign-bound
                 # row (its box rows have b = 1), so nothing leaves the
-                # system and the certificate is the full polish's
-                assert core == full and len(core) == 1
+                # system and the certificate is the full polish's; the
+                # polish may skip its system, whose pair would lose
+                assert core in ([], full) and len(full) == 1
                 assert (cert.exists, cert.boundary) == (ref.exists, ref.boundary)
                 assert cert.elastic_value == ref.elastic_value
                 assert cert.coefficients.tobytes() == ref.coefficients.tobytes()
@@ -885,3 +886,98 @@ def test_polish_without_structure_is_the_full_polish(program, monkeypatch):
     assert rep.status == SolveStatus.OPTIMAL
     assert core == full and len(core) == 1
     assert _report_bits(rep) == _report_bits(ref)
+
+
+# -- the LP polish's multiplier check, against the polish without it ----------
+
+
+def _lp_polish_outcomes(monkeypatch):
+    """Record every LP polish as (skipped, lost, kept): whether the
+    multiplier check skipped its system; whether the pairs of the polish
+    without the check (bar = ∞) and, where it skipped, of
+    ``oracles.full_polish`` would lose to the raw pair, whose worst KKT
+    measure is bar; and whether the polish ran and its pair won."""
+    outcomes = []
+    polish = qpsolve._polish
+
+    def recording(program, sep, x, lam, bar):
+        candidate = polish(program, sep, x, lam, bar)
+        if program.is_lp:
+            unchecked = polish(program, sep, x, lam, np.inf)
+            if candidate is not None:
+                # a polish the check lets run is the polish without it
+                assert [a.tobytes() for a in candidate] == [a.tobytes() for a in unchecked]
+            pairs = (unchecked,) if candidate is not None else (unchecked, full_polish(program, sep, x, lam, bar))
+            lost = [pair is None or max(qpsolve._kkt_measures(program, *pair)) >= bar for pair in pairs]
+            outcomes.append((candidate is None and unchecked is not None, all(lost), not lost[0]))
+        return candidate
+
+    monkeypatch.setattr(qpsolve, "_polish", recording)
+    return outcomes
+
+
+def _k1_program(n, d, seed, scale=1.0):
+    """The k=1 relaxation LP, its row of the largest label scaled."""
+    _, ds = model.sample_planted(n, d, 1, seed)
+    program = relax.build(ds, 0.0, model.substream(seed, model.STREAM_PERTURBATION).standard_normal(d)).program
+    g, h = program.a_ineq.copy(), program.b_ineq.copy()
+    g[ds.y.argmax()] *= scale
+    h[ds.y.argmax()] *= scale
+    return ConvexProgram(c=program.c, a_ineq=g, b_ineq=h)
+
+
+def test_lp_polish_is_skipped_only_where_its_pair_would_lose(monkeypatch):
+    outcomes = _lp_polish_outcomes(monkeypatch)
+    # the k=1 grid's corners, then the shapes where most LPs recover w*
+    # and their degenerate optima are skipped
+    for shapes, seeds in ((((25, 5), (25, 80), (400, 5), (400, 80)), 10),
+                          (((50, 5), (100, 5), (100, 10), (200, 5), (200, 10), (400, 10)), 30)):
+        for n, d in shapes:
+            for seed in range(seeds):
+                relax.fit(model.sample_planted(n, d, 1, seed)[1], 0.0, seed)
+    for k, n in ((2, 100), (5, 60)):
+        for seed in range(10):
+            relax.fit(model.sample_planted(n, 20, k, seed)[1], 0.0, seed)
+    # certify's Farkas LPs
+    for k, d in ((1, 6), (2, 8), (3, 12), (5, 20)):
+        for n in (40, 120):
+            for seed in range(10):
+                _, ds = model.sample_planted(n, d, k, seed)
+                sets = certify.active_sets(ds.x, model.teacher_filter(ds), k)
+                r = model.substream(seed, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
+                certify.check_cone_condition(certify.cone_generators(ds, sets)[0], -r)
+    # a row scaled by 1e6 leaves R_W well conditioned or not
+    for seed in range(10):
+        solve(_k1_program(100, 5, seed, scale=1e6))
+    skipped = [lost for skip, lost, _ in outcomes if skip]
+    assert len(skipped) >= 100 and all(skipped)
+
+
+def test_lp_polish_runs_where_the_check_cannot_judge(monkeypatch):
+    outcomes = _lp_polish_outcomes(monkeypatch)
+    # duplicated tight rows at a vertex: the min-norm multipliers split
+    # the positive ones between the twins, so the polish runs and wins
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        x0, g_t, g_s = rng.standard_normal(3), rng.standard_normal((3, 3)), rng.standard_normal((4, 3))
+        c = -g_t.T @ rng.uniform(0.5, 2.0, 3)
+        h_t = g_t @ x0
+        solve(ConvexProgram(c=c, a_ineq=np.vstack([g_t, g_t, g_s]),
+                            b_ineq=np.concatenate([h_t, h_t, g_s @ x0 + rng.uniform(0.5, 2.0, 4)])))
+    assert len(outcomes) == 20 and all(kept for _, _, kept in outcomes)
+    # three rows tight at (1, 1), whose min-norm multipliers for
+    # c = −(1, 0.1) are (0.63, −0.27, 0.37): skipped; with the row
+    # x1 + x2 ≤ 2 scaled by 1e6, σ_min/σ_max of R_W is 7e-7 and the
+    # check does not judge
+    g = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    h = np.array([1.0, 1.0, 2.0, 5.0, 5.0])
+    scaled = np.array([1.0, 1.0, 1e6, 1.0, 1.0])
+    for s in (np.ones(5), scaled):
+        assert solve(ConvexProgram(c=[-1.0, -0.1], a_ineq=g * s[:, None], b_ineq=h * s)).status == SolveStatus.OPTIMAL
+    assert [skip for skip, _, _ in outcomes[20:]] == [True, False]
+    # every column fixed at 0 by a sign bound, a third row tight there:
+    # no column is left to judge
+    rep = solve(ConvexProgram(c=[1.0, 2.0], a_ineq=[[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 1.0]],
+                              b_ineq=[0.0, 0.0, 0.0, 5.0]))
+    assert rep.status == SolveStatus.OPTIMAL and not outcomes[-1][0]
+    assert all(lost for skip, lost, _ in outcomes if skip)
