@@ -54,6 +54,15 @@ k=1 at n in {25, 400}, d in {5, 20} and k=2 at n in {50, 200}, d in
 {8, 16}, each cell with 2 trials of both methods.  It prints one line
 for every command whose output differs.
 
+Gradient descent is compared directly too: for each case, the bytes of
+``gd_fit``'s w_hat and final_loss, its iters_used and status, and the
+bytes of ``default_config``'s step_size. The cases: the four sweep-k1
+shapes (k=1, n in {400, 2000}, d in {10, 20}), k=2 at n=100, d=20,
+k=5 at n=60, d=20, a run cut at max_iters=5 (MaxIters) and a run with
+its step size multiplied by 1e3 (Diverged). A differing run gets a line
+as a differing report does. Among the CLI outputs are those of
+``convrelax fit --method gd --json`` at k=1 and k=2.
+
 When a panel run fails, its stderr is printed and the script exits 2.
 With a single SRC the script prints that tree's panel as JSON instead.
 """
@@ -65,8 +74,7 @@ import os
 import subprocess
 import sys
 
-FLOAT_FIELDS = ("x", "lam", "primal_residual", "dual_residual", "complementarity_gap")
-FIELDS = ("status", "iterations", *FLOAT_FIELDS)
+FIELDS = ("status", "iterations", "x", "lam", "primal_residual", "dual_residual", "complementarity_gap")
 
 
 def _presolve_programs():
@@ -292,6 +300,40 @@ def run_panel() -> list[dict]:
     return records
 
 
+# (case, planted n, d, k, seed, max_iters, step size factor)
+GD_CASES = (
+    ("gd k=1 n=400 d=10", 400, 10, 1, 31, 5000, 1.0),
+    ("gd k=1 n=400 d=20", 400, 20, 1, 32, 5000, 1.0),
+    ("gd k=1 n=2000 d=10", 2000, 10, 1, 33, 5000, 1.0),
+    ("gd k=1 n=2000 d=20", 2000, 20, 1, 34, 5000, 1.0),
+    ("gd k=2 n=100 d=20", 100, 20, 2, 35, 5000, 1.0),
+    ("gd k=5 n=60 d=20", 60, 20, 5, 36, 5000, 1.0),
+    ("gd k=1 n=400 d=20 max_iters=5", 400, 20, 1, 37, 5, 1.0),
+    ("gd k=1 n=400 d=20 step x1e3", 400, 20, 1, 38, 5000, 1e3),
+)
+
+
+def run_gd_panel() -> list[dict]:
+    """One record per case of GD_CASES, in the shape of run_panel's."""
+    import dataclasses
+
+    import numpy as np
+
+    from convrelax import baseline, model
+
+    records = []
+    for case, n, d, k, seed, max_iters, factor in GD_CASES:
+        _, ds = model.sample_planted(n, d, k, seed)
+        config = baseline.default_config(ds, seed=seed)
+        res = baseline.gd_fit(ds, dataclasses.replace(config, max_iters=max_iters,
+                                                      step_size=config.step_size * factor))
+        records.append({"case": case, "fields": {
+            "status": res.status, "iters_used": res.iters_used,
+            **{name: np.asarray(value, dtype=float).tobytes().hex() for name, value in
+               (("w_hat", res.w_hat), ("final_loss", res.final_loss), ("step_size", config.step_size))}}})
+    return records
+
+
 # (case, planted n, d, k, seed, command and options)
 CLI_CASES = (
     ("fit k=2 n=100 d=20 --trials 3", (100, 20, 2, 21), ["fit", "--json", "--trials", "3", "--seed", "1"]),
@@ -299,6 +341,8 @@ CLI_CASES = (
     ("fit k=1 n=200 d=20 --beta 1e-3", (200, 20, 1, 23), ["fit", "--json", "--beta", "1e-3", "--seed", "3"]),
     ("certify k=1 n=80 d=6", (80, 6, 1, 24), ["certify", "--json", "--seed", "4"]),
     ("certify k=2 n=120 d=8", (120, 8, 2, 25), ["certify", "--json", "--seed", "5"]),
+    ("fit k=1 n=400 d=20 --method gd", (400, 20, 1, 26), ["fit", "--json", "--method", "gd", "--seed", "6"]),
+    ("fit k=2 n=100 d=20 --method gd", (100, 20, 2, 27), ["fit", "--json", "--method", "gd", "--seed", "7"]),
 )
 
 # (case, sweep options): stdout and the CSV written
@@ -353,8 +397,13 @@ def _panel_of(src: str) -> dict:
     return json.loads(out.stdout)
 
 
+def _is_bytes(name: str, value) -> bool:
+    """Whether a record field holds the hex bytes of floats."""
+    return isinstance(value, str) and name != "status"
+
+
 def _describe(name: str, old, new) -> str:
-    if not isinstance(old, str) or name == "status":
+    if not _is_bytes(name, old):
         return f"{old!r} != {new!r}"
     import numpy as np
 
@@ -396,10 +445,10 @@ def differences(old: list[dict], new: list[dict]) -> tuple[list[str], int]:
         if len(a) != len(b):
             lines.append(f"{case}: report count {len(a)} != {len(b)}")
         for i, (fa, fb) in enumerate(zip(a, b)):
-            name = next((name for name in FIELDS if fa[name] != fb[name]), None)
+            name = next((name for name in fa if fa[name] != fb[name]), None)
             if name is not None:
                 detail = _describe(name, fa[name], fb[name])
-                extents = [_extent(f, fa[f], fb[f]) for f in FLOAT_FIELDS if fa[f] != fb[f]]
+                extents = [_extent(f, fa[f], fb[f]) for f in fa if _is_bytes(f, fa[f]) and fa[f] != fb[f]]
                 extent = f" ({'; '.join(extents)})" if extents else ""
                 lines.append(f"{case}, report {i}: field {name} differs, {detail}{extent}")
         differing += len(lines) > found
@@ -436,21 +485,23 @@ def main(argv: list[str]) -> int:
         package_dir = os.path.dirname(os.path.abspath(convrelax.__file__))
         if os.path.dirname(package_dir) != os.path.abspath(argv[0]):
             raise SystemExit(f"convrelax was imported from {package_dir}, not from {argv[0]}")
-        json.dump({"reports": run_panel(), "cli": run_cli_panel()}, sys.stdout)
+        json.dump({"reports": run_panel(), "gd": run_gd_panel(), "cli": run_cli_panel()}, sys.stdout)
         return 0
     if len(argv) != 2:
         print("usage: python scripts/bitwise_diff.py OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
     old, new = _panel_of(argv[0]), _panel_of(argv[1])
     lines, differing = differences(old["reports"], new["reports"])
+    gd_lines, gd_differing = differences(old["gd"], new["gd"])
     cli_lines = cli_differences(old["cli"], new["cli"])
     cases = len(_by_case(old["reports"]))
-    if not lines and not cli_lines:
+    if not lines and not gd_lines and not cli_lines:
         print(f"identical ({len(old['reports'])} reports over {cases} cases; "
-              f"{len(old['cli'])} CLI outputs)")
+              f"{len(old['gd'])} GD runs; {len(old['cli'])} CLI outputs)")
         return 0
-    print("\n".join(lines + cli_lines))
-    print(f"{differing} of {cases} cases differ; {len(cli_lines)} of {len(old['cli'])} CLI outputs differ")
+    print("\n".join(lines + gd_lines + cli_lines))
+    print(f"{differing} of {cases} cases differ; {gd_differing} of {len(old['gd'])} GD runs differ; "
+          f"{len(cli_lines)} of {len(old['cli'])} CLI outputs differ")
     return 1
 
 

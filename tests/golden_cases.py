@@ -10,6 +10,12 @@ the committed fixture.
 Write the fixtures with ``PYTHONPATH=src python tests/golden_cases.py
 [NAME ...]`` (all of them when no name is given).  A change that
 rewrites them names the fields that moved, and why, in CHANGES.md.
+
+The fixture ``acceptance_lines`` pins the verdict line that
+``tests/test_acceptance.py`` prints for each criterion, keyed by its
+label (``1``, ``6 (k=2)``, ...).  Naming it runs that suite with ``-s``
+in a subprocess and keeps every line it prints, including those of
+criteria that fail their pins; it is written only when named.
 """
 
 from __future__ import annotations
@@ -20,10 +26,13 @@ import io
 import json
 import math
 import os
+import re
+import subprocess
 import sys
 import tempfile
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+ACCEPTANCE_LINES = "acceptance_lines"
 
 # absolute tolerance for floating-point fields; everything else is exact
 FLOAT_ATOL = 1e-9
@@ -113,7 +122,7 @@ def fixture_path(name: str) -> str:
 
 
 def load_fixture(name: str) -> dict:
-    with open(fixture_path(name), encoding="ascii") as f:
+    with open(fixture_path(name), encoding="utf-8") as f:
         return json.load(f)
 
 
@@ -140,11 +149,21 @@ def differences(expected, actual, where: str = "$") -> list[str]:
     return []
 
 
+def run_acceptance_lines() -> dict:
+    """{criterion label: verdict line} from a ``-s`` run of the acceptance suite."""
+    suite = os.path.join(os.path.dirname(os.path.abspath(__file__)), "test_acceptance.py")
+    out = subprocess.run([sys.executable, "-m", "pytest", suite, "-s", "-q", "-p", "no:cacheprovider"],
+                         capture_output=True, text=True, encoding="utf-8").stdout
+    # a line may follow pytest's progress dots
+    return {m.group(1): m.group(0) for m in re.finditer(r"ACCEPTANCE (.+?): .*", out)}
+
+
 def main(names: list[str]) -> int:
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in names or all_names():
-        with open(fixture_path(name), "w", encoding="ascii", newline="\n") as f:
-            json.dump(run_case(name), f, indent=1)
+        record = run_acceptance_lines() if name == ACCEPTANCE_LINES else run_case(name)
+        with open(fixture_path(name), "w", encoding="utf-8", newline="\n") as f:
+            json.dump(record, f, indent=1, ensure_ascii=False)
             f.write("\n")
         print(f"wrote {fixture_path(name)}")
     return 0

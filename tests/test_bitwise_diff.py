@@ -75,3 +75,17 @@ def test_every_differing_cli_output_is_listed():
         "gone: run by one tree only",
     ]
     assert bitwise_diff.cli_differences(old, old) == []
+
+
+def test_gradient_descent_records_are_compared_by_their_own_fields():
+    def gd(status="Converged", iters=105, w_hat=(0.5, -1.0)):
+        fields = {"status": status, "iters_used": iters, "w_hat": _hex(w_hat),
+                  "final_loss": _hex(1e-20), "step_size": _hex(0.01)}
+        return {"case": "gd", "fields": fields}
+
+    assert bitwise_diff.differences([gd()], [gd()]) == ([], 0)
+    assert bitwise_diff.differences([gd(), gd()], [gd(iters=106), gd("Diverged", 2, (0.5, -1.5))]) == ([
+        "gd, report 0: field iters_used differs, 105 != 106",
+        "gd, report 1: field status differs, 'Converged' != 'Diverged' "
+        "(w_hat: 1 of 2 entries differ, max |delta| 0.5)",
+    ], 1)
