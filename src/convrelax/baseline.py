@@ -8,6 +8,7 @@ filter length; the subgradient of the ReLU at zero is taken to be zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +53,12 @@ def power_iteration_lambda_max(x: np.ndarray, steps: int = 20) -> float:
     d = x.shape[1]
     v = np.ones(d) / np.sqrt(d)
     for _ in range(steps):
-        w = x.T @ (x @ v)
-        norm = np.linalg.norm(w)
+        w = x.T.dot(x.dot(v))
+        norm = math.sqrt(w.dot(w))  # np.linalg.norm's ‖w‖₂ for a 1-D float array
         if norm == 0.0:
             return 0.0
         v = w / norm
-    return float(v @ (x.T @ (x @ v)))
+    return float(v.dot(x.T.dot(x.dot(v))))
 
 
 def default_config(dataset: Dataset, seed: int = 0) -> GdConfig:
@@ -89,12 +90,12 @@ def _loss_grad_of(dataset: Dataset):
     y = dataset.y
 
     def at(w: np.ndarray) -> tuple[float, np.ndarray]:
-        resp = rows @ w
+        resp = rows.dot(w)
         active = resp > 0.0
         fired = np.where(active, resp, 0.0)
         err = (fired if k == 1 else fired.reshape(n, k).sum(axis=1)) - y
-        loss = float(err @ err)
-        grad = 2.0 * ((active * (err if k == 1 else np.repeat(err, k))) @ rows)
+        loss = float(err.dot(err))
+        grad = 2.0 * (active * (err if k == 1 else np.repeat(err, k))).dot(rows)
         return loss, grad
 
     return at
@@ -148,7 +149,7 @@ def gd_fit(dataset: Dataset, config: GdConfig, w0: np.ndarray | None = None) -> 
             if not loss <= DIVERGENCE_LOSS:  # also catches a NaN loss
                 status = GD_DIVERGED
                 break
-            if np.max(np.abs(grad)) <= stop_tol:
+            if np.abs(grad).max() <= stop_tol:
                 status = GD_CONVERGED
                 break
             w = w - step * grad
@@ -157,7 +158,7 @@ def gd_fit(dataset: Dataset, config: GdConfig, w0: np.ndarray | None = None) -> 
         else:
             if not loss <= DIVERGENCE_LOSS:
                 status = GD_DIVERGED
-            elif np.max(np.abs(grad)) <= stop_tol:
+            elif np.abs(grad).max() <= stop_tol:
                 status = GD_CONVERGED
         final_loss = residual(dataset, w)
     if not np.all(np.isfinite(w)):

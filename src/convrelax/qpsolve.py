@@ -24,6 +24,11 @@ its multipliers refitted by nonnegative least squares on the active
 rows.  A report is declared Optimal only after the KKT residuals have
 been recomputed from scratch and verified against the requested
 tolerance.
+
+Products made on every interior-point iteration use ``ndarray.dot``:
+on presolve's row-major rows and their transposes it makes ``@``'s
+BLAS call without the dispatch of the ``matmul`` gufunc, which costs
+more than the arithmetic here (``scripts/bitwise_diff.py`` checks bits).
 """
 
 from __future__ import annotations
@@ -236,25 +241,26 @@ def _hsd(A, b, c, tol, max_iter):
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
     neg_c = -c
+    AT = A.T
 
     # ‖r‖₂ is taken as np.linalg.norm takes it for a 1-D float array
-    r_p, r_d = b - A @ x, c - A.T @ y - z
-    r_p0, r_d0 = max(1.0, math.sqrt(r_p @ r_p)), max(1.0, math.sqrt(r_d @ r_d))
-    r_g0 = max(1.0, abs(1.0 + c @ x - b @ y))
-    mu_0 = (x @ z + tau * kappa) / (n + 1)
+    r_p, r_d = b - A.dot(x), c - AT.dot(y) - z
+    r_p0, r_d0 = max(1.0, math.sqrt(r_p.dot(r_p))), max(1.0, math.sqrt(r_d.dot(r_d)))
+    r_g0 = max(1.0, abs(1.0 + c.dot(x) - b.dot(y)))
+    mu_0 = (x.dot(z) + tau * kappa) / (n + 1)
 
     scaled_A = np.empty_like(A)  # A·diag(x/z), rewritten every iteration
     status = SolveStatus.MAX_ITERATIONS
     iteration = 0
     while True:
-        cx, by = c @ x, b @ y
-        r_P = b * tau - A @ x
-        r_D = c * tau - A.T @ y - z
+        cx, by = c.dot(x), b.dot(y)
+        r_P = b * tau - A.dot(x)
+        r_D = c * tau - AT.dot(y) - z
         r_G = kappa + cx - by
-        mu = (x @ z + tau * kappa) / (n + 1)
+        mu = (x.dot(z) + tau * kappa) / (n + 1)
 
-        rho_p = math.sqrt(r_P @ r_P) / r_p0
-        rho_d = math.sqrt(r_D @ r_D) / r_d0
+        rho_p = math.sqrt(r_P.dot(r_P)) / r_p0
+        rho_d = math.sqrt(r_D.dot(r_D)) / r_d0
         rho_g = abs(r_G) / r_g0
         rho_A = abs(cx - by) / (tau + abs(by))
         rho_mu = mu / mu_0
@@ -272,7 +278,7 @@ def _hsd(A, b, c, tol, max_iter):
         iteration += 1
 
         d_inv = x / z
-        M = np.multiply(A, d_inv, out=scaled_A) @ A.T
+        M = np.multiply(A, d_inv, out=scaled_A).dot(AT)
         M.reshape(-1)[:: m + 1] += KKT_REGULARIZATION  # the diagonal, in place
         # the LAPACK calls behind scipy.linalg.cho_factor and cho_solve,
         # without their per-call argument checks
@@ -285,13 +291,13 @@ def _hsd(A, b, c, tol, max_iter):
 
         def sym_solve(r1, r2):
             # block elimination of the (x, y) system through the normal matrix
-            rhs = r2 + A @ (d_inv * r1)
+            rhs = r2 + A.dot(d_inv * r1)
             v = dpotrs(factor, rhs, lower=False)[0] if info == 0 else np.linalg.lstsq(M, rhs, rcond=None)[0]
-            return d_inv * (A.T @ v - r1), v
+            return d_inv * (AT.dot(v) - r1), v
 
         try:
             p, q = sym_solve(c, b)
-            denom_base = kappa / tau + (neg_c @ p + b @ q)
+            denom_base = kappa / tau + (neg_c.dot(p) + b.dot(q))
 
             # stage 0, the predictor, has γ = 0: η = 1 leaves the residuals as they are
             rhatp, rhatd, rhatg = r_P, r_D, r_G
@@ -310,7 +316,7 @@ def _hsd(A, b, c, tol, max_iter):
                 if not (np.isfinite(u).all() and np.isfinite(v).all()):
                     failed = True
                     break
-                d_tau = (rhatg + rhattk / tau - (neg_c @ u + b @ v)) / denom_base
+                d_tau = (rhatg + rhattk / tau - (neg_c.dot(u) + b.dot(v))) / denom_base
                 np.add(u, np.multiply(p, d_tau, out=d_x), out=d_x)
                 d_y = v + q * d_tau
                 np.divide(np.subtract(rhatxs, np.multiply(z, d_x, out=d_z), out=d_z), x, out=d_z)
@@ -455,17 +461,17 @@ class _SchurKkt:
         return np.bincount(self.col, weights=weights, minlength=self.n_u + 1)[: self.n_u]
 
     def g_dot(self, x):
-        return self.g_w @ x[self.w] + self.coef * x[self.x_col]
+        return self.g_w.dot(x[self.w]) + self.coef * x[self.x_col]
 
     def gt_dot(self, v):
-        return self._join(self.g_w.T @ v, self._on_u(self.coef * v))
+        return self._join(self.g_w.T.dot(v), self._on_u(self.coef * v))
 
     def q_dot(self, x):
-        return self._join(self.q_ww @ x[self.w], self.q_u * x[self.u])
+        return self._join(self.q_ww.dot(x[self.w]), self.q_u * x[self.u])
 
     def objective(self, x):
         x_w, x_u = x[self.w], x[self.u]
-        return float(0.5 * (x_w @ self.q_ww @ x_w + self.q_u @ (x_u * x_u)) + self.c @ x)
+        return float(0.5 * (x_w.dot(self.q_ww).dot(x_w) + self.q_u.dot(x_u * x_u)) + self.c.dot(x))
 
     def factor(self, d, delta):
         """A solve rhs -> dx of the step system with D = diag(d), or None
@@ -474,11 +480,11 @@ class _SchurKkt:
         k_uu = self._on_u(dc * self.coef) + self.q_u + delta
         k_uw = np.zeros((self.n_u, self.n_w))
         k_uw[self.group_col] = np.add.reduceat(self.g_w_grouped * dc[self.order, None], self.starts, axis=0)
-        k_ww = self.q_ww + (self.g_w.T * d) @ self.g_w
+        k_ww = self.q_ww + (self.g_w.T * d).dot(self.g_w)
         k_ww.reshape(-1)[:: self.n_w + 1] += delta
         for attempt in range(3):
             scaled = k_uw / k_uu[:, None]
-            S = k_ww - k_uw.T @ scaled
+            S = k_ww - k_uw.T.dot(scaled)
             chol, info = dpotrf(S, lower=False, clean=False) if self.n_w else (S, 0)
             if info == 0:
                 break
@@ -490,8 +496,8 @@ class _SchurKkt:
 
         def solve(rhs):
             rhs_w, t = rhs[self.w], rhs[self.u] / k_uu
-            dx_w = dpotrs(chol, rhs_w - k_uw.T @ t, lower=False)[0] if self.n_w else rhs_w
-            return self._join(dx_w, t - scaled @ dx_w)
+            dx_w = dpotrs(chol, rhs_w - k_uw.T.dot(t), lower=False)[0] if self.n_w else rhs_w
+            return self._join(dx_w, t - scaled.dot(dx_w))
 
         return solve
 
@@ -523,7 +529,7 @@ def _qp_mehrotra(program: ConvexProgram, sep, tol, max_iter):
         r_dual = kkt.q_dot(x) + c + kkt.gt_dot(lam)
         r_in = kkt.g_dot(x) + s - h
         s_times_lam = s * lam
-        mu = (s @ lam) / p
+        mu = s.dot(lam) / p
 
         prim = float(np.abs(r_in).max())
         dual = float(np.abs(r_dual).max())
@@ -565,7 +571,7 @@ def _qp_mehrotra(program: ConvexProgram, sep, tol, max_iter):
         newton(s_times_lam)
         alpha_aff = step_length()
         trial = s_lam + alpha_aff * d_s_lam
-        mu_aff = (trial[:p] @ trial[p:]) / p
+        mu_aff = trial[:p].dot(trial[p:]) / p
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # corrector

@@ -187,8 +187,9 @@ def block_set_lp(dataset: Dataset, program: ConvexProgram) -> tuple[SolveReport,
     the LP, or Σ_{j∈S} X_ij·w − uᵢ ≤ 0 of the QP.  A sample without one
     has a singleton or empty-set row as its most violated set, and an
     Optimal report meets each present row within that tolerance, so
-    only new sets are added.  Returns the last report and, per row, its
-    sample and block set (all False for an empty-set row).
+    only new sets are added; at k=1, where the singletons are all the
+    sets, the first report is the last.  Returns the last report and,
+    per row, its sample and block set (all False for an empty-set row).
     When MAX_ROW_ROUNDS solves leave a row violated, the last report
     comes back with status MaxIterations and a RuntimeWarning.
     """
@@ -201,7 +202,7 @@ def block_set_lp(dataset: Dataset, program: ConvexProgram) -> tuple[SolveReport,
     blocks = np.vstack([np.tile(np.eye(k, dtype=bool), (n, 1)), np.zeros((empty.size, k), dtype=bool)])
     for _ in range(MAX_ROW_ROUNDS):
         report = qpsolve.solve(program)
-        if report.status != SolveStatus.OPTIMAL:
+        if report.status != SolveStatus.OPTIMAL or k == 1:
             return report, sample, blocks
         resp = xb @ report.x[:p]
         pos = resp > 0.0

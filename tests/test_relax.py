@@ -164,6 +164,21 @@ def test_fit_amplified_builds_once_and_matches_independent_fits(monkeypatch, k, 
         assert getattr(outcome.best, name).tobytes() == getattr(best, name).tobytes()
 
 
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_k1_fit_makes_one_solve(monkeypatch, beta):
+    _, ds = sample_planted(200, 20, 1, 8)
+    programs = []
+    solve = relax.qpsolve.solve
+
+    def counting_solve(program, **kwargs):
+        programs.append(program)
+        return solve(program, **kwargs)
+
+    monkeypatch.setattr(relax.qpsolve, "solve", counting_solve)
+    assert fit(ds, beta, 9).report.status == SolveStatus.OPTIMAL
+    assert len(programs) == 1
+
+
 def test_fit_amplified_selects_minimum_residual():
     ds = two_sample_d1()
     outcome = fit_amplified(ds, 4, 3, w_star=np.array([1.0]))
