@@ -36,8 +36,8 @@ a 40×3 LP cut off at max_iter=2, and a
 interior point's lstsq solve, run to Optimal and cut off at max_iter=4.
 Failure exits: the k=1 relaxation with a sample of 1e200 features,
 whose normal matrix overflows on the way to NumericalFailure; the
-unbounded beta=1e-3 fits at n=1, (k, d) = (2, 8) (MaxIterations) and
-(3, 12) (NumericalFailure); the 40×3 LP with every row multiplied by
+unbounded beta=1e-3 fits at n=1, (k, d) = (2, 8), (3, 12) and (5, 20),
+each DualUnbounded; the 40×3 LP with every row multiplied by
 1e160 and by 1e200 (b left alone), whose normal matrix overflows; and
 the beta=1e-3 QP at k=1 cut off at max_iter=2.  Last, the k=1
 relaxation LP at n=2000, d=20 of the sweep-k1 benchmark trial at
@@ -281,7 +281,7 @@ def run_panel() -> list[dict]:
         huge[0] = 1e200
         relax.fit(model.Dataset(huge, ds.y, 1), 0.0, 0)
         # fewer block rows than filter entries: w is unbounded
-        for k, d in ((2, 8), (3, 12)):
+        for k, d in ((2, 8), (3, 12), (5, 20)):
             label[0] = f"beta-qp unbounded k={k} n=1 d={d}"
             relax.fit(model.sample_planted(1, d, k, 0)[1], 1e-3, 0)
         tall = _tall_lp()

@@ -17,6 +17,9 @@ from .model import STREAM_GD_INIT, Dataset, residual, substream
 
 DIVERGENCE_LOSS = 1e12
 
+# power-method steps behind the default step size
+POWER_ITERATION_STEPS = 20
+
 GD_CONVERGED = "Converged"
 GD_MAX_ITERS = "MaxIters"
 GD_DIVERGED = "Diverged"
@@ -47,12 +50,13 @@ class GdConfig:
             raise BaselineError("init_scale must be nonnegative")
 
 
-def power_iteration_lambda_max(x: np.ndarray, steps: int = 20) -> float:
-    """Largest eigenvalue of xᵀx, estimated by a fixed-start power method."""
+def power_iteration_lambda_max(x: np.ndarray) -> float:
+    """Largest eigenvalue of xᵀx, estimated by POWER_ITERATION_STEPS steps
+    of a fixed-start power method."""
     x = np.asarray(x, dtype=float)
     d = x.shape[1]
     v = np.ones(d) / np.sqrt(d)
-    for _ in range(steps):
+    for _ in range(POWER_ITERATION_STEPS):
         w = x.T.dot(x.dot(v))
         norm = math.sqrt(w.dot(w))  # np.linalg.norm's ‖w‖₂ for a 1-D float array
         if norm == 0.0:

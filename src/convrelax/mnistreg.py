@@ -38,6 +38,7 @@ DEFAULT_N_TEST = 5000
 DEFAULT_K = 16
 DEFAULT_FIT_SAMPLES = 150
 DEFAULT_LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
+VALIDATION_FRACTION = 0.1  # of the training rows held out to pick λ
 
 IDX_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -303,18 +304,13 @@ def learn_filter_features(
     return outcome.best.w_hat, make_augmenter(outcome.best.w_hat, k, center)
 
 
-def select_lambda(
-    x: np.ndarray,
-    y: np.ndarray,
-    grid=DEFAULT_LAMBDA_GRID,
-    val_fraction: float = 0.1,
-    seed: int = 0,
-) -> float:
+def select_lambda(x: np.ndarray, y: np.ndarray, grid=DEFAULT_LAMBDA_GRID, seed: int = 0) -> float:
     """Pick the ridge weight minimizing RMSE on a held-out validation
-    slice; one SVD of the training slice serves every λ > 0."""
+    slice of VALIDATION_FRACTION of the rows; one SVD of the training
+    slice serves every λ > 0."""
     n = x.shape[0]
     order = substream(seed, STREAM_MNIST_SELECT, 1).permutation(n)
-    n_val = max(1, int(round(val_fraction * n)))
+    n_val = max(1, int(round(VALIDATION_FRACTION * n)))
     val, tr = order[:n_val], order[n_val:]
     path = _ridge_path(x[tr], y[tr])
     best_lam, best_err = None, np.inf

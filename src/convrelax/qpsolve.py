@@ -2,28 +2,26 @@
 
 This is the single numerical engine used by the rest of the package.
 Every constraint is an inequality row, for LPs and QPs alike.  Presolve
-drops zero rows only; duplicate rows are solved as given.  Linear
-programs run through a homogeneous self-dual embedding with Mehrotra
-predictor-corrector steps, which gives clean certificates of
-infeasibility and unboundedness.  Every LP with a row is solved through
-its dual, whose zero-cost twin tells unbounded from infeasible and
-whose normal matrix is vars×vars.  An LP with fewer rows than variables
-is first written over an orthonormal basis of its rows' span, so that
-it has no more variables than rows; a cost with a part off that span
-makes it unbounded iff feasible.  Quadratic programs (PSD
-curvature, at least one inequality row left after presolve) run an
-infeasible-start predictor-corrector on the slack KKT system with static
-regularization, stepping on the Cholesky factor of the Schur complement
-left by eliminating the separable columns (diagonal curvature, at most
-one per row).  Candidate optima are refined by an active-set polish,
-which eliminates the same columns and those fixed at 0 by active sign
-bounds before its lstsq, and is skipped when an LP's polished
-multipliers, found first on their own, are negative beyond the raw
-pair's residual; an LP pair that still misses the tolerance has
-its multipliers refitted by nonnegative least squares on the active
-rows.  A report is declared Optimal only after the KKT residuals have
-been recomputed from scratch and verified against the requested
-tolerance.
+drops zero rows only; duplicate rows are solved as given.  Every program
+with a row is solved through its dual by one interior point: Mehrotra
+predictor-corrector steps on the homogeneous self-dual embedding, which
+carries a QP's curvature (PSD Q) into its gap and its normal matrix
+Q + GᵀDG, factored with the separable columns (diagonal curvature, at
+most one per row) eliminated.  The embedding's τ → 0 exits certify
+infeasibility and unboundedness, and an infeasible dual leaves a program
+unbounded iff its rows are feasible, which a zero-cost LP decides; a
+QP's rays are checked (Q·d = 0, G·d ≤ 0, cᵀd < 0) before they count.  A
+program with fewer rows than variables is first written over an
+orthonormal basis of the span of its rows and of Q's; a cost with a part
+off that span makes it unbounded iff feasible.  Candidate optima are
+refined by an active-set polish, which eliminates the same columns and
+those fixed at 0 by active sign bounds before its lstsq, and is skipped
+when an LP's polished multipliers, found first on their own, are
+negative beyond the raw pair's residual; an LP pair that still misses
+the tolerance has its multipliers refitted by nonnegative least squares
+on the active rows.  A report is declared Optimal only after the KKT
+residuals have been recomputed from scratch and verified against the
+requested tolerance.
 
 Products made on every interior-point iteration use ``ndarray.dot``:
 on presolve's row-major rows and their transposes it makes ``@``'s
@@ -220,14 +218,40 @@ def _max_step(v, dv):
     return (v[i] / -dv[i]).min(initial=np.inf)
 
 
-def _hsd(A, b, c, tol, max_iter):
-    """Mehrotra predictor-corrector on the homogeneous self-dual embedding.
+def _normal_solver(M):
+    """rhs -> M⁻¹·rhs by Cholesky, or by least squares where that fails;
+    None when M is not finite, since an overflowed M can factor with
+    info 0, and LAPACK's least squares does not return on it."""
+    if not np.isfinite(M).all():
+        return None
+    # LAPACK as scipy.linalg.cho_factor and cho_solve call it, unchecked
+    factor, info = dpotrf(M, lower=False, clean=False)
+    if info == 0:
+        return lambda rhs: dpotrs(factor, rhs, lower=False)[0]
+    return lambda rhs: np.linalg.lstsq(M, rhs, rcond=None)[0]
+
+
+def _hsd(A, b, c, tol, max_iter, kkt=None):
+    """Mehrotra predictor-corrector on the homogeneous self-dual embedding
+    of min cᵀx + ½yᵀQy s.t. Ax + Qy = b, x ≥ 0 and its dual
+    max bᵀy − ½yᵀQy s.t. Aᵀy + z = c, z ≥ 0.
 
     Returns (x, y, z, tau, kappa, status, iterations), the status being
-    that of the standard-form program; on optimal termination x/tau is
-    the primal solution and y/tau, z/tau the duals.  ``tol`` is the
-    caller's KKT tolerance: the embedding's residual ratios are driven
-    to a hundredth of it, but not below 1e-13.
+    that of the first program; on optimal termination x/tau is its
+    solution and y/tau, z/tau the dual's.  ``tol`` is the caller's KKT
+    tolerance: the embedding's residual ratios are driven to a hundredth
+    of it, but not below 1e-13.
+
+    Q = 0 (an LP) unless ``kkt``, a `_SchurKkt` over the rows of Aᵀ,
+    brings a QP's curvature (Goulart and Chen, arXiv:2405.12762): r_P
+    gains −Q·y, the gap yᵀQy/τ, the τ row b − 2Q·y/τ and yᵀQy/τ², and
+    ``kkt`` factors the normal matrix Q + A·diag(x/z)·Aᵀ.  A QP starts
+    at y = Q⁺b, z = max(c − Aᵀy, 1); its corrector gets one refinement
+    step on the r_P row, which the normal-matrix solve loses as x/z
+    spreads; its Optimal exit also needs μ/τ² ≤ max(1e-13, tol·min(1,
+    max x/τ)) for the caller's tol, so that the polish can tell the
+    active rows when multipliers are small; `_qp_certificate` gives its
+    other exits.
     """
     tol = max(tol * 1e-2, 1e-13)
     m, n = A.shape
@@ -242,62 +266,86 @@ def _hsd(A, b, c, tol, max_iter):
     tau, kappa = 1.0, 1.0
     neg_c = -c
     AT = A.T
+    if kkt is None:
+        a_dot, at_dot = A.dot, AT.dot
+    else:
+        a_dot, at_dot = kkt.gt_dot, kkt.g_dot
+        y = kkt.q_pinv_dot(b)
+        np.maximum(c - at_dot(y), 1.0, out=z)
 
     # ‖r‖₂ is taken as np.linalg.norm takes it for a 1-D float array
-    r_p, r_d = b - A.dot(x), c - AT.dot(y) - z
+    qy = np.zeros(m) if kkt is None else kkt.q_dot(y)
+    r_p, r_d, yqy = b - a_dot(x) - qy, c - at_dot(y) - z, y.dot(qy)
     r_p0, r_d0 = max(1.0, math.sqrt(r_p.dot(r_p))), max(1.0, math.sqrt(r_d.dot(r_d)))
-    r_g0 = max(1.0, abs(1.0 + c.dot(x) - b.dot(y)))
+    r_g0 = max(1.0, abs(1.0 + c.dot(x) - b.dot(y) + yqy))
     mu_0 = (x.dot(z) + tau * kappa) / (n + 1)
 
-    scaled_A = np.empty_like(A)  # A·diag(x/z), rewritten every iteration
+    scaled_A = np.empty_like(A) if kkt is None else None  # A·diag(x/z), rewritten every iteration
     status = SolveStatus.MAX_ITERATIONS
     iteration = 0
     while True:
         cx, by = c.dot(x), b.dot(y)
-        r_P = b * tau - A.dot(x)
-        r_D = c * tau - AT.dot(y) - z
-        r_G = kappa + cx - by
+        r_P = b * tau - a_dot(x)
+        r_D = c * tau - at_dot(y) - z
+        yqy, b_tau = 0.0, b
+        if kkt is not None:
+            qy = kkt.q_dot(y)
+            r_P -= qy
+            yqy = y.dot(qy) / tau
+            b_tau = b - (2.0 / tau) * qy
+        r_G = kappa + cx - by + yqy
         mu = (x.dot(z) + tau * kappa) / (n + 1)
 
         rho_p = math.sqrt(r_P.dot(r_P)) / r_p0
         rho_d = math.sqrt(r_D.dot(r_D)) / r_d0
         rho_g = abs(r_G) / r_g0
-        rho_A = abs(cx - by) / (tau + abs(by))
+        rho_A = abs(cx - by + yqy) / (tau + abs(by))
         rho_mu = mu / mu_0
 
-        if rho_p <= tol and rho_d <= tol and rho_A <= tol:
+        if rho_p <= tol and rho_d <= tol and rho_A <= tol and (
+                kkt is None or mu <= tau * max(1e-13 * tau, 100.0 * tol * min(tau, x.max()))):
             status = SolveStatus.OPTIMAL
             break
-        inf1 = rho_p <= tol and rho_d <= tol and rho_g <= tol and tau <= tol * max(1.0, kappa)
-        inf2 = rho_mu <= tol and tau <= tol * min(1.0, kappa)
-        if inf1 or inf2:
-            status = SolveStatus.PRIMAL_INFEASIBLE if by > tol else SolveStatus.DUAL_UNBOUNDED
-            break
+        if kkt is None:
+            inf1 = rho_p <= tol and rho_d <= tol and rho_g <= tol and tau <= tol * max(1.0, kappa)
+            inf2 = rho_mu <= tol and tau <= tol * min(1.0, kappa)
+            if inf1 or inf2:
+                status = SolveStatus.PRIMAL_INFEASIBLE if by > tol else SolveStatus.DUAL_UNBOUNDED
+                break
+        else:
+            status = _qp_certificate(kkt, b, c, x, y, tau, 100.0 * tol)
+            if status is not None:
+                break
+            status = SolveStatus.MAX_ITERATIONS
         if iteration >= max_iter:
             break
         iteration += 1
 
         d_inv = x / z
-        M = np.multiply(A, d_inv, out=scaled_A).dot(AT)
-        M.reshape(-1)[:: m + 1] += KKT_REGULARIZATION  # the diagonal, in place
-        # the LAPACK calls behind scipy.linalg.cho_factor and cho_solve,
-        # without their per-call argument checks
-        if not np.isfinite(M).all():
-            # an overflowed M can factor with info 0, and LAPACK's least
-            # squares does not return on a non-finite matrix
+        if kkt is None:
+            M = np.multiply(A, d_inv, out=scaled_A).dot(AT)
+            M.reshape(-1)[:: m + 1] += KKT_REGULARIZATION  # the diagonal, in place
+            normal_solve = _normal_solver(M)
+        else:
+            normal_solve = kkt.factor(d_inv, KKT_REGULARIZATION)
+        if normal_solve is None:
             status = SolveStatus.NUMERICAL_FAILURE
             break
-        factor, info = dpotrf(M, lower=False, clean=False)
 
         def sym_solve(r1, r2):
             # block elimination of the (x, y) system through the normal matrix
-            rhs = r2 + A.dot(d_inv * r1)
-            v = dpotrs(factor, rhs, lower=False)[0] if info == 0 else np.linalg.lstsq(M, rhs, rcond=None)[0]
-            return d_inv * (AT.dot(v) - r1), v
+            v = normal_solve(r2 + a_dot(d_inv * r1))
+            return d_inv * (at_dot(v) - r1), v
 
         try:
             p, q = sym_solve(c, b)
-            denom_base = kappa / tau + (neg_c.dot(p) + b.dot(q))
+            if kkt is None:
+                denom_base = kappa / tau + (neg_c.dot(p) + b_tau.dot(q))
+            else:
+                # −cᵀp + b_τᵀq + yᵀQy/τ² without its cancellation, as
+                # pᵀ·diag(z/x)·p + (q − y/τ)ᵀQ(q − y/τ)
+                off = q - y / tau
+                denom_base = kappa / tau + p.dot(p / d_inv) + off.dot(kkt.q_dot(off))
 
             # stage 0, the predictor, has γ = 0: η = 1 leaves the residuals as they are
             rhatp, rhatd, rhatg = r_P, r_D, r_G
@@ -316,9 +364,13 @@ def _hsd(A, b, c, tol, max_iter):
                 if not (np.isfinite(u).all() and np.isfinite(v).all()):
                     failed = True
                     break
-                d_tau = (rhatg + rhattk / tau - (neg_c.dot(u) + b.dot(v))) / denom_base
+                d_tau = (rhatg + rhattk / tau - (neg_c.dot(u) + b_tau.dot(v))) / denom_base
                 np.add(u, np.multiply(p, d_tau, out=d_x), out=d_x)
                 d_y = v + q * d_tau
+                if kkt is not None and stage == 1:
+                    correction = normal_solve(rhatp + b * d_tau - a_dot(d_x) - kkt.q_dot(d_y))
+                    d_y += correction
+                    d_x += d_inv * at_dot(correction)
                 np.divide(np.subtract(rhatxs, np.multiply(z, d_x, out=d_z), out=d_z), x, out=d_z)
                 d_kappa = (rhattk - kappa * d_tau) / tau
                 alpha = min(1.0, _max_step(xz, d_xz))
@@ -346,62 +398,89 @@ def _hsd(A, b, c, tol, max_iter):
     return x, y, z, tau, kappa, status, iteration
 
 
+def _qp_certificate(kkt, b, c, x, y, tau, tol):
+    """The status of `_hsd` that a QP's iterate certifies, or None: τ at
+    most tol/100 times ‖y‖ or ‖x‖ (the iterate's scale may grow), and that
+    unit direction a certificate within tol, y with ‖Q·y‖∞ ≤ tol, Aᵀy ≤ tol
+    and bᵀy > tol (in the QP's terms the ray −y keeps every row, has no
+    curvature and descends), or x with ‖A·x‖∞ ≤ tol and cᵀx < −tol."""
+    norm_y, norm_x = math.sqrt(y.dot(y)), math.sqrt(x.dot(x))
+    if tau <= 1e-2 * tol * norm_y:
+        ray = y / norm_y
+        if b.dot(ray) > tol and np.abs(kkt.q_dot(ray)).max() <= tol and kkt.g_dot(ray).max() <= tol:
+            return SolveStatus.PRIMAL_INFEASIBLE
+    if tau <= 1e-2 * tol * norm_x:
+        ray = x / norm_x
+        if c.dot(ray) < -tol and np.abs(kkt.gt_dot(ray)).max() <= tol:
+            return SolveStatus.DUAL_UNBOUNDED
+    return None
+
+
 # ---------------------------------------------------------------------------
-# LP path: the dual route, and the column presolve that puts every LP
-# with a row on it
+# the dual route, and the column presolve that puts a wide program on it
 # ---------------------------------------------------------------------------
 
 
-def _lp_solve_dual_route(program: ConvexProgram, tol, max_iter):
-    """Solve an LP with at least as many rows as variables through its
-    dual, which has one constraint per variable, so its normal matrix is
-    vars×vars whatever the row count.
-
-    The dual's improving ray certifies that the original is infeasible.
-    An infeasible dual leaves the original a descent ray, so it is
-    unbounded iff feasible: the dual with zero cost, feasible at λ = 0,
-    ends Optimal (DualUnbounded) or with an improving ray (PrimalInfeasible).
-    """
+def _dual_route(program: ConvexProgram, tol, max_iter, sep=None):
+    """Solve a program through its dual, one constraint per variable, so
+    that its normal matrix is vars×vars whatever the row count: a QP with
+    separable columns ``sep``, or an LP (``sep`` None) with no fewer rows
+    than variables.  The dual's improving ray certifies that the original
+    is infeasible; an infeasible dual leaves the original a descent ray,
+    so it is unbounded iff its rows are feasible (`_feasibility`)."""
     # min hᵀλ s.t. −Gᵀλ = c, λ ≥ 0; −Gᵀ stays column-major, since BLAS
     # may round a product differently on another layout
     A_std = -program.a_ineq.T
-    x, y, z, tau, kappa, status, iters = _hsd(A_std, program.c, program.b_ineq, tol, max_iter)
+    kkt = None if sep is None else _SchurKkt(program.q, A_std.T, sep)
+    x, y, z, tau, kappa, status, iters = _hsd(A_std, program.c, program.b_ineq, tol, max_iter, kkt)
     if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
         return status, -(y / tau), x / tau, iters
     if status == SolveStatus.PRIMAL_INFEASIBLE:
         # the dual is infeasible: is the original feasible?
-        *_, status, more = _hsd(A_std, np.zeros(program.n_vars), program.b_ineq, tol, max_iter)
+        status, more = _feasibility(program.a_ineq, program.b_ineq, tol, max_iter)
         iters += more
         if status == SolveStatus.OPTIMAL:
-            return SolveStatus.DUAL_UNBOUNDED, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
-    if status == SolveStatus.DUAL_UNBOUNDED:
+            status = SolveStatus.DUAL_UNBOUNDED
+    elif status == SolveStatus.DUAL_UNBOUNDED:
         status = SolveStatus.PRIMAL_INFEASIBLE
     return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
 
 
-def _lp_solve_wide(program: ConvexProgram, tol, max_iter):
-    """Solve an LP with fewer rows than variables over x = V·u, V an
-    orthonormal basis of its rows' span (pivoted QR of Gᵀ, rank by
-    numpy's ``matrix_rank`` rule): rows G·V, cost Vᵀc, no more columns
-    than rows, so the dual route takes it, and λ maps back unchanged.
-    A cost off the span is a descent ray that leaves every row as it is,
-    so the LP is unbounded iff the zero-cost LP over u is feasible."""
+def _feasibility(G, h, tol, max_iter):
+    """(status, iterations) of the LP min 0 s.t. G·x ≤ h: Optimal iff the
+    rows are feasible; it takes its route by shape."""
+    lp = ConvexProgram(c=np.zeros(G.shape[1]), a_ineq=G, b_ineq=h)
+    route = _solve_wide if lp.n_ineq < lp.n_vars else _dual_route
+    status, _, _, iters = route(lp, tol, max_iter)
+    return status, iters
+
+
+def _solve_wide(program: ConvexProgram, tol, max_iter, sep=None):
+    """Solve a program with fewer rows than variables (an LP when ``sep``
+    is None) over x = V·u, V an orthonormal basis of the span of its rows
+    and Q's (pivoted QR of [Gᵀ Q], rank by numpy's ``matrix_rank`` rule):
+    rows G·V, curvature VᵀQV, cost Vᵀc and a nonsingular normal matrix
+    on the dual route; λ maps back unchanged.  A cost off the span is a
+    descent ray that no row or curvature sees: unbounded iff feasible."""
     G = program.a_ineq
-    basis, r, _ = qr(G.T, mode="economic", pivoting=True)
+    spanning = G.T if sep is None else np.hstack([G.T, program.q])
+    basis, r, _ = qr(spanning, mode="economic", pivoting=True)
     diag = np.abs(r.diagonal())
-    V = basis[:, : np.count_nonzero(diag > max(G.shape) * np.finfo(float).eps * diag[0])]
+    V = basis[:, : np.count_nonzero(diag > max(spanning.shape) * np.finfo(float).eps * diag[0])]
     c_u = V.T @ program.c
-    off_span = np.abs(program.c - V @ c_u).max() > tol
-    reduced = ConvexProgram(c=np.zeros_like(c_u) if off_span else c_u, a_ineq=G @ V, b_ineq=program.b_ineq)
-    status, u, lam, iters = _lp_solve_dual_route(reduced, tol, max_iter)
-    if off_span:
+    if np.abs(program.c - V @ c_u).max() > tol:
+        status, iters = _feasibility(G @ V, program.b_ineq, tol, max_iter)
         status = SolveStatus.DUAL_UNBOUNDED if status == SolveStatus.OPTIMAL else status
         return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
+    q_u = None if sep is None else V.T @ program.q @ V
+    reduced = ConvexProgram(c=c_u, q=None if q_u is None else 0.5 * (q_u + q_u.T), a_ineq=G @ V,
+                            b_ineq=program.b_ineq)
+    status, u, lam, iters = _dual_route(reduced, tol, max_iter, None if sep is None else _separable_columns(reduced))
     return status, V @ u, lam, iters
 
 
 # ---------------------------------------------------------------------------
-# QP path: infeasible-start Mehrotra predictor-corrector on the KKT system
+# a QP's normal matrix Q + GᵀDG, with its separable columns eliminated
 # ---------------------------------------------------------------------------
 
 
@@ -422,7 +501,8 @@ def _separable_columns(program: ConvexProgram) -> np.ndarray:
 
 
 class _SchurKkt:
-    """The Newton step on K = Q + GᵀDG + δI, separable columns U eliminated.
+    """The Newton step on K = Q + GᵀDG + δI, separable columns U eliminated;
+    the dual route gives it G = Aᵀ (the QP's rows negated, K unchanged).
 
     G is held as dense G_w on the other columns plus one (column,
     coefficient) entry per row on U, so the products scatter with
@@ -432,9 +512,7 @@ class _SchurKkt:
     S = K_ww − K_wu·K_uu⁻¹·K_uw by Cholesky; with U empty, S is K itself.
     """
 
-    def __init__(self, program: ConvexProgram, sep: np.ndarray):
-        Q, G = program.q, program.a_ineq
-        self.c = program.c
+    def __init__(self, Q: np.ndarray, G: np.ndarray, sep: np.ndarray):
         self.w, self.u = np.flatnonzero(~sep), np.flatnonzero(sep)
         self.n_w, self.n_u = self.w.size, self.u.size
         self.perm = np.argsort(np.concatenate([self.w, self.u]))  # (x_W, x_U) -> x
@@ -447,15 +525,20 @@ class _SchurKkt:
         has = on_u[rows, self.x_col]
         self.coef = np.where(has, G[rows, self.x_col], 0.0)
         self.col = np.where(has, (np.cumsum(sep) - 1)[self.x_col], self.n_u)
-        # the rows on U grouped by their column, for K_uw
-        self.order = np.argsort(self.col, kind="stable")[: np.count_nonzero(has)]
-        grouped = self.col[self.order]
-        self.starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-        self.group_col = grouped[self.starts]
-        self.g_w_grouped = self.g_w[self.order]
+        # the rows with a part on W, and the bin of each entry of that part
+        # in K_uw, whose rows are the columns of U and the spare column;
+        # the other rows enter S through their column of U alone
+        on_w = self.g_w.any(axis=1)
+        self.on_w = np.flatnonzero(on_w)
+        self.g_r, self.coef_r, self.col_r = self.g_w[self.on_w], self.coef[self.on_w], self.col[self.on_w]
+        self.squares_off_w = np.where(on_w, 0.0, self.coef * self.coef)
+        self.bins = (self.col_r[:, None] * self.n_w + np.arange(self.n_w)).ravel()
+        if not sep[: self.n_w].any():  # W first: views of x in place of gathers
+            self.w, self.u, self.perm = slice(0, self.n_w), slice(self.n_w, None), None
 
     def _join(self, x_w, x_u):
-        return np.concatenate((x_w, x_u))[self.perm]
+        x = np.concatenate((x_w, x_u))
+        return x if self.perm is None else x[self.perm]
 
     def _on_u(self, weights):
         return np.bincount(self.col, weights=weights, minlength=self.n_u + 1)[: self.n_u]
@@ -469,122 +552,39 @@ class _SchurKkt:
     def q_dot(self, x):
         return self._join(self.q_ww.dot(x[self.w]), self.q_u * x[self.u])
 
-    def objective(self, x):
-        x_w, x_u = x[self.w], x[self.u]
-        return float(0.5 * (x_w.dot(self.q_ww).dot(x_w) + self.q_u.dot(x_u * x_u)) + self.c.dot(x))
+    def q_pinv_dot(self, v):
+        """Q⁺·v: v_U/q_U on U, the min-norm least squares of Q_ww on W."""
+        return self._join(np.linalg.pinv(self.q_ww).dot(v[self.w]) if self.q_ww.any() else np.zeros(self.n_w),
+                          v[self.u] / self.q_u)
 
     def factor(self, d, delta):
         """A solve rhs -> dx of the step system with D = diag(d), or None
-        when no regularization makes S factorable."""
-        dc = d * self.coef
-        k_uu = self._on_u(dc * self.coef) + self.q_u + delta
-        k_uw = np.zeros((self.n_u, self.n_w))
-        k_uw[self.group_col] = np.add.reduceat(self.g_w_grouped * dc[self.order, None], self.starts, axis=0)
-        k_ww = self.q_ww + (self.g_w.T * d).dot(self.g_w)
-        k_ww.reshape(-1)[:: self.n_w + 1] += delta
-        for attempt in range(3):
-            scaled = k_uw / k_uu[:, None]
-            S = k_ww - k_uw.T.dot(scaled)
-            chol, info = dpotrf(S, lower=False, clean=False) if self.n_w else (S, 0)
-            if info == 0:
-                break
-            bump = KKT_REGULARIZATION * (100.0 ** (attempt + 1))
-            k_ww.reshape(-1)[:: self.n_w + 1] += bump
-            k_uu = k_uu + bump
-        else:
+        when S is not finite.  S is a sum of PSD terms, free of cancellation
+        however far D spreads: with c_j = q_j + δ + Σ d_i·a_i² over the rows
+        i on column j of U with no part on W, and h̄_j = K_uw[j]/K_uu[j],
+        S = Q_ww + δI + Σ_j c_j·h̄_jh̄_jᵀ + Σ_i d_i·ĝ_iĝ_iᵀ over the rows with
+        a part g_i on W, ĝ_i = g_i − a_i·h̄_j (g_i for a row off U)."""
+        d_r = d[self.on_w]
+        dc_r = d_r * self.coef_r
+        c_u = self._on_u(d * self.squares_off_w) + self.q_u + delta
+        k_uu = c_u + np.bincount(self.col_r, weights=dc_r * self.coef_r, minlength=self.n_u + 1)[: self.n_u]
+        k_uw = np.bincount(self.bins, weights=(self.g_r * dc_r[:, None]).ravel(),
+                           minlength=(self.n_u + 1) * self.n_w).reshape(self.n_u + 1, self.n_w)
+        means = k_uw / np.concatenate((k_uu, [1.0]))[:, None]  # the spare column's row is 0
+        g_hat = self.g_r - self.coef_r[:, None] * means[self.col_r]
+        means = means[: self.n_u]
+        S = self.q_ww + (g_hat.T * d_r).dot(g_hat) + (means.T * c_u).dot(means)
+        S.reshape(-1)[:: self.n_w + 1] += delta
+        solve_w = _normal_solver(S) if self.n_w else (lambda rhs_w: rhs_w)
+        if solve_w is None:
             return None
 
         def solve(rhs):
-            rhs_w, t = rhs[self.w], rhs[self.u] / k_uu
-            dx_w = dpotrs(chol, rhs_w - k_uw.T.dot(t), lower=False)[0] if self.n_w else rhs_w
-            return self._join(dx_w, t - scaled.dot(dx_w))
+            rhs_u = rhs[self.u]
+            dx_w = solve_w(rhs[self.w] - means.T.dot(rhs_u))
+            return self._join(dx_w, rhs_u / k_uu - means.dot(dx_w))
 
         return solve
-
-
-def _qp_mehrotra(program: ConvexProgram, sep, tol, max_iter):
-    c, h = program.c, program.b_ineq
-    m, p = program.n_vars, program.n_ineq
-    kkt = _SchurKkt(program, sep)
-
-    x = np.zeros(m)
-    # s and λ are the halves of one buffer, and so are their directions,
-    # as x and z are in _hsd
-    s_lam, d_s_lam = np.empty(2 * p), np.empty(2 * p)
-    s, lam = s_lam[:p], s_lam[p:]
-    ds, dlam = d_s_lam[:p], d_s_lam[p:]
-    s_hat = h - kkt.g_dot(x)
-    s[:] = s_hat + max(-1.5 * float(np.min(s_hat)), 0.0) + 1.0
-    lam[:] = 1.0
-    shift = 0.5 * (s @ lam)
-    s += shift / lam.sum()
-    lam += shift / s.sum()
-
-    status = SolveStatus.MAX_ITERATIONS
-    iteration = 0
-    delta = KKT_REGULARIZATION
-    stalled = 0
-    while iteration < max_iter:
-        iteration += 1
-        r_dual = kkt.q_dot(x) + c + kkt.gt_dot(lam)
-        r_in = kkt.g_dot(x) + s - h
-        s_times_lam = s * lam
-        mu = s.dot(lam) / p
-
-        prim = float(np.abs(r_in).max())
-        dual = float(np.abs(r_dual).max())
-        comp = float(s_times_lam.max())
-        # multipliers scale with the objective's linear part, which can be
-        # tiny; squeezing mu well below the multiplier scale keeps the
-        # active set identifiable for the polish step
-        mu_target = max(1e-13, 0.01 * tol * min(1.0, float(lam.max())))
-        if max(prim, dual, comp) <= 0.5 * tol and (mu <= mu_target or stalled >= 3):
-            status = SolveStatus.OPTIMAL
-            break
-        if not np.isfinite(mu) or np.abs(x).max() > 1e13:
-            status = SolveStatus.DUAL_UNBOUNDED
-            break
-        if kkt.objective(x) < -1e16:
-            status = SolveStatus.DUAL_UNBOUNDED
-            break
-
-        lin_solve = kkt.factor(lam / s, delta)
-        if lin_solve is None:
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-        neg_r_dual, neg_r_in, lam_r_in = -r_dual, -r_in, lam * r_in
-
-        def newton(r_comp):
-            """dx, with ds and dλ written into their halves of d_s_lam."""
-            dx = lin_solve(neg_r_dual + kkt.gt_dot((r_comp - lam_r_in) / s))
-            np.subtract(neg_r_in, kkt.g_dot(dx), out=ds)
-            np.subtract(-r_comp, np.multiply(lam, ds, out=dlam), out=dlam)
-            np.divide(dlam, s, out=dlam)
-            return dx
-
-        def step_length():
-            # on an unbounded QP a ratio can pass the float range: ∞ is its bound
-            with np.errstate(over="ignore"):
-                return min(1.0, _max_step(s_lam, d_s_lam))
-
-        # predictor
-        newton(s_times_lam)
-        alpha_aff = step_length()
-        trial = s_lam + alpha_aff * d_s_lam
-        mu_aff = trial[:p].dot(trial[p:]) / p
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
-
-        # corrector
-        dx = newton(s_times_lam + ds * dlam - sigma * mu)
-        alpha = 0.9995 * step_length()
-        stalled = stalled + 1 if alpha < 1e-3 else 0
-        x += alpha * dx
-        s_lam += alpha * d_s_lam
-        if not np.isfinite(x).all():
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-
-    return status, x, lam, iteration
 
 
 # ---------------------------------------------------------------------------
@@ -726,15 +726,8 @@ def _finalize(program: ConvexProgram, status, x, lam, iterations, tol, measures=
     stat, feas, comp = measures or _kkt_measures(program, x, lam)
     if status == SolveStatus.OPTIMAL and max(stat, feas, comp) > tol:
         status = SolveStatus.MAX_ITERATIONS
-    return SolveReport(
-        status=status,
-        x=np.asarray(x, dtype=float),
-        lam=np.asarray(lam, dtype=float),
-        primal_residual=feas,
-        dual_residual=stat,
-        complementarity_gap=comp,
-        iterations=iterations,
-    )
+    return SolveReport(status=status, x=np.asarray(x, dtype=float), lam=np.asarray(lam, dtype=float),
+                       primal_residual=feas, dual_residual=stat, complementarity_gap=comp, iterations=iterations)
 
 
 def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
@@ -742,8 +735,9 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
 
     Optimal reports carry a primal-dual pair whose recomputed stationarity,
     feasibility and complementarity residuals are all at most ``tol``.
-    Infeasible and unbounded LPs are detected through the self-dual
-    embedding; the iteration cap and numerical breakdowns are reported
+    Infeasible and unbounded programs are detected through the self-dual
+    embedding, LPs and QPs alike, a QP's unbounded ray only once it is
+    checked; the iteration cap and numerical breakdowns are reported
     through the status field, never as exceptions.
 
     Every constraint is an inequality row, for LPs and QPs alike.  Any
@@ -767,13 +761,11 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
         # with no row every x is feasible: the optimum is 0 iff c is zero
         status = SolveStatus.OPTIMAL if not red.c.any() else SolveStatus.DUAL_UNBOUNDED
         return _finalize(program, status, np.zeros(program.n_vars), np.zeros(program.n_ineq), 0, tol)
-    if red.is_lp:
-        route = _lp_solve_wide if red.n_ineq < red.n_vars else _lp_solve_dual_route
-        status, x, lam_red, iters = route(red, tol, max_iter)
+    sep = None if red.is_lp else _separable_columns(red)
+    route = _solve_wide if red.n_ineq < red.n_vars else _dual_route
+    status, x, lam_red, iters = route(red, tol, max_iter, sep)
+    if sep is None:
         sep = np.zeros(red.n_vars, dtype=bool)
-    else:
-        sep = _separable_columns(red)
-        status, x, lam_red, iters = _qp_mehrotra(red, sep, tol, max_iter)
 
     x, lam_red, measures = _refine(red, sep, status, x, lam_red, tol)
     lam = np.zeros(program.n_ineq)

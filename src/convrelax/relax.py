@@ -56,6 +56,9 @@ DEFAULT_TAU = 1e-4
 # set the earlier rows lacked, so the cap only ends runaway cases.
 MAX_ROW_ROUNDS = 100
 
+# the largest violation a point of the naive relaxation counts as feasible with
+DEGENERACY_FEAS_TOL = 1e-12
+
 
 class RelaxError(ValueError):
     pass
@@ -338,12 +341,11 @@ class NaiveDegeneracyReport:
     max_violation: float
 
 
-def check_naive_degeneracy(
-    dataset: Dataset, w_star: np.ndarray | None = None, feas_tol: float = 1e-12
-) -> NaiveDegeneracyReport:
+def check_naive_degeneracy(dataset: Dataset, w_star: np.ndarray | None = None) -> NaiveDegeneracyReport:
     """Verify by direct evaluation that the unperturbed relaxation is
     degenerate: the zero filter with label slacks and the planted filter
-    with its rectified responses are both feasible at objective zero."""
+    with its rectified responses are both feasible (within
+    DEGENERACY_FEAS_TOL) at objective zero."""
     if w_star is None:
         w_star = teacher_filter(dataset)
     y, k = dataset.y, dataset.k
@@ -365,9 +367,9 @@ def check_naive_degeneracy(
     v_trivial = violation(np.zeros(dataset.filter_size), z_trivial)
     v_planted = violation(w_star, z_planted)
     return NaiveDegeneracyReport(
-        trivial_feasible=v_trivial <= feas_tol,
+        trivial_feasible=v_trivial <= DEGENERACY_FEAS_TOL,
         trivial_objective=quad_objective(z_trivial),
-        planted_feasible=v_planted <= feas_tol,
+        planted_feasible=v_planted <= DEGENERACY_FEAS_TOL,
         planted_objective=quad_objective(z_planted),
         max_violation=max(v_trivial, v_planted),
     )

@@ -8,6 +8,8 @@ is violated.  Checked here against the dense lifted (p + nk)-variable QP,
 ``oracles.lifted_qp``, on status, exit code, ŵ, objective value and the
 recovery verdict, and on the lifted QP's constraints for the
 reconstructed slacks z_hat.  At k=1 the two programs are the same matrix.
+Also checked: the QP ends Optimal at weights β from 1e-3 to 10, and it
+ends DualUnbounded exactly when HiGHS finds the β=0 LP unbounded.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ from convrelax.model import (
     substream,
 )
 from convrelax.qpsolve import SolveStatus
-from oracles import lifted_qp
+from oracles import block_set_expansion, highs_lp, lifted_qp
 
 TOL = qpsolve.DEFAULT_TOL
 
@@ -140,3 +142,59 @@ def test_fit_amplified_picks_the_lifted_winner():
     assert outcome.best.trial_seed == derived_seed(seed, best)
     assert np.max(np.abs(outcome.best.w_hat - results[best][2])) <= 1e-6 * (1.0 + np.linalg.norm(pm.w_star))
     assert outcome.success == relax.assess(results[best][2], pm.w_star).success
+
+
+# one sample with fewer block rows than filter entries: w is unbounded
+UNBOUNDED = [(2, 8), (3, 12), (5, 20)]
+
+
+@pytest.mark.parametrize("k, d", UNBOUNDED)
+def test_unbounded_qp_is_dual_unbounded(k, d, tmp_path, capsys):
+    _, ds = sample_planted(1, d, k, 0)
+    r = substream(0, STREAM_PERTURBATION).standard_normal(ds.filter_size)
+    assert qpsolve.solve(relax.build(ds, 1e-3, r).program).status == SolveStatus.DUAL_UNBOUNDED
+    path = str(tmp_path / "one.csv")
+    export_csv(ds, path)
+    assert main(["fit", "--in", path, "--beta", "1e-3"]) == EXIT_SOLVER
+    assert "DualUnbounded" in capsys.readouterr().err
+
+
+def _beta_panel():
+    """Planted relaxation QPs at k ∈ {1, 2} with n ≥ 4·d/k samples."""
+    for k, d, n in ((1, 10, 40), (1, 20, 80), (2, 8, 16), (2, 20, 40)):
+        for seed in (0, 1, 2, 3, 4, 909):
+            _, ds = sample_planted(n, d, k, seed)
+            yield ds, substream(seed, STREAM_PERTURBATION).standard_normal(ds.filter_size)
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1e-1, 1.0, 10.0])
+def test_qp_is_optimal_at_every_weight(beta):
+    for ds, r in _beta_panel():
+        program = relax.build(ds, beta, r).program
+        report = qpsolve.solve(program)
+        assert report.status == SolveStatus.OPTIMAL, (ds.k, ds.n, ds.seed)
+        assert qpsolve.check_kkt(program, report, TOL).passed
+        if ds.k > 1:
+            assert relax.block_set_lp(ds, program)[0].status == SolveStatus.OPTIMAL
+
+
+def _wide_cases():
+    """The panel's n < d cases and the unbounded single samples."""
+    for case in PANEL:
+        if case[0] == "n<d":
+            ds, beta, r, _ = _dataset(case)
+            yield _case_id(case), ds, beta, r
+    for k, d in UNBOUNDED:
+        _, ds = sample_planted(1, d, k, 0)
+        yield f"n=1-d={d}-k={k}", ds, 1e-3, substream(0, STREAM_PERTURBATION).standard_normal(ds.filter_size)
+
+
+@pytest.mark.parametrize("ds, beta, r", [pytest.param(*case[1:], id=case[0]) for case in _wide_cases()])
+def test_qp_is_unbounded_exactly_when_the_lp_is(ds, beta, r):
+    # labels ≥ 0 make w = 0 feasible, and the QP's recession directions
+    # are the LP's in w, so both are unbounded or neither
+    assert np.all(ds.y >= 0.0)
+    highs_status, _, _ = highs_lp(r, *block_set_expansion(ds.blocks(), ds.y))
+    status = relax.fit_with_perturbation(ds, beta, r).report.status
+    assert status in (SolveStatus.OPTIMAL, SolveStatus.DUAL_UNBOUNDED)
+    assert (status == SolveStatus.DUAL_UNBOUNDED) == (highs_status == "unbounded")

@@ -174,7 +174,7 @@ def test_dual_route_decides_every_tall_lp(monkeypatch, c, a, b, max_iter, status
         calls.append(args)
         return hsd(*args)
 
-    monkeypatch.setattr(qpsolve, "_lp_solve_wide", wide)
+    monkeypatch.setattr(qpsolve, "_solve_wide", wide)
     monkeypatch.setattr(qpsolve, "_hsd", counted_hsd)
     program = ConvexProgram(c=c, a_ineq=a, b_ineq=b)
     assert program.n_ineq >= program.n_vars
@@ -230,8 +230,8 @@ def test_optimal_claim_that_misses_tol_is_downgraded(monkeypatch):
     # the recomputed KKT residuals decide the status
     hsd = qpsolve._hsd
 
-    def one_step_claimed_optimal(A, b, c, tol, max_iter):
-        *iterate, _, iters = hsd(A, b, c, tol, 1)
+    def one_step_claimed_optimal(A, b, c, tol, max_iter, kkt=None):
+        *iterate, _, iters = hsd(A, b, c, tol, 1, kkt)
         return (*iterate, SolveStatus.OPTIMAL, iters)
 
     monkeypatch.setattr(qpsolve, "_hsd", one_step_claimed_optimal)
@@ -411,8 +411,8 @@ def test_max_step_bitwise_matches_masked_divide(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_stacked_ratio_test_is_the_smaller_of_the_two(seed):
-    # _hsd and _qp_mehrotra hold (x, z) and (s, λ) as the halves of one
-    # buffer, and their directions likewise, and take one ratio test
+    # _hsd holds x and z as the halves of one buffer, and their directions
+    # likewise, and takes one ratio test over both, for LPs and QPs alike
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 60))
     halves = [np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-8, 8, n) for _ in range(2)]
@@ -758,7 +758,7 @@ def test_relaxation_qp_takes_the_schur_step():
     _, ds = model.sample_planted(30, 8, 2, 3)
     program = relax.build(ds, 1e-3, np.ones(4)).program
     sep = qpsolve._separable_columns(program)
-    kkt = qpsolve._SchurKkt(program, sep)
+    kkt = qpsolve._SchurKkt(program.q, program.a_ineq, sep)
     assert kkt.n_w == 4 and kkt.n_u == 30
 
 
