@@ -93,7 +93,7 @@ def test_fit_solver_failure_exit_code(tmp_path, capsys):
 
 def test_failing_beta_qp_fit_prints_no_numpy_warning(tmp_path, capsys):
     # one sample at k=2, d=8: fewer block rows than filter entries, so
-    # the QP is unbounded and its steps grow past the float range
+    # the QP is unbounded, which no step on the way may warn about
     path = tmp_path / "one.csv"
     main(["gen", "--n", "1", "--d", "8", "--k", "2", "--seed", "2", "--out", str(path)])
     with warnings.catch_warnings(record=True) as caught:
