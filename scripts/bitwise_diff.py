@@ -38,8 +38,10 @@ Failure exits: the k=1 relaxation with a sample of 1e200 features,
 whose normal matrix overflows on the way to NumericalFailure; the
 unbounded beta=1e-3 fits at n=1, (k, d) = (2, 8), (3, 12) and (5, 20),
 each DualUnbounded; the 40×3 LP with every row multiplied by
-1e160 and by 1e200 (b left alone), whose normal matrix overflows; and
-the beta=1e-3 QP at k=1 cut off at max_iter=2.  Last, the k=1
+1e160 and by 1e200 (b left alone), whose normal matrix overflows; the
+same LP with row 0 and b_0 multiplied by 1e50 and by 1e100, whose
+verdict must not depend on that scale; and the beta=1e-3 QP at k=1 cut
+off at max_iter=2.  Last, the k=1
 relaxation LP at n=2000, d=20 of the sweep-k1 benchmark trial at
 --seed 13, whose kept multipliers miss tol until they are refitted on
 the active rows.
@@ -288,6 +290,12 @@ def run_panel() -> list[dict]:
         for scale in (1e160, 1e200):
             label[0] = f"lp-rows-of-{scale:g}-40x3"
             qpsolve.solve(ConvexProgram(c=tall.c, a_ineq=tall.a_ineq * scale, b_ineq=tall.b_ineq))
+        # the same feasible set, with row 0 and its b_0 scaled
+        for scale in (1e50, 1e100):
+            label[0] = f"lp-row0-x{scale:g}-40x3"
+            rows = np.ones(tall.n_ineq)
+            rows[0] = scale
+            qpsolve.solve(ConvexProgram(c=tall.c, a_ineq=tall.a_ineq * rows[:, None], b_ineq=tall.b_ineq * rows))
         label[0] = "beta-qp-max-iterations k=1 n=200 d=20"
         _, ds = model.sample_planted(200, 20, 1, 8)
         r = model.substream(9, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)

@@ -8,12 +8,13 @@ predictor-corrector steps on the homogeneous self-dual embedding, which
 carries a QP's curvature (PSD Q) into its gap and its normal matrix
 Q + GᵀDG, factored with the separable columns (diagonal curvature, at
 most one per row) eliminated.  The embedding's τ → 0 exits certify
-infeasibility and unboundedness, and an infeasible dual leaves a program
-unbounded iff its rows are feasible, which a zero-cost LP decides; a
-QP's rays are checked (Q·d = 0, G·d ≤ 0, cᵀd < 0) before they count.  A
-program with fewer rows than variables is first written over an
-orthonormal basis of the span of its rows and of Q's; a cost with a part
-off that span makes it unbounded iff feasible.  Candidate optima are
+infeasibility and unboundedness, an LP's and a QP's alike, only on a ray
+checked against the norms of the rows, so that scaling a row leaves the
+verdict as it is; an infeasible dual leaves a program unbounded iff its
+rows are feasible, which a zero-cost LP decides.  A program with fewer
+rows than variables is first written over an orthonormal basis of the
+span of its rows and of Q's; a cost with a part off that span makes it
+unbounded iff feasible.  Candidate optima are
 refined by an active-set polish, which eliminates the same columns and
 those fixed at 0 by active sign bounds before its lstsq, and is skipped
 when an LP's polished multipliers, found first on their own, are
@@ -236,11 +237,13 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
     of min cᵀx + ½yᵀQy s.t. Ax + Qy = b, x ≥ 0 and its dual
     max bᵀy − ½yᵀQy s.t. Aᵀy + z = c, z ≥ 0.
 
-    Returns (x, y, z, tau, kappa, status, iterations), the status being
-    that of the first program; on optimal termination x/tau is its
-    solution and y/tau, z/tau the dual's.  ``tol`` is the caller's KKT
-    tolerance: the embedding's residual ratios are driven to a hundredth
-    of it, but not below 1e-13.
+    Returns (x, y, tau, status, iterations), the status being that of
+    the first program; on optimal termination x/tau is its solution and
+    y/tau the dual's.  Its other exits are the iteration cap, a numerical
+    failure, and τ → 0 on a certificate that `_certificate` checks, for
+    LPs and QPs alike.  ``tol`` is the caller's KKT tolerance: the
+    embedding's residual ratios are driven to a hundredth of it, but not
+    below 1e-13.
 
     Q = 0 (an LP) unless ``kkt``, a `_SchurKkt` over the rows of Aᵀ,
     brings a QP's curvature (Goulart and Chen, arXiv:2405.12762): r_P
@@ -250,8 +253,7 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
     step on the r_P row, which the normal-matrix solve loses as x/z
     spreads; its Optimal exit also needs μ/τ² ≤ max(1e-13, tol·min(1,
     max x/τ)) for the caller's tol, so that the polish can tell the
-    active rows when multipliers are small; `_qp_certificate` gives its
-    other exits.
+    active rows when multipliers are small.
     """
     tol = max(tol * 1e-2, 1e-13)
     m, n = A.shape
@@ -267,21 +269,19 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
     neg_c = -c
     AT = A.T
     if kkt is None:
-        a_dot, at_dot = A.dot, AT.dot
+        # an LP's Optimal exit needs no squeeze on μ
+        a_dot, at_dot, q_dot, squeeze = A.dot, AT.dot, None, math.inf
     else:
-        a_dot, at_dot = kkt.gt_dot, kkt.g_dot
+        a_dot, at_dot, q_dot, squeeze = kkt.gt_dot, kkt.g_dot, kkt.q_dot, 100.0 * tol
         y = kkt.q_pinv_dot(b)
         np.maximum(c - at_dot(y), 1.0, out=z)
 
     # ‖r‖₂ is taken as np.linalg.norm takes it for a 1-D float array
     qy = np.zeros(m) if kkt is None else kkt.q_dot(y)
-    r_p, r_d, yqy = b - a_dot(x) - qy, c - at_dot(y) - z, y.dot(qy)
+    r_p, r_d = b - a_dot(x) - qy, c - at_dot(y) - z
     r_p0, r_d0 = max(1.0, math.sqrt(r_p.dot(r_p))), max(1.0, math.sqrt(r_d.dot(r_d)))
-    r_g0 = max(1.0, abs(1.0 + c.dot(x) - b.dot(y) + yqy))
-    mu_0 = (x.dot(z) + tau * kappa) / (n + 1)
 
     scaled_A = np.empty_like(A) if kkt is None else None  # A·diag(x/z), rewritten every iteration
-    status = SolveStatus.MAX_ITERATIONS
     iteration = 0
     while True:
         cx, by = c.dot(x), b.dot(y)
@@ -298,25 +298,16 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
 
         rho_p = math.sqrt(r_P.dot(r_P)) / r_p0
         rho_d = math.sqrt(r_D.dot(r_D)) / r_d0
-        rho_g = abs(r_G) / r_g0
         rho_A = abs(cx - by + yqy) / (tau + abs(by))
-        rho_mu = mu / mu_0
 
         if rho_p <= tol and rho_d <= tol and rho_A <= tol and (
-                kkt is None or mu <= tau * max(1e-13 * tau, 100.0 * tol * min(tau, x.max()))):
+                mu <= tau * max(1e-13 * tau, squeeze * min(tau, x.max()))):
             status = SolveStatus.OPTIMAL
             break
-        if kkt is None:
-            inf1 = rho_p <= tol and rho_d <= tol and rho_g <= tol and tau <= tol * max(1.0, kappa)
-            inf2 = rho_mu <= tol and tau <= tol * min(1.0, kappa)
-            if inf1 or inf2:
-                status = SolveStatus.PRIMAL_INFEASIBLE if by > tol else SolveStatus.DUAL_UNBOUNDED
-                break
-        else:
-            status = _qp_certificate(kkt, b, c, x, y, tau, 100.0 * tol)
-            if status is not None:
-                break
-            status = SolveStatus.MAX_ITERATIONS
+        status = _certificate(A, q_dot, b, c, x, y, tau, 100.0 * tol)
+        if status is not None:
+            break
+        status = SolveStatus.MAX_ITERATIONS
         if iteration >= max_iter:
             break
         iteration += 1
@@ -395,24 +386,30 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
-    return x, y, z, tau, kappa, status, iteration
+    return x, y, tau, status, iteration
 
 
-def _qp_certificate(kkt, b, c, x, y, tau, tol):
-    """The status of `_hsd` that a QP's iterate certifies, or None: τ at
-    most tol/100 times ‖y‖ or ‖x‖ (the iterate's scale may grow), and that
-    unit direction a certificate within tol, y with ‖Q·y‖∞ ≤ tol, Aᵀy ≤ tol
-    and bᵀy > tol (in the QP's terms the ray −y keeps every row, has no
-    curvature and descends), or x with ‖A·x‖∞ ≤ tol and cᵀx < −tol."""
+def _certificate(A, q_dot, b, c, x, y, tau, tol):
+    """The status of `_hsd` that its iterate certifies, or None.  τ must
+    be at most tol/100 times ‖y‖ or ‖x‖ (the iterate's scale may grow),
+    and that direction a certificate within tol, measured against ‖a_j‖,
+    the largest |entry| of column j of A, so that scaling a column (a row
+    of the program on the dual route) leaves the verdict as it is: y/‖y‖
+    with aⱼᵀy ≤ tol·‖a_j‖, ‖Q·y‖∞ ≤ tol and bᵀy > tol (the first program
+    is infeasible), or x with ‖A·x‖∞ ≤ tol·Σ x_j‖a_j‖ and cᵀx <
+    −tol·|c|ᵀx (it is unbounded).  Q is 0 when ``q_dot`` is None."""
     norm_y, norm_x = math.sqrt(y.dot(y)), math.sqrt(x.dot(x))
+    if tau > 1e-2 * tol * max(norm_y, norm_x):
+        return None  # an Optimal solve never pays for the norms below
+    col_norms = np.abs(A).max(axis=0)
     if tau <= 1e-2 * tol * norm_y:
         ray = y / norm_y
-        if b.dot(ray) > tol and np.abs(kkt.q_dot(ray)).max() <= tol and kkt.g_dot(ray).max() <= tol:
+        if (b.dot(ray) > tol and (A.T.dot(ray) <= tol * col_norms).all()
+                and (q_dot is None or np.abs(q_dot(ray)).max() <= tol)):
             return SolveStatus.PRIMAL_INFEASIBLE
-    if tau <= 1e-2 * tol * norm_x:
-        ray = x / norm_x
-        if c.dot(ray) < -tol and np.abs(kkt.gt_dot(ray)).max() <= tol:
-            return SolveStatus.DUAL_UNBOUNDED
+    if (tau <= 1e-2 * tol * norm_x and c.dot(x) < -tol * np.abs(c).dot(x)
+            and np.abs(A.dot(x)).max() <= tol * col_norms.dot(x)):
+        return SolveStatus.DUAL_UNBOUNDED
     return None
 
 
@@ -425,14 +422,16 @@ def _dual_route(program: ConvexProgram, tol, max_iter, sep=None):
     """Solve a program through its dual, one constraint per variable, so
     that its normal matrix is vars×vars whatever the row count: a QP with
     separable columns ``sep``, or an LP (``sep`` None) with no fewer rows
-    than variables.  The dual's improving ray certifies that the original
-    is infeasible; an infeasible dual leaves the original a descent ray,
-    so it is unbounded iff its rows are feasible (`_feasibility`)."""
+    than variables.  Its statuses swap only on certificates that
+    `_certificate` has checked: the dual's improving ray shows that the
+    original is infeasible; an infeasible dual leaves the original a
+    descent ray, so it is unbounded iff its rows are feasible
+    (`_feasibility`)."""
     # min hᵀλ s.t. −Gᵀλ = c, λ ≥ 0; −Gᵀ stays column-major, since BLAS
     # may round a product differently on another layout
     A_std = -program.a_ineq.T
     kkt = None if sep is None else _SchurKkt(program.q, A_std.T, sep)
-    x, y, z, tau, kappa, status, iters = _hsd(A_std, program.c, program.b_ineq, tol, max_iter, kkt)
+    x, y, tau, status, iters = _hsd(A_std, program.c, program.b_ineq, tol, max_iter, kkt)
     if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
         return status, -(y / tau), x / tau, iters
     if status == SolveStatus.PRIMAL_INFEASIBLE:
@@ -736,7 +735,7 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
     Optimal reports carry a primal-dual pair whose recomputed stationarity,
     feasibility and complementarity residuals are all at most ``tol``.
     Infeasible and unbounded programs are detected through the self-dual
-    embedding, LPs and QPs alike, a QP's unbounded ray only once it is
+    embedding, LPs and QPs alike, each on a certificate only once it is
     checked; the iteration cap and numerical breakdowns are reported
     through the status field, never as exceptions.
 

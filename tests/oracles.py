@@ -112,11 +112,19 @@ def highs_lp(c, a, b, a_eq=None, b_eq=None):
     free, by HiGHS.
 
     HiGHS's presolve can report an unbounded program as infeasible, so an
-    infeasible verdict is taken from a solve without presolve."""
+    infeasible verdict is taken from a solve without presolve.  Where
+    HiGHS gives no verdict (status 4), a feasible program with a descent
+    ray d (a·d <= 0, a_eq·d = 0, |d| <= 1 and c·d < 0, found by HiGHS) is
+    unbounded."""
     rows = dict(A_ub=a, b_ub=b, A_eq=a_eq, b_eq=b_eq, bounds=(None, None), method="highs")
     res = linprog(c, **rows)
     if res.status == 2:
         res = linprog(c, **rows, options={"presolve": False})
+    if res.status == 4 and linprog(np.zeros(len(c)), **rows).status == 0:
+        ray = linprog(c, A_ub=a, b_ub=np.zeros(len(b)), A_eq=a_eq, b_eq=None if a_eq is None else np.zeros(len(b_eq)),
+                      bounds=(-1, 1), method="highs")
+        if ray.status == 0 and ray.fun < -1e-9:
+            return "unbounded", None, None
     return HIGHS_STATUS.get(res.status, f"status {res.status}"), res.fun, res.x
 
 

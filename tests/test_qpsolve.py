@@ -154,16 +154,47 @@ def _tall_lps():
         yield f"unbounded-n={n}-d={d}", *_unbounded_tall_lp(n, d, 3), 200, SolveStatus.DUAL_UNBOUNDED, 2
 
 
+def _row_scaled_tall_lps():
+    """(id, c, a, b, scales, status, _hsd calls) of tall LPs that are
+    solved with row i of a and b_i multiplied by scales[i].  The verdict
+    is that of the unscaled twin: HiGHS calls the first two infeasible as
+    scaled."""
+    _, c, a, b, *_ = next(_tall_lps())
+    for e in (50, 100):
+        scales = np.ones(a.shape[0])
+        scales[0] = 10.0**e
+        yield f"optimal-row0-x1e+{e}", c, a, b, scales, SolveStatus.OPTIMAL, 1
+    # three LPs of a seeded fuzz panel: integer entries in −3..3, each row
+    # and its b_i scaled by 10^(−6..6)
+    yield ("fuzz-544-optimal", np.array([-2.0, -2.0]), np.array([[-2.0, 0.0], [2.0, 2.0]]), np.array([1.0, 1.0]),
+           10.0 ** np.array([-4, -5]), SolveStatus.OPTIMAL, 1)
+    yield ("fuzz-1678-unbounded", np.array([1.0, 2.0, 1.0, -3.0, 0.0]),
+           np.array([[-1, 0, -2, -3, 2], [-1, 2, -1, 2, 1], [1, 1, -3, 0, -2], [0, -2, 1, -1, 2],
+                     [1, -1, 0, 0, 2], [-3, -3, 0, 3, -3], [0, -2, 1, -2, 0]], dtype=float),
+           np.array([1.0, -3.0, 0.0, 0.0, -2.0, 2.0, -2.0]), 10.0 ** np.array([-4, 5, 2, 1, 3, -3, 6]),
+           SolveStatus.DUAL_UNBOUNDED, 2)
+    yield ("fuzz-3844-unbounded", np.array([-2.0, 3.0, -2.0, -2.0, -1.0]),
+           np.array([[-3, 1, 0, 3, 2], [0, 3, -3, 2, 2], [-1, -1, 2, 1, 2], [-3, -2, 0, -2, 1],
+                     [1, -3, -3, -3, 1], [0, -1, 0, 1, -3], [3, -2, -2, -3, 0]], dtype=float),
+           np.array([0.0, 0.0, -3.0, -1.0, -3.0, -2.0, 3.0]), 10.0 ** np.array([6, -3, -1, 4, 5, -5, -3]),
+           SolveStatus.DUAL_UNBOUNDED, 2)
+
+
 _HIGHS_STATUS = {SolveStatus.OPTIMAL: "optimal", SolveStatus.PRIMAL_INFEASIBLE: "infeasible",
                  SolveStatus.DUAL_UNBOUNDED: "unbounded"}
 
 
-@pytest.mark.parametrize("c, a, b, max_iter, status, hsd_calls",
-                         [pytest.param(*case[1:], id=case[0]) for case in _tall_lps()])
-def test_dual_route_decides_every_tall_lp(monkeypatch, c, a, b, max_iter, status, hsd_calls):
+@pytest.mark.parametrize(
+    "c, a, b, max_iter, status, hsd_calls, scales",
+    [pytest.param(*case[1:], None, id=case[0]) for case in _tall_lps()]
+    + [pytest.param(c, a, b, 200, status, calls, scales, id=name)
+       for name, c, a, b, scales, status, calls in _row_scaled_tall_lps()])
+def test_dual_route_decides_every_tall_lp(monkeypatch, c, a, b, max_iter, status, hsd_calls, scales):
     # at least as many rows as variables pick the dual route, which decides
     # every outcome without the column presolve of wide LPs; only an
-    # infeasible dual takes the zero-cost solve
+    # infeasible dual takes the zero-cost solve.  Scaling a row leaves the
+    # verdict as it is: the row-scaled LPs are checked against their
+    # unscaled twin
     def wide(*args):
         raise AssertionError("the wide LP solver ran")
 
@@ -178,6 +209,8 @@ def test_dual_route_decides_every_tall_lp(monkeypatch, c, a, b, max_iter, status
     monkeypatch.setattr(qpsolve, "_hsd", counted_hsd)
     program = ConvexProgram(c=c, a_ineq=a, b_ineq=b)
     assert program.n_ineq >= program.n_vars
+    if scales is not None:
+        program = ConvexProgram(c=c, a_ineq=a * scales[:, None], b_ineq=b * scales)
     with np.errstate(over="ignore", invalid="ignore"):
         rep = solve(program, max_iter=max_iter)
     assert rep.status == status and len(calls) == hsd_calls
@@ -190,6 +223,9 @@ def test_dual_route_decides_every_tall_lp(monkeypatch, c, a, b, max_iter, status
         assert highs_status == _HIGHS_STATUS[status]
     if status == SolveStatus.OPTIMAL:
         assert abs(c @ rep.x - value) <= 1e-7 * (1.0 + abs(value))
+        if scales is not None:
+            unscaled = solve(ConvexProgram(c=c, a_ineq=a, b_ineq=b))
+            assert np.abs(rep.x - unscaled.x).max() <= 1e-9
 
 
 @pytest.mark.parametrize("c, status", [(np.zeros(2), SolveStatus.OPTIMAL),
@@ -575,10 +611,13 @@ def test_wide_lp_matches_highs(program, status):
         np.testing.assert_allclose(rep.x, np.linalg.pinv(program.a_ineq) @ program.b_ineq, rtol=0.0, atol=1e-9)
 
 
-def test_wide_lps_match_highs_on_a_seeded_panel(monkeypatch):
-    # 1,000 wide LPs with entries in −3..3, three in ten with a cost in the
-    # rows' span; every interior point they run solves the dual of an LP
-    # with no more variables than rows
+@pytest.mark.parametrize("shape", ["wide", "tall"])
+def test_lps_match_highs_on_a_seeded_panel(monkeypatch, shape):
+    # 1,000 LPs of m variables with entries in −3..3, three in ten with a
+    # cost in the rows' span: wide ones with 1..m−1 rows, and tall ones
+    # with m..2m rows, whose τ → 0 exits on the dual route decide them;
+    # every interior point they run solves the dual of an LP with no more
+    # variables than rows
     hsd = qpsolve._hsd
 
     def not_wide(A, *args):
@@ -590,7 +629,8 @@ def test_wide_lps_match_highs_on_a_seeded_panel(monkeypatch):
     verdicts = dict.fromkeys(STATUS_OF_HIGHS, 0)
     for _ in range(1000):
         m = int(rng.integers(2, 8))
-        a = rng.integers(-3, 4, (int(rng.integers(1, m)), m)).astype(float)
+        rows = rng.integers(1, m) if shape == "wide" else rng.integers(m, 2 * m + 1)
+        a = rng.integers(-3, 4, (int(rows), m)).astype(float)
         b = rng.integers(-3, 4, a.shape[0]).astype(float)
         c = a.T @ rng.integers(-3, 4, a.shape[0]) if rng.random() < 0.3 else rng.integers(-3, 4, m).astype(float)
         rep = solve(ConvexProgram(c=c, a_ineq=a, b_ineq=b))
