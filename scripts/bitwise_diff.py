@@ -14,7 +14,10 @@ differs), then how many cases differ; or it prints "identical". It
 exits 1 or 0 accordingly, so a deliberate re-numbering shows its whole
 extent and size.
 
-The panel: k=1 relaxation LPs at n=400 and n=2000, the row-generated
+The panel: k=1 relaxation LPs at n=400 and n=2000 and at n=40, d=1
+(filter length 1: the only programs the package builds with sign-bound
+rows -s·w <= 0; at seeds 0 to 2 several are active at w = 0, and their
+multipliers are not unique), the row-generated
 k=2 and k=5 relaxation LPs (one report per round), the beta=1e-3 QP at
 k=1 and row-generated at k=2 and k=5, certify's phase-1 cone program
 and the block-set LP that gives its primal fit and dual at k=1, 2 and 5
@@ -245,6 +248,9 @@ def run_panel() -> list[dict]:
             for seed in seeds:
                 label[0] = f"k1-lp n={n} d={d} seed={seed}"
                 relax.fit(model.sample_planted(n, d, 1, seed)[1], 0.0, seed)
+        for seed in range(4):
+            label[0] = f"k1-lp n=40 d=1 seed={seed}"
+            relax.fit(model.sample_planted(40, 1, 1, seed)[1], 0.0, seed)
         for k, n in ((2, 100), (5, 60)):
             label[0] = f"block-set-lp k={k} n={n} d=20"
             relax.fit(model.sample_planted(n, 20, k, 6)[1], 0.0, 7)

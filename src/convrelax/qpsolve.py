@@ -14,13 +14,12 @@ verdict as it is; an infeasible dual leaves a program unbounded iff its
 rows are feasible, which a zero-cost LP decides.  A program with fewer
 rows than variables is first written over an orthonormal basis of the
 span of its rows and of Q's; a cost with a part off that span makes it
-unbounded iff feasible.  Candidate optima are
-refined by an active-set polish, which eliminates the same columns and
-those fixed at 0 by active sign bounds before its lstsq, and is skipped
-when an LP's polished multipliers, found first on their own, are
-negative beyond the raw pair's residual; an LP pair that still misses
-the tolerance has its multipliers refitted by nonnegative least squares
-on the active rows.  A report is declared Optimal only after the KKT
+unbounded iff feasible.  Candidate optima are refined by an active-set
+polish, which eliminates the same separable columns before its lstsq,
+and is skipped when an LP's polished multipliers, found first on their
+own, are negative beyond the raw pair's residual; an LP pair that still
+misses the tolerance has its multipliers refitted by nonnegative least
+squares on the active rows.  A report is declared Optimal only after the KKT
 residuals have been recomputed from scratch and verified against the
 requested tolerance.
 
@@ -591,18 +590,6 @@ class _SchurKkt:
 # ---------------------------------------------------------------------------
 
 
-def _sign_bounds(G: np.ndarray, h: np.ndarray):
-    """(variables j, rows, scales s) of the sign bounds x_j ≥ 0 in G·x ≤ h:
-    the first row −s·x_j ≤ 0 with s > 0 of each variable."""
-    nonzero = G != 0.0
-    first = nonzero.argmax(axis=1)
-    lead = G[np.arange(G.shape[0]), first]
-    candidates = np.flatnonzero((h == 0.0) & (nonzero.sum(axis=1) == 1) & (lead < 0))
-    bound_vars, first_row = np.unique(first[candidates], return_index=True)
-    bound_rows = candidates[first_row]
-    return bound_vars, bound_rows, -lead[bound_rows]
-
-
 def _guess_active(program: ConvexProgram, x, lam) -> np.ndarray:
     """The rows taken as active at a near-optimal pair."""
     slack = program.b_ineq - program.a_ineq @ x
@@ -613,35 +600,29 @@ def _polish(program: ConvexProgram, sep, x, lam, bar):
     """Refine a near-optimal pair by solving the KKT system of the guessed
     active set; returns the refined pair or None when the guess fails.
 
-    Columns leave the system in closed form before lstsq: a column j
-    fixed at 0 by a tight row −s·x_j ≤ 0, s > 0, with that row,
-    whose multiplier comes from j's stationarity row; and a separable
-    column of ``sep`` (the QP step's mask), x_U = −(c_U + R_Uᵀλ)/q_U over
-    the kept rows R.  The core over the other columns W is
-    [[Q_WW, R_Wᵀ], [R_W, −R_U·diag(q_U)⁻¹·R_Uᵀ]], the whole system if
-    nothing leaves.  Massively degenerate solutions (think the zero
-    vertex with every zero-label row tight) would make this solve
-    dominate, so a system of over 600 rows before elimination is
-    skipped.  With Q_WW = 0 and U empty (an LP) the core decouples, and
-    its λ is the min-norm solution of R_Wᵀλ = −c_W, an n_kept×n_w lstsq;
-    when n_w < n_kept, R_W is well conditioned and that λ dips below
-    −``bar`` (the raw pair's worst KKT measure) by more than rounding
-    could explain, the polished pair would lose, and None is returned."""
+    The separable columns of ``sep`` (the QP step's mask) leave the
+    system in closed form before lstsq, x_U = −(c_U + R_Uᵀλ)/q_U over the
+    active rows R.  The core over the other columns W is
+    [[Q_WW, R_Wᵀ], [R_W, −R_U·diag(q_U)⁻¹·R_Uᵀ]], the whole system if U
+    is empty.  Massively degenerate solutions (think the zero vertex with
+    every zero-label row tight) would make this solve dominate, so a
+    system of over 600 rows before elimination is skipped.  With Q_WW = 0
+    and U empty (an LP) the core decouples, and its λ is the min-norm
+    solution of R_Wᵀλ = −c_W, an n_a×n_w lstsq; when n_w < n_a, R_W is
+    well conditioned and that λ dips below −``bar`` (the raw pair's worst
+    KKT measure) by more than rounding could explain, the polished pair
+    would lose, and None is returned."""
     m = program.n_vars
     active = _guess_active(program, x, lam)
     n_a = active.size
     if m + n_a > 600:
         return None
     # the active rows, all tight
-    g_a, h_a = program.a_ineq[active], program.b_ineq[active]
-    fixed, bound_rows, scales = _sign_bounds(g_a, h_a)
-    kept = np.bincount(bound_rows, minlength=n_a) == 0
-    rows = g_a[kept]
-    is_fixed = np.bincount(fixed, minlength=m) > 0
-    w, u = np.flatnonzero(~(sep | is_fixed)), np.flatnonzero(sep & ~is_fixed)
-    n_w, n_kept = w.size, rows.shape[0]
+    rows, h_a = program.a_ineq[active], program.b_ineq[active]
+    w, u = np.flatnonzero(~sep), np.flatnonzero(sep)
+    n_w = w.size
     q_ww, r_w = program.q[w][:, w], rows[:, w]
-    if 0 < n_w < n_kept and not (u.size or q_ww.any()):
+    if 0 < n_w < n_a and not (u.size or q_ww.any()):
         left, sigma, right = np.linalg.svd(r_w, full_matrices=False)
         if sigma[-1] > 1e-6 * sigma[0]:
             est = -left @ ((right @ program.c[w]) / sigma)
@@ -649,13 +630,13 @@ def _polish(program: ConvexProgram, sep, x, lam, bar):
                 return None
     q_u, r_u = program.q.diagonal()[u], rows[:, u]
     x_u0 = -program.c[u] / q_u  # x_U at λ = 0
-    # the KKT system in (x_W, the kept rows' multipliers)
-    K = np.zeros((n_w + n_kept,) * 2)
+    # the KKT system in (x_W, the active rows' multipliers)
+    K = np.zeros((n_w + n_a,) * 2)
     K[:n_w, :n_w] = q_ww
     K[:n_w, n_w:] = r_w.T
     K[n_w:, :n_w] = r_w
     K[n_w:, n_w:] -= (r_u / q_u) @ r_u.T
-    rhs = np.concatenate([-program.c[w], h_a[kept] - r_u @ x_u0])
+    rhs = np.concatenate([-program.c[w], h_a - r_u @ x_u0])
     try:
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     except np.linalg.LinAlgError:
@@ -665,12 +646,8 @@ def _polish(program: ConvexProgram, sep, x, lam, bar):
     x_new = np.zeros(m)
     x_new[w] = sol[:n_w]
     x_new[u] = x_u0 - (r_u.T @ sol[n_w:]) / q_u
-    mult = np.zeros(n_a)
-    mult[kept] = sol[n_w:]
-    # a dropped row's −s·λ balances the rest of its column's stationarity row
-    mult[bound_rows] = (program.q[fixed] @ x_new + program.c[fixed] + g_a[:, fixed].T @ mult) / scales
     lam_new = np.zeros(program.n_ineq)
-    lam_new[active] = mult
+    lam_new[active] = sol[n_w:]
     return x_new, lam_new
 
 

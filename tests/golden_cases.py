@@ -154,8 +154,9 @@ def run_acceptance_lines() -> dict:
     suite = os.path.join(os.path.dirname(os.path.abspath(__file__)), "test_acceptance.py")
     out = subprocess.run([sys.executable, "-m", "pytest", suite, "-s", "-q", "-p", "no:cacheprovider"],
                          capture_output=True, text=True, encoding="utf-8").stdout
-    # a line may follow pytest's progress dots
-    return {m.group(1): m.group(0) for m in re.finditer(r"ACCEPTANCE (.+?): .*", out)}
+    # a line may follow pytest's progress marks; a failure's traceback
+    # quotes verdict lines indented or after "E ", and those are not kept
+    return {m.group(2): m.group(1) for m in re.finditer(r"^[.sxXFE]*(ACCEPTANCE (.+?): .*)", out, re.M)}
 
 
 def main(names: list[str]) -> int:

@@ -856,7 +856,7 @@ def test_relaxation_qp_polish_matches_the_full_polish(k, n, monkeypatch):
         (rep, core), (ref, full) = _with_and_without_elimination(monkeypatch, lambda: solve(program))
         assert rep.status == ref.status == SolveStatus.OPTIMAL
         np.testing.assert_allclose(rep.x, ref.x, rtol=0.0, atol=1e-9)
-        # the n slack-sum columns leave the system, fixed or separable
+        # the n slack-sum columns, separable, leave the system
         assert len(core) == len(full) == 1 and core[0] <= full[0] - n
         # the whole fit, whose generated rows follow the polished iterates
         (fit, _), (fit_ref, _) = _with_and_without_elimination(
@@ -876,10 +876,10 @@ def test_phase1_polish_keeps_certificates_at_degenerate_vertices(monkeypatch):
                 r = model.substream(seed + 100, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
                 (cert, core), (ref, full) = _with_and_without_elimination(
                     monkeypatch, lambda: certify.check_cone_condition(gens, -r))
-                # the Farkas LP has no separable column and no sign-bound
-                # row (its box rows have b = 1), so nothing leaves the
-                # system and the certificate is the full polish's; the
-                # polish may skip its system, whose pair would lose
+                # the Farkas LP has no separable column, so nothing
+                # leaves the system and the certificate is the full
+                # polish's; the polish may skip its system, whose pair
+                # would lose
                 assert core in ([], full) and len(full) == 1
                 assert (cert.exists, cert.boundary) == (ref.exists, ref.boundary)
                 assert cert.elastic_value == ref.elastic_value
@@ -889,8 +889,7 @@ def test_phase1_polish_keeps_certificates_at_degenerate_vertices(monkeypatch):
 
 
 def test_polished_pairs_meet_stationarity_on_every_column(monkeypatch):
-    """The eliminated columns' rows too: x_U from its closed form and the
-    λ of a dropped sign-bound row from its column's stationarity row."""
+    """The eliminated columns' rows too: x_U from its closed form."""
     polished = []
     polish = qpsolve._polish
 
@@ -912,12 +911,22 @@ def test_polished_pairs_meet_stationarity_on_every_column(monkeypatch):
 
 
 def _unstructured_polish_programs():
-    """Programs with no separable column and no sign-bound row."""
+    """Programs with no separable column, so that nothing leaves the
+    polish's system, among them LPs with sign-bound rows −x_j ≤ 0:
+    criterion 8's orthant LPs, one or two of whose sign bounds are
+    active at the optimum, and the 4×2 LP of ``scripts/bitwise_diff.py``,
+    whose sign bounds are slack at its optimum (3, 1)."""
     _, ds = model.sample_planted(200, 20, 1, 3)
     r = model.substream(3, model.STREAM_PERTURBATION).standard_normal(20)
     yield "k1-relaxation-lp", relax.build(ds, 0.0, r).program
     q, c, a, b = random_feasible_qp(np.random.default_rng(71), 6, 8)
     yield "dense-qp", ConvexProgram(c=c, q=q, a_ineq=a, b_ineq=b)
+    for seed in (0, 3, 6, 11):
+        rng = np.random.default_rng(seed)
+        c, a, b = bounded_feasible_lp(rng, int(rng.integers(2, 4)))
+        yield f"orthant-lp-{seed}", ConvexProgram(c=c, a_ineq=a, b_ineq=b)
+    yield "sign-bounds-lp-4x2", ConvexProgram(
+        c=[-1.0, -2.0], a_ineq=[[1.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, -1.0]], b_ineq=[4.0, 6.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _unstructured_polish_programs()])
@@ -1015,8 +1024,9 @@ def test_lp_polish_runs_where_the_check_cannot_judge(monkeypatch):
     for s in (np.ones(5), scaled):
         assert solve(ConvexProgram(c=[-1.0, -0.1], a_ineq=g * s[:, None], b_ineq=h * s)).status == SolveStatus.OPTIMAL
     assert [skip for skip, _, _ in outcomes[20:]] == [True, False]
-    # every column fixed at 0 by a sign bound, a third row tight there:
-    # no column is left to judge
+    # both sign bounds and a third row tight at 0: R_W is 3×2 and well
+    # conditioned, its min-norm multipliers (0, 1, 1) are nonnegative,
+    # and the polish runs
     rep = solve(ConvexProgram(c=[1.0, 2.0], a_ineq=[[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 1.0]],
                               b_ineq=[0.0, 0.0, 0.0, 5.0]))
     assert rep.status == SolveStatus.OPTIMAL and not outcomes[-1][0]
