@@ -34,7 +34,10 @@ is infeasible, so the zero-cost dual decides) and 3×4 (its cost is off
 the rows' span), two degenerate Optimal LPs whose polish runs: 10×3
 with each tight row given twice (the polish is kept) and 5×2 with a
 tight row scaled by 1e6 (too ill-conditioned for the multiplier check),
-a 40×3 LP cut off at max_iter=2, and a
+two Optimal programs with fewer rows than variables whose pivoted QR
+drops a pivot at the rank cut: a 3×8 QP over the span of [Gᵀ Q], Q of
+rank 4, and a 4×7 LP whose last row repeats its first; a 40×3 LP cut
+off at max_iter=2, and a
 6×3 LP over x1 + x2 and x3, whose singular normal matrix takes the
 interior point's lstsq solve, run to Optimal and cut off at max_iter=4.
 Failure exits: the k=1 relaxation with a sample of 1e200 features,
@@ -154,7 +157,8 @@ def _small_programs():
     with fewer rows than variables; infeasible and unbounded ones of
     either shape; and an infeasible LP with a descent ray, 4×2, 5×2 and
     3×4; and degenerate ones whose polish runs, with each tight row
-    given twice and with a tight row scaled by 1e6."""
+    given twice and with a tight row scaled by 1e6; and the wide ones of
+    `_wide_rank_cut_programs`."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram
@@ -204,6 +208,32 @@ def _small_programs():
     yield "lp-row-of-1e6-5x2", ConvexProgram(
         c=[-1.0, -0.1], a_ineq=[[1.0, 0.0], [0.0, 1.0], [1e6, 1e6], [-1.0, 0.0], [0.0, -1.0]],
         b_ineq=[1.0, 1.0, 2e6, 5.0, 5.0])
+    yield from _wide_rank_cut_programs()
+
+
+def _wide_rank_cut_programs():
+    """Optimal programs with fewer rows than variables whose pivoted QR
+    of the span has a pivot that the rank cut drops: a 3×8 QP over
+    [Gᵀ Q], Q of rank 4 (a rank-2 block and two separable columns), 11
+    columns of rank 7; and a 4×7 LP whose last row repeats its first."""
+    import numpy as np
+
+    from convrelax.qpsolve import ConvexProgram
+
+    rng = np.random.default_rng(32)
+    low = rng.standard_normal((5, 2))
+    q = np.zeros((8, 8))
+    q[:5, :5] = low @ low.T
+    q[5, 5], q[6, 6] = 1.0, 2.0
+    g, x0 = rng.standard_normal((3, 8)), rng.standard_normal(8)
+    # c = Q·u − Gᵀμ, μ > 0: no feasible direction of zero curvature descends
+    yield "qp-optimal-rank-cut-3x8", ConvexProgram(
+        c=q @ rng.standard_normal(8) - g.T @ rng.uniform(0.5, 2.0, 3), q=q, a_ineq=g,
+        b_ineq=g @ x0 + rng.uniform(0.5, 2.0, 3))
+    g, x0 = rng.standard_normal((3, 7)), rng.standard_normal(7)
+    h = g @ x0 + rng.uniform(0.5, 2.0, 3)
+    yield "lp-optimal-duplicate-row-4x7", ConvexProgram(
+        c=-g.T @ rng.uniform(0.5, 1.5, 3), a_ineq=np.vstack([g, g[:1]]), b_ineq=np.append(h, h[0]))
 
 
 def _tall_lp():

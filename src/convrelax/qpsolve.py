@@ -27,17 +27,47 @@ Products made on every interior-point iteration use ``ndarray.dot``:
 on presolve's row-major rows and their transposes it makes ``@``'s
 BLAS call without the dispatch of the ``matmul`` gufunc, which costs
 more than the arithmetic here (``scripts/bitwise_diff.py`` checks bits).
+
+LAPACK comes from scipy's own extension module, ``scipy.linalg._flapack``:
+dpotrf and dpotrs for the Cholesky solves, and dgeqp3 and dorgqr for the
+pivoted QR, called as ``scipy.linalg`` calls them.  The extension is
+loaded without the ``scipy.linalg`` package, whose import would take
+over half the time of ``import convrelax`` and a third of its memory.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.linalg.lapack import dpotrf, dpotrs
+
+
+def _load_flapack():
+    """scipy's LAPACK extension, loaded from its file without running
+    ``scipy/linalg/__init__.py``, which pulls in ``numpy.f2py`` and
+    ``numpy.testing`` too.  It is registered under its own name, so that
+    ``scipy.linalg``, imported before or after, shares the module; where
+    the file is not found, the package import loads it."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, importlib.util.find_spec("scipy.linalg").submodule_search_locations)
+    if spec is None:
+        from scipy.linalg import _flapack
+        return _flapack
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 # Static Tikhonov term added to every factorized KKT/normal system.
 KKT_REGULARIZATION = 1e-10
@@ -224,7 +254,9 @@ def _normal_solver(M):
     info 0, and LAPACK's least squares does not return on it."""
     if not np.isfinite(M).all():
         return None
-    # LAPACK as scipy.linalg.cho_factor and cho_solve call it, unchecked
+    # dpotrf and dpotrs as scipy.linalg.cho_factor and cho_solve call
+    # them, without their checks: M is finite, and dpotrs fails only on
+    # an illegal argument
     factor, info = dpotrf(M, lower=False, clean=False)
     if info == 0:
         return lambda rhs: dpotrs(factor, rhs, lower=False)[0]
@@ -453,6 +485,30 @@ def _feasibility(G, h, tol, max_iter):
     return status, iters
 
 
+def _lapack(routine, *args, **kwargs):
+    """The outputs of a LAPACK routine but its work array and info, run
+    with the workspace that its lwork=-1 query asks for, as scipy's
+    ``safecall`` runs it."""
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    *out, _, info = routine(*args, lwork=lwork, **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
+    return out
+
+
+def _qr(a):
+    """(Q, R, pivots) of the economic pivoted QR of a, K = min(M, N)
+    columns of Q, bit for bit as ``scipy.linalg.qr(a, mode="economic",
+    pivoting=True)`` computes them: dgeqp3, then dorgqr on the first K
+    columns of its output, which it overwrites.  There is no finiteness
+    check: ``ConvexProgram`` rejects non-finite rows and Q."""
+    k = min(a.shape)
+    qr, jpvt, tau = _lapack(_flapack.dgeqp3, a)
+    r = np.triu(qr[:k])
+    q, = _lapack(_flapack.dorgqr, qr[:, :k], tau, overwrite_a=1)
+    return q, r, jpvt - 1
+
+
 def _solve_wide(program: ConvexProgram, tol, max_iter, sep=None):
     """Solve a program with fewer rows than variables (an LP when ``sep``
     is None) over x = V·u, V an orthonormal basis of the span of its rows
@@ -462,7 +518,7 @@ def _solve_wide(program: ConvexProgram, tol, max_iter, sep=None):
     descent ray that no row or curvature sees: unbounded iff feasible."""
     G = program.a_ineq
     spanning = G.T if sep is None else np.hstack([G.T, program.q])
-    basis, r, _ = qr(spanning, mode="economic", pivoting=True)
+    basis, r, _ = _qr(spanning)
     diag = np.abs(r.diagonal())
     V = basis[:, : np.count_nonzero(diag > max(spanning.shape) * np.finfo(float).eps * diag[0])]
     c_u = V.T @ program.c

@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +153,10 @@ def run_grid(spec: GridSpec, workers: int = 1) -> list[PhaseCell]:
     ]
     workers = min(workers, len(jobs))
     if workers > 1:
+        # the pool's import pulls in multiprocessing, socket and logging:
+        # only a grid run on more than one worker pays for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, jobs))
     else:

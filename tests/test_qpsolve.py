@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -1031,3 +1034,140 @@ def test_lp_polish_runs_where_the_check_cannot_judge(monkeypatch):
                               b_ineq=[0.0, 0.0, 0.0, 5.0]))
     assert rep.status == SolveStatus.OPTIMAL and not outcomes[-1][0]
     assert all(lost for skip, lost, _ in outcomes if skip)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK from scipy's extension, without the scipy.linalg package import
+# ---------------------------------------------------------------------------
+
+
+def _run_python(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports
+    convrelax from this tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qpsolve.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_cli_import_leaves_the_scipy_linalg_package_out():
+    loaded = _run_python(
+        "import sys\n"
+        "import convrelax.cli\n"
+        "print(*[name for name in ('scipy.linalg', 'scipy.optimize', 'numpy.f2py', 'numpy.testing',\n"
+        "                          'multiprocessing') if name in sys.modules])\n")
+    assert loaded.split() == []
+
+
+@pytest.mark.parametrize("first", ["convrelax.cli", "scipy.linalg"])
+def test_scipy_linalg_shares_the_lapack_module_in_either_order(first):
+    assert _run_python(
+        "import importlib, sys\n"
+        f"importlib.import_module({first!r})\n"
+        "import scipy.linalg.lapack\n"
+        "from convrelax import qpsolve\n"
+        "assert qpsolve._flapack is sys.modules['scipy.linalg._flapack'] is scipy.linalg.lapack._flapack\n"
+        "assert qpsolve.dpotrf is scipy.linalg.lapack.dpotrf and qpsolve.dpotrs is scipy.linalg.lapack.dpotrs\n"
+        "print('shared')\n") == "shared\n"
+
+
+def test_nnls_refit_imports_scipy_optimize_after_convrelax():
+    # the lazy import of `_nnls_multipliers`, with both active rows
+    # −x_j ≤ 0 tight at 0: −λ_1 = −1 and −λ_2 = −2
+    assert _run_python(
+        "import sys\n"
+        "from convrelax import qpsolve\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "program = qpsolve.ConvexProgram(c=[1.0, 2.0], a_ineq=[[-1.0, 0.0], [0.0, -1.0]], b_ineq=[0.0, 0.0])\n"
+        "print(*qpsolve._nnls_multipliers(program, [0.0, 0.0], [0.0, 0.0]))\n") == "1.0 2.0\n"
+
+
+# a 4×7 LP whose last row repeats its first: its rank cut drops a pivot
+_WIDE_SOLVE = """
+import numpy as np
+from convrelax.qpsolve import ConvexProgram, solve
+rng = np.random.default_rng(32)
+g = rng.standard_normal((3, 7))
+h = g @ rng.standard_normal(7) + rng.uniform(0.5, 2.0, 3)
+rep = solve(ConvexProgram(c=-g.T @ rng.uniform(0.5, 1.5, 3), a_ineq=np.vstack([g, g[:1]]),
+                          b_ineq=np.append(h, h[0])))
+print(rep.status.value, rep.x.tobytes().hex(), rep.lam.tobytes().hex())
+"""
+
+
+def test_lapack_falls_back_to_the_package_import_when_its_file_is_not_found():
+    # the extension's first lookup finds nothing; the package import's finds it
+    fallback = _run_python(
+        "import importlib.machinery, sys\n"
+        "find_spec = importlib.machinery.PathFinder.find_spec\n"
+        "missed = []\n"
+        "def find_spec_but_once(name, path=None, target=None):\n"
+        "    if name == 'scipy.linalg._flapack' and not missed:\n"
+        "        missed.append(name)\n"
+        "        return None\n"
+        "    return find_spec(name, path, target)\n"
+        "importlib.machinery.PathFinder.find_spec = find_spec_but_once\n"
+        "from convrelax import qpsolve\n"
+        "import scipy.linalg.lapack\n"
+        "assert missed and qpsolve._flapack is scipy.linalg.lapack._flapack\n"
+        "assert qpsolve.dpotrf is scipy.linalg.lapack.dpotrf\n"
+        + _WIDE_SOLVE)
+    loaded = _run_python("import sys\n" + _WIDE_SOLVE + "assert 'scipy.linalg' not in sys.modules\n")
+    assert fallback == loaded and loaded.startswith("Optimal ")
+
+
+def _qr_inputs():
+    rng = np.random.default_rng(32)
+    for m, n in ((9, 4), (4, 9), (6, 6), (1, 7), (7, 1), (1, 1)):
+        yield f"{m}x{n}", rng.standard_normal((m, n))
+    g = rng.standard_normal((5, 8))
+    yield "duplicate-columns-5x6", g[:, [0, 1, 1, 2, 0, 3]]
+    yield "rank-2-product-7x5", rng.standard_normal((7, 2)) @ rng.standard_normal((2, 5))
+    yield "rank-2-product-5x7", rng.standard_normal((5, 2)) @ rng.standard_normal((2, 7))
+    yield "zeros-3x4", np.zeros((3, 4))
+    # what `_solve_wide` passes: the transposed view Gᵀ, Gᵀ with a repeated
+    # row of G, and [Gᵀ Q] with Q of rank 3 and a separable column
+    g = rng.standard_normal((4, 9))
+    yield "G.T-9x4", g.T
+    yield "G.T-duplicate-row-9x5", np.vstack([g, g[2:3]]).T
+    low = rng.standard_normal((9, 2))
+    q = low @ low.T
+    q[8, :] = q[:, 8] = 0.0
+    q[8, 8] = 3.0
+    yield "[G.T Q]-9x13", np.hstack([g.T, q])
+
+
+@pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in _qr_inputs()])
+def test_qr_is_scipys_economic_pivoted_qr_bit_for_bit(a):
+    from scipy.linalg import qr
+
+    before = a.copy()
+    ours, theirs = qpsolve._qr(a), qr(a, mode="economic", pivoting=True)
+    for mine, scipys in zip(ours, theirs, strict=True):
+        assert (mine.dtype, mine.shape) == (scipys.dtype, scipys.shape)
+        assert mine.tobytes() == scipys.tobytes()
+    assert a.tobytes() == before.tobytes()
+
+
+def test_qr_is_scipys_on_what_the_wide_solves_pass(monkeypatch):
+    from scipy.linalg import qr
+
+    seen = []
+    monkeypatch.setattr(qpsolve, "_qr", lambda a: seen.append(a) or qr(a, mode="economic", pivoting=True))
+    rng = np.random.default_rng(33)
+    low = rng.standard_normal((5, 2))
+    q = np.zeros((8, 8))
+    q[:5, :5] = low @ low.T
+    q[5, 5] = 1.0
+    g = rng.standard_normal((3, 8))
+    h = g @ rng.standard_normal(8) + 1.0
+    reports = [solve(ConvexProgram(c=q @ rng.standard_normal(8) - g.T @ rng.uniform(0.5, 2.0, 3), q=q,
+                                   a_ineq=g, b_ineq=h)),
+               solve(ConvexProgram(c=-g.T @ rng.uniform(0.5, 2.0, 3), a_ineq=np.vstack([g, g[:1]]),
+                                   b_ineq=np.append(h, h[0])))]
+    assert [rep.status for rep in reports] == [SolveStatus.OPTIMAL] * 2
+    assert [a.shape for a in seen] == [(8, 11), (8, 4)]
+    monkeypatch.undo()
+    for a in seen:
+        for mine, scipys in zip(qpsolve._qr(a), qr(a, mode="economic", pivoting=True), strict=True):
+            assert mine.tobytes() == scipys.tobytes()

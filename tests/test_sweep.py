@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ class _RecordingPool:
 
 
 def test_run_grid_caps_the_pool_at_the_cell_count(monkeypatch):
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     one = GridSpec(n_values=(20,), d_values=(4,), k=1, trials=1, master_seed=5,
                    methods=(METHOD_RELAXATION,))
@@ -91,7 +93,7 @@ def test_run_grid_caps_the_pool_at_the_cell_count(monkeypatch):
 
 @pytest.mark.parametrize("workers", [0, -1])
 def test_run_grid_rejects_a_nonpositive_worker_count(monkeypatch, workers):
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     spec = GridSpec(n_values=(20,), d_values=(4,), k=1, trials=1)
     with pytest.raises(SweepError, match="workers must be a positive integer"):
