@@ -19,12 +19,15 @@ The panel: k=1 relaxation LPs at n=400 and n=2000 and at n=40, d=1
 rows -s·w <= 0; at seeds 0 to 2 several are active at w = 0, and their
 multipliers are not unique), the row-generated
 k=2 and k=5 relaxation LPs (one report per round), the beta=1e-3 QP at
-k=1 and row-generated at k=2 and k=5, certify's phase-1 cone program
+k=1 (n=200 and n=1000) and row-generated at k=2 (d=20 and d=40) and
+k=5, each built split (its dense part over the filter, the slack sums
+separable), certify's phase-1 cone program
 and the block-set LP that gives its primal fit and dual at k=1, 2 and 5
 and on a k=2 dataset whose dual is infeasible, presolve cases with
-duplicate, zero, -0.0 and infeasible rows, the beta=1e-3 QP at k=2 over
-all n·k slacks (no separable column) and at k=1 with its columns
-shuffled (the separable ones not last), and small LPs named by their
+duplicate, zero, -0.0 and infeasible rows, the beta=1e-3 QP given
+densely, at k=2 over all n·k slacks (no separable column) and at k=1
+with its columns shuffled (the separable ones not last, found and split
+off by the solver), and small LPs named by their
 shape (rows×variables): Optimal ones with and without sign-bound rows,
 infeasible and unbounded ones with fewer rows than variables (first
 written over their rows' span by the column presolve) and with at least
@@ -109,16 +112,14 @@ def _presolve_programs():
     yield "presolve-column-major", ConvexProgram(c=c, a_ineq=np.asfortranarray(g), b_ineq=h)
 
 
-def _coupled_qp():
-    """The beta=1e-3 relaxation at k=2 over the filter and all n·k slacks:
-    Q couples the k slacks of each sample, so no column is separable and
-    the QP step runs with none eliminated."""
+def _lifted_qp(ds, r):
+    """The beta=1e-3 relaxation over the filter and all n·k slacks, as a
+    dense program: Q couples the k slacks of each sample.  At k=1 it is
+    the dense twin of ``relax.build``'s split QP."""
     import numpy as np
 
-    from convrelax import model
     from convrelax.qpsolve import ConvexProgram
 
-    _, ds = model.sample_planted(10, 8, 2, 14)
     n, k, p = ds.n, ds.k, ds.filter_size
     nz = n * k
     slack = p + np.arange(nz)
@@ -128,22 +129,30 @@ def _coupled_qp():
     a[nz + np.arange(nz), slack] = -1.0
     q = np.zeros((p + nz, p + nz))
     q[p:, p:] = np.kron(np.eye(n), np.ones((k, k)))
-    r = model.substream(15, model.STREAM_PERTURBATION).standard_normal(p)
     c = np.concatenate([1e-3 * r, np.repeat(-ds.y, k)])
     return ConvexProgram(c=c, q=q, a_ineq=a, b_ineq=np.zeros(2 * nz))
 
 
+def _coupled_qp():
+    """The lifted QP at k=2: no column is separable, so the QP step runs
+    with none eliminated."""
+    from convrelax import model
+
+    _, ds = model.sample_planted(10, 8, 2, 14)
+    return _lifted_qp(ds, model.substream(15, model.STREAM_PERTURBATION).standard_normal(ds.filter_size))
+
+
 def _shuffled_qp():
-    """The beta=1e-3 relaxation at k=1 with its columns shuffled, so that
-    the separable columns (the slacks) are not the last ones."""
+    """The beta=1e-3 relaxation at k=1, given densely with its columns
+    shuffled, so that the separable columns (the slacks) are not the
+    last ones."""
     import numpy as np
 
-    from convrelax import model, relax
+    from convrelax import model
     from convrelax.qpsolve import ConvexProgram
 
     _, ds = model.sample_planted(30, 6, 1, 16)
-    r = model.substream(17, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
-    program = relax.build(ds, 1e-3, r).program
+    program = _lifted_qp(ds, model.substream(17, model.STREAM_PERTURBATION).standard_normal(ds.filter_size))
     perm = np.random.default_rng(18).permutation(program.n_vars)
     return ConvexProgram(c=program.c[perm], q=program.q[np.ix_(perm, perm)],
                          a_ineq=program.a_ineq[:, perm], b_ineq=program.b_ineq)
@@ -289,6 +298,9 @@ def run_panel() -> list[dict]:
         for k, n in ((2, 100), (5, 60)):
             label[0] = f"beta-qp k={k} n={n} d=20"
             relax.fit(model.sample_planted(n, 20, k, 12)[1], 1e-3, 13)
+        for k, n, d in ((1, 1000, 20), (2, 100, 40)):
+            label[0] = f"beta-qp k={k} n={n} d={d}"
+            relax.fit(model.sample_planted(n, d, k, 19)[1], 1e-3, 20)
         # the last case has fewer block rows than filter entries: its dual
         # is infeasible
         for k, n, d, seed in ((2, 120, 8, 10), (1, 80, 6, 10), (5, 60, 20, 10), (2, 4, 10, 1)):

@@ -7,7 +7,10 @@ with a row is solved through its dual by one interior point: Mehrotra
 predictor-corrector steps on the homogeneous self-dual embedding, which
 carries a QP's curvature (PSD Q) into its gap and its normal matrix
 Q + GᵀDG, factored with the separable columns (diagonal curvature, at
-most one per row) eliminated.  The embedding's τ → 0 exits certify
+most one per row) eliminated.  A QP may arrive split into its dense part
+and those columns (`Separable`), as the relaxation QP does, so that no
+dense Q or full row matrix is formed; a QP given densely is split on the
+separable columns found in it.  The embedding's τ → 0 exits certify
 infeasibility and unboundedness, an LP's and a QP's alike, only on a ray
 checked against the norms of the rows, so that scaling a row leaves the
 verdict as it is; an infeasible dual leaves a program unbounded iff its
@@ -92,7 +95,7 @@ class SolverError(RuntimeError):
 
 def _as_matrix(a, cols: int, name: str) -> np.ndarray:
     a = np.zeros((0, cols)) if a is None else np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0:
+    if a.size == 0 and a.shape[1:] != (cols,):
         a = a.reshape(0, cols)
     if not np.all(np.isfinite(a)):
         raise SolverError(f"{name} contains non-finite entries")
@@ -109,34 +112,82 @@ def _as_vector(v, name: str) -> np.ndarray:
 
 
 @dataclass
+class Separable:
+    """The separable part of a split QP: its columns U (the mask
+    ``columns`` over the variables) have diagonal curvature ``q`` > 0 and
+    no other entry of Q, and every inequality row has at most one entry
+    on U, ``coef`` at column ``col`` of U; a row without one has coef 0
+    and col |U|."""
+
+    columns: np.ndarray
+    q: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+
+
+def _check_separable(sep: Separable, m: int, rows: int) -> Separable:
+    columns = np.asarray(sep.columns)
+    if columns.dtype != bool or columns.shape != (m,):
+        raise SolverError(f"the separable columns must be a boolean mask over the {m} variables")
+    n_u = int(np.count_nonzero(columns))
+    q = _as_vector(sep.q, "the separable curvature")
+    if q.shape != (n_u,) or not np.all(q > 0.0):
+        raise SolverError("the separable curvature must be positive, one entry per separable column")
+    col, coef = np.asarray(sep.col), _as_vector(sep.coef, "the separable coefficients")
+    if col.shape != (rows,) or coef.shape != (rows,) or col.dtype.kind not in "iu":
+        raise SolverError("the separable part needs one column index and coefficient per row")
+    if np.any((col < 0) | (col > n_u)) or np.any((col == n_u) & (coef != 0.0)):
+        raise SolverError("a separable column index is out of range")
+    return Separable(columns, q, col, coef)
+
+
+def _parts(columns: np.ndarray):
+    """(W, U) of a mask of separable columns: slices when U comes last,
+    index arrays otherwise."""
+    n_w = columns.size - np.count_nonzero(columns)
+    if not columns[:n_w].any():
+        return slice(0, n_w), slice(n_w, None)
+    return np.flatnonzero(~columns), np.flatnonzero(columns)
+
+
+@dataclass
 class ConvexProgram:
-    """min ½ xᵀQx + cᵀx  s.t.  A_ineq·x ≤ b_ineq."""
+    """min ½ xᵀQx + cᵀx  s.t.  A_ineq·x ≤ b_ineq.
+
+    A QP may come split (``sep`` given, see `Separable`): then ``q`` and
+    ``a_ineq`` hold only Q_WW and the rows' part on the other columns W,
+    so that no dense (vars × vars) Q or (rows × vars) matrix is formed;
+    ``dense()`` builds its dense twin."""
 
     c: np.ndarray
     q: np.ndarray | None = None
     a_ineq: np.ndarray | None = None
     b_ineq: np.ndarray | None = None
+    sep: Separable | None = None
 
     def __post_init__(self):
         self.c = _as_vector(self.c, "c")
         m = self.c.shape[0]
         if m == 0:
             raise SolverError("program needs at least one variable")
+        n_w = m if self.sep is None else m - int(np.count_nonzero(self.sep.columns))
         if self.q is None:
-            self.q = np.zeros((m, m))
+            self.q = np.zeros((n_w, n_w))
         else:
-            self.q = _as_matrix(self.q, m, "q")
-            if self.q.shape != (m, m):
-                raise SolverError(f"q must be {m}x{m}, got {self.q.shape}")
+            self.q = _as_matrix(self.q, n_w, "q")
+            if self.q.shape != (n_w, n_w):
+                raise SolverError(f"q must be {n_w}x{n_w}, got {self.q.shape}")
             # on finite entries, allclose(q, q.T, atol=1e-12, rtol=0) at less cost
-            if np.abs(self.q - self.q.T).max() > 1e-12:
+            if self.q.size and np.abs(self.q - self.q.T).max() > 1e-12:
                 raise SolverError("q must be symmetric within 1e-12")
-        self.a_ineq = _as_matrix(self.a_ineq, m, "a_ineq")
-        if self.a_ineq.shape[1] != m:
+        self.a_ineq = _as_matrix(self.a_ineq, n_w, "a_ineq")
+        if self.a_ineq.shape[1] != n_w:
             raise SolverError("the constraint matrix must have one column per variable")
         self.b_ineq = _as_vector(self.b_ineq if self.b_ineq is not None else [], "b_ineq")
         if self.b_ineq.shape[0] != self.a_ineq.shape[0]:
             raise SolverError("a_ineq and b_ineq disagree on row count")
+        if self.sep is not None:
+            self.sep = _check_separable(self.sep, m, self.n_ineq)
 
     @property
     def n_vars(self) -> int:
@@ -153,11 +204,30 @@ class ConvexProgram:
 
     @property
     def is_lp(self) -> bool:
-        return not self.q.any()
+        return self.sep is None and not self.q.any()
 
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.q @ x + self.c @ x)
+        if self.sep is None:
+            return float(0.5 * x @ self.q @ x + self.c @ x)
+        w, u = _parts(self.sep.columns)
+        return float(0.5 * (x[w] @ self.q @ x[w] + self.sep.q @ (x[u] * x[u])) + self.c @ x)
+
+    def dense(self) -> ConvexProgram:
+        """The program with Q and A_ineq over all its variables: itself
+        unless it is split."""
+        if self.sep is None:
+            return self
+        sep, m = self.sep, self.n_vars
+        w, u = np.flatnonzero(~sep.columns), np.flatnonzero(sep.columns)
+        q = np.zeros((m, m))
+        q[np.ix_(w, w)] = self.q
+        q[u, u] = sep.q
+        a = np.zeros((self.n_ineq, m))
+        a[:, w] = self.a_ineq
+        on_u = np.flatnonzero(sep.col < u.size)
+        a[on_u, u[sep.col[on_u]]] = sep.coef[on_u]
+        return ConvexProgram(c=self.c, q=q, a_ineq=a, b_ineq=self.b_ineq)
 
 
 @dataclass
@@ -179,18 +249,38 @@ class KktSummary:
     passed: bool
 
 
+def _g_dot(program: ConvexProgram, x) -> np.ndarray:
+    """G·x, G the inequality rows."""
+    if program.sep is None:
+        return program.a_ineq @ x
+    sep = program.sep
+    w, u = _parts(sep.columns)
+    return program.a_ineq @ x[w] + sep.coef * np.append(x[u], 0.0)[sep.col]
+
+
+def _gradient(program: ConvexProgram, x, lam) -> np.ndarray:
+    """Q·x + c + Gᵀ·λ, the gradient of the Lagrangian."""
+    if program.sep is None:
+        grad = program.q @ x + program.c
+        return grad + program.a_ineq.T @ lam if program.n_ineq else grad
+    sep = program.sep
+    w, u = _parts(sep.columns)
+    grad = np.empty(program.n_vars)
+    grad[w] = program.q @ x[w] + program.c[w] + program.a_ineq.T @ lam
+    grad[u] = sep.q * x[u] + program.c[u] + np.bincount(sep.col, weights=sep.coef * lam,
+                                                          minlength=sep.q.size + 1)[:-1]
+    return grad
+
+
 def _kkt_measures(program: ConvexProgram, x, lam) -> tuple[float, float, float]:
     """(stationarity, feasibility incl. λ sign, complementarity), ∞-norms."""
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    grad = program.q @ x + program.c
-    if program.n_ineq:
-        grad = grad + program.a_ineq.T @ lam
-    stationarity = float(np.max(np.abs(grad)))
+    stationarity = float(np.max(np.abs(_gradient(program, x, lam))))
     feas = 0.0
     comp = 0.0
     if program.n_ineq:
-        slack_violation = program.a_ineq @ x - program.b_ineq
+        slack_violation = _g_dot(program, x) - program.b_ineq
         feas = max(feas, float(np.max(slack_violation)), float(np.max(-lam)))
         comp = float(np.max(np.abs(lam * slack_violation)))
     return stationarity, max(feas, 0.0), comp
@@ -224,14 +314,20 @@ def least_squares(a, b) -> np.ndarray:
 
 def _presolve(program: ConvexProgram) -> tuple[ConvexProgram, np.ndarray, bool]:
     """(the reduced program, the mask of its rows in the original,
-    whether a zero row is infeasible).  A row of ±0.0 entries is zero."""
+    whether a zero row is infeasible).  A row of ±0.0 entries is zero; a
+    split program's row is zero when its part on W is and it has no
+    entry on U."""
+    sep = program.sep
     nonzero = program.a_ineq.any(axis=1)
+    if sep is not None:
+        nonzero |= sep.coef != 0.0
     infeasible = bool(np.any(program.b_ineq[~nonzero] < 0.0))
     # a reduced program holds row-major copies, and BLAS may round a
     # product differently on another layout
     unchanged = nonzero.all() and program.a_ineq.flags.c_contiguous
     reduced = program if unchanged else replace(
-        program, a_ineq=program.a_ineq[nonzero], b_ineq=program.b_ineq[nonzero])
+        program, a_ineq=program.a_ineq[nonzero], b_ineq=program.b_ineq[nonzero],
+        sep=None if sep is None else replace(sep, col=sep.col[nonzero], coef=sep.coef[nonzero]))
     if not reduced.n_ineq and not reduced.is_lp:
         raise SolverError("a QP needs at least one nonzero inequality row")
     return reduced, nonzero, infeasible
@@ -277,7 +373,8 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
     below 1e-13.
 
     Q = 0 (an LP) unless ``kkt``, a `_SchurKkt` over the rows of Aᵀ,
-    brings a QP's curvature (Goulart and Chen, arXiv:2405.12762): r_P
+    brings a QP's curvature and its products with A, which is then None
+    (Goulart and Chen, arXiv:2405.12762): r_P
     gains −Q·y, the gap yᵀQy/τ, the τ row b − 2Q·y/τ and yᵀQy/τ², and
     ``kkt`` factors the normal matrix Q + A·diag(x/z)·Aᵀ.  A QP starts
     at y = Q⁺b, z = max(c − Aᵀy, 1); its corrector gets one refinement
@@ -287,7 +384,7 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
     active rows when multipliers are small.
     """
     tol = max(tol * 1e-2, 1e-13)
-    m, n = A.shape
+    m, n = b.shape[0], c.shape[0]
     # x and z are the halves of one buffer, and so are their directions:
     # one ratio test (the minimum over both halves is the smaller of
     # theirs) and one update cover both
@@ -298,12 +395,14 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
     neg_c = -c
-    AT = A.T
     if kkt is None:
+        AT = A.T
         # an LP's Optimal exit needs no squeeze on μ
         a_dot, at_dot, q_dot, squeeze = A.dot, AT.dot, None, math.inf
+        col_norms = lambda: np.abs(A).max(axis=0)
     else:
         a_dot, at_dot, q_dot, squeeze = kkt.gt_dot, kkt.g_dot, kkt.q_dot, 100.0 * tol
+        col_norms = kkt.row_norms
         y = kkt.q_pinv_dot(b)
         np.maximum(c - at_dot(y), 1.0, out=z)
 
@@ -335,7 +434,7 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
                 mu <= tau * max(1e-13 * tau, squeeze * min(tau, x.max()))):
             status = SolveStatus.OPTIMAL
             break
-        status = _certificate(A, q_dot, b, c, x, y, tau, 100.0 * tol)
+        status = _certificate(a_dot, at_dot, col_norms, q_dot, b, c, x, y, tau, 100.0 * tol)
         if status is not None:
             break
         status = SolveStatus.MAX_ITERATIONS
@@ -404,7 +503,7 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
             if failed:
                 status = SolveStatus.NUMERICAL_FAILURE
                 break
-        except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError):
+        except (np.linalg.LinAlgError, ZeroDivisionError):
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
@@ -420,26 +519,28 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
     return x, y, tau, status, iteration
 
 
-def _certificate(A, q_dot, b, c, x, y, tau, tol):
+def _certificate(a_dot, at_dot, col_norms, q_dot, b, c, x, y, tau, tol):
     """The status of `_hsd` that its iterate certifies, or None.  τ must
     be at most tol/100 times ‖y‖ or ‖x‖ (the iterate's scale may grow),
     and that direction a certificate within tol, measured against ‖a_j‖,
-    the largest |entry| of column j of A, so that scaling a column (a row
-    of the program on the dual route) leaves the verdict as it is: y/‖y‖
-    with aⱼᵀy ≤ tol·‖a_j‖, ‖Q·y‖∞ ≤ tol and bᵀy > tol (the first program
-    is infeasible), or x with ‖A·x‖∞ ≤ tol·Σ x_j‖a_j‖ and cᵀx <
-    −tol·|c|ᵀx (it is unbounded).  Q is 0 when ``q_dot`` is None."""
+    the largest |entry| of column j of A (``col_norms()``), so that
+    scaling a column (a row of the program on the dual route) leaves the
+    verdict as it is: y/‖y‖ with aⱼᵀy ≤ tol·‖a_j‖, ‖Q·y‖∞ ≤ tol and
+    bᵀy > tol (the first program is infeasible), or x with ‖A·x‖∞ ≤
+    tol·Σ x_j‖a_j‖ and cᵀx < −tol·|c|ᵀx (it is unbounded).  ``a_dot``
+    and ``at_dot`` are the products with A and Aᵀ; Q is 0 when ``q_dot``
+    is None."""
     norm_y, norm_x = math.sqrt(y.dot(y)), math.sqrt(x.dot(x))
     if tau > 1e-2 * tol * max(norm_y, norm_x):
         return None  # an Optimal solve never pays for the norms below
-    col_norms = np.abs(A).max(axis=0)
+    norms = col_norms()
     if tau <= 1e-2 * tol * norm_y:
         ray = y / norm_y
-        if (b.dot(ray) > tol and (A.T.dot(ray) <= tol * col_norms).all()
+        if (b.dot(ray) > tol and (at_dot(ray) <= tol * norms).all()
                 and (q_dot is None or np.abs(q_dot(ray)).max() <= tol)):
             return SolveStatus.PRIMAL_INFEASIBLE
     if (tau <= 1e-2 * tol * norm_x and c.dot(x) < -tol * np.abs(c).dot(x)
-            and np.abs(A.dot(x)).max() <= tol * col_norms.dot(x)):
+            and np.abs(a_dot(x)).max() <= tol * norms.dot(x)):
         return SolveStatus.DUAL_UNBOUNDED
     return None
 
@@ -449,25 +550,25 @@ def _certificate(A, q_dot, b, c, x, y, tau, tol):
 # ---------------------------------------------------------------------------
 
 
-def _dual_route(program: ConvexProgram, tol, max_iter, sep=None):
+def _dual_route(program: ConvexProgram, tol, max_iter):
     """Solve a program through its dual, one constraint per variable, so
-    that its normal matrix is vars×vars whatever the row count: a QP with
-    separable columns ``sep``, or an LP (``sep`` None) with no fewer rows
-    than variables.  Its statuses swap only on certificates that
+    that its normal matrix is vars×vars whatever the row count: a QP, its
+    separable part given as `Separable` or none, or an LP with no fewer
+    rows than variables.  Its statuses swap only on certificates that
     `_certificate` has checked: the dual's improving ray shows that the
     original is infeasible; an infeasible dual leaves the original a
     descent ray, so it is unbounded iff its rows are feasible
-    (`_feasibility`)."""
-    # min hᵀλ s.t. −Gᵀλ = c, λ ≥ 0; −Gᵀ stays column-major, since BLAS
-    # may round a product differently on another layout
-    A_std = -program.a_ineq.T
-    kkt = None if sep is None else _SchurKkt(program.q, A_std.T, sep)
+    (`_feasibility`, on the dense twin's rows)."""
+    # min hᵀλ s.t. −Gᵀλ = c, λ ≥ 0; an LP's −Gᵀ stays column-major, since
+    # BLAS may round a product differently on another layout; a QP's
+    # products are its `_SchurKkt`'s
+    A_std, kkt = (-program.a_ineq.T, None) if program.is_lp else (None, _SchurKkt(program))
     x, y, tau, status, iters = _hsd(A_std, program.c, program.b_ineq, tol, max_iter, kkt)
     if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
         return status, -(y / tau), x / tau, iters
     if status == SolveStatus.PRIMAL_INFEASIBLE:
         # the dual is infeasible: is the original feasible?
-        status, more = _feasibility(program.a_ineq, program.b_ineq, tol, max_iter)
+        status, more = _feasibility(program.dense().a_ineq, program.b_ineq, tol, max_iter)
         iters += more
         if status == SolveStatus.OPTIMAL:
             status = SolveStatus.DUAL_UNBOUNDED
@@ -509,15 +610,15 @@ def _qr(a):
     return q, r, jpvt - 1
 
 
-def _solve_wide(program: ConvexProgram, tol, max_iter, sep=None):
-    """Solve a program with fewer rows than variables (an LP when ``sep``
-    is None) over x = V·u, V an orthonormal basis of the span of its rows
-    and Q's (pivoted QR of [Gᵀ Q], rank by numpy's ``matrix_rank`` rule):
-    rows G·V, curvature VᵀQV, cost Vᵀc and a nonsingular normal matrix
-    on the dual route; λ maps back unchanged.  A cost off the span is a
-    descent ray that no row or curvature sees: unbounded iff feasible."""
+def _solve_wide(program: ConvexProgram, tol, max_iter):
+    """Solve a dense program with fewer rows than variables over x = V·u,
+    V an orthonormal basis of the span of its rows and Q's (pivoted QR
+    of [Gᵀ Q], rank by numpy's ``matrix_rank`` rule): rows G·V, curvature
+    VᵀQV, cost Vᵀc and a nonsingular normal matrix on the dual route; λ
+    maps back unchanged.  A cost off the span is a descent ray that no
+    row or curvature sees: unbounded iff feasible."""
     G = program.a_ineq
-    spanning = G.T if sep is None else np.hstack([G.T, program.q])
+    spanning = G.T if program.is_lp else np.hstack([G.T, program.q])
     basis, r, _ = _qr(spanning)
     diag = np.abs(r.diagonal())
     V = basis[:, : np.count_nonzero(diag > max(spanning.shape) * np.finfo(float).eps * diag[0])]
@@ -526,10 +627,10 @@ def _solve_wide(program: ConvexProgram, tol, max_iter, sep=None):
         status, iters = _feasibility(G @ V, program.b_ineq, tol, max_iter)
         status = SolveStatus.DUAL_UNBOUNDED if status == SolveStatus.OPTIMAL else status
         return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
-    q_u = None if sep is None else V.T @ program.q @ V
+    q_u = None if program.is_lp else V.T @ program.q @ V
     reduced = ConvexProgram(c=c_u, q=None if q_u is None else 0.5 * (q_u + q_u.T), a_ineq=G @ V,
                             b_ineq=program.b_ineq)
-    status, u, lam, iters = _dual_route(reduced, tol, max_iter, None if sep is None else _separable_columns(reduced))
+    status, u, lam, iters = _dual_route(_split(reduced), tol, max_iter)
     return status, V @ u, lam, iters
 
 
@@ -539,7 +640,7 @@ def _solve_wide(program: ConvexProgram, tol, max_iter, sep=None):
 
 
 def _separable_columns(program: ConvexProgram) -> np.ndarray:
-    """The separable columns U of a QP, as a mask over its columns.
+    """The separable columns U of a dense QP, as a mask over its columns.
 
     A column is separable when its diagonal entry of Q is positive and
     the rest of its row and column of Q is zero.  U must also hold at
@@ -554,31 +655,56 @@ def _separable_columns(program: ConvexProgram) -> np.ndarray:
     return sep
 
 
-class _SchurKkt:
-    """The Newton step on K = Q + GᵀDG + δI, separable columns U eliminated;
-    the dual route gives it G = Aᵀ (the QP's rows negated, K unchanged).
+def _split(program: ConvexProgram) -> ConvexProgram:
+    """A dense QP split on its `_separable_columns`; any other program
+    (an LP, a split QP, a QP with no separable column) as it is."""
+    if program.sep is not None or program.is_lp:
+        return program
+    columns = _separable_columns(program)
+    if not columns.any():
+        return program
+    w, u = np.flatnonzero(~columns), np.flatnonzero(columns)
+    G = program.a_ineq
+    on_u = (G != 0.0) & columns
+    x_col = on_u.argmax(axis=1)  # the entry's column of x (0 if none)
+    rows = np.arange(G.shape[0])
+    has = on_u[rows, x_col]
+    sep = Separable(columns, program.q.diagonal()[u], np.where(has, (np.cumsum(columns) - 1)[x_col], u.size),
+                    np.where(has, G[rows, x_col], 0.0))
+    return replace(program, q=program.q[np.ix_(w, w)], a_ineq=G[:, w], sep=sep)
 
-    G is held as dense G_w on the other columns plus one (column,
-    coefficient) entry per row on U, so the products scatter with
-    ``np.bincount``; a row without a nonzero on U has coefficient 0 and
-    the spare column n_u, a bin that is dropped.  The U-block of K is a
-    vector K_uu, and the step solves the Schur complement
-    S = K_ww − K_wu·K_uu⁻¹·K_uw by Cholesky; with U empty, S is K itself.
+
+class _SchurKkt:
+    """The Newton step on K = Q + GᵀDG + δI of a QP, its separable columns
+    U eliminated; the dual route gives it G = Aᵀ, the QP's rows negated
+    (K unchanged).
+
+    G is held as its dense part G_w on the other columns W plus one
+    (column, coefficient) entry per row on U, the split of `Separable`,
+    so the products scatter with ``np.bincount``; a row without a
+    nonzero on U has coefficient 0 and the spare column n_u, a bin that
+    is dropped.  The U-block of K is a vector K_uu, and the step solves
+    the Schur complement S = K_ww − K_wu·K_uu⁻¹·K_uw by Cholesky; with U
+    empty (a QP with no separable part), S is K itself.
     """
 
-    def __init__(self, Q: np.ndarray, G: np.ndarray, sep: np.ndarray):
-        self.w, self.u = np.flatnonzero(~sep), np.flatnonzero(sep)
-        self.n_w, self.n_u = self.w.size, self.u.size
-        self.perm = np.argsort(np.concatenate([self.w, self.u]))  # (x_W, x_U) -> x
-        self.q_ww = Q[np.ix_(self.w, self.w)]
-        self.q_u = Q.diagonal()[self.u]
-        self.g_w = G[:, self.w]
-        on_u = (G != 0.0) & sep
-        self.x_col = on_u.argmax(axis=1)  # the entry's column of x (0 if none)
-        rows = np.arange(G.shape[0])
-        has = on_u[rows, self.x_col]
-        self.coef = np.where(has, G[rows, self.x_col], 0.0)
-        self.col = np.where(has, (np.cumsum(sep) - 1)[self.x_col], self.n_u)
+    def __init__(self, program: ConvexProgram):
+        sep, rows = program.sep, program.n_ineq
+        columns = np.zeros(program.n_vars, dtype=bool) if sep is None else sep.columns
+        self.w, self.u = _parts(columns)
+        self.n_u = int(np.count_nonzero(columns))
+        self.n_w = program.n_vars - self.n_u
+        # (x_W, x_U) -> x, or None when W comes first and x_W, x_U are views
+        self.perm = None if isinstance(self.w, slice) else np.argsort(np.concatenate([self.w, self.u]))
+        self.q_ww = np.ascontiguousarray(program.q)
+        self.q_u = np.zeros(0) if sep is None else sep.q
+        # column-major: BLAS may round a product differently on another
+        # layout (scripts/bitwise_diff.py checks the bits)
+        self.g_w = np.negative(program.a_ineq, out=np.empty(program.a_ineq.shape, order="F"))
+        self.col = np.zeros(rows, dtype=int) if sep is None else sep.col
+        # 0 − a: a row off U gets +0.0
+        self.coef = np.zeros(rows) if sep is None else 0.0 - sep.coef
+        self.x_col = np.append(np.flatnonzero(columns), 0)[self.col]  # the entry's column of x (0 if none)
         # the rows with a part on W, and the bin of each entry of that part
         # in K_uw, whose rows are the columns of U and the spare column;
         # the other rows enter S through their column of U alone
@@ -587,8 +713,6 @@ class _SchurKkt:
         self.g_r, self.coef_r, self.col_r = self.g_w[self.on_w], self.coef[self.on_w], self.col[self.on_w]
         self.squares_off_w = np.where(on_w, 0.0, self.coef * self.coef)
         self.bins = (self.col_r[:, None] * self.n_w + np.arange(self.n_w)).ravel()
-        if not sep[: self.n_w].any():  # W first: views of x in place of gathers
-            self.w, self.u, self.perm = slice(0, self.n_w), slice(self.n_w, None), None
 
     def _join(self, x_w, x_u):
         x = np.concatenate((x_w, x_u))
@@ -602,6 +726,10 @@ class _SchurKkt:
 
     def gt_dot(self, v):
         return self._join(self.g_w.T.dot(v), self._on_u(self.coef * v))
+
+    def row_norms(self):
+        """The largest |entry| of each row of G."""
+        return np.maximum(np.abs(self.g_w).max(axis=1, initial=0.0), np.abs(self.coef))
 
     def q_dot(self, x):
         return self._join(self.q_ww.dot(x[self.w]), self.q_u * x[self.u])
@@ -648,19 +776,20 @@ class _SchurKkt:
 
 def _guess_active(program: ConvexProgram, x, lam) -> np.ndarray:
     """The rows taken as active at a near-optimal pair."""
-    slack = program.b_ineq - program.a_ineq @ x
+    slack = program.b_ineq - _g_dot(program, x)
     return np.flatnonzero((slack < lam) | (slack <= 1e-7 * (1.0 + np.abs(program.b_ineq))))
 
 
-def _polish(program: ConvexProgram, sep, x, lam, bar):
+def _polish(program: ConvexProgram, x, lam, bar):
     """Refine a near-optimal pair by solving the KKT system of the guessed
     active set; returns the refined pair or None when the guess fails.
 
-    The separable columns of ``sep`` (the QP step's mask) leave the
-    system in closed form before lstsq, x_U = −(c_U + R_Uᵀλ)/q_U over the
-    active rows R.  The core over the other columns W is
+    The separable columns U of a split program leave the system in
+    closed form before lstsq, x_U = −(c_U + R_Uᵀλ)/q_U over the active
+    rows R.  The core over the other columns W is
     [[Q_WW, R_Wᵀ], [R_W, −R_U·diag(q_U)⁻¹·R_Uᵀ]], the whole system if U
-    is empty.  Massively degenerate solutions (think the zero vertex with
+    is empty; its lower block is nonzero only between rows on one column
+    of U, each row having one entry there at most.  Massively degenerate solutions (think the zero vertex with
     every zero-label row tight) would make this solve dominate, so a
     system of over 600 rows before elimination is skipped.  With Q_WW = 0
     and U empty (an LP) the core decouples, and its λ is the min-norm
@@ -673,26 +802,30 @@ def _polish(program: ConvexProgram, sep, x, lam, bar):
     n_a = active.size
     if m + n_a > 600:
         return None
-    # the active rows, all tight
-    rows, h_a = program.a_ineq[active], program.b_ineq[active]
-    w, u = np.flatnonzero(~sep), np.flatnonzero(sep)
-    n_w = w.size
-    q_ww, r_w = program.q[w][:, w], rows[:, w]
-    if 0 < n_w < n_a and not (u.size or q_ww.any()):
+    # the active rows, all tight: R_W, and on U each one's column and entry
+    r_w, h_a = program.a_ineq[active], program.b_ineq[active]
+    sep = program.sep
+    n_w, q_ww = r_w.shape[1], program.q
+    w, u = (slice(None), None) if sep is None else _parts(sep.columns)
+    c_w = program.c[w]
+    if 0 < n_w < n_a and program.is_lp:
         left, sigma, right = np.linalg.svd(r_w, full_matrices=False)
         if sigma[-1] > 1e-6 * sigma[0]:
-            est = -left @ ((right @ program.c[w]) / sigma)
+            est = -left @ ((right @ c_w) / sigma)
             if est.min() < -(bar + 1e-6 * max(1.0, np.abs(est).max())):
                 return None
-    q_u, r_u = program.q.diagonal()[u], rows[:, u]
-    x_u0 = -program.c[u] / q_u  # x_U at λ = 0
     # the KKT system in (x_W, the active rows' multipliers)
     K = np.zeros((n_w + n_a,) * 2)
     K[:n_w, :n_w] = q_ww
     K[:n_w, n_w:] = r_w.T
     K[n_w:, :n_w] = r_w
-    K[n_w:, n_w:] -= (r_u / q_u) @ r_u.T
-    rhs = np.concatenate([-program.c[w], h_a - r_u @ x_u0])
+    rhs = np.concatenate([-c_w, h_a])
+    if sep is not None:
+        col, coef = sep.col[active], sep.coef[active]
+        x_u0 = -program.c[u] / sep.q  # x_U at λ = 0; the spare column's 0 follows
+        scaled = coef / np.append(sep.q, 1.0)[col]
+        K[n_w:, n_w:] -= np.where(col[:, None] == col, scaled[:, None] * coef, 0.0)
+        rhs[n_w:] -= coef * np.append(x_u0, 0.0)[col]
     try:
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     except np.linalg.LinAlgError:
@@ -701,7 +834,8 @@ def _polish(program: ConvexProgram, sep, x, lam, bar):
         return None
     x_new = np.zeros(m)
     x_new[w] = sol[:n_w]
-    x_new[u] = x_u0 - (r_u.T @ sol[n_w:]) / q_u
+    if sep is not None:
+        x_new[u] = x_u0 - np.bincount(col, weights=coef * sol[n_w:], minlength=sep.q.size + 1)[:-1] / sep.q
     lam_new = np.zeros(program.n_ineq)
     lam_new[active] = sol[n_w:]
     return x_new, lam_new
@@ -727,7 +861,7 @@ def _nnls_multipliers(program: ConvexProgram, x, lam):
     return refit
 
 
-def _refine(program: ConvexProgram, sep, status, x, lam, tol):
+def _refine(program: ConvexProgram, status, x, lam, tol):
     """Apply the polish when optimal and keep whichever pair is cleaner;
     returns the pair and its KKT measures (None when not optimal).
 
@@ -739,7 +873,7 @@ def _refine(program: ConvexProgram, sep, status, x, lam, tol):
     if status != SolveStatus.OPTIMAL:
         return x, lam, None
     measures = _kkt_measures(program, x, lam)
-    candidate = _polish(program, sep, x, lam, max(measures))
+    candidate = _polish(program, x, lam, max(measures))
     if candidate is not None:
         polished = _kkt_measures(program, *candidate)
         if max(polished) < max(measures):
@@ -772,8 +906,8 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
     checked; the iteration cap and numerical breakdowns are reported
     through the status field, never as exceptions.
 
-    Every constraint is an inequality row, for LPs and QPs alike.  Any
-    LP is accepted.  A QP is accepted only if, after presolve drops its
+    Every constraint is an inequality row, for LPs and QPs alike, and a
+    QP may be given densely or split (`Separable`).  Any LP is accepted.  A QP is accepted only if, after presolve drops its
     zero rows, it has at least one inequality row; any other QP, like a
     malformed ``tol`` or ``max_iter``, raises ``SolverError``.  Presolve
     drops nothing else: duplicate rows are solved as given, and their
@@ -784,23 +918,28 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
     if max_iter < 1:
         raise SolverError("max_iter must be positive")
 
-    red, keep, infeasible = _presolve(program)
-    if infeasible:
-        zeros = (np.zeros(program.n_vars), np.zeros(program.n_ineq))
-        return _finalize(program, SolveStatus.PRIMAL_INFEASIBLE, *zeros, 0, tol)
+    # numpy's floating-point errors are the interior point's to turn into
+    # a status: none reaches the caller as a warning or an exception,
+    # whatever the caller's np.seterr
+    with np.errstate(all="ignore"):
+        red, keep, infeasible = _presolve(program)
+        if infeasible:
+            zeros = (np.zeros(program.n_vars), np.zeros(program.n_ineq))
+            return _finalize(program, SolveStatus.PRIMAL_INFEASIBLE, *zeros, 0, tol)
 
-    if red.is_lp and not red.n_ineq:
-        # with no row every x is feasible: the optimum is 0 iff c is zero
-        status = SolveStatus.OPTIMAL if not red.c.any() else SolveStatus.DUAL_UNBOUNDED
-        return _finalize(program, status, np.zeros(program.n_vars), np.zeros(program.n_ineq), 0, tol)
-    sep = None if red.is_lp else _separable_columns(red)
-    route = _solve_wide if red.n_ineq < red.n_vars else _dual_route
-    status, x, lam_red, iters = route(red, tol, max_iter, sep)
-    if sep is None:
-        sep = np.zeros(red.n_vars, dtype=bool)
+        if red.is_lp and not red.n_ineq:
+            # with no row every x is feasible: the optimum is 0 iff c is zero
+            status = SolveStatus.OPTIMAL if not red.c.any() else SolveStatus.DUAL_UNBOUNDED
+            return _finalize(program, status, np.zeros(program.n_vars), np.zeros(program.n_ineq), 0, tol)
+        split = _split(red)
+        if red.n_ineq < red.n_vars:
+            # a program this small may take its dense twin
+            status, x, lam_red, iters = _solve_wide(red.dense(), tol, max_iter)
+        else:
+            status, x, lam_red, iters = _dual_route(split, tol, max_iter)
 
-    x, lam_red, measures = _refine(red, sep, status, x, lam_red, tol)
-    lam = np.zeros(program.n_ineq)
-    lam[keep] = lam_red
-    # with every row kept, the measures on red are those on program
-    return _finalize(program, status, x, lam, iters, tol, measures if red is program else None)
+        x, lam_red, measures = _refine(split, status, x, lam_red, tol)
+        lam = np.zeros(program.n_ineq)
+        lam[keep] = lam_red
+        # with every row kept, the measures on split are those on program
+        return _finalize(program, status, x, lam, iters, tol, measures if split is program else None)

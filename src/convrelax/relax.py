@@ -135,8 +135,11 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     Its rows are the n·k singleton sets in the sample-major order of
     ``dataset.blocks()``.  beta > 0 builds the QP over (w, u), cost
     (beta·r, −y) and curvature I on u, with rows X_ij·w − uᵢ ≤ 0, then
-    −u ≤ 0.  beta == 0 builds the LP over w, cost r, with rows
-    X_ij·w ≤ yᵢ, then at k>1 the empty-set row of each negative label.
+    −u ≤ 0, split (``qpsolve.Separable``): its dense part is the rows'
+    X_ij or 0 on w, and the u columns are separable, each row holding
+    −1 on its sample's uᵢ.  beta == 0 builds the LP over w, cost r,
+    with rows X_ij·w ≤ yᵢ, then at k>1 the empty-set row of each
+    negative label.
     """
     if not 0.0 <= beta < math.inf:
         raise RelaxError("beta must be nonnegative and finite")
@@ -155,14 +158,11 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
         b_ineq = np.concatenate([np.repeat(y, k), y[empty]])
         return RelaxationInstance(beta, r, ConvexProgram(c=c, a_ineq=a_ineq, b_ineq=b_ineq))
 
-    m = p + n
-    a_ineq = np.zeros((nz + n, m))
-    a_ineq[:nz, :p] = xb.reshape(nz, p)
-    a_ineq[np.arange(nz), p + np.repeat(np.arange(n), k)] = -1.0
-    a_ineq[nz + np.arange(n), p + np.arange(n)] = -1.0
-    q = np.zeros((m, m))
-    q[p + np.arange(n), p + np.arange(n)] = 1.0
-    program = ConvexProgram(c=c, q=q, a_ineq=a_ineq, b_ineq=np.zeros(nz + n))
+    a_w = np.vstack([xb.reshape(nz, p), np.zeros((n, p))])
+    sep = qpsolve.Separable(columns=np.arange(p + n) >= p, q=np.ones(n),
+                            col=np.concatenate([np.repeat(np.arange(n), k), np.arange(n)]),
+                            coef=np.full(nz + n, -1.0))
+    program = ConvexProgram(c=c, a_ineq=a_w, b_ineq=np.zeros(nz + n), sep=sep)
     return RelaxationInstance(beta, r, program)
 
 
@@ -198,7 +198,7 @@ def block_set_lp(dataset: Dataset, program: ConvexProgram) -> tuple[SolveReport,
     """
     xb, y = dataset.blocks(), dataset.y
     n, k, p = xb.shape
-    with_u = program.n_vars > p  # the QP over (w, u)
+    with_u = program.sep is not None  # the split QP over (w, u)
     # the QP's rows −uᵢ ≤ 0 are the empty-set rows of every sample
     empty = np.arange(n) if with_u else _empty_set_samples(y, k)
     sample = np.concatenate([np.repeat(np.arange(n), k), empty])
@@ -215,11 +215,11 @@ def block_set_lp(dataset: Dataset, program: ConvexProgram) -> tuple[SolveReport,
         if new.size == 0:
             return report, sample, blocks
         rows = (xb[new] * pos[new, :, None]).sum(axis=1)
-        if with_u:
-            rows = np.hstack([rows, np.zeros((new.size, n))])
-            rows[np.arange(new.size), p + new] = -1.0
         # a shallow copy skips re-validating the program for finite new rows
         program = copy.copy(program)
+        if with_u:  # each new row's −uᵢ
+            program.sep = dataclasses.replace(program.sep, col=np.concatenate([program.sep.col, new]),
+                                              coef=np.concatenate([program.sep.coef, np.full(new.size, -1.0)]))
         program.a_ineq = np.vstack([program.a_ineq, rows])
         program.b_ineq = np.concatenate([program.b_ineq, np.zeros(new.size) if with_u else y[new]])
         sample = np.concatenate([sample, new])

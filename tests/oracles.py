@@ -183,12 +183,13 @@ def lifted_qp(dataset, beta, r):
     return ConvexProgram(c=c, q=q, a_ineq=np.vstack([a_resp, a_nonneg]), b_ineq=np.zeros(2 * nz))
 
 
-def full_polish(program, sep, x, lam, bar):
+def full_polish(program, x, lam, bar):
     """The active-set polish over the whole KKT system, in the call
     signature of ``qpsolve._polish``, which it replaces in tests: the
-    (x, λ on the guessed active rows) system with those rows tight,
-    solved by one lstsq with no column eliminated (``sep`` and ``bar``
-    unused, so it never skips a system)."""
+    (x, λ on the guessed active rows) system with those rows tight, on
+    the program's dense twin, solved by one lstsq with no column
+    eliminated (``bar`` unused, so it never skips a system)."""
+    program = program.dense()
     m, p = program.n_vars, program.n_ineq
     if p:
         slack = program.b_ineq - program.a_ineq @ x

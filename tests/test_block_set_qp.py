@@ -12,6 +12,8 @@ Also checked: the QP ends Optimal at weights β from 1e-3 to 10, and it
 ends DualUnbounded exactly when HiGHS finds the β=0 LP unbounded.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,8 +121,61 @@ def test_k1_program_is_the_lifted_matrix():
     ds, beta, r, _ = _dataset(PANEL[0])
     assert ds.k == 1
     program, lifted = relax.build(ds, beta, r).program, lifted_qp(ds, beta, r)
+    # its dense twin is the lifted matrix, and the split that solve finds
+    # on the lifted matrix is the one it is built with
+    dense, found = program.dense(), qpsolve._split(lifted)
     for name in ("c", "q", "a_ineq", "b_ineq"):
-        np.testing.assert_array_equal(getattr(program, name), getattr(lifted, name))
+        np.testing.assert_array_equal(getattr(dense, name), getattr(lifted, name))
+        np.testing.assert_array_equal(getattr(program, name), getattr(found, name))
+    for name in ("columns", "q", "col", "coef"):
+        np.testing.assert_array_equal(getattr(program.sep, name), getattr(found.sep, name))
+
+
+def _solved_rounds(monkeypatch, ds, program):
+    """(program, report) of every solve that ``block_set_lp`` makes."""
+    rounds = []
+    solve = qpsolve.solve
+
+    def recording(program, *args, **kwargs):
+        report = solve(program, *args, **kwargs)
+        rounds.append((program, report))
+        return report
+
+    monkeypatch.setattr(qpsolve, "solve", recording)
+    relax.block_set_lp(ds, program)
+    monkeypatch.setattr(qpsolve, "solve", solve)
+    return rounds
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1.0])
+@pytest.mark.parametrize("k, n, d", [(1, 60, 10), (2, 40, 16)])
+def test_split_qp_matches_its_dense_twin(k, n, d, beta, monkeypatch):
+    # every round, the appended rows of the second one on included
+    _, ds = sample_planted(n, d, k, 41)
+    r = substream(42, STREAM_PERTURBATION).standard_normal(ds.filter_size)
+    rounds = _solved_rounds(monkeypatch, ds, relax.build(ds, beta, r).program)
+    assert len(rounds) >= (2 if k > 1 else 1)
+    for program, report in rounds:
+        assert program.sep is not None and program.a_ineq.shape == (program.n_ineq, ds.filter_size)
+        twin = qpsolve.solve(program.dense())
+        assert report.status == twin.status == SolveStatus.OPTIMAL
+        assert report.iterations == twin.iterations
+        np.testing.assert_allclose(report.x, twin.x, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(report.lam, twin.lam, rtol=0.0, atol=1e-9)
+
+
+def test_large_qp_fit_forms_no_dense_matrix():
+    # (p + n)² curvature alone would take 32 MB here, and the dense
+    # (nk + n) × (p + n) rows 64 MB
+    _, ds = sample_planted(2000, 20, 1, 43)
+    tracemalloc.start()
+    try:
+        fit = relax.fit(ds, 1e-3, 44)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.report.status == SolveStatus.OPTIMAL
+    assert peak <= 10e6
 
 
 def test_fit_amplified_picks_the_lifted_winner():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,22 @@ def test_hsd_iteration_cap_is_max_iterations(program):
     assert np.all(np.isfinite(rep.x)) and np.all(np.isfinite(rep.lam))
 
 
+def test_overflow_ends_numerical_failure_without_a_warning():
+    # every row of a feasible, bounded 40×3 LP multiplied by 1e200: its
+    # normal matrix overflows; the solver's report is the outcome, with no
+    # numpy warning on its way and none raised under the caller's seterr
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((40, 3))
+    b = a @ rng.standard_normal(3) + rng.uniform(0.1, 1.0, 40)
+    program = ConvexProgram(c=rng.standard_normal(3), a_ineq=a * 1e200, b_ineq=b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = solve(program)
+        assert rep.status == SolveStatus.NUMERICAL_FAILURE
+        with np.errstate(all="raise"):
+            assert _report_bits(solve(program)) == _report_bits(rep)
+
+
 def test_optimal_claim_that_misses_tol_is_downgraded(monkeypatch):
     # the embedding claims Optimal after one step and the polish gives up:
     # the recomputed KKT residuals decide the status
@@ -364,7 +381,9 @@ def test_duplicate_rows_are_solved_as_given(program):
     # inactive row twice, shuffled; ``origin`` maps each row to its original
     extra = np.concatenate([active[:3], active[:1], inactive[:1]])
     origin = np.random.default_rng(4).permutation(np.concatenate([np.arange(program.n_ineq), extra]))
-    dup = ConvexProgram(c=program.c, q=program.q, a_ineq=program.a_ineq[origin], b_ineq=program.b_ineq[origin])
+    # rows of the dense twin: a split QP's duplicates are split again by solve
+    full = program.dense()
+    dup = ConvexProgram(c=full.c, q=full.q, a_ineq=full.a_ineq[origin], b_ineq=full.b_ineq[origin])
     # the duplicates leave the route unchanged
     assert (dup.n_ineq < dup.n_vars) == (program.n_ineq < program.n_vars)
     rep = solve(dup)
@@ -688,11 +707,11 @@ def test_random_lps_match_highs(make):
 
 def _unstructured_solve(monkeypatch, program):
     """The report of the QP step with no column eliminated, the reference
-    for the Schur step: ``solve`` with separable-column detection
-    switched off."""
+    for the Schur step: ``solve`` on the program's dense twin with
+    separable-column detection switched off."""
     with monkeypatch.context() as patch:
         patch.setattr(qpsolve, "_separable_columns", lambda program: np.zeros(program.n_vars, dtype=bool))
-        return solve(program)
+        return solve(program.dense())
 
 
 def _report_bits(report: SolveReport) -> bytes:
@@ -800,9 +819,36 @@ def test_programs_without_the_structure_take_the_dense_step(program, monkeypatch
 def test_relaxation_qp_takes_the_schur_step():
     _, ds = model.sample_planted(30, 8, 2, 3)
     program = relax.build(ds, 1e-3, np.ones(4)).program
-    sep = qpsolve._separable_columns(program)
-    kkt = qpsolve._SchurKkt(program.q, program.a_ineq, sep)
+    # built split, as detection on its dense twin would split it
+    assert program.sep is not None
+    np.testing.assert_array_equal(program.sep.columns, qpsolve._separable_columns(program.dense()))
+    kkt = qpsolve._SchurKkt(program)
     assert kkt.n_w == 4 and kkt.n_u == 30
+
+
+def test_split_program_is_checked_and_presolved():
+    sep = qpsolve.Separable(columns=np.array([False, True, True]), q=np.array([1.0, 2.0]),
+                            col=np.array([0, 2, 1]), coef=np.array([-1.0, 0.0, 3.0]))
+    rows = np.array([[1.0], [0.0], [0.0]])
+    program = ConvexProgram(c=[1.0, -1.0, 0.5], q=[[0.0]], a_ineq=rows, b_ineq=[0.0, 1.0, 2.0], sep=sep)
+    dense = program.dense()
+    np.testing.assert_array_equal(dense.q, np.diag([0.0, 1.0, 2.0]))
+    np.testing.assert_array_equal(dense.a_ineq, [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    x = np.array([0.5, -2.0, 3.0])
+    assert program.objective(x) == dense.objective(x)
+    # the middle row has no part on W and no entry on U: presolve drops it
+    reduced, keep, infeasible = _presolve(program)
+    assert keep.tolist() == [True, False, True] and not infeasible
+    np.testing.assert_array_equal(reduced.dense().a_ineq, dense.a_ineq[keep])
+    assert _report_bits(solve(program)) == _report_bits(solve(dense))
+    bad_parts = {"columns": np.array([1, 0, 1]), "q": np.array([1.0, 0.0]), "col": np.array([0, 3, 1]),
+                 "coef": np.array([-1.0, 1.0, 3.0])}
+    for name, value in bad_parts.items():
+        with pytest.raises(SolverError):
+            ConvexProgram(c=program.c, q=program.q, a_ineq=rows, b_ineq=program.b_ineq,
+                          sep=qpsolve.Separable(**{**vars(sep), name: value}))
+    with pytest.raises(SolverError, match="q must be 1x1"):
+        ConvexProgram(c=program.c, q=np.eye(3), a_ineq=rows, b_ineq=program.b_ineq, sep=sep)
 
 
 def _rejected_qps():
@@ -952,14 +998,14 @@ def _lp_polish_outcomes(monkeypatch):
     outcomes = []
     polish = qpsolve._polish
 
-    def recording(program, sep, x, lam, bar):
-        candidate = polish(program, sep, x, lam, bar)
+    def recording(program, x, lam, bar):
+        candidate = polish(program, x, lam, bar)
         if program.is_lp:
-            unchecked = polish(program, sep, x, lam, np.inf)
+            unchecked = polish(program, x, lam, np.inf)
             if candidate is not None:
                 # a polish the check lets run is the polish without it
                 assert [a.tobytes() for a in candidate] == [a.tobytes() for a in unchecked]
-            pairs = (unchecked,) if candidate is not None else (unchecked, full_polish(program, sep, x, lam, bar))
+            pairs = (unchecked,) if candidate is not None else (unchecked, full_polish(program, x, lam, bar))
             lost = [pair is None or max(qpsolve._kkt_measures(program, *pair)) >= bar for pair in pairs]
             outcomes.append((candidate is None and unchecked is not None, all(lost), not lost[0]))
         return candidate

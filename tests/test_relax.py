@@ -278,7 +278,7 @@ def test_truth_is_feasible_in_every_built_instance():
             point = np.concatenate([pm.w_star, u_true])
         else:
             point = pm.w_star
-        prog = inst.program
+        prog = inst.program.dense()
         assert np.max(prog.a_ineq @ point - prog.b_ineq) <= 1e-12
 
 
