@@ -51,9 +51,11 @@ each DualUnbounded; the 40×3 LP with every row multiplied by
 same LP with row 0 and b_0 multiplied by 1e50 and by 1e100, whose
 verdict must not depend on that scale; and the beta=1e-3 QP at k=1 cut
 off at max_iter=2.  Last, the k=1
-relaxation LP at n=2000, d=20 of the sweep-k1 benchmark trial at
---seed 13, whose kept multipliers miss tol until they are refitted on
-the active rows.
+relaxation LP at n=400, d=20 on features given as a strided view
+(every other column of a wider array), whose rows are copied
+row-major, and the k=1 relaxation LP at n=2000, d=20 of the sweep-k1
+benchmark trial at --seed 13, whose kept multipliers miss tol until
+they are refitted on the active rows.
 
 The script also compares the stdout bytes and the exit code of
 ``convrelax fit --json`` and ``convrelax certify --json``, run in
@@ -348,6 +350,13 @@ def run_panel() -> list[dict]:
         _, ds = model.sample_planted(200, 20, 1, 8)
         r = model.substream(9, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
         qpsolve.solve(relax.build(ds, 1e-3, r).program, max_iter=2)
+        # the planted features as every other column of a wider array,
+        # which build copies row-major
+        label[0] = "k1-lp strided features n=400 d=20"
+        _, ds = model.sample_planted(400, 20, 1, 41)
+        wide = np.zeros((ds.n, 2 * ds.d))
+        wide[:, ::2] = ds.x
+        relax.fit(model.Dataset(wide[:, ::2], ds.y, 1), 0.0, 42)
         label[0] = "k1-lp refitted multipliers n=2000 d=20"
         seed = sweep.cell_trial_seed(2788924227, sweep.METHOD_RELAXATION, 2000, 20, 0)
         relax.fit(model.sample_planted(2000, 20, 1, seed)[1], 0.0, seed)

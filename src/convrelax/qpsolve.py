@@ -471,7 +471,6 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
             # stage 0, the predictor, has γ = 0: η = 1 leaves the residuals as they are
             rhatp, rhatd, rhatg = r_P, r_D, r_G
             gamma = 0.0
-            failed = False
             x_times_z = x * z
             for stage in range(2):
                 rhatxs = gamma * mu - x_times_z
@@ -481,10 +480,9 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
                     rhatp, rhatd, rhatg = eta * r_P, eta * r_D, eta * r_G
                     rhatxs -= d_x * d_z
                     rhattk = rhattk - d_tau * d_kappa
+                # a non-finite u or v makes d_τ, then x, non-finite: the
+                # test on x that ends the iteration ends the solve
                 u, v = sym_solve(rhatd - rhatxs / x, rhatp)
-                if not (np.isfinite(u).all() and np.isfinite(v).all()):
-                    failed = True
-                    break
                 d_tau = (rhatg + rhattk / tau - (neg_c.dot(u) + b_tau.dot(v))) / denom_base
                 np.add(u, np.multiply(p, d_tau, out=d_x), out=d_x)
                 d_y = v + q * d_tau
@@ -500,10 +498,7 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
                 if d_kappa < 0:
                     alpha = min(alpha, kappa / -d_kappa)
                 gamma = (1.0 - alpha) ** 2 * min(0.1, 1.0 - alpha)
-            if failed:
-                status = SolveStatus.NUMERICAL_FAILURE
-                break
-        except (np.linalg.LinAlgError, ZeroDivisionError):
+        except np.linalg.LinAlgError:
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
@@ -558,14 +553,16 @@ def _dual_route(program: ConvexProgram, tol, max_iter):
     `_certificate` has checked: the dual's improving ray shows that the
     original is infeasible; an infeasible dual leaves the original a
     descent ray, so it is unbounded iff its rows are feasible
-    (`_feasibility`, on the dense twin's rows)."""
-    # min hᵀλ s.t. −Gᵀλ = c, λ ≥ 0; an LP's −Gᵀ stays column-major, since
-    # BLAS may round a product differently on another layout; a QP's
-    # products are its `_SchurKkt`'s
-    A_std, kkt = (-program.a_ineq.T, None) if program.is_lp else (None, _SchurKkt(program))
-    x, y, tau, status, iters = _hsd(A_std, program.c, program.b_ineq, tol, max_iter, kkt)
+    (`_feasibility`, on the dense twin's rows).
+
+    The dual is min hᵀλ s.t. Gᵀλ = −c, λ ≥ 0, on the rows as given: an
+    LP's A is the view Gᵀ of its rows, column-major (BLAS may round a
+    product differently on another layout), and a QP's products are its
+    `_SchurKkt`'s; the dual's y/τ is the primal x."""
+    A_std, kkt = (program.a_ineq.T, None) if program.is_lp else (None, _SchurKkt(program))
+    x, y, tau, status, iters = _hsd(A_std, -program.c, program.b_ineq, tol, max_iter, kkt)
     if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
-        return status, -(y / tau), x / tau, iters
+        return status, y / tau, x / tau, iters
     if status == SolveStatus.PRIMAL_INFEASIBLE:
         # the dual is infeasible: is the original feasible?
         status, more = _feasibility(program.dense().a_ineq, program.b_ineq, tol, max_iter)
@@ -676,8 +673,7 @@ def _split(program: ConvexProgram) -> ConvexProgram:
 
 class _SchurKkt:
     """The Newton step on K = Q + GᵀDG + δI of a QP, its separable columns
-    U eliminated; the dual route gives it G = Aᵀ, the QP's rows negated
-    (K unchanged).
+    U eliminated; the dual route gives it G = Aᵀ, the QP's rows as given.
 
     G is held as its dense part G_w on the other columns W plus one
     (column, coefficient) entry per row on U, the split of `Separable`,
@@ -700,10 +696,9 @@ class _SchurKkt:
         self.q_u = np.zeros(0) if sep is None else sep.q
         # column-major: BLAS may round a product differently on another
         # layout (scripts/bitwise_diff.py checks the bits)
-        self.g_w = np.negative(program.a_ineq, out=np.empty(program.a_ineq.shape, order="F"))
+        self.g_w = np.asfortranarray(program.a_ineq)
         self.col = np.zeros(rows, dtype=int) if sep is None else sep.col
-        # 0 − a: a row off U gets +0.0
-        self.coef = np.zeros(rows) if sep is None else 0.0 - sep.coef
+        self.coef = np.zeros(rows) if sep is None else sep.coef
         self.x_col = np.append(np.flatnonzero(columns), 0)[self.col]  # the entry's column of x (0 if none)
         # the rows with a part on W, and the bin of each entry of that part
         # in K_uw, whose rows are the columns of U and the spare column;

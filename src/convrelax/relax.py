@@ -139,7 +139,10 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     X_ij or 0 on w, and the u columns are separable, each row holding
     −1 on its sample's uᵢ.  beta == 0 builds the LP over w, cost r,
     with rows X_ij·w ≤ yᵢ, then at k>1 the empty-set row of each
-    negative label.
+    negative label.  Without such a row (always at k=1) the LP's rows
+    are ``dataset.x`` itself, a view, unless x is not row-major: then
+    they are its row-major copy, the layout the solver's products and
+    the report's residuals are measured on.
     """
     if not 0.0 <= beta < math.inf:
         raise RelaxError("beta must be nonnegative and finite")
@@ -154,7 +157,8 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     nz = n * k
     if beta == 0.0:
         empty = _empty_set_samples(y, k)
-        a_ineq = np.vstack([xb.reshape(nz, p), np.zeros((empty.size, p))])
+        rows = xb.reshape(nz, p)
+        a_ineq = np.vstack([rows, np.zeros((empty.size, p))]) if empty.size else np.ascontiguousarray(rows)
         b_ineq = np.concatenate([np.repeat(y, k), y[empty]])
         return RelaxationInstance(beta, r, ConvexProgram(c=c, a_ineq=a_ineq, b_ineq=b_ineq))
 

@@ -281,6 +281,39 @@ def test_overflow_ends_numerical_failure_without_a_warning():
             assert _report_bits(solve(program)) == _report_bits(rep)
 
 
+def _nan_step_programs():
+    """(name, program, normal-matrix solves per iteration): an LP makes
+    one for (p, q) and one per stage; the relaxation QP refines its
+    corrector with one more."""
+    yield "tall-lp", dict(_short_and_tall_lps())["tall"], 3
+    _, ds = model.sample_planted(40, 5, 1, 3)
+    yield "relaxation-qp", relax.build(ds, 1e-3, np.ones(5)).program, 4
+
+
+@pytest.mark.parametrize("program, per_iter", [pytest.param(p, n, id=name) for name, p, n in _nan_step_programs()])
+def test_non_finite_step_ends_numerical_failure_at_its_iteration(program, per_iter, monkeypatch):
+    # one normal-matrix solve returns NaN: whichever of the iteration's
+    # solves it is, the solve ends NumericalFailure in that iteration
+    ref = solve(program)
+    assert ref.status == SolveStatus.OPTIMAL and ref.iterations > 3
+    dpotrs = qpsolve.dpotrs
+    for call in range(per_iter + 1, 3 * per_iter + 1):
+        calls = [0]
+
+        def nan_on_one_call(*args, **kwargs):
+            out, info = dpotrs(*args, **kwargs)
+            calls[0] += 1
+            return (np.full_like(out, np.nan) if calls[0] == call else out), info
+
+        monkeypatch.setattr(qpsolve, "dpotrs", nan_on_one_call)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(program)
+        assert rep.status == SolveStatus.NUMERICAL_FAILURE, call
+        assert rep.iterations == (call - 1) // per_iter + 1, call
+        assert not rep.x.any() and not rep.lam.any()
+
+
 def test_optimal_claim_that_misses_tol_is_downgraded(monkeypatch):
     # the embedding claims Optimal after one step and the polish gives up:
     # the recomputed KKT residuals decide the status

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,3 +344,43 @@ def test_fit_result_json_round_trip():
     }
     assert data["best"]["report"]["status"] == "Optimal"
     assert len(data["trials"]) == 2
+
+
+def test_lp_rows_are_a_view_of_the_features():
+    # without an empty-set row to append (always at k=1, and at k>1 when
+    # no label is negative) the LP's rows are the features themselves
+    for k in (1, 2):
+        _, ds = sample_planted(40, 8, k, 3)
+        assert np.shares_memory(build(ds, 0.0, np.ones(ds.filter_size)).program.a_ineq, ds.x)
+    y = ds.y.copy()
+    y[0] = -1.0
+    rows = build(Dataset(ds.x, y, 2), 0.0, np.ones(4)).program.a_ineq
+    assert rows.shape == (81, 4) and not rows[80].any() and not np.shares_memory(rows, ds.x)
+
+
+def test_k1_lp_fit_holds_no_copy_of_the_features():
+    # the 320 kB of features are the solve's rows: the fit adds the
+    # interior point's scaled copy of them and vectors, not another copy
+    _, ds = sample_planted(2000, 20, 1, 43)
+    tracemalloc.start()
+    try:
+        res = fit(ds, 0.0, 44)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.report.status == SolveStatus.OPTIMAL
+    assert peak <= 3 * ds.x.nbytes
+
+
+def test_strided_features_fit_as_their_row_major_copy():
+    # the report's residuals are measured on the rows build hands over, and
+    # BLAS may round G·x differently on a strided G
+    _, ds = sample_planted(400, 20, 1, 41)
+    wide = np.zeros((ds.n, 2 * ds.d))
+    wide[:, ::2] = ds.x
+    strided = Dataset(wide[:, ::2], ds.y, 1)
+    assert not strided.x.flags.c_contiguous and build(strided, 0.0, np.ones(20)).program.a_ineq.flags.c_contiguous
+    want, got = fit(ds, 0.0, 42).report, fit(strided, 0.0, 42).report
+    assert got.status == want.status == SolveStatus.OPTIMAL and got.iterations == want.iterations
+    for name in ("x", "lam", "primal_residual", "dual_residual", "complementarity_gap"):
+        assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
