@@ -10,9 +10,10 @@ bytes, case by case. The script prints one line for every report that
 differs, naming its case, its first differing field and entry, and for
 every differing float field how many entries differ and the largest
 |delta| among them (and a line for every case whose number of reports
-differs), then how many cases differ; or it prints "identical". It
-exits 1 or 0 accordingly, so a deliberate re-numbering shows its whole
-extent and size.
+differs), then how many cases differ and how many of the differing
+reports moved their status or iteration count; or it prints
+"identical". It exits 1 or 0 accordingly, so a deliberate re-numbering
+shows its whole extent and size.
 
 The panel: k=1 relaxation LPs at n=400 and n=2000 and at n=40, d=1
 (filter length 1: the only programs the package builds with sign-bound
@@ -26,9 +27,9 @@ and the block-set LP that gives its primal fit and dual at k=1, 2 and 5
 and on a k=2 dataset whose dual is infeasible, presolve cases with
 duplicate, zero, -0.0 and infeasible rows, the beta=1e-3 QP given
 densely, at k=2 over all n·k slacks (no separable column) and at k=1
-with its columns shuffled (the separable ones not last, found and split
-off by the solver), and small LPs named by their
-shape (rows×variables): Optimal ones with and without sign-bound rows,
+with its columns shuffled (its slack columns are separable but given
+densely, so the solver factors its Q whole), and small LPs named by
+their shape (rows×variables): Optimal ones with and without sign-bound rows,
 infeasible and unbounded ones with fewer rows than variables (first
 written over their rows' span by the column presolve) and with at least
 as many (the dual route alone), an Optimal 2×4 LP whose cost lies in its
@@ -146,8 +147,9 @@ def _coupled_qp():
 
 def _shuffled_qp():
     """The beta=1e-3 relaxation at k=1, given densely with its columns
-    shuffled, so that the separable columns (the slacks) are not the
-    last ones."""
+    shuffled, so that the slack columns, separable in the split form the
+    package builds, are not the last ones; the solver factors its Q
+    whole."""
     import numpy as np
 
     from convrelax import model
@@ -520,6 +522,15 @@ def differences(old: list[dict], new: list[dict]) -> tuple[list[str], int]:
     return lines, differing
 
 
+def moved_reports(old: list[dict], new: list[dict]) -> int:
+    """The number of reports, paired case by case, whose status or
+    iteration count differs."""
+    old_cases, new_cases = _by_case(old), _by_case(new)
+    return sum(fa["status"] != fb["status"] or fa["iterations"] != fb["iterations"]
+               for case in old_cases.keys() & new_cases.keys()
+               for fa, fb in zip(old_cases[case], new_cases[case]))
+
+
 def cli_differences(old: list[dict], new: list[dict]) -> list[str]:
     """One line per command whose exit code, stdout or CSV differs, or
     that only one side ran."""
@@ -565,7 +576,9 @@ def main(argv: list[str]) -> int:
               f"{len(old['gd'])} GD runs; {len(old['cli'])} CLI outputs)")
         return 0
     print("\n".join(lines + gd_lines + cli_lines))
-    print(f"{differing} of {cases} cases differ; {gd_differing} of {len(old['gd'])} GD runs differ; "
+    moved = moved_reports(old["reports"], new["reports"])
+    print(f"{differing} of {cases} cases differ, {moved} reports with a moved status or iteration count; "
+          f"{gd_differing} of {len(old['gd'])} GD runs differ; "
           f"{len(cli_lines)} of {len(old['cli'])} CLI outputs differ")
     return 1
 

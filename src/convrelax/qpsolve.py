@@ -7,10 +7,11 @@ with a row is solved through its dual by one interior point: Mehrotra
 predictor-corrector steps on the homogeneous self-dual embedding, which
 carries a QP's curvature (PSD Q) into its gap and its normal matrix
 Q + GᵀDG, factored with the separable columns (diagonal curvature, at
-most one per row) eliminated.  A QP may arrive split into its dense part
-and those columns (`Separable`), as the relaxation QP does, so that no
-dense Q or full row matrix is formed; a QP given densely is split on the
-separable columns found in it.  The embedding's τ → 0 exits certify
+most one per row) eliminated.  Every program is held in one form: its
+dense part and those columns (`Separable`), which come last.  The
+relaxation QP is built so, and no dense Q or full row matrix is formed
+for it; an LP or a QP given densely has no separable column, and a
+dense Q is factored whole.  The embedding's τ → 0 exits certify
 infeasibility and unboundedness, an LP's and a QP's alike, only on a ray
 checked against the norms of the rows, so that scaling a row leaves the
 verdict as it is; an infeasible dual leaves a program unbounded iff its
@@ -113,11 +114,11 @@ def _as_vector(v, name: str) -> np.ndarray:
 
 @dataclass
 class Separable:
-    """The separable part of a split QP: its columns U (the mask
-    ``columns`` over the variables) have diagonal curvature ``q`` > 0 and
-    no other entry of Q, and every inequality row has at most one entry
-    on U, ``coef`` at column ``col`` of U; a row without one has coef 0
-    and col |U|."""
+    """The separable part of a program: its columns U, the last |U| of
+    the variables (the mask ``columns``), have diagonal curvature ``q`` >
+    0 and no other entry of Q, and every inequality row has at most one
+    entry on U, ``coef`` at column ``col`` of U; a row without one has
+    coef 0 and col |U|.  An LP's or a dense QP's U is empty."""
 
     columns: np.ndarray
     q: np.ndarray
@@ -130,6 +131,8 @@ def _check_separable(sep: Separable, m: int, rows: int) -> Separable:
     if columns.dtype != bool or columns.shape != (m,):
         raise SolverError(f"the separable columns must be a boolean mask over the {m} variables")
     n_u = int(np.count_nonzero(columns))
+    if columns[: m - n_u].any():
+        raise SolverError("the separable columns must be the last ones")
     q = _as_vector(sep.q, "the separable curvature")
     if q.shape != (n_u,) or not np.all(q > 0.0):
         raise SolverError("the separable curvature must be positive, one entry per separable column")
@@ -141,23 +144,21 @@ def _check_separable(sep: Separable, m: int, rows: int) -> Separable:
     return Separable(columns, q, col, coef)
 
 
-def _parts(columns: np.ndarray):
-    """(W, U) of a mask of separable columns: slices when U comes last,
-    index arrays otherwise."""
-    n_w = columns.size - np.count_nonzero(columns)
-    if not columns[:n_w].any():
-        return slice(0, n_w), slice(n_w, None)
-    return np.flatnonzero(~columns), np.flatnonzero(columns)
+def _parts(program: ConvexProgram) -> tuple[slice, slice]:
+    """The slices (W, U) of a program's variables."""
+    n_w = program.a_ineq.shape[1]
+    return slice(0, n_w), slice(n_w, None)
 
 
 @dataclass
 class ConvexProgram:
     """min ½ xᵀQx + cᵀx  s.t.  A_ineq·x ≤ b_ineq.
 
-    A QP may come split (``sep`` given, see `Separable`): then ``q`` and
-    ``a_ineq`` hold only Q_WW and the rows' part on the other columns W,
-    so that no dense (vars × vars) Q or (rows × vars) matrix is formed;
-    ``dense()`` builds its dense twin."""
+    ``q`` and ``a_ineq`` hold only Q_WW and the rows' part on the
+    columns W before the separable ones (``sep``, see `Separable`), so
+    that a split QP forms no dense (vars × vars) Q or (rows × vars)
+    matrix; ``dense()`` builds its dense twin.  Given without ``sep``, a
+    program has no separable column, and ``sep`` is set so."""
 
     c: np.ndarray
     q: np.ndarray | None = None
@@ -170,6 +171,8 @@ class ConvexProgram:
         m = self.c.shape[0]
         if m == 0:
             raise SolverError("program needs at least one variable")
+        if isinstance(self.sep, dict):  # as a program's JSON gives it
+            self.sep = Separable(**self.sep)
         n_w = m if self.sep is None else m - int(np.count_nonzero(self.sep.columns))
         if self.q is None:
             self.q = np.zeros((n_w, n_w))
@@ -184,10 +187,11 @@ class ConvexProgram:
         if self.a_ineq.shape[1] != n_w:
             raise SolverError("the constraint matrix must have one column per variable")
         self.b_ineq = _as_vector(self.b_ineq if self.b_ineq is not None else [], "b_ineq")
-        if self.b_ineq.shape[0] != self.a_ineq.shape[0]:
+        rows = self.b_ineq.shape[0]
+        if rows != self.n_ineq:
             raise SolverError("a_ineq and b_ineq disagree on row count")
-        if self.sep is not None:
-            self.sep = _check_separable(self.sep, m, self.n_ineq)
+        self.sep = (Separable(np.zeros(m, bool), np.zeros(0), np.zeros(rows, int), np.zeros(rows))
+                    if self.sep is None else _check_separable(self.sep, m, rows))
 
     @property
     def n_vars(self) -> int:
@@ -204,29 +208,28 @@ class ConvexProgram:
 
     @property
     def is_lp(self) -> bool:
-        return self.sep is None and not self.q.any()
+        return not self.sep.q.size and not self.q.any()
 
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        if self.sep is None:
-            return float(0.5 * x @ self.q @ x + self.c @ x)
-        w, u = _parts(self.sep.columns)
+        w, u = _parts(self)
         return float(0.5 * (x[w] @ self.q @ x[w] + self.sep.q @ (x[u] * x[u])) + self.c @ x)
 
     def dense(self) -> ConvexProgram:
         """The program with Q and A_ineq over all its variables: itself
-        unless it is split."""
-        if self.sep is None:
-            return self
+        when it has no separable column."""
         sep, m = self.sep, self.n_vars
-        w, u = np.flatnonzero(~sep.columns), np.flatnonzero(sep.columns)
+        if not sep.q.size:
+            return self
+        n_w = m - sep.q.size
         q = np.zeros((m, m))
-        q[np.ix_(w, w)] = self.q
-        q[u, u] = sep.q
+        q[:n_w, :n_w] = self.q
+        diagonal = np.arange(n_w, m)
+        q[diagonal, diagonal] = sep.q
         a = np.zeros((self.n_ineq, m))
-        a[:, w] = self.a_ineq
-        on_u = np.flatnonzero(sep.col < u.size)
-        a[on_u, u[sep.col[on_u]]] = sep.coef[on_u]
+        a[:, :n_w] = self.a_ineq
+        on_u = np.flatnonzero(sep.col < sep.q.size)
+        a[on_u, n_w + sep.col[on_u]] = sep.coef[on_u]
         return ConvexProgram(c=self.c, q=q, a_ineq=a, b_ineq=self.b_ineq)
 
 
@@ -251,25 +254,18 @@ class KktSummary:
 
 def _g_dot(program: ConvexProgram, x) -> np.ndarray:
     """G·x, G the inequality rows."""
-    if program.sep is None:
-        return program.a_ineq @ x
     sep = program.sep
-    w, u = _parts(sep.columns)
+    w, u = _parts(program)
     return program.a_ineq @ x[w] + sep.coef * np.append(x[u], 0.0)[sep.col]
 
 
 def _gradient(program: ConvexProgram, x, lam) -> np.ndarray:
     """Q·x + c + Gᵀ·λ, the gradient of the Lagrangian."""
-    if program.sep is None:
-        grad = program.q @ x + program.c
-        return grad + program.a_ineq.T @ lam if program.n_ineq else grad
     sep = program.sep
-    w, u = _parts(sep.columns)
-    grad = np.empty(program.n_vars)
-    grad[w] = program.q @ x[w] + program.c[w] + program.a_ineq.T @ lam
-    grad[u] = sep.q * x[u] + program.c[u] + np.bincount(sep.col, weights=sep.coef * lam,
-                                                          minlength=sep.q.size + 1)[:-1]
-    return grad
+    w, u = _parts(program)
+    gt_lam_u = np.bincount(sep.col, weights=sep.coef * lam, minlength=sep.q.size + 1)[:-1]  # (Gᵀλ)_U
+    return np.concatenate((program.q @ x[w] + program.c[w] + program.a_ineq.T @ lam,
+                           sep.q * x[u] + program.c[u] + gt_lam_u))
 
 
 def _kkt_measures(program: ConvexProgram, x, lam) -> tuple[float, float, float]:
@@ -314,20 +310,17 @@ def least_squares(a, b) -> np.ndarray:
 
 def _presolve(program: ConvexProgram) -> tuple[ConvexProgram, np.ndarray, bool]:
     """(the reduced program, the mask of its rows in the original,
-    whether a zero row is infeasible).  A row of ±0.0 entries is zero; a
-    split program's row is zero when its part on W is and it has no
-    entry on U."""
+    whether a zero row is infeasible).  A row is zero when its part on W
+    is all ±0.0 and it has no entry on U."""
     sep = program.sep
-    nonzero = program.a_ineq.any(axis=1)
-    if sep is not None:
-        nonzero |= sep.coef != 0.0
+    nonzero = program.a_ineq.any(axis=1) | (sep.coef != 0.0)
     infeasible = bool(np.any(program.b_ineq[~nonzero] < 0.0))
     # a reduced program holds row-major copies, and BLAS may round a
     # product differently on another layout
     unchanged = nonzero.all() and program.a_ineq.flags.c_contiguous
     reduced = program if unchanged else replace(
         program, a_ineq=program.a_ineq[nonzero], b_ineq=program.b_ineq[nonzero],
-        sep=None if sep is None else replace(sep, col=sep.col[nonzero], coef=sep.coef[nonzero]))
+        sep=replace(sep, col=sep.col[nonzero], coef=sep.coef[nonzero]))
     if not reduced.n_ineq and not reduced.is_lp:
         raise SolverError("a QP needs at least one nonzero inequality row")
     return reduced, nonzero, infeasible
@@ -547,13 +540,12 @@ def _certificate(a_dot, at_dot, col_norms, q_dot, b, c, x, y, tau, tol):
 
 def _dual_route(program: ConvexProgram, tol, max_iter):
     """Solve a program through its dual, one constraint per variable, so
-    that its normal matrix is vars×vars whatever the row count: a QP, its
-    separable part given as `Separable` or none, or an LP with no fewer
-    rows than variables.  Its statuses swap only on certificates that
-    `_certificate` has checked: the dual's improving ray shows that the
-    original is infeasible; an infeasible dual leaves the original a
-    descent ray, so it is unbounded iff its rows are feasible
-    (`_feasibility`, on the dense twin's rows).
+    that its normal matrix is vars×vars whatever the row count: a QP, or
+    an LP with no fewer rows than variables.  Its statuses swap only on
+    certificates that `_certificate` has checked: the dual's improving
+    ray shows that the original is infeasible; an infeasible dual leaves
+    the original a descent ray, so it is unbounded iff its rows are
+    feasible (`_feasibility`, on the dense twin's rows).
 
     The dual is min hᵀλ s.t. Gᵀλ = −c, λ ≥ 0, on the rows as given: an
     LP's A is the view Gᵀ of its rows, column-major (BLAS may round a
@@ -627,48 +619,13 @@ def _solve_wide(program: ConvexProgram, tol, max_iter):
     q_u = None if program.is_lp else V.T @ program.q @ V
     reduced = ConvexProgram(c=c_u, q=None if q_u is None else 0.5 * (q_u + q_u.T), a_ineq=G @ V,
                             b_ineq=program.b_ineq)
-    status, u, lam, iters = _dual_route(_split(reduced), tol, max_iter)
+    status, u, lam, iters = _dual_route(reduced, tol, max_iter)
     return status, V @ u, lam, iters
 
 
 # ---------------------------------------------------------------------------
 # a QP's normal matrix Q + GᵀDG, with its separable columns eliminated
 # ---------------------------------------------------------------------------
-
-
-def _separable_columns(program: ConvexProgram) -> np.ndarray:
-    """The separable columns U of a dense QP, as a mask over its columns.
-
-    A column is separable when its diagonal entry of Q is positive and
-    the rest of its row and column of Q is zero.  U must also hold at
-    most one nonzero of every inequality row, so that the U-block of
-    Q + GᵀDG is diagonal; when a row holds two, U is empty.
-    """
-    Q = program.q
-    single = (np.count_nonzero(Q, axis=0) == 1) & (np.count_nonzero(Q, axis=1) == 1)
-    sep = single & (Q.diagonal() > 0.0)
-    if np.any(np.count_nonzero((program.a_ineq != 0.0) & sep, axis=1) > 1):
-        sep[:] = False
-    return sep
-
-
-def _split(program: ConvexProgram) -> ConvexProgram:
-    """A dense QP split on its `_separable_columns`; any other program
-    (an LP, a split QP, a QP with no separable column) as it is."""
-    if program.sep is not None or program.is_lp:
-        return program
-    columns = _separable_columns(program)
-    if not columns.any():
-        return program
-    w, u = np.flatnonzero(~columns), np.flatnonzero(columns)
-    G = program.a_ineq
-    on_u = (G != 0.0) & columns
-    x_col = on_u.argmax(axis=1)  # the entry's column of x (0 if none)
-    rows = np.arange(G.shape[0])
-    has = on_u[rows, x_col]
-    sep = Separable(columns, program.q.diagonal()[u], np.where(has, (np.cumsum(columns) - 1)[x_col], u.size),
-                    np.where(has, G[rows, x_col], 0.0))
-    return replace(program, q=program.q[np.ix_(w, w)], a_ineq=G[:, w], sep=sep)
 
 
 class _SchurKkt:
@@ -681,25 +638,22 @@ class _SchurKkt:
     nonzero on U has coefficient 0 and the spare column n_u, a bin that
     is dropped.  The U-block of K is a vector K_uu, and the step solves
     the Schur complement S = K_ww − K_wu·K_uu⁻¹·K_uw by Cholesky; with U
-    empty (a QP with no separable part), S is K itself.
+    empty (a QP given densely), S is K itself, factored whole.
     """
 
     def __init__(self, program: ConvexProgram):
-        sep, rows = program.sep, program.n_ineq
-        columns = np.zeros(program.n_vars, dtype=bool) if sep is None else sep.columns
-        self.w, self.u = _parts(columns)
-        self.n_u = int(np.count_nonzero(columns))
+        sep = program.sep
+        self.w, self.u = _parts(program)
+        self.n_u = sep.q.size
         self.n_w = program.n_vars - self.n_u
-        # (x_W, x_U) -> x, or None when W comes first and x_W, x_U are views
-        self.perm = None if isinstance(self.w, slice) else np.argsort(np.concatenate([self.w, self.u]))
         self.q_ww = np.ascontiguousarray(program.q)
-        self.q_u = np.zeros(0) if sep is None else sep.q
+        self.q_u = sep.q
         # column-major: BLAS may round a product differently on another
         # layout (scripts/bitwise_diff.py checks the bits)
         self.g_w = np.asfortranarray(program.a_ineq)
-        self.col = np.zeros(rows, dtype=int) if sep is None else sep.col
-        self.coef = np.zeros(rows) if sep is None else sep.coef
-        self.x_col = np.append(np.flatnonzero(columns), 0)[self.col]  # the entry's column of x (0 if none)
+        self.col, self.coef = sep.col, sep.coef
+        # the entry's column of x (0 if none)
+        self.x_col = np.append(np.arange(self.n_w, program.n_vars), 0)[self.col]
         # the rows with a part on W, and the bin of each entry of that part
         # in K_uw, whose rows are the columns of U and the spare column;
         # the other rows enter S through their column of U alone
@@ -709,10 +663,6 @@ class _SchurKkt:
         self.squares_off_w = np.where(on_w, 0.0, self.coef * self.coef)
         self.bins = (self.col_r[:, None] * self.n_w + np.arange(self.n_w)).ravel()
 
-    def _join(self, x_w, x_u):
-        x = np.concatenate((x_w, x_u))
-        return x if self.perm is None else x[self.perm]
-
     def _on_u(self, weights):
         return np.bincount(self.col, weights=weights, minlength=self.n_u + 1)[: self.n_u]
 
@@ -720,19 +670,19 @@ class _SchurKkt:
         return self.g_w.dot(x[self.w]) + self.coef * x[self.x_col]
 
     def gt_dot(self, v):
-        return self._join(self.g_w.T.dot(v), self._on_u(self.coef * v))
+        return np.concatenate((self.g_w.T.dot(v), self._on_u(self.coef * v)))
 
     def row_norms(self):
         """The largest |entry| of each row of G."""
         return np.maximum(np.abs(self.g_w).max(axis=1, initial=0.0), np.abs(self.coef))
 
     def q_dot(self, x):
-        return self._join(self.q_ww.dot(x[self.w]), self.q_u * x[self.u])
+        return np.concatenate((self.q_ww.dot(x[self.w]), self.q_u * x[self.u]))
 
     def q_pinv_dot(self, v):
         """Q⁺·v: v_U/q_U on U, the min-norm least squares of Q_ww on W."""
-        return self._join(np.linalg.pinv(self.q_ww).dot(v[self.w]) if self.q_ww.any() else np.zeros(self.n_w),
-                          v[self.u] / self.q_u)
+        v_w = np.linalg.pinv(self.q_ww).dot(v[self.w]) if self.q_ww.any() else np.zeros(self.n_w)
+        return np.concatenate((v_w, v[self.u] / self.q_u))
 
     def factor(self, d, delta):
         """A solve rhs -> dx of the step system with D = diag(d), or None
@@ -759,7 +709,7 @@ class _SchurKkt:
         def solve(rhs):
             rhs_u = rhs[self.u]
             dx_w = solve_w(rhs[self.w] - means.T.dot(rhs_u))
-            return self._join(dx_w, rhs_u / k_uu - means.dot(dx_w))
+            return np.concatenate((dx_w, rhs_u / k_uu - means.dot(dx_w)))
 
         return solve
 
@@ -779,29 +729,30 @@ def _polish(program: ConvexProgram, x, lam, bar):
     """Refine a near-optimal pair by solving the KKT system of the guessed
     active set; returns the refined pair or None when the guess fails.
 
-    The separable columns U of a split program leave the system in
-    closed form before lstsq, x_U = −(c_U + R_Uᵀλ)/q_U over the active
-    rows R.  The core over the other columns W is
-    [[Q_WW, R_Wᵀ], [R_W, −R_U·diag(q_U)⁻¹·R_Uᵀ]], the whole system if U
-    is empty; its lower block is nonzero only between rows on one column
-    of U, each row having one entry there at most.  Massively degenerate solutions (think the zero vertex with
-    every zero-label row tight) would make this solve dominate, so a
-    system of over 600 rows before elimination is skipped.  With Q_WW = 0
-    and U empty (an LP) the core decouples, and its λ is the min-norm
-    solution of R_Wᵀλ = −c_W, an n_a×n_w lstsq; when n_w < n_a, R_W is
-    well conditioned and that λ dips below −``bar`` (the raw pair's worst
-    KKT measure) by more than rounding could explain, the polished pair
-    would lose, and None is returned."""
+    The separable columns U leave the system in closed form before
+    lstsq, x_U = −(c_U + R_Uᵀλ)/q_U over the active rows R.  The core over
+    the other columns W is [[Q_WW, R_Wᵀ], [R_W, −R_U·diag(q_U)⁻¹·R_Uᵀ]];
+    its lower block is nonzero only between rows on one column of U, each
+    row having one entry there at most, and is written at those pairs
+    alone, so that no n_a×n_a block is built when U is empty.  Massively
+    degenerate solutions (think the zero vertex with every zero-label row
+    tight) would make this solve dominate, so a system of over 600 rows
+    before elimination is skipped.  With Q_WW = 0 and U empty (an LP) the
+    core decouples, and its λ is the min-norm solution of R_Wᵀλ = −c_W,
+    an n_a×n_w lstsq; when n_w < n_a, R_W is well conditioned and that λ
+    dips below −``bar`` (the raw pair's worst KKT measure) by more than
+    rounding could explain, the polished pair would lose, and None is
+    returned."""
     m = program.n_vars
     active = _guess_active(program, x, lam)
     n_a = active.size
     if m + n_a > 600:
         return None
     # the active rows, all tight: R_W, and on U each one's column and entry
-    r_w, h_a = program.a_ineq[active], program.b_ineq[active]
     sep = program.sep
+    r_w, h_a, col, coef = program.a_ineq[active], program.b_ineq[active], sep.col[active], sep.coef[active]
     n_w, q_ww = r_w.shape[1], program.q
-    w, u = (slice(None), None) if sep is None else _parts(sep.columns)
+    w, u = _parts(program)
     c_w = program.c[w]
     if 0 < n_w < n_a and program.is_lp:
         left, sigma, right = np.linalg.svd(r_w, full_matrices=False)
@@ -814,26 +765,22 @@ def _polish(program: ConvexProgram, x, lam, bar):
     K[:n_w, :n_w] = q_ww
     K[:n_w, n_w:] = r_w.T
     K[n_w:, :n_w] = r_w
-    rhs = np.concatenate([-c_w, h_a])
-    if sep is not None:
-        col, coef = sep.col[active], sep.coef[active]
-        x_u0 = -program.c[u] / sep.q  # x_U at λ = 0; the spare column's 0 follows
-        scaled = coef / np.append(sep.q, 1.0)[col]
-        K[n_w:, n_w:] -= np.where(col[:, None] == col, scaled[:, None] * coef, 0.0)
-        rhs[n_w:] -= coef * np.append(x_u0, 0.0)[col]
+    # the lower block's nonzeros: the pairs (i, j) of active rows on one column of U
+    on_u = np.flatnonzero(col < sep.q.size)
+    i, j = (on_u[pairs] for pairs in np.nonzero(col[on_u, None] == col[on_u]))
+    K[n_w + i, n_w + j] -= coef[i] / sep.q[col[i]] * coef[j]
+    x_u0 = -program.c[u] / sep.q  # x_U at λ = 0; the spare column's 0 follows
+    rhs = np.concatenate([-c_w, h_a - coef * np.append(x_u0, 0.0)[col]])
     try:
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(sol)):
         return None
-    x_new = np.zeros(m)
-    x_new[w] = sol[:n_w]
-    if sep is not None:
-        x_new[u] = x_u0 - np.bincount(col, weights=coef * sol[n_w:], minlength=sep.q.size + 1)[:-1] / sep.q
+    x_u = x_u0 - np.bincount(col, weights=coef * sol[n_w:], minlength=sep.q.size + 1)[:-1] / sep.q
     lam_new = np.zeros(program.n_ineq)
     lam_new[active] = sol[n_w:]
-    return x_new, lam_new
+    return np.concatenate((sol[:n_w], x_u)), lam_new
 
 
 def _nnls_multipliers(program: ConvexProgram, x, lam):
@@ -902,11 +849,13 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
     through the status field, never as exceptions.
 
     Every constraint is an inequality row, for LPs and QPs alike, and a
-    QP may be given densely or split (`Separable`).  Any LP is accepted.  A QP is accepted only if, after presolve drops its
-    zero rows, it has at least one inequality row; any other QP, like a
-    malformed ``tol`` or ``max_iter``, raises ``SolverError``.  Presolve
-    drops nothing else: duplicate rows are solved as given, and their
-    multipliers may split between them.
+    QP may be given densely or split (`Separable`).  Any LP is accepted.
+    A QP is accepted only if, after presolve drops its zero rows, it has
+    at least one inequality row; any other QP, like a malformed ``tol``
+    or ``max_iter``, raises ``SolverError``.  Presolve drops nothing
+    else: duplicate rows are solved as given, and their multipliers may
+    split between them.  With every row kept, the report's residuals are
+    measured on presolve's row-major rows, whatever the caller's layout.
     """
     if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
         raise SolverError(f"tol must lie in [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}]")
@@ -926,15 +875,17 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
             # with no row every x is feasible: the optimum is 0 iff c is zero
             status = SolveStatus.OPTIMAL if not red.c.any() else SolveStatus.DUAL_UNBOUNDED
             return _finalize(program, status, np.zeros(program.n_vars), np.zeros(program.n_ineq), 0, tol)
-        split = _split(red)
         if red.n_ineq < red.n_vars:
             # a program this small may take its dense twin
             status, x, lam_red, iters = _solve_wide(red.dense(), tol, max_iter)
         else:
-            status, x, lam_red, iters = _dual_route(split, tol, max_iter)
+            status, x, lam_red, iters = _dual_route(red, tol, max_iter)
 
-        x, lam_red, measures = _refine(split, status, x, lam_red, tol)
+        x, lam_red, measures = _refine(red, status, x, lam_red, tol)
+        if keep.all():
+            # presolve's rows are the caller's, perhaps in another layout:
+            # the report is measured on them, as the polish measured its pair
+            return _finalize(red, status, x, lam_red, iters, tol, measures)
         lam = np.zeros(program.n_ineq)
         lam[keep] = lam_red
-        # with every row kept, the measures on split are those on program
-        return _finalize(program, status, x, lam, iters, tol, measures if split is program else None)
+        return _finalize(program, status, x, lam, iters, tol)

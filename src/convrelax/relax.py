@@ -202,7 +202,7 @@ def block_set_lp(dataset: Dataset, program: ConvexProgram) -> tuple[SolveReport,
     """
     xb, y = dataset.blocks(), dataset.y
     n, k, p = xb.shape
-    with_u = program.sep is not None  # the split QP over (w, u)
+    with_u = program.sep.q.size > 0  # the QP over (w, u), its slack sums u separable
     # the QP's rows −uᵢ ≤ 0 are the empty-set rows of every sample
     empty = np.arange(n) if with_u else _empty_set_samples(y, k)
     sample = np.concatenate([np.repeat(np.arange(n), k), empty])
@@ -221,9 +221,10 @@ def block_set_lp(dataset: Dataset, program: ConvexProgram) -> tuple[SolveReport,
         rows = (xb[new] * pos[new, :, None]).sum(axis=1)
         # a shallow copy skips re-validating the program for finite new rows
         program = copy.copy(program)
-        if with_u:  # each new row's −uᵢ
-            program.sep = dataclasses.replace(program.sep, col=np.concatenate([program.sep.col, new]),
-                                              coef=np.concatenate([program.sep.coef, np.full(new.size, -1.0)]))
+        # each new row's entry on U: −uᵢ in the QP, none (col |U| = 0, coef 0) in the LP
+        u_col, u_coef = (new, -1.0) if with_u else (np.zeros_like(new), 0.0)
+        program.sep = dataclasses.replace(program.sep, col=np.concatenate([program.sep.col, u_col]),
+                                          coef=np.concatenate([program.sep.coef, np.full(new.size, u_coef)]))
         program.a_ineq = np.vstack([program.a_ineq, rows])
         program.b_ineq = np.concatenate([program.b_ineq, np.zeros(new.size) if with_u else y[new]])
         sample = np.concatenate([sample, new])

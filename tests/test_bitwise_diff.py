@@ -89,3 +89,17 @@ def test_gradient_descent_records_are_compared_by_their_own_fields():
         "gd, report 1: field status differs, 'Converged' != 'Diverged' "
         "(w_hat: 1 of 2 entries differ, max |delta| 0.5)",
     ], 1)
+
+
+def test_moved_statuses_and_iteration_counts_are_counted():
+    old = [_record("a"), _record("b"), _record("b"), _record("c"), _record("d")]
+    new = [_record("a", x=(1.0, 2.5)), _record("b", status="MaxIterations"), _record("b"),
+           _record("c"), _record("d"), _record("e")]
+    new[3]["fields"]["iterations"] = 6
+    # a's x moved alone; b's report 0 moved its status, c its iterations;
+    # e, on one side only, pairs with no report
+    assert bitwise_diff.moved_reports(old, new) == 2
+    assert bitwise_diff.moved_reports(old, old) == 0
+    moved_both = _record("a", status="NumericalFailure")
+    moved_both["fields"]["iterations"] = 9
+    assert bitwise_diff.moved_reports([_record("a")], [moved_both]) == 1

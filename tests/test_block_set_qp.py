@@ -121,14 +121,10 @@ def test_k1_program_is_the_lifted_matrix():
     ds, beta, r, _ = _dataset(PANEL[0])
     assert ds.k == 1
     program, lifted = relax.build(ds, beta, r).program, lifted_qp(ds, beta, r)
-    # its dense twin is the lifted matrix, and the split that solve finds
-    # on the lifted matrix is the one it is built with
-    dense, found = program.dense(), qpsolve._split(lifted)
+    # its dense twin is the lifted matrix
+    dense = program.dense()
     for name in ("c", "q", "a_ineq", "b_ineq"):
         np.testing.assert_array_equal(getattr(dense, name), getattr(lifted, name))
-        np.testing.assert_array_equal(getattr(program, name), getattr(found, name))
-    for name in ("columns", "q", "col", "coef"):
-        np.testing.assert_array_equal(getattr(program.sep, name), getattr(found.sep, name))
 
 
 def _solved_rounds(monkeypatch, ds, program):
@@ -156,12 +152,32 @@ def test_split_qp_matches_its_dense_twin(k, n, d, beta, monkeypatch):
     rounds = _solved_rounds(monkeypatch, ds, relax.build(ds, beta, r).program)
     assert len(rounds) >= (2 if k > 1 else 1)
     for program, report in rounds:
-        assert program.sep is not None and program.a_ineq.shape == (program.n_ineq, ds.filter_size)
+        assert program.sep.q.size == ds.n and program.a_ineq.shape == (program.n_ineq, ds.filter_size)
         twin = qpsolve.solve(program.dense())
         assert report.status == twin.status == SolveStatus.OPTIMAL
         assert report.iterations == twin.iterations
         np.testing.assert_allclose(report.x, twin.x, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(report.lam, twin.lam, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_generated_rows_extend_the_separable_part(beta, monkeypatch):
+    # every round's program holds one separable entry per row: the QP's
+    # new row Σ X_ij·w − uᵢ ≤ 0 its sample's −uᵢ, the LP's none
+    _, ds = sample_planted(40, 16, 2, 41)
+    r = substream(42, STREAM_PERTURBATION).standard_normal(ds.filter_size)
+    first = relax.build(ds, beta, r).program
+    rounds = _solved_rounds(monkeypatch, ds, first)
+    assert len(rounds) >= 2
+    sample = relax.block_set_lp(ds, first)[1]
+    for program, _ in rounds:
+        rows = program.n_ineq
+        assert program.sep.col.shape == program.sep.coef.shape == (rows,)
+        if beta:
+            assert program.sep.col.tolist() == sample[:rows].tolist()
+            assert (program.sep.coef == -1.0).all()
+        else:
+            assert program.is_lp and not program.sep.col.any() and not program.sep.coef.any()
 
 
 def test_large_qp_fit_forms_no_dense_matrix():

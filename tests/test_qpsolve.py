@@ -446,8 +446,9 @@ def test_presolve_returns_the_program_when_no_row_drops():
 
 def test_report_reuses_the_measures_of_the_refined_pair(monkeypatch):
     # with every row kept, the report carries the KKT measures that
-    # _refine took on the pair it kept; when presolve drops a row, they
-    # are taken once more on the original program
+    # _refine took on the pair it kept, on presolve's row-major rows
+    # whatever the caller's layout; when presolve drops a row, they are
+    # taken once more on the original program
     measures = qpsolve._kkt_measures
     calls = []
 
@@ -459,16 +460,31 @@ def test_report_reuses_the_measures_of_the_refined_pair(monkeypatch):
     rng = np.random.default_rng(5)
     a = np.vstack([np.eye(2), -np.eye(2), rng.standard_normal((3, 2))])
     kept = ConvexProgram(c=[1.0, -1.0], a_ineq=a, b_ineq=np.ones(7))
+    fortran = ConvexProgram(c=[1.0, -1.0], a_ineq=np.asfortranarray(a), b_ineq=np.ones(7))
     dropped = ConvexProgram(c=[1.0, -1.0], a_ineq=np.vstack([a, np.zeros((1, 2))]), b_ineq=np.ones(8))
-    # (program, measures taken on it, measures taken in all): the raw and
-    # the polished pair, and the report's when a row was dropped
-    for program, on_it, taken in ((kept, 2, 2), (dropped, 1, 3)):
+    # (program, the program the report is measured on, measures taken on
+    # the program, measures taken in all): the raw and the polished pair,
+    # and the report's when a row was dropped
+    for program, measured, on_it, taken in ((kept, kept, 2, 2), (fortran, kept, 0, 2), (dropped, dropped, 1, 3)):
         calls.clear()
         rep = solve(program)
         assert rep.status == SolveStatus.OPTIMAL
         assert sum(p is program for p in calls) == on_it and len(calls) == taken
-        stat, feas, comp = measures(program, rep.x, rep.lam)
+        stat, feas, comp = measures(measured, rep.x, rep.lam)
         assert (rep.dual_residual, rep.primal_residual, rep.complementarity_gap) == (stat, feas, comp)
+
+
+def test_report_does_not_depend_on_the_row_layout():
+    # the k=1 relaxation LP as built (row-major) and column-major: presolve
+    # copies the latter row-major, and the report is measured on that copy
+    for seed in range(10):
+        _, ds = model.sample_planted(400, 20, 1, seed)
+        r = model.substream(seed, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
+        program = relax.build(ds, 0.0, r).program
+        fortran = ConvexProgram(c=program.c, a_ineq=np.asfortranarray(program.a_ineq), b_ineq=program.b_ineq)
+        rep = solve(program)
+        assert rep.status == SolveStatus.OPTIMAL
+        assert _report_bits(solve(fortran)) == _report_bits(rep)
 
 
 def _max_step_reference(v, dv):
@@ -573,6 +589,14 @@ def test_program_json_round_trip():
     np.testing.assert_array_equal(back.c, program.c)
     np.testing.assert_array_equal(back.a_ineq, program.a_ineq)
     np.testing.assert_array_equal(back.b_ineq, program.b_ineq)
+    # a split program too, its separable part given back as a mapping
+    _, ds = model.sample_planted(6, 4, 2, 3)
+    split = relax.build(ds, 1e-3, np.ones(2)).program
+    back = ConvexProgram(**json.loads(model.to_json(split)))
+    for name in ("c", "q", "a_ineq", "b_ineq"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(split, name))
+    for name in ("columns", "q", "col", "coef"):
+        np.testing.assert_array_equal(getattr(back.sep, name), getattr(split.sep, name))
 
 
 def test_solve_is_deterministic():
@@ -738,15 +762,6 @@ def test_random_lps_match_highs(make):
 # -- the QP step and the programs it takes -------------------------------------
 
 
-def _unstructured_solve(monkeypatch, program):
-    """The report of the QP step with no column eliminated, the reference
-    for the Schur step: ``solve`` on the program's dense twin with
-    separable-column detection switched off."""
-    with monkeypatch.context() as patch:
-        patch.setattr(qpsolve, "_separable_columns", lambda program: np.zeros(program.n_vars, dtype=bool))
-        return solve(program.dense())
-
-
 def _report_bits(report: SolveReport) -> bytes:
     arrays = (report.x, report.lam, report.primal_residual, report.dual_residual,
               report.complementarity_gap)
@@ -755,31 +770,37 @@ def _report_bits(report: SolveReport) -> bytes:
 
 
 def _separable_qp(rng, n_w, n_u, rows, curved=True, untouched=False, shuffle=True):
-    """A feasible QP whose columns U (n_u of them) have a positive
-    diagonal curvature and nothing else in Q, and whose rows have a dense
-    part on the other n_w columns and at most one nonzero on U.  With
-    ``curved`` the other columns get a positive definite block of Q,
-    otherwise none and a box; with ``untouched`` the last column of U
-    appears in no row."""
+    """(program, twin, perm): a feasible QP given split (`Separable`),
+    whose last n_u columns U have a positive diagonal curvature and
+    nothing else in Q, and whose rows have a dense part on the other n_w
+    columns and at most one nonzero on U; and its dense twin with the
+    columns in the order ``perm``, shuffled with ``shuffle`` (the twin's
+    x is the program's x[perm]).  With ``curved`` the other columns get a
+    positive definite block of Q, otherwise none and a box; with
+    ``untouched`` the last column of U appears in no row."""
     m = n_w + n_u
-    perm = rng.permutation(m) if shuffle else np.arange(m)
-    w, u = perm[:n_w], perm[n_w:]
-    q = np.zeros((m, m))
     root = rng.standard_normal((n_w, n_w))
-    q[np.ix_(w, w)] = root @ root.T + np.eye(n_w) if curved else 0.0
-    q[u, u] = rng.uniform(0.5, 2.0, n_u)
-    a = np.zeros((rows, m))
-    a[:, w] = rng.standard_normal((rows, n_w))
+    q_ww = root @ root.T + np.eye(n_w) if curved else np.zeros((n_w, n_w))
+    q_u = rng.uniform(0.5, 2.0, n_u)
+    g_w = rng.standard_normal((rows, n_w))
+    col, coef = np.full(rows, n_u), np.zeros(rows)
     reach = n_u - 1 if untouched else n_u
     hit = np.flatnonzero(rng.uniform(size=rows) < 0.7) if reach else np.zeros(0, dtype=int)
-    a[hit, u[rng.integers(reach, size=hit.size)]] = rng.choice([-1.0, 1.0], hit.size) * rng.uniform(
-        0.5, 2.0, hit.size)
+    col[hit] = rng.integers(reach, size=hit.size)
+    coef[hit] = rng.choice([-1.0, 1.0], hit.size) * rng.uniform(0.5, 2.0, hit.size)
     x0 = 0.5 * rng.standard_normal(m)
-    b = a @ x0 + rng.uniform(0.1, 1.0, rows)
+    b = g_w @ x0[:n_w] + coef * np.append(x0[n_w:], 0.0)[col] + rng.uniform(0.1, 1.0, rows)
     if not curved:
-        a = np.vstack([a, np.eye(m)[w], -np.eye(m)[w]])
+        g_w = np.vstack([g_w, np.eye(n_w), -np.eye(n_w)])
+        col, coef = np.append(col, np.full(2 * n_w, n_u)), np.append(coef, np.zeros(2 * n_w))
         b = np.concatenate([b, np.full(2 * n_w, 3.0)])
-    return ConvexProgram(c=rng.standard_normal(m), q=q, a_ineq=a, b_ineq=b)
+    program = ConvexProgram(c=rng.standard_normal(m), q=q_ww, a_ineq=g_w, b_ineq=b,
+                            sep=qpsolve.Separable(np.arange(m) >= n_w, q_u, col, coef))
+    perm = rng.permutation(m) if shuffle else np.arange(m)
+    dense = program.dense()
+    twin = ConvexProgram(c=dense.c[perm], q=dense.q[np.ix_(perm, perm)], a_ineq=dense.a_ineq[:, perm],
+                         b_ineq=dense.b_ineq)
+    return program, twin, perm
 
 
 SEPARABLE_SHAPES = [  # (n_w, n_u, rows, curved, untouched, shuffle)
@@ -795,18 +816,19 @@ SEPARABLE_SHAPES = [  # (n_w, n_u, rows, curved, untouched, shuffle)
 
 
 @pytest.mark.parametrize("shape", SEPARABLE_SHAPES, ids=lambda s: "-".join(map(str, s)))
-def test_schur_step_matches_the_dense_step(shape, monkeypatch):
+def test_schur_step_matches_the_dense_step(shape):
+    # the split program eliminates U; its dense twin, given densely,
+    # factors Q + GᵀDG whole
     rng = np.random.default_rng(sum(map(int, shape)) * 7919)
     for _ in range(5):
-        program = _separable_qp(rng, *shape)
-        assert qpsolve._separable_columns(program).any()
-        rep = solve(program)
-        ref = _unstructured_solve(monkeypatch, program)
+        program, twin, perm = _separable_qp(rng, *shape)
+        assert qpsolve._SchurKkt(program).n_u == shape[1] and qpsolve._SchurKkt(twin).n_u == 0
+        rep, ref = solve(program), solve(twin)
         assert rep.status == ref.status == SolveStatus.OPTIMAL
         assert abs(rep.iterations - ref.iterations) <= 2
-        np.testing.assert_allclose(rep.x, ref.x, rtol=0.0, atol=1e-7 * (1.0 + np.max(np.abs(ref.x))))
-        assert abs(program.objective(rep.x) - program.objective(ref.x)) <= 1e-8 * (
-            1.0 + abs(program.objective(ref.x)))
+        np.testing.assert_allclose(rep.x[perm], ref.x, rtol=0.0, atol=1e-7 * (1.0 + np.max(np.abs(ref.x))))
+        assert abs(program.objective(rep.x) - twin.objective(ref.x)) <= 1e-8 * (
+            1.0 + abs(twin.objective(ref.x)))
 
 
 @pytest.mark.parametrize("shape", [s for s in SEPARABLE_SHAPES if s[3] and s[0] + s[1] <= 5],
@@ -814,47 +836,21 @@ def test_schur_step_matches_the_dense_step(shape, monkeypatch):
 def test_schur_step_matches_the_active_set_oracle(shape):
     rng = np.random.default_rng(sum(map(int, shape)) * 104729)
     for _ in range(5):
-        program = _separable_qp(rng, *shape)
+        program = _separable_qp(rng, *shape)[0]
         rep = solve(program)
         assert rep.status == SolveStatus.OPTIMAL
-        oracle = qp_active_set_oracle(program.q, program.c, program.a_ineq, program.b_ineq)
+        dense = program.dense()
+        oracle = qp_active_set_oracle(dense.q, dense.c, dense.a_ineq, dense.b_ineq)
         assert oracle is not None
         np.testing.assert_allclose(rep.x, oracle[0], atol=1e-7)
         np.testing.assert_allclose(rep.lam, oracle[1], atol=1e-6)
 
 
-def _unstructured_programs():
-    """Programs that miss one condition of a separable column each."""
-    rng = np.random.default_rng(61)
-    base = _separable_qp(rng, 2, 3, 6, shuffle=False)
-    two_on_u = base.a_ineq.copy()
-    two_on_u[0, 2:4] = [1.0, -0.5]
-    yield "row-with-two-separable-nonzeros", ConvexProgram(c=base.c, q=base.q, a_ineq=two_on_u,
-                                                           b_ineq=base.b_ineq + 5.0)
-    # a coupled column just leaves U, so all of U is coupled here
-    coupled = base.q.copy()
-    coupled[2:, 2:] += 0.1 * (np.ones((3, 3)) - np.eye(3))
-    yield "off-diagonal-q-entry", ConvexProgram(c=base.c, q=coupled, a_ineq=base.a_ineq, b_ineq=base.b_ineq)
-
-
-@pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _unstructured_programs()])
-def test_programs_without_the_structure_take_the_dense_step(program, monkeypatch):
-    assert not qpsolve._separable_columns(program).any()
-    rep = solve(program)
-    assert rep.status == SolveStatus.OPTIMAL
-    assert _report_bits(rep) == _report_bits(_unstructured_solve(monkeypatch, program))
-    oracle = qp_active_set_oracle(program.q, program.c, program.a_ineq, program.b_ineq)
-    assert oracle is not None
-    np.testing.assert_allclose(rep.x, oracle[0], atol=1e-7)
-    np.testing.assert_allclose(rep.lam, oracle[1], atol=1e-6)
-
-
 def test_relaxation_qp_takes_the_schur_step():
     _, ds = model.sample_planted(30, 8, 2, 3)
     program = relax.build(ds, 1e-3, np.ones(4)).program
-    # built split, as detection on its dense twin would split it
-    assert program.sep is not None
-    np.testing.assert_array_equal(program.sep.columns, qpsolve._separable_columns(program.dense()))
+    # built split: the 4 filter entries, then the 30 slack sums, separable
+    np.testing.assert_array_equal(program.sep.columns, np.arange(34) >= 4)
     kkt = qpsolve._SchurKkt(program)
     assert kkt.n_w == 4 and kkt.n_u == 30
 
@@ -882,6 +878,21 @@ def test_split_program_is_checked_and_presolved():
                           sep=qpsolve.Separable(**{**vars(sep), name: value}))
     with pytest.raises(SolverError, match="q must be 1x1"):
         ConvexProgram(c=program.c, q=np.eye(3), a_ineq=rows, b_ineq=program.b_ineq, sep=sep)
+
+
+def test_separable_columns_must_come_last():
+    rows, sep = np.array([[1.0], [0.0]]), qpsolve.Separable(columns=np.array([True, False, True]),
+                                                            q=np.array([1.0, 2.0]), col=np.array([0, 1]),
+                                                            coef=np.array([-1.0, 1.0]))
+    with pytest.raises(SolverError, match="must be the last ones"):
+        ConvexProgram(c=[1.0, -1.0, 0.5], q=[[0.0]], a_ineq=rows, b_ineq=[0.0, 1.0], sep=sep)
+    # the same columns moved last are accepted, and an LP holds an empty U
+    last = ConvexProgram(c=[1.0, -1.0, 0.5], q=[[0.0]], a_ineq=rows, b_ineq=[0.0, 1.0],
+                         sep=qpsolve.Separable(**{**vars(sep), "columns": np.array([False, True, True])}))
+    assert last.sep.q.size == 2 and not last.is_lp
+    lp = ConvexProgram(c=[1.0, -1.0], a_ineq=[[1.0, 0.0], [0.0, 1.0]], b_ineq=[1.0, 1.0])
+    assert lp.is_lp and not lp.sep.columns.any() and lp.sep.q.size == 0
+    assert lp.sep.col.tolist() == [0, 0] and lp.sep.coef.tolist() == [0.0, 0.0]
 
 
 def _rejected_qps():
