@@ -61,8 +61,8 @@ they are refitted on the active rows.
 The script also compares the stdout bytes and the exit code of
 ``convrelax fit --json`` and ``convrelax certify --json``, run in
 process on CSVs that each tree writes from the same planted datasets:
-fit at beta=0 with --trials 3 at k=2 and k=5 and at beta=1e-3 at k=1,
-and certify at k=1 and k=2.  It compares those of ``convrelax sweep``
+fit at beta=0 with --trials 3 at k=2 and k=5, at beta=1e-3 at k=1 and
+at beta=1e-3 with --trials 3 at k=2, and certify at k=1 and k=2.  It compares those of ``convrelax sweep``
 too, with the bytes of the CSV it writes, whose errors have 17 digits:
 k=1 at n in {25, 400}, d in {5, 20} and k=2 at n in {50, 200}, d in
 {8, 16}, each cell with 2 trials of both methods.  It prints one line
@@ -406,6 +406,8 @@ CLI_CASES = (
     ("fit k=2 n=100 d=20 --trials 3", (100, 20, 2, 21), ["fit", "--json", "--trials", "3", "--seed", "1"]),
     ("fit k=5 n=60 d=20 --trials 3", (60, 20, 5, 22), ["fit", "--json", "--trials", "3", "--seed", "2"]),
     ("fit k=1 n=200 d=20 --beta 1e-3", (200, 20, 1, 23), ["fit", "--json", "--beta", "1e-3", "--seed", "3"]),
+    ("fit k=2 n=100 d=20 --beta 1e-3 --trials 3", (100, 20, 2, 28),
+     ["fit", "--json", "--beta", "1e-3", "--trials", "3", "--seed", "8"]),
     ("certify k=1 n=80 d=6", (80, 6, 1, 24), ["certify", "--json", "--seed", "4"]),
     ("certify k=2 n=120 d=8", (120, 8, 2, 25), ["certify", "--json", "--seed", "5"]),
     ("fit k=1 n=400 d=20 --method gd", (400, 20, 1, 26), ["fit", "--json", "--method", "gd", "--seed", "6"]),

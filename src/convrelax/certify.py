@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +43,31 @@ class CertifyError(ValueError):
 
 @dataclass
 class ActiveSets:
-    """Active samples per block (s) and active blocks per sample (r_sets)."""
+    """The (n, k) mask ``active`` of the active (sample, block) pairs,
+    read as the active samples per block (``s``) and the active blocks
+    per sample (``r_sets``)."""
 
-    s: list[np.ndarray]
-    r_sets: list[np.ndarray]
-    n: int
-    k: int
+    active: np.ndarray
+
+    def __post_init__(self):
+        self.n, self.k = self.active.shape
+
+    @property
+    def s(self) -> list[np.ndarray]:
+        return [np.flatnonzero(self.active[:, j]) for j in range(self.k)]
+
+    @property
+    def r_sets(self) -> list[np.ndarray]:
+        # r_sets[i] is sample i's run of the row-major nonzero columns
+        bounds = np.concatenate(([0], np.cumsum(self.active.sum(axis=1)))).tolist()
+        cols = self.active.nonzero()[1]
+        return [cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def mask_for(self, dataset: Dataset) -> np.ndarray:
+        """The mask, which must have the dataset's (n, k)."""
+        if self.active.shape != (dataset.n, dataset.k):
+            raise CertifyError("active sets were computed for a different dataset shape")
+        return self.active
 
 
 def active_sets(x: np.ndarray, w_star: np.ndarray, k: int) -> ActiveSets:
@@ -58,21 +77,7 @@ def active_sets(x: np.ndarray, w_star: np.ndarray, k: int) -> ActiveSets:
     n, d = x.shape
     if k <= 0 or d % k != 0 or w_star.shape != (d // k,):
         raise CertifyError("w_star must have length d/k")
-    active = (x.reshape(n, k, d // k) @ w_star) > 0.0
-    s = [np.flatnonzero(active[:, j]) for j in range(k)]
-    # r_sets[i] is sample i's run of the row-major nonzero columns
-    bounds = np.concatenate(([0], np.cumsum(active.sum(axis=1)))).tolist()
-    cols = active.nonzero()[1]
-    r_sets = [cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    return ActiveSets(s=s, r_sets=r_sets, n=n, k=k)
-
-
-def _active_mask(sets: ActiveSets) -> np.ndarray:
-    """The (n, k) mask of the active (sample, block) pairs."""
-    active = np.zeros((sets.n, sets.k), dtype=bool)
-    for j, s_j in enumerate(sets.s):
-        active[s_j, j] = True
-    return active
+    return ActiveSets((x.reshape(n, k, d // k) @ w_star) > 0.0)
 
 
 def cone_generators(dataset: Dataset, sets: ActiveSets) -> tuple[np.ndarray, np.ndarray]:
@@ -81,10 +86,8 @@ def cone_generators(dataset: Dataset, sets: ActiveSets) -> tuple[np.ndarray, np.
     Returns (generators, sample_indices); generator i is the sum of the
     sample's active block rows, a vector of the filter length.
     """
-    if sets.n != dataset.n or sets.k != dataset.k:
-        raise CertifyError("active sets were computed for a different dataset shape")
+    active = sets.mask_for(dataset)
     xb = dataset.blocks()
-    active = _active_mask(sets)
     counts = active.sum(axis=1)
     gens = np.empty((dataset.n, dataset.filter_size))
     # the samples with m active blocks at once: their (g, m, p) rows summed
@@ -157,7 +160,7 @@ def r1_singleton_fraction(sets: ActiveSets) -> float:
     """Fraction of samples with exactly one active block."""
     if sets.n == 0:
         return 0.0
-    return np.count_nonzero(_active_mask(sets).sum(axis=1) == 1) / sets.n
+    return np.count_nonzero(sets.active.sum(axis=1) == 1) / sets.n
 
 
 DUAL_OPTIMAL = "Optimal"
@@ -165,17 +168,22 @@ DUAL_INFEASIBLE = "DualInfeasible"
 DUAL_FAILED = "Failed"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DualSolveResult:
+    """A result that is not Optimal sets only its status and a zero ŵ:
+    its objectives and measures are NaN and its multipliers empty."""
+
     status: str
-    dual_objective: float
-    primal_objective: float
-    duality_gap: float
-    duals: np.ndarray  # lifted λ_ij = Σ_{S∋j} μ_iS, flattened sample-major
-    v: np.ndarray  # per-sample dual bound vᵢ = Σ_S μ_iS (equals λ at k=1)
-    complementarity: float
-    structure_off_violation: float  # max |λ_ij| over inactive (i, j)
-    structure_on_violation: float  # max |λ_ij − v_i| over active (i, j)
+    dual_objective: float = math.nan
+    primal_objective: float = math.nan
+    duality_gap: float = math.nan
+    # lifted λ_ij = Σ_{S∋j} μ_iS, flattened sample-major, and the
+    # per-sample dual bound vᵢ = Σ_S μ_iS (equals λ at k=1)
+    duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    complementarity: float = math.nan
+    structure_off_violation: float = math.nan  # max |λ_ij| over inactive (i, j)
+    structure_on_violation: float = math.nan  # max |λ_ij − v_i| over active (i, j)
     w_hat: np.ndarray
 
 
@@ -193,13 +201,15 @@ def dual_solve(dataset: Dataset, r: np.ndarray, sets: ActiveSets | None = None) 
     label at k>1) ends Failed.  Reported too:
     complementary slackness over the solved rows and, when active sets
     are supplied, the multiplier structure (λ zero off the active sets,
-    equal to v on them).  Results that are not Optimal carry NaN
-    objectives and a zero ŵ.
+    equal to v on them); sets of another (n, k) than the dataset's raise
+    CertifyError, as ``cone_generators`` raises.  Results that are not
+    Optimal carry NaN objectives and a zero ŵ.
     """
     r = np.asarray(r, dtype=float)
     n, k, p = dataset.n, dataset.k, dataset.filter_size
     if r.shape != (p,):
         raise CertifyError(f"perturbation must have length d/k={p}")
+    active = None if sets is None else sets.mask_for(dataset)
     y = dataset.y
     xb = dataset.blocks()
 
@@ -228,20 +238,8 @@ def dual_solve(dataset: Dataset, r: np.ndarray, sets: ActiveSets | None = None) 
                               f"tol={qpsolve.DEFAULT_TOL:g}", RuntimeWarning, stacklevel=2)
                 status = DUAL_FAILED
 
-    nan = float("nan")
     if status != DUAL_OPTIMAL:
-        return DualSolveResult(
-            status=status,
-            dual_objective=nan,
-            primal_objective=nan,
-            duality_gap=nan,
-            duals=np.zeros(0),
-            v=np.zeros(0),
-            complementarity=nan,
-            structure_off_violation=nan,
-            structure_on_violation=nan,
-            w_hat=np.zeros(p),
-        )
+        return DualSolveResult(status=status, w_hat=np.zeros(p))
 
     primal_obj = float(r @ w_hat)
     dual_obj = -float(y @ v)
@@ -252,8 +250,7 @@ def dual_solve(dataset: Dataset, r: np.ndarray, sets: ActiveSets | None = None) 
 
     off_viol = 0.0
     on_viol = 0.0
-    if sets is not None:
-        active = _active_mask(sets)
+    if active is not None:
         if np.any(~active):
             off_viol = float(np.max(np.abs(lam[~active])))
         if np.any(active):

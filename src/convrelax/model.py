@@ -227,6 +227,8 @@ def import_csv(path: str) -> Dataset:
     if not m:
         raise CsvFormatError(1, "expected metadata line '# n=<n> d=<d> k=<k> seed=<seed>'")
     n, d, k, seed = (int(g) for g in m.groups())
+    if d == 0 or k == 0 or d % k:
+        raise CsvFormatError(1, f"d={d} and k={k} must be positive, and k must divide d")
     if len(lines) < 2:
         raise CsvFormatError(2, "missing header line")
     expected_header = "y," + ",".join(f"x_{j}" for j in range(1, d + 1))

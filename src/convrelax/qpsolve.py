@@ -114,34 +114,31 @@ def _as_vector(v, name: str) -> np.ndarray:
 
 @dataclass
 class Separable:
-    """The separable part of a program: its columns U, the last |U| of
-    the variables (the mask ``columns``), have diagonal curvature ``q`` >
-    0 and no other entry of Q, and every inequality row has at most one
-    entry on U, ``coef`` at column ``col`` of U; a row without one has
-    coef 0 and col |U|.  An LP's or a dense QP's U is empty."""
+    """The separable part of a program: its columns U, the last |U| =
+    ``q.size`` of the variables, have diagonal curvature ``q`` > 0 and no
+    other entry of Q, and every inequality row has at most one entry on
+    U, ``coef`` at column ``col`` of U; a row without one has coef 0 and
+    col |U|.  An LP's or a dense QP's U is empty."""
 
-    columns: np.ndarray
     q: np.ndarray
     col: np.ndarray
     coef: np.ndarray
 
 
 def _check_separable(sep: Separable, m: int, rows: int) -> Separable:
-    columns = np.asarray(sep.columns)
-    if columns.dtype != bool or columns.shape != (m,):
-        raise SolverError(f"the separable columns must be a boolean mask over the {m} variables")
-    n_u = int(np.count_nonzero(columns))
-    if columns[: m - n_u].any():
-        raise SolverError("the separable columns must be the last ones")
     q = _as_vector(sep.q, "the separable curvature")
-    if q.shape != (n_u,) or not np.all(q > 0.0):
-        raise SolverError("the separable curvature must be positive, one entry per separable column")
+    n_u = q.size
+    if n_u > m or not np.all(q > 0.0):
+        raise SolverError(f"the separable curvature must be positive with at most {m} entries, "
+                          "one per separable column")
     col, coef = np.asarray(sep.col), _as_vector(sep.coef, "the separable coefficients")
+    if col.size == 0:
+        col = col.astype(int)  # JSON reads an empty list back as float
     if col.shape != (rows,) or coef.shape != (rows,) or col.dtype.kind not in "iu":
         raise SolverError("the separable part needs one column index and coefficient per row")
     if np.any((col < 0) | (col > n_u)) or np.any((col == n_u) & (coef != 0.0)):
         raise SolverError("a separable column index is out of range")
-    return Separable(columns, q, col, coef)
+    return Separable(q, col, coef)
 
 
 def _parts(program: ConvexProgram) -> tuple[slice, slice]:
@@ -155,10 +152,11 @@ class ConvexProgram:
     """min ½ xᵀQx + cᵀx  s.t.  A_ineq·x ≤ b_ineq.
 
     ``q`` and ``a_ineq`` hold only Q_WW and the rows' part on the
-    columns W before the separable ones (``sep``, see `Separable`), so
-    that a split QP forms no dense (vars × vars) Q or (rows × vars)
-    matrix; ``dense()`` builds its dense twin.  Given without ``sep``, a
-    program has no separable column, and ``sep`` is set so."""
+    columns W before the separable ones, the last ``sep.q.size`` (see
+    `Separable`), so that a split QP forms no dense (vars × vars) Q or
+    (rows × vars) matrix; ``dense()`` builds its dense twin, and
+    ``with_rows`` appends rows.  Given without ``sep``, a program has no
+    separable column, and ``sep`` is set so."""
 
     c: np.ndarray
     q: np.ndarray | None = None
@@ -173,7 +171,11 @@ class ConvexProgram:
             raise SolverError("program needs at least one variable")
         if isinstance(self.sep, dict):  # as a program's JSON gives it
             self.sep = Separable(**self.sep)
-        n_w = m if self.sep is None else m - int(np.count_nonzero(self.sep.columns))
+        self.b_ineq = _as_vector(self.b_ineq if self.b_ineq is not None else [], "b_ineq")
+        rows = self.b_ineq.shape[0]
+        self.sep = (Separable(np.zeros(0), np.zeros(rows, int), np.zeros(rows))
+                    if self.sep is None else _check_separable(self.sep, m, rows))
+        n_w = m - self.sep.q.size
         if self.q is None:
             self.q = np.zeros((n_w, n_w))
         else:
@@ -186,12 +188,8 @@ class ConvexProgram:
         self.a_ineq = _as_matrix(self.a_ineq, n_w, "a_ineq")
         if self.a_ineq.shape[1] != n_w:
             raise SolverError("the constraint matrix must have one column per variable")
-        self.b_ineq = _as_vector(self.b_ineq if self.b_ineq is not None else [], "b_ineq")
-        rows = self.b_ineq.shape[0]
         if rows != self.n_ineq:
             raise SolverError("a_ineq and b_ineq disagree on row count")
-        self.sep = (Separable(np.zeros(m, bool), np.zeros(0), np.zeros(rows, int), np.zeros(rows))
-                    if self.sep is None else _check_separable(self.sep, m, rows))
 
     @property
     def n_vars(self) -> int:
@@ -231,6 +229,15 @@ class ConvexProgram:
         on_u = np.flatnonzero(sep.col < sep.q.size)
         a[on_u, n_w + sep.col[on_u]] = sep.coef[on_u]
         return ConvexProgram(c=self.c, q=q, a_ineq=a, b_ineq=self.b_ineq)
+
+    def with_rows(self, a, b, col=None, coef=0.0) -> ConvexProgram:
+        """The program with the rows a·x_W + coef·x_U[col] ≤ b appended:
+        each has the entry ``coef`` at column ``col`` of U, or none when
+        ``col`` is None.  It is validated as the constructor validates."""
+        col = np.full(len(b), self.sep.q.size) if col is None else col
+        return replace(self, a_ineq=np.vstack([self.a_ineq, a]), b_ineq=np.concatenate([self.b_ineq, b]),
+                       sep=replace(self.sep, col=np.concatenate([self.sep.col, col]),
+                                   coef=np.concatenate([self.sep.coef, np.full(len(b), coef)])))
 
 
 @dataclass
@@ -545,7 +552,7 @@ def _dual_route(program: ConvexProgram, tol, max_iter):
     certificates that `_certificate` has checked: the dual's improving
     ray shows that the original is infeasible; an infeasible dual leaves
     the original a descent ray, so it is unbounded iff its rows are
-    feasible (`_feasibility`, on the dense twin's rows).
+    feasible (`_unbounded_iff_feasible`, on the dense twin's rows).
 
     The dual is min hᵀλ s.t. Gᵀλ = −c, λ ≥ 0, on the rows as given: an
     LP's A is the view Gᵀ of its rows, column-major (BLAS may round a
@@ -557,22 +564,21 @@ def _dual_route(program: ConvexProgram, tol, max_iter):
         return status, y / tau, x / tau, iters
     if status == SolveStatus.PRIMAL_INFEASIBLE:
         # the dual is infeasible: is the original feasible?
-        status, more = _feasibility(program.dense().a_ineq, program.b_ineq, tol, max_iter)
-        iters += more
-        if status == SolveStatus.OPTIMAL:
-            status = SolveStatus.DUAL_UNBOUNDED
-    elif status == SolveStatus.DUAL_UNBOUNDED:
+        return _unbounded_iff_feasible(program, program.dense().a_ineq, iters, tol, max_iter)
+    if status == SolveStatus.DUAL_UNBOUNDED:
         status = SolveStatus.PRIMAL_INFEASIBLE
     return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
 
 
-def _feasibility(G, h, tol, max_iter):
-    """(status, iterations) of the LP min 0 s.t. G·x ≤ h: Optimal iff the
-    rows are feasible; it takes its route by shape."""
-    lp = ConvexProgram(c=np.zeros(G.shape[1]), a_ineq=G, b_ineq=h)
+def _unbounded_iff_feasible(program, G, iters, tol, max_iter):
+    """The result of a program with a descent ray and rows G·x ≤ h:
+    DualUnbounded iff the zero-cost LP over those rows ends Optimal,
+    which takes its route by shape; its iterations add to ``iters``."""
+    lp = ConvexProgram(c=np.zeros(G.shape[1]), a_ineq=G, b_ineq=program.b_ineq)
     route = _solve_wide if lp.n_ineq < lp.n_vars else _dual_route
-    status, _, _, iters = route(lp, tol, max_iter)
-    return status, iters
+    status, _, _, more = route(lp, tol, max_iter)
+    status = SolveStatus.DUAL_UNBOUNDED if status == SolveStatus.OPTIMAL else status
+    return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters + more
 
 
 def _lapack(routine, *args, **kwargs):
@@ -613,9 +619,7 @@ def _solve_wide(program: ConvexProgram, tol, max_iter):
     V = basis[:, : np.count_nonzero(diag > max(spanning.shape) * np.finfo(float).eps * diag[0])]
     c_u = V.T @ program.c
     if np.abs(program.c - V @ c_u).max() > tol:
-        status, iters = _feasibility(G @ V, program.b_ineq, tol, max_iter)
-        status = SolveStatus.DUAL_UNBOUNDED if status == SolveStatus.OPTIMAL else status
-        return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
+        return _unbounded_iff_feasible(program, G @ V, 0, tol, max_iter)
     q_u = None if program.is_lp else V.T @ program.q @ V
     reduced = ConvexProgram(c=c_u, q=None if q_u is None else 0.5 * (q_u + q_u.T), a_ineq=G @ V,
                             b_ineq=program.b_ineq)

@@ -30,7 +30,6 @@ makes them feasible for the lifted program (z_i0 ≥ (X_i0·ŵ)₊ because
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 import warnings
@@ -132,17 +131,18 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     """Assemble the first round of the perturbed relaxation (see the
     module docstring); ``block_set_lp`` solves it.
 
-    Its rows are the n·k singleton sets in the sample-major order of
-    ``dataset.blocks()``.  beta > 0 builds the QP over (w, u), cost
-    (beta·r, −y) and curvature I on u, with rows X_ij·w − uᵢ ≤ 0, then
-    −u ≤ 0, split (``qpsolve.Separable``): its dense part is the rows'
-    X_ij or 0 on w, and the u columns are separable, each row holding
-    −1 on its sample's uᵢ.  beta == 0 builds the LP over w, cost r,
-    with rows X_ij·w ≤ yᵢ, then at k>1 the empty-set row of each
-    negative label.  Without such a row (always at k=1) the LP's rows
-    are ``dataset.x`` itself, a view, unless x is not row-major: then
-    they are its row-major copy, the layout the solver's products and
-    the report's residuals are measured on.
+    Its rows, laid out by ``_first_round``, are the n·k singleton sets in
+    the sample-major order of ``dataset.blocks()``, then the empty-set
+    rows.  beta > 0 builds the QP over (w, u), cost (beta·r, −y) and
+    curvature I on u, with rows X_ij·w − uᵢ ≤ 0, then −u ≤ 0, split
+    (``qpsolve.Separable``): its dense part is the rows' X_ij or 0 on w,
+    and the u columns are separable, each row holding −1 on its sample's
+    uᵢ.  beta == 0 builds the LP over w, cost r, with rows X_ij·w ≤ yᵢ,
+    then at k>1 the empty-set row of each negative label.  Without such
+    a row (always at k=1) the LP's rows are ``dataset.x`` itself, a view,
+    unless x is not row-major: then they are its row-major copy, the
+    layout the solver's products and the report's residuals are measured
+    on.
     """
     if not 0.0 <= beta < math.inf:
         raise RelaxError("beta must be nonnegative and finite")
@@ -151,36 +151,26 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     if r.shape != (p,):
         raise RelaxError(f"perturbation must have length d/k={p}")
     y = dataset.y
-    xb = dataset.blocks()
-
-    c = _cost(dataset, beta, r)
-    nz = n * k
+    sample = _first_round(y, k, beta > 0.0)
+    rows = dataset.blocks().reshape(n * k, p)
+    empty = sample.size - n * k
+    a_w = np.vstack([rows, np.zeros((empty, p))]) if empty else np.ascontiguousarray(rows)
     if beta == 0.0:
-        empty = _empty_set_samples(y, k)
-        rows = xb.reshape(nz, p)
-        a_ineq = np.vstack([rows, np.zeros((empty.size, p))]) if empty.size else np.ascontiguousarray(rows)
-        b_ineq = np.concatenate([np.repeat(y, k), y[empty]])
-        return RelaxationInstance(beta, r, ConvexProgram(c=c, a_ineq=a_ineq, b_ineq=b_ineq))
-
-    a_w = np.vstack([xb.reshape(nz, p), np.zeros((n, p))])
-    sep = qpsolve.Separable(columns=np.arange(p + n) >= p, q=np.ones(n),
-                            col=np.concatenate([np.repeat(np.arange(n), k), np.arange(n)]),
-                            coef=np.full(nz + n, -1.0))
-    program = ConvexProgram(c=c, a_ineq=a_w, b_ineq=np.zeros(nz + n), sep=sep)
+        return RelaxationInstance(beta, r, ConvexProgram(c=r.copy(), a_ineq=a_w, b_ineq=y[sample]))
+    sep = qpsolve.Separable(q=np.ones(n), col=sample, coef=np.full(sample.size, -1.0))
+    program = ConvexProgram(c=np.concatenate([beta * r, -y]), a_ineq=a_w, b_ineq=np.zeros(sample.size),
+                            sep=sep)
     return RelaxationInstance(beta, r, program)
 
 
-def _cost(dataset: Dataset, beta: float, r: np.ndarray) -> np.ndarray:
-    """Linear cost of the relaxation: beta·r on the filter and −yᵢ on the
-    slack sum uᵢ for the QP; r on the filter alone in the LP limit."""
-    if beta == 0.0:
-        return r.copy()
-    return np.concatenate([beta * r, -dataset.y])
-
-
-def _empty_set_samples(y: np.ndarray, k: int) -> np.ndarray:
-    """Samples whose label no nonnegative slacks can sum to (k>1 only)."""
-    return np.flatnonzero(y < 0.0) if k > 1 else np.zeros(0, dtype=int)
+def _first_round(y: np.ndarray, k: int, with_u: bool) -> np.ndarray:
+    """The sample of each first-round row: the n·k singleton rows, then
+    the empty-set rows, which are every sample's −uᵢ ≤ 0 in the QP (with
+    ``with_u``) and, in the LP at k>1, each negative label's, which no
+    nonnegative slacks sum to."""
+    n = y.size
+    empty = np.arange(n) if with_u else np.flatnonzero(y < 0.0) if k > 1 else np.zeros(0, dtype=int)
+    return np.concatenate([np.repeat(np.arange(n), k), empty])
 
 
 def block_set_lp(dataset: Dataset, program: ConvexProgram) -> tuple[SolveReport, np.ndarray, np.ndarray]:
@@ -191,22 +181,23 @@ def block_set_lp(dataset: Dataset, program: ConvexProgram) -> tuple[SolveReport,
     responding block at ŵ gets the row of those blocks (its most
     violated set) when that row is violated by more than the solver's
     tolerance ``qpsolve.DEFAULT_TOL``: the row Σ_{j∈S} X_ij·w ≤ yᵢ of
-    the LP, or Σ_{j∈S} X_ij·w − uᵢ ≤ 0 of the QP.  A sample without one
-    has a singleton or empty-set row as its most violated set, and an
-    Optimal report meets each present row within that tolerance, so
-    only new sets are added; at k=1, where the singletons are all the
-    sets, the first report is the last.  Returns the last report and,
-    per row, its sample and block set (all False for an empty-set row).
-    When MAX_ROW_ROUNDS solves leave a row violated, the last report
-    comes back with status MaxIterations and a RuntimeWarning.
+    the LP, or Σ_{j∈S} X_ij·w − uᵢ ≤ 0 of the QP, appended by
+    ``ConvexProgram.with_rows``.  A sample without one has a singleton
+    or empty-set row as its most violated set, and an Optimal report
+    meets each present row within that tolerance, so only new sets are
+    added; at k=1, where the singletons are all the sets, the first
+    report is the last.  Returns the last report and, per row, its
+    sample and block set (all False for an empty-set row), the first
+    round's as ``build`` laid them out.  When MAX_ROW_ROUNDS solves
+    leave a row violated, the last report comes back with status
+    MaxIterations and a RuntimeWarning.
     """
     xb, y = dataset.blocks(), dataset.y
     n, k, p = xb.shape
     with_u = program.sep.q.size > 0  # the QP over (w, u), its slack sums u separable
-    # the QP's rows −uᵢ ≤ 0 are the empty-set rows of every sample
-    empty = np.arange(n) if with_u else _empty_set_samples(y, k)
-    sample = np.concatenate([np.repeat(np.arange(n), k), empty])
-    blocks = np.vstack([np.tile(np.eye(k, dtype=bool), (n, 1)), np.zeros((empty.size, k), dtype=bool)])
+    sample = _first_round(y, k, with_u)
+    blocks = np.vstack([np.tile(np.eye(k, dtype=bool), (n, 1)),
+                        np.zeros((sample.size - n * k, k), dtype=bool)])
     for _ in range(MAX_ROW_ROUNDS):
         report = qpsolve.solve(program)
         if report.status != SolveStatus.OPTIMAL or k == 1:
@@ -219,14 +210,9 @@ def block_set_lp(dataset: Dataset, program: ConvexProgram) -> tuple[SolveReport,
         if new.size == 0:
             return report, sample, blocks
         rows = (xb[new] * pos[new, :, None]).sum(axis=1)
-        # a shallow copy skips re-validating the program for finite new rows
-        program = copy.copy(program)
-        # each new row's entry on U: −uᵢ in the QP, none (col |U| = 0, coef 0) in the LP
-        u_col, u_coef = (new, -1.0) if with_u else (np.zeros_like(new), 0.0)
-        program.sep = dataclasses.replace(program.sep, col=np.concatenate([program.sep.col, u_col]),
-                                          coef=np.concatenate([program.sep.coef, np.full(new.size, u_coef)]))
-        program.a_ineq = np.vstack([program.a_ineq, rows])
-        program.b_ineq = np.concatenate([program.b_ineq, np.zeros(new.size) if with_u else y[new]])
+        # each new row's entry on U: −uᵢ in the QP, none in the LP
+        program = (program.with_rows(rows, np.zeros(new.size), new, -1.0) if with_u
+                   else program.with_rows(rows, y[new]))
         sample = np.concatenate([sample, new])
         blocks = np.vstack([blocks, pos[new]])
     warnings.warn(f"block-set row generation stopped at the round cap MAX_ROW_ROUNDS="
@@ -243,16 +229,13 @@ def fit(dataset: Dataset, beta: float, seed: int) -> FitResult:
 
 
 def fit_with_perturbation(dataset: Dataset, beta: float, r: np.ndarray, trial_seed: int = 0) -> FitResult:
-    return _solve_instance(dataset, build(dataset, beta, r), trial_seed)
-
-
-def _solve_instance(dataset: Dataset, instance: RelaxationInstance, trial_seed: int) -> FitResult:
+    instance = build(dataset, beta, r)
     p = dataset.filter_size
     report = block_set_lp(dataset, instance.program)[0]
     w_hat = report.x[:p].copy()
     # rebuild the slacks from ŵ and the slack sums (module docstring)
     z = np.maximum(block_responses(dataset.x, w_hat, dataset.k), 0.0)
-    z[:, 0] = (dataset.y if instance.beta == 0.0 else report.x[p:]) - z[:, 1:].sum(axis=1)
+    z[:, 0] = (dataset.y if beta == 0.0 else report.x[p:]) - z[:, 1:].sum(axis=1)
     z_hat = z.reshape(-1)
     return FitResult(
         w_hat=w_hat,
@@ -274,13 +257,11 @@ def fit_amplified(
 ) -> RecoveryOutcome:
     """Run independent perturbation trials and keep the smallest residual.
 
-    Trial t uses the derived master seed ``derived_seed(seed, t)``, so one
-    trial reproduces ``fit`` exactly.  The winner is the optimal-status
-    trial with minimum recomputed training residual, ties broken by the
-    lower trial index.  The program is built once; trials differ only in
-    its cost vector, and at beta == 0 each generates its rows afresh from
-    the singleton rows.  Recovery error is measured against ``w_star``,
-    regenerated from the dataset seed when not supplied.
+    Trial t is ``fit(dataset, beta, derived_seed(seed, t))``, built and
+    solved afresh.  The winner is the optimal-status trial with minimum
+    recomputed training residual, ties broken by the lower trial index.
+    Recovery error is measured against ``w_star``, regenerated from the
+    dataset seed when not supplied.
     """
     if num_trials < 1:
         raise RelaxError("num_trials must be positive")
@@ -290,26 +271,15 @@ def fit_amplified(
 
     results: list[FitResult] = []
     records: list[TrialRecord] = []
-    instance = None
     for t in range(num_trials):
-        ts = derived_seed(seed, t)
-        r = substream(ts, STREAM_PERTURBATION).standard_normal(dataset.filter_size)
-        if instance is None:
-            instance = build(dataset, beta, r)
-        else:
-            # a shallow copy keeps the constraint arrays and skips the
-            # program's validation, which the first build already ran
-            program = copy.copy(instance.program)
-            program.c = _cost(dataset, beta, r)
-            instance = dataclasses.replace(instance, r=r, program=program)
-        res = _solve_instance(dataset, instance, ts)
+        res = fit(dataset, beta, derived_seed(seed, t))
         results.append(res)
         l2 = (
             float(np.linalg.norm(res.w_hat - w_star))
             if w_star is not None
             else float("nan")
         )
-        records.append(TrialRecord(ts, l2, res.train_residual, res.report.status))
+        records.append(TrialRecord(res.trial_seed, l2, res.train_residual, res.report.status))
 
     optimal = [t for t, res in enumerate(results) if res.report.status == SolveStatus.OPTIMAL]
     if not optimal:

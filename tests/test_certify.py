@@ -264,6 +264,18 @@ def test_dual_solve_infeasible_when_target_outside_hull():
     assert out.status == certify.DUAL_INFEASIBLE
 
 
+def test_active_sets_of_another_shape_are_rejected():
+    # sets of n=30 with n=40 data, and k=4 sets with k=2 data
+    pm30, ds30 = sample_planted(30, 8, 2, 1)
+    pm4, ds4 = sample_planted(30, 8, 4, 1)
+    _, ds40 = sample_planted(40, 8, 2, 1)
+    for sets, ds in [(active_sets(ds30.x, pm30.w_star, 2), ds40), (active_sets(ds4.x, pm4.w_star, 4), ds30)]:
+        with pytest.raises(CertifyError, match="different dataset shape"):
+            cone_generators(ds, sets)
+        with pytest.raises(CertifyError, match="different dataset shape"):
+            dual_solve(ds, np.ones(4), sets=sets)
+
+
 def test_r1_singleton_fraction_examples():
     ds, w_star = two_by_two()
     sets = active_sets(ds.x, w_star, 2)

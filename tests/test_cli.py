@@ -160,6 +160,18 @@ def test_non_finite_dataset_is_an_io_error(dataset_csv, capsys, command):
     assert "line 6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("meta", ["# n=1 d=2 k=3 seed=1", "# n=1 d=2 k=0 seed=1", "# n=1 d=0 k=1 seed=1"],
+                         ids=["k-not-dividing-d", "k-zero", "d-zero"])
+def test_inconsistent_csv_metadata_is_an_io_error(tmp_path, capsys, meta):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{meta}\ny,x_1,x_2\n1.0,0.5,0.5\n")
+    with pytest.raises(CsvFormatError) as exc:
+        import_csv(str(path))
+    assert exc.value.line == 1
+    assert main(["fit", "--in", str(path)]) == EXIT_IO
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_solver_input_error_exit_code(dataset_csv, capsys, monkeypatch):
     def reject(*args, **kwargs):
         raise qpsolve.SolverError("c contains non-finite entries")

@@ -595,8 +595,12 @@ def test_program_json_round_trip():
     back = ConvexProgram(**json.loads(model.to_json(split)))
     for name in ("c", "q", "a_ineq", "b_ineq"):
         np.testing.assert_array_equal(getattr(back, name), getattr(split, name))
-    for name in ("columns", "q", "col", "coef"):
+    for name in ("q", "col", "coef"):
         np.testing.assert_array_equal(getattr(back.sep, name), getattr(split.sep, name))
+    # and a program with no row, whose empty column indices read back as floats
+    rowless = ConvexProgram(c=[1.0, -1.0])
+    back = ConvexProgram(**json.loads(model.to_json(rowless)))
+    assert back.n_ineq == 0 and back.sep.col.dtype.kind == "i" and back.is_lp
 
 
 def test_solve_is_deterministic():
@@ -795,7 +799,7 @@ def _separable_qp(rng, n_w, n_u, rows, curved=True, untouched=False, shuffle=Tru
         col, coef = np.append(col, np.full(2 * n_w, n_u)), np.append(coef, np.zeros(2 * n_w))
         b = np.concatenate([b, np.full(2 * n_w, 3.0)])
     program = ConvexProgram(c=rng.standard_normal(m), q=q_ww, a_ineq=g_w, b_ineq=b,
-                            sep=qpsolve.Separable(np.arange(m) >= n_w, q_u, col, coef))
+                            sep=qpsolve.Separable(q_u, col, coef))
     perm = rng.permutation(m) if shuffle else np.arange(m)
     dense = program.dense()
     twin = ConvexProgram(c=dense.c[perm], q=dense.q[np.ix_(perm, perm)], a_ineq=dense.a_ineq[:, perm],
@@ -850,14 +854,13 @@ def test_relaxation_qp_takes_the_schur_step():
     _, ds = model.sample_planted(30, 8, 2, 3)
     program = relax.build(ds, 1e-3, np.ones(4)).program
     # built split: the 4 filter entries, then the 30 slack sums, separable
-    np.testing.assert_array_equal(program.sep.columns, np.arange(34) >= 4)
+    assert program.n_vars == 34 and program.sep.q.size == 30
     kkt = qpsolve._SchurKkt(program)
     assert kkt.n_w == 4 and kkt.n_u == 30
 
 
 def test_split_program_is_checked_and_presolved():
-    sep = qpsolve.Separable(columns=np.array([False, True, True]), q=np.array([1.0, 2.0]),
-                            col=np.array([0, 2, 1]), coef=np.array([-1.0, 0.0, 3.0]))
+    sep = qpsolve.Separable(q=np.array([1.0, 2.0]), col=np.array([0, 2, 1]), coef=np.array([-1.0, 0.0, 3.0]))
     rows = np.array([[1.0], [0.0], [0.0]])
     program = ConvexProgram(c=[1.0, -1.0, 0.5], q=[[0.0]], a_ineq=rows, b_ineq=[0.0, 1.0, 2.0], sep=sep)
     dense = program.dense()
@@ -870,28 +873,19 @@ def test_split_program_is_checked_and_presolved():
     assert keep.tolist() == [True, False, True] and not infeasible
     np.testing.assert_array_equal(reduced.dense().a_ineq, dense.a_ineq[keep])
     assert _report_bits(solve(program)) == _report_bits(solve(dense))
-    bad_parts = {"columns": np.array([1, 0, 1]), "q": np.array([1.0, 0.0]), "col": np.array([0, 3, 1]),
-                 "coef": np.array([-1.0, 1.0, 3.0])}
-    for name, value in bad_parts.items():
+    # a nonpositive curvature, more separable columns than variables, an
+    # index past the spare column, and a coefficient at the spare column
+    bad_parts = [("q", np.array([1.0, 0.0])), ("q", np.ones(4)), ("col", np.array([0, 3, 1])),
+                 ("coef", np.array([-1.0, 1.0, 3.0]))]
+    for name, value in bad_parts:
         with pytest.raises(SolverError):
             ConvexProgram(c=program.c, q=program.q, a_ineq=rows, b_ineq=program.b_ineq,
                           sep=qpsolve.Separable(**{**vars(sep), name: value}))
     with pytest.raises(SolverError, match="q must be 1x1"):
         ConvexProgram(c=program.c, q=np.eye(3), a_ineq=rows, b_ineq=program.b_ineq, sep=sep)
-
-
-def test_separable_columns_must_come_last():
-    rows, sep = np.array([[1.0], [0.0]]), qpsolve.Separable(columns=np.array([True, False, True]),
-                                                            q=np.array([1.0, 2.0]), col=np.array([0, 1]),
-                                                            coef=np.array([-1.0, 1.0]))
-    with pytest.raises(SolverError, match="must be the last ones"):
-        ConvexProgram(c=[1.0, -1.0, 0.5], q=[[0.0]], a_ineq=rows, b_ineq=[0.0, 1.0], sep=sep)
-    # the same columns moved last are accepted, and an LP holds an empty U
-    last = ConvexProgram(c=[1.0, -1.0, 0.5], q=[[0.0]], a_ineq=rows, b_ineq=[0.0, 1.0],
-                         sep=qpsolve.Separable(**{**vars(sep), "columns": np.array([False, True, True])}))
-    assert last.sep.q.size == 2 and not last.is_lp
+    # given without a separable part, an LP holds an empty U and no row an entry on it
     lp = ConvexProgram(c=[1.0, -1.0], a_ineq=[[1.0, 0.0], [0.0, 1.0]], b_ineq=[1.0, 1.0])
-    assert lp.is_lp and not lp.sep.columns.any() and lp.sep.q.size == 0
+    assert lp.is_lp and lp.sep.q.size == 0
     assert lp.sep.col.tolist() == [0, 0] and lp.sep.coef.tolist() == [0.0, 0.0]
 
 

