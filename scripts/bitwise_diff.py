@@ -22,7 +22,8 @@ multipliers are not unique), the row-generated
 k=2 and k=5 relaxation LPs (one report per round), the beta=1e-3 QP at
 k=1 (n=200 and n=1000) and row-generated at k=2 (d=20 and d=40) and
 k=5, each built split (its dense part over the filter, the slack sums
-separable), certify's phase-1 cone program
+separable), the wide k=1 fits, fewer samples than filter entries, at
+n=10, d=20 and n=50, d=80, at beta=0 and 1e-3, certify's phase-1 cone program
 and the block-set LP that gives its primal fit and dual at k=1, 2 and 5
 and on a k=2 dataset whose dual is infeasible, presolve cases with
 duplicate, zero, -0.0 and infeasible rows, the beta=1e-3 QP given
@@ -38,8 +39,8 @@ is infeasible, so the zero-cost dual decides) and 3×4 (its cost is off
 the rows' span), two degenerate Optimal LPs whose polish runs: 10×3
 with each tight row given twice (the polish is kept) and 5×2 with a
 tight row scaled by 1e6 (too ill-conditioned for the multiplier check),
-two Optimal programs with fewer rows than variables whose pivoted QR
-drops a pivot at the rank cut: a 3×8 QP over the span of [Gᵀ Q], Q of
+two Optimal programs with fewer rows than variables whose SVD drops a
+singular value at the rank cut: a 3×8 QP over the span of [Gᵀ Q], Q of
 rank 4, and a 4×7 LP whose last row repeats its first; a 40×3 LP cut
 off at max_iter=2, and a
 6×3 LP over x1 + x2 and x3, whose singular normal matrix takes the
@@ -225,8 +226,8 @@ def _small_programs():
 
 
 def _wide_rank_cut_programs():
-    """Optimal programs with fewer rows than variables whose pivoted QR
-    of the span has a pivot that the rank cut drops: a 3×8 QP over
+    """Optimal programs with fewer rows than variables whose span has a
+    singular value that the rank cut drops: a 3×8 QP over
     [Gᵀ Q], Q of rank 4 (a rank-2 block and two separable columns), 11
     columns of rank 7; and a 4×7 LP whose last row repeats its first."""
     import numpy as np
@@ -305,6 +306,12 @@ def run_panel() -> list[dict]:
         for k, n, d in ((1, 1000, 20), (2, 100, 40)):
             label[0] = f"beta-qp k={k} n={n} d={d}"
             relax.fit(model.sample_planted(n, d, k, 19)[1], 1e-3, 20)
+        # fewer samples than filter entries: the column presolve writes
+        # each program over its span, which its cost leaves
+        for n, d in ((10, 20), (50, 80)):
+            for beta in (0.0, 1e-3):
+                label[0] = f"k1-wide n={n} d={d} beta={beta:g}"
+                relax.fit(model.sample_planted(n, d, 1, 44)[1], beta, 45)
         # the last case has fewer block rows than filter entries: its dual
         # is infeasible
         for k, n, d, seed in ((2, 120, 8, 10), (1, 80, 6, 10), (5, 60, 20, 10), (2, 4, 10, 1)):
@@ -351,9 +358,10 @@ def run_panel() -> list[dict]:
         label[0] = "beta-qp-max-iterations k=1 n=200 d=20"
         _, ds = model.sample_planted(200, 20, 1, 8)
         r = model.substream(9, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
-        qpsolve.solve(relax.build(ds, 1e-3, r).program, max_iter=2)
+        built = relax.build(ds, 1e-3, r)
+        qpsolve.solve(getattr(built, "program", built), max_iter=2)  # older trees wrap the program
         # the planted features as every other column of a wider array,
-        # which build copies row-major
+        # which presolve copies row-major
         label[0] = "k1-lp strided features n=400 d=20"
         _, ds = model.sample_planted(400, 20, 1, 41)
         wide = np.zeros((ds.n, 2 * ds.d))

@@ -213,8 +213,7 @@ def dual_solve(dataset: Dataset, r: np.ndarray, sets: ActiveSets | None = None) 
     y = dataset.y
     xb = dataset.blocks()
 
-    program = relax.build(dataset, 0.0, r).program
-    report, sample, blocks = relax.block_set_lp(dataset, program)
+    report, sample, blocks = relax.block_set_lp(dataset, relax.build(dataset, 0.0, r))
     status = {SolveStatus.OPTIMAL: DUAL_OPTIMAL,
               SolveStatus.DUAL_UNBOUNDED: DUAL_INFEASIBLE}.get(report.status, DUAL_FAILED)
 

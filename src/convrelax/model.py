@@ -32,18 +32,20 @@ class ModelError(ValueError):
     pass
 
 
-def substream(seed: int, stream: int, *extra: int) -> np.random.Generator:
-    """Deterministic generator for one named substream of a master seed."""
+def _seed_sequence(seed: int, *spawn_key: int) -> np.random.SeedSequence:
     if seed < 0:
         raise ModelError("seed must be a nonnegative integer")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(stream, *extra))
-    return np.random.default_rng(ss)
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
+
+
+def substream(seed: int, stream: int, *extra: int) -> np.random.Generator:
+    """Deterministic generator for one named substream of a master seed."""
+    return np.random.default_rng(_seed_sequence(seed, stream, *extra))
 
 
 def derived_seed(seed: int, index: int) -> int:
     """A fresh 64-bit master seed for sub-experiment ``index``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(STREAM_TRIAL, int(index)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, STREAM_TRIAL, int(index)).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,11 @@ on presolve's row-major rows and their transposes it makes ``@``'s
 BLAS call without the dispatch of the ``matmul`` gufunc, which costs
 more than the arithmetic here (``scripts/bitwise_diff.py`` checks bits).
 
-LAPACK comes from scipy's own extension module, ``scipy.linalg._flapack``:
-dpotrf and dpotrs for the Cholesky solves, and dgeqp3 and dorgqr for the
-pivoted QR, called as ``scipy.linalg`` calls them.  The extension is
-loaded without the ``scipy.linalg`` package, whose import would take
-over half the time of ``import convrelax`` and a third of its memory.
+The Cholesky solves call dpotrf and dpotrs from scipy's own LAPACK
+extension, ``scipy.linalg._flapack``, as ``scipy.linalg`` calls them; the
+other factorizations are numpy's.  The extension is loaded without the
+``scipy.linalg`` package, whose import would take over half the time of
+``import convrelax`` and a third of its memory.
 """
 
 from __future__ import annotations
@@ -403,7 +403,10 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
     else:
         a_dot, at_dot, q_dot, squeeze = kkt.gt_dot, kkt.g_dot, kkt.q_dot, 100.0 * tol
         col_norms = kkt.row_norms
-        y = kkt.q_pinv_dot(b)
+        try:
+            y = kkt.q_pinv_dot(b)
+        except np.linalg.LinAlgError:  # Q_ww's SVD did not converge
+            return x, y, tau, SolveStatus.NUMERICAL_FAILURE, 0
         np.maximum(c - at_dot(y), 1.0, out=z)
 
     # ‖r‖₂ is taken as np.linalg.norm takes it for a 1-D float array
@@ -581,48 +584,27 @@ def _unbounded_iff_feasible(program, G, iters, tol, max_iter):
     return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters + more
 
 
-def _lapack(routine, *args, **kwargs):
-    """The outputs of a LAPACK routine but its work array and info, run
-    with the workspace that its lwork=-1 query asks for, as scipy's
-    ``safecall`` runs it."""
-    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
-    *out, _, info = routine(*args, lwork=lwork, **kwargs)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
-    return out
-
-
-def _qr(a):
-    """(Q, R, pivots) of the economic pivoted QR of a, K = min(M, N)
-    columns of Q, bit for bit as ``scipy.linalg.qr(a, mode="economic",
-    pivoting=True)`` computes them: dgeqp3, then dorgqr on the first K
-    columns of its output, which it overwrites.  There is no finiteness
-    check: ``ConvexProgram`` rejects non-finite rows and Q."""
-    k = min(a.shape)
-    qr, jpvt, tau = _lapack(_flapack.dgeqp3, a)
-    r = np.triu(qr[:k])
-    q, = _lapack(_flapack.dorgqr, qr[:, :k], tau, overwrite_a=1)
-    return q, r, jpvt - 1
-
-
 def _solve_wide(program: ConvexProgram, tol, max_iter):
     """Solve a dense program with fewer rows than variables over x = V·u,
-    V an orthonormal basis of the span of its rows and Q's (pivoted QR
-    of [Gᵀ Q], rank by numpy's ``matrix_rank`` rule): rows G·V, curvature
-    VᵀQV, cost Vᵀc and a nonsingular normal matrix on the dual route; λ
-    maps back unchanged.  A cost off the span is a descent ray that no
-    row or curvature sees: unbounded iff feasible."""
+    V an orthonormal basis of the span of its rows and Q's: the left
+    singular vectors of [Gᵀ Q] whose σ exceeds max(shape)·eps·σ₀, numpy's
+    ``matrix_rank`` rule.  Its rows G·V, curvature VᵀQV and cost Vᵀc give
+    a nonsingular normal matrix on the dual route; λ maps back unchanged.
+    A cost off the span is a descent ray that no row or curvature sees:
+    unbounded iff feasible.  An SVD that does not converge ends the solve
+    NumericalFailure."""
     G = program.a_ineq
     spanning = G.T if program.is_lp else np.hstack([G.T, program.q])
-    basis, r, _ = _qr(spanning)
-    diag = np.abs(r.diagonal())
-    V = basis[:, : np.count_nonzero(diag > max(spanning.shape) * np.finfo(float).eps * diag[0])]
+    try:
+        basis, sigma, _ = np.linalg.svd(spanning, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return SolveStatus.NUMERICAL_FAILURE, np.zeros(program.n_vars), np.zeros(program.n_ineq), 0
+    V = basis[:, : np.count_nonzero(sigma > max(spanning.shape) * np.finfo(float).eps * sigma[0])]
     c_u = V.T @ program.c
     if np.abs(program.c - V @ c_u).max() > tol:
         return _unbounded_iff_feasible(program, G @ V, 0, tol, max_iter)
-    q_u = None if program.is_lp else V.T @ program.q @ V
-    reduced = ConvexProgram(c=c_u, q=None if q_u is None else 0.5 * (q_u + q_u.T), a_ineq=G @ V,
-                            b_ineq=program.b_ineq)
+    q_u = V.T @ program.q @ V  # 0 for an LP
+    reduced = ConvexProgram(c=c_u, q=0.5 * (q_u + q_u.T), a_ineq=G @ V, b_ineq=program.b_ineq)
     status, u, lam, iters = _dual_route(reduced, tol, max_iter)
     return status, V @ u, lam, iters
 
@@ -731,7 +713,8 @@ def _guess_active(program: ConvexProgram, x, lam) -> np.ndarray:
 
 def _polish(program: ConvexProgram, x, lam, bar):
     """Refine a near-optimal pair by solving the KKT system of the guessed
-    active set; returns the refined pair or None when the guess fails.
+    active set; returns the refined pair or None when the guess fails,
+    and raises numpy's LinAlgError when its SVD or lstsq does not converge.
 
     The separable columns U leave the system in closed form before
     lstsq, x_U = −(c_U + R_Uᵀλ)/q_U over the active rows R.  The core over
@@ -775,10 +758,7 @@ def _polish(program: ConvexProgram, x, lam, bar):
     K[n_w + i, n_w + j] -= coef[i] / sep.q[col[i]] * coef[j]
     x_u0 = -program.c[u] / sep.q  # x_U at λ = 0; the spare column's 0 follows
     rhs = np.concatenate([-c_w, h_a - coef * np.append(x_u0, 0.0)[col]])
-    try:
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return None
+    sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     if not np.all(np.isfinite(sol)):
         return None
     x_u = x_u0 - np.bincount(col, weights=coef * sol[n_w:], minlength=sep.q.size + 1)[:-1] / sep.q
@@ -819,7 +799,10 @@ def _refine(program: ConvexProgram, status, x, lam, tol):
     if status != SolveStatus.OPTIMAL:
         return x, lam, None
     measures = _kkt_measures(program, x, lam)
-    candidate = _polish(program, x, lam, max(measures))
+    try:
+        candidate = _polish(program, x, lam, max(measures))
+    except np.linalg.LinAlgError:  # its SVD or lstsq did not converge
+        candidate = None
     if candidate is not None:
         polished = _kkt_measures(program, *candidate)
         if max(polished) < max(measures):

@@ -68,13 +68,6 @@ class AllTrialsFailedError(RuntimeError):
 
 
 @dataclass
-class RelaxationInstance:
-    beta: float
-    r: np.ndarray
-    program: ConvexProgram  # variables w, then u when beta > 0
-
-
-@dataclass
 class FitResult:
     w_hat: np.ndarray
     z_hat: np.ndarray
@@ -127,9 +120,10 @@ def assess(w_hat: np.ndarray, w_star: np.ndarray, tau: float = DEFAULT_TAU) -> A
     return Assessment(l2, rel, l2 <= tau * (1.0 + norm_star))
 
 
-def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
-    """Assemble the first round of the perturbed relaxation (see the
-    module docstring); ``block_set_lp`` solves it.
+def build(dataset: Dataset, beta: float, r: np.ndarray) -> ConvexProgram:
+    """The first round of the perturbed relaxation (see the module
+    docstring), whose variables are w, then u when beta > 0;
+    ``block_set_lp`` solves it.
 
     Its rows, laid out by ``_first_round``, are the n·k singleton sets in
     the sample-major order of ``dataset.blocks()``, then the empty-set
@@ -139,10 +133,9 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     and the u columns are separable, each row holding −1 on its sample's
     uᵢ.  beta == 0 builds the LP over w, cost r, with rows X_ij·w ≤ yᵢ,
     then at k>1 the empty-set row of each negative label.  Without such
-    a row (always at k=1) the LP's rows are ``dataset.x`` itself, a view,
-    unless x is not row-major: then they are its row-major copy, the
-    layout the solver's products and the report's residuals are measured
-    on.
+    a row (always at k=1) the LP's rows are a view of ``dataset.x`` in
+    its own layout; the solver's presolve copies rows that are not
+    row-major.  A beta·r that overflows raises RelaxError.
     """
     if not 0.0 <= beta < math.inf:
         raise RelaxError("beta must be nonnegative and finite")
@@ -150,17 +143,18 @@ def build(dataset: Dataset, beta: float, r: np.ndarray) -> RelaxationInstance:
     r = np.asarray(r, dtype=float)
     if r.shape != (p,):
         raise RelaxError(f"perturbation must have length d/k={p}")
+    # a Python float product overflows to inf without a numpy warning
+    if not math.isfinite(beta * float(np.abs(r).max())):
+        raise RelaxError("beta times the perturbation is not finite")
     y = dataset.y
     sample = _first_round(y, k, beta > 0.0)
     rows = dataset.blocks().reshape(n * k, p)
     empty = sample.size - n * k
-    a_w = np.vstack([rows, np.zeros((empty, p))]) if empty else np.ascontiguousarray(rows)
+    a_w = np.vstack([rows, np.zeros((empty, p))]) if empty else rows
     if beta == 0.0:
-        return RelaxationInstance(beta, r, ConvexProgram(c=r.copy(), a_ineq=a_w, b_ineq=y[sample]))
+        return ConvexProgram(c=r.copy(), a_ineq=a_w, b_ineq=y[sample])
     sep = qpsolve.Separable(q=np.ones(n), col=sample, coef=np.full(sample.size, -1.0))
-    program = ConvexProgram(c=np.concatenate([beta * r, -y]), a_ineq=a_w, b_ineq=np.zeros(sample.size),
-                            sep=sep)
-    return RelaxationInstance(beta, r, program)
+    return ConvexProgram(c=np.concatenate([beta * r, -y]), a_ineq=a_w, b_ineq=np.zeros(sample.size), sep=sep)
 
 
 def _first_round(y: np.ndarray, k: int, with_u: bool) -> np.ndarray:
@@ -176,7 +170,7 @@ def _first_round(y: np.ndarray, k: int, with_u: bool) -> np.ndarray:
 def block_set_lp(dataset: Dataset, program: ConvexProgram) -> tuple[SolveReport, np.ndarray, np.ndarray]:
     """Solve a relaxation over every block-set row by row generation.
 
-    ``program`` is ``build(dataset, beta, r).program`` with any cost; it
+    ``program`` is ``build(dataset, beta, r)`` with any cost; it
     is not modified.  After each solve, every sample with a positively
     responding block at ŵ gets the row of those blocks (its most
     violated set) when that row is violated by more than the solver's
@@ -229,9 +223,8 @@ def fit(dataset: Dataset, beta: float, seed: int) -> FitResult:
 
 
 def fit_with_perturbation(dataset: Dataset, beta: float, r: np.ndarray, trial_seed: int = 0) -> FitResult:
-    instance = build(dataset, beta, r)
     p = dataset.filter_size
-    report = block_set_lp(dataset, instance.program)[0]
+    report = block_set_lp(dataset, build(dataset, beta, r))[0]
     w_hat = report.x[:p].copy()
     # rebuild the slacks from ŵ and the slack sums (module docstring)
     z = np.maximum(block_responses(dataset.x, w_hat, dataset.k), 0.0)
@@ -242,7 +235,7 @@ def fit_with_perturbation(dataset: Dataset, beta: float, r: np.ndarray, trial_se
         z_hat=z_hat,
         train_residual=residual(dataset, w_hat),
         report=report,
-        r_used=instance.r.copy(),
+        r_used=np.array(r, dtype=float),
         trial_seed=trial_seed,
     )
 

@@ -63,6 +63,8 @@ class GridSpec:
             raise SweepError("every d value must be divisible by k")
         if self.trials < 1 or self.amplify < 1:
             raise SweepError("trials and amplify must be positive")
+        if self.master_seed < 0:
+            raise SweepError("master_seed must be a nonnegative integer")
         relax.check_tau(self.tau)
         bad = set(self.methods) - {METHOD_RELAXATION, METHOD_GRADIENT_DESCENT}
         if bad or not self.methods:

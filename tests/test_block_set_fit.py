@@ -72,7 +72,7 @@ def test_round_cap_ends_the_trial_max_iterations(tmp_path, capsys, monkeypatch):
     # trial 0 of seed 0 needs a second round on this dataset
     _, ds = sample_planted(40, 8, 2, 0)
     r = substream(derived_seed(0, 0), STREAM_PERTURBATION).standard_normal(4)
-    _, sample, _ = relax.block_set_lp(ds, relax.build(ds, 0.0, r).program)
+    _, sample, _ = relax.block_set_lp(ds, relax.build(ds, 0.0, r))
     assert len(sample) > ds.n * ds.k
     monkeypatch.setattr(relax, "MAX_ROW_ROUNDS", 1)
     with pytest.warns(RuntimeWarning, match="round cap MAX_ROW_ROUNDS=1"):

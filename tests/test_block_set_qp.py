@@ -104,7 +104,7 @@ def test_fit_matches_the_lifted_qp(case, tmp_path, capsys):
     w_ref = reference.x[:p]
     assert np.max(np.abs(fit.w_hat - w_ref)) <= 1e-6 * (1.0 + np.linalg.norm(w_star))
     assert relax.assess(fit.w_hat, w_star).success == relax.assess(w_ref, w_star).success
-    value = relax.build(ds, beta, r).program.objective(fit.report.x)
+    value = relax.build(ds, beta, r).objective(fit.report.x)
     value_ref = lifted.objective(reference.x)
     assert abs(value - value_ref) <= TOL * (1.0 + abs(value_ref))
 
@@ -120,7 +120,7 @@ def test_fit_matches_the_lifted_qp(case, tmp_path, capsys):
 def test_k1_program_is_the_lifted_matrix():
     ds, beta, r, _ = _dataset(PANEL[0])
     assert ds.k == 1
-    program, lifted = relax.build(ds, beta, r).program, lifted_qp(ds, beta, r)
+    program, lifted = relax.build(ds, beta, r), lifted_qp(ds, beta, r)
     # its dense twin is the lifted matrix
     dense = program.dense()
     for name in ("c", "q", "a_ineq", "b_ineq"):
@@ -149,7 +149,7 @@ def test_split_qp_matches_its_dense_twin(k, n, d, beta, monkeypatch):
     # every round, the appended rows of the second one on included
     _, ds = sample_planted(n, d, k, 41)
     r = substream(42, STREAM_PERTURBATION).standard_normal(ds.filter_size)
-    rounds = _solved_rounds(monkeypatch, ds, relax.build(ds, beta, r).program)
+    rounds = _solved_rounds(monkeypatch, ds, relax.build(ds, beta, r))
     assert len(rounds) >= (2 if k > 1 else 1)
     for program, report in rounds:
         assert program.sep.q.size == ds.n and program.a_ineq.shape == (program.n_ineq, ds.filter_size)
@@ -166,7 +166,7 @@ def test_generated_rows_extend_the_separable_part(beta, monkeypatch):
     # new row Σ X_ij·w − uᵢ ≤ 0 its sample's −uᵢ, the LP's none
     _, ds = sample_planted(40, 16, 2, 41)
     r = substream(42, STREAM_PERTURBATION).standard_normal(ds.filter_size)
-    first = relax.build(ds, beta, r).program
+    first = relax.build(ds, beta, r)
     rounds = _solved_rounds(monkeypatch, ds, first)
     assert len(rounds) >= 2
     sample = relax.block_set_lp(ds, first)[1]
@@ -223,7 +223,7 @@ UNBOUNDED = [(2, 8), (3, 12), (5, 20)]
 def test_unbounded_qp_is_dual_unbounded(k, d, tmp_path, capsys):
     _, ds = sample_planted(1, d, k, 0)
     r = substream(0, STREAM_PERTURBATION).standard_normal(ds.filter_size)
-    assert qpsolve.solve(relax.build(ds, 1e-3, r).program).status == SolveStatus.DUAL_UNBOUNDED
+    assert qpsolve.solve(relax.build(ds, 1e-3, r)).status == SolveStatus.DUAL_UNBOUNDED
     path = str(tmp_path / "one.csv")
     export_csv(ds, path)
     assert main(["fit", "--in", path, "--beta", "1e-3"]) == EXIT_SOLVER
@@ -241,7 +241,7 @@ def _beta_panel():
 @pytest.mark.parametrize("beta", [1e-3, 1e-1, 1.0, 10.0])
 def test_qp_is_optimal_at_every_weight(beta):
     for ds, r in _beta_panel():
-        program = relax.build(ds, beta, r).program
+        program = relax.build(ds, beta, r)
         report = qpsolve.solve(program)
         assert report.status == SolveStatus.OPTIMAL, (ds.k, ds.n, ds.seed)
         assert qpsolve.check_kkt(program, report, TOL).passed

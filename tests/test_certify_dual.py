@@ -185,7 +185,7 @@ def test_block_set_dual_matches_highs_on_full_expansion(case):
 def test_generated_rows_are_exact_for_highs(case):
     ds, r, _ = _dataset(case)
     xb, y = ds.blocks(), ds.y
-    report, sample, blocks = relax.block_set_lp(ds, relax.build(ds, 0.0, r).program)
+    report, sample, blocks = relax.block_set_lp(ds, relax.build(ds, 0.0, r))
     # the first n·k rows are the singletons; no block set comes twice
     np.testing.assert_array_equal(sample[: ds.n * ds.k], np.repeat(np.arange(ds.n), ds.k))
     keys = {(i, m.tobytes()) for i, m in zip(sample, blocks)}
@@ -235,7 +235,7 @@ def test_round_cap_is_a_dual_program_failure(tmp_path, capsys, monkeypatch):
     # singleton optimum
     _, ds = sample_planted(40, 8, 2, 0)
     r = substream(0, STREAM_PERTURBATION).standard_normal(4)
-    _, sample, _ = relax.block_set_lp(ds, relax.build(ds, 0.0, r).program)
+    _, sample, _ = relax.block_set_lp(ds, relax.build(ds, 0.0, r))
     assert len(sample) > ds.n * ds.k
     monkeypatch.setattr(relax, "MAX_ROW_ROUNDS", 2)
     assert certify.dual_solve(ds, r).status == certify.DUAL_OPTIMAL

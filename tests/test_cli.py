@@ -432,6 +432,30 @@ def test_invalid_parameter_is_a_usage_error(tmp_path, capsys, args):
     assert "usage error" in captured.err
 
 
+def test_a_beta_whose_perturbation_term_overflows_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "a.csv"
+    assert main(["gen", "--n", "30", "--d", "8", "--k", "2", "--seed", "1", "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["fit", "--in", str(path), "--beta", "1e308"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: beta times the perturbation is not finite\n"
+
+
+def test_a_negative_seed_is_a_usage_error_for_every_command(tmp_path, capsys):
+    path, out = tmp_path / "a.csv", tmp_path / "cells.csv"
+    assert main(["gen", "--n", "30", "--d", "4", "--seed", "2", "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    for args in (["gen", "--n", "30", "--d", "4", "--out", str(tmp_path / "b.csv")],
+                 ["fit", "--in", str(path)], ["fit", "--in", str(path), "--trials", "2"],
+                 ["fit", "--in", str(path), "--method", "gd"], ["certify", "--in", str(path)],
+                 ["sweep", "--n-values", "20", "--d-values", "4", "--trials", "1", "--out", str(out)]):
+        assert main([*args, "--seed", "-1"]) == EXIT_USAGE, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed must be a nonnegative integer" in captured.err, args
+    assert not out.exists() and not (tmp_path / "b.csv").exists()
+
+
 @pytest.mark.parametrize("tau", ["nan", "inf", "0"])
 def test_sweep_invalid_tau_fails_before_any_trial(tmp_path, capsys, tau):
     out = tmp_path / "cells.csv"

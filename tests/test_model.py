@@ -20,6 +20,14 @@ from convrelax.qpsolve import SolveReport, SolveStatus
 from golden_cases import strict_json
 
 
+def test_every_seed_helper_rejects_a_negative_seed():
+    # the package's message, raised before numpy sees the seed
+    for draw in (lambda: model.substream(-1, 0), lambda: model.derived_seed(-1, 0),
+                 lambda: sample_planted(3, 4, 2, -1)):
+        with pytest.raises(ModelError, match="^seed must be a nonnegative integer$"):
+            draw()
+
+
 def test_sample_planted_shapes_and_nonneg_labels():
     pm, ds = sample_planted(3, 4, 2, 7)
     assert ds.x.shape == (3, 4) and ds.y.shape == (3,)

@@ -281,13 +281,54 @@ def test_overflow_ends_numerical_failure_without_a_warning():
             assert _report_bits(solve(program)) == _report_bits(rep)
 
 
+def _not_converging(calls):
+    """A stand-in for a numpy factorization that records its calls and
+    raises LinAlgError."""
+    def factorize(a, *args, **kwargs):
+        calls.append(a)
+        raise np.linalg.LinAlgError("did not converge")
+    return factorize
+
+
+def test_a_factorization_that_does_not_converge_ends_numerical_failure(monkeypatch):
+    # a wide LP's span basis (an SVD) and a dense QP's start y = Q⁺b (a
+    # pseudoinverse): numpy's LinAlgError is a ValueError, which a caller
+    # would take for bad input
+    wide = ConvexProgram(c=[-1.0, -1.0, 0.0], a_ineq=[[1.0, 1.0, 0.0]], b_ineq=[1.0])
+    qp = ConvexProgram(c=[1.0, -1.0], q=[[2.0, 0.0], [0.0, 1.0]], a_ineq=-np.eye(2), b_ineq=[0.0, 0.0])
+    assert solve(wide).status == solve(qp).status == SolveStatus.OPTIMAL
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", _not_converging(calls))
+    monkeypatch.setattr(np.linalg, "pinv", _not_converging(calls))
+    for program in (qp, wide):
+        rep = solve(program)
+        assert rep.status == SolveStatus.NUMERICAL_FAILURE and rep.iterations == 0
+    assert len(calls) == 2
+
+
+def test_a_polish_whose_svd_does_not_converge_is_skipped(monkeypatch):
+    # three rows tight at the vertex x0, each given twice: the polish's
+    # multiplier check takes the SVD of the six active rows
+    rng = np.random.default_rng(27)
+    x0, g_t, g_s = rng.standard_normal(3), rng.standard_normal((3, 3)), rng.standard_normal((4, 3))
+    program = ConvexProgram(c=-g_t.T @ rng.uniform(0.5, 2.0, 3), a_ineq=np.vstack([g_t, g_t, g_s]),
+                            b_ineq=np.concatenate([g_t @ x0, g_t @ x0, g_s @ x0 + rng.uniform(0.5, 2.0, 4)]))
+    monkeypatch.setattr(qpsolve, "_polish", lambda *args: None)
+    unpolished = _report_bits(solve(program))
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", _not_converging(calls))
+    assert _report_bits(solve(program)) == unpolished
+    assert [a.shape for a in calls] == [(6, 3)]
+
+
 def _nan_step_programs():
     """(name, program, normal-matrix solves per iteration): an LP makes
     one for (p, q) and one per stage; the relaxation QP refines its
     corrector with one more."""
     yield "tall-lp", dict(_short_and_tall_lps())["tall"], 3
     _, ds = model.sample_planted(40, 5, 1, 3)
-    yield "relaxation-qp", relax.build(ds, 1e-3, np.ones(5)).program, 4
+    yield "relaxation-qp", relax.build(ds, 1e-3, np.ones(5)), 4
 
 
 @pytest.mark.parametrize("program, per_iter", [pytest.param(p, n, id=name) for name, p, n in _nan_step_programs()])
@@ -401,7 +442,7 @@ def _duplicated_row_programs():
     yield "lp-primal", ConvexProgram(c=c, a_ineq=a, b_ineq=b)
     _, ds = model.sample_planted(30, 6, 1, 3)
     r = model.substream(3, model.STREAM_PERTURBATION).standard_normal(6)
-    yield "relaxation-qp", relax.build(ds, 1e-3, r).program
+    yield "relaxation-qp", relax.build(ds, 1e-3, r)
 
 
 @pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _duplicated_row_programs()])
@@ -480,7 +521,7 @@ def test_report_does_not_depend_on_the_row_layout():
     for seed in range(10):
         _, ds = model.sample_planted(400, 20, 1, seed)
         r = model.substream(seed, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
-        program = relax.build(ds, 0.0, r).program
+        program = relax.build(ds, 0.0, r)
         fortran = ConvexProgram(c=program.c, a_ineq=np.asfortranarray(program.a_ineq), b_ineq=program.b_ineq)
         rep = solve(program)
         assert rep.status == SolveStatus.OPTIMAL
@@ -591,7 +632,7 @@ def test_program_json_round_trip():
     np.testing.assert_array_equal(back.b_ineq, program.b_ineq)
     # a split program too, its separable part given back as a mapping
     _, ds = model.sample_planted(6, 4, 2, 3)
-    split = relax.build(ds, 1e-3, np.ones(2)).program
+    split = relax.build(ds, 1e-3, np.ones(2))
     back = ConvexProgram(**json.loads(model.to_json(split)))
     for name in ("c", "q", "a_ineq", "b_ineq"):
         np.testing.assert_array_equal(getattr(back, name), getattr(split, name))
@@ -659,7 +700,7 @@ def test_k1_relaxation_lp_matches_highs(n, d, seed):
     # master seed 0 that the standard form called PrimalInfeasible
     _, ds = model.sample_planted(n, d, 1, seed)
     r = model.substream(seed, model.STREAM_PERTURBATION).standard_normal(d)
-    program = relax.build(ds, 0.0, r).program
+    program = relax.build(ds, 0.0, r)
     _assert_matches_highs(program.c, program.a_ineq, program.b_ineq)
 
 
@@ -692,6 +733,44 @@ def test_wide_lp_matches_highs(program, status):
         # every row is tight at the optimum, and x lies in the rows' span:
         # the minimum-norm solution of G·x = h
         np.testing.assert_allclose(rep.x, np.linalg.pinv(program.a_ineq) @ program.b_ineq, rtol=0.0, atol=1e-9)
+
+
+def _wide_panel():
+    """(index, row scale, program) of 121 programs with fewer rows than
+    variables, 1..4 rows over 2..8 variables, at row scales 1, 1e100,
+    1e200, 1e300 and 1e-300, h scaled on odd draws; one in three has a
+    cost −Gᵀμ/max(scale, 1), μ > 0, and one in five a rank-2 Q."""
+    rng = np.random.default_rng(0)
+    index = 0
+    for scale in (1.0, 1e100, 1e200, 1e300, 1e-300):
+        for t in range(30):
+            m, n = rng.integers(1, 5), rng.integers(2, 9)
+            if not m < n:
+                continue
+            g = rng.standard_normal((m, n)) * scale
+            h = rng.standard_normal(m) * (scale if t % 2 else 1.0)
+            c = rng.standard_normal(n)
+            if t % 3 == 0:
+                c = -g.T @ rng.uniform(0.5, 2.0, m) / max(scale, 1.0)
+            q = None
+            if t % 5 == 0:
+                b = rng.standard_normal((2, n))
+                q = b.T @ b
+            yield index, scale, ConvexProgram(c=c, q=q, a_ineq=g, b_ineq=h)
+            index += 1
+
+
+def test_wide_lps_with_rows_of_1e100_take_the_verdict_of_their_unscaled_twin():
+    # three unbounded LPs and an optimal one, whose rows of 1e100 must
+    # not keep their span basis from deciding them
+    verdicts = []
+    for i, scale, program in _wide_panel():
+        if i in (23, 28, 35, 44):
+            assert program.is_lp and scale == 1e100
+            highs = STATUS_OF_HIGHS[highs_lp(program.c, program.a_ineq / scale, program.b_ineq / scale)[0]]
+            assert solve(program).status == highs, i
+            verdicts.append(highs)
+    assert verdicts == [SolveStatus.DUAL_UNBOUNDED] * 3 + [SolveStatus.OPTIMAL]
 
 
 @pytest.mark.parametrize("shape", ["wide", "tall"])
@@ -736,7 +815,7 @@ def test_multipliers_are_refitted_only_when_the_kept_pair_misses_tol(monkeypatch
     monkeypatch.setattr(qpsolve, "_nnls_multipliers", counted)
     pm, ds = model.sample_planted(2000, 20, 1, _REFIT_SEED)
     r = model.substream(_REFIT_SEED, model.STREAM_PERTURBATION).standard_normal(20)
-    program = relax.build(ds, 0.0, r).program
+    program = relax.build(ds, 0.0, r)
     rep = solve(program)
     assert rep.status == SolveStatus.OPTIMAL and len(calls) == 1
     assert check_kkt(program, rep, qpsolve.DEFAULT_TOL).passed
@@ -751,7 +830,7 @@ def test_multipliers_are_refitted_only_when_the_kept_pair_misses_tol(monkeypatch
     monkeypatch.setattr(qpsolve, "_nnls_multipliers", counted)
     for _, lp in _short_and_tall_lps():
         assert solve(lp).status == SolveStatus.OPTIMAL
-    assert solve(relax.build(ds, 0.0, -r).program).status == SolveStatus.OPTIMAL
+    assert solve(relax.build(ds, 0.0, -r)).status == SolveStatus.OPTIMAL
     assert not calls
 
 
@@ -852,7 +931,7 @@ def test_schur_step_matches_the_active_set_oracle(shape):
 
 def test_relaxation_qp_takes_the_schur_step():
     _, ds = model.sample_planted(30, 8, 2, 3)
-    program = relax.build(ds, 1e-3, np.ones(4)).program
+    program = relax.build(ds, 1e-3, np.ones(4))
     # built split: the 4 filter entries, then the 30 slack sums, separable
     assert program.n_vars == 34 and program.sep.q.size == 30
     kkt = qpsolve._SchurKkt(program)
@@ -938,7 +1017,7 @@ def test_relaxation_qp_polish_matches_the_full_polish(k, n, monkeypatch):
     for seed in range(3):
         _, ds = model.sample_planted(n, 20, k, 40 + seed)
         r = model.substream(seed, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
-        program = relax.build(ds, 1e-3, r).program
+        program = relax.build(ds, 1e-3, r)
         # one solve: the same iterate polished both ways
         (rep, core), (ref, full) = _with_and_without_elimination(monkeypatch, lambda: solve(program))
         assert rep.status == ref.status == SolveStatus.OPTIMAL
@@ -989,7 +1068,7 @@ def test_polished_pairs_meet_stationarity_on_every_column(monkeypatch):
     for k, n in ((1, 60), (2, 40), (5, 30)):
         _, ds = model.sample_planted(n, 20, k, 50)
         r = model.substream(k, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
-        relax.block_set_lp(ds, relax.build(ds, 1e-3, r).program)
+        relax.block_set_lp(ds, relax.build(ds, 1e-3, r))
         sets = certify.active_sets(ds.x, model.teacher_filter(ds), k)
         certify.check_cone_condition(certify.cone_generators(ds, sets)[0], -r)
     assert len(polished) >= 6
@@ -1005,7 +1084,7 @@ def _unstructured_polish_programs():
     whose sign bounds are slack at its optimum (3, 1)."""
     _, ds = model.sample_planted(200, 20, 1, 3)
     r = model.substream(3, model.STREAM_PERTURBATION).standard_normal(20)
-    yield "k1-relaxation-lp", relax.build(ds, 0.0, r).program
+    yield "k1-relaxation-lp", relax.build(ds, 0.0, r)
     q, c, a, b = random_feasible_qp(np.random.default_rng(71), 6, 8)
     yield "dense-qp", ConvexProgram(c=c, q=q, a_ineq=a, b_ineq=b)
     for seed in (0, 3, 6, 11):
@@ -1055,7 +1134,7 @@ def _lp_polish_outcomes(monkeypatch):
 def _k1_program(n, d, seed, scale=1.0):
     """The k=1 relaxation LP, its row of the largest label scaled."""
     _, ds = model.sample_planted(n, d, 1, seed)
-    program = relax.build(ds, 0.0, model.substream(seed, model.STREAM_PERTURBATION).standard_normal(d)).program
+    program = relax.build(ds, 0.0, model.substream(seed, model.STREAM_PERTURBATION).standard_normal(d))
     g, h = program.a_ineq.copy(), program.b_ineq.copy()
     g[ds.y.argmax()] *= scale
     h[ds.y.argmax()] *= scale
@@ -1166,7 +1245,7 @@ def test_nnls_refit_imports_scipy_optimize_after_convrelax():
         "print(*qpsolve._nnls_multipliers(program, [0.0, 0.0], [0.0, 0.0]))\n") == "1.0 2.0\n"
 
 
-# a 4×7 LP whose last row repeats its first: its rank cut drops a pivot
+# a 4×7 LP whose last row repeats its first: its rank cut drops a singular value
 _WIDE_SOLVE = """
 import numpy as np
 from convrelax.qpsolve import ConvexProgram, solve
@@ -1200,44 +1279,60 @@ def test_lapack_falls_back_to_the_package_import_when_its_file_is_not_found():
     assert fallback == loaded and loaded.startswith("Optimal ")
 
 
-def _qr_inputs():
+# ---------------------------------------------------------------------------
+# the span basis of a program with fewer rows than variables
+# ---------------------------------------------------------------------------
+
+
+def _span_inputs():
+    """(id, G, Q) of programs whose span [Gᵀ Q] has full rank or not:
+    Gᵀ of each shape, Gᵀ with repeated, collinear and zero columns, and
+    [Gᵀ Q] with Q of rank 3 and a separable column (Q None for an LP)."""
     rng = np.random.default_rng(32)
     for m, n in ((9, 4), (4, 9), (6, 6), (1, 7), (7, 1), (1, 1)):
-        yield f"{m}x{n}", rng.standard_normal((m, n))
+        yield f"{m}x{n}", rng.standard_normal((m, n)).T, None
     g = rng.standard_normal((5, 8))
-    yield "duplicate-columns-5x6", g[:, [0, 1, 1, 2, 0, 3]]
-    yield "rank-2-product-7x5", rng.standard_normal((7, 2)) @ rng.standard_normal((2, 5))
-    yield "rank-2-product-5x7", rng.standard_normal((5, 2)) @ rng.standard_normal((2, 7))
-    yield "zeros-3x4", np.zeros((3, 4))
-    # what `_solve_wide` passes: the transposed view Gᵀ, Gᵀ with a repeated
-    # row of G, and [Gᵀ Q] with Q of rank 3 and a separable column
+    yield "duplicate-columns-5x6", g[:, [0, 1, 1, 2, 0, 3]].T, None
+    yield "rank-2-product-7x5", (rng.standard_normal((7, 2)) @ rng.standard_normal((2, 5))).T, None
+    yield "rank-2-product-5x7", (rng.standard_normal((5, 2)) @ rng.standard_normal((2, 7))).T, None
+    yield "zeros-3x4", np.zeros((4, 3)), None
     g = rng.standard_normal((4, 9))
-    yield "G.T-9x4", g.T
-    yield "G.T-duplicate-row-9x5", np.vstack([g, g[2:3]]).T
+    yield "G.T-9x4", g, None
+    yield "G.T-duplicate-row-9x5", np.vstack([g, g[2:3]]), None
     low = rng.standard_normal((9, 2))
     q = low @ low.T
     q[8, :] = q[:, 8] = 0.0
     q[8, 8] = 3.0
-    yield "[G.T Q]-9x13", np.hstack([g.T, q])
+    yield "[G.T Q]-9x13", g, q
 
 
-@pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in _qr_inputs()])
-def test_qr_is_scipys_economic_pivoted_qr_bit_for_bit(a):
-    from scipy.linalg import qr
-
-    before = a.copy()
-    ours, theirs = qpsolve._qr(a), qr(a, mode="economic", pivoting=True)
-    for mine, scipys in zip(ours, theirs, strict=True):
-        assert (mine.dtype, mine.shape) == (scipys.dtype, scipys.shape)
-        assert mine.tobytes() == scipys.tobytes()
-    assert a.tobytes() == before.tobytes()
-
-
-def test_qr_is_scipys_on_what_the_wide_solves_pass(monkeypatch):
-    from scipy.linalg import qr
-
+@pytest.mark.parametrize("g, q", [pytest.param(g, q, id=name) for name, g, q in _span_inputs()])
+def test_wide_program_is_solved_over_a_basis_of_matrix_rank(monkeypatch, g, q):
+    # x = V·u, V as many columns as np.linalg.matrix_rank([Gᵀ Q]), the
+    # cost in that span
+    spanning = g.T if q is None else np.hstack([g.T, q])
+    c = spanning @ np.random.default_rng(34).uniform(0.5, 2.0, spanning.shape[1])
+    program = ConvexProgram(c=c, q=q, a_ineq=g, b_ineq=np.ones(g.shape[0]))
     seen = []
-    monkeypatch.setattr(qpsolve, "_qr", lambda a: seen.append(a) or qr(a, mode="economic", pivoting=True))
+
+    def recording_route(program, tol, max_iter):
+        seen.append(program)
+        return SolveStatus.OPTIMAL, np.zeros(program.n_vars), np.zeros(program.n_ineq), 0
+
+    monkeypatch.setattr(qpsolve, "_dual_route", recording_route)
+    rank = np.linalg.matrix_rank(spanning)
+    if rank:
+        qpsolve._solve_wide(program, qpsolve.DEFAULT_TOL, qpsolve.DEFAULT_MAX_ITER)
+        assert [p.n_vars for p in seen] == [rank]
+    else:
+        # no program has a zero span: presolve drops zero rows, and an LP
+        # left with none is solved without a route
+        assert solve(program).status == SolveStatus.OPTIMAL and not seen
+
+
+def test_wide_programs_whose_rank_cut_drops_a_direction_end_optimal():
+    # a 3×8 QP over [Gᵀ Q], Q of rank 3, and a 4×7 LP whose last row
+    # repeats its first
     rng = np.random.default_rng(33)
     low = rng.standard_normal((5, 2))
     q = np.zeros((8, 8))
@@ -1250,8 +1345,3 @@ def test_qr_is_scipys_on_what_the_wide_solves_pass(monkeypatch):
                solve(ConvexProgram(c=-g.T @ rng.uniform(0.5, 2.0, 3), a_ineq=np.vstack([g, g[:1]]),
                                    b_ineq=np.append(h, h[0])))]
     assert [rep.status for rep in reports] == [SolveStatus.OPTIMAL] * 2
-    assert [a.shape for a in seen] == [(8, 11), (8, 4)]
-    monkeypatch.undo()
-    for a in seen:
-        for mine, scipys in zip(qpsolve._qr(a), qr(a, mode="economic", pivoting=True), strict=True):
-            assert mine.tobytes() == scipys.tobytes()

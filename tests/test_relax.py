@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,8 +39,7 @@ def two_sample_d1() -> Dataset:
 
 
 def test_build_one_neuron_limit_lp():
-    inst = build(two_sample_d1(), 0.0, np.array([0.5]))
-    prog = inst.program
+    prog = build(two_sample_d1(), 0.0, np.array([0.5]))
     assert prog.is_lp and prog.n_vars == 1
     np.testing.assert_array_equal(prog.a_ineq, [[1.0], [-1.0]])
     np.testing.assert_array_equal(prog.b_ineq, [1.0, 0.0])
@@ -48,28 +48,28 @@ def test_build_one_neuron_limit_lp():
 
 def test_build_one_neuron_qp_counts():
     _, ds = sample_planted(3, 2, 1, 5)
-    inst = build(ds, 0.5, np.array([0.1, 0.2]))
-    assert inst.program.n_vars == 5  # w size 2 plus one slack sum u per sample
-    assert inst.program.n_ineq == 6  # response rows then nonnegativity rows
-    assert not inst.program.is_lp
+    prog = build(ds, 0.5, np.array([0.1, 0.2]))
+    assert prog.n_vars == 5  # w size 2 plus one slack sum u per sample
+    assert prog.n_ineq == 6  # response rows then nonnegativity rows
+    assert not prog.is_lp
 
 
 def test_build_multi_neuron_lp_counts():
     _, ds = sample_planted(2, 2, 2, 5)
-    inst = build(ds, 0.0, np.array([0.3]))
+    prog = build(ds, 0.0, np.array([0.3]))
     # the slacks are eliminated: one singleton row X_ij·w ≤ yᵢ per block
-    assert inst.program.n_vars == 1
-    np.testing.assert_array_equal(inst.program.a_ineq, ds.x.reshape(4, 1))
-    np.testing.assert_array_equal(inst.program.b_ineq, np.repeat(ds.y, 2))
+    assert prog.n_vars == 1
+    np.testing.assert_array_equal(prog.a_ineq, ds.x.reshape(4, 1))
+    np.testing.assert_array_equal(prog.b_ineq, np.repeat(ds.y, 2))
 
 
 def test_build_gives_a_negative_label_its_empty_set_row_at_k_above_one():
     _, ds = sample_planted(3, 4, 2, 5)
     y = np.array([1.0, -0.5, -2.0])
-    inst = build(Dataset(x=ds.x, y=y, k=2), 0.0, np.ones(2))
-    np.testing.assert_array_equal(inst.program.a_ineq[6:], np.zeros((2, 2)))
-    np.testing.assert_array_equal(inst.program.b_ineq, [1.0, 1.0, -0.5, -0.5, -2.0, -2.0, -0.5, -2.0])
-    one_neuron = build(Dataset(x=ds.x, y=y, k=1), 0.0, np.ones(4)).program
+    prog = build(Dataset(x=ds.x, y=y, k=2), 0.0, np.ones(2))
+    np.testing.assert_array_equal(prog.a_ineq[6:], np.zeros((2, 2)))
+    np.testing.assert_array_equal(prog.b_ineq, [1.0, 1.0, -0.5, -0.5, -2.0, -2.0, -0.5, -2.0])
+    one_neuron = build(Dataset(x=ds.x, y=y, k=1), 0.0, np.ones(4))
     np.testing.assert_array_equal(one_neuron.b_ineq, y)
 
 
@@ -79,6 +79,17 @@ def test_build_rejects_bad_inputs():
         build(ds, -0.1, np.array([1.0]))
     with pytest.raises(RelaxError):
         build(ds, 0.0, np.array([1.0, 2.0]))
+
+
+def test_build_rejects_a_beta_whose_perturbation_term_overflows():
+    # beta·r would be infinite, and the solver would reject its cost as a
+    # malformed program; the check itself prints no numpy warning
+    _, ds = sample_planted(30, 8, 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RelaxError, match="beta times the perturbation is not finite"):
+            build(ds, 1e308, np.array([1.0, -2.0, 0.5, 0.0]))
+    assert build(ds, 1e308, np.array([1.0, -1.5, 0.5, 0.0])).c[1] == -1.5e308
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +283,13 @@ def test_truth_is_feasible_in_every_built_instance():
     for k, beta in ((1, 0.0), (1, 0.5), (3, 0.0), (3, 0.5)):
         pm, ds = sample_planted(25, 6, k, 14)
         r = np.ones(ds.filter_size)
-        inst = build(ds, beta, r)
         # the QP's variables are w and the slack sums uᵢ = Σ_j z_ij
         u_true = np.maximum(ds.blocks() @ pm.w_star, 0.0).sum(axis=1)
         if beta > 0.0:
             point = np.concatenate([pm.w_star, u_true])
         else:
             point = pm.w_star
-        prog = inst.program.dense()
+        prog = build(ds, beta, r).dense()
         assert np.max(prog.a_ineq @ point - prog.b_ineq) <= 1e-12
 
 
@@ -351,10 +361,10 @@ def test_lp_rows_are_a_view_of_the_features():
     # no label is negative) the LP's rows are the features themselves
     for k in (1, 2):
         _, ds = sample_planted(40, 8, k, 3)
-        assert np.shares_memory(build(ds, 0.0, np.ones(ds.filter_size)).program.a_ineq, ds.x)
+        assert np.shares_memory(build(ds, 0.0, np.ones(ds.filter_size)).a_ineq, ds.x)
     y = ds.y.copy()
     y[0] = -1.0
-    rows = build(Dataset(ds.x, y, 2), 0.0, np.ones(4)).program.a_ineq
+    rows = build(Dataset(ds.x, y, 2), 0.0, np.ones(4)).a_ineq
     assert rows.shape == (81, 4) and not rows[80].any() and not np.shares_memory(rows, ds.x)
 
 
@@ -373,13 +383,13 @@ def test_k1_lp_fit_holds_no_copy_of_the_features():
 
 
 def test_strided_features_fit_as_their_row_major_copy():
-    # the report's residuals are measured on the rows build hands over, and
-    # BLAS may round G·x differently on a strided G
+    # the report's residuals are measured on presolve's row-major copy of
+    # the rows, and BLAS may round G·x differently on a strided G
     _, ds = sample_planted(400, 20, 1, 41)
     wide = np.zeros((ds.n, 2 * ds.d))
     wide[:, ::2] = ds.x
     strided = Dataset(wide[:, ::2], ds.y, 1)
-    assert not strided.x.flags.c_contiguous and build(strided, 0.0, np.ones(20)).program.a_ineq.flags.c_contiguous
+    assert not strided.x.flags.c_contiguous
     want, got = fit(ds, 0.0, 42).report, fit(strided, 0.0, 42).report
     assert got.status == want.status == SolveStatus.OPTIMAL and got.iterations == want.iterations
     for name in ("x", "lam", "primal_residual", "dual_residual", "complementarity_gap"):

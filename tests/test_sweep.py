@@ -32,6 +32,11 @@ def test_gridspec_validation():
         GridSpec(n_values=(10,), d_values=(4,), k=1, methods=("Nope",))
 
 
+def test_gridspec_rejects_a_negative_master_seed():
+    with pytest.raises(SweepError, match="master_seed must be a nonnegative integer"):
+        GridSpec(n_values=(10,), d_values=(4,), k=1, master_seed=-1)
+
+
 def test_single_cell_matches_direct_fit():
     spec = GridSpec(
         n_values=(40,), d_values=(4,), k=1, trials=1,
