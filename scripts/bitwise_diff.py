@@ -41,8 +41,11 @@ with each tight row given twice (the polish is kept) and 5×2 with a
 tight row scaled by 1e6 (too ill-conditioned for the multiplier check),
 two Optimal programs with fewer rows than variables whose SVD drops a
 singular value at the rank cut: a 3×8 QP over the span of [Gᵀ Q], Q of
-rank 4, and a 4×7 LP whose last row repeats its first; a 40×3 LP cut
-off at max_iter=2, and a
+rank 4, and a 4×7 LP whose last row repeats its first; a 4×5 split QP,
+one dense column and four separable ones, whose cost lies in the span,
+so that it ends Optimal on the split wide route where the k=1 wide fits
+exit on a cost off that span (solved as its dense twin, it ran to
+MaxIterations); a 40×3 LP cut off at max_iter=2, and a
 6×3 LP over x1 + x2 and x3, whose singular normal matrix takes the
 interior point's lstsq solve, run to Optimal and cut off at max_iter=4.
 Failure exits: the k=1 relaxation with a sample of 1e200 features,
@@ -171,10 +174,11 @@ def _small_programs():
     with fewer rows than variables; infeasible and unbounded ones of
     either shape; and an infeasible LP with a descent ray, 4×2, 5×2 and
     3×4; and degenerate ones whose polish runs, with each tight row
-    given twice and with a tight row scaled by 1e6; and the wide ones of
-    `_wide_rank_cut_programs`."""
+    given twice and with a tight row scaled by 1e6; the wide ones of
+    `_wide_rank_cut_programs`; and a wide split QP, Optimal."""
     import numpy as np
 
+    from convrelax import qpsolve
     from convrelax.qpsolve import ConvexProgram
 
     yield "qp-coupled", _coupled_qp()
@@ -223,6 +227,12 @@ def _small_programs():
         c=[-1.0, -0.1], a_ineq=[[1.0, 0.0], [0.0, 1.0], [1e6, 1e6], [-1.0, 0.0], [0.0, -1.0]],
         b_ineq=[1.0, 1.0, 2e6, 5.0, 5.0])
     yield from _wide_rank_cut_programs()
+    # 4 rows over 1 dense and 4 separable columns (#1331 of the split
+    # panel in tests/test_qpsolve.py), Optimal on the split wide route
+    yield "qp-split-wide-optimal-4x5", ConvexProgram(
+        c=[2.0, 0.0, 3.0, 0.0, -1.0], a_ineq=[[2.0], [-1.0], [1.0], [-1.0]], b_ineq=[-1.0, 2.0, -2.0, 3.0],
+        sep=qpsolve.Separable(q=np.array([1.0, 3.0, 1.0, 3.0]), col=np.array([0, 4, 4, 2]),
+                              coef=np.array([-1.0, 0.0, 0.0, 2.0])))
 
 
 def _wide_rank_cut_programs():

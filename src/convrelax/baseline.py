@@ -149,21 +149,18 @@ def gd_fit(dataset: Dataset, config: GdConfig, w0: np.ndarray | None = None) -> 
     # an overflowing run ends Diverged below; numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
         loss, grad = loss_grad_at(w)
-        for it in range(config.max_iters):
+        for it in range(config.max_iters + 1):
             if not loss <= DIVERGENCE_LOSS:  # also catches a NaN loss
                 status = GD_DIVERGED
                 break
             if np.abs(grad).max() <= stop_tol:
                 status = GD_CONVERGED
                 break
+            if it == config.max_iters:
+                break
             w = w - step * grad
             iters = it + 1
             loss, grad = loss_grad_at(w)
-        else:
-            if not loss <= DIVERGENCE_LOSS:
-                status = GD_DIVERGED
-            elif np.abs(grad).max() <= stop_tol:
-                status = GD_CONVERGED
         final_loss = residual(dataset, w)
     if not np.all(np.isfinite(w)):
         # an overflowed filter zeroes every active set, so the loss and

@@ -15,17 +15,18 @@ dense Q is factored whole.  The embedding's τ → 0 exits certify
 infeasibility and unboundedness, an LP's and a QP's alike, only on a ray
 checked against the norms of the rows, so that scaling a row leaves the
 verdict as it is; an infeasible dual leaves a program unbounded iff its
-rows are feasible, which a zero-cost LP decides.  A program with fewer
-rows than variables is first written over an orthonormal basis of the
-span of its rows and of Q's; a cost with a part off that span makes it
-unbounded iff feasible.  Candidate optima are refined by an active-set
-polish, which eliminates the same separable columns before its lstsq,
-and is skipped when an LP's polished multipliers, found first on their
-own, are negative beyond the raw pair's residual; an LP pair that still
-misses the tolerance has its multipliers refitted by nonnegative least
-squares on the active rows.  A report is declared Optimal only after the KKT
-residuals have been recomputed from scratch and verified against the
-requested tolerance.
+rows are feasible, which a zero-cost LP over its dense twin's rows
+decides.  A program with fewer rows than variables has its dense columns
+written over an orthonormal basis of the span of their part of its rows
+and of Q's, its separable columns left as they are; a cost with a part
+off that span makes it unbounded iff feasible.  Candidate optima are
+refined by an active-set polish, which eliminates the same separable
+columns before its lstsq, and is skipped when an LP's polished
+multipliers, found first on their own, are negative beyond the raw
+pair's residual; an LP pair that still misses the tolerance has its
+multipliers refitted by nonnegative least squares on the active rows.
+A report is declared Optimal only after the KKT residuals have been
+recomputed from scratch and verified against the requested tolerance.
 
 Products made on every interior-point iteration use ``ndarray.dot``:
 on presolve's row-major rows and their transposes it makes ``@``'s
@@ -98,7 +99,7 @@ def _as_matrix(a, cols: int, name: str) -> np.ndarray:
     a = np.zeros((0, cols)) if a is None else np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 and a.shape[1:] != (cols,):
         a = a.reshape(0, cols)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise SolverError(f"{name} contains non-finite entries")
     return a
 
@@ -107,7 +108,7 @@ def _as_vector(v, name: str) -> np.ndarray:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.ndim != 1:
         raise SolverError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise SolverError(f"{name} contains non-finite entries")
     return v
 
@@ -128,7 +129,7 @@ class Separable:
 def _check_separable(sep: Separable, m: int, rows: int) -> Separable:
     q = _as_vector(sep.q, "the separable curvature")
     n_u = q.size
-    if n_u > m or not np.all(q > 0.0):
+    if n_u > m or not (q > 0.0).all():
         raise SolverError(f"the separable curvature must be positive with at most {m} entries, "
                           "one per separable column")
     col, coef = np.asarray(sep.col), _as_vector(sep.coef, "the separable coefficients")
@@ -136,7 +137,7 @@ def _check_separable(sep: Separable, m: int, rows: int) -> Separable:
         col = col.astype(int)  # JSON reads an empty list back as float
     if col.shape != (rows,) or coef.shape != (rows,) or col.dtype.kind not in "iu":
         raise SolverError("the separable part needs one column index and coefficient per row")
-    if np.any((col < 0) | (col > n_u)) or np.any((col == n_u) & (coef != 0.0)):
+    if ((col < 0) | (col > n_u)).any() or ((col == n_u) & (coef != 0.0)).any():
         raise SolverError("a separable column index is out of range")
     return Separable(q, col, coef)
 
@@ -555,7 +556,7 @@ def _dual_route(program: ConvexProgram, tol, max_iter):
     certificates that `_certificate` has checked: the dual's improving
     ray shows that the original is infeasible; an infeasible dual leaves
     the original a descent ray, so it is unbounded iff its rows are
-    feasible (`_unbounded_iff_feasible`, on the dense twin's rows).
+    feasible (`_unbounded_iff_feasible`).
 
     The dual is min hᵀλ s.t. Gᵀλ = −c, λ ≥ 0, on the rows as given: an
     LP's A is the view Gᵀ of its rows, column-major (BLAS may round a
@@ -567,46 +568,50 @@ def _dual_route(program: ConvexProgram, tol, max_iter):
         return status, y / tau, x / tau, iters
     if status == SolveStatus.PRIMAL_INFEASIBLE:
         # the dual is infeasible: is the original feasible?
-        return _unbounded_iff_feasible(program, program.dense().a_ineq, iters, tol, max_iter)
-    if status == SolveStatus.DUAL_UNBOUNDED:
+        status, iters = _unbounded_iff_feasible(program, iters, tol, max_iter)
+    elif status == SolveStatus.DUAL_UNBOUNDED:
         status = SolveStatus.PRIMAL_INFEASIBLE
     return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
 
 
-def _unbounded_iff_feasible(program, G, iters, tol, max_iter):
-    """The result of a program with a descent ray and rows G·x ≤ h:
-    DualUnbounded iff the zero-cost LP over those rows ends Optimal,
-    which takes its route by shape; its iterations add to ``iters``."""
+def _unbounded_iff_feasible(program, iters, tol, max_iter):
+    """(status, iterations) of a program with a descent ray: DualUnbounded
+    iff the zero-cost LP over its rows, written densely, ends Optimal; it
+    takes its route by shape, and its iterations add to ``iters``."""
+    G = program.dense().a_ineq
     lp = ConvexProgram(c=np.zeros(G.shape[1]), a_ineq=G, b_ineq=program.b_ineq)
     route = _solve_wide if lp.n_ineq < lp.n_vars else _dual_route
     status, _, _, more = route(lp, tol, max_iter)
-    status = SolveStatus.DUAL_UNBOUNDED if status == SolveStatus.OPTIMAL else status
-    return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters + more
+    return SolveStatus.DUAL_UNBOUNDED if status == SolveStatus.OPTIMAL else status, iters + more
 
 
 def _solve_wide(program: ConvexProgram, tol, max_iter):
-    """Solve a dense program with fewer rows than variables over x = V·u,
-    V an orthonormal basis of the span of its rows and Q's: the left
-    singular vectors of [Gᵀ Q] whose σ exceeds max(shape)·eps·σ₀, numpy's
-    ``matrix_rank`` rule.  Its rows G·V, curvature VᵀQV and cost Vᵀc give
+    """Solve a program with fewer rows than variables over x_W = V·u, V an
+    orthonormal basis of the span of [G_Wᵀ Q_WW] (of G_Wᵀ where Q_WW = 0),
+    its rows' and Q's parts on the dense columns W: their left singular
+    vectors whose σ exceeds max(shape)·eps·σ₀, numpy's ``matrix_rank``
+    rule.  The separable columns U, in the span by their curvature, stay
+    as they are.  Rows G_W·V, curvature VᵀQ_WWV and cost (Vᵀc_W, c_U) give
     a nonsingular normal matrix on the dual route; λ maps back unchanged.
-    A cost off the span is a descent ray that no row or curvature sees:
-    unbounded iff feasible.  An SVD that does not converge ends the solve
-    NumericalFailure."""
-    G = program.a_ineq
-    spanning = G.T if program.is_lp else np.hstack([G.T, program.q])
+    A cost with a part off the span is a descent ray that no row or
+    curvature sees: unbounded iff feasible.  An SVD that does not
+    converge ends the solve NumericalFailure."""
+    G, (w, u), curved = program.a_ineq, _parts(program), program.q.any()
+    spanning = np.hstack([G.T, program.q]) if curved else G.T
     try:
         basis, sigma, _ = np.linalg.svd(spanning, full_matrices=False)
     except np.linalg.LinAlgError:
         return SolveStatus.NUMERICAL_FAILURE, np.zeros(program.n_vars), np.zeros(program.n_ineq), 0
-    V = basis[:, : np.count_nonzero(sigma > max(spanning.shape) * np.finfo(float).eps * sigma[0])]
-    c_u = V.T @ program.c
-    if np.abs(program.c - V @ c_u).max() > tol:
-        return _unbounded_iff_feasible(program, G @ V, 0, tol, max_iter)
-    q_u = V.T @ program.q @ V  # 0 for an LP
-    reduced = ConvexProgram(c=c_u, q=0.5 * (q_u + q_u.T), a_ineq=G @ V, b_ineq=program.b_ineq)
-    status, u, lam, iters = _dual_route(reduced, tol, max_iter)
-    return status, V @ u, lam, iters
+    V = basis[:, : np.count_nonzero(sigma > max(spanning.shape) * np.finfo(float).eps * sigma.max(initial=0.0))]
+    c_v = V.T @ program.c[w]
+    q_v = V.T @ program.q @ V if curved else np.zeros((V.shape[1], V.shape[1]))
+    reduced = replace(program, c=np.concatenate((c_v, program.c[u])), q=0.5 * (q_v + q_v.T), a_ineq=G @ V)
+    if np.abs(program.c[w] - V @ c_v).max(initial=0.0) > tol:
+        # the reduced rows decide feasibility: G_W·x_W depends only on x_W's part in the span
+        status, iters = _unbounded_iff_feasible(reduced, 0, tol, max_iter)
+        return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
+    status, x, lam, iters = _dual_route(reduced, tol, max_iter)
+    return status, np.concatenate((V @ x[: V.shape[1]], x[V.shape[1]:])), lam, iters
 
 
 # ---------------------------------------------------------------------------
@@ -862,11 +867,8 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
             # with no row every x is feasible: the optimum is 0 iff c is zero
             status = SolveStatus.OPTIMAL if not red.c.any() else SolveStatus.DUAL_UNBOUNDED
             return _finalize(program, status, np.zeros(program.n_vars), np.zeros(program.n_ineq), 0, tol)
-        if red.n_ineq < red.n_vars:
-            # a program this small may take its dense twin
-            status, x, lam_red, iters = _solve_wide(red.dense(), tol, max_iter)
-        else:
-            status, x, lam_red, iters = _dual_route(red, tol, max_iter)
+        route = _solve_wide if red.n_ineq < red.n_vars else _dual_route
+        status, x, lam_red, iters = route(red, tol, max_iter)
 
         x, lam_red, measures = _refine(red, status, x, lam_red, tol)
         if keep.all():

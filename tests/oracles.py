@@ -4,7 +4,8 @@ Nothing here calls the package solver: small LPs are decided by vertex
 enumeration over bounded-by-construction polytopes, small QPs by
 exhaustive active-set search on the KKT equalities, cone membership
 by scipy's NNLS with HiGHS near the boundary, and LPs in A_ub/A_eq form
-by HiGHS itself.  ``lifted_lp`` is the vanishing-weight relaxation in
+by HiGHS itself, and a QP's verdict by HiGHS on its rows and its
+recession cone.  ``lifted_lp`` is the vanishing-weight relaxation in
 the lifted form the package solved before it eliminated the slacks,
 solved by HiGHS, since its rows Σ_j z_ij = yᵢ are equalities, which the
 package solver does not take; ``lifted_lp_rows`` gives its rows.
@@ -126,6 +127,18 @@ def highs_lp(c, a, b, a_eq=None, b_eq=None):
         if ray.status == 0 and ray.fun < -1e-9:
             return "unbounded", None, None
     return HIGHS_STATUS.get(res.status, f"status {res.status}"), res.fun, res.x
+
+
+def highs_qp_verdict(q, c, a, b):
+    """The verdict ("optimal", "infeasible" or "unbounded") on the convex
+    QP min ½xᵀqx + c·x over {a·x <= b}, x free: infeasible iff HiGHS
+    finds its rows infeasible, and otherwise unbounded iff its recession
+    LP, min c·d s.t. a·d <= 0, q·d = 0, |d| <= 1, is below −1e-9."""
+    if linprog(np.zeros(len(c)), A_ub=a, b_ub=b, bounds=(None, None), method="highs").status == 2:
+        return "infeasible"
+    ray = linprog(c, A_ub=a, b_ub=np.zeros(len(b)), A_eq=q, b_eq=np.zeros(len(c)), bounds=(-1, 1), method="highs")
+    assert ray.status == 0
+    return "unbounded" if ray.fun < -1e-9 else "optimal"
 
 
 def block_set_expansion(xb, y):

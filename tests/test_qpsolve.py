@@ -26,6 +26,7 @@ from oracles import (
     bounded_feasible_lp,
     full_polish,
     highs_lp,
+    highs_qp_verdict,
     infeasible_lp,
     lp_vertex_oracle,
     qp_active_set_oracle,
@@ -1345,3 +1346,74 @@ def test_wide_programs_whose_rank_cut_drops_a_direction_end_optimal():
                solve(ConvexProgram(c=-g.T @ rng.uniform(0.5, 2.0, 3), a_ineq=np.vstack([g, g[:1]]),
                                    b_ineq=np.append(h, h[0])))]
     assert [rep.status for rep in reports] == [SolveStatus.OPTIMAL] * 2
+
+
+def _split_panel():
+    """(index, program, twin) of 3,000 split QPs with 1..9 rows over 1..5
+    dense columns (Q_WW = 0) and 1..4 separable ones (q_U in 1..3),
+    integer entries in −3..3, seven rows in ten with an entry on U; one
+    in four has its rows scaled by 10^(−6..6).  ``twin`` is the dense
+    twin of the program unscaled."""
+    rng = np.random.default_rng(14)
+    for i in range(3000):
+        nw, nu, rows = rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 10)
+        g, h = rng.integers(-3, 4, (rows, nw)), rng.integers(-3, 4, rows)
+        c, q_u = rng.integers(-3, 4, nw + nu), rng.integers(1, 4, nu)
+        has = rng.random(rows) < 0.7
+        col, coef = np.where(has, rng.integers(0, nu, rows), nu), np.where(has, rng.integers(-2, 3, rows), 0)
+        col[coef == 0] = nu
+        twin = ConvexProgram(c=c, a_ineq=g, b_ineq=h, sep=qpsolve.Separable(q_u, col, coef)).dense()
+        scale = 10.0 ** rng.integers(-6, 7, rows) if rng.random() < 0.25 else np.ones(rows)
+        yield i, ConvexProgram(c=c, a_ineq=g * scale[:, None], b_ineq=h * scale,
+                               sep=qpsolve.Separable(q_u, col, coef * scale)), twin
+
+
+def test_wide_split_qps_take_the_verdict_of_their_dense_twin():
+    # four unscaled programs of the split panel that ended MaxIterations
+    # when a wide split QP was solved as its dense twin
+    pinned = {1331: SolveStatus.OPTIMAL, 1436: SolveStatus.DUAL_UNBOUNDED, 2105: SolveStatus.DUAL_UNBOUNDED,
+              2395: SolveStatus.DUAL_UNBOUNDED}
+    for i, program, twin in _split_panel():
+        if i in pinned:
+            reduced = _presolve(program)[0]
+            assert reduced.n_ineq < reduced.n_vars and reduced.sep.q.size
+            verdict = STATUS_OF_HIGHS[highs_qp_verdict(twin.q, twin.c, twin.a_ineq, twin.b_ineq)]
+            assert solve(program).status == verdict == pinned[i], i
+
+
+def _wide_split_qps():
+    """(id, program) of split QPs with fewer rows than variables whose
+    optimum is finite: 3 rows over 4 dense and 2 separable columns, a
+    cost −G_Wᵀμ (+ Q_WW·u for a Q_WW of rank 1), μ > 0, in the span of
+    [G_Wᵀ Q_WW]; and 4 rows, two of them zero, over 3 separable columns
+    and no dense one."""
+    rng = np.random.default_rng(40)
+    g, mu = rng.standard_normal((3, 4)), rng.uniform(0.5, 2.0, 3)
+    sep = qpsolve.Separable(q=np.array([1.0, 2.0]), col=np.array([0, 1, 2]), coef=np.array([1.0, -0.5, 0.0]))
+    h = g @ rng.standard_normal(4) + rng.uniform(0.5, 2.0, 3)
+    c_u = rng.standard_normal(2)
+    yield "in-span-3x6", ConvexProgram(c=np.append(-g.T @ mu, c_u), a_ineq=g, b_ineq=h, sep=sep)
+    low = rng.standard_normal(4)
+    q = np.outer(low, low)
+    yield "in-span-rank-1-3x6", ConvexProgram(c=np.append(q @ rng.standard_normal(4) - g.T @ mu, c_u), q=q,
+                                              a_ineq=g, b_ineq=h, sep=sep)
+    yield "no-dense-column-4x3", ConvexProgram(
+        c=[1.0, -2.0, 0.5], a_ineq=np.zeros((4, 0)), b_ineq=[1.0, 0.0, 2.0, 1.0],
+        sep=qpsolve.Separable(q=np.array([1.0, 2.0, 1.0]), col=np.array([0, 3, 1, 3]),
+                              coef=np.array([1.0, 0.0, -1.0, 0.0])))
+
+
+@pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _wide_split_qps()])
+def test_wide_split_qp_is_solved_without_its_dense_twin(monkeypatch, program):
+    twin = program.dense()
+    ref = solve(twin)
+    assert ref.status == SolveStatus.OPTIMAL and _presolve(program)[0].n_ineq < program.n_vars
+
+    def no_twin(self):
+        raise AssertionError("a dense twin was formed")
+
+    monkeypatch.setattr(ConvexProgram, "dense", no_twin)
+    rep = solve(program)
+    assert rep.status == SolveStatus.OPTIMAL
+    value = twin.objective(ref.x)
+    assert abs(program.objective(rep.x) - value) <= 1e-8 * (1.0 + abs(value))
