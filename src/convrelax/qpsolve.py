@@ -19,14 +19,15 @@ rows are feasible, which a zero-cost LP over its dense twin's rows
 decides.  A program with fewer rows than variables has its dense columns
 written over an orthonormal basis of the span of their part of its rows
 and of Q's, its separable columns left as they are; a cost with a part
-off that span makes it unbounded iff feasible.  Candidate optima are
-refined by an active-set polish, which eliminates the same separable
-columns before its lstsq, and is skipped when an LP's polished
-multipliers, found first on their own, are negative beyond the raw
-pair's residual; an LP pair that still misses the tolerance has its
-multipliers refitted by nonnegative least squares on the active rows.
-A report is declared Optimal only after the KKT residuals have been
-recomputed from scratch and verified against the requested tolerance.
+off that span makes it unbounded iff feasible.  Presolve's decisions and
+every route end in one outcome record, and one exit turns it into the
+report: it refines candidate optima by an active-set polish, which
+eliminates the same separable columns before its lstsq, skipped when an
+LP's polished multipliers, found first on their own, are negative beyond
+the raw pair's residual; it refits by nonnegative least squares on the
+active rows the multipliers of an LP pair that still misses the
+tolerance; and it declares a report Optimal only after its KKT residuals
+are recomputed from scratch and verified against the requested tolerance.
 
 Products made on every interior-point iteration use ``ndarray.dot``:
 on presolve's row-major rows and their transposes it makes ``@``'s
@@ -253,6 +254,16 @@ class SolveReport:
 
 
 @dataclass
+class _Outcome:
+    """A route's end: its status and iterations, and x and λ where it has a pair (Optimal or cut off)."""
+
+    status: SolveStatus
+    x: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    iterations: int = 0
+
+
+@dataclass
 class KktSummary:
     stationarity: float
     feasibility: float
@@ -316,13 +327,12 @@ def least_squares(a, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _presolve(program: ConvexProgram) -> tuple[ConvexProgram, np.ndarray, bool]:
-    """(the reduced program, the mask of its rows in the original,
-    whether a zero row is infeasible).  A row is zero when its part on W
-    is all ±0.0 and it has no entry on U."""
+def _presolve(program: ConvexProgram) -> tuple[ConvexProgram, np.ndarray, _Outcome | None]:
+    """(the reduced program, the mask of its rows in the original, the
+    outcome where it decides: an infeasible zero row, or an LP with no row
+    left).  A row is zero when its part on W is all ±0.0 and none on U."""
     sep = program.sep
     nonzero = program.a_ineq.any(axis=1) | (sep.coef != 0.0)
-    infeasible = bool(np.any(program.b_ineq[~nonzero] < 0.0))
     # a reduced program holds row-major copies, and BLAS may round a
     # product differently on another layout
     unchanged = nonzero.all() and program.a_ineq.flags.c_contiguous
@@ -331,7 +341,12 @@ def _presolve(program: ConvexProgram) -> tuple[ConvexProgram, np.ndarray, bool]:
         sep=replace(sep, col=sep.col[nonzero], coef=sep.coef[nonzero]))
     if not reduced.n_ineq and not reduced.is_lp:
         raise SolverError("a QP needs at least one nonzero inequality row")
-    return reduced, nonzero, infeasible
+    if np.any(program.b_ineq[~nonzero] < 0.0):
+        return reduced, nonzero, _Outcome(SolveStatus.PRIMAL_INFEASIBLE)
+    if not reduced.n_ineq:
+        # with no row every x is feasible: the optimum is 0 iff c is zero
+        return reduced, nonzero, _Outcome(SolveStatus.DUAL_UNBOUNDED if reduced.c.any() else SolveStatus.OPTIMAL)
+    return reduced, nonzero, None
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +564,7 @@ def _certificate(a_dot, at_dot, col_norms, q_dot, b, c, x, y, tau, tol):
 # ---------------------------------------------------------------------------
 
 
-def _dual_route(program: ConvexProgram, tol, max_iter):
+def _dual_route(program: ConvexProgram, tol, max_iter) -> _Outcome:
     """Solve a program through its dual, one constraint per variable, so
     that its normal matrix is vars×vars whatever the row count: a QP, or
     an LP with no fewer rows than variables.  Its statuses swap only on
@@ -565,27 +580,26 @@ def _dual_route(program: ConvexProgram, tol, max_iter):
     A_std, kkt = (program.a_ineq.T, None) if program.is_lp else (None, _SchurKkt(program))
     x, y, tau, status, iters = _hsd(A_std, -program.c, program.b_ineq, tol, max_iter, kkt)
     if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
-        return status, y / tau, x / tau, iters
+        return _Outcome(status, y / tau, x / tau, iters)
     if status == SolveStatus.PRIMAL_INFEASIBLE:
         # the dual is infeasible: is the original feasible?
-        status, iters = _unbounded_iff_feasible(program, iters, tol, max_iter)
-    elif status == SolveStatus.DUAL_UNBOUNDED:
-        status = SolveStatus.PRIMAL_INFEASIBLE
-    return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
+        out = _unbounded_iff_feasible(program, tol, max_iter)
+    else:  # NumericalFailure, or the dual's improving ray
+        out = _Outcome(SolveStatus.PRIMAL_INFEASIBLE if status == SolveStatus.DUAL_UNBOUNDED else status)
+    return replace(out, iterations=iters + out.iterations)
 
 
-def _unbounded_iff_feasible(program, iters, tol, max_iter):
-    """(status, iterations) of a program with a descent ray: DualUnbounded
-    iff the zero-cost LP over its rows, written densely, ends Optimal; it
-    takes its route by shape, and its iterations add to ``iters``."""
-    G = program.dense().a_ineq
-    lp = ConvexProgram(c=np.zeros(G.shape[1]), a_ineq=G, b_ineq=program.b_ineq)
+def _unbounded_iff_feasible(program, tol, max_iter) -> _Outcome:
+    """The outcome of a program with a descent ray: DualUnbounded iff the
+    zero-cost LP over its rows, written densely, ends Optimal, else its."""
+    lp = replace(program.dense(), c=np.zeros(program.n_vars), q=None)
     route = _solve_wide if lp.n_ineq < lp.n_vars else _dual_route
-    status, _, _, more = route(lp, tol, max_iter)
-    return SolveStatus.DUAL_UNBOUNDED if status == SolveStatus.OPTIMAL else status, iters + more
+    out = route(lp, tol, max_iter)
+    return _Outcome(SolveStatus.DUAL_UNBOUNDED if out.status == SolveStatus.OPTIMAL else out.status,
+                    iterations=out.iterations)
 
 
-def _solve_wide(program: ConvexProgram, tol, max_iter):
+def _solve_wide(program: ConvexProgram, tol, max_iter) -> _Outcome:
     """Solve a program with fewer rows than variables over x_W = V·u, V an
     orthonormal basis of the span of [G_Wᵀ Q_WW] (of G_Wᵀ where Q_WW = 0),
     its rows' and Q's parts on the dense columns W: their left singular
@@ -601,17 +615,18 @@ def _solve_wide(program: ConvexProgram, tol, max_iter):
     try:
         basis, sigma, _ = np.linalg.svd(spanning, full_matrices=False)
     except np.linalg.LinAlgError:
-        return SolveStatus.NUMERICAL_FAILURE, np.zeros(program.n_vars), np.zeros(program.n_ineq), 0
+        return _Outcome(SolveStatus.NUMERICAL_FAILURE)
     V = basis[:, : np.count_nonzero(sigma > max(spanning.shape) * np.finfo(float).eps * sigma.max(initial=0.0))]
     c_v = V.T @ program.c[w]
     q_v = V.T @ program.q @ V if curved else np.zeros((V.shape[1], V.shape[1]))
     reduced = replace(program, c=np.concatenate((c_v, program.c[u])), q=0.5 * (q_v + q_v.T), a_ineq=G @ V)
     if np.abs(program.c[w] - V @ c_v).max(initial=0.0) > tol:
         # the reduced rows decide feasibility: G_W·x_W depends only on x_W's part in the span
-        status, iters = _unbounded_iff_feasible(reduced, 0, tol, max_iter)
-        return status, np.zeros(program.n_vars), np.zeros(program.n_ineq), iters
-    status, x, lam, iters = _dual_route(reduced, tol, max_iter)
-    return status, np.concatenate((V @ x[: V.shape[1]], x[V.shape[1]:])), lam, iters
+        return _unbounded_iff_feasible(reduced, tol, max_iter)
+    out = _dual_route(reduced, tol, max_iter)
+    if out.x is not None:
+        out.x = np.concatenate((V @ out.x[: V.shape[1]], out.x[V.shape[1]:]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -792,42 +807,42 @@ def _nnls_multipliers(program: ConvexProgram, x, lam):
     return refit
 
 
-def _refine(program: ConvexProgram, status, x, lam, tol):
-    """Apply the polish when optimal and keep whichever pair is cleaner;
-    returns the pair and its KKT measures (None when not optimal).
-
-    When the kept pair of an LP misses tol, the multipliers are refitted
-    by nonnegative least squares on its active rows, and that pair is
-    taken if it meets tol: an x at the optimum can carry multipliers
-    whose stationarity residual the polish's lstsq does not mend, since
-    its λ may have negative entries."""
-    if status != SolveStatus.OPTIMAL:
-        return x, lam, None
-    measures = _kkt_measures(program, x, lam)
-    try:
-        candidate = _polish(program, x, lam, max(measures))
-    except np.linalg.LinAlgError:  # its SVD or lstsq did not converge
-        candidate = None
-    if candidate is not None:
-        polished = _kkt_measures(program, *candidate)
-        if max(polished) < max(measures):
-            (x, lam), measures = candidate, polished
-    if max(measures) > tol and program.is_lp:
-        refit = _nnls_multipliers(program, x, lam)
-        if refit is not None:
-            refitted = _kkt_measures(program, x, refit)
-            if max(refitted) <= tol:
-                return x, refit, refitted
-    return x, lam, measures
-
-
-def _finalize(program: ConvexProgram, status, x, lam, iterations, tol, measures=None) -> SolveReport:
-    """The report of a pair; ``measures`` are its KKT measures on ``program``, if taken."""
-    stat, feas, comp = measures or _kkt_measures(program, x, lam)
+def _finalize(program: ConvexProgram, red: ConvexProgram, keep, out: _Outcome, tol) -> SolveReport:
+    """The report of ``out`` on ``red``, the caller's ``program`` less the
+    rows presolve dropped (``keep`` False).  An Optimal pair is polished
+    and the cleaner pair kept; an LP's that misses tol takes multipliers
+    refitted by nonnegative least squares on its active rows if they meet
+    tol: an x at the optimum can carry multipliers whose stationarity
+    residual the polish's lstsq does not mend, since its λ may be negative."""
+    status, x, lam, measures = out.status, out.x, out.lam, None
+    if x is None:
+        x, lam = np.zeros(program.n_vars), np.zeros(red.n_ineq)
+    elif status == SolveStatus.OPTIMAL:
+        measures = _kkt_measures(red, x, lam)
+        try:
+            candidate = _polish(red, x, lam, max(measures))
+        except np.linalg.LinAlgError:  # its SVD or lstsq did not converge
+            candidate = None
+        if candidate is not None:
+            polished = _kkt_measures(red, *candidate)
+            if max(polished) < max(measures):
+                (x, lam), measures = candidate, polished
+        if max(measures) > tol and red.is_lp:
+            refit = _nnls_multipliers(red, x, lam)
+            if refit is not None:
+                refitted = _kkt_measures(red, x, refit)
+                if max(refitted) <= tol:
+                    lam, measures = refit, refitted
+    if not keep.all():
+        # λ is 0 on the rows presolve dropped, and the report is measured on the caller's rows
+        full = np.zeros(program.n_ineq)
+        full[keep] = lam
+        red, lam, measures = program, full, None
+    stat, feas, comp = measures or _kkt_measures(red, x, lam)
     if status == SolveStatus.OPTIMAL and max(stat, feas, comp) > tol:
         status = SolveStatus.MAX_ITERATIONS
-    return SolveReport(status=status, x=np.asarray(x, dtype=float), lam=np.asarray(lam, dtype=float),
-                       primal_residual=feas, dual_residual=stat, complementarity_gap=comp, iterations=iterations)
+    return SolveReport(status=status, x=x, lam=lam, primal_residual=feas, dual_residual=stat,
+                       complementarity_gap=comp, iterations=out.iterations)
 
 
 def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
@@ -858,23 +873,8 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
     # a status: none reaches the caller as a warning or an exception,
     # whatever the caller's np.seterr
     with np.errstate(all="ignore"):
-        red, keep, infeasible = _presolve(program)
-        if infeasible:
-            zeros = (np.zeros(program.n_vars), np.zeros(program.n_ineq))
-            return _finalize(program, SolveStatus.PRIMAL_INFEASIBLE, *zeros, 0, tol)
-
-        if red.is_lp and not red.n_ineq:
-            # with no row every x is feasible: the optimum is 0 iff c is zero
-            status = SolveStatus.OPTIMAL if not red.c.any() else SolveStatus.DUAL_UNBOUNDED
-            return _finalize(program, status, np.zeros(program.n_vars), np.zeros(program.n_ineq), 0, tol)
-        route = _solve_wide if red.n_ineq < red.n_vars else _dual_route
-        status, x, lam_red, iters = route(red, tol, max_iter)
-
-        x, lam_red, measures = _refine(red, status, x, lam_red, tol)
-        if keep.all():
-            # presolve's rows are the caller's, perhaps in another layout:
-            # the report is measured on them, as the polish measured its pair
-            return _finalize(red, status, x, lam_red, iters, tol, measures)
-        lam = np.zeros(program.n_ineq)
-        lam[keep] = lam_red
-        return _finalize(program, status, x, lam, iters, tol)
+        red, keep, out = _presolve(program)
+        if out is None:
+            route = _solve_wide if red.n_ineq < red.n_vars else _dual_route
+            out = route(red, tol, max_iter)
+        return _finalize(program, red, keep, out, tol)

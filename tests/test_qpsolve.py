@@ -488,7 +488,7 @@ def test_presolve_returns_the_program_when_no_row_drops():
 
 def test_report_reuses_the_measures_of_the_refined_pair(monkeypatch):
     # with every row kept, the report carries the KKT measures that
-    # _refine took on the pair it kept, on presolve's row-major rows
+    # _finalize took on the pair it kept, on presolve's row-major rows
     # whatever the caller's layout; when presolve drops a row, they are
     # taken once more on the original program
     measures = qpsolve._kkt_measures
@@ -949,8 +949,8 @@ def test_split_program_is_checked_and_presolved():
     x = np.array([0.5, -2.0, 3.0])
     assert program.objective(x) == dense.objective(x)
     # the middle row has no part on W and no entry on U: presolve drops it
-    reduced, keep, infeasible = _presolve(program)
-    assert keep.tolist() == [True, False, True] and not infeasible
+    reduced, keep, decided = _presolve(program)
+    assert keep.tolist() == [True, False, True] and decided is None
     np.testing.assert_array_equal(reduced.dense().a_ineq, dense.a_ineq[keep])
     assert _report_bits(solve(program)) == _report_bits(solve(dense))
     # a nonpositive curvature, more separable columns than variables, an
@@ -1318,7 +1318,7 @@ def test_wide_program_is_solved_over_a_basis_of_matrix_rank(monkeypatch, g, q):
 
     def recording_route(program, tol, max_iter):
         seen.append(program)
-        return SolveStatus.OPTIMAL, np.zeros(program.n_vars), np.zeros(program.n_ineq), 0
+        return qpsolve._Outcome(SolveStatus.OPTIMAL, np.zeros(program.n_vars), np.zeros(program.n_ineq))
 
     monkeypatch.setattr(qpsolve, "_dual_route", recording_route)
     rank = np.linalg.matrix_rank(spanning)
