@@ -16,18 +16,20 @@ infeasibility and unboundedness, an LP's and a QP's alike, only on a ray
 checked against the norms of the rows, so that scaling a row leaves the
 verdict as it is; an infeasible dual leaves a program unbounded iff its
 rows are feasible, which a zero-cost LP over its dense twin's rows
-decides.  A program with fewer rows than variables has its dense columns
-written over an orthonormal basis of the span of their part of its rows
-and of Q's, its separable columns left as they are; a cost with a part
-off that span makes it unbounded iff feasible.  Presolve's decisions and
-every route end in one outcome record, and one exit turns it into the
-report: it refines candidate optima by an active-set polish, which
-eliminates the same separable columns before its lstsq, skipped when an
-LP's polished multipliers, found first on their own, are negative beyond
-the raw pair's residual; it refits by nonnegative least squares on the
-active rows the multipliers of an LP pair that still misses the
-tolerance; and it declares a report Optimal only after its KKT residuals
-are recomputed from scratch and verified against the requested tolerance.
+decides, and that LP must also find a QP's rows infeasible before its
+Farkas exit is a verdict.  A program with fewer rows than variables
+has its dense columns written over an orthonormal basis of the span of
+their part of its rows and of Q's, its separable columns left as they
+are; a cost with a part off that span makes it unbounded iff feasible.
+Presolve's decisions and every route end in one outcome record, and one
+exit turns it into the report: it refines candidate optima by an
+active-set polish, which eliminates the same separable columns before
+its lstsq, skipped when an LP's polished multipliers, found first on
+their own, are negative beyond the raw pair's residual; it refits by
+nonnegative least squares on the active rows the multipliers of an LP
+pair that still misses the tolerance; and it declares a report Optimal
+only after its KKT residuals are recomputed from scratch and verified
+against the requested tolerance.
 
 Products made on every interior-point iteration use ``ndarray.dot``:
 on presolve's row-major rows and their transposes it makes ``@``'s
@@ -569,9 +571,10 @@ def _dual_route(program: ConvexProgram, tol, max_iter) -> _Outcome:
     that its normal matrix is vars×vars whatever the row count: a QP, or
     an LP with no fewer rows than variables.  Its statuses swap only on
     certificates that `_certificate` has checked: the dual's improving
-    ray shows that the original is infeasible; an infeasible dual leaves
-    the original a descent ray, so it is unbounded iff its rows are
-    feasible (`_unbounded_iff_feasible`).
+    ray shows that the original is infeasible (a QP's, only if the
+    zero-cost LP over its rows agrees; else it ends NumericalFailure); an
+    infeasible dual leaves the original a descent ray, so it is unbounded
+    iff its rows are feasible (`_unbounded_iff_feasible`).
 
     The dual is min hᵀλ s.t. Gᵀλ = −c, λ ≥ 0, on the rows as given: an
     LP's A is the view Gᵀ of its rows, column-major (BLAS may round a
@@ -584,7 +587,13 @@ def _dual_route(program: ConvexProgram, tol, max_iter) -> _Outcome:
     if status == SolveStatus.PRIMAL_INFEASIBLE:
         # the dual is infeasible: is the original feasible?
         out = _unbounded_iff_feasible(program, tol, max_iter)
-    else:  # NumericalFailure, or the dual's improving ray
+    elif status == SolveStatus.DUAL_UNBOUNDED and not program.is_lp:
+        # a QP's Farkas vector can pass its check on opposite rows that pin
+        # an equality, their residuals cancelling: its rows must be infeasible
+        out = _unbounded_iff_feasible(program, tol, max_iter)
+        if out.status != SolveStatus.PRIMAL_INFEASIBLE:
+            out.status = SolveStatus.NUMERICAL_FAILURE
+    else:  # NumericalFailure, or an LP's Farkas vector
         out = _Outcome(SolveStatus.PRIMAL_INFEASIBLE if status == SolveStatus.DUAL_UNBOUNDED else status)
     return replace(out, iterations=iters + out.iterations)
 

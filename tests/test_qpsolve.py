@@ -1381,6 +1381,29 @@ def test_wide_split_qps_take_the_verdict_of_their_dense_twin():
             assert solve(program).status == verdict == pinned[i], i
 
 
+def test_qp_farkas_exit_stands_only_on_rows_found_infeasible():
+    # feasible, bounded QPs whose rows with h = 0 come in exact opposites
+    # and pin an equality, so the feasible set has no interior: #1542
+    # (row-scaled), #1641 and #1964 of the split panel, and #2429 of the
+    # dense QP panel (scripts/fuzz_verdicts.py), whose rows 2 and 4 pin
+    # x₁ + x₃ = 0.  The embedding exits on a Farkas vector whose residual
+    # Gᵀλ cancels on the opposite rows; the zero-cost LP over the rows
+    # finds them feasible, so no verdict is given
+    dense = ConvexProgram(c=[2.0, -3.0, -2.0], q=[[4.0, -4.0, 0.0], [-4.0, 9.0, -4.0], [0.0, -4.0, 5.0]],
+                          a_ineq=[[-2.0, 2.0, -1.0], [-2.0, 2.0, -1.0], [-2.0, 0.0, -2.0], [0.0, -1.0, 0.0],
+                                  [2.0, 0.0, 2.0], [0.0, -2.0, 1.0]],
+                          b_ineq=[-2.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+    pinned = [(i, program, twin) for i, program, twin in _split_panel() if i in (1542, 1641, 1964)]
+    for i, program, twin in [*pinned, (2429, dense, dense)]:
+        assert highs_qp_verdict(twin.q, twin.c, twin.a_ineq, twin.b_ineq) == "optimal", i
+        assert solve(program).status == SolveStatus.NUMERICAL_FAILURE, i
+    # x₁ ≤ −1 against x₁ ≥ 0: the LP over the rows agrees, and the verdict stands
+    infeasible = ConvexProgram(c=[1.0, -1.0], q=np.eye(2), a_ineq=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+                               b_ineq=[-1.0, 0.0, 1.0])
+    assert highs_qp_verdict(infeasible.q, infeasible.c, infeasible.a_ineq, infeasible.b_ineq) == "infeasible"
+    assert solve(infeasible).status == SolveStatus.PRIMAL_INFEASIBLE
+
+
 def _wide_split_qps():
     """(id, program) of split QPs with fewer rows than variables whose
     optimum is finite: 3 rows over 4 dense and 2 separable columns, a
