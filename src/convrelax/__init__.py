@@ -2,6 +2,15 @@
 convolutional ReLU networks: planted-model recovery, dual certificates,
 phase-transition experiments, and a rotation-regression pipeline."""
 
+import os
+
+# BLAS on one thread unless the caller says otherwise: a threaded BLAS
+# rounds products differently, and an Optimal pair's bits, and so the
+# sweep tables' errors, would follow the thread count.  It takes effect
+# only if numpy has not been loaded yet.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from . import baseline, certify, cli, mnistreg, model, qpsolve, relax, sweep
 from .model import Dataset, PlantedModel, forward, residual, sample_planted
 from .qpsolve import ConvexProgram, KktSummary, SolveReport, SolveStatus, check_kkt, least_squares, solve

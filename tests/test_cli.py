@@ -215,6 +215,26 @@ def test_sweep_csv_and_sidecar(tmp_path, capsys, monkeypatch):
     assert "Relaxation success rate" in capsys.readouterr().out
 
 
+def test_sweep_table_does_not_depend_on_blas_threads_left_unset(tmp_path):
+    # the cell n=400, d=80, k=1 of master seed 0: with a threaded BLAS
+    # its min_err moves in the 16th digit.  convrelax pins BLAS to one
+    # thread where the variables are unset, so the default table is the
+    # one-thread table
+    tables = []
+    for threads in (None, "1"):
+        env = {name: value for name, value in os.environ.items() if name not in sweep._THREAD_ENV}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(convrelax.__file__))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads}.csv"
+        run = subprocess.run([sys.executable, "-m", "convrelax", "sweep", "--n-values", "400", "--d-values", "80",
+                              "--k", "1", "--trials", "1", "--methods", "relax", "--out", str(out)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == EXIT_OK, run.stderr
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_sweep_d1_two_point_law(tmp_path):
     # two-sample single-coordinate cells recover with probability one half
     out = tmp_path / "law.csv"
