@@ -26,7 +26,9 @@ separable), the wide k=1 fits, fewer samples than filter entries, at
 n=10, d=20 and n=50, d=80, at beta=0 and 1e-3, certify's phase-1 cone program
 and the block-set LP that gives its primal fit and dual at k=1, 2 and 5
 and on a k=2 dataset whose dual is infeasible, presolve cases with
-duplicate, zero, -0.0 and infeasible rows, the beta=1e-3 QP given
+duplicate, zero, -0.0 and infeasible rows and a 3×4 LP with a zero row
+whose cost is off its rows' span (DualUnbounded on the wide route, with
+no pair, so zero multipliers are scattered), the beta=1e-3 QP given
 densely, at k=2 over all n·k slacks (no separable column) and at k=1
 with its columns shuffled (its slack columns are separable but given
 densely, so the solver factors its Q whole), and small LPs named by
@@ -45,7 +47,10 @@ rank 4, and a 4×7 LP whose last row repeats its first; a 4×5 split QP,
 one dense column and four separable ones, whose cost lies in the span,
 so that it ends Optimal on the split wide route where the k=1 wide fits
 exit on a cost off that span (solved as its dense twin, it ran to
-MaxIterations); a 40×3 LP cut off at max_iter=2, and a
+MaxIterations); a 3×2 QP whose rows are infeasible, PrimalInfeasible
+once the zero-cost LP over its rows agrees; a 40×3 LP cut off at
+max_iter=2, alone and with a zero row that presolve drops (the cut-off
+iterate's multipliers are scattered over the caller's rows); and a
 6×3 LP over x1 + x2 and x3, whose singular normal matrix takes the
 interior point's lstsq solve, run to Optimal and cut off at max_iter=4.
 Failure exits: the k=1 relaxation with a sample of 1e200 features,
@@ -98,7 +103,9 @@ FIELDS = ("status", "iterations", "x", "lam", "primal_residual", "dual_residual"
 def _presolve_programs():
     """Programs whose presolve drops zero rows (duplicates and a -0.0 twin
     are solved as given), finds an infeasible zero row, or copies a
-    column-major matrix row-major."""
+    column-major matrix row-major; and a 3×4 LP with a zero row that
+    presolve drops, whose cost is off its rows' span: DualUnbounded on
+    the wide route, its multipliers scattered over the caller's rows."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram
@@ -117,6 +124,11 @@ def _presolve_programs():
     yield "presolve-infeasible-zero-ineq", ConvexProgram(c=c, a_ineq=np.vstack([g, np.zeros((1, 3))]),
                                                          b_ineq=np.concatenate([h, [-1.0]]))
     yield "presolve-column-major", ConvexProgram(c=c, a_ineq=np.asfortranarray(g), b_ineq=h)
+    # the rows of lp-optimal-2x4 and a zero row, feasible at 0; x4 enters
+    # both rows, but (0, 0, 0, 1) is off their span
+    yield "presolve-zero-row-wide-unbounded-3x4", ConvexProgram(
+        c=[0.0, 0.0, 0.0, 1.0], a_ineq=[[1.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, -1.0]],
+        b_ineq=[1.0, 1.0, 1.0])
 
 
 def _lifted_qp(ds, r):
@@ -175,7 +187,8 @@ def _small_programs():
     either shape; and an infeasible LP with a descent ray, 4×2, 5×2 and
     3×4; and degenerate ones whose polish runs, with each tight row
     given twice and with a tight row scaled by 1e6; the wide ones of
-    `_wide_rank_cut_programs`; and a wide split QP, Optimal."""
+    `_wide_rank_cut_programs`; an infeasible QP, 3×2; and a wide split
+    QP, Optimal."""
     import numpy as np
 
     from convrelax import qpsolve
@@ -227,6 +240,9 @@ def _small_programs():
         c=[-1.0, -0.1], a_ineq=[[1.0, 0.0], [0.0, 1.0], [1e6, 1e6], [-1.0, 0.0], [0.0, -1.0]],
         b_ineq=[1.0, 1.0, 2e6, 5.0, 5.0])
     yield from _wide_rank_cut_programs()
+    # x1 <= -1 against x1 >= 0, with Q = I: its rows are infeasible
+    yield "qp-infeasible-3x2", ConvexProgram(c=[1.0, -1.0], q=np.eye(2), a_ineq=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+                                             b_ineq=[-1.0, 0.0, 1.0])
     # 4 rows over 1 dense and 4 separable columns (#1331 of the split
     # panel in tests/test_qpsolve.py), Optimal on the split wide route
     yield "qp-split-wide-optimal-4x5", ConvexProgram(
@@ -337,6 +353,12 @@ def run_panel() -> list[dict]:
             qpsolve.solve(program)
         label[0] = "lp-max-iterations-40x3"
         qpsolve.solve(_tall_lp(), max_iter=2)
+        # with a zero row that presolve drops: the cut-off iterate's
+        # multipliers are scattered over the caller's rows
+        label[0] = "lp-zero-row-max-iterations-41x3"
+        tall = _tall_lp()
+        qpsolve.solve(ConvexProgram(c=tall.c, a_ineq=np.vstack([tall.a_ineq[:20], np.zeros((1, 3)), tall.a_ineq[20:]]),
+                                    b_ineq=np.concatenate([tall.b_ineq[:20], [1.0], tall.b_ineq[20:]])), max_iter=2)
         # x1 and x2 enter only as x1 + x2: the normal matrix is singular up
         # to its regularization, its Cholesky factorization fails from the
         # fourth iteration on, and the cut-off solve reports that iterate
