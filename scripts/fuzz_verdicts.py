@@ -44,9 +44,8 @@ from convrelax.qpsolve import ConvexProgram, SolverError, SolveStatus  # noqa: E
 import numpy as np  # noqa: E402
 
 from oracles import highs_lp, highs_qp_verdict  # noqa: E402
+from test_qpsolve import STATUS_OF_HIGHS, _split_panel  # noqa: E402
 
-VERDICTS = {"optimal": SolveStatus.OPTIMAL, "infeasible": SolveStatus.PRIMAL_INFEASIBLE,
-            "unbounded": SolveStatus.DUAL_UNBOUNDED}
 COLUMNS = ("right", "wrong", "MaxIterations", "NumericalFailure", "SolverError")
 
 
@@ -84,8 +83,6 @@ def dense_qp_panel():
 
 def split_qp_panel():
     """(index, program, verdict of the unscaled dense twin) of the split QP panel."""
-    from test_qpsolve import _split_panel
-
     for i, program, twin in _split_panel():
         yield i, program, lambda t=twin: highs_qp_verdict(t.q, t.c, t.a_ineq, t.b_ineq)
 
@@ -107,7 +104,7 @@ def run(panel) -> dict[str, list[str]]:
             found[status.value].append(f"#{i}")
             continue
         truth = verdict()
-        if VERDICTS[truth] == status:
+        if STATUS_OF_HIGHS[truth] == status:
             found["right"].append(f"#{i}")
         else:
             found["wrong"].append(f"#{i} ({status.value}; HiGHS {truth})")

@@ -257,7 +257,7 @@ class SolveReport:
 
 @dataclass
 class _Outcome:
-    """A route's end: its status and iterations, and x and λ where it has a pair (Optimal or cut off)."""
+    """How a route or presolve ends: status, iterations, and x and λ where it has a pair (Optimal or cut off)."""
 
     status: SolveStatus
     x: np.ndarray | None = None
@@ -600,7 +600,7 @@ def _dual_route(program: ConvexProgram, tol, max_iter) -> _Outcome:
 
 def _unbounded_iff_feasible(program, tol, max_iter) -> _Outcome:
     """The outcome of a program with a descent ray: DualUnbounded iff the
-    zero-cost LP over its rows, written densely, ends Optimal, else its."""
+    zero-cost LP over its rows, written densely, ends Optimal, else the LP's status."""
     lp = replace(program.dense(), c=np.zeros(program.n_vars), q=None)
     route = _solve_wide if lp.n_ineq < lp.n_vars else _dual_route
     out = route(lp, tol, max_iter)
