@@ -1,6 +1,6 @@
 """Check the solver's verdicts on three seeded panels against HiGHS.
 
-    PYTHONPATH=src python scripts/fuzz_verdicts.py [--panels lp,dense,split]
+    PYTHONPATH=src python scripts/fuzz_verdicts.py
 
 The panels, each numbered from 0:
 
@@ -87,7 +87,7 @@ def split_qp_panel():
         yield i, program, lambda t=twin: highs_qp_verdict(t.q, t.c, t.a_ineq, t.b_ineq)
 
 
-PANELS = {"lp": ("LP", lp_panel), "dense": ("dense QP", dense_qp_panel), "split": ("split QP", split_qp_panel)}
+PANELS = {"LP": lp_panel, "dense QP": dense_qp_panel, "split QP": split_qp_panel}
 
 
 def run(panel) -> dict[str, list[str]]:
@@ -112,22 +112,16 @@ def run(panel) -> dict[str, list[str]]:
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--panels", default="lp,dense,split",
-                        help="comma-separated panels to run, of lp, dense and split")
-    names = parser.parse_args(argv).panels.split(",")
-    if not names or any(name not in PANELS for name in names):
-        parser.error(f"--panels takes names among {', '.join(PANELS)}")
-    results = {name: run(PANELS[name][1]) for name in names}
-    width = max(len(PANELS[name][0]) + 9 for name in names)
-    print(f"{'panel':<{width}}" + "".join(f"{column:>18}" for column in COLUMNS))
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    results = {name: run(panel) for name, panel in PANELS.items()}
+    print(f"{'panel':<18}" + "".join(f"{column:>18}" for column in COLUMNS))
     for name, found in results.items():
-        label = f"{PANELS[name][0]} ({sum(map(len, found.values())):,})"
-        print(f"{label:<{width}}" + "".join(f"{len(found[column]):>18,}" for column in COLUMNS))
+        label = f"{name} ({sum(map(len, found.values())):,})"
+        print(f"{label:<18}" + "".join(f"{len(found[column]):>18,}" for column in COLUMNS))
     for name, found in results.items():
         for column in COLUMNS[1:]:
             if found[column]:
-                print(f"{PANELS[name][0]} {column}: {', '.join(found[column])}")
+                print(f"{name} {column}: {', '.join(found[column])}")
     return 0
 
 
