@@ -12,13 +12,17 @@ package solver does not take; ``lifted_lp_rows`` gives its rows.
 ``lifted_qp`` only builds the β > 0 relaxation in that form, a program
 of inequality rows for tests to solve.  ``full_polish`` is the solver's
 active-set polish as it was before it eliminated columns: one lstsq
-over the whole KKT system.
+over the whole KKT system.  The verdict panels at the end draw the
+programs that ``scripts/fuzz_verdicts.py`` and its pinned prefix in
+tier-1 solve, each with HiGHS's verdict on its unscaled twin.
 """
 
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog, nnls
+
+from convrelax.qpsolve import ConvexProgram, Separable, SolveStatus
 
 FEAS_TOL = 1e-9
 
@@ -180,8 +184,6 @@ def lifted_qp(dataset, beta, r):
     ordered sample-major: min β·rᵀw + ½ Σᵢ (Σ_j z_ij)² − Σᵢ yᵢ·Σ_j z_ij
     subject to X_ij·w − z_ij ≤ 0 and z ≥ 0.  A dense ConvexProgram with
     p + nk variables and 2nk inequality rows (p = d/k)."""
-    from convrelax.qpsolve import ConvexProgram
-
     n, k, p = dataset.n, dataset.k, dataset.filter_size
     nz = n * k
     m = p + nz
@@ -287,3 +289,75 @@ def random_feasible_qp(rng, m, p):
     a = np.vstack([a_extra, np.eye(m), -np.eye(m)])
     b = np.concatenate([b_extra, np.full(2 * m, 10.0)])
     return q, c, a, b
+
+
+# ---------------------------------------------------------------------------
+# the verdict panels: seeded programs, each numbered from 0 and given with
+# a callable that returns HiGHS's verdict on its unscaled twin
+# ---------------------------------------------------------------------------
+
+STATUS_OF_HIGHS = {"optimal": SolveStatus.OPTIMAL, "infeasible": SolveStatus.PRIMAL_INFEASIBLE,
+                   "unbounded": SolveStatus.DUAL_UNBOUNDED}
+
+
+def _row_scaled(rng, g, h):
+    """G and h with each row scaled by 10^(−6..6), one time in four."""
+    if rng.random() < 0.25:
+        scale = 10.0 ** rng.integers(-6, 7, h.size)
+        return g * scale[:, None], h * scale
+    return g, h
+
+
+def lp_panel():
+    """(index, program, verdict) of 6,000 LPs from ``default_rng(12)``:
+    per LP, m = 1..6 variables and 1..8 rows, G, h and c with entries in
+    −3..3, and one in four row-scaled."""
+    rng = np.random.default_rng(12)
+    for i in range(6000):
+        m, rows = rng.integers(1, 7), rng.integers(1, 9)
+        g, h, c = rng.integers(-3, 4, (rows, m)), rng.integers(-3, 4, rows), rng.integers(-3, 4, m)
+        verdict = lambda c=c, g=g, h=h: highs_lp(c, g, h)[0]
+        g_s, h_s = _row_scaled(rng, g, h)
+        yield i, ConvexProgram(c=c, a_ineq=g_s, b_ineq=h_s), verdict
+
+
+def dense_qp_panel():
+    """(index, program, verdict) of 3,000 QPs from ``default_rng(13)``,
+    drawn as the LPs are, with Q = BᵀB for B of 1..m rows with entries in
+    −2..2, drawn after c and before the row scales."""
+    rng = np.random.default_rng(13)
+    for i in range(3000):
+        m, rows = rng.integers(1, 7), rng.integers(1, 9)
+        g, h, c = rng.integers(-3, 4, (rows, m)), rng.integers(-3, 4, rows), rng.integers(-3, 4, m)
+        b = rng.integers(-2, 3, (rng.integers(1, m + 1), m))
+        q = (b.T @ b).astype(float)
+        verdict = lambda q=q, c=c, g=g, h=h: highs_qp_verdict(q, c, g, h)
+        g_s, h_s = _row_scaled(rng, g, h)
+        yield i, ConvexProgram(c=c, q=q, a_ineq=g_s, b_ineq=h_s), verdict
+
+
+def split_qp_panel():
+    """(index, program, verdict) of 3,000 split QPs from ``default_rng(14)``
+    with 1..9 rows over 1..5 dense columns (Q_WW = 0) and 1..4 separable
+    ones (q_U in 1..3), integer entries in −3..3, seven rows in ten with an
+    entry on U; one in four has its rows scaled by 10^(−6..6).  The
+    verdict is HiGHS's on the dense twin of the program unscaled."""
+    rng = np.random.default_rng(14)
+    for i in range(3000):
+        nw, nu, rows = rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 10)
+        g, h = rng.integers(-3, 4, (rows, nw)), rng.integers(-3, 4, rows)
+        c, q_u = rng.integers(-3, 4, nw + nu), rng.integers(1, 4, nu)
+        has = rng.random(rows) < 0.7
+        col, coef = np.where(has, rng.integers(0, nu, rows), nu), np.where(has, rng.integers(-2, 3, rows), 0)
+        col[coef == 0] = nu
+        scale = 10.0 ** rng.integers(-6, 7, rows) if rng.random() < 0.25 else np.ones(rows)
+
+        def verdict(c=c, g=g, h=h, sep=Separable(q_u, col, coef)):
+            twin = ConvexProgram(c=c, a_ineq=g, b_ineq=h, sep=sep).dense()
+            return highs_qp_verdict(twin.q, twin.c, twin.a_ineq, twin.b_ineq)
+
+        yield i, ConvexProgram(c=c, a_ineq=g * scale[:, None], b_ineq=h * scale,
+                               sep=Separable(q_u, col, coef * scale)), verdict
+
+
+VERDICT_PANELS = {"LP": lp_panel, "dense QP": dense_qp_panel, "split QP": split_qp_panel}

@@ -23,6 +23,7 @@ from convrelax.qpsolve import (
 )
 
 from oracles import (
+    STATUS_OF_HIGHS,
     bounded_feasible_lp,
     full_polish,
     highs_lp,
@@ -31,6 +32,7 @@ from oracles import (
     lp_vertex_oracle,
     qp_active_set_oracle,
     random_feasible_qp,
+    split_qp_panel,
     unbounded_lp,
 )
 
@@ -668,10 +670,6 @@ def test_lp_matches_vertex_enumeration(seed, m):
 
 
 # -- differential check against HiGHS -----------------------------------------
-
-STATUS_OF_HIGHS = {"optimal": SolveStatus.OPTIMAL, "infeasible": SolveStatus.PRIMAL_INFEASIBLE,
-                   "unbounded": SolveStatus.DUAL_UNBOUNDED}
-
 
 def _assert_matches_highs(c, a, b):
     rep = solve(ConvexProgram(c=c, a_ineq=a, b_ineq=b))
@@ -1348,37 +1346,16 @@ def test_wide_programs_whose_rank_cut_drops_a_direction_end_optimal():
     assert [rep.status for rep in reports] == [SolveStatus.OPTIMAL] * 2
 
 
-def _split_panel():
-    """(index, program, twin) of 3,000 split QPs with 1..9 rows over 1..5
-    dense columns (Q_WW = 0) and 1..4 separable ones (q_U in 1..3),
-    integer entries in −3..3, seven rows in ten with an entry on U; one
-    in four has its rows scaled by 10^(−6..6).  ``twin`` is the dense
-    twin of the program unscaled."""
-    rng = np.random.default_rng(14)
-    for i in range(3000):
-        nw, nu, rows = rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 10)
-        g, h = rng.integers(-3, 4, (rows, nw)), rng.integers(-3, 4, rows)
-        c, q_u = rng.integers(-3, 4, nw + nu), rng.integers(1, 4, nu)
-        has = rng.random(rows) < 0.7
-        col, coef = np.where(has, rng.integers(0, nu, rows), nu), np.where(has, rng.integers(-2, 3, rows), 0)
-        col[coef == 0] = nu
-        twin = ConvexProgram(c=c, a_ineq=g, b_ineq=h, sep=qpsolve.Separable(q_u, col, coef)).dense()
-        scale = 10.0 ** rng.integers(-6, 7, rows) if rng.random() < 0.25 else np.ones(rows)
-        yield i, ConvexProgram(c=c, a_ineq=g * scale[:, None], b_ineq=h * scale,
-                               sep=qpsolve.Separable(q_u, col, coef * scale)), twin
-
-
 def test_wide_split_qps_take_the_verdict_of_their_dense_twin():
     # four unscaled programs of the split panel that ended MaxIterations
     # when a wide split QP was solved as its dense twin
     pinned = {1331: SolveStatus.OPTIMAL, 1436: SolveStatus.DUAL_UNBOUNDED, 2105: SolveStatus.DUAL_UNBOUNDED,
               2395: SolveStatus.DUAL_UNBOUNDED}
-    for i, program, twin in _split_panel():
+    for i, program, verdict in split_qp_panel():
         if i in pinned:
             reduced = _presolve(program)[0]
             assert reduced.n_ineq < reduced.n_vars and reduced.sep.q.size
-            verdict = STATUS_OF_HIGHS[highs_qp_verdict(twin.q, twin.c, twin.a_ineq, twin.b_ineq)]
-            assert solve(program).status == verdict == pinned[i], i
+            assert solve(program).status == STATUS_OF_HIGHS[verdict()] == pinned[i], i
 
 
 def test_qp_farkas_exit_stands_only_on_rows_found_infeasible():
@@ -1393,9 +1370,10 @@ def test_qp_farkas_exit_stands_only_on_rows_found_infeasible():
                           a_ineq=[[-2.0, 2.0, -1.0], [-2.0, 2.0, -1.0], [-2.0, 0.0, -2.0], [0.0, -1.0, 0.0],
                                   [2.0, 0.0, 2.0], [0.0, -2.0, 1.0]],
                           b_ineq=[-2.0, 0.0, 0.0, 1.0, 0.0, 1.0])
-    pinned = [(i, program, twin) for i, program, twin in _split_panel() if i in (1542, 1641, 1964)]
-    for i, program, twin in [*pinned, (2429, dense, dense)]:
-        assert highs_qp_verdict(twin.q, twin.c, twin.a_ineq, twin.b_ineq) == "optimal", i
+    pinned = [case for case in split_qp_panel() if case[0] in (1542, 1641, 1964)]
+    twin = lambda: highs_qp_verdict(dense.q, dense.c, dense.a_ineq, dense.b_ineq)
+    for i, program, verdict in [*pinned, (2429, dense, twin)]:
+        assert verdict() == "optimal", i
         assert solve(program).status == SolveStatus.NUMERICAL_FAILURE, i
     # x₁ ≤ −1 against x₁ ≥ 0: the LP over the rows agrees, and the verdict stands
     infeasible = ConvexProgram(c=[1.0, -1.0], q=np.eye(2), a_ineq=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
