@@ -26,9 +26,12 @@ separable), the wide k=1 fits, fewer samples than filter entries, at
 n=10, d=20 and n=50, d=80, at beta=0 and 1e-3, certify's phase-1 cone program
 and the block-set LP that gives its primal fit and dual at k=1, 2 and 5
 and on a k=2 dataset whose dual is infeasible, presolve cases with
-duplicate, zero, -0.0 and infeasible rows and a 3×4 LP with a zero row
+duplicate, zero, -0.0 and infeasible rows, a 3×4 LP with a zero row
 whose cost is off its rows' span (DualUnbounded on the wide route, with
-no pair, so zero multipliers are scattered), the beta=1e-3 QP given
+no pair, so zero multipliers are scattered), and a 60×8 LP with a zero
+row given strided and column-major (its report is measured on the
+caller's rows in their layout, where BLAS rounds ``@`` and a row-major
+copy's product differently), the beta=1e-3 QP given
 densely, at k=2 over all n·k slacks (no separable column) and at k=1
 with its columns shuffled (its slack columns are separable but given
 densely, so the solver factors its Q whole), and small LPs named by
@@ -103,9 +106,12 @@ FIELDS = ("status", "iterations", "x", "lam", "primal_residual", "dual_residual"
 def _presolve_programs():
     """Programs whose presolve drops zero rows (duplicates and a -0.0 twin
     are solved as given), finds an infeasible zero row, or copies a
-    column-major matrix row-major; and a 3×4 LP with a zero row that
+    column-major matrix row-major; a 3×4 LP with a zero row that
     presolve drops, whose cost is off its rows' span: DualUnbounded on
-    the wide route, its multipliers scattered over the caller's rows."""
+    the wide route, its multipliers scattered over the caller's rows;
+    and a 60×8 LP with a zero row that presolve drops, its rows given
+    strided and column-major, whose report is measured on the caller's
+    rows in their own layout."""
     import numpy as np
 
     from convrelax.qpsolve import ConvexProgram
@@ -129,6 +135,14 @@ def _presolve_programs():
     yield "presolve-zero-row-wide-unbounded-3x4", ConvexProgram(
         c=[0.0, 0.0, 0.0, 1.0], a_ineq=[[1.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, -1.0]],
         b_ineq=[1.0, 1.0, 1.0])
+    # every other column of a wider array, row 5 zero; feasible, and
+    # bounded since 59 random rows over 8 variables span every direction
+    wider = rng.standard_normal((60, 16))
+    wider[5] = 0.0
+    g_s = wider[:, ::2]
+    h_s, c_s = g_s @ rng.standard_normal(8) + rng.uniform(0.1, 1.0, 60), rng.standard_normal(8)
+    yield "presolve-zero-row-strided-60x8", ConvexProgram(c=c_s, a_ineq=g_s, b_ineq=h_s)
+    yield "presolve-zero-row-column-major-60x8", ConvexProgram(c=c_s, a_ineq=np.asfortranarray(g_s), b_ineq=h_s)
 
 
 def _lifted_qp(ds, r):

@@ -11,16 +11,17 @@ most one per row) eliminated.  Every program is held in one form: its
 dense part and those columns (`Separable`), which come last.  The
 relaxation QP is built so, and no dense Q or full row matrix is formed
 for it; an LP or a QP given densely has no separable column, and a
-dense Q is factored whole.  The embedding's τ → 0 exits certify
-infeasibility and unboundedness, an LP's and a QP's alike, only on a ray
+dense Q is factored whole.  The embedding's τ → 0 exits give the
+program's own statuses, an LP's and a QP's alike, each on a certificate
 checked against the norms of the rows, so that scaling a row leaves the
-verdict as it is; an infeasible dual leaves a program unbounded iff its
-rows are feasible, which a zero-cost LP over its dense twin's rows
-decides, and that LP must also find a QP's rows infeasible before its
-Farkas exit is a verdict.  A program with fewer rows than variables
-has its dense columns written over an orthonormal basis of the span of
-their part of its rows and of Q's, its separable columns left as they
-are; a cost with a part off that span makes it unbounded iff feasible.
+verdict as it is: a Farkas vector λ makes it PrimalInfeasible, and a
+descent ray x leaves it unbounded iff its rows are feasible, which a
+zero-cost LP over its dense twin's rows decides; that LP must also find
+a QP's rows infeasible before its Farkas exit is a verdict.  A program
+with fewer rows than variables has its dense columns written over an
+orthonormal basis of the span of their part of its rows and of Q's, its
+separable columns left as they are; a cost with a part off that span
+makes it unbounded iff feasible.
 Presolve's decisions and every route end in one outcome record, and one
 exit turns it into the report: it refines candidate optima by an
 active-set polish, which eliminates the same separable columns before
@@ -31,10 +32,16 @@ pair that still misses the tolerance; and it declares a report Optimal
 only after its KKT residuals are recomputed from scratch and verified
 against the requested tolerance.
 
-Products made on every interior-point iteration use ``ndarray.dot``:
-on presolve's row-major rows and their transposes it makes ``@``'s
-BLAS call without the dispatch of the ``matmul`` gufunc, which costs
-more than the arithmetic here (``scripts/bitwise_diff.py`` checks bits).
+One operator, `_Rows`, makes every product of a program's rows and
+curvature, G·x, Gᵀv and Q·x, and its row norms, for the interior point,
+its certificates, the polish's active rows and the KKT measures.  Its
+dense part's products are ``ndarray.dot``, which makes ``@``'s BLAS call
+without the dispatch of the ``matmul`` gufunc, costlier here than the
+arithmetic, and ``@`` itself on a strided array, which ``dot`` would
+copy; with no separable column (an LP, or a QP given densely) each
+product is the dense part's own, with no separable work.  A QP's Newton
+step, `_SchurKkt`, builds on it over a column-major copy of G
+(``scripts/bitwise_diff.py`` checks bits).
 
 The Cholesky solves call dpotrf and dpotrs from scipy's own LAPACK
 extension, ``scipy.linalg._flapack``, as ``scipy.linalg`` calls them; the
@@ -273,31 +280,71 @@ class KktSummary:
     passed: bool
 
 
-def _g_dot(program: ConvexProgram, x) -> np.ndarray:
-    """G·x, G the inequality rows."""
-    sep = program.sep
-    w, u = _parts(program)
-    return program.a_ineq @ x[w] + sep.coef * np.append(x[u], 0.0)[sep.col]
+# ---------------------------------------------------------------------------
+# the products of a program's rows G and curvature Q, in its split form
+# ---------------------------------------------------------------------------
 
 
-def _gradient(program: ConvexProgram, x, lam) -> np.ndarray:
-    """Q·x + c + Gᵀ·λ, the gradient of the Lagrangian."""
-    sep = program.sep
-    w, u = _parts(program)
-    gt_lam_u = np.bincount(sep.col, weights=sep.coef * lam, minlength=sep.q.size + 1)[:-1]  # (Gᵀλ)_U
-    return np.concatenate((program.q @ x[w] + program.c[w] + program.a_ineq.T @ lam,
-                           sep.q * x[u] + program.c[u] + gt_lam_u))
+def _product(a):
+    """v -> a·v: ``ndarray.dot`` on a contiguous array, where it makes
+    ``@``'s BLAS call without the dispatch of the ``matmul`` gufunc, which
+    costs more than the arithmetic here; ``@`` on a strided one, which
+    ``dot`` would copy, rounding otherwise."""
+    return a.dot if a.flags.c_contiguous or a.flags.f_contiguous else a.__matmul__
+
+
+class _Rows:
+    """The products of a program in its split form: G·x, Gᵀv, Q·x, and the
+    largest |entry| of each row of G.  Its dense part is ``g`` and ``q``,
+    the program's own unless given in another layout; its separable
+    columns U enter through one (column, coefficient) entry per row (see
+    `Separable`), scattered with ``np.bincount``, a row without one in
+    the spare column n_u, a bin that is dropped.  With U empty (an LP or
+    a QP given densely) each product is the dense part's own, and none
+    does separable work."""
+
+    def __init__(self, program: ConvexProgram, g=None, q=None):
+        sep = self.sep = program.sep
+        self.program = program
+        self.g = program.a_ineq if g is None else g
+        self.q_ww = program.q if q is None else q
+        self.w, self.u = _parts(program)
+        self.n_w, self.n_u = self.g.shape[1], sep.q.size
+        self._g, self._gt, self._q = _product(self.g), _product(self.g.T), _product(self.q_ww)
+        if not self.n_u:
+            self.g_dot, self.gt_dot, self.q_dot = self._g, self._gt, self._q
+        else:
+            # the entry's column of x (0 if none)
+            self.x_col = np.append(np.arange(self.n_w, program.n_vars), 0)[sep.col]
+
+    def _on_u(self, weights):
+        return np.bincount(self.sep.col, weights=weights, minlength=self.n_u + 1)[: self.n_u]
+
+    def g_dot(self, x):
+        return self._g(x[self.w]) + self.sep.coef * x[self.x_col]
+
+    def gt_dot(self, v):
+        return np.concatenate((self._gt(v), self._on_u(self.sep.coef * v)))
+
+    def q_dot(self, x):
+        return np.concatenate((self._q(x[self.w]), self.sep.q * x[self.u]))
+
+    def row_norms(self):
+        norms = np.abs(self.g).max(axis=1, initial=0.0)
+        return np.maximum(norms, np.abs(self.sep.coef)) if self.n_u else norms
 
 
 def _kkt_measures(program: ConvexProgram, x, lam) -> tuple[float, float, float]:
-    """(stationarity, feasibility incl. λ sign, complementarity), ∞-norms."""
+    """(stationarity, feasibility incl. λ sign, complementarity), ∞-norms,
+    stationarity on Q·x + c + Gᵀ·λ, the gradient of the Lagrangian."""
+    rows = _Rows(program)
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    stationarity = float(np.max(np.abs(_gradient(program, x, lam))))
+    stationarity = float(np.max(np.abs(rows.q_dot(x) + program.c + rows.gt_dot(lam))))
     feas = 0.0
     comp = 0.0
     if program.n_ineq:
-        slack_violation = _g_dot(program, x) - program.b_ineq
+        slack_violation = rows.g_dot(x) - program.b_ineq
         feas = max(feas, float(np.max(slack_violation)), float(np.max(-lam)))
         comp = float(np.max(np.abs(lam * slack_violation)))
     return stationarity, max(feas, 0.0), comp
@@ -352,8 +399,8 @@ def _presolve(program: ConvexProgram) -> tuple[ConvexProgram, np.ndarray, _Outco
 
 
 # ---------------------------------------------------------------------------
-# homogeneous self-dual interior point for standard-form LPs
-#   min cᵀx  s.t.  Ax = b, x >= 0
+# homogeneous self-dual interior point on a program's dual, in the
+# standard form  min cᵀx + ½yᵀQy  s.t.  Ax + Qy = b, x >= 0
 # ---------------------------------------------------------------------------
 
 def _max_step(v, dv):
@@ -377,31 +424,38 @@ def _normal_solver(M):
     return lambda rhs: np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
-def _hsd(A, b, c, tol, max_iter, kkt=None):
+def _hsd(program: ConvexProgram, tol, max_iter) -> _Outcome:
     """Mehrotra predictor-corrector on the homogeneous self-dual embedding
-    of min cᵀx + ½yᵀQy s.t. Ax + Qy = b, x ≥ 0 and its dual
-    max bᵀy − ½yᵀQy s.t. Aᵀy + z = c, z ≥ 0.
+    of a program's dual, min hᵀλ + ½xᵀQx s.t. Gᵀλ + Qx = −c, λ ≥ 0, posed
+    as min cᵀx + ½yᵀQy s.t. Ax + Qy = b, x ≥ 0 with its dual
+    max bᵀy − ½yᵀQy s.t. Aᵀy + z = c, z ≥ 0, for A = Gᵀ, b = −c and c = h:
+    the embedding's x is the program's λ and its y the program's x.
 
-    Returns (x, y, tau, status, iterations), the status being that of
-    the first program; on optimal termination x/tau is its solution and
-    y/tau the dual's.  Its other exits are the iteration cap, a numerical
-    failure, and τ → 0 on a certificate that `_certificate` checks, for
-    LPs and QPs alike.  ``tol`` is the caller's KKT tolerance: the
-    embedding's residual ratios are driven to a hundredth of it, but not
-    below 1e-13.
+    Returns the program's outcome: on optimal termination x = y/τ and
+    λ = x/τ, and so at the iteration cap; a numerical failure; or τ → 0
+    on a certificate that `_certificate` checks, for LPs and QPs alike,
+    a Farkas vector (PrimalInfeasible) or a descent ray (DualUnbounded,
+    which the caller must still find feasible).  ``tol`` is the caller's
+    KKT tolerance: the embedding's residual ratios are driven to a
+    hundredth of it, but not below 1e-13.
 
-    Q = 0 (an LP) unless ``kkt``, a `_SchurKkt` over the rows of Aᵀ,
-    brings a QP's curvature and its products with A, which is then None
-    (Goulart and Chen, arXiv:2405.12762): r_P
-    gains −Q·y, the gap yᵀQy/τ, the τ row b − 2Q·y/τ and yᵀQy/τ², and
-    ``kkt`` factors the normal matrix Q + A·diag(x/z)·Aᵀ.  A QP starts
-    at y = Q⁺b, z = max(c − Aᵀy, 1); its corrector gets one refinement
-    step on the r_P row, which the normal-matrix solve loses as x/z
-    spreads; its Optimal exit also needs μ/τ² ≤ max(1e-13, tol·min(1,
-    max x/τ)) for the caller's tol, so that the polish can tell the
-    active rows when multipliers are small.
+    Every product is `_Rows`' on the program's rows: an LP's are its row-
+    major G's and the view Gᵀ's, column-major (BLAS may round a product
+    differently on another layout), and its normal matrix is
+    A·diag(x/z)·Aᵀ.  A QP's are its `_SchurKkt`'s (Goulart and Chen,
+    arXiv:2405.12762): r_P gains −Q·y, the gap yᵀQy/τ, the τ row
+    b − 2Q·y/τ and yᵀQy/τ², and the normal matrix Q + A·diag(x/z)·Aᵀ is
+    factored with its separable columns eliminated.  A QP starts at
+    y = Q⁺b, z = max(c − Aᵀy, 1); its corrector gets one refinement step
+    on the r_P row, which the normal-matrix solve loses as x/z spreads;
+    its Optimal exit also needs μ/τ² ≤ max(1e-13, tol·min(1, max x/τ))
+    for the caller's tol, so that the polish can tell the active rows
+    when multipliers are small.
     """
     tol = max(tol * 1e-2, 1e-13)
+    lp = program.is_lp
+    rows = _Rows(program) if lp else _SchurKkt(program)
+    a_dot, at_dot, b, c = rows.gt_dot, rows.g_dot, -program.c, program.b_ineq
     m, n = b.shape[0], c.shape[0]
     # x and z are the halves of one buffer, and so are their directions:
     # one ratio test (the minimum over both halves is the smaller of
@@ -413,34 +467,30 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
     neg_c = -c
-    if kkt is None:
-        AT = A.T
-        # an LP's Optimal exit needs no squeeze on μ
-        a_dot, at_dot, q_dot, squeeze = A.dot, AT.dot, None, math.inf
-        col_norms = lambda: np.abs(A).max(axis=0)
-    else:
-        a_dot, at_dot, q_dot, squeeze = kkt.gt_dot, kkt.g_dot, kkt.q_dot, 100.0 * tol
-        col_norms = kkt.row_norms
+    # an LP's Optimal exit needs no squeeze on μ
+    squeeze = math.inf if lp else 100.0 * tol
+    if not lp:
         try:
-            y = kkt.q_pinv_dot(b)
+            y = rows.q_pinv_dot(b)
         except np.linalg.LinAlgError:  # Q_ww's SVD did not converge
-            return x, y, tau, SolveStatus.NUMERICAL_FAILURE, 0
+            return _Outcome(SolveStatus.NUMERICAL_FAILURE)
         np.maximum(c - at_dot(y), 1.0, out=z)
 
     # ‖r‖₂ is taken as np.linalg.norm takes it for a 1-D float array
-    qy = np.zeros(m) if kkt is None else kkt.q_dot(y)
+    qy = np.zeros(m) if lp else rows.q_dot(y)
     r_p, r_d = b - a_dot(x) - qy, c - at_dot(y) - z
     r_p0, r_d0 = max(1.0, math.sqrt(r_p.dot(r_p))), max(1.0, math.sqrt(r_d.dot(r_d)))
 
-    scaled_A = np.empty_like(A) if kkt is None else None  # A·diag(x/z), rewritten every iteration
+    A = program.a_ineq.T
+    scaled_A = np.empty_like(A) if lp else None  # A·diag(x/z), rewritten every iteration
     iteration = 0
     while True:
         cx, by = c.dot(x), b.dot(y)
         r_P = b * tau - a_dot(x)
         r_D = c * tau - at_dot(y) - z
         yqy, b_tau = 0.0, b
-        if kkt is not None:
-            qy = kkt.q_dot(y)
+        if not lp:
+            qy = rows.q_dot(y)
             r_P -= qy
             yqy = y.dot(qy) / tau
             b_tau = b - (2.0 / tau) * qy
@@ -453,26 +503,23 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
 
         if rho_p <= tol and rho_d <= tol and rho_A <= tol and (
                 mu <= tau * max(1e-13 * tau, squeeze * min(tau, x.max()))):
-            status = SolveStatus.OPTIMAL
-            break
-        status = _certificate(a_dot, at_dot, col_norms, q_dot, b, c, x, y, tau, 100.0 * tol)
+            return _Outcome(SolveStatus.OPTIMAL, y / tau, x / tau, iteration)
+        status = _certificate(rows, y, x, tau, 100.0 * tol)
         if status is not None:
-            break
-        status = SolveStatus.MAX_ITERATIONS
+            return _Outcome(status, iterations=iteration)
         if iteration >= max_iter:
-            break
+            return _Outcome(SolveStatus.MAX_ITERATIONS, y / tau, x / tau, iteration)
         iteration += 1
 
         d_inv = x / z
-        if kkt is None:
-            M = np.multiply(A, d_inv, out=scaled_A).dot(AT)
+        if lp:
+            M = np.multiply(A, d_inv, out=scaled_A).dot(program.a_ineq)
             M.reshape(-1)[:: m + 1] += KKT_REGULARIZATION  # the diagonal, in place
             normal_solve = _normal_solver(M)
         else:
-            normal_solve = kkt.factor(d_inv, KKT_REGULARIZATION)
+            normal_solve = rows.factor(d_inv, KKT_REGULARIZATION)
         if normal_solve is None:
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
+            return _Outcome(SolveStatus.NUMERICAL_FAILURE, iterations=iteration)
 
         def sym_solve(r1, r2):
             # block elimination of the (x, y) system through the normal matrix
@@ -481,13 +528,13 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
 
         try:
             p, q = sym_solve(c, b)
-            if kkt is None:
+            if lp:
                 denom_base = kappa / tau + (neg_c.dot(p) + b_tau.dot(q))
             else:
                 # −cᵀp + b_τᵀq + yᵀQy/τ² without its cancellation, as
                 # pᵀ·diag(z/x)·p + (q − y/τ)ᵀQ(q − y/τ)
                 off = q - y / tau
-                denom_base = kappa / tau + p.dot(p / d_inv) + off.dot(kkt.q_dot(off))
+                denom_base = kappa / tau + p.dot(p / d_inv) + off.dot(rows.q_dot(off))
 
             # stage 0, the predictor, has γ = 0: η = 1 leaves the residuals as they are
             rhatp, rhatd, rhatg = r_P, r_D, r_G
@@ -507,8 +554,8 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
                 d_tau = (rhatg + rhattk / tau - (neg_c.dot(u) + b_tau.dot(v))) / denom_base
                 np.add(u, np.multiply(p, d_tau, out=d_x), out=d_x)
                 d_y = v + q * d_tau
-                if kkt is not None and stage == 1:
-                    correction = normal_solve(rhatp + b * d_tau - a_dot(d_x) - kkt.q_dot(d_y))
+                if not lp and stage == 1:
+                    correction = normal_solve(rhatp + b * d_tau - a_dot(d_x) - rows.q_dot(d_y))
                     d_y += correction
                     d_x += d_inv * at_dot(correction)
                 np.divide(np.subtract(rhatxs, np.multiply(z, d_x, out=d_z), out=d_z), x, out=d_z)
@@ -520,8 +567,7 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
                     alpha = min(alpha, kappa / -d_kappa)
                 gamma = (1.0 - alpha) ** 2 * min(0.1, 1.0 - alpha)
         except np.linalg.LinAlgError:
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
+            return _Outcome(SolveStatus.NUMERICAL_FAILURE, iterations=iteration)
 
         alpha = 0.99995 * alpha
         xz += alpha * d_xz
@@ -529,35 +575,31 @@ def _hsd(A, b, c, tol, max_iter, kkt=None):
         tau = tau + alpha * d_tau
         kappa = kappa + alpha * d_kappa
         if not np.isfinite(x).all() or tau <= 0 or kappa < 0:
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-
-    return x, y, tau, status, iteration
+            return _Outcome(SolveStatus.NUMERICAL_FAILURE, iterations=iteration)
 
 
-def _certificate(a_dot, at_dot, col_norms, q_dot, b, c, x, y, tau, tol):
-    """The status of `_hsd` that its iterate certifies, or None.  τ must
-    be at most tol/100 times ‖y‖ or ‖x‖ (the iterate's scale may grow),
-    and that direction a certificate within tol, measured against ‖a_j‖,
-    the largest |entry| of column j of A (``col_norms()``), so that
-    scaling a column (a row of the program on the dual route) leaves the
-    verdict as it is: y/‖y‖ with aⱼᵀy ≤ tol·‖a_j‖, ‖Q·y‖∞ ≤ tol and
-    bᵀy > tol (the first program is infeasible), or x with ‖A·x‖∞ ≤
-    tol·Σ x_j‖a_j‖ and cᵀx < −tol·|c|ᵀx (it is unbounded).  ``a_dot``
-    and ``at_dot`` are the products with A and Aᵀ; Q is 0 when ``q_dot``
-    is None."""
-    norm_y, norm_x = math.sqrt(y.dot(y)), math.sqrt(x.dot(x))
-    if tau > 1e-2 * tol * max(norm_y, norm_x):
+def _certificate(rows: _Rows, x, lam, tau, tol):
+    """The status of ``rows``' program that `_hsd`'s iterate certifies, or
+    None.  τ must be at most tol/100 times ‖x‖ or ‖λ‖ (the iterate's scale
+    may grow), and that direction a certificate within tol, measured
+    against ‖g_i‖, the largest |entry| of row i of G, so that scaling a
+    row leaves the verdict as it is: d = x/‖x‖ with g_iᵀd ≤ tol·‖g_i‖,
+    ‖Q·d‖∞ ≤ tol and cᵀd < −tol, a descent ray (DualUnbounded, if the
+    rows are feasible), or λ with ‖Gᵀλ‖∞ ≤ tol·Σ λ_i‖g_i‖ and
+    hᵀλ < −tol·|h|ᵀλ, a Farkas vector (PrimalInfeasible)."""
+    c, h = rows.program.c, rows.program.b_ineq
+    norm_x, norm_lam = math.sqrt(x.dot(x)), math.sqrt(lam.dot(lam))
+    if tau > 1e-2 * tol * max(norm_x, norm_lam):
         return None  # an Optimal solve never pays for the norms below
-    norms = col_norms()
-    if tau <= 1e-2 * tol * norm_y:
-        ray = y / norm_y
-        if (b.dot(ray) > tol and (at_dot(ray) <= tol * norms).all()
-                and (q_dot is None or np.abs(q_dot(ray)).max() <= tol)):
-            return SolveStatus.PRIMAL_INFEASIBLE
-    if (tau <= 1e-2 * tol * norm_x and c.dot(x) < -tol * np.abs(c).dot(x)
-            and np.abs(a_dot(x)).max() <= tol * norms.dot(x)):
-        return SolveStatus.DUAL_UNBOUNDED
+    norms = rows.row_norms()
+    if tau <= 1e-2 * tol * norm_x:
+        ray = x / norm_x
+        if (c.dot(ray) < -tol and (rows.g_dot(ray) <= tol * norms).all()
+                and np.abs(rows.q_dot(ray)).max() <= tol):
+            return SolveStatus.DUAL_UNBOUNDED
+    if (tau <= 1e-2 * tol * norm_lam and h.dot(lam) < -tol * np.abs(h).dot(lam)
+            and np.abs(rows.gt_dot(lam)).max() <= tol * norms.dot(lam)):
+        return SolveStatus.PRIMAL_INFEASIBLE
     return None
 
 
@@ -566,44 +608,38 @@ def _certificate(a_dot, at_dot, col_norms, q_dot, b, c, x, y, tau, tol):
 # ---------------------------------------------------------------------------
 
 
-def _dual_route(program: ConvexProgram, tol, max_iter) -> _Outcome:
-    """Solve a program through its dual, one constraint per variable, so
-    that its normal matrix is vars×vars whatever the row count: a QP, or
-    an LP with no fewer rows than variables.  Its statuses swap only on
-    certificates that `_certificate` has checked: the dual's improving
-    ray shows that the original is infeasible (a QP's, only if the
-    zero-cost LP over its rows agrees; else it ends NumericalFailure); an
-    infeasible dual leaves the original a descent ray, so it is unbounded
-    iff its rows are feasible (`_unbounded_iff_feasible`).
+def _route(program: ConvexProgram, tol, max_iter) -> _Outcome:
+    """The outcome of a program with a row: through its dual, first over
+    its rows' span (`_solve_wide`) if it has fewer rows than variables."""
+    return (_solve_wide if program.n_ineq < program.n_vars else _dual_route)(program, tol, max_iter)
 
-    The dual is min hᵀλ s.t. Gᵀλ = −c, λ ≥ 0, on the rows as given: an
-    LP's A is the view Gᵀ of its rows, column-major (BLAS may round a
-    product differently on another layout), and a QP's products are its
-    `_SchurKkt`'s; the dual's y/τ is the primal x."""
-    A_std, kkt = (program.a_ineq.T, None) if program.is_lp else (None, _SchurKkt(program))
-    x, y, tau, status, iters = _hsd(A_std, -program.c, program.b_ineq, tol, max_iter, kkt)
-    if status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITERATIONS):
-        return _Outcome(status, y / tau, x / tau, iters)
-    if status == SolveStatus.PRIMAL_INFEASIBLE:
-        # the dual is infeasible: is the original feasible?
-        out = _unbounded_iff_feasible(program, tol, max_iter)
-    elif status == SolveStatus.DUAL_UNBOUNDED and not program.is_lp:
+
+def _dual_route(program: ConvexProgram, tol, max_iter) -> _Outcome:
+    """Solve a program through its dual (`_hsd`), one constraint per
+    variable, so that its normal matrix is vars×vars whatever the row
+    count: a QP, or an LP with no fewer rows than variables.  A descent
+    ray leaves the program unbounded iff its rows are feasible
+    (`_unbounded_iff_feasible`); a QP's Farkas vector stands only if the
+    zero-cost LP over its rows agrees, else the solve ends
+    NumericalFailure."""
+    out = _hsd(program, tol, max_iter)
+    if out.status == SolveStatus.DUAL_UNBOUNDED:
+        checked = _unbounded_iff_feasible(program, tol, max_iter)
+    elif out.status == SolveStatus.PRIMAL_INFEASIBLE and not program.is_lp:
         # a QP's Farkas vector can pass its check on opposite rows that pin
         # an equality, their residuals cancelling: its rows must be infeasible
-        out = _unbounded_iff_feasible(program, tol, max_iter)
-        if out.status != SolveStatus.PRIMAL_INFEASIBLE:
-            out.status = SolveStatus.NUMERICAL_FAILURE
-    else:  # NumericalFailure, or an LP's Farkas vector
-        out = _Outcome(SolveStatus.PRIMAL_INFEASIBLE if status == SolveStatus.DUAL_UNBOUNDED else status)
-    return replace(out, iterations=iters + out.iterations)
+        checked = _unbounded_iff_feasible(program, tol, max_iter)
+        if checked.status != SolveStatus.PRIMAL_INFEASIBLE:
+            checked.status = SolveStatus.NUMERICAL_FAILURE
+    else:
+        return out
+    return replace(checked, iterations=out.iterations + checked.iterations)
 
 
 def _unbounded_iff_feasible(program, tol, max_iter) -> _Outcome:
     """The outcome of a program with a descent ray: DualUnbounded iff the
     zero-cost LP over its rows, written densely, ends Optimal, else the LP's status."""
-    lp = replace(program.dense(), c=np.zeros(program.n_vars), q=None)
-    route = _solve_wide if lp.n_ineq < lp.n_vars else _dual_route
-    out = route(lp, tol, max_iter)
+    out = _route(replace(program.dense(), c=np.zeros(program.n_vars), q=None), tol, max_iter)
     return _Outcome(SolveStatus.DUAL_UNBOUNDED if out.status == SolveStatus.OPTIMAL else out.status,
                     iterations=out.iterations)
 
@@ -643,61 +679,33 @@ def _solve_wide(program: ConvexProgram, tol, max_iter) -> _Outcome:
 # ---------------------------------------------------------------------------
 
 
-class _SchurKkt:
+class _SchurKkt(_Rows):
     """The Newton step on K = Q + GᵀDG + δI of a QP, its separable columns
-    U eliminated; the dual route gives it G = Aᵀ, the QP's rows as given.
-
-    G is held as its dense part G_w on the other columns W plus one
-    (column, coefficient) entry per row on U, the split of `Separable`,
-    so the products scatter with ``np.bincount``; a row without a
-    nonzero on U has coefficient 0 and the spare column n_u, a bin that
-    is dropped.  The U-block of K is a vector K_uu, and the step solves
-    the Schur complement S = K_ww − K_wu·K_uu⁻¹·K_uw by Cholesky; with U
-    empty (a QP given densely), S is K itself, factored whole.
+    U eliminated, over `_Rows`' products; the dual route gives it G = Aᵀ,
+    the QP's rows as given.  Its G is a column-major copy, and Q_WW a
+    row-major one: BLAS may round a product differently on another layout
+    (``scripts/bitwise_diff.py`` checks the bits).  The U-block of K is a
+    vector K_uu, and the step solves the Schur complement
+    S = K_ww − K_wu·K_uu⁻¹·K_uw by Cholesky; with U empty (a QP given
+    densely), S is K itself, factored whole.
     """
 
     def __init__(self, program: ConvexProgram):
-        sep = program.sep
-        self.w, self.u = _parts(program)
-        self.n_u = sep.q.size
-        self.n_w = program.n_vars - self.n_u
-        self.q_ww = np.ascontiguousarray(program.q)
-        self.q_u = sep.q
-        # column-major: BLAS may round a product differently on another
-        # layout (scripts/bitwise_diff.py checks the bits)
-        self.g_w = np.asfortranarray(program.a_ineq)
-        self.col, self.coef = sep.col, sep.coef
-        # the entry's column of x (0 if none)
-        self.x_col = np.append(np.arange(self.n_w, program.n_vars), 0)[self.col]
+        super().__init__(program, np.asfortranarray(program.a_ineq), np.ascontiguousarray(program.q))
+        col, coef = self.sep.col, self.sep.coef
         # the rows with a part on W, and the bin of each entry of that part
         # in K_uw, whose rows are the columns of U and the spare column;
         # the other rows enter S through their column of U alone
-        on_w = self.g_w.any(axis=1)
+        on_w = self.g.any(axis=1)
         self.on_w = np.flatnonzero(on_w)
-        self.g_r, self.coef_r, self.col_r = self.g_w[self.on_w], self.coef[self.on_w], self.col[self.on_w]
-        self.squares_off_w = np.where(on_w, 0.0, self.coef * self.coef)
+        self.g_r, self.coef_r, self.col_r = self.g[self.on_w], coef[self.on_w], col[self.on_w]
+        self.squares_off_w = np.where(on_w, 0.0, coef * coef)
         self.bins = (self.col_r[:, None] * self.n_w + np.arange(self.n_w)).ravel()
-
-    def _on_u(self, weights):
-        return np.bincount(self.col, weights=weights, minlength=self.n_u + 1)[: self.n_u]
-
-    def g_dot(self, x):
-        return self.g_w.dot(x[self.w]) + self.coef * x[self.x_col]
-
-    def gt_dot(self, v):
-        return np.concatenate((self.g_w.T.dot(v), self._on_u(self.coef * v)))
-
-    def row_norms(self):
-        """The largest |entry| of each row of G."""
-        return np.maximum(np.abs(self.g_w).max(axis=1, initial=0.0), np.abs(self.coef))
-
-    def q_dot(self, x):
-        return np.concatenate((self.q_ww.dot(x[self.w]), self.q_u * x[self.u]))
 
     def q_pinv_dot(self, v):
         """Q⁺·v: v_U/q_U on U, the min-norm least squares of Q_ww on W."""
         v_w = np.linalg.pinv(self.q_ww).dot(v[self.w]) if self.q_ww.any() else np.zeros(self.n_w)
-        return np.concatenate((v_w, v[self.u] / self.q_u))
+        return np.concatenate((v_w, v[self.u] / self.sep.q))
 
     def factor(self, d, delta):
         """A solve rhs -> dx of the step system with D = diag(d), or None
@@ -708,7 +716,7 @@ class _SchurKkt:
         a part g_i on W, ĝ_i = g_i − a_i·h̄_j (g_i for a row off U)."""
         d_r = d[self.on_w]
         dc_r = d_r * self.coef_r
-        c_u = self._on_u(d * self.squares_off_w) + self.q_u + delta
+        c_u = self._on_u(d * self.squares_off_w) + self.sep.q + delta
         k_uu = c_u + np.bincount(self.col_r, weights=dc_r * self.coef_r, minlength=self.n_u + 1)[: self.n_u]
         k_uw = np.bincount(self.bins, weights=(self.g_r * dc_r[:, None]).ravel(),
                            minlength=(self.n_u + 1) * self.n_w).reshape(self.n_u + 1, self.n_w)
@@ -736,7 +744,7 @@ class _SchurKkt:
 
 def _guess_active(program: ConvexProgram, x, lam) -> np.ndarray:
     """The rows taken as active at a near-optimal pair."""
-    slack = program.b_ineq - _g_dot(program, x)
+    slack = program.b_ineq - _Rows(program).g_dot(x)
     return np.flatnonzero((slack < lam) | (slack <= 1e-7 * (1.0 + np.abs(program.b_ineq))))
 
 
@@ -766,8 +774,8 @@ def _polish(program: ConvexProgram, x, lam, bar):
         return None
     # the active rows, all tight: R_W, and on U each one's column and entry
     sep = program.sep
-    r_w, h_a, col, coef = program.a_ineq[active], program.b_ineq[active], sep.col[active], sep.coef[active]
-    n_w, q_ww = r_w.shape[1], program.q
+    r_w, h_a = program.a_ineq[active], program.b_ineq[active]
+    n_w, n_u, q_ww = r_w.shape[1], sep.q.size, program.q
     w, u = _parts(program)
     c_w = program.c[w]
     if 0 < n_w < n_a and program.is_lp:
@@ -781,18 +789,22 @@ def _polish(program: ConvexProgram, x, lam, bar):
     K[:n_w, :n_w] = q_ww
     K[:n_w, n_w:] = r_w.T
     K[n_w:, :n_w] = r_w
-    # the lower block's nonzeros: the pairs (i, j) of active rows on one column of U
-    on_u = np.flatnonzero(col < sep.q.size)
-    i, j = (on_u[pairs] for pairs in np.nonzero(col[on_u, None] == col[on_u]))
-    K[n_w + i, n_w + j] -= coef[i] / sep.q[col[i]] * coef[j]
-    x_u0 = -program.c[u] / sep.q  # x_U at λ = 0; the spare column's 0 follows
-    rhs = np.concatenate([-c_w, h_a - coef * np.append(x_u0, 0.0)[col]])
-    sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    if n_u:
+        # the lower block's nonzeros: the pairs (i, j) of active rows on one column of U
+        col, coef = sep.col[active], sep.coef[active]
+        on_u = np.flatnonzero(col < n_u)
+        i, j = (on_u[pairs] for pairs in np.nonzero(col[on_u, None] == col[on_u]))
+        K[n_w + i, n_w + j] -= coef[i] / sep.q[col[i]] * coef[j]
+        x_u0 = -program.c[u] / sep.q  # x_U at λ = 0; the spare column's 0 follows
+        h_a = h_a - coef * np.append(x_u0, 0.0)[col]
+    sol = np.linalg.lstsq(K, np.concatenate([-c_w, h_a]), rcond=None)[0]
     if not np.all(np.isfinite(sol)):
         return None
-    x_u = x_u0 - np.bincount(col, weights=coef * sol[n_w:], minlength=sep.q.size + 1)[:-1] / sep.q
     lam_new = np.zeros(program.n_ineq)
     lam_new[active] = sol[n_w:]
+    if not n_u:
+        return sol[:n_w], lam_new
+    x_u = x_u0 - np.bincount(col, weights=coef * sol[n_w:], minlength=n_u + 1)[:-1] / sep.q
     return np.concatenate((sol[:n_w], x_u)), lam_new
 
 
@@ -883,7 +895,4 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL, max_iter: int = DEFA
     # whatever the caller's np.seterr
     with np.errstate(all="ignore"):
         red, keep, out = _presolve(program)
-        if out is None:
-            route = _solve_wide if red.n_ineq < red.n_vars else _dual_route
-            out = route(red, tol, max_iter)
-        return _finalize(program, red, keep, out, tol)
+        return _finalize(program, red, keep, out or _route(red, tol, max_iter), tol)

@@ -268,6 +268,34 @@ def test_hsd_iteration_cap_is_max_iterations(program):
     assert np.all(np.isfinite(rep.x)) and np.all(np.isfinite(rep.lam))
 
 
+def _lps_with_no_separable_column():
+    """(name, program): the LPs of ``_short_and_tall_lps``, a k=1
+    relaxation LP at n=400, d=20, and certify's phase-1 LP at k=2, n=120,
+    d=8, its rows built as ``check_cone_condition`` builds them."""
+    yield from _short_and_tall_lps()
+    _, ds = model.sample_planted(400, 20, 1, 1)
+    yield "k1-relaxation", relax.build(ds, 0.0, model.substream(1, model.STREAM_PERTURBATION).standard_normal(20))
+    _, ds = model.sample_planted(120, 8, 2, 6)
+    gens = certify.cone_generators(ds, certify.active_sets(ds.x, model.teacher_filter(ds), 2))[0]
+    r, eye = model.substream(6, model.STREAM_PERTURBATION).standard_normal(4), np.eye(4)
+    yield "certify-phase-1", ConvexProgram(c=-r, a_ineq=np.vstack([gens, eye, -eye]),
+                                           b_ineq=np.concatenate([np.zeros(len(gens)), np.ones(8)]))
+
+
+@pytest.mark.parametrize("program", [pytest.param(p, id=name) for name, p in _lps_with_no_separable_column()])
+def test_an_lp_does_no_separable_work(program, monkeypatch):
+    # an LP's separable part is empty: no product, measure or polish of
+    # its solve scatters onto it (np.bincount) or gathers from it (np.append)
+    ref = _report_bits(solve(program))
+
+    def separable_work(*args, **kwargs):
+        raise AssertionError("an LP's solve did separable work")
+
+    monkeypatch.setattr(np, "bincount", separable_work)
+    monkeypatch.setattr(np, "append", separable_work)
+    assert _report_bits(solve(program)) == ref
+
+
 def test_overflow_ends_numerical_failure_without_a_warning():
     # every row of a feasible, bounded 40×3 LP multiplied by 1e200: its
     # normal matrix overflows; the solver's report is the outcome, with no
@@ -363,9 +391,10 @@ def test_optimal_claim_that_misses_tol_is_downgraded(monkeypatch):
     # the recomputed KKT residuals decide the status
     hsd = qpsolve._hsd
 
-    def one_step_claimed_optimal(A, b, c, tol, max_iter, kkt=None):
-        *iterate, _, iters = hsd(A, b, c, tol, 1, kkt)
-        return (*iterate, SolveStatus.OPTIMAL, iters)
+    def one_step_claimed_optimal(program, tol, max_iter):
+        out = hsd(program, tol, 1)
+        out.status = SolveStatus.OPTIMAL
+        return out
 
     monkeypatch.setattr(qpsolve, "_hsd", one_step_claimed_optimal)
     monkeypatch.setattr(qpsolve, "_polish", lambda *args, **kwargs: None)
@@ -781,9 +810,9 @@ def test_lps_match_highs_on_a_seeded_panel(monkeypatch, shape):
     # variables than rows
     hsd = qpsolve._hsd
 
-    def not_wide(A, *args):
-        assert A.shape[0] <= A.shape[1]
-        return hsd(A, *args)
+    def not_wide(program, *args):
+        assert program.n_vars <= program.n_ineq
+        return hsd(program, *args)
 
     monkeypatch.setattr(qpsolve, "_hsd", not_wide)
     rng = np.random.default_rng(2026)
