@@ -7,8 +7,10 @@ import os
 # BLAS on one thread unless the caller says otherwise: a threaded BLAS
 # rounds products differently, and an Optimal pair's bits, and so the
 # sweep tables' errors, would follow the thread count.  It takes effect
-# only if numpy has not been loaded yet.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# only if numpy has not been loaded yet.  A sweep's spec sidecar records
+# these variables.
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in _THREAD_ENV:
     os.environ.setdefault(_var, "1")
 
 from . import baseline, certify, cli, mnistreg, model, qpsolve, relax, sweep

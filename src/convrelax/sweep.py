@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from . import baseline, relax
+from . import _THREAD_ENV, baseline, relax
 from .model import _fmt, sample_planted, to_json
 from .qpsolve import SolveStatus
 
@@ -25,9 +25,6 @@ METHOD_RELAXATION = "Relaxation"
 METHOD_GRADIENT_DESCENT = "GradientDescent"
 
 CSV_HEADER = "method,k,n,d,trials,min_err,mean_err,success_rate,failures"
-
-# the BLAS thread settings a grid's provenance records, null when unset
-_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _HEAT_GLYPHS = " .:-=+*#%@"
 
@@ -114,8 +111,7 @@ def _run_trial(method: str, n: int, d: int, k: int, seed: int, tau: float, ampli
 
 
 def _run_cell(args) -> PhaseCell:
-    spec_dict, method, n, d = args
-    spec = GridSpec(**spec_dict)
+    spec, method, n, d = args
     errs = []
     successes = 0
     failures = 0
@@ -146,9 +142,8 @@ def run_grid(spec: GridSpec, workers: int = 1) -> list[PhaseCell]:
     positive; the pool never holds more processes than there are cells."""
     if workers < 1:
         raise SweepError("workers must be a positive integer")
-    spec_dict = dataclasses.asdict(spec)
     jobs = [
-        (spec_dict, method, n, d)
+        (spec, method, n, d)
         for method in spec.methods
         for d in spec.d_values
         for n in spec.n_values
@@ -179,7 +174,7 @@ def write_csv(cells: list[PhaseCell], path: str) -> None:
 def write_spec(spec: GridSpec, path: str) -> None:
     """Write the spec sidecar: the spec's fields, and under ``provenance``
     the convrelax, Python, numpy and scipy versions and the BLAS thread
-    settings of this process."""
+    settings of this process, null where unset."""
     from . import __version__  # set by the package after it imports this module
 
     provenance = {"convrelax": __version__, "python": platform.python_version(),

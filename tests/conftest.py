@@ -1,18 +1,13 @@
-import os
-
 import pytest
 
-# deterministic single-threaded BLAS; must be set before numpy loads
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
+# before numpy loads: convrelax pins BLAS to one thread where unset
+import convrelax  # noqa: F401
 
 
 @pytest.fixture()
 def idx_dir(tmp_path):
     """A directory holding the four MNIST IDX files, 70 random 28×28
     images and 70 digit labels each for train and test."""
-    # imported here, after the thread settings above
     import numpy as np
 
     from convrelax import mnistreg

@@ -171,7 +171,7 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
-    os.environ.setdefault("MKL_NUM_THREADS", "1")
+    # before numpy loads: convrelax pins BLAS to one thread where unset
+    import convrelax  # noqa: F401
+
     sys.exit(main(sys.argv[1:]))
