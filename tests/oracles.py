@@ -293,7 +293,9 @@ def random_feasible_qp(rng, m, p):
 
 # ---------------------------------------------------------------------------
 # the verdict panels: seeded programs, each numbered from 0 and given with
-# a callable that returns HiGHS's verdict on its unscaled twin
+# a callable that returns HiGHS's verdict on its unscaled twin.  Given
+# ``only``, a panel yields only the programs of those indices, and builds
+# no other, though it draws every one
 # ---------------------------------------------------------------------------
 
 STATUS_OF_HIGHS = {"optimal": SolveStatus.OPTIMAL, "infeasible": SolveStatus.PRIMAL_INFEASIBLE,
@@ -308,7 +310,7 @@ def _row_scaled(rng, g, h):
     return g, h
 
 
-def lp_panel():
+def lp_panel(only=None):
     """(index, program, verdict) of 6,000 LPs from ``default_rng(12)``:
     per LP, m = 1..6 variables and 1..8 rows, G, h and c with entries in
     −3..3, and one in four row-scaled."""
@@ -318,10 +320,11 @@ def lp_panel():
         g, h, c = rng.integers(-3, 4, (rows, m)), rng.integers(-3, 4, rows), rng.integers(-3, 4, m)
         verdict = lambda c=c, g=g, h=h: highs_lp(c, g, h)[0]
         g_s, h_s = _row_scaled(rng, g, h)
-        yield i, ConvexProgram(c=c, a_ineq=g_s, b_ineq=h_s), verdict
+        if only is None or i in only:
+            yield i, ConvexProgram(c=c, a_ineq=g_s, b_ineq=h_s), verdict
 
 
-def dense_qp_panel():
+def dense_qp_panel(only=None):
     """(index, program, verdict) of 3,000 QPs from ``default_rng(13)``,
     drawn as the LPs are, with Q = BᵀB for B of 1..m rows with entries in
     −2..2, drawn after c and before the row scales."""
@@ -333,10 +336,11 @@ def dense_qp_panel():
         q = (b.T @ b).astype(float)
         verdict = lambda q=q, c=c, g=g, h=h: highs_qp_verdict(q, c, g, h)
         g_s, h_s = _row_scaled(rng, g, h)
-        yield i, ConvexProgram(c=c, q=q, a_ineq=g_s, b_ineq=h_s), verdict
+        if only is None or i in only:
+            yield i, ConvexProgram(c=c, q=q, a_ineq=g_s, b_ineq=h_s), verdict
 
 
-def split_qp_panel():
+def split_qp_panel(only=None):
     """(index, program, verdict) of 3,000 split QPs from ``default_rng(14)``
     with 1..9 rows over 1..5 dense columns (Q_WW = 0) and 1..4 separable
     ones (q_U in 1..3), integer entries in −3..3, seven rows in ten with an
@@ -356,8 +360,9 @@ def split_qp_panel():
             twin = ConvexProgram(c=c, a_ineq=g, b_ineq=h, sep=sep).dense()
             return highs_qp_verdict(twin.q, twin.c, twin.a_ineq, twin.b_ineq)
 
-        yield i, ConvexProgram(c=c, a_ineq=g * scale[:, None], b_ineq=h * scale,
-                               sep=Separable(q_u, col, coef * scale)), verdict
+        if only is None or i in only:
+            yield i, ConvexProgram(c=c, a_ineq=g * scale[:, None], b_ineq=h * scale,
+                                   sep=Separable(q_u, col, coef * scale)), verdict
 
 
 VERDICT_PANELS = {"LP": lp_panel, "dense QP": dense_qp_panel, "split QP": split_qp_panel}

@@ -26,8 +26,9 @@ def test_panel_prefix_keeps_its_pinned_verdicts(panel):
     pinned = PINNED[panel]
     listed_columns = fuzz_verdicts.COLUMNS[1:]
     listed = {i for column in listed_columns for i in pinned[column]}
-    chosen = [case for case in VERDICT_PANELS[panel]() if case[0] < PREFIX or case[0] in listed]
-    assert len(chosen) == PREFIX + len(listed - set(range(PREFIX)))
+    assert pinned["right"] + len(listed) == pinned["programs"]
+    chosen = list(VERDICT_PANELS[panel](only=listed | set(range(PREFIX))))
+    assert len(chosen) == len(listed | set(range(PREFIX)))
     # every listed program is solved, so each column must equal the file's
     table = fuzz_verdicts.run(chosen)
     assert {column: table[column] for column in listed_columns} == {column: pinned[column] for column in listed_columns}
