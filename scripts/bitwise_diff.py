@@ -100,6 +100,9 @@ import os
 import subprocess
 import sys
 
+# tests/oracles.py builds the lifted QPs
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
+
 FIELDS = ("status", "iterations", "x", "lam", "primal_residual", "dual_residual", "complementarity_gap")
 
 
@@ -145,34 +148,15 @@ def _presolve_programs():
     yield "presolve-zero-row-column-major-60x8", ConvexProgram(c=c_s, a_ineq=np.asfortranarray(g_s), b_ineq=h_s)
 
 
-def _lifted_qp(ds, r):
-    """The beta=1e-3 relaxation over the filter and all n·k slacks, as a
-    dense program: Q couples the k slacks of each sample.  At k=1 it is
-    the dense twin of ``relax.build``'s split QP."""
-    import numpy as np
-
-    from convrelax.qpsolve import ConvexProgram
-
-    n, k, p = ds.n, ds.k, ds.filter_size
-    nz = n * k
-    slack = p + np.arange(nz)
-    a = np.zeros((2 * nz, p + nz))
-    a[:nz, :p] = ds.blocks().reshape(nz, p)
-    a[np.arange(nz), slack] = -1.0
-    a[nz + np.arange(nz), slack] = -1.0
-    q = np.zeros((p + nz, p + nz))
-    q[p:, p:] = np.kron(np.eye(n), np.ones((k, k)))
-    c = np.concatenate([1e-3 * r, np.repeat(-ds.y, k)])
-    return ConvexProgram(c=c, q=q, a_ineq=a, b_ineq=np.zeros(2 * nz))
-
-
 def _coupled_qp():
     """The lifted QP at k=2: no column is separable, so the QP step runs
     with none eliminated."""
+    from oracles import lifted_qp
+
     from convrelax import model
 
     _, ds = model.sample_planted(10, 8, 2, 14)
-    return _lifted_qp(ds, model.substream(15, model.STREAM_PERTURBATION).standard_normal(ds.filter_size))
+    return lifted_qp(ds, 1e-3, model.substream(15, model.STREAM_PERTURBATION).standard_normal(ds.filter_size))
 
 
 def _shuffled_qp():
@@ -181,12 +165,13 @@ def _shuffled_qp():
     package builds, are not the last ones; the solver factors its Q
     whole."""
     import numpy as np
+    from oracles import lifted_qp
 
     from convrelax import model
     from convrelax.qpsolve import ConvexProgram
 
     _, ds = model.sample_planted(30, 6, 1, 16)
-    program = _lifted_qp(ds, model.substream(17, model.STREAM_PERTURBATION).standard_normal(ds.filter_size))
+    program = lifted_qp(ds, 1e-3, model.substream(17, model.STREAM_PERTURBATION).standard_normal(ds.filter_size))
     perm = np.random.default_rng(18).permutation(program.n_vars)
     return ConvexProgram(c=program.c[perm], q=program.q[np.ix_(perm, perm)],
                          a_ineq=program.a_ineq[:, perm], b_ineq=program.b_ineq)

@@ -4,8 +4,9 @@
 Reproduces the shape of the published heatmaps: for each block count the
 grid covers n in {25, 50, ..., 400} and d in {5, 10, ..., 80} (d values
 restricted to multiples of k), 100 fresh planted instances per cell.
-Writes one CSV per k plus a provenance sidecar and prints ASCII
-previews and the estimated recovery boundary.
+Each k is one ``convrelax sweep`` run, which writes its CSV and
+provenance sidecar and prints the ASCII previews; the script then prints
+its wall time and the estimated recovery boundary read back from the CSV.
 
 Full defaults take a while (three grids x two methods x 100 trials);
 use --trials 25 or a coarser grid for a quick look.
@@ -18,7 +19,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from convrelax import sweep
+from convrelax import cli, sweep
 
 
 def main() -> int:
@@ -33,25 +34,21 @@ def main() -> int:
     args = parser.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
-    n_values = tuple(range(25, 401, 25))
+    n_values = ",".join(str(n) for n in range(25, 401, 25))
     for k in (int(v) for v in args.k_values.split(",")):
-        d_values = tuple(d for d in range(5, 81, 5) if d % k == 0)
-        spec = sweep.GridSpec(
-            n_values=n_values,
-            d_values=d_values,
-            k=k,
-            trials=args.trials,
-            master_seed=args.seed,
-        )
-        t0 = time.time()
-        cells = sweep.run_grid(spec, workers=args.workers)
+        d_values = [d for d in range(5, 81, 5) if d % k == 0]
         out = os.path.join(args.out_dir, f"phase_k{k}.csv")
-        sweep.write_csv(cells, out)
-        sweep.write_spec(spec, os.path.join(args.out_dir, f"phase_k{k}_spec.json"))
-        print(f"k={k}: {len(cells)} cells in {time.time() - t0:.1f}s -> {out}")
-        for method in spec.methods:
-            print(sweep.ascii_heatmap(cells, method))
-            boundary = sweep.estimate_boundary(cells, args.threshold)
+        t0 = time.time()
+        code = cli.main(["sweep", "--n-values", n_values, "--d-values", ",".join(str(d) for d in d_values),
+                         "--k", str(k), "--trials", str(args.trials), "--seed", str(args.seed),
+                         "--workers", str(args.workers), "--out", out,
+                         "--spec-json", os.path.join(args.out_dir, f"phase_k{k}_spec.json"), "--heatmap"])
+        if code != cli.EXIT_OK:
+            return code
+        print(f"k={k}: swept in {time.time() - t0:.1f}s")
+        cells = sweep.read_csv(out)
+        boundary = sweep.estimate_boundary(cells, args.threshold)
+        for method in dict.fromkeys(c.method for c in cells):  # the spec's order
             line = ", ".join(
                 f"d={d}: n>={boundary[(method, d)]}" if boundary[(method, d)] else f"d={d}: -"
                 for d in d_values
@@ -61,8 +58,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except sweep.SweepError as exc:  # a bad grid or worker count, as `convrelax sweep` reports it
-        print(f"usage error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    sys.exit(main())

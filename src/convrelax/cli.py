@@ -125,11 +125,7 @@ def _cmd_fit(args) -> int:
             print(f"status={res.status} iters={res.iters_used} loss={res.final_loss:.6g}")
             print(f"l2_error={verdict.l2_error:.6g} success={verdict.success}")
         return EXIT_OK
-    try:
-        outcome = relax.fit_amplified(ds, args.trials, args.seed, beta=args.beta, tau=args.tau)
-    except relax.AllTrialsFailedError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    outcome = relax.fit_amplified(ds, args.trials, args.seed, beta=args.beta, tau=args.tau)
     if args.json:
         print(model.to_json(outcome))
     else:
@@ -151,13 +147,9 @@ def _cmd_certify(args) -> int:
     sets = certify.active_sets(ds.x, w_star, ds.k)
     gens, _ = certify.cone_generators(ds, sets)
     r = model.substream(args.seed, model.STREAM_PERTURBATION).standard_normal(ds.filter_size)
-    try:
-        # the fit minimizes rᵀw, so the planted filter is optimal iff -r
-        # lies in the generator cone
-        cert = certify.check_cone_condition(gens, -r, tol=args.tol)
-    except certify.IndeterminateCertificate as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    # the fit minimizes rᵀw, so the planted filter is optimal iff -r
+    # lies in the generator cone
+    cert = certify.check_cone_condition(gens, -r, tol=args.tol)
     dual = certify.dual_solve(ds, r, sets=sets)
     if dual.status == certify.DUAL_FAILED:
         print("solver failure in the dual program", file=sys.stderr)
@@ -253,7 +245,7 @@ def main(argv=None) -> int:
             return EXIT_IO
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (relax.AllTrialsFailedError, qpsolve.SolverError) as exc:
+    except (relax.AllTrialsFailedError, certify.IndeterminateCertificate, qpsolve.SolverError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

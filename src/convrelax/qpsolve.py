@@ -39,9 +39,11 @@ dense part's products are ``ndarray.dot``, which makes ``@``'s BLAS call
 without the dispatch of the ``matmul`` gufunc, costlier here than the
 arithmetic, and ``@`` itself on a strided array, which ``dot`` would
 copy; with no separable column (an LP, or a QP given densely) each
-product is the dense part's own, with no separable work.  A QP's Newton
-step, `_SchurKkt`, builds on it over a column-major copy of G
-(``scripts/bitwise_diff.py`` checks bits).
+product is the dense part's own, with no separable work.  A QP's
+operator, `_SchurKkt`, builds on it over a column-major copy of G
+(``scripts/bitwise_diff.py`` checks bits).  Each program's Newton step
+is its operator's ``factor``: an LP's normal matrix (GᵀD)·G + δI, a
+QP's Schur complement with its separable columns eliminated.
 
 The Cholesky solves call dpotrf and dpotrs from scipy's own LAPACK
 extension, ``scipy.linalg._flapack``, as ``scipy.linalg`` calls them; the
@@ -333,6 +335,13 @@ class _Rows:
         norms = np.abs(self.g).max(axis=1, initial=0.0)
         return np.maximum(norms, np.abs(self.sep.coef)) if self.n_u else norms
 
+    def factor(self, d, delta):
+        """An LP's Newton step: a solve rhs -> M⁻¹·rhs of the normal matrix
+        M = (Gᵀ·diag(d))·G + δI (see `_normal_solver`); `_SchurKkt` makes a QP's."""
+        M = (self.g.T * d).dot(self.g)
+        M.reshape(-1)[:: self.n_w + 1] += delta  # the diagonal, in place
+        return _normal_solver(M)
+
 
 def _kkt_measures(program: ConvexProgram, x, lam) -> tuple[float, float, float]:
     """(stationarity, feasibility incl. λ sign, complementarity), ∞-norms,
@@ -439,10 +448,10 @@ def _hsd(program: ConvexProgram, tol, max_iter) -> _Outcome:
     KKT tolerance: the embedding's residual ratios are driven to a
     hundredth of it, but not below 1e-13.
 
-    Every product is `_Rows`' on the program's rows: an LP's are its row-
-    major G's and the view Gᵀ's, column-major (BLAS may round a product
-    differently on another layout), and its normal matrix is
-    A·diag(x/z)·Aᵀ.  A QP's are its `_SchurKkt`'s (Goulart and Chen,
+    Every product and the Newton step are the program's operator's: an
+    LP's `_Rows`, on its row-major G and the view Gᵀ, column-major (BLAS
+    may round a product differently on another layout), which factors
+    A·diag(x/z)·Aᵀ.  A QP's is its `_SchurKkt` (Goulart and Chen,
     arXiv:2405.12762): r_P gains −Q·y, the gap yᵀQy/τ, the τ row
     b − 2Q·y/τ and yᵀQy/τ², and the normal matrix Q + A·diag(x/z)·Aᵀ is
     factored with its separable columns eliminated.  A QP starts at
@@ -481,8 +490,6 @@ def _hsd(program: ConvexProgram, tol, max_iter) -> _Outcome:
     r_p, r_d = b - a_dot(x) - qy, c - at_dot(y) - z
     r_p0, r_d0 = max(1.0, math.sqrt(r_p.dot(r_p))), max(1.0, math.sqrt(r_d.dot(r_d)))
 
-    A = program.a_ineq.T
-    scaled_A = np.empty_like(A) if lp else None  # A·diag(x/z), rewritten every iteration
     iteration = 0
     while True:
         cx, by = c.dot(x), b.dot(y)
@@ -512,12 +519,7 @@ def _hsd(program: ConvexProgram, tol, max_iter) -> _Outcome:
         iteration += 1
 
         d_inv = x / z
-        if lp:
-            M = np.multiply(A, d_inv, out=scaled_A).dot(program.a_ineq)
-            M.reshape(-1)[:: m + 1] += KKT_REGULARIZATION  # the diagonal, in place
-            normal_solve = _normal_solver(M)
-        else:
-            normal_solve = rows.factor(d_inv, KKT_REGULARIZATION)
+        normal_solve = rows.factor(d_inv, KKT_REGULARIZATION)
         if normal_solve is None:
             return _Outcome(SolveStatus.NUMERICAL_FAILURE, iterations=iteration)
 

@@ -262,17 +262,11 @@ def fit_amplified(
     if w_star is None and dataset.seed is not None:
         w_star = teacher_filter(dataset)
 
-    results: list[FitResult] = []
-    records: list[TrialRecord] = []
-    for t in range(num_trials):
-        res = fit(dataset, beta, derived_seed(seed, t))
-        results.append(res)
-        l2 = (
-            float(np.linalg.norm(res.w_hat - w_star))
-            if w_star is not None
-            else float("nan")
-        )
-        records.append(TrialRecord(res.trial_seed, l2, res.train_residual, res.report.status))
+    results = [fit(dataset, beta, derived_seed(seed, t)) for t in range(num_trials)]
+    verdicts = [Assessment(math.nan, math.nan, False) if w_star is None else assess(res.w_hat, w_star, tau)
+                for res in results]
+    records = [TrialRecord(res.trial_seed, verdict.l2_error, res.train_residual, res.report.status)
+               for res, verdict in zip(results, verdicts)]
 
     optimal = [t for t, res in enumerate(results) if res.report.status == SolveStatus.OPTIMAL]
     if not optimal:
@@ -281,13 +275,9 @@ def fit_amplified(
             + ", ".join(res.report.status.value for res in results)
         )
     best_idx = min(optimal, key=lambda t: (results[t].train_residual, t))
-    best = results[best_idx]
-    if w_star is not None:
-        verdict = assess(best.w_hat, w_star, tau)
-        l2, rel, success = verdict.l2_error, verdict.rel_error, verdict.success
-    else:
-        l2, rel, success = float("nan"), float("nan"), False
-    return RecoveryOutcome(best=best, l2_error=l2, rel_error=rel, success=success, trials=records)
+    verdict = verdicts[best_idx]
+    return RecoveryOutcome(best=results[best_idx], l2_error=verdict.l2_error, rel_error=verdict.rel_error,
+                           success=verdict.success, trials=records)
 
 
 def pseudoinverse_recovery(dataset: Dataset) -> np.ndarray:

@@ -50,10 +50,10 @@ class GridSpec:
         self.methods = tuple(self.methods)
         if not self.n_values or not self.d_values:
             raise SweepError("grid axes must be non-empty")
-        if list(self.n_values) != sorted(self.n_values) or any(v <= 0 for v in self.n_values):
-            raise SweepError("n_values must be ascending positive integers")
-        if list(self.d_values) != sorted(self.d_values) or any(v <= 0 for v in self.d_values):
-            raise SweepError("d_values must be ascending positive integers")
+        for name, values in (("n_values", self.n_values), ("d_values", self.d_values)):
+            # a repeated value would run its cells twice, each afresh
+            if list(values) != sorted(set(values)) or values[0] <= 0:
+                raise SweepError(f"{name} must be strictly ascending positive integers")
         if self.k < 1:
             raise SweepError("k must be a positive integer")
         if any(d % self.k != 0 for d in self.d_values):
@@ -66,6 +66,8 @@ class GridSpec:
         bad = set(self.methods) - {METHOD_RELAXATION, METHOD_GRADIENT_DESCENT}
         if bad or not self.methods:
             raise SweepError(f"unknown methods: {sorted(bad)}")
+        if len(set(self.methods)) != len(self.methods):
+            raise SweepError(f"each method may be given once, got {list(self.methods)}")
 
 
 @dataclass
@@ -90,21 +92,19 @@ def cell_trial_seed(master_seed: int, method: str, n: int, d: int, trial: int) -
 def _run_trial(method: str, n: int, d: int, k: int, seed: int, tau: float, amplify: int):
     """Returns (l2_error or nan, success, failed)."""
     pm, ds = sample_planted(n, d, k, seed)
-    if method == METHOD_RELAXATION:
-        if amplify > 1:
-            try:
-                out = relax.fit_amplified(ds, amplify, seed, w_star=pm.w_star, tau=tau)
-            except relax.AllTrialsFailedError:
-                return float("nan"), False, True
-            return out.l2_error, out.success, False
-        res = relax.fit(ds, 0.0, seed)
-        if res.report.status != SolveStatus.OPTIMAL:
+    if method == METHOD_RELAXATION and amplify > 1:
+        try:
+            out = relax.fit_amplified(ds, amplify, seed, w_star=pm.w_star, tau=tau)
+        except relax.AllTrialsFailedError:
             return float("nan"), False, True
-        verdict = relax.assess(res.w_hat, pm.w_star, tau)
-        return verdict.l2_error, verdict.success, False
-    cfg = baseline.default_config(ds, seed=seed)
-    res = baseline.gd_fit(ds, cfg)
-    if res.status == baseline.GD_DIVERGED:
+        return out.l2_error, out.success, False
+    if method == METHOD_RELAXATION:
+        res = relax.fit(ds, 0.0, seed)
+        failed = res.report.status != SolveStatus.OPTIMAL
+    else:
+        res = baseline.gd_fit(ds, baseline.default_config(ds, seed=seed))
+        failed = res.status == baseline.GD_DIVERGED
+    if failed:
         return float("nan"), False, True
     verdict = relax.assess(res.w_hat, pm.w_star, tau)
     return verdict.l2_error, verdict.success, False

@@ -318,6 +318,9 @@ def test_sweep_rejects_k_below_one_and_unknown_methods(tmp_path, capsys):
     assert "usage error: k must be a positive integer" in capsys.readouterr().err
     assert main([*base, "--methods", "relax,foo"]) == EXIT_USAGE
     assert "unknown method 'foo'" in capsys.readouterr().err
+    assert main(["sweep", "--n-values", "20,20", "--d-values", "4", "--trials", "2", "--out", str(out),
+                 "--methods", "relax,relax"]) == EXIT_USAGE
+    assert "usage error: n_values must be strictly ascending" in capsys.readouterr().err
     assert not out.exists()
 
 

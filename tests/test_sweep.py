@@ -30,6 +30,13 @@ def test_gridspec_validation():
         GridSpec(n_values=(10,), d_values=(5,), k=2)  # k does not divide d
     with pytest.raises(SweepError):
         GridSpec(n_values=(10,), d_values=(4,), k=1, methods=("Nope",))
+    # a repeated value or method would run its cells twice
+    with pytest.raises(SweepError, match="n_values must be strictly ascending"):
+        GridSpec(n_values=(20, 20), d_values=(4,), k=1)
+    with pytest.raises(SweepError, match="d_values must be strictly ascending"):
+        GridSpec(n_values=(20,), d_values=(4, 4), k=1)
+    with pytest.raises(SweepError, match="each method may be given once"):
+        GridSpec(n_values=(20,), d_values=(4,), k=1, methods=(METHOD_RELAXATION, METHOD_RELAXATION))
 
 
 def test_gridspec_rejects_a_negative_master_seed():
